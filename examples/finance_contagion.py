@@ -48,7 +48,6 @@ def main() -> None:
         step=21,
         threshold=0.6,
         basic_window_size=21,
-        series_ids=returns.series_ids,
     )
     emitted = []
     for start in range(0, returns.length, 21):

@@ -52,7 +52,6 @@ def main() -> None:
         step=21,
         threshold=0.5,
         basic_window_size=21,
-        series_ids=returns.series_ids,
     )
     monitor = NetworkChangeMonitor(
         monitor=online, min_jaccard=0.4, max_density_change=0.15

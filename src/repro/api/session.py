@@ -240,7 +240,6 @@ class CorrelationSession:
             step=query.step,
             threshold=query.threshold,
             basic_window_size=basic,
-            series_ids=list(self.matrix.series_ids),
         )
         chunk = chunk_columns if chunk_columns is not None else query.step
         if chunk < 1:

@@ -58,6 +58,78 @@ from repro.exceptions import ParallelError, QueryValidationError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 
+def step_window(
+    sketch: BasicWindowSketch,
+    query: SlidingQuery,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    scheduler: JumpScheduler,
+    k: int,
+    positions: np.ndarray,
+    max_steps: int,
+    *,
+    all_pairs: bool = True,
+    use_temporal_pruning: bool = True,
+    slack: float = 0.0,
+    prefix_combination: bool = False,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step one sliding window: the only place a window is evaluated and scheduled.
+
+    Evaluates the pairs at ``positions`` (indices into ``rows``/``cols``, the
+    enumeration ``scheduler`` tracks: those due at ``k``, minus whatever
+    horizontal pruning settled) exactly with Eq. 1, keeps the ones passing
+    ``query.keep_mask`` and schedules the rest as far ahead as the Eq. 2 bound
+    allows, at most ``max_steps`` windows.  ``all_pairs`` (the enumeration is
+    the full upper triangle) lets a mostly-due window use the dense
+    recombination.  Returns the window's edges ``(rows, cols, values)``.
+
+    All state lives in ``scheduler``, so a caller resumes at ``k + 1`` once
+    the sketch covers it: :class:`DangoronEngine` over a fixed range
+    (``max_steps`` = windows left), a standing query over an open-ended
+    stream (``max_steps`` = steps its indexed outgoing windows describe).
+    """
+    if not len(positions):
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0, dtype=FLOAT_DTYPE)
+    layout = sketch.layout
+    bw_first, window_bw = layout.covering(*query.window_bounds(k))
+    pair_rows = rows[positions]
+    pair_cols = cols[positions]
+    if prefix_combination:
+        if all_pairs:
+            dense = sketch.exact_matrix_fast(bw_first, window_bw)
+            exact_vals = dense[pair_rows, pair_cols]
+        else:
+            exact_vals = sketch.exact_pairs_fast(pair_rows, pair_cols, bw_first, window_bw)
+    elif all_pairs and len(positions) * 2 > len(rows):
+        # When most pairs are due (typically the first window) the dense
+        # recombination is cheaper than per-pair gathers and performs exactly
+        # the same amount of Eq. 1 work.  Pair subsets never take this path:
+        # a shard computing the full N x N matrix would multiply the window's
+        # work by the shard count.
+        dense = sketch.exact_matrix_scan(bw_first, window_bw)
+        exact_vals = dense[pair_rows, pair_cols]
+    else:
+        exact_vals = sketch.exact_pairs_scan(pair_rows, pair_cols, bw_first, window_bw)
+    scheduler.record_evaluations(k, positions)
+
+    keep = query.keep_mask(exact_vals)
+    below = positions[~keep]
+    if use_temporal_pruning and len(below) and max_steps >= 1:
+        crossing = (
+            first_possible_crossing_absolute
+            if query.threshold_mode == THRESHOLD_ABSOLUTE
+            else first_possible_crossing
+        )
+        jumps = crossing(
+            exact_vals[~keep], query.threshold, sketch.corr_prefix, rows[below],
+            cols[below], bw_first, query.step // layout.size, window_bw, max_steps,
+            slack=slack,
+        )
+        scheduler.schedule_jumps(k, below, jumps)
+    return pair_rows[keep], pair_cols[keep], exact_vals[keep]
+
+
 @register_engine
 class DangoronEngine(SlidingCorrelationEngine):
     """Sliding correlation computation with temporal jumping and horizontal pruning.
@@ -207,6 +279,7 @@ class DangoronEngine(SlidingCorrelationEngine):
                 first_window, self.num_pivots, self.pivot_strategy, rng
             )
 
+        # Materialized here so the lazy prefix build stays out of query_seconds.
         corr_prefix = sketch.corr_prefix if self.use_temporal_pruning else None
         absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
 
@@ -216,10 +289,6 @@ class DangoronEngine(SlidingCorrelationEngine):
 
         query_start_time = time.perf_counter()
         for k in range(num_windows):
-            window_start_col = query.start + k * query.step
-            bw_first, _ = layout.covering(
-                window_start_col, window_start_col + query.window
-            )
             due = scheduler.due_indices(k)
             eval_positions = due
             max_steps = num_windows - 1 - k
@@ -230,6 +299,7 @@ class DangoronEngine(SlidingCorrelationEngine):
             # prune — and schedule — identically for any pair partition
             # (a shard with no due pairs skips only the pivot evaluations).
             if pivots is not None and len(due) > 0:
+                bw_first, _ = layout.covering(*query.window_bounds(k))
                 pivot_rows = np.repeat(pivots, n)
                 pivot_cols = np.tile(np.arange(n), len(pivots))
                 pivot_corrs = sketch.exact_pairs_scan(
@@ -272,78 +342,14 @@ class DangoronEngine(SlidingCorrelationEngine):
                     scheduler.schedule_jumps(k, pruned, jumps)
 
             # ---------------------------------------------------- exact values
-            window_rows = np.empty(0, dtype=np.int64)
-            window_cols = np.empty(0, dtype=np.int64)
-            window_vals = np.empty(0, dtype=FLOAT_DTYPE)
-            if len(eval_positions):
-                pair_rows = rows[eval_positions]
-                pair_cols = cols[eval_positions]
-                if self.prefix_combination:
-                    if pairs is None:
-                        dense = sketch.exact_matrix_fast(bw_first, window_bw)
-                        exact_vals = dense[pair_rows, pair_cols]
-                    else:
-                        exact_vals = sketch.exact_pairs_fast(
-                            pair_rows, pair_cols, bw_first, window_bw
-                        )
-                elif pairs is None and len(eval_positions) * 2 > len(rows):
-                    # When most pairs are due (typically the first window) the
-                    # dense recombination is cheaper than per-pair gathers and
-                    # performs exactly the same amount of Eq. 1 work.  Pair
-                    # subsets never take this path: a shard computing the full
-                    # N x N matrix would multiply the window's work by the
-                    # shard count.
-                    dense = sketch.exact_matrix_scan(bw_first, window_bw)
-                    exact_vals = dense[pair_rows, pair_cols]
-                else:
-                    exact_vals = sketch.exact_pairs_scan(
-                        pair_rows, pair_cols, bw_first, window_bw
-                    )
-                scheduler.record_evaluations(k, eval_positions)
-
-                keep = query.keep_mask(exact_vals)
-                window_rows = pair_rows[keep]
-                window_cols = pair_cols[keep]
-                window_vals = exact_vals[keep]
-
-                below = eval_positions[~keep]
-                if (
-                    self.use_temporal_pruning
-                    and len(below)
-                    and max_steps >= 1
-                ):
-                    below_vals = exact_vals[~keep]
-                    if absolute:
-                        jumps = first_possible_crossing_absolute(
-                            below_vals,
-                            query.threshold,
-                            corr_prefix,
-                            rows[below],
-                            cols[below],
-                            bw_first,
-                            step_bw,
-                            window_bw,
-                            max_steps,
-                            slack=self.slack,
-                        )
-                    else:
-                        jumps = first_possible_crossing(
-                            below_vals,
-                            query.threshold,
-                            corr_prefix,
-                            rows[below],
-                            cols[below],
-                            bw_first,
-                            step_bw,
-                            window_bw,
-                            max_steps,
-                            slack=self.slack,
-                        )
-                    scheduler.schedule_jumps(k, below, jumps)
-
-            matrices.append(
-                ThresholdedMatrix(n, window_rows, window_cols, window_vals)
+            edges = step_window(
+                sketch, query, rows, cols, scheduler, k, eval_positions, max_steps,
+                all_pairs=pairs is None,
+                use_temporal_pruning=self.use_temporal_pruning,
+                slack=self.slack,
+                prefix_combination=self.prefix_combination,
             )
+            matrices.append(ThresholdedMatrix(n, *edges))
         query_seconds = time.perf_counter() - query_start_time
 
         stats = EngineStats(

@@ -15,7 +15,7 @@ Dangoron engine can compose both pruning mechanisms on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,12 +44,15 @@ class JumpScheduler:
     Pairs are identified by their position ``0 … num_pairs-1`` in whatever
     pair enumeration the engine uses (the engine keeps the mapping to
     ``(i, j)`` index arrays).  All pairs start due at window 0.
+
+    ``num_windows=None`` schedules over an open-ended stream (standing
+    queries): no last window, so every window a jump passes counts as skipped.
     """
 
-    def __init__(self, num_pairs: int, num_windows: int) -> None:
+    def __init__(self, num_pairs: int, num_windows: Optional[int]) -> None:
         if num_pairs < 0:
             raise QueryValidationError(f"num_pairs must be >= 0, got {num_pairs}")
-        if num_windows < 1:
+        if num_windows is not None and num_windows < 1:
             raise QueryValidationError(f"num_windows must be >= 1, got {num_windows}")
         self.num_pairs = num_pairs
         self.num_windows = num_windows
@@ -107,11 +110,11 @@ class JumpScheduler:
             )
         if len(jump_lengths) and jump_lengths.min() < 1:
             raise QueryValidationError("jump lengths must be at least 1")
-        self._next_due[pair_indices] = window_index + jump_lengths
-        skipped = np.minimum(window_index + jump_lengths, self.num_windows) - (
-            window_index + 1
-        )
-        skipped = np.maximum(skipped, 0)
+        next_due = window_index + jump_lengths
+        self._next_due[pair_indices] = next_due
+        if self.num_windows is not None:
+            next_due = np.minimum(next_due, self.num_windows)
+        skipped = np.maximum(next_due - (window_index + 1), 0)
         self.stats.skipped_evaluations += int(skipped.sum())
         jumps = jump_lengths[jump_lengths > 1]
         self.stats.jumps_scheduled += int(len(jumps))
@@ -120,13 +123,17 @@ class JumpScheduler:
     def park(self, pair_indices: np.ndarray, window_index: int) -> None:
         """Remove pairs from consideration for the remainder of the query."""
         self._check_window(window_index)
+        if self.num_windows is None:
+            raise QueryValidationError(
+                "an open-ended schedule has no final window to park pairs behind"
+            )
         pair_indices = np.asarray(pair_indices, dtype=INDEX_DTYPE)
         remaining = self.num_windows - (window_index + 1)
         self._next_due[pair_indices] = self.num_windows
         self.stats.skipped_evaluations += int(remaining) * int(len(pair_indices))
 
     def _check_window(self, window_index: int) -> None:
-        if not 0 <= window_index < self.num_windows:
+        if window_index < 0 or window_index >= (self.num_windows or np.inf):
             raise QueryValidationError(
                 f"window index {window_index} out of range [0, {self.num_windows})"
             )

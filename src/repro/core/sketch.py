@@ -110,6 +110,25 @@ def pair_corrs_from_stats(
     return clamp_correlation_array(pair_corrs)
 
 
+def _window_statistics(blocks: np.ndarray, size: int, pairwise: bool):
+    """Statistics of whole basic windows: the one place they are computed.
+
+    ``blocks`` is ``(N, count, size)``; returns ``(series_sums, series_sumsqs,
+    pair_sumprods, pair_corrs)``, the pair tensors ``None`` without
+    ``pairwise``.  Each reduction runs inside one basic window, so a window's
+    statistics are the same bits in :meth:`BasicWindowSketch.build` and as a
+    delta in :meth:`BasicWindowSketch.extend` — both call this, nothing else.
+    """
+    series_sums = blocks.sum(axis=2)
+    series_sumsqs = np.einsum("nws,nws->nw", blocks, blocks)
+    if not pairwise:
+        return series_sums, series_sumsqs, None, None
+    # (count, N, N) tensor of per-basic-window sums of products.
+    pair_sumprods = np.einsum("iws,jws->wij", blocks, blocks)
+    pair_corrs = pair_corrs_from_stats(series_sums, series_sumsqs, pair_sumprods, size)
+    return series_sums, series_sumsqs, pair_sumprods, pair_corrs
+
+
 def ensure_sketch_layout(sketch: "BasicWindowSketch", layout) -> "BasicWindowSketch":
     """Validate that a prebuilt sketch matches the layout an execution plans.
 
@@ -184,31 +203,12 @@ class BasicWindowSketch:
                 f"layout covers columns up to {layout.covered_end} but the matrix "
                 f"has only {values.shape[1]} columns"
             )
-        num_series = values.shape[0]
-        size = layout.size
-        count = layout.count
         blocks = values[:, layout.covered_start : layout.covered_end].reshape(
-            num_series, count, size
+            values.shape[0], layout.count, layout.size
         )
-
-        series_sums = blocks.sum(axis=2)
-        series_sumsqs = np.einsum("nws,nws->nw", blocks, blocks)
-
-        pair_sumprods = None
-        pair_corrs = None
-        if pairwise:
-            # (count, N, N) tensor of per-basic-window sums of products.
-            pair_sumprods = np.einsum("iws,jws->wij", blocks, blocks)
-            pair_corrs = pair_corrs_from_stats(
-                series_sums, series_sumsqs, pair_sumprods, size
-            )
-
         return cls(
-            layout=layout,
-            series_sums=series_sums,
-            series_sumsqs=series_sumsqs,
-            pair_sumprods=pair_sumprods,
-            pair_corrs=pair_corrs,
+            layout,
+            *_window_statistics(blocks, layout.size, pairwise),
             build_seconds=time.perf_counter() - started,
         )
 
@@ -216,16 +216,15 @@ class BasicWindowSketch:
     def extend(self, columns: np.ndarray) -> "BasicWindowSketch":
         """Absorb appended columns as new basic windows (O(Δ), bit-identical).
 
-        ``columns`` are the raw values of the columns immediately following
-        this sketch's coverage (``[covered_end, covered_end + k)``) and must
-        form whole basic windows (``k`` a positive multiple of
+        ``columns`` are the raw values immediately following this sketch's
+        coverage and must form whole basic windows (a positive multiple of
         ``layout.size``); callers buffer sub-window residuals until a window
-        completes (see ``SketchCache.extend_chain``).  Appends never change
-        *existing* basic windows, so extension computes the delta windows'
-        statistics with the dense build's exact element-wise operations and
-        concatenates — splitting the basic-window axis is the same
-        reduction-safe cut the tiled builder makes at every tile boundary, so
-        the returned sketch is **bit-identical** to
+        completes (see ``SketchCache.extend_chain``).  This is the one place
+        statistics grow: appends never change *existing* basic windows, so the
+        delta windows' statistics come from the build's own kernel
+        (:func:`_window_statistics`) and are concatenated — the reduction-safe
+        cut along the window axis the tiled builder makes at every tile
+        boundary — making the result **bit-identical** to
         ``BasicWindowSketch.build`` over the grown matrix (property-tested in
         ``tests/property/test_incremental_maintenance_property.py``).
 
@@ -251,20 +250,14 @@ class BasicWindowSketch:
                 f"(buffer sub-window residuals until a window completes)"
             )
         delta_count = columns.shape[1] // size
-        blocks = columns.reshape(self.num_series, delta_count, size)
-
-        delta_sums = blocks.sum(axis=2)
-        delta_sumsqs = np.einsum("nws,nws->nw", blocks, blocks)
+        delta_sums, delta_sumsqs, delta_sumprods, delta_corrs = _window_statistics(
+            columns.reshape(self.num_series, delta_count, size), size, self.has_pairwise
+        )
         series_sums = np.concatenate([self.series_sums, delta_sums], axis=1)
         series_sumsqs = np.concatenate([self.series_sumsqs, delta_sumsqs], axis=1)
-
         pair_sumprods = None
         pair_corrs = None
         if self.has_pairwise:
-            delta_sumprods = np.einsum("iws,jws->wij", blocks, blocks)
-            delta_corrs = pair_corrs_from_stats(
-                delta_sums, delta_sumsqs, delta_sumprods, size
-            )
             pair_sumprods = np.concatenate([self.pair_sumprods, delta_sumprods])
             pair_corrs = np.concatenate([self.pair_corrs, delta_corrs])
 

@@ -7,8 +7,8 @@ that deployment shape: a stdlib-only HTTP server that loads datasets from a
 :class:`~repro.api.CorrelationSession` + sketch cache per dataset, coalesces
 identical concurrent queries, lazily materializes persisted
 :class:`~repro.storage.stats_index.StatsIndex` artefacts into the cache, and
-feeds appended columns to standing threshold queries through the online
-monitor.
+advances standing threshold queries over the dataset's shared sketch as
+columns are appended.
 
 Layers (each importable and testable on its own):
 

@@ -23,9 +23,9 @@ by every subsequent query; the service is that deployment shape:
   query (:mod:`repro.service.batching`),
 * a bounded per-dataset **admission queue** sheds overload with a 429 +
   ``Retry-After`` envelope instead of collapsing, and
-* appended columns feed each registered standing query's
-  :class:`~repro.streaming.online.OnlineCorrelationMonitor`, so monitors see
-  new windows as soon as their data completes.
+* standing queries keep only a :class:`~repro.streaming.online.WindowCursor`
+  and advance at append/flush time over the dataset's anchored sketch in the
+  shared cache — the entry appends extend in O(Δ) and queries already share.
 
 With ``service_workers=N`` the scans themselves run in a
 :class:`~repro.service.workers.WorkerPool` of forked processes over shared
@@ -55,6 +55,7 @@ from repro.api.queries import ThresholdQuery
 from repro.api.session import CorrelationSession
 from repro.api.planner import QueryPlanner
 from repro.config import DEFAULT_BASIC_WINDOW_SIZE
+from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import ServiceError, StorageError
 from repro.service.batching import (
@@ -75,7 +76,7 @@ from repro.service.workers import WorkerConfig, WorkerPool
 from repro.storage.cache import SketchCache
 from repro.storage.catalog import Catalog
 from repro.storage.shared import SegmentManager
-from repro.streaming.online import OnlineCorrelationMonitor
+from repro.streaming.online import WindowCursor
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 #: Request fields understood by :meth:`CorrelationService.query` beyond the
@@ -102,19 +103,20 @@ WATCH_HISTORY_LIMIT = 256
 
 
 class _StandingQuery:
-    """A registered threshold query kept current by the append path."""
+    """A registered threshold query: its cursor and emitted windows, no
+    statistics and no data (``advance`` is handed the dataset's shared sketch)."""
 
     def __init__(self, watch_id: str, query: ThresholdQuery,
-                 monitor: OnlineCorrelationMonitor) -> None:
+                 cursor: WindowCursor) -> None:
         self.watch_id = watch_id
         self.query = query
-        self.monitor = monitor
+        self.cursor = cursor
         self.windows: Deque[Dict[str, object]] = deque(maxlen=WATCH_HISTORY_LIMIT)
         self.emitted_windows = 0
 
-    def feed(self, columns: np.ndarray) -> List[Dict[str, object]]:
+    def advance(self, sketch: BasicWindowSketch) -> List[Dict[str, object]]:
         emitted = []
-        for result in self.monitor.append(columns):
+        for result in self.cursor.advance(sketch):
             window_edges = result.matrix
             document = {
                 "index": result.window_index,
@@ -339,14 +341,15 @@ class DatasetRuntime:
 
     # ----------------------------------------------------------------- writes
     def append_columns(self, columns: np.ndarray) -> Dict[str, object]:  # requires-lock: lock
-        """Append new time steps and feed every standing query's monitor.
+        """Append new time steps and advance every standing query.
 
         Before the store grows, the append advances the sketch cache's
         fingerprint *chain* (``SketchCache.extend_chain``): cached sketches
         move to the grown matrix's digest instead of being orphaned, and the
         appended columns join the chain's tail buffer, so the next query
         refreshes its sketch in O(Δ) (``sketch_build=incremental``) instead
-        of rebuilding O(history) statistics.
+        of rebuilding O(history) statistics.  Standing queries advance over
+        that same refreshed entry (:meth:`advance_watches`).
         """
         fingerprint = self.sketch_cache.extend_chain(self.matrix, columns)
         self.store.append(columns)
@@ -358,14 +361,10 @@ class DatasetRuntime:
         self._matrix = None
         self._sessions.clear()
         self.sketch_cache.adopt_fingerprint(self.matrix, fingerprint)
-        watches = [
-            {"id": watch.watch_id, "windows": watch.feed(columns)}
-            for watch in self.watches.values()
-        ]
         return {
             "appended_columns": int(columns.shape[1]),
             "length": self.store.length,
-            "watches": watches,
+            "watches": self.advance_watches(self.watches.values()),
         }
 
     def ingest_columns(self, columns: np.ndarray) -> Dict[str, object]:  # requires-lock: lock
@@ -373,7 +372,7 @@ class DatasetRuntime:
 
         With no write buffer configured this is :meth:`append_columns` write-
         through.  Otherwise the columns are buffered and only flushed into
-        the chunk store (and the standing-query monitors, and the sketch
+        the chunk store (and the standing queries, and the sketch
         chain) once the buffered column count or the buffer's age crosses its
         threshold — sustained ingestion then amortizes storage writes and
         sketch extension over whole batches.  The response always reports the
@@ -440,18 +439,39 @@ class DatasetRuntime:
 
     def register_watch(self, query: ThresholdQuery) -> _StandingQuery:  # requires-lock: lock
         """Register a standing threshold query, caught up on stored history."""
-        monitor = OnlineCorrelationMonitor.for_query(
+        cursor = WindowCursor.for_query(
             query,
             num_series=self.store.num_series,
             basic_window_size=self.basic_window_size,
-            series_ids=self.store.series_ids,
         )
         self._watch_counter += 1
-        watch = _StandingQuery(f"w{self._watch_counter}", query, monitor)
-        if self.store.length:
-            watch.feed(self.store.read_all())
+        watch = _StandingQuery(f"w{self._watch_counter}", query, cursor)
+        self.advance_watches([watch])
         self.watches[watch.watch_id] = watch
         return watch
+
+    def advance_watches(self, watches) -> List[Dict[str, object]]:  # requires-lock: lock
+        """Advance standing queries over the stored columns; report new windows.
+
+        The anchored layout comes from the shared cache once per basic-window
+        size — an O(Δ) extension after an append, a hit for the anchored
+        query that follows — never a second sketch or a dense store read.
+        """
+        sketches: Dict[int, BasicWindowSketch] = {}
+        emitted = []
+        for watch in watches:
+            windows: List[Dict[str, object]] = []
+            if self.store.length >= watch.query.window:
+                size = watch.cursor.basic_window_size
+                if size not in sketches:
+                    sketches[size] = self.sketch_cache.get_or_extend(
+                        self.matrix,
+                        BasicWindowLayout.for_range(0, self.store.length, size),
+                        memory_budget=self.memory_budget,
+                    )
+                windows = watch.advance(sketches[size])
+            emitted.append({"id": watch.watch_id, "windows": windows})
+        return emitted
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, object]:
@@ -511,7 +531,7 @@ class CorrelationService:
     write_buffer_columns, write_buffer_seconds:
         Bounded write buffer for sustained append streams: accepted columns
         batch in memory and flush into the chunk store (and the standing
-        query monitors, and the sketch fingerprint chain) once either the
+        queries, and the sketch fingerprint chain) once either the
         buffered column count or the buffer's age crosses its threshold.
         Query and watch reads flush first, so they always observe every
         accepted append.  Both ``None`` (the default) keeps appends

@@ -257,16 +257,18 @@ class SegmentManager:
     shapes with different ``start`` offsets produce different basic-window
     layouts, and evicting one layout's segment whenever another is asked for
     would re-export (an O(N·L) disk write under the runtime lock) on every
-    alternation.  A changed *fingerprint* (append) supersedes the same
-    layout's previous export; per layout the current export plus its most
-    recent predecessor are kept, so a job dispatched just before an append's
-    re-export can still attach the path it was handed.
+    alternation.  An append changes the *fingerprint* (and grows the
+    anchored layout's window count), superseding the exports of the same
+    layout family ``(offset, size)``; per family the exports under the
+    newest ``KEEP_GENERATIONS`` fingerprints stay, whatever their ``count``,
+    so a job dispatched just before an append's re-export still attaches and
+    different ``end`` values over one snapshot never evict one another.
 
     Not thread-safe: the owning :class:`~repro.service.service
     .DatasetRuntime` calls every method under its runtime lock.
     """
 
-    #: Exports kept on disk per layout (current plus one predecessor).
+    #: Fingerprints kept per layout family (the current one and its predecessor).
     KEEP_GENERATIONS = 2
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -309,15 +311,19 @@ class SegmentManager:
         return path, self.generation
 
     def _prune(self, layout: BasicWindowLayout) -> None:
-        """Drop this layout's exports beyond the newest ``KEEP_GENERATIONS``."""
-        shape = (layout.offset, layout.size, layout.count)
-        same_layout = sorted(
-            (item for item in self._live.items() if item[0][1:] == shape),
-            key=lambda item: item[1][1],
+        """Drop this layout family's exports under superseded fingerprints
+        (the anchored view's ``count`` grows per append, so ``count`` is not
+        part of the family)."""
+        family = sorted(
+            (item for item in self._live.items()
+             if item[0][1:3] == (layout.offset, layout.size)),
+            key=lambda item: -item[1][1],
         )
-        for key, (path, _) in same_layout[: -self.KEEP_GENERATIONS]:
-            del self._live[key]
-            shutil.rmtree(path, ignore_errors=True)
+        kept = list(dict.fromkeys(key[0] for key, _ in family))[: self.KEEP_GENERATIONS]
+        for key, (path, _) in family:
+            if key[0] not in kept:
+                del self._live[key]
+                shutil.rmtree(path, ignore_errors=True)
 
     def describe(self) -> Dict[str, object]:
         return {

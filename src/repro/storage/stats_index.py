@@ -5,9 +5,9 @@ computed once, stored, and reused by every subsequent query ("we can
 pre-compute and store basic window statistics and calculate correlations for
 arbitrary query windows and sizes").  :class:`StatsIndex` is that stored
 artefact: it wraps a :class:`~repro.core.sketch.BasicWindowSketch`, knows how
-to persist itself to disk, can be *extended incrementally* when new columns
-arrive (the streaming path), and can materialize sketches restricted to a
-query range without touching raw data.
+to persist itself to disk, and can be *extended incrementally* when new
+columns arrive — through :meth:`BasicWindowSketch.extend`, the one place
+statistics grow.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class StatsIndex:
         :attr:`covered_columns` + the length of ``previous_tail`` (columns that
         arrived earlier but did not yet fill a complete basic window).  Only
         complete new basic windows are appended; leftover columns are the
-        caller's responsibility to resubmit (the streaming layer keeps them).
+        caller's responsibility to resubmit as ``previous_tail``.
 
         Returns the number of basic windows appended.
         """
@@ -96,33 +96,8 @@ class StatsIndex:
             )
         size = self.layout.size
         complete = new_columns.shape[1] // size
-        if complete == 0:
-            return 0
-        usable = new_columns[:, : complete * size]
-        extension_layout = BasicWindowLayout(offset=0, size=size, count=complete)
-        extension = BasicWindowSketch.build(usable, extension_layout)
-
-        merged_layout = BasicWindowLayout(
-            offset=self.layout.offset,
-            size=size,
-            count=self.layout.count + complete,
-        )
-        self._sketch = BasicWindowSketch(
-            layout=merged_layout,
-            series_sums=np.concatenate(
-                [self._sketch.series_sums, extension.series_sums], axis=1
-            ),
-            series_sumsqs=np.concatenate(
-                [self._sketch.series_sumsqs, extension.series_sumsqs], axis=1
-            ),
-            pair_sumprods=np.concatenate(
-                [self._sketch.pair_sumprods, extension.pair_sumprods], axis=0
-            ),
-            pair_corrs=np.concatenate(
-                [self._sketch.pair_corrs, extension.pair_corrs], axis=0
-            ),
-            build_seconds=self._sketch.build_seconds + extension.build_seconds,
-        )
+        if complete:
+            self._sketch = self._sketch.extend(new_columns[:, : complete * size])
         return complete
 
     # ------------------------------------------------------------ persistence

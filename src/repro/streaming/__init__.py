@@ -1,4 +1,4 @@
-"""Streaming substrate: ingestion, window bookkeeping, online monitoring (S8)."""
+"""Streaming substrate: online monitoring and change alerts over a growing stream (S8)."""
 
 from repro.streaming.monitor import (
     ALERT_DENSITY_JUMP,
@@ -9,8 +9,6 @@ from repro.streaming.monitor import (
     NetworkChangeMonitor,
 )
 from repro.streaming.online import OnlineCorrelationMonitor, OnlineWindowResult
-from repro.streaming.stream import StreamIngestor
-from repro.streaming.window_manager import SlidingWindowManager
 
 __all__ = [
     "ALERT_DENSITY_JUMP",
@@ -21,6 +19,4 @@ __all__ = [
     "NetworkChangeMonitor",
     "OnlineCorrelationMonitor",
     "OnlineWindowResult",
-    "SlidingWindowManager",
-    "StreamIngestor",
 ]

@@ -1,34 +1,34 @@
 """Online correlation-network monitoring over a live stream.
 
-:class:`OnlineCorrelationMonitor` combines the streaming substrate with the
-Dangoron pruning machinery: columns are appended as they arrive, the
-statistics index grows by whole basic windows, and whenever enough data is
-available to complete the next sliding window the monitor emits its
-thresholded correlation matrix.  Below-threshold pairs are scheduled into the
-future with the Eq. 2 bound exactly as in the offline engine — the outgoing
-basic windows needed by the bound are always in the past, so the bound is
-computable online — which keeps per-arrival work low once the network is
-sparse.
+A standing threshold query is a :class:`WindowCursor`: the next sliding window
+to emit plus, per pair, the window at which it is next due.  It advances over
+any sketch covering the stream from column 0, one
+:func:`repro.core.dangoron.step_window` call per newly complete window — the
+offline engine's own step, Eq. 2 scheduling included (the outgoing basic
+windows the bound reads are always in the past, so it is computable online).
 
-This is the "network construction and updates … interactivity" scenario from
-the paper's challenge list, packaged as a push-based API.
+:class:`OnlineCorrelationMonitor` is a cursor that owns its stream: it buffers
+the columns that do not yet fill a basic window and grows its sketch with
+:meth:`BasicWindowSketch.extend`.  The query service keeps bare cursors and
+advances them over the dataset's shared, cached sketch — the paper's "network
+construction and updates … interactivity" scenario as a push-based API.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
-from repro.config import DEFAULT_BASIC_WINDOW_SIZE, INDEX_DTYPE
-from repro.core.basic_window import choose_basic_window_size
-from repro.core.bounds import first_possible_crossing
+from repro.config import DEFAULT_BASIC_WINDOW_SIZE, FLOAT_DTYPE
+from repro.core.basic_window import BasicWindowLayout, choose_basic_window_size
+from repro.core.dangoron import step_window
+from repro.core.jumping import JumpScheduler
 from repro.core.query import THRESHOLD_SIGNED, SlidingQuery
 from repro.core.result import ThresholdedMatrix
+from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import StreamingError
-from repro.streaming.stream import StreamIngestor
-from repro.streaming.window_manager import SlidingWindowManager
 
 
 @dataclass
@@ -43,9 +43,8 @@ class OnlineWindowResult:
     skipped_pairs: int = 0
 
 
-@dataclass
-class OnlineCorrelationMonitor:
-    """Push-based sliding correlation-network monitor.
+class WindowCursor:
+    """Scheduler state of one standing threshold query over a growing stream.
 
     Parameters
     ----------
@@ -55,71 +54,65 @@ class OnlineCorrelationMonitor:
         Sliding-window size and step, in columns.  Both must be multiples of
         ``basic_window_size`` (the aligned regime the pruned engine uses).
     threshold:
-        The correlation threshold ``beta``.
+        The correlation threshold ``beta`` (signed: keep ``c >= beta``).
     basic_window_size:
-        Basic-window size of the maintained statistics.
+        Basic-window size of the statistics the cursor advances over.
     use_temporal_pruning:
         Apply the Eq. 2 jump scheduling across emitted windows.
+
+    The sketch is an argument of :meth:`advance`, never state — several
+    cursors (and ordinary queries) share one.
     """
 
-    num_series: int
-    window: int
-    step: int
-    threshold: float
-    basic_window_size: int = DEFAULT_BASIC_WINDOW_SIZE
-    use_temporal_pruning: bool = True
-    series_ids: Optional[Sequence[str]] = None
-    keep_raw: bool = False
-    _ingestor: StreamIngestor = field(init=False)
-    _manager: SlidingWindowManager = field(init=False)
-    _next_due: np.ndarray = field(init=False)
-    _rows: np.ndarray = field(init=False)
-    _cols: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.window % self.basic_window_size != 0:
+    def __init__(
+        self,
+        num_series: int,
+        window: int,
+        step: int,
+        threshold: float,
+        basic_window_size: int = DEFAULT_BASIC_WINDOW_SIZE,
+        use_temporal_pruning: bool = True,
+    ) -> None:
+        if num_series < 1:
+            raise StreamingError(f"num_series must be positive, got {num_series}")
+        if basic_window_size < 2:
             raise StreamingError(
-                f"window ({self.window}) must be a multiple of the basic window "
-                f"size ({self.basic_window_size})"
+                f"basic_window_size must be at least 2, got {basic_window_size}"
             )
-        if self.step % self.basic_window_size != 0:
-            raise StreamingError(
-                f"step ({self.step}) must be a multiple of the basic window "
-                f"size ({self.basic_window_size})"
-            )
-        if not -1.0 <= self.threshold <= 1.0:
-            raise StreamingError(f"threshold must lie in [-1, 1], got {self.threshold}")
-        self._ingestor = StreamIngestor(
-            self.num_series,
-            basic_window_size=self.basic_window_size,
-            series_ids=self.series_ids,
-            keep_raw=self.keep_raw,
-        )
-        self._manager = SlidingWindowManager(window=self.window, step=self.step)
-        self._rows, self._cols = np.triu_indices(self.num_series, k=1)
-        self._next_due = np.zeros(len(self._rows), dtype=INDEX_DTYPE)
+        for name, value in (("window", window), ("step", step)):
+            if value < basic_window_size or value % basic_window_size:
+                raise StreamingError(
+                    f"{name} ({value}) must be a positive multiple of the basic "
+                    f"window size ({basic_window_size})"
+                )
+        if not -1.0 <= threshold <= 1.0:
+            raise StreamingError(f"threshold must lie in [-1, 1], got {threshold}")
+        self.num_series = num_series
+        self.window = window
+        self.step = step
+        self.threshold = threshold
+        self.basic_window_size = basic_window_size
+        self.use_temporal_pruning = use_temporal_pruning
+        #: Windows emitted so far, i.e. the index of the next one.
+        self.emitted_windows = 0
+        self._rows, self._cols = np.triu_indices(num_series, k=1)
+        self._scheduler = JumpScheduler(len(self._rows), num_windows=None)
 
-    # ------------------------------------------------------------ construction
     @classmethod
     def for_query(
         cls,
         query: SlidingQuery,
         num_series: int,
         basic_window_size: int = DEFAULT_BASIC_WINDOW_SIZE,
-        series_ids: Optional[Sequence[str]] = None,
-        keep_raw: bool = False,
-    ) -> "OnlineCorrelationMonitor":
-        """Build a monitor answering a threshold query spec over a live stream.
+    ) -> "WindowCursor":
+        """Answer a threshold query spec over a live stream.
 
         The push-based twin of ``CorrelationSession.run``: the query supplies
         window, step and threshold, and the basic-window size is aligned to
-        them with the same rule the offline planner uses — this is how the
-        query service turns a registered standing query into a monitor fed by
-        ``append``.  Only signed-threshold specs stream (the monitor's
-        semantics); top-k, lagged and absolute-mode queries raise
-        :class:`StreamingError`.  The monitor watches the stream from its
-        first column, so a spec with ``start > 0`` is rejected rather than
-        silently shifted.
+        them with the rule the offline planner uses.  Only signed-threshold
+        specs stream; top-k, lagged and absolute-mode queries raise
+        :class:`StreamingError`, and so does ``start > 0`` (a standing query
+        watches the stream from its first column; it is not silently shifted).
         """
         if getattr(query, "mode", "threshold") != "threshold":
             raise StreamingError(
@@ -136,109 +129,99 @@ class OnlineCorrelationMonitor:
                 f"standing queries watch the stream from column 0, got "
                 f"start={query.start}"
             )
-        basic = choose_basic_window_size(query.window, query.step, basic_window_size)
         return cls(
             num_series=num_series,
             window=query.window,
             step=query.step,
             threshold=query.threshold,
-            basic_window_size=basic,
-            series_ids=list(series_ids) if series_ids is not None else None,
-            keep_raw=keep_raw,
+            basic_window_size=choose_basic_window_size(
+                query.window, query.step, basic_window_size
+            ),
         )
 
-    # ------------------------------------------------------------------ ingest
-    @property
-    def emitted_windows(self) -> int:
-        return self._manager.emitted_windows
+    def equivalent_query(self, total_columns: int) -> SlidingQuery:
+        """The offline query answering the same windows over ``total_columns``."""
+        return SlidingQuery(
+            0, total_columns, self.window, self.step, self.threshold, THRESHOLD_SIGNED
+        )
+
+    def advance(self, sketch: BasicWindowSketch) -> List[OnlineWindowResult]:
+        """Emit every window ``sketch`` completes beyond the last one emitted.
+
+        ``sketch`` must cover the stream from column 0 in basic windows of
+        this cursor's size.  One result per window, in order, however the
+        arriving columns were batched.
+        """
+        layout = sketch.layout
+        if layout.offset != 0 or layout.size != self.basic_window_size:
+            raise StreamingError(
+                f"a standing query over basic windows of {self.basic_window_size} "
+                f"columns from column 0 cannot advance over {layout}"
+            )
+        if layout.covered_end < self.window:
+            return []
+        query = self.equivalent_query(layout.covered_end)
+        step_bw = self.step // layout.size
+        results = []
+        for k in range(self.emitted_windows, query.num_windows):
+            begin, end = query.window_bounds(k)
+            due = self._scheduler.due_indices(k)
+            # The Eq. 2 bound reads the basic windows that slide *out*; it
+            # can look only as many steps ahead as already-indexed outgoing
+            # windows exist (pairs parked at the cap simply re-enter when due).
+            horizon = (layout.count - begin // layout.size) // step_bw
+            edges = step_window(
+                sketch, query, self._rows, self._cols, self._scheduler, k, due,
+                horizon, use_temporal_pruning=self.use_temporal_pruning,
+            )
+            results.append(OnlineWindowResult(
+                k, begin, end, ThresholdedMatrix(self.num_series, *edges),
+                exact_evaluations=len(due), skipped_pairs=len(self._rows) - len(due),
+            ))
+        self.emitted_windows = max(self.emitted_windows, query.num_windows)
+        return results
+
+
+class OnlineCorrelationMonitor(WindowCursor):
+    """Push-based sliding correlation-network monitor (parameters as the cursor's).
+
+    A cursor plus the stream it advances over: the sub-window residual of the
+    appended columns and a sketch grown by :meth:`BasicWindowSketch.extend`.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._sketch: Optional[BasicWindowSketch] = None
+        self._residual: Optional[np.ndarray] = None
 
     def append(self, columns: np.ndarray) -> List[OnlineWindowResult]:
         """Feed new columns; returns results for every window that completed."""
-        self._ingestor.append(columns)
-        available = self.indexed_columns()
-        results = []
-        for k, begin, end in self._manager.newly_complete(available):
-            results.append(self._emit_window(k, begin, end))
-        return results
+        columns = np.asarray(columns, dtype=FLOAT_DTYPE)
+        if columns.ndim == 1:
+            columns = columns.reshape(-1, 1)
+        if columns.ndim != 2 or columns.shape[0] != self.num_series:
+            raise StreamingError(
+                f"appended columns must have shape ({self.num_series}, k), "
+                f"got {columns.shape}"
+            )
+        if not np.all(np.isfinite(columns)):
+            raise StreamingError("appended columns must be finite")
+
+        size = self.basic_window_size
+        if self._residual is not None:
+            columns = np.concatenate([self._residual, columns], axis=1)
+        whole = columns.shape[1] // size * size
+        self._residual = columns[:, whole:].copy()
+        if whole == 0:
+            return []
+        if self._sketch is None:
+            self._sketch = BasicWindowSketch.build(
+                columns, BasicWindowLayout.for_range(0, whole, size)
+            )
+        else:
+            self._sketch = self._sketch.extend(columns[:, :whole])
+        return self.advance(self._sketch)
 
     def indexed_columns(self) -> int:
         """Number of columns currently covered by complete basic windows."""
-        return self._ingestor.indexed_basic_windows * self.basic_window_size
-
-    # ---------------------------------------------------------------- internal
-    def _emit_window(self, k: int, begin: int, end: int) -> OnlineWindowResult:
-        sketch = self._ingestor.index.sketch
-        bw_first = begin // self.basic_window_size
-        window_bw = self.window // self.basic_window_size
-        step_bw = self.step // self.basic_window_size
-
-        due_mask = self._next_due <= k
-        due = np.flatnonzero(due_mask)
-        skipped = int(len(self._rows) - len(due))
-
-        window_rows = np.empty(0, dtype=INDEX_DTYPE)
-        window_cols = np.empty(0, dtype=INDEX_DTYPE)
-        window_vals = np.empty(0)
-        if len(due):
-            values = sketch.exact_pairs_scan(
-                self._rows[due], self._cols[due], bw_first, window_bw
-            )
-            keep = values >= self.threshold
-            window_rows = self._rows[due][keep]
-            window_cols = self._cols[due][keep]
-            window_vals = values[keep]
-
-            self._next_due[due] = k + 1
-            below = due[~keep]
-            if self.use_temporal_pruning and len(below):
-                # The bound may look arbitrarily far ahead; cap the horizon at
-                # the number of future windows the already-indexed data could
-                # ever describe (more windows simply re-enter when due).
-                max_steps = max(1, sketch.layout.count)
-                jumps = first_possible_crossing(
-                    values[~keep],
-                    self.threshold,
-                    sketch.corr_prefix,
-                    self._rows[below],
-                    self._cols[below],
-                    bw_first,
-                    step_bw,
-                    window_bw,
-                    min(max_steps, self._safe_horizon(bw_first, step_bw, sketch)),
-                )
-                self._next_due[below] = k + jumps
-
-        matrix = ThresholdedMatrix(
-            self.num_series, window_rows, window_cols, window_vals
-        )
-        return OnlineWindowResult(
-            window_index=k,
-            start=begin,
-            end=end,
-            matrix=matrix,
-            exact_evaluations=int(len(due)),
-            skipped_pairs=skipped,
-        )
-
-    def _safe_horizon(
-        self, bw_first: int, step_bw: int, sketch
-    ) -> int:
-        """Largest number of window steps whose outgoing windows are already indexed."""
-        remaining_bw = sketch.layout.count - bw_first
-        return max(1, remaining_bw // step_bw)
-
-    # ------------------------------------------------------------------ helper
-    def equivalent_query(self, total_columns: int) -> SlidingQuery:
-        """The offline query answering the same windows over ``total_columns``.
-
-        Used by tests to check that streaming emission matches a batch run of
-        the offline engine over the same data.
-        """
-        return SlidingQuery(
-            start=0,
-            end=total_columns,
-            window=self.window,
-            step=self.step,
-            threshold=self.threshold,
-            threshold_mode=THRESHOLD_SIGNED,
-        )
+        return 0 if self._sketch is None else self._sketch.layout.covered_end

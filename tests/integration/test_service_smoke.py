@@ -130,17 +130,21 @@ def test_streaming_append_reaches_standing_queries(client, values):
 
 def test_appended_stream_refreshes_sketch_incrementally(client, values):
     """Runs after the append test: the 64 appended columns advanced the
-    fingerprint chain, so querying the grown range refreshes the seeded
-    sketch in O(Δ) — the plan says so, the extension counters move, and the
-    ``builds`` counter stays at zero (an extension is not a rebuild)."""
+    fingerprint chain, and the standing query registered there advanced over
+    the dataset's shared sketch at append time — refreshing the seeded sketch
+    in O(Δ).  Querying the grown range is then a warm hit on that same entry:
+    one extension in total, and ``builds`` stays at zero (an extension is not
+    a rebuild)."""
     stats = client.dataset("generated")["stats"]["sketch_cache"]
     assert {"extensions", "extended_windows", "buffered_columns"} <= set(stats)
-    assert stats["extensions"] == 0  # nothing has queried the grown range yet
+    assert stats["extensions"] == 1  # the watch's advance, at append time
+    hits_before = stats["hits"]
 
     grown_query = ThresholdQuery(start=0, end=LENGTH + 64, window=128, step=32,
                                  threshold=QUERY.threshold)
     document = client.query_raw("generated", grown_query)
-    assert "build=incremental(" in document["plan"]
+    # The chained entry already covers every basic window of the grown range.
+    assert "build=incremental(chained sketch covers 36/36" in document["plan"]
 
     rng = np.random.default_rng(7)  # the block the append test streamed in
     block = rng.standard_normal((NUM_SERIES, 64))
@@ -152,6 +156,7 @@ def test_appended_stream_refreshes_sketch_incrementally(client, values):
     assert remote.to_edges() == offline.to_edges()
 
     stats = client.dataset("generated")["stats"]["sketch_cache"]
+    assert stats["hits"] > hits_before  # the query shared the watch's sketch
     assert stats["extensions"] == 1
     assert stats["extended_windows"] == 64 // BASIC
     assert stats["builds"] == 0  # the seeded sketch was extended, not rebuilt

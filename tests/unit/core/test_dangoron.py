@@ -5,8 +5,11 @@ import pytest
 
 from repro.analysis.accuracy import compare_results
 from repro.baselines.brute_force import BruteForceEngine
-from repro.core.dangoron import DangoronEngine
+from repro.core.basic_window import BasicWindowLayout
+from repro.core.dangoron import DangoronEngine, step_window
+from repro.core.jumping import JumpScheduler
 from repro.core.query import SlidingQuery
+from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import QueryValidationError, SketchError
 
 
@@ -197,3 +200,66 @@ class TestValidationAndOptions:
             small_matrix, standard_query
         )
         assert [m.edge_set() for m in first] == [m.edge_set() for m in second]
+
+
+class TestStepWindow:
+    """The extracted window step, driven the way the engine drives it."""
+
+    def test_stepping_every_window_reproduces_the_engine(
+        self, small_matrix, standard_query
+    ):
+        result = DangoronEngine(basic_window_size=32).run(small_matrix, standard_query)
+        layout = BasicWindowLayout.for_query(standard_query, 32)
+        sketch = BasicWindowSketch.build(small_matrix.values, layout)
+        rows, cols = np.triu_indices(small_matrix.num_series, k=1)
+        windows = standard_query.num_windows
+        scheduler = JumpScheduler(len(rows), windows)
+        for k, expected in enumerate(result.matrices):
+            edges = step_window(
+                sketch, standard_query, rows, cols, scheduler, k,
+                scheduler.due_indices(k), windows - 1 - k,
+            )
+            for ours, theirs in zip(edges, (expected.rows, expected.cols, expected.values)):
+                assert ours.tobytes() == theirs.tobytes()
+        assert scheduler.stats.exact_evaluations == result.stats.exact_evaluations
+        assert scheduler.stats.skipped_evaluations == result.stats.skipped_by_jumping
+
+    def test_resumes_over_a_grown_sketch(self, small_matrix, standard_query):
+        """Stepping windows as their data arrives equals stepping them at once,
+        given the same horizon: the step reads only the scheduler's state."""
+        layout = BasicWindowLayout.for_query(standard_query, 32)
+        full = BasicWindowSketch.build(small_matrix.values, layout)
+        first_bw = standard_query.window // 32 + 2
+        partial = BasicWindowSketch.build(
+            small_matrix.values,
+            BasicWindowLayout(layout.offset, layout.size, first_bw),
+        )
+        rows, cols = np.triu_indices(small_matrix.num_series, k=1)
+
+        def walk(sketch_for):
+            scheduler = JumpScheduler(len(rows), num_windows=None)
+            return [
+                step_window(sketch_for(k), standard_query, rows, cols, scheduler,
+                            k, scheduler.due_indices(k), 1)
+                for k in range(standard_query.num_windows)
+            ]
+
+        grown = partial.extend(
+            small_matrix.values[:, partial.layout.covered_end:layout.covered_end]
+        )
+        at_once = walk(lambda k: full)
+        resumed = walk(lambda k: partial if k < 3 else grown)
+        for a, b in zip(at_once, resumed):
+            assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+
+    def test_no_due_pairs_is_an_empty_window(self, small_matrix, standard_query):
+        layout = BasicWindowLayout.for_query(standard_query, 32)
+        sketch = BasicWindowSketch.build(small_matrix.values, layout)
+        rows, cols = np.triu_indices(small_matrix.num_series, k=1)
+        scheduler = JumpScheduler(len(rows), standard_query.num_windows)
+        edges = step_window(
+            sketch, standard_query, rows, cols, scheduler, 0,
+            np.empty(0, dtype=np.int64), 5,
+        )
+        assert [len(part) for part in edges] == [0, 0, 0]
+        assert scheduler.stats.exact_evaluations == 0

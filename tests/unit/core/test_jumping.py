@@ -70,6 +70,18 @@ class TestScheduler:
         with pytest.raises(QueryValidationError):
             JumpScheduler(3, 0)
 
+    def test_open_ended_schedule_has_no_last_window(self):
+        scheduler = JumpScheduler(num_pairs=2, num_windows=None)
+        scheduler.record_evaluations(1000, np.array([0, 1]))
+        scheduler.schedule_jumps(1000, np.array([0]), np.array([50]))
+        assert list(scheduler.due_indices(1001)) == [1]
+        assert list(scheduler.due_indices(1050)) == [0, 1]
+        assert scheduler.stats.skipped_evaluations == 49  # nothing to clip at
+        with pytest.raises(QueryValidationError):
+            scheduler.due_mask(-1)
+        with pytest.raises(QueryValidationError):
+            scheduler.park(np.array([1]), window_index=1000)
+
     def test_next_due_view_is_read_only(self):
         scheduler = JumpScheduler(3, 5)
         view = scheduler.next_due

@@ -266,6 +266,76 @@ class TestAppendAndWatch:
         assert emitted["rows"] == matrix.rows.tolist()
         assert emitted["values"] == pytest.approx(matrix.values.tolist())
 
+    def test_watch_shares_the_dataset_sketch(self, service, values):
+        """A watch advances over the cache entry queries share: K appends,
+        each followed by the anchored query, cost K extensions and no build,
+        and the watch emits bit for bit what a monitor owning its own sketch
+        emits when fed the same columns."""
+        from repro.streaming.online import OnlineCorrelationMonitor
+
+        monitor = OnlineCorrelationMonitor.for_query(
+            ThresholdQuery(**{k: v for k, v in self.WATCH_REQUEST.items()
+                              if k != "mode"}),
+            num_series=NUM_SERIES, basic_window_size=BASIC,
+        )
+        expected = monitor.append(values)
+        watch = service.watch("demo", dict(self.WATCH_REQUEST))
+        cache = service._runtime("demo").sketch_cache
+        builds = cache.builds
+
+        rng = np.random.default_rng(17)
+        rounds = 5
+        for round_index in range(rounds):
+            block = rng.standard_normal((32, NUM_SERIES))
+            service.append("demo", {"columns": block.tolist()})
+            expected.extend(monitor.append(np.ascontiguousarray(block.T)))
+            length = LENGTH + 32 * (round_index + 1)
+            document = service.query(
+                "demo", {**self.WATCH_REQUEST, "end": length}
+            )
+            assert document["num_windows"] == (length - 64) // 32 + 1
+        assert cache.builds == builds
+        assert cache.stats.sketch_extensions == rounds
+
+        emitted = service.watch_results("demo", watch["id"])["windows"]
+        assert [w["index"] for w in emitted] == [r.window_index for r in expected]
+        for document, result in zip(emitted, expected):
+            assert (document["start"], document["end"]) == (result.start, result.end)
+            assert document["rows"] == result.matrix.rows.tolist()
+            assert document["cols"] == result.matrix.cols.tolist()
+            assert document["values"] == result.matrix.values.tolist()
+
+    def test_watches_share_one_sketch_per_basic_window_size(self, service):
+        """Two watches aligned to the same basic window advance over one
+        cache entry (one extension per append); a third aligned to a smaller
+        one gets its own anchored layout."""
+        service.watch("demo", dict(self.WATCH_REQUEST))
+        service.watch("demo", {**self.WATCH_REQUEST, "threshold": 0.2})
+        cache = service._runtime("demo").sketch_cache
+        block = np.random.default_rng(3).standard_normal((32, NUM_SERIES))
+        response = service.append("demo", {"columns": block.tolist()})
+        assert [len(w["windows"]) for w in response["watches"]] == [1, 1]
+        assert (len(cache), cache.stats.sketch_extensions) == (1, 1)
+
+        service.watch("demo", {**self.WATCH_REQUEST, "window": 24, "step": 8})
+        assert len(cache) == 2  # b=16 for the first two, b=8 for this one
+        response = service.append("demo", {"columns": block.tolist()})
+        assert [len(w["windows"]) for w in response["watches"]] == [1, 1, 4]
+        assert cache.stats.sketch_extensions == 3
+
+    def test_watch_on_a_stream_shorter_than_its_window(self, service):
+        """Registration emits nothing (and builds nothing) until the stored
+        columns hold one window; the append that completes it emits it."""
+        request = {**self.WATCH_REQUEST, "end": LENGTH + 32, "window": LENGTH + 32}
+        watch = service.watch("demo", request)
+        cache = service._runtime("demo").sketch_cache
+        assert (watch["emitted_windows"], cache.builds) == (0, 0)
+        response = service.append(
+            "demo", {"columns": np.ones((32, NUM_SERIES)).tolist()}
+        )
+        (state,) = response["watches"]
+        assert [(w["start"], w["end"]) for w in state["windows"]] == [(0, LENGTH + 32)]
+
     def test_appended_columns_are_queryable(self, service):
         service.append(
             "demo",

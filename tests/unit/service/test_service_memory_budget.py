@@ -82,3 +82,33 @@ def test_budgeted_query_path_never_materializes(catalog):
     assert isinstance(regrown, ChunkBackedMatrix)
     assert not regrown.materialized
     assert not matrix.materialized
+
+
+def test_watch_on_budgeted_runtime_stays_out_of_core(catalog, monkeypatch):
+    """A standing query must not densify a budgeted runtime.
+
+    Registration used to catch a watch up by reading the whole store densely
+    (``store.read_all()``) into a private monitor; it now advances over the
+    shared, tiled-built sketch, so neither the lazy matrix nor the store is
+    ever materialized — at registration or on the appends that follow.
+    """
+    from repro.core.tiled import ChunkBackedMatrix
+
+    def dense_read(self):
+        raise AssertionError("a watch read the whole store densely")
+
+    monkeypatch.setattr(ChunkStore, "read_all", dense_read)
+    service = CorrelationService(
+        catalog, basic_window_size=16, memory_budget=N * L * 8 // 4
+    )
+    watch = service.watch("demo", dict(REQUEST))
+    assert watch["emitted_windows"] == (L - 128) // 64 + 1
+    response = service.append("demo", {"columns": [[0.1 * i] * N for i in range(64)]})
+    (state,) = response["watches"]
+    assert [w["index"] for w in state["windows"]] == [watch["emitted_windows"]]
+
+    runtime = service._runtime("demo")
+    with runtime.lock:
+        matrix = runtime.matrix
+    assert isinstance(matrix, ChunkBackedMatrix)
+    assert not matrix.materialized

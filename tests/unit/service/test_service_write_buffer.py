@@ -1,8 +1,8 @@
 """Unit tests for the service's bounded write buffer and chained appends.
 
 Appends batch in memory until the buffered column count or the buffer's age
-crosses its threshold, then flush into the chunk store, the standing-query
-monitors and the sketch fingerprint chain.  Reads (query, watch, watch
+crosses its threshold, then flush into the chunk store, the standing queries
+and the sketch fingerprint chain.  Reads (query, watch, watch
 results) flush first, so every accepted append is observable — the buffer
 changes *when* storage writes happen, never *what* a reader sees.
 """
@@ -169,3 +169,36 @@ class TestValidation:
             CorrelationService(catalog, write_buffer_columns=0)
         with pytest.raises(ServiceError, match="write_buffer_seconds"):
             CorrelationService(catalog, write_buffer_seconds=0.0)
+
+
+class TestWatchesAdvanceAtFlushTime:
+    def test_a_flush_advances_watches_once_over_the_whole_batch(self, catalog, values):
+        """Buffered appends reach a watch when they flush — one sketch
+        extension for the batch — and it emits what a monitor fed the stored
+        history and then the flushed batch emits."""
+        from repro.api import ThresholdQuery
+        from repro.streaming.online import OnlineCorrelationMonitor
+
+        service = CorrelationService(
+            catalog, basic_window_size=BASIC, write_buffer_columns=64
+        )
+        request = {k: v for k, v in THRESHOLD_REQUEST.items() if k != "mode"}
+        monitor = OnlineCorrelationMonitor.for_query(
+            ThresholdQuery(**request), num_series=NUM_SERIES, basic_window_size=BASIC
+        )
+        monitor.append(values)
+        service.watch("demo", dict(THRESHOLD_REQUEST))
+        cache = service._runtime("demo").sketch_cache
+
+        batches = [steps(32, seed=seed) for seed in (3, 4)]
+        assert service.append("demo", {"columns": batches[0]})["watches"] == []
+        flushed = service.append("demo", {"columns": batches[1]})
+        assert flushed["flushed"] is True
+        assert cache.stats.sketch_extensions == 1
+
+        expected = monitor.append(np.asarray(batches[0] + batches[1]).T)
+        (state,) = flushed["watches"]
+        assert [w["index"] for w in state["windows"]] == [r.window_index for r in expected]
+        for document, result in zip(state["windows"], expected):
+            assert document["rows"] == result.matrix.rows.tolist()
+            assert document["values"] == result.matrix.values.tolist()

@@ -8,7 +8,10 @@ the lifecycle contract:
   arrays are genuinely memmapped (``np.memmap``), not copies;
 * :class:`SegmentManager.ensure` is idempotent per ``(fingerprint, layout)``
   and bumps the generation when either changes (the append protocol);
-* superseded generations are pruned, keeping ``KEEP_GENERATIONS``;
+* superseded fingerprints are pruned per layout family ``(offset, size)``,
+  keeping the newest ``KEEP_GENERATIONS`` — so the growing anchored layout
+  of an appended-to dataset retires its own predecessors, while different
+  window counts over one snapshot stay live together;
 * every corruption mode — missing manifest, bad schema, missing array,
   truncated array, shape mismatch, torn export — raises
   :class:`~repro.exceptions.StorageError` naming the offending path.
@@ -220,6 +223,81 @@ class TestSegmentManager:
         # The previous generation must still attach: a job dispatched just
         # before the newest export may still name it.
         assert attach_segment(paths[-2]).fingerprint == "fp-2"
+
+    def test_growing_layout_exports_are_retired(self, tmp_path, store, sketch):
+        """An appended-to dataset's anchored layout keeps (offset, size) while
+        its count grows; each refresh must supersede the previous one instead
+        of piling up on disk (one export per append, forever, before)."""
+        manager = SegmentManager(tmp_path / "segments")
+        rng = np.random.default_rng(3)
+        paths = []
+        for round_index in range(10):
+            columns = rng.standard_normal((NUM_SERIES, BASIC))
+            store.append(columns)
+            sketch = sketch.extend(columns)
+            path, _ = manager.ensure(
+                store, sketch, f"fp-{round_index}", store.series_ids
+            )
+            paths.append(path)
+        survivors = sorted(p.name for p in (tmp_path / "segments").glob("gen-*"))
+        assert len(survivors) <= SegmentManager.KEEP_GENERATIONS
+        assert survivors == [paths[-2].name, paths[-1].name]
+        assert attach_segment(paths[-2]).fingerprint == "fp-8"
+        newest = attach_segment(paths[-1])
+        assert newest.fingerprint == "fp-9"
+        assert newest.sketch.layout.count == LAYOUT.count + 10
+        assert manager.describe() == {
+            "generation": 10, "exports": 10,
+            "live": SegmentManager.KEEP_GENERATIONS,
+        }
+
+    def test_a_growing_family_never_evicts_another_offset(self, tmp_path, store):
+        """Pruning is per ``(offset, size)``: refreshes of the anchored view
+        leave a shifted query shape's export alone (and vice versa)."""
+        manager = SegmentManager(tmp_path / "segments")
+        values = store.read_all()
+        shifted = BasicWindowSketch.build(
+            values, BasicWindowLayout(offset=BASIC, size=BASIC, count=4)
+        )
+        shifted_export = manager.ensure(store, shifted, "fp-0", store.series_ids)
+        for count in range(4, 9):  # one "append" (new fingerprint) per round
+            anchored = BasicWindowSketch.build(
+                values, BasicWindowLayout(offset=0, size=BASIC, count=count)
+            )
+            manager.ensure(store, anchored, f"fp-{count}", store.series_ids)
+        assert manager.ensure(store, shifted, "fp-0", store.series_ids) == shifted_export
+        assert attach_segment(shifted_export[0]).sketch.layout == shifted.layout
+        assert manager.describe()["live"] == 1 + SegmentManager.KEEP_GENERATIONS
+
+    def test_counts_over_one_snapshot_stay_live_together(self, tmp_path, store):
+        """Queries ``[0, e1)``, ``[0, e2)``, ``[0, e3)`` on an unchanged
+        dataset share a fingerprint and differ only in ``count``; alternating
+        between them must reuse their exports, not re-export each time."""
+        manager = SegmentManager(tmp_path / "segments")
+        values = store.read_all()
+        sketches = [
+            BasicWindowSketch.build(
+                values, BasicWindowLayout(offset=0, size=BASIC, count=count)
+            )
+            for count in (4, 6, 8)
+        ]
+        exports = [
+            manager.ensure(store, sketch, "fp-0", store.series_ids)
+            for sketch in sketches
+        ]
+        for _ in range(2):
+            for sketch, export in zip(sketches, exports):
+                assert manager.ensure(store, sketch, "fp-0", store.series_ids) == export
+        assert manager.describe() == {"generation": 3, "exports": 3, "live": 3}
+        for sketch, (path, _) in zip(sketches, exports):
+            assert attach_segment(path).sketch.layout == sketch.layout
+        # An append supersedes the snapshot: its exports survive exactly one
+        # more fingerprint, then go together.
+        manager.ensure(store, sketches[0], "fp-1", store.series_ids)
+        assert manager.describe()["live"] == 4
+        manager.ensure(store, sketches[0], "fp-2", store.series_ids)
+        assert manager.describe()["live"] == 2
+        assert not any(path.exists() for path, _ in exports)
 
     def test_close_removes_every_export(self, tmp_path, store, sketch):
         manager = SegmentManager(tmp_path / "segments")

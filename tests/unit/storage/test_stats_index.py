@@ -49,6 +49,21 @@ class TestExtension:
             rebuilt.sketch.exact_matrix_scan(0, 10),
         )
 
+    def test_extend_is_bitwise_a_rebuild(self, rng):
+        """Growth goes through ``BasicWindowSketch.extend``: same bits as a
+        build over everything, for every statistic."""
+        data = rng.normal(size=(5, 200))
+        index = StatsIndex.build(data[:, :50], basic_window_size=16)
+        index.extend(data[:, 50:130], previous_tail=data[:, 48:50])
+        index.extend(data[:, 130:200], previous_tail=data[:, 128:130])
+        rebuilt = StatsIndex.build(data, basic_window_size=16)
+        assert index.layout == rebuilt.layout
+        for name in ("series_sums", "series_sumsqs", "pair_sumprods", "pair_corrs"):
+            assert (
+                getattr(index.sketch, name).tobytes()
+                == getattr(rebuilt.sketch, name).tobytes()
+            )
+
     def test_extend_with_incomplete_window_appends_nothing(self, rng):
         index = StatsIndex.build(rng.normal(size=(3, 32)), basic_window_size=16)
         assert index.extend(rng.normal(size=(3, 10))) == 0
