@@ -7,8 +7,9 @@ compatible-query batching, bounded admission) through four phases:
 * **Throughput scaling** — the same seeded request mix replayed against a
   1-worker and a ``MAX_WORKERS``-worker server.  Floor:
   :func:`speedup_floor` (2x at >= 4 workers, 1.3x at 2–3), asserted only
-  when the machine exposes the cores and the pool actually forked
-  (inline-mode sandboxes skip the floor, never the correctness checks).
+  when the machine exposes the cores and the pool actually forked (hosts
+  without fork serve pool-less and skip the floor, never the correctness
+  checks).
 * **Tail latency** — the loaded run's p99 must stay under
   ``P99_CEILING_FACTOR`` x the warm unloaded single-request latency; a
   pool that serializes or convoys blows this ceiling long before the
@@ -51,7 +52,6 @@ from repro.api import CorrelationSession, ThresholdQuery
 from repro.exceptions import ServiceError
 from repro.parallel import available_workers
 from repro.service import CorrelationServer, CorrelationService, ServiceClient
-from repro.service.workers import MODE_PROCESS
 from repro.storage.catalog import Catalog
 from repro.storage.chunk_store import ChunkStore
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -220,7 +220,7 @@ def _write_record():
 def test_e20_throughput_and_tail_latency(catalog, expected):
     """The headline: loaded throughput at 1 vs MAX_WORKERS service workers."""
     measured = {}
-    pool_modes = {}
+    pooled = {}
     for workers in dict.fromkeys([1, MAX_WORKERS]):
         with _server(catalog, service_workers=workers) as server:
             client = ServiceClient(server.url, timeout=120)
@@ -237,7 +237,7 @@ def test_e20_throughput_and_tail_latency(catalog, expected):
             wall, latencies, mismatches, errors = _drive_load(
                 server.url, expected["shapes"], CLIENTS, REQUESTS_PER_CLIENT
             )
-            pool_modes[workers] = client.metrics()["worker_pool"]["mode"]
+            pooled[workers] = client.metrics()["worker_pool"] is not None
         assert errors == [], f"load run surfaced transport errors: {errors[:3]}"
         assert mismatches == [], (
             f"{len(mismatches)} responses diverged from the oracle"
@@ -264,7 +264,7 @@ def test_e20_throughput_and_tail_latency(catalog, expected):
     _record_meta["throughput"] = {
         "speedup": round(speedup, 4),
         "floor": speedup_floor(MAX_WORKERS),
-        "pool_mode": pool_modes[MAX_WORKERS],
+        "pooled": pooled[MAX_WORKERS],
         "p99_ceiling_factor": P99_CEILING_FACTOR,
     }
     _write_record()
@@ -274,7 +274,7 @@ def test_e20_throughput_and_tail_latency(catalog, expected):
         notes = (
             f"{CLIENTS} clients x {REQUESTS_PER_CLIENT} requests, "
             f"{NUM_SHAPES} shapes; speedup {speedup:.2f}x "
-            f"(pool mode {pool_modes[MAX_WORKERS]})"
+            f"(worker pool {'forked' if pooled[MAX_WORKERS] else 'unavailable'})"
         )
         headers = ["phase", "wall_seconds", "throughput_qps",
                    "p50_seconds", "p99_seconds"]
@@ -288,7 +288,7 @@ def test_e20_throughput_and_tail_latency(catalog, expected):
 
     print_experiment_table(_Table())
 
-    # Tail ceiling holds in every mode: convoying shows up inline too.
+    # Tail ceiling holds pool-less too: convoying shows up in process as well.
     loaded = measured[MAX_WORKERS]
     assert loaded["p99_seconds"] <= P99_CEILING_FACTOR * max(
         loaded["warm_seconds"], 1e-3
@@ -299,8 +299,8 @@ def test_e20_throughput_and_tail_latency(catalog, expected):
 
     if MAX_WORKERS < 2:
         pytest.skip("REPRO_BENCH_WORKERS=1: nothing to scale")
-    if pool_modes[MAX_WORKERS] != MODE_PROCESS:
-        pytest.skip("worker pool fell back to inline mode: no process scaling")
+    if not pooled[MAX_WORKERS]:
+        pytest.skip("no fork on this host, service ran pool-less: no process scaling")
     usable = available_workers()
     if usable < MAX_WORKERS:
         pytest.skip(
@@ -434,8 +434,8 @@ def test_e20_worker_rss_stays_shared(catalog, expected):
     with _server(catalog, service_workers=MAX_WORKERS) as server:
         service = server.service
         client = ServiceClient(server.url, timeout=120)
-        if client.metrics()["worker_pool"]["mode"] != MODE_PROCESS:
-            pytest.skip("inline pool: no per-worker RSS to measure")
+        if client.metrics()["worker_pool"] is None:
+            pytest.skip("no fork on this host: no per-worker RSS to measure")
         wall, latencies, mismatches, errors = _drive_load(
             server.url, expected["shapes"], CLIENTS, REQUESTS_PER_CLIENT
         )

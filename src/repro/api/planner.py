@@ -860,6 +860,11 @@ class QueryPlanner:
             cache_hit = self.sketch_cache.stats.hits > hits_before
         else:
             sketch = None
+        executor = (
+            ShardedExecutor(workers=plan.workers, mode=self.parallel_mode)
+            if plan.execution == EXECUTION_SHARDED
+            else None
+        )
 
         if plan.kind == KIND_LAGGED:
             query: LaggedQuery = plan.query  # type: ignore[assignment]
@@ -870,10 +875,7 @@ class QueryPlanner:
                 if plan.sketch_build == SKETCH_BUILD_TILED
                 else None
             )
-            if plan.execution == EXECUTION_SHARDED:
-                executor = ShardedExecutor(
-                    workers=plan.workers, mode=self.parallel_mode
-                )
+            if executor is not None:
                 windows = executor.run_lagged(
                     matrix,
                     query,
@@ -893,10 +895,7 @@ class QueryPlanner:
 
         if plan.kind == KIND_TOPK:
             query: TopKQuery = plan.query  # type: ignore[assignment]
-            if plan.execution == EXECUTION_SHARDED:
-                executor = ShardedExecutor(
-                    workers=plan.workers, mode=self.parallel_mode
-                )
+            if executor is not None:
                 return executor.run_topk(
                     matrix,
                     query,
@@ -915,10 +914,9 @@ class QueryPlanner:
             )
 
         engine = plan.engine if plan.engine is not None else self.resolve_engine()
-        if plan.execution == EXECUTION_SHARDED:
+        if executor is not None:
             if sketch is not None:
                 self._check_accepts_sketch(engine)
-            executor = ShardedExecutor(workers=plan.workers, mode=self.parallel_mode)
             result = executor.run(engine, matrix, plan.query, sketch=sketch)
             if sketch is not None and getattr(result, "stats", None) is not None:
                 result.stats.extra["sketch_cache_hit"] = float(cache_hit)

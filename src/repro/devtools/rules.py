@@ -451,7 +451,7 @@ def _collect_guarded_attrs(context: ModuleContext) -> Dict[str, str]:
 
     The annotation sits on the attribute's initializing assignment, e.g.::
 
-        self.flights = {}  # guarded-by: flights_lock
+        self.batches = {}  # guarded-by: batches_lock
     """
     guarded: Dict[str, str] = {}
     for node in ast.walk(context.tree):

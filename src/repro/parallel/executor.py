@@ -102,53 +102,29 @@ def available_workers() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Process-pool plumbing.  The heavy objects travel once per worker through the
-# initializer; each task is just the (start, stop) bounds of its pair block.
+# Block plumbing.  Every sharded family is a ``(kind, payload)`` run once per
+# pair block.  Threads are handed the block's materialized pair arrays;
+# process workers receive the heavy payload once through the pool initializer
+# and each task is just the (start, stop) bounds of its block.
 # ---------------------------------------------------------------------------
 
-class _ProcessPoolUnavailable(Exception):
-    """Internal: the pool infrastructure (fork, semaphores, pickling) failed.
-
-    Distinguishes environment problems — which degrade to the thread pool —
-    from real errors raised by the engine inside a worker, which propagate.
-    """
+_BLOCK_CONTEXT: Optional[Tuple[str, tuple]] = None
 
 
-_WORKER_CONTEXT: Optional[Tuple[SlidingCorrelationEngine, TimeSeriesMatrix,
-                                SlidingQuery, Optional[BasicWindowSketch]]] = None
+def _init_block_worker(kind: str, payload: tuple) -> None:
+    global _BLOCK_CONTEXT
+    _BLOCK_CONTEXT = (kind, payload)
 
 
-def _init_shard_worker(engine, matrix, query, sketch) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (engine, matrix, query, sketch)
-
-
-def _run_shard(bounds: Tuple[int, int]) -> CorrelationSeriesResult:
-    engine, matrix, query, sketch = _WORKER_CONTEXT
-    pairs = pair_slice(matrix.num_series, bounds[0], bounds[1])
-    kwargs = {"pairs": pairs}
-    if sketch is not None:
-        kwargs["sketch"] = sketch
-    return engine.run(matrix, query, **kwargs)
-
-
-# The engine-less query families (top-k, lagged) share the same shape of
-# plumbing, but their payloads differ; tasks are dispatched by kind so one
-# initializer/worker pair serves both.
-
-_TASK_CONTEXT: Optional[Tuple[str, tuple]] = None
-
-
-def _init_task_worker(kind: str, payload: tuple) -> None:
-    global _TASK_CONTEXT
-    _TASK_CONTEXT = (kind, payload)
-
-
-def _run_task_for(kind: str, payload: tuple, bounds: Tuple[int, int]):
-    """Run one pair block of an engine-less task (thread and process entry)."""
+def _run_block(kind: str, payload: tuple, pairs: Tuple[np.ndarray, np.ndarray]):
+    """Run one pair block ``pairs=(rows, cols)`` of a sharded family."""
+    matrix, query, *rest = payload
+    if kind == "engine":
+        engine, sketch = rest
+        kwargs = {} if sketch is None else {"sketch": sketch}
+        return engine.run(matrix, query, pairs=pairs, **kwargs)
     if kind == "topk":
-        matrix, query, k, basic_window_size, absolute, sketch = payload
-        pairs = pair_slice(matrix.num_series, bounds[0], bounds[1])
+        k, basic_window_size, absolute, sketch = rest
         return sliding_top_k(
             matrix,
             query,
@@ -158,14 +134,14 @@ def _run_task_for(kind: str, payload: tuple, bounds: Tuple[int, int]):
             sketch=sketch,
             pairs=pairs,
         )
-    matrix, query, max_lag, absolute = payload
-    rows, cols = pair_slice(matrix.num_series, bounds[0], bounds[1])
-    return sliding_lagged_pairs(matrix, query, max_lag, rows, cols, absolute=absolute)
+    max_lag, absolute = rest
+    return sliding_lagged_pairs(matrix, query, max_lag, *pairs, absolute=absolute)
 
 
-def _run_task(bounds: Tuple[int, int]):
-    kind, payload = _TASK_CONTEXT
-    return _run_task_for(kind, payload, bounds)
+def _run_context_block(bounds: Tuple[int, int]):
+    """Process-pool task: rematerialize the block from its bounds and run it."""
+    kind, payload = _BLOCK_CONTEXT
+    return _run_block(kind, payload, pair_slice(payload[0].num_series, *bounds))
 
 
 class ShardedExecutor:
@@ -177,12 +153,10 @@ class ShardedExecutor:
         Number of pool workers.  ``1`` always executes serially.
     mode:
         ``"auto"`` (default), ``"process"``, ``"thread"`` or ``"serial"``.
-    num_shards:
-        Number of pair blocks; defaults to ``workers *``
-        :data:`~repro.config.DEFAULT_SHARDS_PER_WORKER` so uneven pruning
-        across blocks still keeps every worker busy.
-    process_min_pair_windows:
-        ``auto``-mode cutover: total pair-windows below this use threads.
+
+    The pair space is cut into ``workers *``
+    :data:`~repro.config.DEFAULT_SHARDS_PER_WORKER` blocks, so uneven pruning
+    across blocks still keeps every worker busy.
 
     Examples
     --------
@@ -203,29 +177,13 @@ class ShardedExecutor:
     True
     """
 
-    def __init__(
-        self,
-        workers: int,
-        mode: str = MODE_AUTO,
-        num_shards: Optional[int] = None,
-        shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER,
-        process_min_pair_windows: int = DEFAULT_PROCESS_MIN_PAIR_WINDOWS,
-    ) -> None:
+    def __init__(self, workers: int, mode: str = MODE_AUTO) -> None:
         if workers < 1:
             raise ParallelError(f"workers must be at least 1, got {workers}")
         if mode not in _MODES:
             raise ParallelError(f"mode must be one of {_MODES}, got {mode!r}")
-        if num_shards is not None and num_shards < 1:
-            raise ParallelError(f"num_shards must be at least 1, got {num_shards}")
-        if shards_per_worker < 1:
-            raise ParallelError(
-                f"shards_per_worker must be at least 1, got {shards_per_worker}"
-            )
         self.workers = workers
         self.mode = mode
-        self.num_shards = num_shards
-        self.shards_per_worker = shards_per_worker
-        self.process_min_pair_windows = process_min_pair_windows
 
     # ------------------------------------------------------------------ plan
     def resolve_mode(self, num_pairs: int, num_windows: int) -> str:
@@ -234,13 +192,16 @@ class ShardedExecutor:
             return self.mode
         if self.workers == 1 or num_pairs < 2:
             return MODE_SERIAL
-        if num_pairs * num_windows >= self.process_min_pair_windows:
+        if num_pairs * num_windows >= DEFAULT_PROCESS_MIN_PAIR_WINDOWS:
             return MODE_PROCESS
         return MODE_THREAD
 
     def describe(self) -> str:
-        shards = self.num_shards or self.workers * self.shards_per_worker
+        shards = self.workers * DEFAULT_SHARDS_PER_WORKER
         return f"sharded[{self.mode} x{self.workers} workers, {shards} shards]"
+
+    def _blocks(self, num_series: int) -> List[PairBlock]:
+        return partition_pairs(num_series, self.workers * DEFAULT_SHARDS_PER_WORKER)
 
     # ------------------------------------------------------------------- run
     def run(
@@ -285,8 +246,7 @@ class ShardedExecutor:
                 return engine.run(matrix, query, sketch=sketch)
             return engine.run(matrix, query)
 
-        num_shards = self.num_shards or self.workers * self.shards_per_worker
-        blocks = partition_pairs(n, num_shards)
+        blocks = self._blocks(n)
         if len(blocks) < 2:
             if sketch is not None:
                 return engine.run(matrix, query, sketch=sketch)
@@ -304,28 +264,10 @@ class ShardedExecutor:
             # (TSUBASA) skip the cost entirely.
             sketch.corr_prefix
 
-        fallback_from_process = False
         wall_start = time.perf_counter()
-        if mode == MODE_PROCESS:
-            try:
-                shard_results = self._run_process_pool(
-                    engine, matrix, query, sketch, blocks
-                )
-            except (_ProcessPoolUnavailable, BrokenProcessPool):
-                # Sandboxes without fork/semaphores, unpicklable custom
-                # engines, or workers killed by the environment: degrade to
-                # threads rather than failing the query.  Errors raised *by
-                # the engine* inside a worker propagate normally.
-                fallback_from_process = True
-                mode = MODE_THREAD
-                wall_start = time.perf_counter()
-                shard_results = self._run_thread_pool(
-                    engine, matrix, query, sketch, blocks
-                )
-        else:
-            shard_results = self._run_thread_pool(
-                engine, matrix, query, sketch, blocks
-            )
+        shard_results, ran_mode = self._map_blocks(
+            mode, "engine", (matrix, query, engine, sketch), blocks
+        )
         wall_seconds = time.perf_counter() - wall_start
 
         merged = merge_shard_results(
@@ -342,8 +284,8 @@ class ShardedExecutor:
             merged.stats.sketch_build_seconds = sketch.build_seconds
         merged.stats.extra["parallel_workers"] = float(self.workers)
         merged.stats.extra["parallel_shards"] = float(len(blocks))
-        merged.stats.extra["parallel_mode_process"] = float(mode == MODE_PROCESS)
-        if fallback_from_process:
+        merged.stats.extra["parallel_mode_process"] = float(ran_mode == MODE_PROCESS)
+        if ran_mode != mode:
             merged.stats.extra["parallel_fallback_thread"] = 1.0
         return merged
 
@@ -370,8 +312,7 @@ class ShardedExecutor:
             absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
         n = matrix.num_series
         mode = self.resolve_mode(pair_count(n), query.num_windows)
-        num_shards = self.num_shards or self.workers * self.shards_per_worker
-        blocks = partition_pairs(n, num_shards) if mode != MODE_SERIAL else []
+        blocks = self._blocks(n) if mode != MODE_SERIAL else []
         if mode == MODE_SERIAL or len(blocks) < 2:
             return sliding_top_k(
                 matrix,
@@ -388,7 +329,7 @@ class ShardedExecutor:
                 matrix.values,  # repro-lint: disable=RPR002 -- shared dense build is the explicit non-tiled fallback; tiled callers pass a prebuilt sketch
                 layout,
             )
-        shard_results = self._map_pair_blocks(
+        shard_results, _ = self._map_blocks(
             mode, "topk", (matrix, query, k, basic_window_size, absolute, sketch),
             blocks,
         )
@@ -421,8 +362,7 @@ class ShardedExecutor:
             absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
         n = matrix.num_series
         mode = self.resolve_mode(pair_count(n), query.num_windows)
-        num_shards = self.num_shards or self.workers * self.shards_per_worker
-        blocks = partition_pairs(n, num_shards) if mode != MODE_SERIAL else []
+        blocks = self._blocks(n) if mode != MODE_SERIAL else []
         if mode == MODE_SERIAL or len(blocks) < 2:
             return sliding_lagged_correlation(
                 matrix, query, max_lag, absolute=absolute,
@@ -433,7 +373,7 @@ class ShardedExecutor:
                 matrix, query, max_lag, absolute, memory_budget, blocks
             )
         else:
-            shard_windows = self._map_pair_blocks(
+            shard_windows, _ = self._map_blocks(
                 mode, "lagged", (matrix, query, max_lag, absolute), blocks
             )
         return merge_lagged_results(query, n, shard_windows)
@@ -474,68 +414,43 @@ class ShardedExecutor:
                     per_shard.append(future.result())
         return shard_windows
 
-    def _map_pair_blocks(
+    def _map_blocks(
         self, mode: str, kind: str, payload: tuple, blocks: Sequence[PairBlock]
-    ) -> list:
-        """Fan an engine-less task out over pair blocks (pool per ``mode``).
+    ) -> Tuple[list, str]:
+        """Fan one family out over pair blocks; returns ``(results, mode run)``.
 
-        Mirrors :meth:`run`'s degradation contract: infrastructure failures
-        of the process pool fall back to threads, errors raised by the task
-        itself propagate.
+        Pool creation and submission touch only infrastructure (fork,
+        semaphores, task pickling); failures there — or workers killed by the
+        environment — mean "no process pool here" and degrade to threads
+        rather than failing the query.  ``future.result()`` re-raises whatever
+        the engine or scan itself raised in a worker, which propagates.
         """
         if mode == MODE_PROCESS:
             try:
-                return self._run_task_process_pool(kind, payload, blocks)
-            except (_ProcessPoolUnavailable, BrokenProcessPool):
+                with ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=self._process_context(),
+                    initializer=_init_block_worker,
+                    initargs=(kind, payload),
+                ) as pool:
+                    futures = [
+                        pool.submit(_run_context_block, (block.start, block.stop))
+                        for block in blocks
+                    ]
+            except (OSError, ValueError, ImportError, pickle.PicklingError,
+                    TypeError, BrokenProcessPool):
                 pass
+            else:
+                try:
+                    return [future.result() for future in futures], MODE_PROCESS
+                except BrokenProcessPool:
+                    pass
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             futures = [
-                pool.submit(_run_task_for, kind, payload, (block.start, block.stop))
+                pool.submit(_run_block, kind, payload, (block.rows, block.cols))
                 for block in blocks
             ]
-            return [future.result() for future in futures]
-
-    def _run_task_process_pool(
-        self, kind: str, payload: tuple, blocks: Sequence[PairBlock]
-    ) -> list:
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=self._process_context(),
-                initializer=_init_task_worker,
-                initargs=(kind, payload),
-            )
-        except (OSError, ValueError, ImportError) as error:
-            raise _ProcessPoolUnavailable(str(error)) from error
-        with pool:
-            try:
-                futures = [
-                    pool.submit(_run_task, (block.start, block.stop))
-                    for block in blocks
-                ]
-            except (OSError, pickle.PicklingError, TypeError) as error:
-                raise _ProcessPoolUnavailable(str(error)) from error
-            return [future.result() for future in futures]
-
-    # ------------------------------------------------------------- internals
-    def _run_thread_pool(
-        self,
-        engine: SlidingCorrelationEngine,
-        matrix: TimeSeriesMatrix,
-        query: SlidingQuery,
-        sketch: Optional[BasicWindowSketch],
-        blocks: Sequence[PairBlock],
-    ) -> List[CorrelationSeriesResult]:
-        kwargs = {} if sketch is None else {"sketch": sketch}
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [
-                pool.submit(
-                    engine.run, matrix, query,
-                    pairs=(block.rows, block.cols), **kwargs,
-                )
-                for block in blocks
-            ]
-            return [future.result() for future in futures]
+            return [future.result() for future in futures], MODE_THREAD
 
     @staticmethod
     def _process_context():
@@ -549,35 +464,3 @@ class ShardedExecutor:
             return multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             return multiprocessing.get_context()
-
-    def _run_process_pool(
-        self,
-        engine: SlidingCorrelationEngine,
-        matrix: TimeSeriesMatrix,
-        query: SlidingQuery,
-        sketch: Optional[BasicWindowSketch],
-        blocks: Sequence[PairBlock],
-    ) -> List[CorrelationSeriesResult]:
-        # Pool creation and submission touch only infrastructure (fork,
-        # semaphores, task pickling); failures there mean "no process pool in
-        # this environment" and are translated for the thread fallback.
-        # future.result() re-raises whatever the *engine* raised in the
-        # worker, which must propagate untranslated.
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=self._process_context(),
-                initializer=_init_shard_worker,
-                initargs=(engine, matrix, query, sketch),
-            )
-        except (OSError, ValueError, ImportError) as error:
-            raise _ProcessPoolUnavailable(str(error)) from error
-        with pool:
-            try:
-                futures = [
-                    pool.submit(_run_shard, (block.start, block.stop))
-                    for block in blocks
-                ]
-            except (OSError, pickle.PicklingError, TypeError) as error:
-                raise _ProcessPoolUnavailable(str(error)) from error
-            return [future.result() for future in futures]

@@ -1,11 +1,12 @@
-"""Compatible-query batching: one scan at ``min(threshold)``, filtered per caller.
+"""Request merging: one scan at ``min(threshold)``, filtered per caller.
 
-PR 3's singleflight coalesced *identical* concurrent requests onto one
-execution.  This module generalizes it: concurrent **threshold** queries
-that differ *only* in their threshold — same dataset, same window grid, same
-``threshold_mode``, same transport fields — are compatible, because the
-engine's scan at the *lowest* requested threshold computes a superset of
-every member's answer with bit-identical values:
+Concurrent requests merge through one mechanism, :class:`QueryBatch`.
+*Identical* requests of any family coalesce onto one member slot and share
+its execution for the scan's whole duration.  Concurrent **threshold**
+queries that differ *only* in their threshold — same dataset, same window
+grid, same ``threshold_mode``, same transport fields — additionally share a
+batch, because the engine's scan at the *lowest* requested threshold
+computes a superset of every member's answer with bit-identical values:
 
 * every execution strategy in this repo emits bit-identical correlation
   values for a surviving pair regardless of the threshold (the canonical
@@ -55,8 +56,8 @@ from repro.core.result import CorrelationSeriesResult, ThresholdedMatrix
 from repro.exceptions import ServiceError
 
 #: A request is batchable when it is a threshold query with a numeric
-#: threshold; everything else (top-k, lagged, malformed bodies) goes through
-#: the exact-match singleflight instead.
+#: threshold; everything else (top-k, lagged) only ever coalesces with its
+#: exact duplicates (see :func:`batch_key_for`).
 BATCHABLE_MODE = "threshold"
 
 
@@ -80,8 +81,12 @@ def batch_key_for(request: Dict[str, object]) -> str:
     Everything else — window grid, ``threshold_mode``, ``workers``,
     ``include_edges`` — must match for two requests to share a scan; a
     differing ``threshold_mode`` changes the keep predicate and therefore
-    the key, never silently the semantics.
+    the key, never silently the semantics.  A request :func:`is_batchable`
+    rejects is compatible only with itself: its key is its exact identity,
+    so its batch holds one member slot that duplicates coalesce onto.
     """
+    if not is_batchable(request):
+        return canonical_request_key(request)
     spec = {key: value for key, value in request.items() if key != "threshold"}
     return json.dumps(spec, sort_keys=True, separators=(",", ":"))
 
@@ -147,16 +152,15 @@ class BatchMember:
     its sender alone instead of poisoning the batch.
     """
 
-    __slots__ = ("request", "query", "payload")
+    __slots__ = ("query", "payload")
 
-    def __init__(self, request: Dict[str, object]) -> None:
-        self.request = dict(request)
-        self.query: Optional[SlidingQuery] = None
+    def __init__(self, query: SlidingQuery) -> None:
+        self.query = query
         self.payload: Optional[Dict[str, object]] = None
 
 
 class QueryBatch:
-    """One open (then closed) batch of compatible threshold requests.
+    """One open (then closed) batch of compatible requests.
 
     Members join under the runtime's ``batches_lock`` while ``closed`` is
     false; the leader flips ``closed`` (same lock) when execution starts,
@@ -164,17 +168,16 @@ class QueryBatch:
     member's ``payload`` (or ``error``), and sets ``event``.
     """
 
-    __slots__ = ("key", "members", "closed", "event", "error")
+    __slots__ = ("members", "closed", "event", "error")
 
-    def __init__(self, key: str) -> None:
-        self.key = key
+    def __init__(self) -> None:
         self.members: Dict[str, BatchMember] = {}
         self.closed = False
         self.event = threading.Event()
         self.error: Optional[BaseException] = None
 
-    def join(self, exact_key: str, request: Dict[str, object]) -> tuple:
-        """Add a request; returns ``(member, created)``.
+    def join(self, exact_key: str, query: SlidingQuery) -> tuple:
+        """Add a parsed request; returns ``(member, created)``.
 
         ``created`` is true when this request opened a new member slot (a
         distinct threshold — it will be *batched*); false when it joined an
@@ -184,9 +187,6 @@ class QueryBatch:
         member = self.members.get(exact_key)
         if member is not None:
             return member, False
-        member = BatchMember(request)
+        member = BatchMember(query)
         self.members[exact_key] = member
         return member, True
-
-    def thresholds(self) -> List[float]:
-        return [float(member.request["threshold"]) for member in self.members.values()]

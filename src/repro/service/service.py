@@ -14,13 +14,14 @@ by every subsequent query; the service is that deployment shape:
   *lazily materialized* into the cache: the first query that plans a layout
   matching an on-disk index seeds the cache from disk instead of paying the
   γ·N² build,
-* identical concurrent queries are **coalesced**: the first request executes,
-  the rest wait on it and share the same response document,
-* *compatible* concurrent threshold queries — same dataset, same window
-  grid, different thresholds — are **batched**: one threshold-exact scan
-  runs at the lowest requested threshold and each caller's answer is
-  filtered from it, bit-identically to an independent exact run of its own
-  query (:mod:`repro.service.batching`),
+* concurrent requests merge through one mechanism
+  (:mod:`repro.service.batching`): identical requests of any family are
+  **coalesced** — the first executes, the rest wait on it and share the same
+  response document — and *compatible* threshold queries — same dataset,
+  same window grid, different thresholds — are **batched**: one
+  threshold-exact scan runs at the lowest requested threshold and each
+  caller's answer is filtered from it, bit-identically to an independent
+  exact run of its own query,
 * a bounded per-dataset **admission queue** sheds overload with a 429 +
   ``Retry-After`` envelope instead of collapsing, and
 * standing queries keep only a :class:`~repro.streaming.online.WindowCursor`
@@ -32,9 +33,10 @@ With ``service_workers=N`` the scans themselves run in a
 mmap-backed sketch segments (:mod:`repro.storage.shared`): the parent plans,
 seeds, exports and keeps the counters; workers attach the exported segment
 read-only and execute, so N concurrent queries use N cores instead of
-contending on one GIL.  Without a pool, execution is serialized per dataset
-exactly as before (sessions and sketch caches are not thread-safe);
-different datasets always run concurrently.
+contending on one GIL.  Without a pool (none configured, or no working
+``fork`` on this host), execution is serialized per dataset (sessions and
+sketch caches are not thread-safe); different datasets always run
+concurrently.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from repro import __version__
 from repro.api.cost import CostModel
 from repro.api.queries import ThresholdQuery
 from repro.api.session import CorrelationSession
-from repro.api.planner import QueryPlanner
 from repro.config import DEFAULT_BASIC_WINDOW_SIZE
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
@@ -62,7 +63,6 @@ from repro.service.batching import (
     QueryBatch,
     batch_key_for,
     canonical_request_key,
-    exact_scan_options,
     filter_threshold_result,
     is_batchable,
 )
@@ -82,17 +82,6 @@ from repro.timeseries.matrix import TimeSeriesMatrix
 #: Request fields understood by :meth:`CorrelationService.query` beyond the
 #: query spec itself.
 _REQUEST_ONLY_FIELDS = ("workers", "include_edges")
-
-
-class _Flight:
-    """One in-flight query execution that identical requests can join."""
-
-    __slots__ = ("event", "payload", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.payload: Optional[Dict[str, object]] = None
-        self.error: Optional[BaseException] = None
 
 
 #: Window documents a standing query retains for ``GET .../watch/{id}``.
@@ -145,45 +134,34 @@ class DatasetRuntime:
 
     Owns the chunk store, the shared sketch cache, the session-per-worker
     configuration map, the standing queries and the per-dataset counters.
-    ``lock`` serializes execution and mutation; the service's coalescing map
-    keeps most concurrent duplicates from ever contending on it.
+    ``lock`` serializes execution and mutation; the open-batch map keeps
+    most concurrent duplicates from ever contending on it.
     """
 
     def __init__(
         self,
         name: str,
         catalog: Catalog,
-        engine: str,
-        engine_options: Optional[Dict[str, object]],
-        basic_window_size: int,
+        config: WorkerConfig,
         workers: Optional[int],
-        memory_budget: Optional[int] = None,
         write_buffer_columns: Optional[int] = None,
         write_buffer_seconds: Optional[float] = None,
-        cost_model: Optional[CostModel] = None,
         segments: Optional[SegmentManager] = None,
     ) -> None:
         self.name = name
         self.catalog = catalog
-        self.engine = engine
-        self.engine_options = dict(engine_options or {})
-        self.basic_window_size = basic_window_size
+        self.config = config
         self.default_workers = workers
-        self.memory_budget = memory_budget
-        self.cost_model = cost_model
         self.write_buffer_columns = write_buffer_columns
         self.write_buffer_seconds = write_buffer_seconds
         self.store = catalog.load_dataset(name)
         if self.store.length == 0:
             raise StorageError(f"dataset {name!r} contains no columns")
         self.lock = threading.RLock()
-        # The coalescing map has its own short-hold lock so arriving
-        # duplicates can join a flight without contending on ``lock``,
-        # which the leader holds for the whole execution.
-        self.flights_lock = threading.Lock()
-        self.flights: Dict[str, _Flight] = {}  # guarded-by: flights_lock
-        # Open threshold batches, keyed by compatibility key (the request
-        # minus its threshold); same short-hold discipline as ``flights``.
+        # Open batches, keyed by compatibility key (``batch_key_for``).  The
+        # map has its own short-hold lock so arriving requests can join a
+        # batch without contending on ``lock``, which the leader holds while
+        # it plans (and, pool-less, for the whole execution).
         self.batches_lock = threading.Lock()
         self.batches: Dict[str, QueryBatch] = {}  # guarded-by: batches_lock
         # Admission accounting has its own lock so shedding decisions never
@@ -197,7 +175,7 @@ class DatasetRuntime:
         self.segments = segments
         self.watches: Dict[str, _StandingQuery] = {}  # guarded-by: lock
         # ``queries`` counts answered requests; ``executed`` counts planner
-        # scans.  ``coalesced`` (identical request joined a flight/slot) and
+        # scans.  ``coalesced`` (identical request joined a member slot) and
         # ``batched`` (distinct threshold derived from a shared scan) count
         # the requests answered *without* their own scan, so at any snapshot
         # queries >= coalesced + batched.
@@ -236,7 +214,7 @@ class DatasetRuntime:
         ``CorrelationSession.from_chunk_store`` deployment.)
         """
         if self._matrix is None:
-            if self.memory_budget is not None:
+            if self.config.memory_budget is not None:
                 from repro.core.tiled import ChunkBackedMatrix
 
                 self._matrix = ChunkBackedMatrix(self.store)
@@ -247,35 +225,14 @@ class DatasetRuntime:
     def session_for(
         self, workers: Optional[int], exact_scan: bool = False
     ) -> CorrelationSession:  # requires-lock: lock
-        """The warm session answering queries at this worker count.
-
-        ``exact_scan`` sessions run with the threshold-dependent jumping
-        heuristic disabled (:func:`~repro.service.batching
-        .exact_scan_options`) — the configuration multi-threshold batch
-        leaders scan under so every member's derived answer is exact.
-        """
+        """The warm session answering queries at this worker count."""
         workers = workers if workers is not None else self.default_workers
         key = (workers, exact_scan)
         session = self._sessions.get(key)
         if session is None:
-            options = (
-                exact_scan_options(self.engine, self.engine_options)
-                if exact_scan
-                else self.engine_options
+            session = self._sessions[key] = self.config.session(
+                self.matrix, self.sketch_cache, workers, exact_scan
             )
-            session = CorrelationSession(
-                self.matrix,
-                planner=QueryPlanner(
-                    engine=self.engine,
-                    engine_options=options,
-                    basic_window_size=self.basic_window_size,
-                    sketch_cache=self.sketch_cache,
-                    workers=workers,
-                    memory_budget=self.memory_budget,
-                    cost_model=self.cost_model,
-                ),
-            )
-            self._sessions[key] = session
         return session
 
     def seed_sketch_for(self, plan) -> bool:  # requires-lock: lock
@@ -322,11 +279,11 @@ class DatasetRuntime:
         a memory budget the check builds tiled (bit-identical), so it never
         materializes the dense matrix either.
         """
-        if self.memory_budget is not None:
+        if self.config.memory_budget is not None:
             from repro.core.tiled import build_sketch_tiled
 
             expected = build_sketch_tiled(
-                self.store, index.layout, self.memory_budget, pairwise=False
+                self.store, index.layout, self.config.memory_budget, pairwise=False
             )
         else:
             expected = BasicWindowSketch.build(
@@ -442,7 +399,7 @@ class DatasetRuntime:
         cursor = WindowCursor.for_query(
             query,
             num_series=self.store.num_series,
-            basic_window_size=self.basic_window_size,
+            basic_window_size=self.config.basic_window_size,
         )
         self._watch_counter += 1
         watch = _StandingQuery(f"w{self._watch_counter}", query, cursor)
@@ -467,7 +424,7 @@ class DatasetRuntime:
                     sketches[size] = self.sketch_cache.get_or_extend(
                         self.matrix,
                         BasicWindowLayout.for_range(0, self.store.length, size),
-                        memory_budget=self.memory_budget,
+                        memory_budget=self.config.memory_budget,
                     )
                 windows = watch.advance(sketches[size])
             emitted.append({"id": watch.watch_id, "windows": windows})
@@ -539,7 +496,9 @@ class CorrelationService:
     service_workers:
         Size of the forked :class:`~repro.service.workers.WorkerPool`
         executing scans over shared mmap segments.  ``None`` (the default)
-        keeps execution in-process under each dataset's runtime lock.
+        keeps execution in-process under each dataset's runtime lock, and so
+        does a host where ``fork`` does not work (``GET /metrics`` then
+        reports ``"worker_pool": null``).
     admission_queue_limit:
         Maximum requests a single dataset may have in flight (queued plus
         executing).  Beyond it, :meth:`query` sheds with a 429
@@ -557,9 +516,6 @@ class CorrelationService:
     segment_root:
         Directory for segment exports when a pool is configured; a private
         temporary directory (removed by :meth:`close`) when omitted.
-    worker_pool_mode:
-        ``"auto"`` forks real processes and falls back to inline execution
-        where fork is unavailable; ``"process"``/``"inline"`` force a mode.
     """
 
     def __init__(
@@ -578,7 +534,6 @@ class CorrelationService:
         retry_after_seconds: float = 1.0,
         batch_window_seconds: float = 0.0,
         segment_root=None,
-        worker_pool_mode: str = "auto",
     ) -> None:
         if write_buffer_columns is not None and write_buffer_columns < 1:
             raise ServiceError(
@@ -609,14 +564,18 @@ class CorrelationService:
                 f"batch_window_seconds must be non-negative, got {batch_window_seconds}"
             )
         self.catalog = catalog if isinstance(catalog, Catalog) else Catalog(catalog)
-        self.engine = engine
-        self.engine_options = dict(engine_options or {})
-        self.basic_window_size = basic_window_size
+        # The one session configuration, shared by every dataset runtime and
+        # inherited by every pool worker.
+        self.config = WorkerConfig(
+            engine=engine,
+            engine_options=dict(engine_options or {}),
+            basic_window_size=basic_window_size,
+            memory_budget=memory_budget,
+            cost_model=cost_model,
+        )
         self.workers = workers
-        self.memory_budget = memory_budget
         self.write_buffer_columns = write_buffer_columns
         self.write_buffer_seconds = write_buffer_seconds
-        self.cost_model = cost_model
         self.service_workers = service_workers
         self.admission_queue_limit = admission_queue_limit
         self.retry_after_seconds = float(retry_after_seconds)
@@ -631,17 +590,13 @@ class CorrelationService:
             # The pool forks at construction time — before the HTTP server's
             # request threads exist — so the children never inherit a
             # mid-mutation lock.
-            self._pool = WorkerPool(
-                service_workers,
-                WorkerConfig(
-                    engine=engine,
-                    engine_options=dict(engine_options or {}),
-                    basic_window_size=basic_window_size,
-                    memory_budget=memory_budget,
-                    cost_model=cost_model,
-                ),
-                mode=worker_pool_mode,
-            )
+            try:
+                self._pool = WorkerPool(service_workers, self.config)
+            except ServiceError:
+                # No working fork on this host: serve pool-less, the path
+                # every ``service_workers=None`` deployment takes.
+                self._pool = None
+        if self._pool is not None:
             if segment_root is not None:
                 self._segment_root = Path(segment_root)
                 self._segment_root.mkdir(parents=True, exist_ok=True)
@@ -656,7 +611,7 @@ class CorrelationService:
         return {
             "status": "ok",
             "version": __version__,
-            "engine": self.engine,
+            "engine": self.config.engine,
             "datasets": len(self.catalog.dataset_names()),
         }
 
@@ -694,7 +649,7 @@ class CorrelationService:
         }
 
     def query(self, name: str, request: Dict[str, object]) -> Dict[str, object]:
-        """Answer one query request through admission, batching and coalescing.
+        """Answer one query request through admission and request merging.
 
         The request document is the query spec (see
         :func:`~repro.service.wire.query_from_wire`) plus the optional
@@ -704,20 +659,20 @@ class CorrelationService:
         Admission first: with an ``admission_queue_limit`` configured, a
         dataset already saturated sheds this request with a 429 carrying
         ``retry_after`` — the caller got a correct *refusal*, never a wrong
-        answer.  Admitted threshold requests join the dataset's open
-        compatible batch (one scan at the minimum threshold, every member's
-        answer filtered from it bit-identically); exact duplicates inside a
-        batch coalesce onto one member slot.  Everything else keeps the
-        exact-match singleflight.
+        answer.  Admitted requests join the dataset's open compatible batch:
+        threshold requests share one scan at the minimum threshold (every
+        member's answer filtered from it bit-identically), and exact
+        duplicates of any family coalesce onto one member slot.  A closed
+        service answers 503.
         """
         if not isinstance(request, dict):
             raise ServiceError(f"request body must be a JSON object, got {type(request).__name__}")
+        if self._closed:
+            raise ServiceError("service is closed", status=503)
         runtime = self._runtime(name)
         self._admit(runtime)
         try:
-            if is_batchable(request):
-                return self._query_batched(runtime, request)
-            return self._query_singleflight(runtime, request)
+            return self._query_batched(runtime, request)
         finally:
             self._leave(runtime)
 
@@ -740,48 +695,15 @@ class CorrelationService:
             runtime.admitted -= 1
 
     # --------------------------------------------------------- query paths
-    def _query_singleflight(
-        self, runtime: DatasetRuntime, request: Dict[str, object]
-    ) -> Dict[str, object]:
-        """Exact-identity coalescing for non-batchable requests."""
-        key = canonical_request_key(request)
-        # Join or create the flight under the dataset's own coalescing lock:
-        # requests for *other* datasets never touch it, and the service-wide
-        # ``_runtimes_lock`` stays reserved for the runtimes map itself.
-        with runtime.flights_lock:
-            flight = runtime.flights.get(key)
-            leader = flight is None
-            if leader:
-                flight = _Flight()
-                runtime.flights[key] = flight
-        if not leader:
-            flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            # Count the join only once the shared payload is known-good, and
-            # under ``runtime.lock`` like every other counter mutation, so a
-            # stats snapshot never sees a joined-but-unanswered request.
-            with runtime.lock:
-                runtime.counters["queries"] += 1
-                runtime.counters["coalesced"] += 1
-            return flight.payload
-        try:
-            flight.payload = self._execute(runtime, request)
-            with runtime.lock:
-                runtime.counters["queries"] += 1
-            return flight.payload
-        except BaseException as error:
-            flight.error = error
-            raise
-        finally:
-            with runtime.flights_lock:
-                runtime.flights.pop(key, None)
-            flight.event.set()
-
     def _query_batched(
         self, runtime: DatasetRuntime, request: Dict[str, object]
     ) -> Dict[str, object]:
-        """Compatible-batch coalescing for threshold requests."""
+        """Join (or lead) the open batch this request is compatible with.
+
+        Non-threshold requests are compatible only with their exact
+        duplicates (:func:`~repro.service.batching.batch_key_for`), so their
+        batch is plain coalescing onto one member slot.
+        """
         # Parse *before* joining: a malformed request must fail alone, never
         # poison a batch other callers are waiting on.
         workers, include_edges, query = self._parse_request(request)
@@ -798,10 +720,9 @@ class CorrelationService:
                 batch = None
             leader = batch is None
             if leader:
-                batch = QueryBatch(batch_key)
+                batch = QueryBatch()
                 runtime.batches[batch_key] = batch
-            member, created = batch.join(exact_key, request)
-            member.query = query
+            member, created = batch.join(exact_key, query)
         if not leader:
             batch.event.wait()
             if batch.error is not None:
@@ -813,7 +734,7 @@ class CorrelationService:
                 runtime.counters["batched" if created else "coalesced"] += 1
             return member.payload
         try:
-            if self.batch_window_seconds > 0.0:
+            if self.batch_window_seconds > 0.0 and is_batchable(request):
                 # Group-commit: wait lock-free so a burst of compatible
                 # queries joins before the floor threshold is fixed.
                 time.sleep(self.batch_window_seconds)
@@ -889,14 +810,10 @@ class CorrelationService:
         loaded = DatasetRuntime(
             name,
             self.catalog,
-            engine=self.engine,
-            engine_options=self.engine_options,
-            basic_window_size=self.basic_window_size,
+            self.config,
             workers=self.workers,
-            memory_budget=self.memory_budget,
             write_buffer_columns=self.write_buffer_columns,
             write_buffer_seconds=self.write_buffer_seconds,
-            cost_model=self.cost_model,
             segments=(
                 SegmentManager(self._segment_root / name)
                 if self._segment_root is not None
@@ -992,13 +909,6 @@ class CorrelationService:
                 )
         return {"dataset": runtime.name, **reply["payload"]}, None
 
-    def _execute(self, runtime: DatasetRuntime, request: Dict[str, object]) -> Dict[str, object]:
-        workers, include_edges, query = self._parse_request(request)
-        payload, _ = self._run_scan(
-            runtime, lambda: (query, False), workers, include_edges
-        )
-        return payload
-
     def _execute_batch(
         self,
         runtime: DatasetRuntime,
@@ -1021,8 +931,9 @@ class CorrelationService:
         :func:`filter_threshold_result` — a pure subset filter,
         bit-identical to an independent exact run of each member's query
         and independent of the batch's composition — and carry a ``batch``
-        marker documenting the shared scan.  Single-threshold batches are
-        pure coalescing and keep the normal plan.
+        marker documenting the shared scan.  Single-threshold batches — and
+        every top-k or lagged batch, which can only hold one member slot —
+        are pure coalescing and keep the normal plan.
         """
         state: Dict[str, object] = {}
 
@@ -1081,7 +992,7 @@ class CorrelationService:
         return {
             "service": {
                 "version": __version__,
-                "engine": self.engine,
+                "engine": self.config.engine,
                 "service_workers": self.service_workers,
                 "admission_queue_limit": self.admission_queue_limit,
                 "retry_after_seconds": self.retry_after_seconds,

@@ -17,12 +17,11 @@ hold (the parent bumps the generation on every append), and the pool
 replaces a worker that dies mid-request — the caller's job is retried once
 on a fresh worker before surfacing a 503.
 
-Fork is the only start method used for real process workers (the config —
-engine options, cost model — is inherited, never pickled).  Environments
-without working ``fork`` (or whose sandbox blocks process creation) degrade
-to ``inline`` mode: the same attach-and-execute path runs in the calling
-process, keeping the API and tests uniform while the throughput benchmarks
-self-skip their scaling assertions.
+Fork is the only start method (the config — engine options, cost model — is
+inherited, never pickled).  Where ``fork`` is unavailable (or a sandbox
+blocks process creation) the pool refuses to construct and
+:class:`~repro.service.service.CorrelationService` serves pool-less, in
+process under each dataset's lock.
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ from repro.service.wire import query_from_wire, result_to_wire
 from repro.storage.cache import SketchCache
 from repro.storage.shared import SharedSegment, attach_segment
 from repro.timeseries.matrix import TimeSeriesMatrix
-
-MODE_PROCESS = "process"
-MODE_INLINE = "inline"
 
 
 def rss_anon_bytes() -> Optional[int]:
@@ -80,6 +76,40 @@ class WorkerConfig:
     memory_budget: Optional[int] = None
     cost_model: Optional[CostModel] = None
 
+    def session(
+        self,
+        matrix: TimeSeriesMatrix,
+        sketch_cache: SketchCache,
+        workers: Optional[int],
+        exact_scan: bool = False,
+    ) -> CorrelationSession:
+        """The session answering queries over ``matrix`` at ``workers``.
+
+        ``exact_scan`` sessions run with the threshold-dependent jumping
+        heuristic disabled (:func:`~repro.service.batching
+        .exact_scan_options`) — the configuration multi-threshold batch
+        leaders scan under so every member's derived answer is exact.
+        Parent runtimes and pool workers both build their sessions here, so
+        a pooled scan plans exactly as the in-process one would.
+        """
+        options = (
+            exact_scan_options(self.engine, self.engine_options)
+            if exact_scan
+            else self.engine_options
+        )
+        return CorrelationSession(
+            matrix,
+            planner=QueryPlanner(
+                engine=self.engine,
+                engine_options=options,
+                basic_window_size=self.basic_window_size,
+                sketch_cache=sketch_cache,
+                workers=workers,
+                memory_budget=self.memory_budget,
+                cost_model=self.cost_model,
+            ),
+        )
+
 
 class _Attachment:
     """One worker's warm state for one attached segment generation."""
@@ -95,8 +125,7 @@ class _Attachment:
         # parent already fingerprinted.
         self.cache.adopt_fingerprint(self.matrix, segment.fingerprint)
         self.cache.seed(self.matrix, segment.sketch)
-        # Keyed (workers, exact_scan): batch-leader jobs run threshold-exact
-        # scans (jumping heuristic off) so derived members stay bit-identical.
+        # Keyed (workers, exact_scan) -- see ``WorkerConfig.session``.
         self._sessions: Dict[tuple, CorrelationSession] = {}
 
     def session_for(
@@ -105,24 +134,9 @@ class _Attachment:
         key = (workers, exact_scan)
         session = self._sessions.get(key)
         if session is None:
-            options = (
-                exact_scan_options(self.config.engine, self.config.engine_options)
-                if exact_scan
-                else self.config.engine_options
+            session = self._sessions[key] = self.config.session(
+                self.matrix, self.cache, workers, exact_scan
             )
-            session = CorrelationSession(
-                self.matrix,
-                planner=QueryPlanner(
-                    engine=self.config.engine,
-                    engine_options=options,
-                    basic_window_size=self.config.basic_window_size,
-                    sketch_cache=self.cache,
-                    workers=workers,
-                    memory_budget=self.config.memory_budget,
-                    cost_model=self.config.cost_model,
-                ),
-            )
-            self._sessions[key] = session
         return session
 
 
@@ -247,16 +261,15 @@ class WorkerPool:
     admission queue's service order), sends the job, and returns the
     worker's reply.  A worker that dies mid-request is replaced and the job
     retried once on a fresh worker — the window a restarting deployment
-    exposes to clients — before a 503 surfaces.
+    exposes to clients — before a 503 surfaces.  A closed pool answers 503,
+    wakes callers still waiting for a worker, and never forks again.
+    Construction raises a 503 :class:`ServiceError` where ``fork`` does not
+    work (no ``fork`` start method, or a sandbox that blocks it).
     """
 
-    def __init__(
-        self, size: int, config: WorkerConfig, mode: str = "auto"
-    ) -> None:
+    def __init__(self, size: int, config: WorkerConfig) -> None:
         if size < 1:
             raise ServiceError(f"worker pool size must be at least 1, got {size}")
-        if mode not in ("auto", MODE_PROCESS, MODE_INLINE):
-            raise ServiceError(f"unknown worker pool mode {mode!r}")
         self.size = size
         self.config = config
         self._lock = threading.Lock()
@@ -264,21 +277,20 @@ class WorkerPool:
         self.dispatched = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
         self._handles: List[_WorkerHandle] = []  # guarded-by: _lock
-        self._free: "queue.Queue[_WorkerHandle]" = queue.Queue()
-        self._inline_attachments = AttachmentCache(config)
-        self._inline_lock = threading.Lock()
-        self.mode = MODE_INLINE
-        if mode != MODE_INLINE:
-            try:
-                self._start_processes()
-                self.mode = MODE_PROCESS
-            except (OSError, ValueError, EOFError):
-                if mode == MODE_PROCESS:
-                    raise
-                # auto: sandboxes without fork/semaphores keep the same API
-                # through the in-process path; benchmarks check .mode and
-                # self-skip their scaling floors.
-                self._teardown_processes()
+        # Free handles; ``close`` leaves one ``None`` behind as its wake-up
+        # marker (see ``_acquire``).
+        self._free: "queue.Queue[Optional[_WorkerHandle]]" = queue.Queue()
+        try:
+            for _ in range(size):
+                handle = self._spawn()
+                with self._lock:
+                    self._handles.append(handle)
+                self._free.put(handle)
+        except (OSError, ValueError, EOFError) as error:
+            self.close()
+            raise ServiceError(
+                f"cannot fork service workers: {error}", status=503
+            ) from error
 
     # ------------------------------------------------------------------ spawn
     @staticmethod
@@ -303,43 +315,32 @@ class WorkerPool:
         baseline = parent_conn.recv()
         return _WorkerHandle(process, parent_conn, baseline.get("rss_anon_bytes"))
 
-    def _start_processes(self) -> None:
-        for _ in range(self.size):
-            handle = self._spawn()
-            with self._lock:
-                self._handles.append(handle)
-            self._free.put(handle)
-
-    def _teardown_processes(self) -> None:
-        with self._lock:
-            handles, self._handles = self._handles, []
-        for handle in handles:
-            try:
-                handle.conn.send({"op": "stop"})
-            except (BrokenPipeError, OSError):
-                pass
-            handle.conn.close()
-            handle.process.join(timeout=5)
-            if handle.process.is_alive():  # pragma: no cover - stuck worker
-                handle.process.terminate()
-        while True:
-            try:
-                self._free.get_nowait()
-            except queue.Empty:
-                break
-
     def _replace(self, dead: _WorkerHandle) -> None:
         dead.conn.close()
         dead.process.join(timeout=5)
-        replacement = self._spawn()
+        # Fork under the lock close() takes: a replacement either precedes
+        # close (which then stops it) or is never made.
         with self._lock:
+            if self._closed:
+                # The pipe broke because close() tore the worker down under
+                # this request; a replacement would outlive the pool.
+                return
+            replacement = self._spawn()
             self.restarts += 1
             try:
                 self._handles.remove(dead)
             except ValueError:  # pragma: no cover - already torn down
                 pass
             self._handles.append(replacement)
-        self._free.put(replacement)
+            self._free.put(replacement)
+
+    def _acquire(self) -> _WorkerHandle:
+        """Block until a worker is free; a closed pool answers 503 instead."""
+        handle = self._free.get()
+        if handle is None:
+            self._free.put(None)  # pass close()'s marker on to the next waiter
+            raise ServiceError("worker pool is closed", status=503)
+        return handle
 
     # --------------------------------------------------------------- dispatch
     def run_query(
@@ -372,27 +373,12 @@ class WorkerPool:
             "exact_scan": exact_scan,
         }
         with self._lock:
+            if self._closed:
+                raise ServiceError("worker pool is closed", status=503)
             self.dispatched += 1
-        if self.mode == MODE_INLINE:
-            # Execute in-process but surface errors exactly as a forked
-            # worker would, so callers see one error contract per mode.
-            with self._inline_lock:
-                try:
-                    reply = {"ok": True, **_execute_query(self._inline_attachments, job)}
-                except ServiceError:
-                    raise
-                except Exception as error:  # noqa: BLE001 — mirrors the pipe
-                    reply = {
-                        "ok": False,
-                        "error": type(error).__name__,
-                        "message": str(error),
-                        "status": getattr(error, "status", None),
-                        "repro": isinstance(error, ReproError),
-                    }
-            return self._unwrap(dataset, reply)
         last_error: Optional[BaseException] = None
         for _ in range(2):  # the original dispatch plus one restart retry
-            handle = self._free.get()
+            handle = self._acquire()
             try:
                 handle.conn.send(job)
                 reply = handle.conn.recv()
@@ -425,11 +411,9 @@ class WorkerPool:
 
         Acquires every free handle (so it waits out in-flight queries) and
         asks each worker for its current anonymous RSS.  Returns one
-        ``{"spawn": ..., "now": ...}`` dict per worker; empty in inline mode.
+        ``{"spawn": ..., "now": ...}`` dict per worker.
         """
-        if self.mode != MODE_PROCESS:
-            return []
-        held = [self._free.get() for _ in range(self.size)]
+        held = [self._acquire() for _ in range(self.size)]
         samples = []
         try:
             for handle in held:
@@ -447,19 +431,33 @@ class WorkerPool:
         with self._lock:
             return {
                 "size": self.size,
-                "mode": self.mode,
                 "restarts": self.restarts,
                 "dispatched": self.dispatched,
             }
 
     # ------------------------------------------------------------------ close
     def close(self) -> None:
+        """Stop every worker and fail waiting and future callers with 503."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if self.mode == MODE_PROCESS:
-            self._teardown_processes()
+            handles, self._handles = self._handles, []
+        for handle in handles:
+            try:
+                handle.conn.send({"op": "stop"})
+            except (BrokenPipeError, OSError):
+                pass
+            handle.conn.close()
+            handle.process.join(timeout=5)
+            if handle.process.is_alive():  # pragma: no cover - stuck worker
+                handle.process.terminate()
+        while True:
+            try:
+                self._free.get_nowait()
+            except queue.Empty:
+                break
+        self._free.put(None)
 
     def __enter__(self) -> "WorkerPool":
         return self

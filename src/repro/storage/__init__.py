@@ -10,10 +10,8 @@ of many datasets together on disk.
 
 from repro.storage.cache import (
     CacheStats,
-    QueryCache,
     SketchCache,
     matrix_fingerprint,
-    query_fingerprint,
 )
 from repro.storage.catalog import Catalog, DatasetEntry
 from repro.storage.chunk_store import ChunkStore, ChunkStoreReader
@@ -31,7 +29,6 @@ __all__ = [
     "ChunkStore",
     "ChunkStoreReader",
     "DatasetEntry",
-    "QueryCache",
     "SegmentManager",
     "SharedSegment",
     "SketchCache",
@@ -39,5 +36,4 @@ __all__ = [
     "attach_segment",
     "export_segment",
     "matrix_fingerprint",
-    "query_fingerprint",
 ]

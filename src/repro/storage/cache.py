@@ -1,15 +1,9 @@
-"""In-memory caches for repeated sliding queries.
+"""The in-memory sketch cache for repeated sliding queries.
 
 Interactive exploration (the paper's challenge 1) repeatedly re-runs similar
 queries — the same range with a different threshold, the same threshold over a
-refreshed dashboard — and the most effective "optimization" for the second run
-of an identical query is to not run it at all.  :class:`QueryCache` memoizes
-:class:`~repro.core.result.CorrelationSeriesResult` objects keyed by a
-fingerprint of the data, the query, and the engine configuration, with LRU
-eviction bounded either by entry count or by the estimated memory held.
-
-One level below whole results, :class:`SketchCache` memoizes the
-:class:`~repro.core.sketch.BasicWindowSketch` itself, keyed on the data plus
+refreshed dashboard.  :class:`SketchCache` memoizes the
+:class:`~repro.core.sketch.BasicWindowSketch`, keyed on the data plus
 the basic-window layout (range, size).  Queries that differ only in threshold,
 ``k`` or lag share a sketch, so a threshold sweep — the dominant-cost path of
 the E4 experiment — builds the γ·N² statistics once.  This is the cache the
@@ -30,9 +24,6 @@ import numpy as np
 
 from repro.config import FLOAT_DTYPE
 from repro.core.basic_window import BasicWindowLayout
-from repro.core.engine import SlidingCorrelationEngine
-from repro.core.query import SlidingQuery
-from repro.core.result import CorrelationSeriesResult
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import StorageError
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -84,19 +75,11 @@ def matrix_fingerprint(matrix: TimeSeriesMatrix) -> str:
     return digest.hexdigest()
 
 
-def query_fingerprint(query: SlidingQuery) -> str:
-    """Stable key of a sliding query (all fields that affect the answer)."""
-    return (
-        f"{query.start}:{query.end}:{query.window}:{query.step}:"
-        f"{query.threshold!r}:{query.threshold_mode}"
-    )
-
-
 class _FingerprintMemo:
     """Per-object memo of :func:`matrix_fingerprint` safe against id reuse.
 
-    Hashing the full data array is the expensive part of a cache key, so both
-    caches memoize it per matrix *object*.  Keying a plain dict by ``id()``
+    Hashing the full data array is the expensive part of a cache key, so the
+    cache memoizes it per matrix *object*.  Keying a plain dict by ``id()``
     alone is unsound: once the matrix is garbage collected the id can be
     recycled by an unrelated matrix, which would silently inherit the dead
     object's fingerprint.  A ``weakref.finalize`` drops each entry when its
@@ -316,17 +299,9 @@ class _FingerprintChain:
         return int(sum(piece.nbytes for piece in self._tail))
 
 
-def _result_bytes(result: CorrelationSeriesResult) -> int:
-    """Rough memory estimate of a cached result (edge arrays only)."""
-    total = 0
-    for edges in result.matrices:
-        total += edges.rows.nbytes + edges.cols.nbytes + edges.values.nbytes
-    return total
-
-
 @dataclass
 class CacheStats:
-    """Hit/miss counters of a :class:`QueryCache` / :class:`SketchCache`.
+    """Hit/miss counters of a :class:`SketchCache`.
 
     The maintenance counters are written by the incremental paths only:
     ``sketch_extensions`` counts O(Δ) extensions of a chained entry,
@@ -362,118 +337,6 @@ class CacheStats:
             "extended_windows": self.extended_windows,
             "buffered_columns": self.buffered_columns,
         }
-
-
-class QueryCache:
-    """LRU cache of sliding-query results.
-
-    Parameters
-    ----------
-    max_entries:
-        Maximum number of results kept (least recently used evicted first).
-    max_bytes:
-        Optional bound on the summed estimated size of cached results; when
-        exceeded, least recently used entries are evicted until it fits.
-    """
-
-    def __init__(self, max_entries: int = 32, max_bytes: Optional[int] = None) -> None:
-        if max_entries < 1:
-            raise StorageError(f"max_entries must be at least 1, got {max_entries}")
-        if max_bytes is not None and max_bytes <= 0:
-            raise StorageError(f"max_bytes must be positive, got {max_bytes}")
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._lock = threading.RLock()
-        self.stats = CacheStats()  # guarded-by: _lock
-        self._entries: "OrderedDict[Tuple[str, str, str], CorrelationSeriesResult]" = (
-            OrderedDict()
-        )  # guarded-by: _lock
-        self._sizes: Dict[Tuple[str, str, str], int] = {}  # guarded-by: _lock
-        self._fingerprint = _FingerprintMemo()  # guarded-by: _lock
-
-    # ------------------------------------------------------------------ sizing
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def current_bytes(self) -> int:
-        """Summed estimated size of all cached results."""
-        with self._lock:
-            return sum(self._sizes.values())
-
-    # ------------------------------------------------------------------ lookup
-    def _key(
-        self, matrix: TimeSeriesMatrix, query: SlidingQuery, engine_label: str
-    ) -> Tuple[str, str, str]:
-        # Fingerprinting hashes the full data array; memoized per matrix object
-        # so repeated queries over the same (immutable) matrix pay it once.
-        return self._fingerprint(matrix), query_fingerprint(query), engine_label
-
-    def get(
-        self, matrix: TimeSeriesMatrix, query: SlidingQuery, engine_label: str
-    ) -> Optional[CorrelationSeriesResult]:
-        """Return the cached result for this (data, query, engine), or ``None``."""
-        with self._lock:
-            key = self._key(matrix, query, engine_label)
-            result = self._entries.get(key)
-            if result is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return result
-
-    def put(
-        self,
-        matrix: TimeSeriesMatrix,
-        query: SlidingQuery,
-        engine_label: str,
-        result: CorrelationSeriesResult,
-    ) -> None:
-        """Insert a result, evicting least recently used entries as needed."""
-        with self._lock:
-            key = self._key(matrix, query, engine_label)
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = result
-            self._sizes[key] = _result_bytes(result)
-            self._evict()
-
-    def get_or_compute(
-        self,
-        matrix: TimeSeriesMatrix,
-        query: SlidingQuery,
-        engine: SlidingCorrelationEngine,
-    ) -> CorrelationSeriesResult:
-        """Return the cached answer or run the engine and cache its result."""
-        label = engine.describe()
-        cached = self.get(matrix, query, label)
-        if cached is not None:
-            return cached
-        result = engine.run(matrix, query)
-        self.put(matrix, query, label, result)
-        return result
-
-    def clear(self) -> None:
-        """Drop every cached entry (statistics are preserved)."""
-        with self._lock:
-            self._entries.clear()
-            self._sizes.clear()
-            self._fingerprint.clear()
-
-    # ---------------------------------------------------------------- internal
-    def _evict(self) -> None:  # requires-lock: _lock
-        while len(self._entries) > self.max_entries:
-            self._pop_oldest()
-        if self.max_bytes is not None:
-            while len(self._entries) > 1 and self.current_bytes > self.max_bytes:
-                self._pop_oldest()
-
-    def _pop_oldest(self) -> None:  # requires-lock: _lock
-        key, _ = self._entries.popitem(last=False)
-        self._sizes.pop(key, None)
-        self.stats.evictions += 1
 
 
 class SketchCache:

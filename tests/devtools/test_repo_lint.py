@@ -67,17 +67,17 @@ def test_stripping_a_service_lock_vouch_turns_service_red():
     assert any(f.code == "RPR005" for f in found)
 
 
-def test_unlocking_the_flights_map_turns_service_red():
-    """Replacing the coalescing lock with a different one is caught."""
+def test_unlocking_the_batches_map_turns_service_red():
+    """Replacing the open-batch lock with a different one is caught."""
     source = (REPO_ROOT / "src" / "repro" / "service" / "service.py").read_text()
-    assert "with runtime.flights_lock:" in source
+    assert "with runtime.batches_lock:" in source
     swapped = source.replace(
-        "with runtime.flights_lock:", "with self._runtimes_lock:"
+        "with runtime.batches_lock:", "with self._runtimes_lock:"
     )
     found = lint_source(
         swapped, module_path="repro/service/service.py", codes=["RPR005"]
     )
-    assert any("flights" in f.message for f in found if f.code == "RPR005")
+    assert any("batches" in f.message for f in found if f.code == "RPR005")
 
 
 def test_widening_rpr001_scope_finds_nothing_hidden():

@@ -1,7 +1,7 @@
 """Integration tests across the extension modules.
 
-These tie the new pieces together the way the examples do: cached repeated
-queries, exploratory top-k feeding a threshold query, the robustness suite
+These tie the new pieces together the way the examples do: exploratory
+top-k feeding a threshold query, the robustness suite
 driving engines end to end, and streaming alerting agreeing with an offline
 analysis of the same data.
 """
@@ -19,32 +19,9 @@ from repro.core.query import SlidingQuery
 from repro.core.topk import sliding_top_k
 from repro.network.communities import link_activity
 from repro.network.dynamic import DynamicNetwork
-from repro.storage.cache import QueryCache
 from repro.streaming.monitor import NetworkChangeMonitor
 from repro.streaming.online import OnlineCorrelationMonitor
 from repro.tomborg.suite import case_by_name
-
-
-class TestCachedExploration:
-    def test_threshold_exploration_reuses_cached_results(self, small_matrix):
-        """Sweeping thresholds re-runs the engine once per distinct threshold only."""
-        cache = QueryCache(max_entries=8)
-        engine = DangoronEngine(basic_window_size=32)
-        base = SlidingQuery(
-            start=0, end=small_matrix.length, window=128, step=32, threshold=0.6
-        )
-        sweep = [0.6, 0.7, 0.8, 0.7, 0.6]
-        edge_counts = [
-            cache.get_or_compute(small_matrix, base.with_threshold(beta), engine).total_edges()
-            for beta in sweep
-        ]
-        assert cache.stats.misses == 3
-        assert cache.stats.hits == 2
-        # Higher thresholds never report more edges.
-        assert edge_counts[0] >= edge_counts[1] >= edge_counts[2]
-        # Cached answers equal recomputed answers.
-        assert edge_counts[3] == edge_counts[1]
-        assert edge_counts[4] == edge_counts[0]
 
 
 class TestTopKToThresholdPipeline:

@@ -187,11 +187,10 @@ def test_metrics_document_shape(client):
     service = document["service"]
     assert service["service_workers"] == 2
     assert service["engine"]
-    pool = document["worker_pool"]
-    assert pool["size"] == 2
-    assert pool["mode"] in ("process", "inline")
+    pool = document["worker_pool"]  # null where fork is unavailable
     stats = document["datasets"]["hammer"]
     assert {"queries", "executed", "coalesced", "batched"} <= set(stats)
     assert {"queue_depth", "shed"} <= set(stats["admission"])
-    if pool["mode"] == "process":
+    if pool is not None:
+        assert pool["size"] == 2
         assert stats["segments"]["generation"] >= 1

@@ -6,7 +6,9 @@ import pytest
 from repro.baselines.brute_force import BruteForceEngine
 from repro.baselines.tsubasa import TsubasaEngine
 from repro.core.dangoron import DangoronEngine
+from repro.core.lag import sliding_lagged_correlation
 from repro.core.sketch import BasicWindowSketch
+from repro.core.topk import sliding_top_k
 from repro.exceptions import ParallelError
 from repro.parallel import (
     MODE_PROCESS,
@@ -42,6 +44,70 @@ def test_sharded_run_is_bit_identical(small_matrix, standard_query, mode):
     assert sharded.stats.extra["parallel_mode_process"] == float(
         mode == MODE_PROCESS
     )
+
+
+def _family_runs(matrix, query):
+    """family -> (sharded call taking an executor, serial call)."""
+    engine = DangoronEngine(basic_window_size=16)
+    return {
+        "engine": (
+            lambda executor: executor.run(engine, matrix, query),
+            lambda: engine.run(matrix, query),
+        ),
+        "topk": (
+            lambda executor: executor.run_topk(matrix, query, 5, basic_window_size=16),
+            lambda: sliding_top_k(matrix, query, 5, basic_window_size=16),
+        ),
+        "lagged": (
+            lambda executor: executor.run_lagged(matrix, query, 3),
+            lambda: sliding_lagged_correlation(matrix, query, 3),
+        ),
+    }
+
+
+def _assert_family_identical(family, serial, sharded):
+    if family == "engine":
+        _assert_identical(serial, sharded)
+        assert sharded.stats.exact_evaluations == serial.stats.exact_evaluations
+        assert sharded.stats.skipped_by_jumping == serial.stats.skipped_by_jumping
+        return
+    fields = (
+        ("rows", "cols", "values") if family == "topk" else ("best_corr", "best_lag")
+    )
+    serial, sharded = list(serial), list(sharded)  # windows of either family
+    assert len(sharded) == len(serial)
+    for a, b in zip(serial, sharded):
+        assert a.window_index == b.window_index
+        for field in fields:
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+@pytest.mark.parametrize("mode", [MODE_THREAD, MODE_PROCESS])
+@pytest.mark.parametrize("family", ["topk", "lagged"])
+def test_sharded_topk_and_lagged_are_bit_identical(
+    small_matrix, standard_query, family, mode
+):
+    sharded_call, serial_call = _family_runs(small_matrix, standard_query)[family]
+    sharded = sharded_call(ShardedExecutor(workers=3, mode=mode))
+    _assert_family_identical(family, serial_call(), sharded)
+
+
+@pytest.mark.parametrize("family", ["engine", "topk", "lagged"])
+def test_unavailable_process_pool_falls_back_to_threads(
+    small_matrix, standard_query, family, monkeypatch
+):
+    def no_process_pool(*args, **kwargs):
+        raise OSError("fork is blocked in this sandbox")
+
+    monkeypatch.setattr(
+        "repro.parallel.executor.ProcessPoolExecutor", no_process_pool
+    )
+    sharded_call, serial_call = _family_runs(small_matrix, standard_query)[family]
+    sharded = sharded_call(ShardedExecutor(workers=3, mode=MODE_PROCESS))
+    _assert_family_identical(family, serial_call(), sharded)
+    if family == "engine":
+        assert sharded.stats.extra["parallel_fallback_thread"] == 1.0
+        assert sharded.stats.extra["parallel_mode_process"] == 0.0
 
 
 def test_sharded_run_shares_one_prebuilt_sketch(small_matrix, standard_query):
@@ -84,10 +150,6 @@ def test_executor_validates_configuration():
         ShardedExecutor(workers=0)
     with pytest.raises(ParallelError):
         ShardedExecutor(workers=2, mode="fleet")
-    with pytest.raises(ParallelError):
-        ShardedExecutor(workers=2, num_shards=0)
-    with pytest.raises(ParallelError):
-        ShardedExecutor(workers=2, shards_per_worker=0)
 
 
 def test_available_workers_positive():

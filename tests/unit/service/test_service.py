@@ -129,8 +129,24 @@ class TestQueryExecution:
             service.query("demo", [1, 2, 3])
 
 
+TOPK_REQUEST = {
+    "mode": "topk", "start": 0, "end": LENGTH, "window": 64, "step": 32, "k": 3,
+}
+LAGGED_REQUEST = {
+    "mode": "lagged", "start": 0, "end": LENGTH, "window": 64, "step": 64,
+    "max_lag": 2, "threshold": 0.4,
+}
+EVERY_FAMILY = pytest.mark.parametrize(
+    "request_body", [THRESHOLD_REQUEST, TOPK_REQUEST, LAGGED_REQUEST],
+    ids=["threshold", "topk", "lagged"],
+)
+
+
 class TestCoalescing:
-    def test_identical_concurrent_queries_share_one_execution(self, service, monkeypatch):
+    @EVERY_FAMILY
+    def test_identical_concurrent_queries_share_one_execution(
+        self, service, monkeypatch, request_body
+    ):
         runtime = service._runtime("demo")
         release = threading.Event()
         started = threading.Event()
@@ -145,14 +161,14 @@ class TestCoalescing:
         payloads = []
 
         def follower():
-            payloads.append(service.query("demo", dict(THRESHOLD_REQUEST)))
+            payloads.append(service.query("demo", dict(request_body)))
 
         leader = threading.Thread(target=follower)
         leader.start()
         assert started.wait(timeout=10)  # leader is inside the execution
         chaser = threading.Thread(target=follower)
         chaser.start()
-        # The chaser joined the leader's flight; only after the leader is
+        # The chaser joined the leader's member slot; only after the leader is
         # released does either finish.
         chaser.join(timeout=0.3)
         assert chaser.is_alive()
@@ -165,10 +181,16 @@ class TestCoalescing:
         assert runtime.counters["queries"] == 2  # both requests were answered
         assert runtime.counters["executed"] == 1  # ... by one planner scan
 
-    def test_leader_error_propagates_to_followers(self, service, monkeypatch):
+    @EVERY_FAMILY
+    def test_leader_error_propagates_to_followers(
+        self, service, monkeypatch, request_body
+    ):
+        runtime = service._runtime("demo")
         release = threading.Event()
+        started = threading.Event()
 
         def exploding_session_for(self, workers, exact_scan=False):
+            started.set()
             release.wait(timeout=10)
             raise RuntimeError("engine on fire")
 
@@ -177,17 +199,91 @@ class TestCoalescing:
 
         def run():
             try:
-                service.query("demo", dict(THRESHOLD_REQUEST))
+                service.query("demo", dict(request_body))
             except RuntimeError as error:
                 errors.append(error)
 
-        threads = [threading.Thread(target=run) for _ in range(2)]
-        for thread in threads:
-            thread.start()
+        leader = threading.Thread(target=run)
+        leader.start()
+        assert started.wait(timeout=10)  # the leader is inside the execution
+        follower = threading.Thread(target=run)
+        follower.start()
+        follower.join(timeout=0.3)
+        assert follower.is_alive()  # ... and the follower waits on it
         release.set()
-        for thread in threads:
-            thread.join(timeout=10)
+        leader.join(timeout=10)
+        follower.join(timeout=10)
         assert len(errors) == 2
+        assert errors[0] is errors[1]  # the follower re-raised the leader's error
+        assert runtime.counters["queries"] == 0
+        assert runtime.batches == {}  # the failed batch left nothing behind
+
+
+    def test_mixed_families_answer_as_an_isolated_service(self, catalog):
+        # Exact scans on both sides, so batched or alone there is one answer.
+        options = {"use_temporal_pruning": False}
+        requests = [
+            {**THRESHOLD_REQUEST, "threshold": threshold}
+            for threshold in (0.4, 0.5, 0.6)
+        ] + [TOPK_REQUEST, LAGGED_REQUEST]
+        expected = [
+            result_from_wire(
+                CorrelationService(
+                    catalog.root, basic_window_size=BASIC, engine_options=options
+                ).query("demo", dict(request))
+            ).to_edges()
+            for request in requests
+        ]
+        service = CorrelationService(
+            catalog, basic_window_size=BASIC, engine_options=options,
+            batch_window_seconds=0.005,
+        )
+        rounds, copies = 3, 3
+        barrier = threading.Barrier(len(requests) * copies)
+        stop = threading.Event()
+        snapshots, mismatches, errors = [], [], []
+
+        def read_metrics():
+            while not stop.is_set():
+                stats = service.metrics()["datasets"].get("demo")
+                if stats is not None:
+                    snapshots.append(stats)
+
+        def ask(index):
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(rounds):
+                    document = service.query("demo", dict(requests[index]))
+                    if result_from_wire(document).to_edges() != expected[index]:
+                        mismatches.append(index)
+            except Exception as error:  # noqa: BLE001 — surfaced below
+                errors.append(error)
+
+        reader = threading.Thread(target=read_metrics)
+        reader.start()
+        askers = [
+            threading.Thread(target=ask, args=(index,))
+            for index in range(len(requests))
+            for _ in range(copies)
+        ]
+        for asker in askers:
+            asker.start()
+        for asker in askers:
+            asker.join(timeout=30)
+        stop.set()
+        reader.join(timeout=10)
+        assert not any(asker.is_alive() for asker in askers)
+        assert errors == [] and mismatches == []
+        assert snapshots
+        for stats in snapshots:
+            assert stats["queries"] >= stats["coalesced"] + stats["batched"]
+        final = service.dataset_info("demo")["stats"]
+        assert final["queries"] == len(askers) * rounds
+        assert (
+            final["executed"] + final["coalesced"] + final["batched"]
+            == final["queries"]
+        )
+        assert final["executed"] < final["queries"]  # requests really merged
 
 
 class TestIndexSeeding:

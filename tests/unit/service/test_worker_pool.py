@@ -1,13 +1,18 @@
 """Worker pool over shared segments: dispatch, re-attach, crash recovery.
 
-Exercises the pool in both modes.  Inline mode (always available) pins the
-attach-and-execute path and its bit-identity against an in-process session.
-Process mode (self-skipping where ``fork`` is unavailable) additionally pins
-the crash-replacement retry, the stale-generation re-attach protocol, and
-the per-worker RSS observation used by the service memory assertion.
+The worker protocol (attach-and-execute, its bit-identity against an
+in-process session, the stale-generation re-attach rules) is pinned by
+calling the worker's own ``_execute_query`` / ``AttachmentCache`` in this
+process.  The forked pool (self-skipping where ``fork`` is unavailable)
+additionally pins errors crossing the pipe, the crash-replacement retry, the
+closed-pool contract, and the per-worker RSS observation used by the service
+memory assertion.
 """
 
 from __future__ import annotations
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,15 +21,16 @@ from repro.api import CorrelationSession, ThresholdQuery
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import ServiceError
+from repro.service.service import CorrelationService
 from repro.service.wire import query_to_wire, result_from_wire
 from repro.service.workers import (
-    MODE_INLINE,
-    MODE_PROCESS,
     AttachmentCache,
     WorkerConfig,
     WorkerPool,
+    _execute_query,
     rss_anon_bytes,
 )
+from repro.storage.catalog import Catalog
 from repro.storage.chunk_store import ChunkStore
 from repro.storage.shared import SegmentManager
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -71,46 +77,72 @@ def _expected_edges(values: np.ndarray):
 
 
 def _pool_available() -> bool:
-    probe = WorkerPool(1, WorkerConfig(basic_window_size=BASIC), mode="auto")
-    mode = probe.mode
-    probe.close()
-    return mode == MODE_PROCESS
+    try:
+        WorkerPool(1, WorkerConfig(basic_window_size=BASIC)).close()
+    except ServiceError:
+        return False
+    return True
 
 
-class TestInlineMode:
-    def test_inline_query_is_bit_identical(self, store, segment):
-        _, path, generation = segment
-        pool = WorkerPool(2, WorkerConfig(basic_window_size=BASIC), mode=MODE_INLINE)
+def _job(spec, path, generation):
+    return {
+        "op": "query", "dataset": "demo", "spec": spec,
+        "segment_dir": str(path), "generation": generation,
+    }
+
+
+def _error_within(call, seconds: float = 5.0):
+    """Run ``call`` on a thread; the error it raised, or fail the deadline."""
+    raised = []
+
+    def run():
         try:
-            reply = pool.run_query("demo", query_to_wire(QUERY), path, generation)
-        finally:
-            pool.close()
+            call()
+        except BaseException as error:  # noqa: BLE001 — handed to the test
+            raised.append(error)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"caller still blocked after {seconds}s"
+    return raised[0] if raised else None
+
+
+class TestWorkerProtocol:
+    def test_executed_query_is_bit_identical(self, store, segment):
+        _, path, generation = segment
+        attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
+        reply = _execute_query(
+            attachments, _job(query_to_wire(QUERY), path, generation)
+        )
         assert reply["generation"] == generation
         assert reply["cost_key"]
         assert reply["wall_seconds"] >= 0
         remote = result_from_wire(reply["payload"])
         assert remote.to_edges() == _expected_edges(store.read_all())
-        assert pool.describe() == {
-            "size": 2, "mode": MODE_INLINE, "restarts": 0, "dispatched": 1,
-        }
-        assert pool.worker_rss() == []  # process-mode observation only
 
-    def test_invalid_pool_size_and_mode_rejected(self):
+    def test_invalid_pool_size_rejected(self):
         with pytest.raises(ServiceError, match="at least 1"):
             WorkerPool(0, WorkerConfig())
-        with pytest.raises(ServiceError, match="unknown worker pool mode"):
-            WorkerPool(1, WorkerConfig(), mode="threads")
 
-    def test_query_errors_cross_the_boundary_with_status(self, segment):
-        _, path, generation = segment
-        pool = WorkerPool(1, WorkerConfig(basic_window_size=BASIC), mode=MODE_INLINE)
-        try:
-            bad = query_to_wire(QUERY) | {"end": LENGTH * 10}
-            with pytest.raises(ServiceError) as excinfo:
-                pool.run_query("demo", bad, path, generation)
-        finally:
-            pool.close()
-        assert excinfo.value.status == 400  # a ReproError, not a worker crash
+
+def test_service_without_fork_serves_pool_less(tmp_path, store, monkeypatch):
+    def no_fork():
+        raise ValueError("cannot find context for 'fork'")
+
+    monkeypatch.setattr(WorkerPool, "_context", staticmethod(no_fork))
+    with pytest.raises(ServiceError) as excinfo:
+        WorkerPool(1, WorkerConfig(basic_window_size=BASIC))
+    assert excinfo.value.status == 503
+    catalog = Catalog(tmp_path / "catalog")
+    catalog.add_dataset("demo", store)
+    with CorrelationService(
+        catalog, basic_window_size=BASIC, service_workers=2
+    ) as service:
+        assert service.metrics()["worker_pool"] is None
+        document = service.query("demo", query_to_wire(QUERY))
+        assert "segments" not in service.dataset_info("demo")["stats"]
+    assert result_from_wire(document).to_edges() == _expected_edges(store.read_all())
 
 
 class TestGenerationProtocol:
@@ -157,10 +189,18 @@ class TestProcessMode:
     def test_process_query_is_bit_identical(self, store, segment):
         _, path, generation = segment
         with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
-            assert pool.mode == MODE_PROCESS
             reply = pool.run_query("demo", query_to_wire(QUERY), path, generation)
             remote = result_from_wire(reply["payload"])
             assert remote.to_edges() == _expected_edges(store.read_all())
+            assert pool.describe() == {"size": 2, "restarts": 0, "dispatched": 1}
+
+    def test_query_errors_cross_the_boundary_with_status(self, segment):
+        _, path, generation = segment
+        with WorkerPool(1, WorkerConfig(basic_window_size=BASIC)) as pool:
+            bad = query_to_wire(QUERY) | {"end": LENGTH * 10}
+            with pytest.raises(ServiceError) as excinfo:
+                pool.run_query("demo", bad, path, generation)
+        assert excinfo.value.status == 400  # a ReproError, not a worker crash
 
     def test_dead_worker_is_replaced_and_job_retried(self, store, segment):
         _, path, generation = segment
@@ -193,6 +233,80 @@ class TestProcessMode:
         for process in processes:
             process.join(timeout=5)
             assert not process.is_alive()
+
+    def test_run_query_after_close_answers_503(self, segment):
+        _, path, generation = segment
+        pool = WorkerPool(1, WorkerConfig(basic_window_size=BASIC))
+        pool.close()
+        error = _error_within(
+            lambda: pool.run_query("demo", query_to_wire(QUERY), path, generation)
+        )
+        assert isinstance(error, ServiceError) and error.status == 503
+
+    def test_closed_pooled_service_answers_503(self, tmp_path, store):
+        catalog = Catalog(tmp_path / "catalog")
+        catalog.add_dataset("demo", store)
+        service = CorrelationService(
+            catalog, basic_window_size=BASIC, service_workers=1
+        )
+        request = query_to_wire(QUERY)
+        assert service.metrics()["worker_pool"]["size"] == 1
+        assert service.query("demo", request)["kind"] == "threshold"
+        service.close()
+        error = _error_within(lambda: service.query("demo", request))
+        assert isinstance(error, ServiceError) and error.status == 503
+
+    def test_close_wakes_callers_waiting_for_a_worker(self, segment):
+        _, path, generation = segment
+        pool = WorkerPool(1, WorkerConfig(basic_window_size=BASIC))
+        busy = pool._acquire()  # the only worker is out on another request
+        statuses = []
+
+        def wait_for_a_worker():
+            try:
+                pool.run_query("demo", query_to_wire(QUERY), path, generation)
+            except ServiceError as error:
+                statuses.append(error.status)
+
+        waiters = [
+            threading.Thread(target=wait_for_a_worker, daemon=True)
+            for _ in range(2)
+        ]
+        for waiter in waiters:
+            waiter.start()
+        deadline = time.monotonic() + 5
+        while pool.describe()["dispatched"] < 2:  # both are past the gate
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        pool.close()
+        for waiter in waiters:
+            waiter.join(timeout=5)
+            assert not waiter.is_alive(), "waiter still blocked after close()"
+        assert statuses == [503, 503]
+        assert not busy.process.is_alive()
+
+    def test_request_racing_close_never_forks_a_replacement(
+        self, segment, monkeypatch
+    ):
+        _, path, generation = segment
+        pool = WorkerPool(1, WorkerConfig(basic_window_size=BASIC))
+        (process,) = [handle.process for handle in pool._handles]
+        acquire = pool._acquire
+
+        def acquire_then_close():
+            handle = acquire()
+            pool.close()  # lands while this request holds the worker
+            return handle
+
+        spawned = []
+        monkeypatch.setattr(pool, "_acquire", acquire_then_close)
+        monkeypatch.setattr(pool, "_spawn", lambda: spawned.append(1))
+        error = _error_within(
+            lambda: pool.run_query("demo", query_to_wire(QUERY), path, generation)
+        )
+        assert isinstance(error, ServiceError) and error.status == 503
+        assert spawned == [] and pool.describe()["restarts"] == 0
+        assert not process.is_alive()
 
 
 def test_rss_anon_bytes_reads_proc():

@@ -1,17 +1,6 @@
-"""Unit tests for the query result cache (repro.storage.cache)."""
+"""Unit tests for the matrix fingerprint (repro.storage.cache)."""
 
-import numpy as np
-import pytest
-
-from repro.baselines.brute_force import BruteForceEngine
-from repro.core.dangoron import DangoronEngine
-from repro.core.query import SlidingQuery
-from repro.exceptions import StorageError
-from repro.storage.cache import (
-    QueryCache,
-    matrix_fingerprint,
-    query_fingerprint,
-)
+from repro.storage.cache import matrix_fingerprint
 
 
 class TestFingerprints:
@@ -21,110 +10,3 @@ class TestFingerprints:
         assert first == second
         perturbed = small_matrix.with_values(small_matrix.values + 1e-9)
         assert matrix_fingerprint(perturbed) != first
-
-    def test_query_fingerprint_distinguishes_fields(self):
-        base = SlidingQuery(start=0, end=512, window=128, step=32, threshold=0.7)
-        assert query_fingerprint(base) == query_fingerprint(
-            SlidingQuery(start=0, end=512, window=128, step=32, threshold=0.7)
-        )
-        assert query_fingerprint(base) != query_fingerprint(base.with_threshold(0.8))
-        absolute = SlidingQuery(
-            start=0, end=512, window=128, step=32, threshold=0.7,
-            threshold_mode="absolute",
-        )
-        assert query_fingerprint(base) != query_fingerprint(absolute)
-
-
-class TestCacheBehaviour:
-    def test_get_or_compute_hits_second_time(self, small_matrix, standard_query):
-        cache = QueryCache()
-        engine = DangoronEngine(basic_window_size=32)
-        first = cache.get_or_compute(small_matrix, standard_query, engine)
-        second = cache.get_or_compute(small_matrix, standard_query, engine)
-        assert second is first
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-
-    def test_different_engines_cached_separately(self, small_matrix, standard_query):
-        cache = QueryCache()
-        pruned = cache.get_or_compute(
-            small_matrix, standard_query, DangoronEngine(basic_window_size=32)
-        )
-        exact = cache.get_or_compute(small_matrix, standard_query, BruteForceEngine())
-        assert pruned is not exact
-        assert len(cache) == 2
-
-    def test_different_thresholds_cached_separately(self, small_matrix, standard_query):
-        cache = QueryCache()
-        engine = DangoronEngine(basic_window_size=32)
-        cache.get_or_compute(small_matrix, standard_query, engine)
-        cache.get_or_compute(
-            small_matrix, standard_query.with_threshold(0.9), engine
-        )
-        assert len(cache) == 2
-        assert cache.stats.misses == 2
-
-    def test_lru_eviction_by_entry_count(self, small_matrix):
-        cache = QueryCache(max_entries=2)
-        engine = BruteForceEngine()
-        queries = [
-            SlidingQuery(start=0, end=small_matrix.length, window=128, step=64,
-                         threshold=beta)
-            for beta in (0.5, 0.6, 0.7)
-        ]
-        for query in queries:
-            cache.get_or_compute(small_matrix, query, engine)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
-        # The oldest query (0.5) was evicted; the newest two still hit.
-        assert cache.get(small_matrix, queries[0], engine.describe()) is None
-        assert cache.get(small_matrix, queries[2], engine.describe()) is not None
-
-    def test_recently_used_entry_survives_eviction(self, small_matrix):
-        cache = QueryCache(max_entries=2)
-        engine = BruteForceEngine()
-        q1 = SlidingQuery(start=0, end=small_matrix.length, window=128, step=64,
-                          threshold=0.5)
-        q2 = q1.with_threshold(0.6)
-        q3 = q1.with_threshold(0.7)
-        cache.get_or_compute(small_matrix, q1, engine)
-        cache.get_or_compute(small_matrix, q2, engine)
-        cache.get(small_matrix, q1, engine.describe())  # touch q1
-        cache.get_or_compute(small_matrix, q3, engine)  # evicts q2, not q1
-        assert cache.get(small_matrix, q1, engine.describe()) is not None
-        assert cache.get(small_matrix, q2, engine.describe()) is None
-
-    def test_byte_bound_eviction(self, small_matrix, standard_query):
-        engine = BruteForceEngine()
-        reference = engine.run(small_matrix, standard_query)
-        size = sum(
-            m.rows.nbytes + m.cols.nbytes + m.values.nbytes for m in reference.matrices
-        )
-        cache = QueryCache(max_entries=10, max_bytes=int(size * 1.5))
-        cache.put(small_matrix, standard_query, "a", reference)
-        cache.put(small_matrix, standard_query, "b", reference)
-        assert len(cache) == 1
-        assert cache.current_bytes <= int(size * 1.5)
-
-    def test_clear_resets_entries_not_stats(self, small_matrix, standard_query):
-        cache = QueryCache()
-        cache.get_or_compute(
-            small_matrix, standard_query, DangoronEngine(basic_window_size=32)
-        )
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.misses == 1
-
-    def test_modified_copy_of_matrix_misses(self, small_matrix, standard_query):
-        cache = QueryCache()
-        engine = BruteForceEngine()
-        cache.get_or_compute(small_matrix, standard_query, engine)
-        modified = small_matrix.with_values(small_matrix.values * 2.0)
-        assert cache.get(modified, standard_query, engine.describe()) is None
-
-    def test_invalid_limits_rejected(self):
-        with pytest.raises(StorageError):
-            QueryCache(max_entries=0)
-        with pytest.raises(StorageError):
-            QueryCache(max_bytes=0)

@@ -111,6 +111,6 @@ class TestServeMemoryBudget:
         )
         server = create_server(args)
         try:
-            assert server.service.memory_budget == 2 * 1024**2
+            assert server.service.config.memory_budget == 2 * 1024**2
         finally:
             server.stop()
