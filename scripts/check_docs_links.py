@@ -6,7 +6,10 @@ Scans the given markdown files (default: README.md and docs/*.md) for inline
 
 * relative file targets exist on disk (anchors stripped),
 * same-file ``#anchor`` targets match a heading in the file (GitHub slug
-  rules: lowercase, punctuation dropped, spaces to dashes), and
+  rules: lowercase, punctuation dropped, spaces to dashes),
+* a backticked repo path (``scripts/lint.py``, ``core/sketch.py``,
+  ``src/repro/api/``) names something on disk — prose keeps pointing at
+  files long after they are deleted, and nothing else notices — and
 * every page under ``docs/`` carries at least one runnable doctest
   (``>>>`` block), except the pages grandfathered in
   :data:`DOCTEST_EXEMPT_PAGES` — new documentation must be executable.
@@ -30,6 +33,12 @@ from typing import List, Tuple
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _EXTERNAL = ("http://", "https://", "mailto:")
+_FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_CODE_SPAN = re.compile(r"`([^`\s]+)`")
+#: A code span that reads as a path into the repo: plain segments ending in
+#: a directory slash or a source/config extension.  Data files (``.npz``,
+#: ``.csv``) are run outputs and globs/placeholders are not paths.
+_REPO_PATH = re.compile(r"^[\w.\-]+(/[\w.\-]+)*(/|\.(py|md|json|ya?ml|ini|toml))$")
 
 #: Pages that must exist (relative to the repo root).  A doc page that is
 #: deleted or renamed without updating this registry fails the docs job even
@@ -52,7 +61,7 @@ REQUIRED_PAGES = (
 DOCTEST_EXEMPT_PAGES = (
     "docs/api.md",          # reference tables; examples live in module doctests
     "docs/architecture.md",  # diagrams and prose only
-    "docs/benchmarks.md",    # points at the runnable bench_e* modules
+    "docs/benchmarks.md",    # points at perf/ and the `repro experiment` tables
 )
 
 
@@ -89,6 +98,12 @@ def check_file(path: Path, root: Path) -> Tuple[List[str], int]:
         resolved = (path.parent / file_part).resolve()
         if not resolved.exists():
             broken.append(f"{path.relative_to(root)}: missing file {target}")
+    # Docs write paths from the repo root, from the page, or from the package
+    # root (``core/sketch.py``).
+    bases = (root, path.parent, root / "src" / "repro")
+    for span in sorted(set(_CODE_SPAN.findall(_FENCE.sub("", text)))):
+        if _REPO_PATH.match(span) and not any((b / span).exists() for b in bases):
+            broken.append(f"{path.relative_to(root)}: no such path `{span}`")
     return broken, external
 
 

@@ -4,7 +4,7 @@
 Equivalent to ``PYTHONPATH=src python -m repro.devtools`` but callable from
 any working directory::
 
-    python scripts/lint.py src benchmarks scripts
+    python scripts/lint.py src scripts
     python scripts/lint.py --list-rules
     python scripts/lint.py src --write-baseline
 

@@ -1,4 +1,4 @@
-"""Accuracy, timing, stability, significance and reporting utilities (substrate S10)."""
+"""Accuracy, stability, significance and reporting utilities (substrate S10)."""
 
 from repro.analysis.accuracy import (
     AccuracyReport,
@@ -7,7 +7,6 @@ from repro.analysis.accuracy import (
     matrix_rmse,
 )
 from repro.analysis.report import (
-    format_markdown_table,
     format_table,
     rows_from_dicts,
     summarize_result,
@@ -31,15 +30,12 @@ from repro.analysis.stability import (
     stability_summary,
     threshold_crossings,
 )
-from repro.analysis.timing import Timer, TimingSummary, measure, speedup
 
 __all__ = [
     "AccuracyReport",
     "CrossingReport",
     "DriftReport",
     "SignificanceReport",
-    "Timer",
-    "TimingSummary",
     "WindowAccuracy",
     "compare_results",
     "correlation_confidence_interval",
@@ -51,13 +47,10 @@ __all__ = [
     "filter_significant",
     "fisher_z",
     "fisher_z_inverse",
-    "format_markdown_table",
     "format_table",
     "matrix_rmse",
-    "measure",
     "rows_from_dicts",
     "significance_threshold",
-    "speedup",
     "stability_summary",
     "summarize_result",
     "threshold_crossings",

@@ -1,10 +1,9 @@
 """Plain-text tables for experiment output.
 
-The paper's results are tables and sentences, not plots; the benchmark harness
+The paper's results are tables and sentences, not plots; ``repro experiment``
 prints the same kind of rows ("engine, query time, speedup, accuracy") so a
-reader can compare them with EXPERIMENTS.md directly from the terminal.  No
-plotting dependency is used — everything renders as aligned monospace text or
-Markdown.
+reader can compare them with the paper directly from the terminal.  No
+plotting dependency is used — everything renders as aligned monospace text.
 """
 
 from __future__ import annotations
@@ -56,20 +55,6 @@ def format_table(
     lines.append(render_row(headers))
     lines.append(render_row(["-" * w for w in widths]))
     lines.extend(render_row(row) for row in formatted)
-    return "\n".join(lines)
-
-
-def format_markdown_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[Cell]],
-    precision: int = 3,
-) -> str:
-    """Render a GitHub-flavoured Markdown table (used to refresh EXPERIMENTS.md)."""
-    headers = [str(h) for h in headers]
-    formatted = [[_format_cell(cell, precision) for cell in row] for row in rows]
-    lines = ["| " + " | ".join(headers) + " |"]
-    lines.append("|" + "|".join(["---"] * len(headers)) + "|")
-    lines.extend("| " + " | ".join(row) + " |" for row in formatted)
     return "\n".join(lines)
 
 

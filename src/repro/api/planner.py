@@ -361,8 +361,8 @@ class QueryPlanner:
         All candidates answer the query bit-identically; they differ only
         in predicted wall cost (``predicted_seconds`` / ``cost_source``,
         with the rendered ranking on the chosen plan's ``cost_detail``).
-        The explore phase of the planner-quality benchmark executes each
-        one to feed the :class:`~repro.api.cost.FeedbackStore`.
+        Executing each one is how a caller explores: every run feeds the
+        :class:`~repro.api.cost.FeedbackStore`.
         """
         query.validate_against_length(matrix.length)
         if isinstance(query, (LaggedQuery, TopKQuery)) and engine is not None:

@@ -20,7 +20,7 @@ Five subcommands cover the workflow a user of the system actually runs:
     Run the long-lived correlation query service over a dataset catalog
     directory (see :mod:`repro.service` and ``docs/service.md``).
 ``repro experiment``
-    Regenerate one of the experiments (E1–E14) and print its table.
+    Regenerate one of the experiments (E1–E15) and print its table.
 ``repro info``
     Show the library version, registered engines and known experiments.
 

@@ -20,8 +20,8 @@ The recombination exposed here comes in two flavours:
 ``exact_matrix_fast``
     Uses prefix sums along the basic-window axis for an ``O(1)`` per-pair
     combination.  This is *not* part of the paper; it is provided as an
-    ablation point (see DESIGN.md, decision 2) and for fast ground-truth
-    generation in tests.
+    ablation point (the ``prefix_combination`` row of ``repro experiment E7``)
+    and for fast ground-truth generation in tests.
 """
 
 from __future__ import annotations

@@ -334,7 +334,7 @@ class ChunkBackedMatrix(TimeSeriesMatrix):
     aligned queries over catalogs larger than RAM.
 
     ``materialized`` reports whether the dense view was ever built — the
-    out-of-core benchmark asserts it stays ``False`` for tiled runs.
+    memory-budget tests assert it stays ``False`` for tiled runs.
     """
 
     def __init__(self, source, time_axis: Optional[TimeAxis] = None) -> None:

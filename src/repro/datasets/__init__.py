@@ -3,9 +3,8 @@
 The paper evaluates on a NOAA USCRN hourly product and motivates the problem
 with fMRI and finance workloads.  None of those raw datasets can be downloaded
 here, so this subpackage simulates each of them with the statistical structure
-the correlation engines actually exercise (see the substitution table in
-DESIGN.md) and provides loaders for the real USCRN format so local files can
-be used instead.
+the correlation engines actually exercise and provides loaders for the real
+USCRN format so local files can be used instead.
 """
 
 from repro.datasets.climate import Station, SyntheticUSCRN

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.devtools src benchmarks scripts
+    python -m repro.devtools src scripts
     python scripts/lint.py src --rules RPR001,RPR005
     python scripts/lint.py src --write-baseline
 

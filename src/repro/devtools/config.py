@@ -29,13 +29,12 @@ class LintConfig:
         {"ValueError", "TypeError", "RuntimeError"}
     )
 
-    #: Modules the exception-discipline rule applies to.  Scripts and
-    #: benchmarks are included deliberately: they feed results into papers
-    #: and CI, so their failures should speak the same taxonomy.
+    #: Modules the exception-discipline rule applies to.  Scripts are
+    #: included deliberately: they feed results into CI, so their failures
+    #: should speak the same taxonomy.
     rpr001_modules: Tuple[str, ...] = (
         "repro/*",
         "scripts/*",
-        "benchmarks/*",
     )
 
     #: Modules exempt from RPR001 even though they match above.  ``conftest``
@@ -70,7 +69,6 @@ class LintConfig:
         "repro/timeseries/*",
         "repro/streaming/*",
         "repro/experiments/*",
-        "benchmarks/*",
         "scripts/*",
         "examples/*",
         "tests/*",

@@ -49,7 +49,7 @@ _PRAGMA = re.compile(
 #: file path from the *last* occurrence of one of these segments onward is
 #: what allowlists, baselines and reports use, so they are identical across
 #: checkouts (and across tmp-dir test fixtures that mimic the tree).
-_ANCHOR_SEGMENTS = ("repro", "scripts", "benchmarks", "examples", "tests")
+_ANCHOR_SEGMENTS = ("repro", "scripts", "examples", "tests")
 
 
 def module_path_for(path: Path) -> str:

@@ -2,7 +2,8 @@
 
 The paper's own evaluation is E1–E10 (see :mod:`repro.experiments.registry`);
 the experiments here probe the additional components this repository builds on
-top of it and the design decisions DESIGN.md flags as ablation candidates:
+top of it and the design decisions ``docs/architecture.md`` flags as ablation
+candidates:
 
 ====  =======================================================================
 E11   Incremental rolling-sums engine vs Dangoron vs TSUBASA across sliding
@@ -15,19 +16,18 @@ E15   Robustness suite: Dangoron accuracy across the named Tomborg suite
 ====  =======================================================================
 
 Each function returns an :class:`~repro.experiments.registry.ExperimentResult`
-and is registered in the shared ``EXPERIMENTS`` index, so the CLI, the
-benchmark harness and EXPERIMENTS.md treat paper experiments and extension
-experiments uniformly.
+and is registered in the shared ``EXPERIMENTS`` index, so ``repro experiment``
+treats paper experiments and extension experiments uniformly.
 """
 
 from __future__ import annotations
 
+import time
 from typing import List, Sequence
 
 import numpy as np
 
 from repro.analysis.accuracy import compare_results
-from repro.analysis.timing import Timer
 from repro.baselines.brute_force import BruteForceEngine
 from repro.baselines.tsubasa import TsubasaEngine
 from repro.core.dangoron import DangoronEngine
@@ -99,19 +99,20 @@ def experiment_e12_topk(
     workload = climate_workload(scale=scale)
     rows: List[List[object]] = []
     for k in ks:
-        with Timer() as sketch_timer:
-            sketch_result = sliding_top_k(
-                workload.matrix, workload.query, k,
-                basic_window_size=workload.basic_window_size,
-            )
-        with Timer() as brute_timer:
-            brute_result = top_k_brute_force(workload.matrix, workload.query, k)
+        started = time.perf_counter()
+        sketch_result = sliding_top_k(
+            workload.matrix, workload.query, k,
+            basic_window_size=workload.basic_window_size,
+        )
+        sketch_done = time.perf_counter()
+        brute_result = top_k_brute_force(workload.matrix, workload.query, k)
+        brute_done = time.perf_counter()
         overlaps = top_k_overlap(sketch_result, brute_result)
         rows.append(
             [
                 k,
-                sketch_timer.seconds,
-                brute_timer.seconds,
+                sketch_done - started,
+                brute_done - sketch_done,
                 float(np.mean(overlaps)),
                 float(np.min(overlaps)),
                 sketch_result.suggested_threshold(),

@@ -1,12 +1,12 @@
 """The per-experiment index: one function per table/figure the repo reproduces.
 
 Each ``experiment_e*`` function builds its workload(s), runs the engines it
-needs, and returns an :class:`ExperimentResult` whose rows are exactly what
-EXPERIMENTS.md records and what the matching ``benchmarks/bench_e*.py`` module
-prints.  The ``scale`` argument shrinks the workload for CI; ``scale=1.0``
-approximates the paper-like size.
+needs, and returns an :class:`ExperimentResult` whose rows are the table
+``repro experiment <id>`` prints.  Every function takes ``scale`` first: it
+shrinks the workload for CI, and ``scale=1.0`` approximates the paper-like
+size.
 
-Experiment map (see DESIGN.md §3 for the prose version):
+Experiment map (``docs/benchmarks.md`` names the paper claim behind each):
 
 ====  =======================================================================
 E1    Pure query time, Dangoron vs TSUBASA vs brute force (the "order of
@@ -254,12 +254,18 @@ def experiment_e4_threshold_sweep(
 
 
 def experiment_e5_scalability(
-    scales: Sequence[float] = (0.25, 0.5, 0.75, 1.0), threshold: float = 0.7
+    scale: float = 1.0,
+    fractions: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
+    threshold: float = 0.7,
 ) -> ExperimentResult:
-    """E5: query time vs the number of series N."""
+    """E5: query time vs the number of series N.
+
+    ``scale`` is the top of the N ladder; each rung runs at
+    ``fraction * scale``.
+    """
     rows: List[List[object]] = []
-    for scale in scales:
-        workload = climate_workload(scale=scale, threshold=threshold)
+    for fraction in fractions:
+        workload = climate_workload(scale=fraction * scale, threshold=threshold)
         comparison = run_comparison(
             workload,
             engines=[

@@ -2,9 +2,8 @@
 
 This is the loop every experiment shares: compute the exact answer once
 (brute force), run each engine on the same query, and record pure query time,
-sketch build time, pruning counters and edge-set accuracy.  The benchmark
-modules call :func:`run_comparison` and print its table, so the rows the
-repository regenerates look exactly like the rows EXPERIMENTS.md records.
+sketch build time, pruning counters and edge-set accuracy.  The experiment
+functions call :func:`run_comparison` and build their tables from its rows.
 
 The harness routes every engine through one
 :class:`~repro.api.CorrelationSession`, so engines whose planned basic-window
@@ -21,7 +20,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.accuracy import compare_results
 from repro.analysis.report import format_table
-from repro.analysis.timing import speedup
 from repro.api.session import CorrelationSession
 from repro.baselines.brute_force import BruteForceEngine
 from repro.baselines.parcorr import ParCorrEngine
@@ -156,9 +154,8 @@ def run_comparison(
                 engine=label,
                 query_seconds=result.stats.query_seconds,
                 sketch_seconds=result.stats.sketch_build_seconds,
-                speedup_vs_reference=speedup(
-                    reference_query_seconds, result.stats.query_seconds
-                ),
+                speedup_vs_reference=reference_query_seconds
+                / max(result.stats.query_seconds, 1e-12),
                 precision=accuracy.precision,
                 recall=accuracy.recall,
                 f1=accuracy.f1,

@@ -208,8 +208,14 @@ def _execute_query(
     }
 
 
-def _worker_main(conn, config: WorkerConfig) -> None:
+def _worker_main(conn, config: WorkerConfig, inherited_parent_ends) -> None:
     """The forked worker loop: attach, execute, reply, until told to stop."""
+    # Fork copied every parent-side pipe end open at that moment (this
+    # worker's own and each earlier worker's).  While a copy stays open no
+    # worker's ``recv`` sees EOF, so a SIGKILLed server would leave the pool
+    # running forever.
+    for parent_end in inherited_parent_ends:
+        parent_end.close()
     # The parent coordinates shutdown; a terminal Ctrl-C must not race it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     attachments = AttachmentCache(config)
@@ -302,7 +308,11 @@ class WorkerPool:
         parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.config),
+            args=(
+                child_conn,
+                self.config,
+                [parent_conn] + [handle.conn for handle in self._handles],
+            ),
             name="repro-service-worker",
             daemon=True,
         )

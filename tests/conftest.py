@@ -1,8 +1,8 @@
 """Shared fixtures for the test suite.
 
 Fixtures are deliberately small (tens of series, a few thousand columns) so
-the whole suite runs in well under a minute; the benchmark harness is where
-paper-scale workloads live.
+the whole suite runs in well under a minute; paper-scale workloads live
+behind ``repro experiment`` and in ``perf/``.
 """
 
 from __future__ import annotations

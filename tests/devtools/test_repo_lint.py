@@ -1,8 +1,8 @@
 """The meta-test: the repository itself must pass its own lint.
 
-Runs the full five-rule lint over ``src/`` + ``benchmarks/`` + ``scripts/``
-inside tier-1, so an invariant violation fails ``pytest`` locally before CI
-ever sees it.  The companion tests prove the guard rails are load-bearing:
+Runs the full five-rule lint over ``src/`` + ``scripts/`` inside tier-1, so
+an invariant violation fails ``pytest`` locally before CI ever sees it.  The
+companion tests prove the guard rails are load-bearing:
 stripping a blessed-module entry, a ``# requires-lock`` vouch, or a
 ``with`` block from the *real* sources makes the lint go red.
 """
@@ -13,7 +13,7 @@ from repro.devtools import Baseline, LintConfig, lint_paths, lint_source
 from repro.devtools.linter import BASELINE_FILENAME
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
-LINTED_PATHS = [REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT / "scripts"]
+LINTED_PATHS = [REPO_ROOT / "src", REPO_ROOT / "scripts"]
 
 
 def test_repository_passes_its_own_lint():

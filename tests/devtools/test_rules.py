@@ -43,9 +43,8 @@ class TestExceptionDiscipline:
         """
         assert codes(source, "repro/storage/x.py") == []
 
-    def test_scripts_and_benchmarks_are_in_scope(self):
+    def test_scripts_are_in_scope(self):
         assert codes("raise RuntimeError('x')", "scripts/tool.py") == ["RPR001"]
-        assert codes("raise RuntimeError('x')", "benchmarks/bench.py") == ["RPR001"]
 
     def test_tests_are_exempt(self):
         assert codes("raise ValueError('x')", "tests/unit/test_x.py") == []

@@ -1,9 +1,9 @@
 """Integration: the paper's §4 claims at reduced scale.
 
-The benchmark harness reproduces the claims at paper-like scale; these tests
-assert the same *direction* of the results at a scale small enough for the
-regular test suite, so a regression that destroys the headline behaviour is
-caught by ``pytest tests/`` alone:
+``repro experiment E1`` / ``E2`` / ``E5`` regenerate the tables at paper-like
+scale; these tests assert the same *direction* of the results at a scale small
+enough for the regular test suite, so a regression that destroys the headline
+behaviour is caught by ``pytest tests/`` alone:
 
 * Dangoron answers the climate workload faster than TSUBASA (the full-scale
   gap is ~an order of magnitude; here we only require a strict win).
@@ -13,6 +13,7 @@ caught by ``pytest tests/`` alone:
 
 import pytest
 
+from repro.experiments.registry import experiment_e5_scalability
 from repro.experiments.runner import run_comparison
 from repro.experiments.workloads import climate_workload
 from repro.baselines.brute_force import BruteForceEngine
@@ -51,6 +52,17 @@ class TestPaperClaims:
             for _ in range(3)
         )
         assert dangoron_best < tsubasa_best
+
+    def test_e5_dangoron_leads_tsubasa_at_the_largest_n(self):
+        """One-shot query times, so the best of up to three tables counts."""
+
+        def speedup_at_largest_n():
+            result = experiment_e5_scalability(scale=0.75, fractions=(0.5, 1.0))
+            dangoron = [row for row in result.rows if row[2].startswith("dangoron")]
+            largest = max(dangoron, key=lambda row: row[0])
+            return largest[result.headers.index("speedup")]
+
+        assert any(speedup_at_largest_n() > 1.0 for _ in range(3))
 
     def test_dangoron_prunes_most_pair_windows(self, comparison):
         dangoron = comparison.row("dangoron")

@@ -21,7 +21,7 @@ THRESHOLDS = [0.5, 0.6, 0.7, 0.8, 0.9]
 
 @pytest.fixture(scope="module")
 def workload():
-    """The bench_e4 workload at its default size (scale 1.0)."""
+    """The E4 workload at paper-like size (scale 1.0)."""
     return climate_workload(scale=1.0, threshold=0.7, window_hours=1440)
 
 

@@ -1,7 +1,6 @@
 """Unit tests for report table formatting."""
 
 from repro.analysis.report import (
-    format_markdown_table,
     format_table,
     rows_from_dicts,
 )
@@ -31,15 +30,6 @@ class TestFormatTable:
     def test_handles_ragged_rows_gracefully(self):
         text = format_table(["a", "b"], [["only-one"]])
         assert "only-one" in text
-
-
-class TestMarkdownTable:
-    def test_structure(self):
-        text = format_markdown_table(["engine", "speedup"], [["dangoron", 9.6]])
-        lines = text.splitlines()
-        assert lines[0] == "| engine | speedup |"
-        assert set(lines[1].replace("|", "")) <= {"-"}
-        assert "dangoron" in lines[2]
 
 
 class TestRowsFromDicts:

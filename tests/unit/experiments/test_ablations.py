@@ -101,4 +101,6 @@ class TestE15Suite:
         recall_index = result.headers.index("recall")
         for row in result.rows:
             assert row[precision_index] == pytest.approx(1.0)
-            assert 0.0 <= row[recall_index] <= 1.0
+            # Recall may dip on the noisy / near-threshold cases; it must
+            # stay usable everywhere.
+            assert 0.7 <= row[recall_index] <= 1.0

@@ -7,6 +7,7 @@ over a real socket.
 """
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -176,6 +177,34 @@ class TestErrorMapping:
         with pytest.raises(ServiceError) as excinfo:
             unreachable.health()
         assert excinfo.value.status == 503
+
+
+def test_shed_request_is_a_429_with_the_retry_hint_on_the_wire(server, parked_scan):
+    started, release = parked_scan
+    limited = CorrelationServer(
+        CorrelationService(
+            server.service.catalog, basic_window_size=BASIC,
+            admission_queue_limit=1, retry_after_seconds=0.5,
+        )
+    )
+    with limited:
+        client = ServiceClient(limited.url)
+        served = []
+        leader = threading.Thread(
+            target=lambda: served.append(client.query("demo", QUERY))
+        )
+        leader.start()
+        assert started.wait(timeout=10)  # the leader holds the only slot
+        with pytest.raises(ServiceError) as excinfo:
+            client.query("demo", QUERY)
+        release.set()
+        leader.join(timeout=10)
+        stats = client.metrics()["datasets"]["demo"]
+    assert excinfo.value.status == 429
+    assert excinfo.value.retry_after == 0.5  # Retry-After survived the wire
+    assert len(served) == 1
+    assert stats["admission"]["shed"] == 1
+    assert stats["queries"] == 1
 
 
 class TestServerLifecycle:

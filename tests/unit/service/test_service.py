@@ -1,11 +1,12 @@
 """Unit tests for the service domain layer (no sockets involved).
 
-Covers the warm-session/bit-identity contract, in-flight coalescing, lazy
-materialization of persisted stats indexes, the append/standing-query path
-and the error surface.
+Covers the warm-session/bit-identity contract, in-flight coalescing and
+threshold batching, load shedding, lazy materialization of persisted stats
+indexes, the append/standing-query path and the error surface.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -284,6 +285,84 @@ class TestCoalescing:
             == final["queries"]
         )
         assert final["executed"] < final["queries"]  # requests really merged
+
+    def test_burst_of_distinct_thresholds_shares_one_scan(self, catalog):
+        # Exact scans on both sides, so batched or alone there is one answer.
+        options = {"use_temporal_pruning": False}
+        requests = {
+            threshold: {**THRESHOLD_REQUEST, "threshold": threshold}
+            for threshold in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+        }
+        alone = CorrelationService(
+            catalog.root, basic_window_size=BASIC, engine_options=options
+        )
+        expected = {
+            threshold: result_from_wire(alone.query("demo", dict(request))).to_edges()
+            for threshold, request in requests.items()
+        }
+        service = CorrelationService(
+            catalog, basic_window_size=BASIC, engine_options=options
+        )
+        runtime = service._runtime("demo")
+        answers = {}
+
+        def ask(threshold):
+            document = service.query("demo", dict(requests[threshold]))
+            answers[threshold] = result_from_wire(document).to_edges()
+
+        askers = [threading.Thread(target=ask, args=(t,)) for t in requests]
+        # The leader queues on the runtime lock before it fixes the batch's
+        # floor, so holding the lock keeps the batch open for the whole burst.
+        with runtime.lock:
+            for asker in askers:
+                asker.start()
+            deadline = time.monotonic() + 10
+            while True:
+                with runtime.batches_lock:
+                    joined = sum(len(b.members) for b in runtime.batches.values())
+                if joined == len(requests):
+                    break
+                assert time.monotonic() < deadline, f"only {joined} joined"
+                time.sleep(0.005)
+        for asker in askers:
+            asker.join(timeout=10)
+        assert answers == expected
+        assert runtime.counters["executed"] == 1  # six answers, one scan
+        assert runtime.counters["batched"] == len(requests) - 1
+        assert runtime.counters["queries"] == len(requests)
+
+
+class TestLoadShedding:
+    def test_full_queue_sheds_and_counts_only_served_requests(
+        self, catalog, parked_scan
+    ):
+        service = CorrelationService(
+            catalog, basic_window_size=BASIC,
+            admission_queue_limit=1, retry_after_seconds=0.5,
+        )
+        started, release = parked_scan
+        served = []
+        leader = threading.Thread(
+            target=lambda: served.append(service.query("demo", dict(THRESHOLD_REQUEST)))
+        )
+        leader.start()
+        assert started.wait(timeout=10)  # the leader holds the only slot
+        refusals = []
+        # Not even a duplicate of the request in flight gets past a full queue.
+        for request in (THRESHOLD_REQUEST, TOPK_REQUEST):
+            with pytest.raises(ServiceError) as excinfo:
+                service.query("demo", dict(request))
+            refusals.append(excinfo.value)
+        release.set()
+        leader.join(timeout=10)
+        assert [error.status for error in refusals] == [429, 429]
+        assert [error.retry_after for error in refusals] == [0.5, 0.5]
+        assert len(served) == 1
+        stats = service.metrics()["datasets"]["demo"]
+        assert stats["admission"] == {"queue_depth": 0, "shed": len(refusals)}
+        assert stats["queries"] == 1  # a refusal is not an answer
+        service.query("demo", dict(TOPK_REQUEST))  # the slot is free again
+        assert service.metrics()["datasets"]["demo"]["queries"] == 2
 
 
 class TestIndexSeeding:

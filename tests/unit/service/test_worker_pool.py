@@ -5,14 +5,19 @@ in-process session, the stale-generation re-attach rules) is pinned by
 calling the worker's own ``_execute_query`` / ``AttachmentCache`` in this
 process.  The forked pool (self-skipping where ``fork`` is unavailable)
 additionally pins errors crossing the pipe, the crash-replacement retry, the
-closed-pool contract, and the per-worker RSS observation used by the service
-memory assertion.
+closed-pool contract, the per-worker RSS observation and the bound on it that
+shows the segment is shared, and that no worker outlives a SIGKILLed server.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from repro.api import CorrelationSession, ThresholdQuery
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import ServiceError
+from repro.service import ServiceClient
 from repro.service.service import CorrelationService
 from repro.service.wire import query_to_wire, result_from_wire
 from repro.service.workers import (
@@ -82,6 +88,33 @@ def _pool_available() -> bool:
     except ServiceError:
         return False
     return True
+
+
+#: A real server process: two forked workers behind an HTTP listener.  It
+#: reports its URL and worker pids on stdout, then serves until killed.
+_SERVER_SCRIPT = """
+import json, sys, threading
+from repro.service import CorrelationServer, CorrelationService
+
+service = CorrelationService(sys.argv[1], basic_window_size=16, service_workers=2)
+with CorrelationServer(service) as server:
+    workers = [handle.process.pid for handle in service._pool._handles]
+    print(json.dumps({"url": server.url, "workers": workers}), flush=True)
+    threading.Event().wait()
+"""
+
+
+def _process_running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    # An exited orphan that nobody has reaped yet still answers signal 0.
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return not Path("/proc/self").exists()
+    return stat.rpartition(")")[2].split()[0] != "Z"
 
 
 def _job(spec, path, generation):
@@ -224,6 +257,87 @@ class TestProcessMode:
             for sample in samples:
                 assert sample["spawn"] is None or sample["spawn"] > 0
                 assert sample["now"] is None or sample["now"] > 0
+
+    def test_worker_anonymous_memory_stays_a_fraction_of_the_segment(
+        self, tmp_path
+    ):
+        """Serving from shared segments must not copy them into each worker."""
+        num_series, length, shapes = 48, 2048, 4
+        rng = np.random.default_rng(20230810)
+        base = rng.standard_normal(length)
+        big = ChunkStore(num_series, chunk_columns=256)
+        big.append(
+            np.stack(
+                [base + 0.45 * rng.standard_normal(length) for _ in range(num_series)]
+            )
+        )
+        catalog = Catalog(tmp_path / "catalog")
+        catalog.add_dataset("big", big)
+        step = 4 * BASIC
+        with CorrelationService(
+            catalog, basic_window_size=BASIC, service_workers=2
+        ) as service:
+            # Each shifted range is its own layout, hence its own exported
+            # segment; free workers are handed out in turn, so asking twice
+            # makes both workers attach and scan every one of them.  The
+            # threshold keeps the edge lists (private to a worker by nature)
+            # too small to matter.
+            for shift in range(shapes):
+                request = query_to_wire(ThresholdQuery(
+                    start=shift * step, end=length - (shapes - shift) * step,
+                    window=16 * BASIC, step=step, threshold=0.95,
+                ))
+                service.query("big", request)
+                service.query("big", request)
+            samples = service._pool.worker_rss()
+            segments = service.dataset_info("big")["stats"]["segments"]
+        assert segments["exports"] == shapes
+        count = length // BASIC
+        footprint = 8 * (
+            num_series * length                    # values
+            + 2 * num_series * count               # per-series sums
+            + (3 * count + 1) * num_series**2      # pairwise + prefix tensors
+        )
+        growths = []
+        for sample in samples:
+            if sample["spawn"] is None or sample["now"] is None:
+                pytest.skip("RssAnon unavailable on this platform")
+            growths.append(sample["now"] - sample["spawn"])
+        # A worker that copied what it attached would grow by ``shapes``
+        # footprints; sharing leaves the per-attachment values copy, scan
+        # memo and allocator slack.
+        bound = 0.25 * footprint + 8 * 1024 * 1024
+        assert max(growths) <= bound, (
+            f"worker RssAnon grew {max(growths)} bytes, bound {bound:.0f} "
+            f"(one segment is {footprint}); the segment is not being shared"
+        )
+
+    def test_workers_exit_when_the_server_is_sigkilled(self, tmp_path, store):
+        catalog = Catalog(tmp_path / "catalog")
+        catalog.add_dataset("demo", store)
+        server = subprocess.Popen(
+            [sys.executable, "-c", _SERVER_SCRIPT, str(catalog.root)],
+            stdout=subprocess.PIPE,
+        )
+        workers = []
+        try:
+            ready = json.loads(server.stdout.readline())
+            workers = ready["workers"]
+            ServiceClient(ready["url"]).query("demo", QUERY)
+            assert len(workers) == 2 and all(map(_process_running, workers))
+            server.kill()  # SIGKILL: no close(), no atexit, no daemon reaping
+            server.wait(timeout=5)
+            deadline = time.monotonic() + 5
+            while any(map(_process_running, workers)):
+                assert time.monotonic() < deadline, "workers outlived the server"
+                time.sleep(0.05)
+        finally:
+            server.kill()
+            server.wait(timeout=5)
+            server.stdout.close()
+            for pid in workers:
+                if _process_running(pid):
+                    os.kill(pid, 9)
 
     def test_close_is_idempotent_and_stops_workers(self, segment):
         pool = WorkerPool(2, WorkerConfig(basic_window_size=BASIC))

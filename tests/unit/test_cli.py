@@ -93,10 +93,18 @@ class TestExperimentAndInfo:
         assert main(["experiment"]) == 2
         assert "specify an experiment" in capsys.readouterr().err
 
-    def test_run_small_experiment(self, capsys):
-        code = main(["experiment", "E8", "--scale", "0.2"])
-        assert code == 0
-        assert "basic_window" in capsys.readouterr().out
+    @pytest.mark.parametrize("experiment_id", [f"E{i}" for i in range(1, 16)])
+    def test_every_registered_experiment_prints_its_table(
+        self, capsys, experiment_id
+    ):
+        assert main(["experiment", experiment_id, "--scale", "0.15"]) == 0
+        title, underline, _header, rule, *rows = (
+            capsys.readouterr().out.splitlines()
+        )
+        assert title.startswith(f"{experiment_id}: ")
+        assert set(underline) == {"="} and set(rule) <= {"-", " "}
+        # At least one measured row besides the trailing "[E<n>] notes" line.
+        assert [row for row in rows if not row.startswith("[")]
 
     def test_info_lists_components(self, capsys):
         assert main(["info"]) == 0

@@ -35,7 +35,7 @@ def test_documentation_files_exist(relative):
 def test_readme_covers_the_front_door():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     for anchor in ("CorrelationSession", "dangoron", "tsubasa",
-                   "REPRO_BENCH_SCALE", "workers"):
+                   "repro experiment", "perf/run.py", "workers"):
         assert anchor in text, f"README.md no longer mentions {anchor}"
 
 
@@ -51,11 +51,16 @@ def test_link_checker_detects_breakage(tmp_path):
     page = tmp_path / "page.md"
     page.write_text(
         "# Title\n[ok](#title) [gone](./missing.md) [bad](#nope) "
-        "[ext](https://example.org)\n",
+        "[ext](https://example.org)\n"
+        "`page.md` is here, `scripts/gone.py` and `old_dir/` are not; "
+        "`out.npz`, `*.py` and `a.b` are not repo paths\n",
         encoding="utf-8",
     )
     broken, external = check_docs_links.check_file(page, tmp_path)
-    assert len(broken) == 2
+    assert len(broken) == 4
+    assert [line.split(": ")[1] for line in broken[2:]] == [
+        "no such path `old_dir/`", "no such path `scripts/gone.py`",
+    ]
     assert external == 1
 
 
