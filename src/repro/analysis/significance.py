@@ -18,13 +18,24 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
 import numpy as np
-from scipy import stats
 
 from repro.config import FLOAT_DTYPE
 from repro.core.result import CorrelationSeriesResult, ThresholdedMatrix
 from repro.exceptions import DataValidationError, QueryValidationError
 
 ArrayOrFloat = Union[float, np.ndarray]
+
+
+def _scipy_stats():
+    """``scipy.stats``, imported on first use.
+
+    ``repro.cli`` and the server import this package for its report helpers
+    and never test significance; importing scipy here at load time cost them
+    about a second and 150 MB.
+    """
+    from scipy import stats
+
+    return stats
 
 
 def fisher_z(correlation: ArrayOrFloat) -> ArrayOrFloat:
@@ -62,7 +73,7 @@ def correlation_pvalue(correlation: ArrayOrFloat, num_samples: int) -> ArrayOrFl
     df = num_samples - 2
     denominator = np.maximum(1.0 - r * r, 1e-300)
     t = np.abs(r) * np.sqrt(df / denominator)
-    p = 2.0 * stats.t.sf(t, df)
+    p = 2.0 * _scipy_stats().t.sf(t, df)
     p = np.clip(p, 0.0, 1.0)
     if np.ndim(correlation) == 0:
         return float(p)
@@ -80,7 +91,7 @@ def correlation_confidence_interval(
         )
     z = fisher_z(correlation)
     se = 1.0 / math.sqrt(num_samples - 3)
-    margin = stats.norm.ppf(0.5 + confidence / 2.0) * se
+    margin = _scipy_stats().norm.ppf(0.5 + confidence / 2.0) * se
     return (
         float(fisher_z_inverse(z - margin)),
         float(fisher_z_inverse(z + margin)),
@@ -108,7 +119,7 @@ def significance_threshold(
         )
     corrected = alpha / num_comparisons
     df = num_samples - 2
-    t_critical = stats.t.ppf(1.0 - corrected / 2.0, df)
+    t_critical = _scipy_stats().t.ppf(1.0 - corrected / 2.0, df)
     return float(t_critical / math.sqrt(df + t_critical**2))
 
 

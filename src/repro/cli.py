@@ -47,7 +47,6 @@ from repro.datasets.fmri import SyntheticBOLD
 from repro.datasets.loaders import load_wide_csv, write_wide_csv
 from repro.datasets.raingauge import SyntheticRainGauges
 from repro.exceptions import ReproError
-from repro.network.export import write_protocol_edge_list, write_temporal_edge_list
 from repro.timeseries.matrix import TimeSeriesMatrix
 from repro.tomborg.generator import TomborgGenerator
 from repro.tomborg.distributions import named_distribution
@@ -297,6 +296,12 @@ def _command_query(args: argparse.Namespace) -> int:
         print(summarize_result(result, title=f"{args.mode} query on {args.input}"))
 
     if args.edges_output:
+        # repro.network pulls in networkx; only this branch needs it.
+        from repro.network.export import (
+            write_protocol_edge_list,
+            write_temporal_edge_list,
+        )
+
         if isinstance(result, CorrelationSeriesResult):
             path = write_temporal_edge_list(result, args.edges_output)
         else:

@@ -127,37 +127,56 @@ def first_possible_crossing(
         return np.ones(num_pairs, dtype=np.int64)
 
     effective_beta = beta - slack
-    base = corr_prefix[bw_start, rows, cols]
+    # One row per basic window: a fixed step is a contiguous row ``take``, a
+    # per-pair step a two-index gather, through one flat pair index.
+    by_window = corr_prefix.reshape(corr_prefix.shape[0], -1)
+    pairs = rows * corr_prefix.shape[2] + cols
+    base = by_window[bw_start].take(pairs)
 
-    def bound_at(steps: np.ndarray) -> np.ndarray:
-        outgoing = steps * step_bw
-        outgoing_sum = corr_prefix[bw_start + outgoing, rows, cols] - base
+    def reaches(steps, prefix_then, prefix_now, corr) -> np.ndarray:
+        """Whether the Eq. 2 bound after ``steps`` slides reaches the threshold.
+
+        Captures only the call's constants; the per-pair operands (prefix
+        values ``steps`` slides ahead and now, current correlations) are
+        passed in, for all pairs or for a subset of them.
+        """
+        outgoing_sum = prefix_then - prefix_now
         if negate:
             outgoing_sum = -outgoing_sum
-        return temporal_upper_bound(
-            corr_now, outgoing, outgoing_sum, num_basic_windows
+        return (
+            temporal_upper_bound(
+                corr, steps * step_bw, outgoing_sum, num_basic_windows
+            )
+            >= effective_beta
         )
 
-    lo = np.ones(num_pairs, dtype=np.int64)
-    hi = np.full(num_pairs, max_steps + 1, dtype=np.int64)
+    # Pairs whose bound never reaches the threshold jump past the horizon;
+    # pairs that can already cross at the very next step need no search.
+    reaches_at_last = reaches(
+        max_steps, by_window[bw_start + max_steps * step_bw].take(pairs), base, corr_now
+    )
+    crosses_immediately = reaches(
+        1, by_window[bw_start + step_bw].take(pairs), base, corr_now
+    )
+    jumps = np.where(reaches_at_last, max_steps, max_steps + 1)
+    jumps[crosses_immediately] = 1
 
-    # Pairs whose bound never reaches the threshold keep hi = max_steps + 1.
-    reaches = bound_at(np.full(num_pairs, max_steps, dtype=np.int64)) >= effective_beta
-    hi = np.where(reaches, max_steps, hi)
-    # Pairs that can already cross at the very next step need no search.
-    crosses_immediately = bound_at(lo) >= effective_beta
-    hi = np.where(crosses_immediately, 1, hi)
-
-    active = (lo < hi) & reaches & ~crosses_immediately
-    while np.any(active):
+    # Only the still-undecided pairs (``u_*``) are bisected.  A pair whose
+    # bracket has closed (``lo >= hi``) keeps probing its own ``hi``, which
+    # leaves it put.
+    undecided = np.flatnonzero(reaches_at_last & ~crosses_immediately)
+    u_pairs, u_corr, u_base = pairs[undecided], corr_now[undecided], base[undecided]
+    lo = np.ones(len(undecided), dtype=np.int64)
+    hi = np.full(len(undecided), max_steps, dtype=np.int64)
+    while np.any(lo < hi):
         mid = (lo + hi) // 2
-        ub = bound_at(np.where(active, mid, 1))
-        go_right = active & (ub < effective_beta)
-        go_left = active & ~go_right
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(go_left, mid, hi)
-        active = lo < hi
-    return hi
+        crossed = reaches(
+            mid, by_window[bw_start + mid * step_bw, u_pairs], u_base, u_corr
+        )
+        lo = np.where(crossed, lo, mid + 1)
+        hi = np.where(crossed, mid, hi)
+    jumps[undecided] = hi
+    return jumps
 
 
 def first_possible_crossing_absolute(

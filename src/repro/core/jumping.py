@@ -120,18 +120,6 @@ class JumpScheduler:
         self.stats.jumps_scheduled += int(len(jumps))
         self.stats.total_jump_length += int(jumps.sum())
 
-    def park(self, pair_indices: np.ndarray, window_index: int) -> None:
-        """Remove pairs from consideration for the remainder of the query."""
-        self._check_window(window_index)
-        if self.num_windows is None:
-            raise QueryValidationError(
-                "an open-ended schedule has no final window to park pairs behind"
-            )
-        pair_indices = np.asarray(pair_indices, dtype=INDEX_DTYPE)
-        remaining = self.num_windows - (window_index + 1)
-        self._next_due[pair_indices] = self.num_windows
-        self.stats.skipped_evaluations += int(remaining) * int(len(pair_indices))
-
     def _check_window(self, window_index: int) -> None:
         if window_index < 0 or window_index >= (self.num_windows or np.inf):
             raise QueryValidationError(

@@ -32,11 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.config import (
-    FLOAT_DTYPE,
-    VARIANCE_EPSILON,
-    clamp_correlation_array,
-)
+from repro.config import FLOAT_DTYPE, VARIANCE_EPSILON
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.correlation import correlation_from_sums
 from repro.exceptions import SketchError
@@ -47,9 +43,9 @@ def _contiguous_array(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
 
     The *same bits* reduced from differently-laid-out memory can differ in
     the last ulp, because NumPy picks its traversal and pairwise-summation
-    blocking from the strides.  Sketches are produced by ``einsum`` (which
-    returns transposed views), loaded from ``.npz`` archives (C-contiguous)
-    and merged by the streaming extension — so the bit-identity contract
+    blocking from the strides.  Sketches are built by the statistics kernel
+    (already C-contiguous: a no-op), loaded from ``.npz`` archives, attached
+    from mmap segments and handed in by tests — so the bit-identity contract
     (stored statistics answer exactly like freshly built ones) requires one
     canonical layout at construction time.
     """
@@ -73,6 +69,21 @@ def _pairwise_window_sum(block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(block, 0, -1)).sum(axis=-1)
 
 
+def _window_prefix(per_window: np.ndarray) -> np.ndarray:
+    """``(count + 1, N, N)`` running sums of a ``(count, N, N)`` tensor.
+
+    Accumulates window by window — ``prefix[w + 1] = prefix[w] + x[w]``, the
+    order a ``cumsum`` along the window axis uses, so the bits are the same —
+    but as whole contiguous planes instead of ``N * N`` strided columns.
+    """
+    count, n, _ = per_window.shape
+    prefix = np.empty((count + 1, n, n), dtype=FLOAT_DTYPE)
+    prefix[0] = 0.0
+    for w in range(count):
+        np.add(prefix[w], per_window[w], out=prefix[w + 1])
+    return prefix
+
+
 def pair_corrs_from_stats(
     series_sums: np.ndarray,
     series_sumsqs: np.ndarray,
@@ -84,10 +95,10 @@ def pair_corrs_from_stats(
     ``series_sums``/``series_sumsqs`` have shape ``(N, count)`` and
     ``pair_sumprods`` has shape ``(count, N, N)``; the result matches
     ``pair_sumprods``.  Every operation is element-wise per basic window, so
-    the function is shared by the dense :meth:`BasicWindowSketch.build` and
-    the tiled out-of-core builder (:mod:`repro.core.tiled`) — computing a
-    window's correlations from its statistics gives the same bits whether the
-    window arrived in one dense build or in a tile.
+    a window's correlations are the same bits whether it arrived in a dense
+    build, an extension or a tile.  The ``(count, N, N)`` passes run in place
+    in the output and one scratch tensor; each element still sees
+    ``(sumprod / size - mean_i * mean_j) / (std_i * std_j)``, clamped.
     """
     means = series_sums / size
     variances = series_sumsqs / size - means**2
@@ -96,18 +107,29 @@ def pair_corrs_from_stats(
     degenerate_window = (variances < VARIANCE_EPSILON) | (
         variances < 1e-10 * np.abs(series_sumsqs / size)
     )
-    variances = np.maximum(variances, 0.0)
-    stds = np.sqrt(variances)
+    stds = np.sqrt(np.maximum(variances, 0.0))
+    means_by_window = np.ascontiguousarray(means.T)
+    stds_by_window = np.ascontiguousarray(stds.T)
+
     # Covariance per basic window: E[xy] - E[x]E[y].
-    cov = pair_sumprods / size - means.T[:, :, None] * means.T[:, None, :]
-    denom = stds.T[:, :, None] * stds.T[:, None, :]
-    degenerate = (
-        (denom < VARIANCE_EPSILON)
-        | degenerate_window.T[:, :, None]
-        | degenerate_window.T[:, None, :]
+    pair_corrs = np.divide(pair_sumprods, size)
+    scratch = means_by_window[:, :, None] * means_by_window[:, None, :]
+    np.subtract(pair_corrs, scratch, out=pair_corrs)
+    denom = np.multiply(
+        stds_by_window[:, :, None], stds_by_window[:, None, :], out=scratch
     )
-    pair_corrs = np.where(degenerate, 0.0, cov / np.where(degenerate, 1.0, denom))
-    return clamp_correlation_array(pair_corrs)
+    degenerate = denom < VARIANCE_EPSILON
+    if degenerate_window.any():
+        flagged = degenerate_window.T
+        degenerate |= flagged[:, :, None]
+        degenerate |= flagged[:, None, :]
+    patch = degenerate.any()
+    if patch:
+        denom[degenerate] = 1.0
+    np.divide(pair_corrs, denom, out=pair_corrs)
+    if patch:
+        pair_corrs[degenerate] = 0.0
+    return np.clip(pair_corrs, -1.0, 1.0, out=pair_corrs)
 
 
 def _window_statistics(blocks: np.ndarray, size: int, pairwise: bool):
@@ -115,16 +137,26 @@ def _window_statistics(blocks: np.ndarray, size: int, pairwise: bool):
 
     ``blocks`` is ``(N, count, size)``; returns ``(series_sums, series_sumsqs,
     pair_sumprods, pair_corrs)``, the pair tensors ``None`` without
-    ``pairwise``.  Each reduction runs inside one basic window, so a window's
-    statistics are the same bits in :meth:`BasicWindowSketch.build` and as a
-    delta in :meth:`BasicWindowSketch.extend` — both call this, nothing else.
+    ``pairwise``.  ``pair_sumprods`` is one batched product: every basic
+    window is copied to its own contiguous ``(N, size)`` matrix and multiplied
+    by its transpose, so a window is the same ``(N, size)`` BLAS call in
+    :meth:`BasicWindowSketch.build`, as a delta in
+    :meth:`BasicWindowSketch.extend` and in a tile or a thread's span of
+    :func:`repro.core.tiled.build_sketch_tiled`.  All three call this, nothing
+    else; the only cut that keeps the contract is along the window axis.
+
+    The same call gives the same bits under one BLAS build and one BLAS
+    thread count, which is what the executions of one deployment share; BLAS
+    promises no more (OpenBLAS at ``N = 300`` rounds the last ulp differently
+    on 1 and on 2 threads).  docs/invariants.md (RPR003) states the assumption.
     """
     series_sums = blocks.sum(axis=2)
     series_sumsqs = np.einsum("nws,nws->nw", blocks, blocks)
     if not pairwise:
         return series_sums, series_sumsqs, None, None
-    # (count, N, N) tensor of per-basic-window sums of products.
-    pair_sumprods = np.einsum("iws,jws->wij", blocks, blocks)
+    by_window = np.ascontiguousarray(blocks.transpose(1, 0, 2))
+    # (count, N, N), C-contiguous; x @ x.T is exactly symmetric per window.
+    pair_sumprods = np.matmul(by_window, by_window.transpose(0, 2, 1))
     pair_corrs = pair_corrs_from_stats(series_sums, series_sumsqs, pair_sumprods, size)
     return series_sums, series_sumsqs, pair_sumprods, pair_corrs
 
@@ -314,11 +346,13 @@ class BasicWindowSketch:
         """
         self._require_pairwise()
         if self._corr_prefix is None:
-            count, n, _ = self.pair_corrs.shape
-            prefix = np.zeros((count + 1, n, n), dtype=FLOAT_DTYPE)
-            np.cumsum(self.pair_corrs, axis=0, out=prefix[1:])
-            self._corr_prefix = prefix
+            self._corr_prefix = _window_prefix(self.pair_corrs)
         return self._corr_prefix
+
+    @property
+    def has_corr_prefix(self) -> bool:
+        """Whether :attr:`corr_prefix` is already materialized (or attached)."""
+        return self._corr_prefix is not None
 
     def attach_corr_prefix(self, prefix: np.ndarray) -> None:
         """Adopt a precomputed :attr:`corr_prefix` tensor.
@@ -342,10 +376,7 @@ class BasicWindowSketch:
         """Prefix sums of the per-basic-window pair sums of products."""
         self._require_pairwise()
         if self._sumprod_prefix is None:
-            count, n, _ = self.pair_sumprods.shape
-            prefix = np.zeros((count + 1, n, n), dtype=FLOAT_DTYPE)
-            np.cumsum(self.pair_sumprods, axis=0, out=prefix[1:])
-            self._sumprod_prefix = prefix
+            self._sumprod_prefix = _window_prefix(self.pair_sumprods)
         return self._sumprod_prefix
 
     # ------------------------------------------------------------ range sums
@@ -442,19 +473,17 @@ class BasicWindowSketch:
         self._check_range(first, count)
         rows = np.asarray(rows)
         cols = np.asarray(cols)
-        n_points = count * self.layout.size
-        sums, sumsqs = (
-            self.series_sums[:, first : first + count].sum(axis=1),
-            self.series_sumsqs[:, first : first + count].sum(axis=1),
-        )
-        # Fancy-indexed scan over the range: a (count, P) gather reduced with
-        # the same per-pair primitive as the dense scan, so subset results are
-        # bit-identical to gathering them from exact_matrix_scan.
-        sumprods = _pairwise_window_sum(
-            self.pair_sumprods[first : first + count, rows, cols]
-        )
+        sums = self.series_sums[:, first : first + count].sum(axis=1)
+        sumsqs = self.series_sumsqs[:, first : first + count].sum(axis=1)
+        # One flat pair index on the (count, N * N) view, gathered transposed:
+        # the (P, count) result is already the layout _pairwise_window_sum
+        # reduces (no copy), and going through that primitive keeps subset
+        # results bit-identical to gathering them from exact_matrix_scan.
+        by_window = self.pair_sumprods.reshape(self.num_basic_windows, -1)
+        gathered = by_window[first : first + count].T[rows * self.num_series + cols]
+        sumprods = _pairwise_window_sum(gathered.T)
         return correlation_from_sums(
-            np.full(len(rows), float(n_points)),
+            float(count * self.layout.size),
             sums[rows],
             sums[cols],
             sumsqs[rows],

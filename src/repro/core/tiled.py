@@ -16,10 +16,12 @@ This module provides that path:
     :class:`~repro.storage.chunk_store.ChunkStore`, its lazy on-disk
     :class:`~repro.storage.chunk_store.ChunkStoreReader`, or any object with
     the same ``num_series``/``length``/``iter_chunks()`` surface), computes
-    each tile's statistics with the *same element-wise operations as the
-    dense build*, and returns a sketch **bit-identical** to
+    each tile's statistics with the *dense build's own kernel*
+    (:func:`repro.core.sketch._window_statistics`, a function of one basic
+    window's values at a time), and returns a sketch **bit-identical** to
     ``BasicWindowSketch.build(dense_values, layout)`` (property-tested across
-    random tile boundaries in ``tests/property/test_tiled_property.py``).
+    random tile boundaries in ``tests/property/test_tiled_property.py`` and
+    ``tests/property/test_statistics_kernel_property.py``).
 
 ``ChunkBackedMatrix``
     A :class:`~repro.timeseries.matrix.TimeSeriesMatrix` facade over a chunk
@@ -28,10 +30,12 @@ This module provides that path:
     threshold and top-k queries with a planner-supplied sketch) never do, so
     a whole query can run without the matrix ever existing in RAM.
 
-The resident working set of a tiled build is one tile buffer
-(``N x tile_columns x 8`` bytes, bounded by ``memory_budget``) plus the one
-source chunk currently being copied in; the output statistics arrays are the
-sketch itself and are identical for dense and tiled builds.
+The resident raw data of a tiled build is one tile buffer
+(``N x tile_columns x 8`` bytes, bounded by ``memory_budget``), the kernel's
+window-major copy of it, and the one source chunk currently being copied in.
+The kernel's temporaries are three pair tensors of the tile's windows; the
+output statistics arrays are the sketch itself and are identical for dense
+and tiled builds.
 
 The module deliberately has no dependency on :mod:`repro.storage` (which
 imports :mod:`repro.core`): sources are duck-typed.
@@ -48,7 +52,7 @@ import numpy as np
 
 from repro.config import FLOAT_DTYPE
 from repro.core.basic_window import BasicWindowLayout
-from repro.core.sketch import BasicWindowSketch, pair_corrs_from_stats
+from repro.core.sketch import BasicWindowSketch, _window_statistics
 from repro.exceptions import DataValidationError, SketchError
 from repro.timeseries.matrix import TimeAxis, TimeSeriesMatrix
 
@@ -215,37 +219,10 @@ def _iter_aligned_tiles(
         )
 
 
-def _tile_pair_sumprods(
-    blocks: np.ndarray, out: np.ndarray, workers: int
-) -> None:
-    """Fill ``out`` with the tile's per-window pair sums of products.
-
-    ``workers > 1`` partitions the pair space by contiguous *row blocks* of
-    the ``(i, j)`` plane — each worker computes
-    ``einsum("iws,jws->wij")`` for its row slice into a disjoint slab of
-    ``out``.  Per output element the reduction (over the basic-window axis
-    ``s``) is identical to the single einsum's, so the parallel build stays
-    bit-identical to the dense one.
-    """
-    n = blocks.shape[0]
-    workers = max(1, min(int(workers), n))
-    if workers == 1:
-        np.einsum("iws,jws->wij", blocks, blocks, out=out)
-        return
-    boundaries = np.linspace(0, n, workers + 1).astype(int)
-    spans = [
-        (int(boundaries[k]), int(boundaries[k + 1]))
-        for k in range(workers)
-        if boundaries[k + 1] > boundaries[k]
-    ]
-
-    def fill(span: Tuple[int, int]) -> None:
-        i0, i1 = span
-        np.einsum("iws,jws->wij", blocks[i0:i1], blocks, out=out[:, i0:i1, :])
-
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        for future in [pool.submit(fill, span) for span in spans]:
-            future.result()
+def _window_spans(count: int, workers: int) -> List[Tuple[int, int]]:
+    """Cut ``count`` basic windows into at most ``workers`` contiguous spans."""
+    boundaries = np.linspace(0, count, max(1, min(int(workers), count)) + 1).astype(int)
+    return [(int(lo), int(hi)) for lo, hi in zip(boundaries[:-1], boundaries[1:])]
 
 
 def build_sketch_tiled(
@@ -269,11 +246,14 @@ def build_sketch_tiled(
     pairwise:
         As in :meth:`BasicWindowSketch.build`.
     workers:
-        Partition the pair space of the resident tile across this many
-        threads (``None``/``1`` computes it in one einsum).  Results are
-        bit-identical either way.
+        Split the resident tile's basic windows into this many contiguous
+        spans, one thread each (``None``/``1`` computes the tile in one
+        call).  The window axis is the only cut the statistics kernel is
+        invariant under, so results are bit-identical either way.
 
-    The returned sketch is bit-identical to
+    Every tile (and every thread's span of one) goes through the dense
+    build's own kernel, :func:`repro.core.sketch._window_statistics`, so the
+    returned sketch is bit-identical to
     ``BasicWindowSketch.build(dense, layout, pairwise)`` over the same data.
     """
     started = time.perf_counter()
@@ -294,20 +274,27 @@ def build_sketch_tiled(
     )
     pair_corrs = np.empty((count, n, n), dtype=FLOAT_DTYPE) if pairwise else None
 
-    for first, tile in _iter_aligned_tiles(source, layout, plan.windows_per_tile):
-        tile_count = tile.shape[1] // size
-        blocks = tile.reshape(n, tile_count, size)
-        span = slice(first, first + tile_count)
-        series_sums[:, span] = blocks.sum(axis=2)
-        series_sumsqs[:, span] = np.einsum("nws,nws->nw", blocks, blocks)
+    def fill(first: int, blocks: np.ndarray) -> None:
+        sums, sumsqs, sumprods, corrs = _window_statistics(blocks, size, pairwise)
+        windows = slice(first, first + blocks.shape[1])
+        series_sums[:, windows] = sums
+        series_sumsqs[:, windows] = sumsqs
         if pairwise:
-            _tile_pair_sumprods(blocks, pair_sumprods[span], workers or 1)
-            pair_corrs[span] = pair_corrs_from_stats(
-                series_sums[:, span],
-                series_sumsqs[:, span],
-                pair_sumprods[span],
-                size,
-            )
+            pair_sumprods[windows] = sumprods
+            pair_corrs[windows] = corrs
+
+    for first, tile in _iter_aligned_tiles(source, layout, plan.windows_per_tile):
+        blocks = tile.reshape(n, tile.shape[1] // size, size)
+        spans = _window_spans(blocks.shape[1], workers or 1)
+        if len(spans) == 1:
+            fill(first, blocks)
+            continue
+        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+            futures = [
+                pool.submit(fill, first + lo, blocks[:, lo:hi]) for lo, hi in spans
+            ]
+            for future in futures:
+                future.result()
 
     return BasicWindowSketch(
         layout=layout,

@@ -159,16 +159,17 @@ class CanonicalAccumulationRule(LintRule):
     Floating-point addition is not associative: ``np.dot`` over a strided
     view and the same dot over a contiguous copy can differ in the last
     ulp, which is exactly how PR 3's shard-vs-serial divergence appeared.
-    The blessed helpers in ``core/sketch.py`` / ``core/tiled.py`` force the
-    canonical contiguous layout before reducing; every other module must
-    call them instead of reducing stat arrays ad hoc.
+    The blessed helpers in ``core/sketch.py`` force the canonical contiguous
+    layout before reducing; every other module — the tiled builder included,
+    which calls the sketch's statistics kernel per tile — must call them
+    instead of reducing stat arrays ad hoc.
     """
 
     code = "RPR003"
     name = "canonical-accumulation-guard"
     summary = (
-        "no einsum/dot/axis reductions over pair-window statistics outside "
-        "core/sketch.py and core/tiled.py"
+        "no einsum/dot/matmul/axis reductions over pair-window statistics "
+        "outside core/sketch.py"
     )
 
     def check(self, context: ModuleContext, config: LintConfig) -> Iterator[Finding]:

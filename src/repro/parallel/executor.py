@@ -252,17 +252,22 @@ class ShardedExecutor:
                 return engine.run(matrix, query, sketch=sketch)
             return engine.run(matrix, query)
 
+        corr_prefix_seconds = 0.0
         if (
             sketch is not None
             and sketch.has_pairwise
+            and not sketch.has_corr_prefix
             and getattr(engine, "use_temporal_pruning", False)
         ):
             # Materialize the lazy Eq. 2 prefix once before fan-out: thread
             # shards would otherwise each build a copy in a benign race, and
             # forked process workers would each build a private one instead
             # of inheriting it copy-on-write.  Engines that never read it
-            # (TSUBASA) skip the cost entirely.
+            # (TSUBASA) skip the cost entirely.  Booked like the serial run
+            # books it: part of the sketch build, not of the query.
+            prefix_start = time.perf_counter()
             sketch.corr_prefix
+            corr_prefix_seconds = time.perf_counter() - prefix_start
 
         wall_start = time.perf_counter()
         shard_results, ran_mode = self._map_blocks(
@@ -281,7 +286,11 @@ class ShardedExecutor:
         )
         merged.stats.query_seconds = wall_seconds
         if sketch is not None:
-            merged.stats.sketch_build_seconds = sketch.build_seconds
+            merged.stats.sketch_build_seconds = (
+                sketch.build_seconds + corr_prefix_seconds
+            )
+        if corr_prefix_seconds:
+            merged.stats.extra["corr_prefix_seconds"] = corr_prefix_seconds
         merged.stats.extra["parallel_workers"] = float(self.workers)
         merged.stats.extra["parallel_shards"] = float(len(blocks))
         merged.stats.extra["parallel_mode_process"] = float(ran_mode == MODE_PROCESS)

@@ -136,7 +136,18 @@ class TestCanonicalAccumulationGuard:
 
     def test_blessed_modules_are_allowed(self):
         assert codes(STAT_REDUCTION, "repro/core/sketch.py") == []
-        assert codes(AXIS_REDUCTION, "repro/core/tiled.py") == []
+        assert codes(AXIS_REDUCTION, "repro/core/sketch.py") == []
+
+    def test_the_tiled_builder_is_not_blessed(self):
+        """core/tiled.py calls the sketch's kernel; a kernel of its own is a finding."""
+        assert LintConfig().blessed_accumulation_modules == ("repro/core/sketch.py",)
+        own_kernel = (
+            "import numpy as np\n"
+            "def fill(blocks, pair_sumprods):\n"
+            "    np.matmul(blocks, blocks.transpose(0, 2, 1), out=pair_sumprods)\n"
+        )
+        assert codes(own_kernel, "repro/core/tiled.py") == ["RPR003"]
+        assert codes(AXIS_REDUCTION, "repro/core/tiled.py") == ["RPR003"]
 
     def test_reduction_without_stat_names_is_not_flagged(self):
         source = "import numpy as np\nr = np.dot(weights, prices)"
@@ -147,7 +158,7 @@ class TestCanonicalAccumulationGuard:
         assert codes(source, "repro/api/x.py") == []
 
     def test_removing_a_blessed_entry_turns_the_lint_red(self):
-        for removed in ("repro/core/sketch.py", "repro/core/tiled.py"):
+        for removed in LintConfig().blessed_accumulation_modules:
             config = LintConfig(
                 blessed_accumulation_modules=tuple(
                     m

@@ -5,7 +5,7 @@ and of answering queries from either interchangeably — rests on exact
 bitwise agreement, not closeness.  Hypothesis drives random matrix shapes,
 chunk widths (which move the chunk/tile boundary interactions), memory
 budgets (which move the tile boundaries) and worker counts (which move the
-pair-space partition of the resident tile); the dense and tiled statistics
+window-span partition of the resident tile); the dense and tiled statistics
 must agree bit for bit in every case, and so must a full threshold query
 through the planner.
 """

@@ -49,6 +49,46 @@ class TestTemporalBoundArithmetic:
             temporal_lower_bound(0.1, 1, 0.0, -3)
 
 
+def all_pairs_binary_search(
+    corr_now, beta, corr_prefix, rows, cols, bw_start, step_bw,
+    num_basic_windows, max_steps, slack=0.0, negate=False,
+):
+    """Reference: the search as it was first written, every pair in every probe.
+
+    Three-index gathers from the ``(count + 1, N, N)`` tensor and a masked
+    bisection over *all* pairs; ``first_possible_crossing`` probes the two
+    fixed steps as row takes and bisects only the undecided pairs, and must
+    return exactly these jumps.
+    """
+    num_pairs = len(rows)
+    effective_beta = beta - slack
+    base = corr_prefix[bw_start, rows, cols]
+
+    def bound_at(steps):
+        outgoing = steps * step_bw
+        outgoing_sum = corr_prefix[bw_start + outgoing, rows, cols] - base
+        if negate:
+            outgoing_sum = -outgoing_sum
+        return temporal_upper_bound(corr_now, outgoing, outgoing_sum, num_basic_windows)
+
+    lo = np.ones(num_pairs, dtype=np.int64)
+    hi = np.full(num_pairs, max_steps + 1, dtype=np.int64)
+    reaches = bound_at(np.full(num_pairs, max_steps, dtype=np.int64)) >= effective_beta
+    hi = np.where(reaches, max_steps, hi)
+    crosses_immediately = bound_at(lo) >= effective_beta
+    hi = np.where(crosses_immediately, 1, hi)
+    active = (lo < hi) & reaches & ~crosses_immediately
+    while np.any(active):
+        mid = (lo + hi) // 2
+        ub = bound_at(np.where(active, mid, 1))
+        go_right = active & (ub < effective_beta)
+        go_left = active & ~go_right
+        lo = np.where(go_right, mid + 1, lo)
+        hi = np.where(go_left, mid, hi)
+        active = lo < hi
+    return hi
+
+
 class TestFirstPossibleCrossing:
     @pytest.fixture
     def sketch(self, small_matrix):
@@ -73,6 +113,60 @@ class TestFirstPossibleCrossing:
                 float(corr_now[index]), beta, outgoing, window_bw
             )
             assert vectorized[index] == expected
+
+    @pytest.mark.parametrize("step_bw", [1, 2, 3])
+    @pytest.mark.parametrize("max_steps", [1, 2, 90])
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_matches_the_all_pairs_binary_search(self, step_bw, max_steps, negate):
+        rng = np.random.default_rng(1000 * step_bw + 10 * max_steps + negate)
+        n, count, window_bw, bw_start = 9, 290, 30, 7
+        # Slowly wandering basic-window correlations, so crossings land
+        # anywhere from the next step to beyond the horizon.
+        level = rng.uniform(-0.9, 0.95, (1, n, n))
+        pair_corrs = np.clip(level + 0.2 * rng.standard_normal((count, n, n)), -1, 1)
+        pair_corrs[:, 0, :] = -1.0 if negate else 1.0  # a bound that never rises
+        corr_prefix = np.zeros((count + 1, n, n))
+        np.cumsum(pair_corrs, axis=0, out=corr_prefix[1:])
+        # Both triangles and repeated pairs: the search is per entry.
+        rows = rng.integers(0, n, 400)
+        cols = rng.integers(0, n, 400)
+        corr_now = rng.uniform(-1.0, 0.8, 400)
+        if negate:
+            corr_now = -corr_now
+        for slack in (0.0, 0.07):
+            arguments = (
+                corr_now, 0.8, corr_prefix, rows, cols, bw_start, step_bw,
+                window_bw, max_steps, slack, negate,
+            )
+            jumps = first_possible_crossing(*arguments)
+            assert jumps.dtype == np.int64
+            assert np.array_equal(jumps, all_pairs_binary_search(*arguments))
+        if max_steps == 90:  # the case is not degenerate: all three outcomes occur
+            assert (jumps == 1).any()
+            assert (jumps == max_steps + 1).any()
+            assert ((jumps > 1) & (jumps <= max_steps)).any()
+
+    def test_matches_scalar_reference_over_random_pairs(self):
+        """At ``step_bw = 1`` the jump is the scalar linear scan's, pair by pair."""
+        rng = np.random.default_rng(5)
+        n, count, window_bw, bw_start, max_steps = 6, 60, 12, 3, 40
+        pair_corrs = np.clip(
+            rng.uniform(-0.5, 0.9, (1, n, n)) + 0.3 * rng.standard_normal((count, n, n)),
+            -1, 1,
+        )
+        corr_prefix = np.zeros((count + 1, n, n))
+        np.cumsum(pair_corrs, axis=0, out=corr_prefix[1:])
+        rows, cols = (index.ravel() for index in np.indices((n, n)))
+        corr_now = rng.uniform(-1.0, 0.6, n * n)
+        jumps = first_possible_crossing(
+            corr_now, 0.6, corr_prefix, rows, cols, bw_start, 1, window_bw, max_steps
+        )
+        for index in range(n * n):
+            outgoing = pair_corrs[bw_start : bw_start + max_steps, rows[index], cols[index]]
+            expected = max_skippable_steps_scalar(
+                float(corr_now[index]), 0.6, outgoing, window_bw
+            )
+            assert jumps[index] == expected
 
     def test_high_current_correlation_crosses_immediately(self, sketch):
         rows = np.array([0])

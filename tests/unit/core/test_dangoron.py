@@ -1,5 +1,7 @@
 """Unit tests for the Dangoron engine (repro.core.dangoron)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.core.jumping import JumpScheduler
 from repro.core.query import SlidingQuery
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import QueryValidationError, SketchError
+from repro.timeseries.matrix import TimeSeriesMatrix
 
 
 @pytest.fixture
@@ -191,6 +194,38 @@ class TestValidationAndOptions:
         assert result.stats.num_windows == standard_query.num_windows
         assert result.stats.query_seconds >= 0.0
         assert result.stats.sketch_build_seconds > 0.0
+
+    def test_cold_run_books_the_prefix_build_as_sketch_time(self):
+        """Build + query seconds account for a cold run; nothing falls between."""
+        matrix = TimeSeriesMatrix(
+            np.random.default_rng(18).standard_normal((96, 2880))
+        )
+        query = SlidingQuery(start=0, end=2880, window=720, step=24, threshold=0.3)
+        engine = DangoronEngine(basic_window_size=24)
+        engine.run(matrix, query)  # warm numpy/BLAS paths
+        coverage = []
+        for _ in range(3):  # a wall-clock ratio: one pause must not fail it
+            started = time.perf_counter()
+            cold = engine.run(matrix, query)
+            wall = time.perf_counter() - started
+            assert cold.stats.extra["corr_prefix_seconds"] > 0.0
+            assert (
+                cold.stats.sketch_build_seconds
+                > cold.stats.extra["corr_prefix_seconds"]
+            )
+            booked = cold.stats.sketch_build_seconds + cold.stats.query_seconds
+            coverage.append(booked / wall)
+        assert max(coverage) >= 0.9, coverage
+
+        sketch = BasicWindowSketch.build(matrix.values, engine.plan_layout(query))
+        first = engine.run(matrix, query, sketch=sketch)
+        again = engine.run(matrix, query, sketch=sketch)
+        assert first.stats.extra["corr_prefix_seconds"] > 0.0
+        assert first.stats.sketch_build_seconds == pytest.approx(
+            sketch.build_seconds + first.stats.extra["corr_prefix_seconds"]
+        )
+        assert again.stats.extra["corr_prefix_seconds"] == 0.0
+        assert again.stats.sketch_build_seconds == sketch.build_seconds
 
     def test_runs_are_deterministic(self, small_matrix, standard_query):
         first = DangoronEngine(basic_window_size=32, seed=1).run(

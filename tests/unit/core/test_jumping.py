@@ -43,13 +43,6 @@ class TestScheduler:
         # Windows 3 and 4 are the only ones actually skipped.
         assert scheduler.stats.skipped_evaluations == 2
 
-    def test_park_removes_pair_for_remaining_windows(self):
-        scheduler = JumpScheduler(2, 8)
-        scheduler.park(np.array([1]), window_index=3)
-        for k in range(4, 8):
-            assert 1 not in scheduler.due_indices(k)
-        assert scheduler.stats.skipped_evaluations == 4
-
     def test_invalid_jump_lengths(self):
         scheduler = JumpScheduler(2, 5)
         with pytest.raises(QueryValidationError):
@@ -79,8 +72,6 @@ class TestScheduler:
         assert scheduler.stats.skipped_evaluations == 49  # nothing to clip at
         with pytest.raises(QueryValidationError):
             scheduler.due_mask(-1)
-        with pytest.raises(QueryValidationError):
-            scheduler.park(np.array([1]), window_index=1000)
 
     def test_next_due_view_is_read_only(self):
         scheduler = JumpScheduler(3, 5)

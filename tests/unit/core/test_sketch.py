@@ -93,6 +93,22 @@ class TestExactCombination:
         pairs = sketch.exact_pairs_scan(rows, cols, 2, 9)
         assert np.allclose(pairs, full[rows, cols], atol=1e-12)
 
+    def test_pivot_against_all_series_matches_matrix_scan_bitwise(self, sketch):
+        """(pivot, every series) pairs — both triangles — as horizontal pruning asks."""
+        n = sketch.num_series
+        pivots = np.array([7, 0, 4])
+        rows = np.repeat(pivots, n)
+        cols = np.tile(np.arange(n), len(pivots))
+        assert (rows > cols).any() and (rows < cols).any()
+        off_diagonal = rows != cols  # the dense scan pins its diagonal to 1.0
+        for first, count in [(0, 1), (2, 9), (0, 20), (13, 7)]:
+            full = sketch.exact_matrix_scan(first, count)
+            pairs = sketch.exact_pairs_scan(rows, cols, first, count)
+            assert np.array_equal(
+                pairs[off_diagonal], full[rows, cols][off_diagonal]
+            )
+            assert np.allclose(pairs[~off_diagonal], 1.0, atol=1e-12)
+
     def test_range_validation(self, sketch):
         with pytest.raises(SketchError):
             sketch.exact_matrix_scan(0, 21)

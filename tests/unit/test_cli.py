@@ -1,5 +1,10 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,3 +127,27 @@ class TestExperimentAndInfo:
         with pytest.raises(SystemExit) as excinfo:
             parser.parse_args(["--version"])
         assert excinfo.value.code == 0
+
+
+def test_importing_the_cli_and_server_loads_neither_scipy_nor_networkx():
+    """The query and serve paths need numpy only (CI's smoke jobs install no more).
+
+    scipy is used by ``repro.analysis.significance`` and networkx by
+    ``repro.network``; both are imported where they are called, so a fresh
+    interpreter that imports the CLI and the HTTP server has loaded neither.
+    """
+    src = Path(__file__).resolve().parents[2] / "src"
+    probe = (
+        "import repro.cli, repro.service.http, sys; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'networkx')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
