@@ -11,15 +11,22 @@ and is exercised by the E13 experiment and the ``topk_lag_analysis`` example.
 Sign conventions: a *positive* lag ``d`` correlates ``x[t]`` with ``y[t + d]``
 (``x`` leads ``y`` by ``d`` steps); a negative lag means ``y`` leads ``x``.
 
-Execution strategies share one primitive: :func:`lagged_pair_stats` reduces an
-explicit ``(rows, cols)`` pair subset of one window with per-pair ``einsum``
-rows over the same normalized arrays, so the dense matrix path (the full upper
-triangle), a shard's pair block, and the streamed out-of-core path all produce
-bit-identical entries for any partition of the pair space.  Windows themselves
-come from :func:`iter_query_windows`, which either slices the resident matrix
-or — under a ``memory_budget`` — assembles each window from the matrix's
-column-chunk source into a bounded rolling buffer without ever materializing
-the dense matrix.
+Execution strategies share one kernel: ``_lagged_plane`` maps a whole window
+and one lag ``d >= 0`` to the ``(N, N)`` plane ``C_d[i, j] = corr(x_i[t],
+x_j[t + d])`` with a single BLAS product of the two row-normalized overlaps.
+``C_d`` and ``C_d.T`` are both directions of every pair, so
+:func:`lagged_correlation_matrix` ranks whole planes and never enumerates
+pairs.  The kernel is always the same full-window call: a dense slice and a
+streamed rolling buffer hand it the same bytes in the same layout and get the
+same bits back, and there is no pair-subset entry point — a sharded session
+runs this same serial pass (:meth:`repro.parallel.ShardedExecutor.run_lagged`).
+Like the statistics kernel of :mod:`repro.core.sketch`, that identity assumes
+one BLAS build and thread count across the executions compared
+(``docs/invariants.md``).  Windows themselves come from
+:func:`iter_query_windows`, which either slices the resident matrix or — under
+a ``memory_budget`` — assembles each window from the matrix's column-chunk
+source into a bounded rolling buffer without ever materializing the dense
+matrix.
 """
 
 from __future__ import annotations
@@ -35,21 +42,15 @@ from repro.core.result import Edge
 from repro.exceptions import DataValidationError, QueryValidationError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
-#: Pairs reduced per chunk by :func:`lagged_pair_stats`.  Bounds the gathered
-#: ``(chunk, l)`` working arrays; per-pair reductions are independent, so the
-#: chunk size never changes the resulting bits.
-_PAIR_CHUNK = 8192
-
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     """Centre every row and scale to unit norm (constant rows become zero)."""
     centered = rows - rows.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
     degenerate = norms < np.sqrt(VARIANCE_EPSILON * rows.shape[1])
-    safe = np.where(degenerate, 1.0, norms)
-    normalized = centered / safe[:, None]
-    normalized[degenerate, :] = 0.0
-    return normalized
+    centered /= np.where(degenerate, 1.0, norms)[:, None]
+    centered[degenerate, :] = 0.0
+    return centered
 
 
 def lagged_correlation(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
@@ -167,149 +168,24 @@ class LagMatrices:
         )
 
 
-@dataclass(frozen=True)
-class LagPairs:
-    """Best lagged correlations of an explicit pair subset of one window.
+def _lagged_plane(window: np.ndarray, lag: int) -> np.ndarray:
+    """The ``(N, N)`` plane ``C[i, j] = corr(x_i[t], x_j[t + lag])`` of one window.
 
-    The shard-sized sibling of :class:`LagMatrices`: where that class holds
-    the dense ``(N, N)`` matrices, this one holds only the pairs a shard was
-    asked about.  Both directions of every unordered pair ``(i, j)`` are
-    tracked — ``forward`` is the dense entry ``(i, j)`` (positive lag: ``i``
-    leads ``j``), ``backward`` the mirrored entry ``(j, i)`` — so scattering
-    a partition's blocks into zeroed matrices rebuilds the dense result
-    exactly (:func:`repro.parallel.merge.merge_lagged_results`).
+    ``window`` is a C-contiguous ``(N, l)`` array and ``0 <= lag <= l - 2``,
+    both checked by the one caller, :func:`lagged_correlation_matrix`; the
+    transpose of the plane holds the negative lag.  Each correlation runs over
+    the ``l - lag`` overlapping points only: both overlaps are row-normalized
+    (a constant row becomes zero and correlates 0 with everything) and one
+    matrix product reduces all pairs at once.  At lag 0 the two overlaps are
+    the same rows, and the product is taken of *one* array with its own
+    transpose so that BLAS runs its symmetric rank-k update and the plane is
+    exactly symmetric — a general product of two equal arrays is not, and
+    ``best_lag[i, j] == -best_lag[j, i]`` rests on it.
     """
-
-    window_index: int
-    rows: np.ndarray
-    cols: np.ndarray
-    corr_forward: np.ndarray
-    lag_forward: np.ndarray
-    corr_backward: np.ndarray
-    lag_backward: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=INDEX_DTYPE))
-        object.__setattr__(self, "cols", np.asarray(self.cols, dtype=INDEX_DTYPE))
-        for field in ("corr_forward", "corr_backward"):
-            object.__setattr__(
-                self, field, np.asarray(getattr(self, field), dtype=FLOAT_DTYPE)
-            )
-        for field in ("lag_forward", "lag_backward"):
-            object.__setattr__(
-                self, field, np.asarray(getattr(self, field), dtype=INDEX_DTYPE)
-            )
-
-    @property
-    def num_pairs(self) -> int:
-        return int(len(self.rows))
-
-    def scatter_into(self, best_corr: np.ndarray, best_lag: np.ndarray) -> None:
-        """Write this block's entries into dense matrices (both directions)."""
-        best_corr[self.rows, self.cols] = self.corr_forward
-        best_lag[self.rows, self.cols] = self.lag_forward
-        best_corr[self.cols, self.rows] = self.corr_backward
-        best_lag[self.cols, self.rows] = self.lag_backward
-
-    def to_matrices(self, num_series: int) -> LagMatrices:
-        """Dense :class:`LagMatrices` with this block's pairs filled in."""
-        best_corr = np.zeros((num_series, num_series), dtype=FLOAT_DTYPE)
-        best_lag_matrix = np.zeros((num_series, num_series), dtype=INDEX_DTYPE)
-        self.scatter_into(best_corr, best_lag_matrix)
-        np.fill_diagonal(best_corr, 1.0)
-        return LagMatrices(
-            window_index=self.window_index,
-            best_corr=best_corr,
-            best_lag=best_lag_matrix,
-        )
-
-
-def lagged_pair_stats(
-    window: np.ndarray,
-    max_lag: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    absolute: bool = True,
-    window_index: int = 0,
-) -> LagPairs:
-    """Best lagged correlation of selected row pairs of one window.
-
-    This is the single reduction behind every lagged execution strategy: the
-    dense path enumerates the full upper triangle through it, shards pass
-    their pair block, and the streamed path calls it per buffered window.
-    Every correlation is one per-pair ``einsum`` row over the same normalized
-    arrays, so any partition of the pair space reproduces the dense entries
-    bit for bit — unlike a matrix product, whose BLAS reduction order would
-    depend on the block shape.
-
-    Candidates are ranked exactly as the dense formulation does: per lag
-    ``d`` from 0 to ``max_lag``, the forward direction sees ``(corr(i→j), +d)``
-    then ``(corr(j→i), -d)``, the backward direction the mirror, and a strict
-    ``>`` keeps the first-seen candidate on rank ties.
-    """
-    window = np.asarray(window, dtype=FLOAT_DTYPE)
-    if window.ndim != 2:
-        raise DataValidationError(
-            f"lagged_pair_stats() expects an (N, l) array, got {window.shape}"
-        )
-    length = window.shape[1]
-    if max_lag < 0:
-        raise QueryValidationError(f"max_lag must be non-negative, got {max_lag}")
-    if length - max_lag < 2:
-        raise QueryValidationError(
-            f"window of length {length} cannot support max_lag={max_lag}"
-        )
-    rows = np.asarray(rows, dtype=INDEX_DTYPE)
-    cols = np.asarray(cols, dtype=INDEX_DTYPE)
-    num = len(rows)
-
-    corr_fwd = np.zeros(num, dtype=FLOAT_DTYPE)
-    lag_fwd = np.zeros(num, dtype=INDEX_DTYPE)
-    rank_fwd = np.full(num, -np.inf, dtype=FLOAT_DTYPE)
-    corr_bwd = np.zeros(num, dtype=FLOAT_DTYPE)
-    lag_bwd = np.zeros(num, dtype=INDEX_DTYPE)
-    rank_bwd = np.full(num, -np.inf, dtype=FLOAT_DTYPE)
-    directions = (
-        (corr_fwd, lag_fwd, rank_fwd),
-        (corr_bwd, lag_bwd, rank_bwd),
-    )
-
-    for lag in range(0, max_lag + 1):
-        leading = _normalize_rows(window[:, : length - lag])
-        trailing = _normalize_rows(window[:, lag:])
-        for start in range(0, num, _PAIR_CHUNK):
-            stop = min(start + _PAIR_CHUNK, num)
-            sl = slice(start, stop)
-            r, c = rows[sl], cols[sl]
-            fwd = np.clip(np.einsum("ij,ij->i", leading[r], trailing[c]), -1.0, 1.0)
-            if lag == 0:
-                # leading == trailing at lag 0 and elementwise products
-                # commute, so the backward value is bitwise the forward one.
-                candidates = (((1, fwd),), ((1, fwd),))
-            else:
-                bwd = np.clip(
-                    np.einsum("ij,ij->i", leading[c], trailing[r]), -1.0, 1.0
-                )
-                candidates = (((1, fwd), (-1, bwd)), ((1, bwd), (-1, fwd)))
-            for (best_corr, best_lag_arr, best_rank), ordered in zip(
-                directions, candidates
-            ):
-                for sign, values in ordered:
-                    rank = np.abs(values) if absolute else values
-                    better = rank > best_rank[sl]
-                    best_rank[sl] = np.where(better, rank, best_rank[sl])
-                    best_corr[sl] = np.where(better, values, best_corr[sl])
-                    best_lag_arr[sl] = np.where(better, sign * lag, best_lag_arr[sl])
-
-    return LagPairs(
-        window_index=window_index,
-        rows=rows,
-        cols=cols,
-        corr_forward=corr_fwd,
-        lag_forward=lag_fwd,
-        corr_backward=corr_bwd,
-        lag_backward=lag_bwd,
-    )
+    leading = _normalize_rows(window[:, : window.shape[1] - lag])
+    trailing = _normalize_rows(window[:, lag:]) if lag else leading  # one array
+    plane = leading @ trailing.T
+    return np.clip(plane, -1.0, 1.0, out=plane)
 
 
 def lagged_correlation_matrix(
@@ -317,22 +193,41 @@ def lagged_correlation_matrix(
 ) -> LagMatrices:
     """Best lagged correlation and its lag for every pair of rows of a window.
 
-    The cost is ``O((2 * max_lag + 1) * P * l)`` over the ``P = N(N-1)/2``
-    upper-triangle pairs.  For ``max_lag = 0`` this reduces to the ordinary
-    correlation matrix.  Implemented as the full-triangle call of
-    :func:`lagged_pair_stats`, which is what makes sharded and streamed
-    lagged runs bit-identical to this dense one.
+    One BLAS plane (``_lagged_plane``) per lag, ``O(max_lag * N^2 * l)`` multiply-adds in
+    BLAS.  For ``max_lag = 0`` this reduces to the ordinary correlation
+    matrix.  Entry ``(i, j)`` sees its candidates in a fixed order — lag 0,
+    then per ``d`` from 1 to ``max_lag`` the candidate ``(C_d[i, j], +d)``
+    before ``(C_d[j, i], -d)`` — and a strict ``>`` keeps the first seen on
+    rank ties.  The diagonal is ``1.0`` at lag ``0``.
     """
-    window = np.asarray(window, dtype=FLOAT_DTYPE)
+    window = np.ascontiguousarray(window, dtype=FLOAT_DTYPE)
     if window.ndim != 2:
         raise DataValidationError(
             f"lagged_correlation_matrix() expects an (N, l) array, got {window.shape}"
         )
-    iu, ju = np.triu_indices(window.shape[0], k=1)
-    pairs = lagged_pair_stats(
-        window, max_lag, iu, ju, absolute=absolute, window_index=window_index
+    if max_lag < 0:
+        raise QueryValidationError(f"max_lag must be non-negative, got {max_lag}")
+    if window.shape[1] - max_lag < 2:
+        raise QueryValidationError(
+            f"window of length {window.shape[1]} cannot support max_lag={max_lag}"
+        )
+
+    best_corr = _lagged_plane(window, 0)
+    best_rank = np.abs(best_corr) if absolute else best_corr.copy()
+    best_lag_matrix = np.zeros(best_corr.shape, dtype=INDEX_DTYPE)
+    for lag in range(1, max_lag + 1):
+        plane = _lagged_plane(window, lag)
+        for values, signed_lag in ((plane, lag), (plane.T, -lag)):
+            rank = np.abs(values) if absolute else values
+            better = rank > best_rank
+            np.maximum(best_rank, rank, out=best_rank)  # rank where better
+            np.copyto(best_corr, values, where=better)
+            np.putmask(best_lag_matrix, better, signed_lag)
+    np.fill_diagonal(best_corr, 1.0)
+    np.fill_diagonal(best_lag_matrix, 0)
+    return LagMatrices(
+        window_index=window_index, best_corr=best_corr, best_lag=best_lag_matrix
     )
-    return pairs.to_matrices(window.shape[0])
 
 
 def iter_query_windows(
@@ -418,35 +313,6 @@ def _stream_query_windows(source, query: SlidingQuery) -> Iterator[Tuple[int, np
         f"column-chunk source ended at column {position} before window "
         f"{index} ([{begin}, {begin + width})) completed"
     )
-
-
-def sliding_lagged_pairs(
-    matrix: TimeSeriesMatrix,
-    query: SlidingQuery,
-    max_lag: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    absolute: Optional[bool] = None,
-    memory_budget: Optional[int] = None,
-) -> List[LagPairs]:
-    """Best lagged correlations of a pair subset, one :class:`LagPairs` per window.
-
-    The shard-facing entry point: a sharded lagged run hands each shard a
-    pair block and scatters the per-window blocks back into dense matrices
-    (:func:`repro.parallel.merge.merge_lagged_results`) — bit-identical to
-    the serial dense run, because every path reduces the same normalized
-    arrays pair by pair.
-    """
-    if absolute is None:
-        absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
-    return [
-        lagged_pair_stats(
-            values, max_lag, rows, cols, absolute=absolute, window_index=index
-        )
-        for index, values in iter_query_windows(
-            matrix, query, memory_budget=memory_budget
-        )
-    ]
 
 
 def sliding_lagged_correlation(

@@ -166,23 +166,23 @@ def select_top_k(
     order, so re-ranking the union of shard candidates reproduces the serial
     selection bit for bit.
     """
-    ranking = np.abs(values) if absolute else values
+    descending = -(np.abs(values) if absolute else values)
     k = min(k, len(values))
     if k == 0:
         empty = np.zeros(0)
         return TopKWindow(window_index, empty, empty, empty)
+    if k < len(values):
+        # Sorting every candidate to keep k is most of a top-k window's cost:
+        # partition for the k-th rank first and sort only the candidates at or
+        # above it (ties included, so the total order still decides them).
+        kth = np.partition(descending, k - 1)[k - 1]
+        keep = np.flatnonzero(descending <= kth)
+        if len(keep) >= k:  # fewer only when a NaN rank reaches the k-th place
+            rows, cols, values = rows[keep], cols[keep], values[keep]
+            descending = descending[keep]
     # lexsort keys run least- to most-significant: rank first, then (i, j).
-    order = np.lexsort((cols, rows, -ranking))[:k]
+    order = np.lexsort((cols, rows, descending))[:k]
     return TopKWindow(window_index, rows[order], cols[order], values[order])
-
-
-def _top_k_from_dense(
-    corr: np.ndarray, k: int, absolute: bool, window_index: int
-) -> TopKWindow:
-    """Select the k largest upper-triangle entries of a dense correlation matrix."""
-    n = corr.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    return select_top_k(iu, ju, corr[iu, ju], k, absolute, window_index)
 
 
 def _validate_k(k: int, num_series: int) -> None:
@@ -248,15 +248,17 @@ def sliding_top_k(
         sketch = BasicWindowSketch.build(matrix.values, layout)
     window_bw = query.window // layout.size
 
+    if pairs is None:
+        rows, cols = np.triu_indices(matrix.num_series, k=1)
+
     windows: List[TopKWindow] = []
     for index, begin, _ in query.iter_windows():
         first, _ = layout.covering(begin, begin + query.window)
         if pairs is None:
-            corr = sketch.exact_matrix_scan(first, window_bw)
-            windows.append(_top_k_from_dense(corr, k, absolute, index))
+            values = sketch.exact_matrix_scan(first, window_bw)[rows, cols]
         else:
             values = sketch.exact_pairs_scan(rows, cols, first, window_bw)
-            windows.append(select_top_k(rows, cols, values, k, absolute, index))
+        windows.append(select_top_k(rows, cols, values, k, absolute, index))
     return TopKResult(query=query, k=k, absolute=absolute, windows=windows)
 
 
@@ -272,10 +274,11 @@ def top_k_brute_force(
     if absolute is None:
         absolute = query.threshold_mode == "absolute"
 
+    rows, cols = np.triu_indices(matrix.num_series, k=1)
     windows: List[TopKWindow] = []
     for index, begin, end in query.iter_windows():
-        corr = correlation_matrix(matrix.values[:, begin:end])
-        windows.append(_top_k_from_dense(corr, k, absolute, index))
+        values = correlation_matrix(matrix.values[:, begin:end])[rows, cols]
+        windows.append(select_top_k(rows, cols, values, k, absolute, index))
     return TopKResult(query=query, k=k, absolute=absolute, windows=windows)
 
 

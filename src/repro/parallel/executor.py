@@ -33,12 +33,12 @@ One sketch, many shards: when no prebuilt sketch is passed, the executor
 builds the engine's planned layout once and hands the same sketch to every
 shard — sharding never multiplies the γ·N² sketch-build cost.
 
-The engine-less query families ride the same partition/merge machinery:
+The engine-less top-k family rides the same fan-out:
 :meth:`ShardedExecutor.run_topk` merges per-shard top-k candidates to the
-exact global answer, and :meth:`ShardedExecutor.run_lagged` scatters
-per-shard lagged pair blocks back into dense matrices — both bit-identical
-to their serial counterparts, including the streamed (``memory_budget``)
-lagged path, which fans each buffered window's pair blocks across threads.
+exact global answer, bit-identical to the serial scan.
+:meth:`ShardedExecutor.run_lagged` does not fan out: the lag kernel is a
+whole-window BLAS product that no pair subset reproduces bit for bit and that
+already uses every core, so it is the serial pass for any worker count.
 """
 
 from __future__ import annotations
@@ -58,24 +58,13 @@ from repro.config import (
 )
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.engine import SlidingCorrelationEngine, accepts_sketch_kwarg
-from repro.core.lag import (
-    LagMatrices,
-    LagPairs,
-    iter_query_windows,
-    lagged_pair_stats,
-    sliding_lagged_correlation,
-    sliding_lagged_pairs,
-)
+from repro.core.lag import LagMatrices, sliding_lagged_correlation
 from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
 from repro.core.result import CorrelationSeriesResult
 from repro.core.sketch import BasicWindowSketch
 from repro.core.topk import TopKResult, sliding_top_k
 from repro.exceptions import ParallelError
-from repro.parallel.merge import (
-    merge_lagged_results,
-    merge_shard_results,
-    merge_topk_results,
-)
+from repro.parallel.merge import merge_shard_results, merge_topk_results
 from repro.parallel.partition import (
     PairBlock,
     pair_count,
@@ -123,19 +112,16 @@ def _run_block(kind: str, payload: tuple, pairs: Tuple[np.ndarray, np.ndarray]):
         engine, sketch = rest
         kwargs = {} if sketch is None else {"sketch": sketch}
         return engine.run(matrix, query, pairs=pairs, **kwargs)
-    if kind == "topk":
-        k, basic_window_size, absolute, sketch = rest
-        return sliding_top_k(
-            matrix,
-            query,
-            k,
-            basic_window_size=basic_window_size,
-            absolute=absolute,
-            sketch=sketch,
-            pairs=pairs,
-        )
-    max_lag, absolute = rest
-    return sliding_lagged_pairs(matrix, query, max_lag, *pairs, absolute=absolute)
+    k, basic_window_size, absolute, sketch = rest
+    return sliding_top_k(
+        matrix,
+        query,
+        k,
+        basic_window_size=basic_window_size,
+        absolute=absolute,
+        sketch=sketch,
+        pairs=pairs,
+    )
 
 
 def _run_context_block(bounds: Tuple[int, int]):
@@ -353,75 +339,20 @@ class ShardedExecutor:
         absolute: Optional[bool] = None,
         memory_budget: Optional[int] = None,
     ) -> List[LagMatrices]:
-        """Lagged correlations per window, sharded across the pair space.
+        """Lagged correlations per window — the serial pass for any worker count.
 
-        Every strategy reduces through the same per-pair primitive
-        (:func:`repro.core.lag.lagged_pair_stats`), so scattering the
-        shards' pair blocks back into dense matrices is bit-identical to
-        ``sliding_lagged_correlation(matrix, query, max_lag)``.
-
-        With ``memory_budget`` set the run streams: windows are assembled
-        from the matrix's column-chunk source into one shared rolling
-        buffer, and the pair blocks of each window fan out across a
-        *thread* pool (window-major order, with a barrier before the buffer
-        advances) — forked process workers could not share the buffer.
+        The lag kernel (:func:`repro.core.lag.lagged_correlation_matrix`) is
+        one whole-window BLAS product per lag: a pair subset would change its
+        bits, and BLAS already spreads each product over the cores, so cutting
+        the window axis across threads or forked workers only loses (2-core
+        reference box: 0.56–0.67 s on two thread spans against 0.42–0.49 s
+        serial over 91 windows, forked spans several times worse;
+        ``docs/benchmarks.md``).
         """
         query.validate_against_length(matrix.length)
-        if absolute is None:
-            absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
-        n = matrix.num_series
-        mode = self.resolve_mode(pair_count(n), query.num_windows)
-        blocks = self._blocks(n) if mode != MODE_SERIAL else []
-        if mode == MODE_SERIAL or len(blocks) < 2:
-            return sliding_lagged_correlation(
-                matrix, query, max_lag, absolute=absolute,
-                memory_budget=memory_budget,
-            )
-        if memory_budget is not None:
-            shard_windows = self._run_lagged_streamed(
-                matrix, query, max_lag, absolute, memory_budget, blocks
-            )
-        else:
-            shard_windows, _ = self._map_blocks(
-                mode, "lagged", (matrix, query, max_lag, absolute), blocks
-            )
-        return merge_lagged_results(query, n, shard_windows)
-
-    def _run_lagged_streamed(
-        self,
-        matrix: TimeSeriesMatrix,
-        query: SlidingQuery,
-        max_lag: int,
-        absolute: bool,
-        memory_budget: int,
-        blocks: Sequence[PairBlock],
-    ) -> List[List[LagPairs]]:
-        """One streaming pass, pair blocks fanned out per window (threads).
-
-        The per-window barrier (collecting every block's future before the
-        iterator advances) is required for correctness: the rolling buffer
-        is reused between windows, so no task may straddle the shift.
-        """
-        shard_windows: List[List[LagPairs]] = [[] for _ in blocks]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            for index, values in iter_query_windows(
-                matrix, query, memory_budget=memory_budget
-            ):
-                futures = [
-                    pool.submit(
-                        lagged_pair_stats,
-                        values,
-                        max_lag,
-                        block.rows,
-                        block.cols,
-                        absolute,
-                        index,
-                    )
-                    for block in blocks
-                ]
-                for per_shard, future in zip(shard_windows, futures):
-                    per_shard.append(future.result())
-        return shard_windows
+        return sliding_lagged_correlation(
+            matrix, query, max_lag, absolute=absolute, memory_budget=memory_budget
+        )
 
     def _map_blocks(
         self, mode: str, kind: str, payload: tuple, blocks: Sequence[PairBlock]

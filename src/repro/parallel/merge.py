@@ -18,11 +18,11 @@ longest; other ``extra`` entries are kept only when every shard agrees on
 them (per-shard diagnostics like mean jump length are dropped rather than
 misreported).
 
-The same disjointness argument covers the other query families:
+The same disjointness argument covers the top-k family:
 :func:`merge_topk_results` re-ranks the union of per-shard top-k candidates
-under the canonical total order, and :func:`merge_lagged_results` scatters
-per-shard lagged pair blocks back into dense matrices — both bit-identical
-to the corresponding serial run for any partition.
+under the canonical total order, bit-identical to the serial run for any
+partition.  Lagged runs are never sharded (their kernel is a whole-window
+BLAS product), so there is nothing to merge.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import FLOAT_DTYPE, INDEX_DTYPE
-from repro.core.lag import LagMatrices, LagPairs
 from repro.core.query import SlidingQuery
 from repro.core.result import (
     CorrelationSeriesResult,
@@ -184,36 +182,3 @@ def merge_topk_results(
         windows.append(select_top_k(rows, cols, values, k, absolute, index))
     return TopKResult(query=query, k=k, absolute=absolute, windows=windows)
 
-
-def merge_lagged_results(
-    query: SlidingQuery,
-    num_series: int,
-    shard_windows: Sequence[Sequence[LagPairs]],
-) -> List[LagMatrices]:
-    """Scatter per-shard lagged pair blocks into dense per-window matrices.
-
-    Each shard contributes one :class:`~repro.core.lag.LagPairs` per window
-    over its disjoint pair block; both directions of every pair are carried
-    in the block, so scattering all blocks into zeroed matrices (then
-    setting the diagonal, exactly as :meth:`LagPairs.to_matrices` does for
-    the full triangle) is bit-identical to the serial dense run for any
-    partition.
-    """
-    if not shard_windows:
-        raise ParallelError("cannot merge an empty list of lagged shard results")
-    num_windows = _check_window_counts(
-        query, [len(shard) for shard in shard_windows], "lagged shard results"
-    )
-    merged: List[LagMatrices] = []
-    for position in range(num_windows):
-        blocks = [shard[position] for shard in shard_windows]
-        index = _single_window_index([b.window_index for b in blocks], position)
-        best_corr = np.zeros((num_series, num_series), dtype=FLOAT_DTYPE)
-        best_lag = np.zeros((num_series, num_series), dtype=INDEX_DTYPE)
-        for block in blocks:
-            block.scatter_into(best_corr, best_lag)
-        np.fill_diagonal(best_corr, 1.0)
-        merged.append(
-            LagMatrices(window_index=index, best_corr=best_corr, best_lag=best_lag)
-        )
-    return merged

@@ -7,6 +7,7 @@ from repro.core.correlation import correlation_matrix
 from repro.core.query import SlidingQuery
 from repro.core.topk import (
     TopKWindow,
+    select_top_k,
     sliding_top_k,
     top_k_brute_force,
     top_k_overlap,
@@ -70,6 +71,39 @@ class TestAgainstGroundTruth:
         # absolute ranking finds it.
         assert magnitude[0].pairs()[0][:2] == (0, 1)
         assert signed[0].pairs()[0][:2] != (0, 1)
+
+
+class TestSelection:
+    def test_partition_preselection_equals_sorting_every_candidate(self):
+        """``select_top_k`` sorts only the candidates at or above the k-th
+        rank; the full ``lexsort`` it replaced is the reference — heavy ties,
+        shuffled enumeration, signed zeros, NaN ranks, k from 1 to past P."""
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            n = int(rng.integers(2, 24))
+            rows, cols = np.triu_indices(n, k=1)
+            levels = np.linspace(-1.0, 1.0, 2 * int(rng.integers(1, 6)) + 1)
+            values = rng.choice(levels, size=len(rows))
+            if rng.random() < 0.3:
+                values = rng.uniform(-1.0, 1.0, size=len(rows))
+            if rng.random() < 0.2:
+                values[rng.random(len(rows)) < 0.3] = -0.0
+            if rng.random() < 0.1:
+                values[rng.random(len(rows)) < 0.2] = np.nan
+            order = rng.permutation(len(rows))
+            rows, cols, values = rows[order], cols[order], values[order]
+            k = int(rng.integers(1, len(rows) + 3))
+            absolute = bool(rng.integers(2))
+
+            ranking = np.abs(values) if absolute else values
+            full = np.lexsort((cols, rows, -ranking))[:k]
+            selected = select_top_k(rows, cols, values, k, absolute, window_index=0)
+            assert np.array_equal(selected.rows, rows[full])
+            assert np.array_equal(selected.cols, cols[full])
+            assert np.array_equal(selected.values, values[full], equal_nan=True)
+            assert np.array_equal(
+                np.signbit(selected.values), np.signbit(values[full])
+            )
 
 
 class TestResultApi:
