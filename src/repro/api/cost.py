@@ -175,7 +175,7 @@ def measure_calibration() -> Calibration:
     """Micro-benchmark the primitive throughputs on this machine.
 
     Uses the real kernels (``BasicWindowSketch.build`` / ``extend`` /
-    ``exact_matrix_scan``, a worker-pool round trip, a bounded-buffer
+    ``exact_pairs_scan``, a worker-pool round trip, a bounded-buffer
     column copy) over a small deterministic matrix, so the measured ratios
     track the machine the planner is deciding for.
     """
@@ -198,15 +198,14 @@ def measure_calibration() -> Calibration:
     extend_elems = _CAL_SERIES * delta.shape[1]
 
     scan_windows = layout.count // 4
+    rows, cols = np.triu_indices(_CAL_SERIES, k=1)
 
     def _scan():
         for first in range(0, layout.count - scan_windows, scan_windows):
-            sketch.exact_matrix_scan(first, scan_windows)
+            sketch.exact_pairs_scan(rows, cols, first, scan_windows)
 
     scan_s = _timed_per_call(_scan)
-    scanned_pair_windows = (
-        _CAL_SERIES * (_CAL_SERIES - 1) // 2
-    ) * ((layout.count - scan_windows) // scan_windows)
+    scanned_pair_windows = len(rows) * ((layout.count - scan_windows) // scan_windows)
 
     order = np.argsort(np.tile(np.arange(4096), 4), kind="stable")
     merge_s = _timed_per_call(lambda: np.take(order, order).sum())

@@ -22,8 +22,8 @@ LaggedQuery            ``sliding_lagged_correlation`` (raw or        none
 =====================  ============================================  ==========
 
 Every family additionally carries an *execution* and a *build* decision —
-serial vs sharded (and across how many workers), dense vs tiled (and at
-what tile size) vs incremental.  Eligibility is still gated by hard policy
+serial vs sharded across the configured workers, dense vs tiled in tiles of
+the configured budget vs incremental.  Eligibility is still gated by hard policy
 (an engine must support pair subsets to shard; unaligned windows read raw
 values; a budget below the data forbids a dense build), but among the
 *eligible* candidates the planner now ranks by **predicted wall cost**: a
@@ -478,12 +478,6 @@ class QueryPlanner:
         detail = self._cost_detail(ranked) if len(ranked) > 1 else None
         plans = []
         for index, candidate in enumerate(ranked):
-            budget = (
-                candidate.tile_budget
-                if candidate.build == SKETCH_BUILD_TILED
-                and candidate.tile_budget is not None
-                else self.memory_budget
-            )
             plans.append(
                 ExecutionPlan(
                     query=query,
@@ -493,7 +487,7 @@ class QueryPlanner:
                     execution=candidate.execution,
                     workers=candidate.workers,
                     sketch_build=candidate.build,
-                    memory_budget=budget,
+                    memory_budget=self.memory_budget,
                     execution_reason=execution_reason,
                     build_reason=candidate.build_reason,
                     predicted_seconds=candidate.cost,
@@ -545,7 +539,8 @@ class QueryPlanner:
     ) -> str:
         """The key observed wall times are recorded under.
 
-        Identifies the workload (family, sizes, engine) and the candidate
+        Identifies the workload (family, sizes, the engine's full
+        configuration as ``engine.describe()`` names it) and the candidate
         (execution, workers, build, tile size) plus the sketch state at
         plan time (``cold``/``warm``/``prefix``/``raw``) — a cold build and
         a warm repeat are different workloads and must not share samples.
@@ -565,7 +560,7 @@ class QueryPlanner:
         if kind == KIND_LAGGED:
             parts.append(f"lag={query.max_lag}")
         if engine is not None:
-            parts.append(f"engine={engine.name}")
+            parts.append(f"engine={engine.describe()}")
         exec_part = (
             execution if execution == EXECUTION_SERIAL else f"{execution}@{workers}"
         )
@@ -604,21 +599,7 @@ class QueryPlanner:
             )
         if not self._windows_sketch_aligned(layout, query):
             return serial, "windows not basic-window aligned"
-        return (
-            serial + [(EXECUTION_SHARDED, w) for w in self._worker_candidates()],
-            None,
-        )
-
-    def _worker_candidates(self) -> List[int]:
-        """Worker counts worth pricing: the configured count and its half.
-
-        Two points are enough for the ranking to notice when dispatch
-        overhead beats parallel speedup at this workload's size; the
-        feedback loop refines the choice from observed runs.
-        """
-        half = (self.workers or 1) // 2
-        out = [half] if half > 1 and half != self.workers else []
-        return out + [self.workers]
+        return serial + [(EXECUTION_SHARDED, self.workers)], None
 
     def _build_options(
         self,
@@ -650,8 +631,8 @@ class QueryPlanner:
         e.g. Dangoron's pivot selection under horizontal pruning would
         materialize the matrix regardless, so such plans honestly stay
         dense instead of claiming a bounded build).  The reason names why a
-        configured budget fell back to dense; the cost ranking picks the
-        tile size (:meth:`_tile_candidates`).
+        configured budget fell back to dense.  A tiled build streams tiles
+        of the whole budget: fewer, larger tiles only save per-tile overhead.
         """
         declined = None
         options: List[_BuildOption] = []
@@ -720,25 +701,12 @@ class QueryPlanner:
                 )
             )
             return options
-        options += [
-            _BuildOption(build=SKETCH_BUILD_TILED, reason=declined, tile_budget=tile)
-            for tile in self._tile_candidates(matrix, layout)
-        ]
+        options.append(
+            _BuildOption(
+                build=SKETCH_BUILD_TILED, reason=declined, tile_budget=self.memory_budget
+            )
+        )
         return options
-
-    def _tile_candidates(
-        self, matrix: TimeSeriesMatrix, layout: BasicWindowLayout
-    ) -> List[int]:
-        """Tile sizes worth pricing: the full budget, and its half when that
-        still holds one basic-window column block per series.  Fewer, larger
-        tiles amortize per-tile overhead; the cost ranking decides."""
-        budget = self.memory_budget
-        floor = matrix.num_series * layout.size * np.dtype(FLOAT_DTYPE).itemsize
-        half = budget // 2
-        out = [budget]
-        if half >= floor and half != budget:
-            out.append(half)
-        return out
 
     @staticmethod
     def _joined(declined: Optional[str], reason: str) -> str:

@@ -40,12 +40,7 @@ from repro.core.engine import (
     engine_options,
     register_engine,
 )
-from repro.core.horizontal import (
-    HorizontalPruner,
-    HorizontalPruneResult,
-    prunable_pairs,
-    select_pivots,
-)
+from repro.core.horizontal import select_pivots
 from repro.core.incremental import IncrementalEngine
 from repro.core.jumping import JumpScheduler, JumpStats, simulate_pair_schedule
 from repro.core.lag import (
@@ -90,8 +85,6 @@ __all__ = [
     "DangoronEngine",
     "Edge",
     "EngineStats",
-    "HorizontalPruneResult",
-    "HorizontalPruner",
     "IncrementalEngine",
     "JumpScheduler",
     "JumpStats",
@@ -126,7 +119,6 @@ __all__ = [
     "max_skippable_steps_scalar",
     "pearson",
     "plan_tiles",
-    "prunable_pairs",
     "register_engine",
     "select_pivots",
     "simulate_pair_schedule",

@@ -68,7 +68,6 @@ def step_window(
     positions: np.ndarray,
     max_steps: int,
     *,
-    all_pairs: bool = True,
     use_temporal_pruning: bool = True,
     slack: float = 0.0,
     prefix_combination: bool = False,
@@ -79,9 +78,9 @@ def step_window(
     enumeration ``scheduler`` tracks: those due at ``k``, minus whatever
     horizontal pruning settled) exactly with Eq. 1, keeps the ones passing
     ``query.keep_mask`` and schedules the rest as far ahead as the Eq. 2 bound
-    allows, at most ``max_steps`` windows.  ``all_pairs`` (the enumeration is
-    the full upper triangle) lets a mostly-due window use the dense
-    recombination.  Returns the window's edges ``(rows, cols, values)``.
+    allows, at most ``max_steps`` windows.  The evaluation is one pair gather
+    whatever the share of due pairs (the first window is all of them).
+    Returns the window's edges ``(rows, cols, values)``.
 
     All state lives in ``scheduler``, so a caller resumes at ``k + 1`` once
     the sketch covers it: :class:`DangoronEngine` over a fixed range
@@ -95,22 +94,8 @@ def step_window(
     bw_first, window_bw = layout.covering(*query.window_bounds(k))
     pair_rows = rows[positions]
     pair_cols = cols[positions]
-    if prefix_combination:
-        if all_pairs:
-            dense = sketch.exact_matrix_fast(bw_first, window_bw)
-            exact_vals = dense[pair_rows, pair_cols]
-        else:
-            exact_vals = sketch.exact_pairs_fast(pair_rows, pair_cols, bw_first, window_bw)
-    elif all_pairs and len(positions) * 2 > len(rows):
-        # When most pairs are due (typically the first window) the dense
-        # recombination is cheaper than per-pair gathers and performs exactly
-        # the same amount of Eq. 1 work.  Pair subsets never take this path:
-        # a shard computing the full N x N matrix would multiply the window's
-        # work by the shard count.
-        dense = sketch.exact_matrix_scan(bw_first, window_bw)
-        exact_vals = dense[pair_rows, pair_cols]
-    else:
-        exact_vals = sketch.exact_pairs_scan(pair_rows, pair_cols, bw_first, window_bw)
+    evaluate = sketch.exact_pairs_fast if prefix_combination else sketch.exact_pairs_scan
+    exact_vals = evaluate(pair_rows, pair_cols, bw_first, window_bw)
     scheduler.record_evaluations(k, positions)
 
     keep = query.keep_mask(exact_vals)
@@ -189,8 +174,12 @@ class DangoronEngine(SlidingCorrelationEngine):
             features.append("temporal")
         if self.use_horizontal_pruning:
             features.append(f"horizontal({self.num_pivots})")
-        suffix = "+".join(features) if features else "no-pruning"
-        return f"{self.name}[{suffix}, b<={self.basic_window_size}]"
+        parts = ["+".join(features) or "no-pruning", f"b<={self.basic_window_size}"]
+        if self.slack:
+            parts.append(f"slack={self.slack:g}")
+        if self.prefix_combination:
+            parts.append("prefix")
+        return f"{self.name}[{', '.join(parts)}]"
 
     def plan_layout(self, query: SlidingQuery) -> BasicWindowLayout:
         """The layout ``run`` builds its sketch for (see the planner protocol)."""
@@ -353,7 +342,6 @@ class DangoronEngine(SlidingCorrelationEngine):
             # ---------------------------------------------------- exact values
             edges = step_window(
                 sketch, query, rows, cols, scheduler, k, eval_positions, max_steps,
-                all_pairs=pairs is None,
                 use_temporal_pruning=self.use_temporal_pruning,
                 slack=self.slack,
                 prefix_combination=self.prefix_combination,

@@ -5,6 +5,10 @@ series in the current window (``P · N`` pairs), the triangle bound restricts
 every remaining pair's correlation to an interval.  Pairs whose interval lies
 entirely below the threshold cannot be edges and need no exact evaluation in
 this window — the paper's "horizontal computation pruning".
+:class:`repro.core.dangoron.DangoronEngine` applies it: it gathers the pivot
+rows from the sketch each window and bounds the due pairs with
+:func:`repro.core.bounds.triangle_bounds_from_pivots`.  This module chooses
+the pivots.
 
 The quality of the pruning depends on the pivots: a pivot highly correlated
 with both members of a pair gives a tight interval.  Pivot selection
@@ -25,15 +29,12 @@ strategies provided here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.config import DEFAULT_NUM_PIVOTS, FLOAT_DTYPE
-from repro.core.bounds import triangle_bounds_from_pivots
 from repro.core.correlation import correlation_against
-from repro.core.query import THRESHOLD_ABSOLUTE
 from repro.exceptions import QueryValidationError
 
 _STRATEGIES = ("kcenter", "variance", "random", "first")
@@ -85,93 +86,3 @@ def select_pivots(
         ).ravel()
         closest = np.maximum(closest, corr_to_new)
     return np.asarray(pivots, dtype=int)
-
-
-@dataclass
-class HorizontalPruneResult:
-    """Output of one window's horizontal pruning pass."""
-
-    pivots: np.ndarray
-    pivot_correlations: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def prunable_mask(self, beta: float, threshold_mode: str) -> np.ndarray:
-        """Symmetric boolean matrix: ``True`` where the pair cannot be an edge.
-
-        In signed mode a pair is prunable when its upper bound is below
-        ``beta``; in absolute mode both the upper bound and the negated lower
-        bound must be below ``beta``.
-        """
-        if threshold_mode == THRESHOLD_ABSOLUTE:
-            mask = (self.upper < beta) & (-self.lower < beta)
-        else:
-            mask = self.upper < beta
-        np.fill_diagonal(mask, False)
-        return mask
-
-    def surrogate_upper(self) -> np.ndarray:
-        """Upper-bound matrix usable as a conservative stand-in for the exact value."""
-        return self.upper
-
-
-class HorizontalPruner:
-    """Computes pivot correlations and triangle-bound intervals per window."""
-
-    def __init__(
-        self,
-        num_pivots: int = DEFAULT_NUM_PIVOTS,
-        strategy: str = "kcenter",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        if num_pivots < 1:
-            raise QueryValidationError(f"num_pivots must be >= 1, got {num_pivots}")
-        self.num_pivots = num_pivots
-        self.strategy = strategy
-        self.rng = rng
-
-    def analyze(
-        self, window_values: np.ndarray, pivots: Optional[np.ndarray] = None
-    ) -> HorizontalPruneResult:
-        """Compute pivot correlations and per-pair bounds for one window.
-
-        ``pivots`` overrides pivot selection (used when the engine wants to
-        keep the same pivots across windows to amortize selection cost).
-        """
-        window_values = np.asarray(window_values, dtype=FLOAT_DTYPE)
-        if pivots is None:
-            pivots = select_pivots(
-                window_values, self.num_pivots, self.strategy, self.rng
-            )
-        pivots = np.asarray(pivots, dtype=int)
-        pivot_corrs = correlation_against(window_values, window_values[pivots])
-        lower, upper = triangle_bounds_from_pivots(pivot_corrs)
-        return HorizontalPruneResult(
-            pivots=pivots,
-            pivot_correlations=pivot_corrs,
-            lower=lower,
-            upper=upper,
-        )
-
-    def exact_pair_cost(self, num_series: int) -> int:
-        """Number of exact pair evaluations the pruning pass itself spends."""
-        return self.num_pivots * num_series
-
-
-def prunable_pairs(
-    result: HorizontalPruneResult,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    beta: float,
-    threshold_mode: str,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Split candidate pairs into (prunable, must-evaluate) position arrays.
-
-    ``rows``/``cols`` enumerate the candidate pairs; the return value is a pair
-    of index arrays *into that enumeration* (not into the series), so the
-    caller can subset its own bookkeeping arrays directly.
-    """
-    mask_matrix = result.prunable_mask(beta, threshold_mode)
-    mask = mask_matrix[rows, cols]
-    positions = np.arange(len(rows))
-    return positions[mask], positions[~mask]

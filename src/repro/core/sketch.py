@@ -11,23 +11,23 @@ With these statistics the exact Pearson correlation of any query window that
 is a union of basic windows can be recombined without touching the raw data.
 The recombination exposed here comes in two flavours:
 
-``exact_*_scan``
+``exact_pairs_scan``
     Sums the per-basic-window statistics of the window (cost ``O(n_s)`` per
     pair).  This is the combination step whose repeated cost Dangoron's
-    jumping structure avoids, and the one the TSUBASA baseline performs for
-    every pair in every window.
+    jumping structure avoids, and every exact evaluation of Dangoron and
+    top-k goes through it.  ``exact_matrix_scan`` is the same recombination
+    for all ``N x N`` pairs at once, which is what the TSUBASA baseline
+    performs in every window; gathering pairs from it gives the same bits.
 
-``exact_matrix_fast``
+``exact_pairs_fast``
     Uses prefix sums along the basic-window axis for an ``O(1)`` per-pair
     combination.  This is *not* part of the paper; it is provided as an
-    ablation point (the ``prefix_combination`` row of ``repro experiment E7``)
-    and for fast ground-truth generation in tests.
+    ablation point (the ``prefix_combination`` row of ``repro experiment E7``).
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Optional, Tuple
 
 import numpy as np
@@ -207,9 +207,6 @@ class BasicWindowSketch:
         )
         self._corr_prefix: Optional[np.ndarray] = None
         self._sumprod_prefix: Optional[np.ndarray] = None
-        self._scan_memo: Optional["OrderedDict[Tuple[int, int], np.ndarray]"] = None
-        self._scan_memo_max = 0
-        self.scan_memo_hits = 0
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -403,41 +400,17 @@ class BasicWindowSketch:
         return prefix[first + count, rows, cols] - prefix[first, rows, cols]
 
     # -------------------------------------------------------------- exact scan
-    def enable_scan_memo(self, max_entries: int = 16) -> None:
-        """Memoize :meth:`exact_matrix_scan` results per basic-window range.
-
-        Off by default: a single query never scans the same range twice.  The
-        planner enables it on sketches it *shares* across queries (threshold
-        sweeps, batched top-k), where different queries rescan identical
-        ranges.  Entries are LRU-bounded; hits return defensive copies.
-        """
-        if max_entries < 1:
-            raise SketchError(f"max_entries must be at least 1, got {max_entries}")
-        if self._scan_memo is None:
-            self._scan_memo = OrderedDict()
-        self._scan_memo_max = max_entries
-        while len(self._scan_memo) > self._scan_memo_max:
-            self._scan_memo.popitem(last=False)
-
     def exact_matrix_scan(self, first: int, count: int) -> np.ndarray:
         """Exact correlation matrix of a basic-window range by scanning it.
 
         This is the faithful TSUBASA-style combination: the per-pair cost is
-        proportional to ``count`` (the ``n_s`` of Eq. 1).
+        proportional to ``count`` (the ``n_s`` of Eq. 1).  Only the TSUBASA
+        baseline and :meth:`exact_matrix_range` recombine whole matrices;
+        every other exact evaluation gathers its pairs with
+        :meth:`exact_pairs_scan`, which gives the same bits.
         """
         self._require_pairwise()
         self._check_range(first, count)
-        if self._scan_memo is not None:
-            cached = self._scan_memo.get((first, count))
-            if cached is not None:
-                try:
-                    self._scan_memo.move_to_end((first, count))
-                except KeyError:
-                    # Concurrently evicted by another thread-mode shard
-                    # between get() and move_to_end(); the hit is still valid.
-                    pass
-                self.scan_memo_hits += 1
-                return cached.copy()
         n_points = count * self.layout.size
         sums = self.series_sums[:, first : first + count].sum(axis=1)
         sumsqs = self.series_sumsqs[:, first : first + count].sum(axis=1)
@@ -451,13 +424,6 @@ class BasicWindowSketch:
             sumprods,
         )
         np.fill_diagonal(corr, 1.0)
-        if self._scan_memo is not None:
-            self._scan_memo[(first, count)] = corr.copy()
-            while len(self._scan_memo) > self._scan_memo_max:
-                try:
-                    self._scan_memo.popitem(last=False)
-                except KeyError:
-                    break  # another thread already evicted past the bound
         return corr
 
     def exact_pairs_scan(
@@ -467,7 +433,9 @@ class BasicWindowSketch:
 
         ``rows``/``cols`` are parallel index arrays selecting the pairs.  The
         per-pair cost is ``O(count)`` — this is the work Dangoron performs for
-        the pairs that were *not* pruned in a given window.
+        the pairs that were *not* pruned in a given window, and the one
+        recombination kernel of Dangoron, its pivot rows and top-k, whether
+        the pairs are a few due ones or the whole upper triangle.
         """
         self._require_pairwise()
         self._check_range(first, count)
@@ -497,12 +465,11 @@ class BasicWindowSketch:
     ) -> np.ndarray:
         """Exact correlations of selected pairs via prefix sums (O(1) per pair).
 
-        The pair-subset counterpart of :meth:`exact_matrix_fast`, used by
-        sharded runs of the prefix-combination ablation so a shard's cost
-        stays proportional to its subset instead of the full N² matrix.
-        Bit-identical to gathering the same pairs from
-        :meth:`exact_matrix_fast` (same element-wise operations, no
-        reductions over a different axis).
+        The ``prefix_combination`` ablation's kernel: the range's sums of
+        products are one difference of :attr:`sumprod_prefix` planes per
+        pair, so a window costs the same whatever ``count`` is.  Every
+        operation is element-wise per pair, so a pair's value does not
+        depend on which other pairs were asked for.
         """
         self._require_pairwise()
         self._check_range(first, count)
@@ -520,25 +487,6 @@ class BasicWindowSketch:
             sumsqs[cols],
             sumprods,
         )
-
-    def exact_matrix_fast(self, first: int, count: int) -> np.ndarray:
-        """Exact correlation matrix via prefix sums (O(1) per pair; ablation path)."""
-        self._require_pairwise()
-        self._check_range(first, count)
-        n_points = count * self.layout.size
-        sums, sumsqs = self.series_range_sums(first, count)
-        prefix = self.sumprod_prefix
-        sumprods = prefix[first + count] - prefix[first]
-        corr = correlation_from_sums(
-            np.full_like(sumprods, float(n_points)),
-            sums[:, None],
-            sums[None, :],
-            sumsqs[:, None],
-            sumsqs[None, :],
-            sumprods,
-        )
-        np.fill_diagonal(corr, 1.0)
-        return corr
 
     # --------------------------------------------------------------- unaligned
     def exact_matrix_range(

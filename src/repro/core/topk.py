@@ -10,8 +10,9 @@ top-k run can seed a threshold query.
 Two paths are provided:
 
 ``sliding_top_k``
-    Sketch-based: one exact recombined matrix per window, partial-sorted for
-    the top k (exact, cost comparable to TSUBASA's per-window work).
+    Sketch-based: every pair of the window recombined exactly with one pair
+    gather, partial-sorted for the top k (exact, cost comparable to TSUBASA's
+    per-window work).
 ``top_k_brute_force``
     Direct Pearson computation per window (ground truth for tests).
 
@@ -228,9 +229,9 @@ def sliding_top_k(
         by the planner for cross-query reuse.
     pairs:
         Optional ``(rows, cols)`` pair subset; only these pairs compete for
-        the window's top k.  Used by the sharded executor — per-pair
-        recombination is documented bit-identical to gathering from the
-        dense scan (:meth:`BasicWindowSketch.exact_pairs_scan`), and the
+        the window's top k.  Used by the sharded executor — a pair's
+        recombined value does not depend on which other pairs were gathered
+        with it (:meth:`BasicWindowSketch.exact_pairs_scan`), and the
         canonical selection order is partition-independent, so merged shard
         candidates reproduce the full run exactly.
     """
@@ -240,6 +241,8 @@ def sliding_top_k(
         absolute = query.threshold_mode == "absolute"
     if pairs is not None:
         rows, cols = validate_pair_subset(pairs, matrix.num_series)
+    else:
+        rows, cols = np.triu_indices(matrix.num_series, k=1)
 
     layout = BasicWindowLayout.for_query(query, basic_window_size)
     if sketch is not None:
@@ -248,16 +251,10 @@ def sliding_top_k(
         sketch = BasicWindowSketch.build(matrix.values, layout)
     window_bw = query.window // layout.size
 
-    if pairs is None:
-        rows, cols = np.triu_indices(matrix.num_series, k=1)
-
     windows: List[TopKWindow] = []
     for index, begin, _ in query.iter_windows():
         first, _ = layout.covering(begin, begin + query.window)
-        if pairs is None:
-            values = sketch.exact_matrix_scan(first, window_bw)[rows, cols]
-        else:
-            values = sketch.exact_pairs_scan(rows, cols, first, window_bw)
+        values = sketch.exact_pairs_scan(rows, cols, first, window_bw)
         windows.append(select_top_k(rows, cols, values, k, absolute, index))
     return TopKResult(query=query, k=k, absolute=absolute, windows=windows)
 

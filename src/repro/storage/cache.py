@@ -353,20 +353,13 @@ class SketchCache:
     sketch here and hands the same object to every shard of a
     :class:`repro.parallel.ShardedExecutor` run (fork-based process pools
     inherit it copy-on-write), so ``workers=N`` never multiplies the γ·N²
-    build cost.  Cached sketches are treated as immutable; the only mutation
-    after publication is the LRU-bounded scan memo, whose get/evict steps
-    tolerate concurrent thread-mode shards (a hit whose key is evicted
-    mid-lookup stays a hit — see ``BasicWindowSketch.exact_matrix_scan``).
+    build cost.  Cached sketches are immutable after publication, apart from
+    the lazily materialized prefix tensors every reader would compute alike.
 
     Parameters
     ----------
     max_entries:
         Maximum number of sketches kept (least recently used evicted first).
-    scan_memo_entries:
-        When positive, :meth:`BasicWindowSketch.enable_scan_memo` is switched
-        on for every cached sketch with this bound, so dense window scans that
-        repeat across the sharing queries (e.g. each sweep run's first window)
-        are also answered once.  ``0`` disables the memo.
     feedback_path:
         When set, the cache's :class:`~repro.api.cost.FeedbackStore` loads
         from (and :meth:`~repro.api.cost.FeedbackStore.save` writes to) this
@@ -383,7 +376,6 @@ class SketchCache:
     def __init__(
         self,
         max_entries: int = 8,
-        scan_memo_entries: int = 16,
         feedback_path: Optional[object] = None,
     ) -> None:
         # Deferred import: ``repro.api`` imports this module at its top
@@ -392,12 +384,7 @@ class SketchCache:
         from repro.api.cost import FeedbackStore
         if max_entries < 1:
             raise StorageError(f"max_entries must be at least 1, got {max_entries}")
-        if scan_memo_entries < 0:
-            raise StorageError(
-                f"scan_memo_entries must be non-negative, got {scan_memo_entries}"
-            )
         self.max_entries = max_entries
-        self.scan_memo_entries = scan_memo_entries
         self._lock = threading.RLock()
         self.stats = CacheStats()  # guarded-by: _lock
         self.builds = 0  # guarded-by: _lock
@@ -534,9 +521,9 @@ class SketchCache:
             existing = self._entries.get(key)
             if existing is not None:
                 # The same content was cached through another matrix object; the
-                # duplicate build is discarded (the cached sketch may hold a
-                # warmer scan memo).  Counted as a hit: the caller's answer came
-                # from the shared entry.
+                # duplicate build is discarded (the cached sketch may hold
+                # materialized prefixes).  Counted as a hit: the caller's answer
+                # came from the shared entry.
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 return existing
@@ -544,8 +531,6 @@ class SketchCache:
             return self._insert_built(key, sketch)
 
     def _publish(self, key, sketch: BasicWindowSketch) -> BasicWindowSketch:  # requires-lock: _lock
-        if self.scan_memo_entries:
-            sketch.enable_scan_memo(self.scan_memo_entries)
         self._entries[key] = sketch
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -761,8 +746,8 @@ class SketchCache:
         under its own layout exactly as :meth:`get_or_build` would key a fresh
         build, so the next query planning that layout hits it.  Counted under
         ``seeds`` (neither a hit nor a build); an already-cached layout is left
-        alone (the live sketch may hold a warmer scan memo).  Returns ``True``
-        when the sketch was inserted.
+        alone (the live sketch may hold materialized prefixes).  Returns
+        ``True`` when the sketch was inserted.
         """
         if sketch.num_series != matrix.num_series:
             raise StorageError(
@@ -778,13 +763,8 @@ class SketchCache:
             key = self._key(matrix, sketch.layout, sketch.has_pairwise)
             if key in self._entries:
                 return False
-            if self.scan_memo_entries:
-                sketch.enable_scan_memo(self.scan_memo_entries)
-            self._entries[key] = sketch
             self.seeds += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+            self._publish(key, sketch)
             return True
 
     def clear(self) -> None:

@@ -1,0 +1,361 @@
+"""Property tests: every exact evaluation is one pair gather, equal to the dense scan.
+
+Dangoron, its horizontal-pruning pivot rows, standing queries and top-k all
+recombine the pairs they need with ``BasicWindowSketch.exact_pairs_scan`` (or
+``exact_pairs_fast`` under the ``prefix_combination`` ablation), whatever
+share of the pairs a window asks for.  These tests pin that the gather gives
+the bits of the dense ``N x N`` recombination gathered afterwards — the
+formulation the window step used when most pairs were due — on ordinary,
+constant, huge-magnitude and locally flat rows, from one series to a few
+hundred.
+
+The dense window step lives on here as the reference evaluator
+(:func:`dense_step_window`): engine runs, standing queries and top-k must
+answer exactly as they did with it, counters included.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.accuracy import compare_results
+from repro.baselines.brute_force import BruteForceEngine
+from repro.core.basic_window import BasicWindowLayout
+from repro.core.bounds import first_possible_crossing, first_possible_crossing_absolute
+from repro.core.correlation import correlation_from_sums
+from repro.core.dangoron import DangoronEngine
+from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
+from repro.core.sketch import BasicWindowSketch
+from repro.core.topk import select_top_k, sliding_top_k
+from repro.streaming.online import OnlineCorrelationMonitor
+from repro.timeseries.matrix import TimeSeriesMatrix
+
+BASIC = 8
+
+
+# ---------------------------------------------------------------------------
+# References: the dense recombinations the gather replaced
+# ---------------------------------------------------------------------------
+
+def dense_prefix_combination(sketch, first, count):
+    """Every pair's prefix-difference recombination as one ``N x N`` matrix."""
+    sums, sumsqs = sketch.series_range_sums(first, count)
+    prefix = sketch.sumprod_prefix
+    sumprods = prefix[first + count] - prefix[first]
+    return correlation_from_sums(
+        np.full_like(sumprods, float(count * sketch.layout.size)),
+        sums[:, None], sums[None, :], sumsqs[:, None], sumsqs[None, :], sumprods,
+    )
+
+
+def dense_step_window(
+    sketch, query, rows, cols, scheduler, k, positions, max_steps, *,
+    use_temporal_pruning=True, slack=0.0, prefix_combination=False,
+):
+    """``step_window`` as it was with its dense branches.
+
+    Over the full upper triangle it recombined the whole ``N x N`` matrix
+    whenever more than half the pairs were due (and in every window under
+    the prefix ablation), then gathered the due pairs from it.
+    """
+    if not len(positions):
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0)
+    layout = sketch.layout
+    bw_first, window_bw = layout.covering(*query.window_bounds(k))
+    n = sketch.num_series
+    all_pairs = len(rows) == n * (n - 1) // 2
+    pair_rows, pair_cols = rows[positions], cols[positions]
+    if prefix_combination and all_pairs:
+        dense = dense_prefix_combination(sketch, bw_first, window_bw)
+        exact_vals = dense[pair_rows, pair_cols]
+    elif prefix_combination:
+        exact_vals = sketch.exact_pairs_fast(pair_rows, pair_cols, bw_first, window_bw)
+    elif all_pairs and len(positions) * 2 > len(rows):
+        exact_vals = sketch.exact_matrix_scan(bw_first, window_bw)[pair_rows, pair_cols]
+    else:
+        exact_vals = sketch.exact_pairs_scan(pair_rows, pair_cols, bw_first, window_bw)
+    scheduler.record_evaluations(k, positions)
+
+    keep = query.keep_mask(exact_vals)
+    below = positions[~keep]
+    if use_temporal_pruning and len(below) and max_steps >= 1:
+        crossing = (
+            first_possible_crossing_absolute
+            if query.threshold_mode == THRESHOLD_ABSOLUTE
+            else first_possible_crossing
+        )
+        jumps = crossing(
+            exact_vals[~keep], query.threshold, sketch.corr_prefix, rows[below],
+            cols[below], bw_first, query.step // layout.size, window_bw, max_steps,
+            slack=slack,
+        )
+        scheduler.schedule_jumps(k, below, jumps)
+    return pair_rows[keep], pair_cols[keep], exact_vals[keep]
+
+
+def with_dense_step(run):
+    """Call ``run()`` with the engine and standing queries on the dense step."""
+    with mock.patch("repro.core.dangoron.step_window", dense_step_window), \
+            mock.patch("repro.streaming.online.step_window", dense_step_window):
+        return run()
+
+
+# ---------------------------------------------------------------------------
+# Cases
+# ---------------------------------------------------------------------------
+
+@st.composite
+def sketch_cases(draw):
+    num_series = draw(st.sampled_from([1, 2, 3, 17, 129, 300]))
+    size = draw(st.sampled_from([2, 7, 24]))
+    count = draw(st.integers(min_value=1, max_value=5 if num_series > 100 else 12))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((num_series, size * count))
+    # A constant series, a 1e9-magnitude one, and one flat in one basic window.
+    for row, kind in zip(
+        rng.permutation(num_series)[:3], ("constant", "huge", "flat-window")
+    ):
+        if kind == "constant":
+            values[row] = draw(st.sampled_from([0.0, 3.0, -1e9]))
+        elif kind == "huge":
+            values[row] *= 1e9
+        else:
+            window = int(rng.integers(count))
+            values[row, window * size : (window + 1) * size] = 7.5
+    first = draw(st.integers(min_value=0, max_value=count - 1))
+    span = draw(st.integers(min_value=1, max_value=count - first))
+    sketch = BasicWindowSketch.build(
+        values, BasicWindowLayout(offset=0, size=size, count=count)
+    )
+    return sketch, first, span, rng
+
+
+def drifting_matrix(seed, num_series, length):
+    """Regional factors with drifting loadings, a third of the rows negated,
+    so pair correlations cross thresholds from window to window in both signs."""
+    rng = np.random.default_rng(seed)
+    regions = max(1, num_series // 4)
+    factors = rng.standard_normal((regions, length))
+    t = np.arange(length)
+    period = rng.uniform(0.3, 1.0, num_series)[:, None] * length
+    phase = rng.uniform(0.0, 2.0 * np.pi, num_series)[:, None]
+    loading = 0.9 + 0.6 * np.sin(2.0 * np.pi * t / period + phase)
+    values = loading * factors[np.arange(num_series) % regions]
+    values += rng.standard_normal((num_series, length))
+    values[rng.permutation(num_series)[: num_series // 3]] *= -1.0
+    return TimeSeriesMatrix(values)
+
+
+@st.composite
+def engine_cases(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    num_series = draw(st.sampled_from([3, 9, 24]))
+    step_bw = draw(st.sampled_from([1, 2, 4]))
+    length = BASIC * draw(st.integers(min_value=12, max_value=40))
+    query = SlidingQuery(
+        0, length, BASIC * 8, BASIC * step_bw,
+        draw(st.sampled_from([0.3, 0.5, 0.7, 0.9])),
+        draw(st.sampled_from(["signed", "absolute"])),
+    )
+    options = dict(
+        basic_window_size=BASIC,
+        use_temporal_pruning=draw(st.booleans()),
+        use_horizontal_pruning=draw(st.booleans()),
+        num_pivots=draw(st.integers(min_value=1, max_value=4)),
+        slack=draw(st.sampled_from([0.0, 0.05])),
+        prefix_combination=draw(st.booleans()),
+    )
+    matrix = drifting_matrix(seed, num_series, length)
+    pairs = np.triu_indices(num_series, k=1)
+    picked = np.random.default_rng(seed).random(len(pairs[0])) < 0.4
+    return matrix, query, options, (pairs[0][picked], pairs[1][picked])
+
+
+def edge_bytes(result):
+    return [
+        (m.rows.tobytes(), m.cols.tobytes(), m.values.tobytes()) for m in result.matrices
+    ]
+
+
+def counters(result):
+    stats = result.stats
+    return (
+        stats.exact_evaluations,
+        stats.skipped_by_jumping,
+        stats.pruned_horizontally,
+        stats.extra["pivot_evaluations"],
+    )
+
+
+# ---------------------------------------------------------------------------
+# (a) the kernels
+# ---------------------------------------------------------------------------
+
+@given(sketch_cases())
+@settings(max_examples=40, deadline=None)
+def test_full_triangle_gather_is_the_dense_scan_gathered(case):
+    sketch, first, span, rng = case
+    rows, cols = np.triu_indices(sketch.num_series, k=1)
+    scan = sketch.exact_pairs_scan(rows, cols, first, span)
+    assert np.array_equal(
+        scan, sketch.exact_matrix_scan(first, span)[rows, cols], equal_nan=True
+    )
+    fast = sketch.exact_pairs_fast(rows, cols, first, span)
+    assert np.array_equal(
+        fast, dense_prefix_combination(sketch, first, span)[rows, cols], equal_nan=True
+    )
+    # A pair's value does not depend on which other pairs were gathered.
+    subset = rng.permutation(len(rows))[: len(rows) // 3]
+    assert np.array_equal(
+        sketch.exact_pairs_scan(rows[subset], cols[subset], first, span),
+        scan[subset],
+        equal_nan=True,
+    )
+    assert np.array_equal(
+        sketch.exact_pairs_fast(rows[subset], cols[subset], first, span),
+        fast[subset],
+        equal_nan=True,
+    )
+
+
+# ---------------------------------------------------------------------------
+# (b) the callers answer as they did with the dense step
+# ---------------------------------------------------------------------------
+
+@given(engine_cases())
+@settings(max_examples=40, deadline=None)
+def test_engine_runs_match_the_dense_step(case):
+    matrix, query, options, subset = case
+    engine = DangoronEngine(**options)
+    reference = with_dense_step(lambda: engine.run(matrix, query))
+    result = engine.run(matrix, query)
+    assert edge_bytes(result) == edge_bytes(reference)
+    assert counters(result) == counters(reference)
+
+    # A pair subset answers its pairs exactly as the full run does.
+    on_subset = engine.run(matrix, query, pairs=subset)
+    assert counters(on_subset) == counters(
+        with_dense_step(lambda: engine.run(matrix, query, pairs=subset))
+    )
+    chosen = set(zip(subset[0].tolist(), subset[1].tolist()))
+    for ours, full in zip(on_subset.matrices, result.matrices):
+        inside = np.array(
+            [(i, j) in chosen for i, j in zip(full.rows.tolist(), full.cols.tolist())],
+            dtype=bool,
+        )
+        assert ours.rows.tobytes() == full.rows[inside].tobytes()
+        assert ours.cols.tobytes() == full.cols[inside].tobytes()
+        assert ours.values.tobytes() == full.values[inside].tobytes()
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([3, 9, 24]),
+    st.sampled_from([0.3, 0.6, 0.9]),
+    st.booleans(),
+    st.lists(st.integers(min_value=1, max_value=5 * BASIC), min_size=1, max_size=12),
+)
+@settings(max_examples=30, deadline=None)
+def test_standing_queries_match_the_dense_step(
+    seed, num_series, threshold, temporal, chunks
+):
+    values = drifting_matrix(seed, num_series, sum(chunks) + 4 * BASIC).values
+
+    def stream():
+        monitor = OnlineCorrelationMonitor(
+            num_series, 4 * BASIC, BASIC, threshold, BASIC, temporal
+        )
+        emitted, start = [], 0
+        for width in [*chunks, 4 * BASIC]:
+            emitted += monitor.append(values[:, start : start + width])
+            start += width
+        return [
+            (w.window_index, w.exact_evaluations, w.matrix.rows.tobytes(),
+             w.matrix.cols.tobytes(), w.matrix.values.tobytes())
+            for w in emitted
+        ]
+
+    ours = stream()
+    assert ours and ours == with_dense_step(stream)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([2, 9, 24]),
+    st.integers(min_value=1, max_value=40),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_top_k_matches_the_dense_scan(seed, num_series, k, absolute, on_subset):
+    matrix = drifting_matrix(seed, num_series, BASIC * 24)
+    query = SlidingQuery(0, BASIC * 24, BASIC * 8, BASIC * 2, 0.5)
+    rows, cols = np.triu_indices(num_series, k=1)
+    if on_subset:
+        picked = np.random.default_rng(seed).random(len(rows)) < 0.5
+        picked[0] = True
+        rows, cols = rows[picked], cols[picked]
+    result = sliding_top_k(
+        matrix, query, k, basic_window_size=BASIC, absolute=absolute,
+        pairs=(rows, cols) if on_subset else None,
+    )
+
+    sketch = BasicWindowSketch.build(
+        matrix.values, BasicWindowLayout.for_query(query, BASIC)
+    )
+    for window, (index, begin, _) in zip(result.windows, query.iter_windows()):
+        first, count = sketch.layout.covering(begin, begin + query.window)
+        dense = sketch.exact_matrix_scan(first, count)[rows, cols]
+        expected = select_top_k(rows, cols, dense, k, absolute, index)
+        assert window.rows.tobytes() == expected.rows.tobytes()
+        assert window.cols.tobytes() == expected.cols.tobytes()
+        assert window.values.tobytes() == expected.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# (c) horizontal pruning in absolute mode keeps strongly negative pairs
+# ---------------------------------------------------------------------------
+
+def test_absolute_mode_pruning_keeps_a_strongly_negative_pair():
+    """Pivot 0 bounds pair (0, 1) below beta in sign only: it must be evaluated."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=512)
+    values = np.stack([x, -x + 0.1 * rng.normal(size=512), rng.normal(size=512)])
+    matrix = TimeSeriesMatrix(values)
+    query = SlidingQuery(0, 512, 128, 64, 0.8, THRESHOLD_ABSOLUTE)
+    engine = DangoronEngine(
+        basic_window_size=32, use_temporal_pruning=False,
+        use_horizontal_pruning=True, num_pivots=1, pivot_strategy="first",
+    )
+    result = engine.run(matrix, query)
+    assert result.stats.pruned_horizontally > 0  # pair (1, 2) every window
+    report = compare_results(result, BruteForceEngine().run(matrix, query))
+    assert report.precision == pytest.approx(1.0)
+    assert report.recall == pytest.approx(1.0)
+    for window in result:
+        assert window.edge_dict()[(0, 1)] < -0.8
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([0.5, 0.7, 0.9]),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=25, deadline=None)
+def test_absolute_mode_horizontal_pruning_has_full_recall(seed, threshold, pivots):
+    matrix = drifting_matrix(seed, 16, BASIC * 24)
+    query = SlidingQuery(0, BASIC * 24, BASIC * 8, BASIC * 2, threshold, THRESHOLD_ABSOLUTE)
+    engine = DangoronEngine(
+        basic_window_size=BASIC, use_temporal_pruning=False,
+        use_horizontal_pruning=True, num_pivots=pivots,
+    )
+    report = compare_results(
+        engine.run(matrix, query), BruteForceEngine().run(matrix, query)
+    )
+    assert report.precision == pytest.approx(1.0)
+    assert report.recall == pytest.approx(1.0)

@@ -187,6 +187,11 @@ class TestValidationAndOptions:
             use_temporal_pruning=False, use_horizontal_pruning=False
         )
         assert "no-pruning" in plain.describe()
+        assert DangoronEngine(basic_window_size=16).describe() == (
+            "dangoron[temporal, b<=16]"
+        )
+        tuned = DangoronEngine(basic_window_size=16, slack=0.05, prefix_combination=True)
+        assert tuned.describe() == "dangoron[temporal, b<=16, slack=0.05, prefix]"
 
     def test_stats_identify_engine_and_workload(self, small_matrix, standard_query):
         result = DangoronEngine(basic_window_size=32).run(small_matrix, standard_query)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.correlation import correlation_matrix
-from repro.core.horizontal import (
-    HorizontalPruner,
-    prunable_pairs,
-    select_pivots,
-)
+from repro.core.horizontal import select_pivots
 from repro.exceptions import QueryValidationError
 
 
@@ -60,64 +55,3 @@ class TestSelectPivots:
         with pytest.raises(QueryValidationError):
             select_pivots(rng.normal(size=50), 2)
 
-
-class TestHorizontalPruner:
-    def test_bounds_contain_true_correlations(self, clustered_data):
-        pruner = HorizontalPruner(num_pivots=3, strategy="kcenter")
-        analysis = pruner.analyze(clustered_data)
-        truth = correlation_matrix(clustered_data)
-        assert np.all(truth <= analysis.upper + 1e-9)
-        assert np.all(truth >= analysis.lower - 1e-9)
-
-    def test_prunable_mask_excludes_true_edges(self, clustered_data):
-        beta = 0.6
-        pruner = HorizontalPruner(num_pivots=4)
-        analysis = pruner.analyze(clustered_data)
-        mask = analysis.prunable_mask(beta, "signed")
-        truth = correlation_matrix(clustered_data)
-        # No pair whose true correlation reaches beta may be marked prunable.
-        above = truth >= beta
-        np.fill_diagonal(above, False)
-        assert not np.any(mask & above)
-
-    def test_pruning_finds_some_pairs_on_clustered_data(self, clustered_data):
-        pruner = HorizontalPruner(num_pivots=4, strategy="kcenter")
-        analysis = pruner.analyze(clustered_data)
-        mask = analysis.prunable_mask(0.9, "signed")
-        assert mask.sum() > 0
-
-    def test_absolute_mode_also_checks_negative_side(self, rng):
-        x = rng.normal(size=500)
-        data = np.stack([x, -x + 0.1 * rng.normal(size=500), rng.normal(size=500)])
-        pruner = HorizontalPruner(num_pivots=1, strategy="first")
-        analysis = pruner.analyze(data)
-        signed_mask = analysis.prunable_mask(0.8, "signed")
-        absolute_mask = analysis.prunable_mask(0.8, "absolute")
-        # Pair (0,1) is strongly negative: prunable under the signed rule but
-        # not under the absolute rule.
-        assert signed_mask[0, 1]
-        assert not absolute_mask[0, 1]
-
-    def test_explicit_pivots_override_selection(self, clustered_data):
-        pruner = HorizontalPruner(num_pivots=2)
-        analysis = pruner.analyze(clustered_data, pivots=np.array([1, 12]))
-        assert list(analysis.pivots) == [1, 12]
-        assert analysis.pivot_correlations.shape == (2, clustered_data.shape[0])
-
-    def test_exact_pair_cost(self):
-        assert HorizontalPruner(num_pivots=3).exact_pair_cost(20) == 60
-
-    def test_invalid_num_pivots(self):
-        with pytest.raises(QueryValidationError):
-            HorizontalPruner(num_pivots=0)
-
-
-class TestPrunablePairs:
-    def test_partition_is_exhaustive_and_disjoint(self, clustered_data):
-        pruner = HorizontalPruner(num_pivots=3)
-        analysis = pruner.analyze(clustered_data)
-        n = clustered_data.shape[0]
-        rows, cols = np.triu_indices(n, k=1)
-        pruned, keep = prunable_pairs(analysis, rows, cols, 0.8, "signed")
-        assert len(set(pruned) & set(keep)) == 0
-        assert len(pruned) + len(keep) == len(rows)

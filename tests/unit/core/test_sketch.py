@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.basic_window import BasicWindowLayout
-from repro.core.correlation import correlation_matrix
+from repro.core.correlation import correlation_from_sums, correlation_matrix
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import SketchError
 
@@ -20,6 +20,17 @@ def data(rng):
 def sketch(data):
     layout = BasicWindowLayout(offset=0, size=16, count=20)
     return BasicWindowSketch.build(data, layout)
+
+
+def dense_prefix_combination(sketch, first, count):
+    """The prefix-difference recombination of every pair at once (reference)."""
+    sums, sumsqs = sketch.series_range_sums(first, count)
+    prefix = sketch.sumprod_prefix
+    sumprods = prefix[first + count] - prefix[first]
+    return correlation_from_sums(
+        np.full_like(sumprods, float(count * sketch.layout.size)),
+        sums[:, None], sums[None, :], sumsqs[:, None], sumsqs[None, :], sumprods,
+    )
 
 
 class TestBuild:
@@ -79,10 +90,11 @@ class TestExactCombination:
             )
 
     def test_fast_matches_scan(self, sketch):
+        rows, cols = np.triu_indices(sketch.num_series, k=1)
         for first, count in [(0, 20), (3, 7), (10, 10)]:
             assert np.allclose(
-                sketch.exact_matrix_fast(first, count),
-                sketch.exact_matrix_scan(first, count),
+                sketch.exact_pairs_fast(rows, cols, first, count),
+                sketch.exact_matrix_scan(first, count)[rows, cols],
                 atol=1e-9,
             )
 
@@ -164,45 +176,21 @@ class TestExactPairsFast:
     def test_matches_dense_prefix_path_bitwise(self, sketch):
         rows, cols = np.triu_indices(sketch.num_series, k=1)
         for first, count in ((0, 20), (3, 5), (10, 2)):
-            dense = sketch.exact_matrix_fast(first, count)
+            dense = dense_prefix_combination(sketch, first, count)
             pairs = sketch.exact_pairs_fast(rows, cols, first, count)
             assert np.array_equal(dense[rows, cols], pairs)
 
     def test_subset_selection(self, sketch):
-        rows = np.array([0, 0, 3])
-        cols = np.array([3, 5, 7])
-        dense = sketch.exact_matrix_fast(2, 6)
+        rows, cols = np.triu_indices(sketch.num_series, k=1)
+        every_pair = sketch.exact_pairs_fast(rows, cols, 2, 6)
+        enumeration = list(zip(rows.tolist(), cols.tolist()))
+        picked = np.array([enumeration.index(pair) for pair in [(0, 3), (0, 5), (3, 7)]])
         assert np.array_equal(
-            sketch.exact_pairs_fast(rows, cols, 2, 6), dense[rows, cols]
+            sketch.exact_pairs_fast(rows[picked], cols[picked], 2, 6),
+            every_pair[picked],
         )
 
     def test_range_validation(self, sketch):
         with pytest.raises(SketchError):
             sketch.exact_pairs_fast(np.array([0]), np.array([1]), 0, 21)
 
-
-class TestScanMemoEvictionSafety:
-    def test_memo_hit_survives_concurrent_eviction(self, data):
-        """A hit whose key is evicted between get() and move_to_end() stays a hit.
-
-        Thread-mode shards share one memo-enabled sketch; this pins the
-        interleaving where another shard evicts the key right after this
-        shard's successful get() — move_to_end() must not blow up the query.
-        """
-        from collections import OrderedDict
-
-        layout = BasicWindowLayout(offset=0, size=16, count=20)
-        sketch = BasicWindowSketch.build(data, layout)
-        sketch.enable_scan_memo(max_entries=4)
-        baseline = sketch.exact_matrix_scan(0, 4)  # populates the memo
-
-        class RacingMemo(OrderedDict):
-            def get(self, key, default=None):
-                value = super().get(key, default)
-                if value is not None:
-                    super().pop(key, None)  # the "other shard" evicts here
-                return value
-
-        sketch._scan_memo = RacingMemo(sketch._scan_memo)
-        again = sketch.exact_matrix_scan(0, 4)  # must not raise KeyError
-        assert np.array_equal(baseline, again)

@@ -112,8 +112,6 @@ class TestEvictionAndLimits:
     def test_invalid_limits_raise(self):
         with pytest.raises(StorageError):
             SketchCache(max_entries=0)
-        with pytest.raises(StorageError):
-            SketchCache(scan_memo_entries=-1)
 
     def test_memory_accounting(self, matrix, layout):
         cache = SketchCache()
@@ -144,16 +142,6 @@ class TestSeeding:
         assert cache.seeds == 0
         assert cache.get_or_build(matrix, layout) is built
 
-    def test_seed_enables_scan_memo_like_builds(self, matrix, layout):
-        from repro.core.sketch import BasicWindowSketch
-
-        cache = SketchCache(scan_memo_entries=4)
-        sketch = BasicWindowSketch.build(matrix.values, layout)
-        cache.seed(matrix, sketch)
-        sketch.exact_matrix_scan(0, 4)
-        sketch.exact_matrix_scan(0, 4)
-        assert sketch.scan_memo_hits == 1
-
     def test_seed_rejects_mismatched_sketch(self, matrix, layout):
         from repro.core.sketch import BasicWindowSketch
         from repro.datasets.random_walk import ar1_series
@@ -170,20 +158,40 @@ class TestSeeding:
         assert cache.stats.requests == 0
 
 
-class TestScanMemo:
-    def test_cached_sketches_memoize_dense_scans(self, matrix, layout):
-        cache = SketchCache(scan_memo_entries=4)
-        sketch = cache.get_or_build(matrix, layout)
-        first = sketch.exact_matrix_scan(0, 4)
-        second = sketch.exact_matrix_scan(0, 4)
-        assert sketch.scan_memo_hits == 1
-        np.testing.assert_array_equal(first, second)
-        second[0, 1] = 42.0  # defensive copy: mutating a result is safe
-        assert sketch.exact_matrix_scan(0, 4)[0, 1] != 42.0
 
-    def test_memo_can_be_disabled(self, matrix, layout):
-        cache = SketchCache(scan_memo_entries=0)
+class TestPublishedSketches:
+    """A cached sketch is never changed by the cache or by the queries it serves."""
+
+    STATISTICS = ("series_sums", "series_sumsqs", "pair_sumprods", "pair_corrs")
+
+    def test_seeding_publishes_the_sketch_as_is(self, matrix, layout):
+        from repro.core.sketch import BasicWindowSketch
+
+        sketch = BasicWindowSketch.build(matrix.values, layout)
+        before = dict(vars(sketch))
+        assert SketchCache().seed(matrix, sketch)
+        assert vars(sketch).keys() == before.keys()
+        assert all(vars(sketch)[name] is value for name, value in before.items())
+
+    def test_queries_leave_the_statistics_untouched(self, matrix, layout):
+        from repro.api import QueryPlanner, ThresholdQuery, TopKQuery
+
+        cache = SketchCache()
         sketch = cache.get_or_build(matrix, layout)
-        sketch.exact_matrix_scan(0, 4)
-        sketch.exact_matrix_scan(0, 4)
-        assert sketch.scan_memo_hits == 0
+        snapshot = {name: getattr(sketch, name).tobytes() for name in self.STATISTICS}
+        before = dict(vars(sketch))
+        planner = QueryPlanner(basic_window_size=32, sketch_cache=cache)
+        spec = dict(start=0, end=256, window=64, step=32)
+        for _ in range(2):
+            planner.run(matrix, ThresholdQuery(threshold=0.5, **spec))
+            planner.run(matrix, TopKQuery(k=3, **spec))
+        assert cache.builds == 1 and cache.stats.hits >= 4
+        assert vars(sketch).keys() == before.keys()
+        lazy = {"_corr_prefix", "_sumprod_prefix"}  # filled on first use
+        assert all(
+            vars(sketch)[name] is value
+            for name, value in before.items()
+            if name not in lazy
+        )
+        for name in self.STATISTICS:
+            assert getattr(sketch, name).tobytes() == snapshot[name]
