@@ -152,15 +152,3 @@ def compare_results(
         value_rmse=rmse,
         value_max_error=max_error,
     )
-
-
-def matrix_rmse(
-    candidate: CorrelationSeriesResult, reference: CorrelationSeriesResult
-) -> float:
-    """RMSE between the dense thresholded matrices of two results (all windows)."""
-    if candidate.num_windows != reference.num_windows:
-        raise ExperimentError("window counts differ")
-    errors = []
-    for cand, ref in zip(candidate.matrices, reference.matrices):
-        errors.append(np.mean((cand.to_dense() - ref.to_dense()) ** 2))
-    return float(np.sqrt(np.mean(errors))) if errors else 0.0

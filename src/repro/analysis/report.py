@@ -92,21 +92,3 @@ def summarize_result(result, title: Optional[str] = None, precision: int = 3) ->
     return format_table(
         headers, rows, precision=precision, title=title or result.describe()
     )
-
-
-def rows_from_dicts(
-    records: Sequence[Dict[str, Cell]], columns: Optional[Sequence[str]] = None
-) -> tuple:
-    """Convert a list of dicts into ``(headers, rows)`` for the table formatters.
-
-    When ``columns`` is omitted the union of keys is used, in first-seen order.
-    """
-    if columns is None:
-        seen: List[str] = []
-        for record in records:
-            for key in record:
-                if key not in seen:
-                    seen.append(key)
-        columns = seen
-    rows = [[record.get(column, "") for column in columns] for record in records]
-    return list(columns), rows

@@ -96,7 +96,8 @@ class ExecutionPlan:
     (``None`` for paths that read the raw values); two plans with equal
     layouts over the same matrix share a sketch build.  ``execution`` is
     ``"sharded"`` when the pair space will be partitioned across ``workers``
-    pool workers (threshold queries only; results stay bit-identical).
+    pool workers (threshold and top-k queries; lagged plans are always
+    serial; results stay bit-identical).
 
     Examples
     --------
@@ -579,10 +580,11 @@ class QueryPlanner:
     ) -> Tuple[List[Tuple[str, int]], Optional[str]]:
         """Eligible ``(execution, workers)`` candidates plus the decline reason.
 
-        Serial is always eligible.  Sharded variants join the candidate set
-        — for the cost ranking to price, not as a foregone decision — only
-        when workers were *requested* (``workers > 1``) and the hard gates
-        pass; a failed gate records why, so ``plan.describe()`` names the
+        Serial is always eligible, and the only candidate for a lagged
+        query.  Sharded variants join the candidate set — for the cost
+        ranking to price, not as a foregone decision — only when workers
+        were *requested* (``workers > 1``) and the hard gates pass; a failed
+        gate records why, so ``plan.describe()`` names the
         decline instead of falling back silently.  Declines here are policy
         (the serial run answers the query exactly); impossible
         configurations raise from the build decisions instead.
@@ -590,6 +592,8 @@ class QueryPlanner:
         serial: List[Tuple[str, int]] = [(EXECUTION_SERIAL, 1)]
         if self.workers is None or self.workers <= 1:
             return serial, None
+        if isinstance(query, LaggedQuery):
+            return serial, "lagged scans are one BLAS product per window"
         if engine is not None and not engine.supports_pair_subset():
             return serial, f"engine {engine.describe()} does not support pair subsets"
         if pair_count(matrix.num_series) < self.parallel_min_pairs:
@@ -843,22 +847,13 @@ class QueryPlanner:
                 if plan.sketch_build == SKETCH_BUILD_TILED
                 else None
             )
-            if executor is not None:
-                windows = executor.run_lagged(
-                    matrix,
-                    query,
-                    query.max_lag,
-                    absolute=query.effective_absolute,
-                    memory_budget=budget,
-                )
-            else:
-                windows = sliding_lagged_correlation(
-                    matrix,
-                    query,
-                    query.max_lag,
-                    absolute=query.effective_absolute,
-                    memory_budget=budget,
-                )
+            windows = sliding_lagged_correlation(
+                matrix,
+                query,
+                query.max_lag,
+                absolute=query.effective_absolute,
+                memory_budget=budget,
+            )
             return LaggedSeriesResult(query, windows)
 
         if plan.kind == KIND_TOPK:

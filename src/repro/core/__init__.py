@@ -8,25 +8,16 @@ scheduler — are exported for tests, ablations, and users who want to build
 their own pruning policies.
 """
 
-from repro.core.basic_window import (
-    BasicWindowLayout,
-    basic_window_correlations,
-    basic_window_statistics,
-    choose_basic_window_size,
-    combine_pair_eq1,
-    combine_pair_from_series,
-)
+from repro.core.basic_window import BasicWindowLayout, choose_basic_window_size
 from repro.core.bounds import (
     first_possible_crossing,
     first_possible_crossing_absolute,
     max_skippable_steps_scalar,
-    temporal_lower_bound,
     temporal_upper_bound,
     triangle_bounds,
     triangle_bounds_from_pivots,
 )
 from repro.core.correlation import (
-    RunningPairCorrelation,
     correlation_against,
     correlation_from_sums,
     correlation_matrix,
@@ -42,7 +33,7 @@ from repro.core.engine import (
 )
 from repro.core.horizontal import select_pivots
 from repro.core.incremental import IncrementalEngine
-from repro.core.jumping import JumpScheduler, JumpStats, simulate_pair_schedule
+from repro.core.jumping import JumpScheduler, JumpStats
 from repro.core.lag import (
     LagMatrices,
     best_lag,
@@ -89,7 +80,6 @@ __all__ = [
     "JumpScheduler",
     "JumpStats",
     "LagMatrices",
-    "RunningPairCorrelation",
     "SlidingCorrelationEngine",
     "SlidingQuery",
     "TilePlan",
@@ -99,13 +89,9 @@ __all__ = [
     "TopKResult",
     "TopKWindow",
     "available_engines",
-    "basic_window_correlations",
-    "basic_window_statistics",
     "best_lag",
     "build_sketch_tiled",
     "choose_basic_window_size",
-    "combine_pair_eq1",
-    "combine_pair_from_series",
     "correlation_against",
     "correlation_from_sums",
     "correlation_matrix",
@@ -121,10 +107,8 @@ __all__ = [
     "plan_tiles",
     "register_engine",
     "select_pivots",
-    "simulate_pair_schedule",
     "sliding_lagged_correlation",
     "sliding_top_k",
-    "temporal_lower_bound",
     "temporal_upper_bound",
     "top_k_brute_force",
     "top_k_overlap",

@@ -20,25 +20,17 @@ exact when the grand mean is the *size-weighted* mean of the basic-window
 means (which reduces to the paper's unweighted mean when all basic windows
 have equal size, the layout this module produces).
 
-This module contains the layout arithmetic (:class:`BasicWindowLayout`) and
-scalar reference implementations of Eq. 1 (:func:`combine_pair_eq1`) used for
-testing; the vectorised sketch lives in :mod:`repro.core.sketch`.
+This module contains the layout arithmetic (:class:`BasicWindowLayout`); the
+vectorised Eq. 1 sketch lives in :mod:`repro.core.sketch`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
-import numpy as np
-
-from repro.config import (
-    DEFAULT_BASIC_WINDOW_SIZE,
-    FLOAT_DTYPE,
-    VARIANCE_EPSILON,
-    clamp_correlation,
-)
+from repro.config import DEFAULT_BASIC_WINDOW_SIZE
 from repro.core.query import SlidingQuery
 from repro.exceptions import SketchError
 
@@ -176,109 +168,3 @@ def choose_basic_window_size(window: int, step: int, requested: int) -> int:
             f"gcd={gcd} has no divisor in [2, {requested}]"
         )
     return best
-
-
-# --------------------------------------------------------------------------
-# Scalar reference implementation of Eq. 1 (used by tests and documentation).
-# --------------------------------------------------------------------------
-
-def basic_window_statistics(series: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-basic-window means and population standard deviations of one series.
-
-    The series length must be a multiple of ``size``.  Returns ``(means, stds)``
-    each of length ``len(series) // size``.
-    """
-    series = np.asarray(series, dtype=FLOAT_DTYPE)
-    if series.ndim != 1:
-        raise SketchError("basic_window_statistics() expects a 1-D series")
-    if len(series) % size != 0:
-        raise SketchError(
-            f"series length {len(series)} is not a multiple of the basic window "
-            f"size {size}"
-        )
-    blocks = series.reshape(-1, size)
-    return blocks.mean(axis=1), blocks.std(axis=1)
-
-
-def basic_window_correlations(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
-    """Pearson correlation of each aligned basic-window pair of two series."""
-    x = np.asarray(x, dtype=FLOAT_DTYPE)
-    y = np.asarray(y, dtype=FLOAT_DTYPE)
-    if x.shape != y.shape:
-        raise SketchError("series must have equal length")
-    if len(x) % size != 0:
-        raise SketchError(
-            f"series length {len(x)} is not a multiple of the basic window size {size}"
-        )
-    xb = x.reshape(-1, size)
-    yb = y.reshape(-1, size)
-    xc = xb - xb.mean(axis=1, keepdims=True)
-    yc = yb - yb.mean(axis=1, keepdims=True)
-    var_x = np.einsum("ij,ij->i", xc, xc)
-    var_y = np.einsum("ij,ij->i", yc, yc)
-    degenerate = (var_x < VARIANCE_EPSILON * size) | (var_y < VARIANCE_EPSILON * size)
-    safe = np.sqrt(np.where(degenerate, 1.0, var_x * var_y))
-    corr = np.where(degenerate, 0.0, np.einsum("ij,ij->i", xc, yc) / safe)
-    return np.clip(corr, -1.0, 1.0)
-
-
-def combine_pair_eq1(
-    sizes: Sequence[int],
-    means_x: Sequence[float],
-    means_y: Sequence[float],
-    stds_x: Sequence[float],
-    stds_y: Sequence[float],
-    corrs: Sequence[float],
-    weighted_grand_mean: bool = True,
-) -> float:
-    """Equation 1: recombine basic-window statistics into a window correlation.
-
-    Parameters mirror the paper's notation: ``sizes`` are the basic-window
-    sizes ``B_j``, ``means_*``/``stds_*`` the per-basic-window means and
-    population standard deviations, and ``corrs`` the per-basic-window
-    correlations ``c_j``.
-
-    ``weighted_grand_mean=True`` uses the size-weighted grand mean (exact for
-    unequal basic windows); ``False`` uses the paper's plain average of
-    basic-window means (identical when all sizes are equal).
-    """
-    sizes_arr = np.asarray(sizes, dtype=FLOAT_DTYPE)
-    mx = np.asarray(means_x, dtype=FLOAT_DTYPE)
-    my = np.asarray(means_y, dtype=FLOAT_DTYPE)
-    sx = np.asarray(stds_x, dtype=FLOAT_DTYPE)
-    sy = np.asarray(stds_y, dtype=FLOAT_DTYPE)
-    c = np.asarray(corrs, dtype=FLOAT_DTYPE)
-    if not (len(sizes_arr) == len(mx) == len(my) == len(sx) == len(sy) == len(c)):
-        raise SketchError("Eq. 1 inputs must all have the same number of basic windows")
-    if len(sizes_arr) == 0:
-        raise SketchError("Eq. 1 needs at least one basic window")
-
-    if weighted_grand_mean:
-        grand_x = float(np.dot(sizes_arr, mx) / sizes_arr.sum())
-        grand_y = float(np.dot(sizes_arr, my) / sizes_arr.sum())
-    else:
-        grand_x = float(mx.mean())
-        grand_y = float(my.mean())
-
-    delta_x = mx - grand_x
-    delta_y = my - grand_y
-    numerator = float(np.dot(sizes_arr, sx * sy * c + delta_x * delta_y))
-    denom_x = float(np.dot(sizes_arr, sx * sx + delta_x * delta_x))
-    denom_y = float(np.dot(sizes_arr, sy * sy + delta_y * delta_y))
-    if denom_x < VARIANCE_EPSILON * sizes_arr.sum() or denom_y < VARIANCE_EPSILON * sizes_arr.sum():
-        return 0.0
-    return clamp_correlation(numerator / math.sqrt(denom_x * denom_y))
-
-
-def combine_pair_from_series(x: np.ndarray, y: np.ndarray, size: int) -> float:
-    """Convenience wrapper: run Eq. 1 end-to-end on two raw series.
-
-    Splits both series into basic windows of ``size`` points, computes the
-    per-window statistics and recombines them.  Tests compare the output with
-    :func:`repro.core.correlation.pearson` to validate the decomposition.
-    """
-    mx, sx = basic_window_statistics(x, size)
-    my, sy = basic_window_statistics(y, size)
-    c = basic_window_correlations(x, y, size)
-    sizes = [size] * len(c)
-    return combine_pair_eq1(sizes, mx, my, sx, sy, c)

@@ -67,20 +67,6 @@ def temporal_upper_bound(
     return corr_now + (outgoing_count - outgoing_corr_sum) / float(num_basic_windows)
 
 
-def temporal_lower_bound(
-    corr_now: ArrayOrFloat,
-    outgoing_count: ArrayOrFloat,
-    outgoing_corr_sum: ArrayOrFloat,
-    num_basic_windows: int,
-) -> ArrayOrFloat:
-    """Symmetric lower bound: each slide can decrease the correlation by at most
-    ``(1 + c_i) / n_s`` (the outgoing window's contribution is replaced by one
-    bounded below by -1)."""
-    if num_basic_windows <= 0:
-        raise QueryValidationError("num_basic_windows must be positive")
-    return corr_now - (outgoing_count + outgoing_corr_sum) / float(num_basic_windows)
-
-
 def first_possible_crossing(
     corr_now: np.ndarray,
     beta: float,

@@ -1,10 +1,9 @@
 """Exact Pearson correlation utilities.
 
 These are the ground-truth primitives: a numerically careful pairwise Pearson
-correlation, a full ``N x N`` correlation matrix for a window, and an
-incremental (streaming) accumulator.  The sketch-based engines are tested
-against these functions, and the brute-force baseline is built directly on
-them.
+correlation, a full ``N x N`` correlation matrix for a window, and
+correlations from running sums.  The sketch-based engines are tested against
+these functions, and the brute-force baseline is built directly on them.
 
 Constant series (variance below :data:`repro.config.VARIANCE_EPSILON`) have an
 undefined Pearson correlation; in line with the paper's network interpretation
@@ -12,9 +11,6 @@ undefined Pearson correlation; in line with the paper's network interpretation
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -104,72 +100,6 @@ def correlation_against(window: np.ndarray, pivot_rows: np.ndarray) -> np.ndarra
         return normalized
 
     return clamp_correlation_array(_normalize(pivot_rows) @ _normalize(window).T)
-
-
-@dataclass
-class RunningPairCorrelation:
-    """Incremental Pearson correlation over a growing pair of series.
-
-    Maintains sums, sums of squares, and the sum of products so new
-    observations can be appended in O(1); used by the streaming substrate to
-    keep pair correlations current as data arrives.
-    """
-
-    count: int = 0
-    sum_x: float = 0.0
-    sum_y: float = 0.0
-    sum_xx: float = 0.0
-    sum_yy: float = 0.0
-    sum_xy: float = 0.0
-
-    def update(self, x: float, y: float) -> None:
-        """Add one simultaneous observation of both series."""
-        self.count += 1
-        self.sum_x += x
-        self.sum_y += y
-        self.sum_xx += x * x
-        self.sum_yy += y * y
-        self.sum_xy += x * y
-
-    def update_many(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        """Add a batch of simultaneous observations."""
-        xs = np.asarray(xs, dtype=FLOAT_DTYPE)
-        ys = np.asarray(ys, dtype=FLOAT_DTYPE)
-        if xs.shape != ys.shape or xs.ndim != 1:
-            raise DataValidationError("update_many() expects equal-length 1-D arrays")
-        self.count += len(xs)
-        self.sum_x += float(xs.sum())
-        self.sum_y += float(ys.sum())
-        self.sum_xx += float(np.dot(xs, xs))
-        self.sum_yy += float(np.dot(ys, ys))
-        self.sum_xy += float(np.dot(xs, ys))
-
-    def remove_many(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        """Remove a batch of old observations (for sliding-window maintenance)."""
-        xs = np.asarray(xs, dtype=FLOAT_DTYPE)
-        ys = np.asarray(ys, dtype=FLOAT_DTYPE)
-        if xs.shape != ys.shape or xs.ndim != 1:
-            raise DataValidationError("remove_many() expects equal-length 1-D arrays")
-        if len(xs) > self.count:
-            raise DataValidationError("cannot remove more observations than were added")
-        self.count -= len(xs)
-        self.sum_x -= float(xs.sum())
-        self.sum_y -= float(ys.sum())
-        self.sum_xx -= float(np.dot(xs, xs))
-        self.sum_yy -= float(np.dot(ys, ys))
-        self.sum_xy -= float(np.dot(xs, ys))
-
-    def correlation(self) -> Optional[float]:
-        """The current correlation, or ``None`` with fewer than two points."""
-        if self.count < 2:
-            return None
-        n = float(self.count)
-        cov = self.sum_xy - self.sum_x * self.sum_y / n
-        var_x = self.sum_xx - self.sum_x * self.sum_x / n
-        var_y = self.sum_yy - self.sum_y * self.sum_y / n
-        if var_x < VARIANCE_EPSILON * n or var_y < VARIANCE_EPSILON * n:
-            return 0.0
-        return clamp_correlation(cov / np.sqrt(var_x * var_y))
 
 
 def correlation_from_sums(

@@ -15,7 +15,7 @@ Dangoron engine can compose both pruning mechanisms on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -125,36 +125,3 @@ class JumpScheduler:
             raise QueryValidationError(
                 f"window index {window_index} out of range [0, {self.num_windows})"
             )
-
-
-def simulate_pair_schedule(
-    correlations: np.ndarray,
-    beta: float,
-    jump_lengths_when_below: np.ndarray,
-) -> Tuple[np.ndarray, int]:
-    """Reference simulation of one pair's schedule across all windows (Fig. 2).
-
-    ``correlations[k]`` is the pair's true correlation at window ``k`` and
-    ``jump_lengths_when_below[k]`` the jump the bound would prescribe if the
-    pair is evaluated at window ``k`` and found below ``beta``.  Returns the
-    boolean array of windows at which an exact evaluation happens and the
-    number of skipped windows.  Used by unit tests to validate
-    :class:`JumpScheduler` against a transparent scalar model.
-    """
-    correlations = np.asarray(correlations, dtype=float)
-    jump_lengths_when_below = np.asarray(jump_lengths_when_below, dtype=int)
-    if correlations.shape != jump_lengths_when_below.shape:
-        raise QueryValidationError("inputs must have the same length")
-    num_windows = len(correlations)
-    evaluated = np.zeros(num_windows, dtype=bool)
-    k = 0
-    skipped = 0
-    while k < num_windows:
-        evaluated[k] = True
-        if correlations[k] >= beta:
-            k += 1
-            continue
-        jump = max(1, int(jump_lengths_when_below[k]))
-        skipped += min(jump - 1, num_windows - k - 1)
-        k += jump
-    return evaluated, skipped

@@ -324,12 +324,8 @@ def sliding_lagged_correlation(
 ) -> List[LagMatrices]:
     """Best lagged correlations for every window of a sliding query.
 
-    .. note::
-       Prefer the unified front door: ``CorrelationSession(matrix).run(
-       LaggedQuery(..., max_lag=max_lag))`` (see :mod:`repro.api`) returns a
-       :class:`~repro.api.results.LaggedSeriesResult` implementing the common
-       result protocol.  This free function is kept as a thin compatibility
-       shim and may be removed in a future major version.
+    The planner's lagged kernel: ``CorrelationSession.run(LaggedQuery(...))``
+    calls it.
 
     The query's threshold is not applied here (call :meth:`LagMatrices.edges`
     per window); its ``threshold_mode`` provides the default ranking mode.

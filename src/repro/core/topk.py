@@ -204,11 +204,8 @@ def sliding_top_k(
 ) -> TopKResult:
     """The k most correlated pairs of every window, from the basic-window sketch.
 
-    .. note::
-       Prefer the unified front door: ``CorrelationSession(matrix).run(
-       TopKQuery(..., k=k))`` (see :mod:`repro.api`) plans the sketch once and
-       reuses it across queries.  This free function is kept as a thin
-       compatibility shim and may be removed in a future major version.
+    The planner's top-k kernel: ``CorrelationSession.run(TopKQuery(...))``
+    calls it with the cached sketch.
 
     Parameters
     ----------

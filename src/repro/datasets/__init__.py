@@ -19,17 +19,9 @@ from repro.datasets.loaders import (
     USCRN_MISSING,
     load_uscrn_hourly,
     load_wide_csv,
-    station_dictionary,
-    write_uscrn_hourly,
     write_wide_csv,
 )
 from repro.datasets.raingauge import Gauge, SyntheticRainGauges
-from repro.datasets.random_walk import (
-    ar1_series,
-    random_walks,
-    sinusoid_mixture,
-    white_noise,
-)
 
 __all__ = [
     "Gauge",
@@ -40,16 +32,10 @@ __all__ = [
     "SyntheticUSCRN",
     "USCRN_COLUMNS",
     "USCRN_MISSING",
-    "ar1_series",
     "crisis_edge_density",
     "hemodynamic_response",
     "load_uscrn_hourly",
     "load_wide_csv",
-    "random_walks",
     "region_average_matrix",
-    "sinusoid_mixture",
-    "station_dictionary",
-    "white_noise",
-    "write_uscrn_hourly",
     "write_wide_csv",
 ]

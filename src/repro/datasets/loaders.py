@@ -1,13 +1,11 @@
-"""Loading and writing time-series matrices from/to files.
+"""Loading time-series matrices from files (and writing the wide CSV).
 
 Two formats are supported:
 
 * The NOAA **USCRN hourly02** fixed-column text format the paper's evaluation
   dataset uses (one file per station, whitespace-separated columns; we read
-  the calculated air temperature ``T_CALC`` by default).  A matching writer is
-  provided so the synthetic :class:`~repro.datasets.climate.SyntheticUSCRN`
-  data can be round-tripped through the real format — and so users with the
-  real 2020 files can load them with the same code path offline.
+  the calculated air temperature ``T_CALC`` by default), so users with the
+  real 2020 files can load them offline.
 * A generic **wide CSV** (first column = series id, remaining columns =
   values), convenient for small exported datasets.
 
@@ -22,7 +20,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -50,42 +48,6 @@ USCRN_COLUMNS = (
 
 #: Sentinel used by USCRN products for missing numeric values.
 USCRN_MISSING = -9999.0
-
-
-def write_uscrn_hourly(
-    matrix: TimeSeriesMatrix,
-    directory: Union[str, Path],
-    year: int = 2020,
-    variable_column: str = "T_CALC",
-) -> List[Path]:
-    """Write one USCRN-format text file per series (used for round-trip tests).
-
-    Hours are mapped to consecutive UTC timestamps starting January 1st of
-    ``year``.  Only the temperature column named by ``variable_column``
-    carries the series values; the other numeric columns are filled with the
-    missing-value sentinel.
-    """
-    if variable_column not in USCRN_COLUMNS:
-        raise DataValidationError(f"unknown USCRN column {variable_column!r}")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    variable_index = USCRN_COLUMNS.index(variable_column)
-
-    paths: List[Path] = []
-    for row, series_id in enumerate(matrix.series_ids):
-        path = directory / f"CRNH0203-{year}-{series_id}.txt"
-        wban = 23000 + row
-        with open(path, "w", encoding="ascii") as handle:
-            for hour, value in enumerate(matrix.values[row]):
-                date, time_of_day = _hour_to_uscrn_timestamp(year, hour)
-                fields = [f"{wban:05d}", date, time_of_day, date, time_of_day, "2.623",
-                          f"{-100.0:.4f}", f"{40.0:.4f}"]
-                numeric = [USCRN_MISSING] * (len(USCRN_COLUMNS) - 8)
-                numeric[variable_index - 8] = float(value)
-                fields.extend(f"{v:.1f}" for v in numeric)
-                handle.write(" ".join(fields) + "\n")
-        paths.append(path)
-    return paths
 
 
 def load_uscrn_hourly(
@@ -206,24 +168,6 @@ def _is_leap(year: int) -> bool:
     return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
 
 
-def _hour_to_uscrn_timestamp(year: int, hour: int) -> "tuple[str, str]":
-    """Map an hour offset from January 1st to (YYYYMMDD, HHMM) strings."""
-    day_of_year = hour // 24
-    hour_of_day = hour % 24
-    month = 1
-    remaining = day_of_year
-    for index, days in enumerate(_DAYS_PER_MONTH, start=1):
-        month_days = days + (1 if index == 2 and _is_leap(year) else 0)
-        if remaining < month_days:
-            month = index
-            break
-        remaining -= month_days
-    else:
-        month = 12
-        remaining = min(remaining, 30)
-    return f"{year:04d}{month:02d}{remaining + 1:02d}", f"{hour_of_day:02d}00"
-
-
 def _uscrn_timestamp_to_hour(date_field: str, time_field: str) -> float:
     """Map (YYYYMMDD, HHMM) strings to an hour offset from January 1st."""
     if len(date_field) != 8 or len(time_field) != 4:
@@ -240,8 +184,3 @@ def _uscrn_timestamp_to_hour(date_field: str, time_field: str) -> float:
         for index, days in enumerate(_DAYS_PER_MONTH[: month - 1], start=1)
     ) + (day - 1)
     return float(day_of_year * 24 + hour + minute / 60.0)
-
-
-def station_dictionary(matrix: TimeSeriesMatrix) -> Dict[str, np.ndarray]:
-    """Convenience: map series id to its values array (copy-free views)."""
-    return {sid: matrix.series(sid) for sid in matrix.series_ids}

@@ -24,8 +24,6 @@ from repro.experiments.runner import (
 from repro.experiments.workloads import (
     Workload,
     climate_workload,
-    finance_workload,
-    fmri_workload,
     tomborg_workload,
 )
 
@@ -42,8 +40,6 @@ __all__ = [
     "experiment_e13_slack",
     "experiment_e14_pivot_count",
     "experiment_e15_robustness_suite",
-    "finance_workload",
-    "fmri_workload",
     "run_comparison",
     "run_experiment",
     "tomborg_workload",

@@ -10,14 +10,12 @@ benchmark code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.query import SlidingQuery
 from repro.datasets.climate import SyntheticUSCRN
-from repro.datasets.finance import SyntheticMarket
-from repro.datasets.fmri import SyntheticBOLD
 from repro.exceptions import ExperimentError
 from repro.timeseries.matrix import TimeSeriesMatrix
 from repro.tomborg.distributions import named_distribution
@@ -144,73 +142,4 @@ def tomborg_workload(
             "segment_columns": segment_columns,
             "dataset": dataset,
         },
-    )
-
-
-def fmri_workload(
-    scale: float = 1.0,
-    threshold: float = 0.6,
-    basic_window_size: int = 10,
-    seed: int = 13,
-) -> Workload:
-    """Voxel-level dynamic functional connectivity (the paper's motivation)."""
-    side = max(3, int(round(6 * np.sqrt(scale))))
-    generator = SyntheticBOLD(
-        grid_shape=(side, side, 4),
-        num_regions=max(4, int(12 * scale)),
-        num_volumes=_scaled(600, scale, 200),
-        seed=seed,
-    )
-    matrix, labels = generator.generate()
-    window = 6 * basic_window_size
-    query = SlidingQuery(
-        start=0,
-        end=(matrix.length // basic_window_size) * basic_window_size,
-        window=window,
-        step=basic_window_size,
-        threshold=threshold,
-    )
-    return Workload(
-        name="fmri_bold",
-        matrix=matrix,
-        query=query,
-        basic_window_size=basic_window_size,
-        metadata={"grid_shape": generator.grid_shape, "tr_seconds": generator.tr_seconds},
-        labels=labels,
-    )
-
-
-def finance_workload(
-    scale: float = 1.0,
-    threshold: float = 0.6,
-    basic_window_size: int = 21,
-    crisis_periods: Sequence[Tuple[int, int]] = ((700, 800), (1100, 1180)),
-    seed: int = 17,
-) -> Workload:
-    """Daily returns with sector structure and crisis-driven correlation spikes."""
-    num_assets = _scaled(80, scale, 12)
-    num_days = _scaled(1512, scale, 504)
-    periods = [(s, e) for s, e in crisis_periods if e <= num_days]
-    generator = SyntheticMarket(
-        num_assets=num_assets,
-        num_days=num_days,
-        crisis_periods=periods,
-        seed=seed,
-    )
-    matrix = generator.generate_returns()
-    window = 6 * basic_window_size  # ~ six trading months of 21 days
-    query = SlidingQuery(
-        start=0,
-        end=(matrix.length // basic_window_size) * basic_window_size,
-        window=window,
-        step=basic_window_size,
-        threshold=threshold,
-    )
-    return Workload(
-        name="finance_returns",
-        matrix=matrix,
-        query=query,
-        basic_window_size=basic_window_size,
-        metadata={"crisis_periods": periods, "sectors": generator.sector_labels()},
-        labels=generator.sector_labels(),
     )

@@ -2,7 +2,6 @@
 
 from repro.network.builder import (
     graph_from_matrix,
-    graphs_from_edges,
     graphs_from_result,
     union_graph,
     union_graph_from_edges,
@@ -20,7 +19,6 @@ from repro.network.communities import (
 from repro.network.dynamic import (
     ChangePoint,
     DynamicNetwork,
-    dynamic_network,
     persistence_graph,
 )
 from repro.network.embedding import (
@@ -33,17 +31,12 @@ from repro.network.embedding import (
     spectral_embedding,
 )
 from repro.network.export import (
-    read_edge_list,
-    write_adjacency_npz,
-    write_edge_list,
     write_protocol_edge_list,
-    write_summary_json,
     write_temporal_edge_list,
 )
 from repro.network.metrics import (
     NetworkSummary,
     community_agreement,
-    degree_histogram,
     edge_jaccard,
     greedy_communities,
     summarize,
@@ -62,30 +55,23 @@ __all__ = [
     "community_agreement",
     "connectivity_fingerprints",
     "consensus_communities",
-    "degree_histogram",
     "detect_communities",
     "detect_communities_over_time",
-    "dynamic_network",
     "edge_jaccard",
     "embedding_series",
     "feature_series",
     "graph_from_matrix",
-    "graphs_from_edges",
     "graphs_from_result",
     "greedy_communities",
     "link_activity",
     "node_features",
     "partition_agreement",
     "persistence_graph",
-    "read_edge_list",
     "spectral_embedding",
     "summarize",
     "temporal_stability",
     "union_graph",
     "union_graph_from_edges",
-    "write_adjacency_npz",
-    "write_edge_list",
     "write_protocol_edge_list",
-    "write_summary_json",
     "write_temporal_edge_list",
 ]

@@ -7,8 +7,8 @@ window or for a whole sliding-query result, carrying the correlation values as
 edge weights and the series identifiers as node labels.
 
 Two families of builders coexist: the original ones bound to
-:class:`CorrelationSeriesResult`, and protocol-based ones
-(:func:`graphs_from_edges`, :func:`union_graph_from_edges`) that consume any
+:class:`CorrelationSeriesResult`, and a protocol-based one
+(:func:`union_graph_from_edges`) that consumes any
 object implementing the unified result protocol of :mod:`repro.api` —
 thresholded series, top-k and lagged results alike — via ``to_edges()``.
 Lagged edges carry their best lag as a ``lag`` edge attribute.
@@ -36,33 +36,6 @@ def _protocol_nodes(result, num_nodes: Optional[int]):
         return series_ids[i] if series_ids is not None else int(i)
 
     return num_nodes, node
-
-
-def graphs_from_edges(result, num_nodes: Optional[int] = None) -> List[nx.Graph]:
-    """One graph per window from any unified-protocol result.
-
-    Consumes only the protocol surface (``num_windows``, ``to_edges()``), so
-    thresholded, top-k and lagged results all work.  Edge weights are the
-    correlation values; lagged edges additionally carry ``lag``.  When the
-    result exposes ``num_series``/``series_ids`` (or ``num_nodes`` is given),
-    isolated series appear as nodes, keeping node counts comparable across
-    windows like :func:`graph_from_matrix` does.
-    """
-    num_nodes, node = _protocol_nodes(result, num_nodes)
-    graphs = [nx.Graph() for _ in range(result.num_windows)]
-    if num_nodes is not None:
-        for graph in graphs:
-            graph.add_nodes_from(node(i) for i in range(num_nodes))
-    for edge in result.to_edges():
-        if not 0 <= edge.window < len(graphs):
-            raise DataValidationError(
-                f"edge window index {edge.window} outside "
-                f"[0, {result.num_windows})"
-            )
-        graphs[edge.window].add_edge(
-            node(edge.source), node(edge.target), weight=edge.weight, lag=edge.lag
-        )
-    return graphs
 
 
 def union_graph_from_edges(

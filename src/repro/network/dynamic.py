@@ -121,11 +121,6 @@ class DynamicNetwork:
         return graph
 
 
-def dynamic_network(result: CorrelationSeriesResult) -> DynamicNetwork:
-    """Convenience function mirroring :meth:`DynamicNetwork.from_result`."""
-    return DynamicNetwork.from_result(result)
-
-
 def persistence_graph(
     result: CorrelationSeriesResult, min_persistence: float = 0.5
 ) -> nx.Graph:

@@ -2,72 +2,17 @@
 
 Downstream analyses (graph embedding, visualization, feature selection — the
 follow-on steps the paper's fMRI motivation mentions) typically consume edge
-lists or adjacency matrices rather than in-memory graph objects.  These
-helpers write and read both, for single windows and for whole dynamic
-networks.
+lists rather than in-memory graph objects.  These helpers write whole
+dynamic networks as one temporal edge-list CSV.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import networkx as nx
-import numpy as np
-
 from repro.core.result import CorrelationSeriesResult
-from repro.exceptions import DataValidationError
-
-
-def write_edge_list(graph: nx.Graph, path: Union[str, Path]) -> Path:
-    """Write one graph as a CSV edge list: ``source, target, weight``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["source", "target", "weight"])
-        for u, v, data in graph.edges(data=True):
-            writer.writerow([u, v, repr(float(data.get("weight", 1.0)))])
-    return path
-
-
-def read_edge_list(path: Union[str, Path]) -> nx.Graph:
-    """Read a graph written by :func:`write_edge_list`."""
-    path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"edge list not found: {path}")
-    graph = nx.Graph()
-    with open(path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["source", "target", "weight"]:
-            raise DataValidationError(f"{path} is not an edge-list CSV")
-        for record in reader:
-            if not record:
-                continue
-            if len(record) < 3:
-                raise DataValidationError(f"{path}: malformed edge row {record!r}")
-            graph.add_edge(record[0], record[1], weight=float(record[2]))
-    return graph
-
-
-def write_adjacency_npz(
-    result: CorrelationSeriesResult, path: Union[str, Path]
-) -> Path:
-    """Write the dense thresholded matrices of every window to one ``.npz``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    arrays = {
-        f"window_{k:05d}": result.dense(k) for k in range(result.num_windows)
-    }
-    np.savez_compressed(
-        path,
-        window_starts=result.window_starts(),
-        **arrays,
-    )
-    return path
 
 
 def write_temporal_edge_list(
@@ -118,21 +63,4 @@ def write_protocol_edge_list(
                 [edge.window, node(edge.source), node(edge.target),
                  repr(float(edge.weight)), int(edge.lag)]
             )
-    return path
-
-
-def write_summary_json(
-    result: CorrelationSeriesResult, path: Union[str, Path]
-) -> Path:
-    """Write the query, engine stats and per-window edge counts as JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "query": result.query.describe(),
-        "stats": result.stats.as_dict(),
-        "edge_counts": [int(m.num_edges) for m in result.matrices],
-        "window_starts": [int(s) for s in result.window_starts()],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
     return path

@@ -68,11 +68,6 @@ def summarize(graph: nx.Graph) -> NetworkSummary:
     )
 
 
-def degree_histogram(graph: nx.Graph) -> np.ndarray:
-    """Degree histogram (index = degree, value = node count)."""
-    return np.asarray(nx.degree_histogram(graph), dtype=np.int64)
-
-
 def edge_jaccard(first: nx.Graph, second: nx.Graph) -> float:
     """Jaccard similarity of two networks' edge sets (1.0 when both are empty)."""
     edges_a: Set[Tuple] = {tuple(sorted(e)) for e in first.edges()}

@@ -774,6 +774,10 @@ class CorrelationService:
                 f"each appended time step must list {runtime.store.num_series} "
                 f"values (one per series), got shape {steps.shape}"
             )
+        # Checked before any state moves: the sketch chain is re-keyed ahead
+        # of the store write, so a store-side rejection would orphan it.
+        if not np.all(np.isfinite(steps)):
+            raise ServiceError("appended values must be finite (no NaN or inf)")
         with runtime.lock:
             result = runtime.ingest_columns(np.ascontiguousarray(steps.T))
         return {"dataset": name, **result}

@@ -190,10 +190,6 @@ def edges_to_wire(edges: Sequence[Edge]) -> List[List[object]]:
     return [[e.window, e.source, e.target, e.weight, e.lag] for e in edges]
 
 
-def edges_from_wire(rows: Sequence[Sequence[object]]) -> List[Edge]:
-    return [Edge(int(w), int(i), int(j), float(v), int(d)) for w, i, j, v, d in rows]
-
-
 AnyResult = Union[CorrelationSeriesResult, TopKResult, LaggedSeriesResult]
 
 

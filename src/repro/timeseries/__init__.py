@@ -4,9 +4,8 @@ The paper assumes "all time series in X are synchronized … achieved through
 aggregation and interpolation on non-synchronized series".  This subpackage
 provides exactly that layer: an ``N x L`` container with series identifiers and
 a regular time axis (:class:`TimeSeriesMatrix`), resampling of irregular
-observations onto a regular grid (:mod:`repro.timeseries.align`), and the
-preprocessing commonly applied before correlation analysis
-(:mod:`repro.timeseries.preprocess`).
+observations onto a regular grid (:mod:`repro.timeseries.align`), and
+missing-value repair (:mod:`repro.timeseries.preprocess`).
 """
 
 from repro.timeseries.matrix import TimeAxis, TimeSeriesMatrix
@@ -16,14 +15,7 @@ from repro.timeseries.align import (
     interpolate_to_grid,
     synchronize,
 )
-from repro.timeseries.preprocess import (
-    detrend,
-    fill_missing,
-    find_constant_series,
-    moving_average,
-    winsorize,
-    znormalize,
-)
+from repro.timeseries.preprocess import fill_missing
 
 __all__ = [
     "TimeAxis",
@@ -32,10 +24,5 @@ __all__ = [
     "aggregate_to_grid",
     "interpolate_to_grid",
     "synchronize",
-    "detrend",
     "fill_missing",
-    "find_constant_series",
-    "moving_average",
-    "winsorize",
-    "znormalize",
 ]

@@ -1,19 +1,19 @@
-"""Preprocessing steps commonly applied before correlation analysis.
+"""Missing-value repair applied before correlation analysis.
 
 Correlation-network studies in the paper's motivating domains (climate, fMRI,
-finance) routinely z-normalize, detrend, and repair missing values before
-computing pairwise correlations.  These helpers operate on plain ``(N, L)``
-arrays or :class:`~repro.timeseries.matrix.TimeSeriesMatrix` instances and
-always return new arrays — inputs are never modified in place.
+finance) repair missing values before computing pairwise correlations.
+:func:`fill_missing` operates on plain ``(N, L)`` arrays or
+:class:`~repro.timeseries.matrix.TimeSeriesMatrix` instances and always
+returns new arrays — inputs are never modified in place.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
-from repro.config import FLOAT_DTYPE, VARIANCE_EPSILON
+from repro.config import FLOAT_DTYPE
 from repro.exceptions import DataValidationError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -35,77 +35,6 @@ def _wrap_like(data: ArrayLike, values: np.ndarray) -> ArrayLike:
     if isinstance(data, TimeSeriesMatrix):
         return data.with_values(values)
     return values
-
-
-def znormalize(data: ArrayLike, ddof: int = 0) -> ArrayLike:
-    """Z-normalize each series (row) to zero mean and unit variance.
-
-    Constant series (variance below :data:`VARIANCE_EPSILON`) are mapped to all
-    zeros rather than dividing by zero; the correlation engines treat such
-    series as having no edges.
-    """
-    array = _as_array(data)
-    mean = array.mean(axis=1, keepdims=True)
-    std = array.std(axis=1, ddof=ddof, keepdims=True)
-    safe_std = np.where(std < np.sqrt(VARIANCE_EPSILON), 1.0, std)
-    out = (array - mean) / safe_std
-    out = np.where(std < np.sqrt(VARIANCE_EPSILON), 0.0, out)
-    return _wrap_like(data, out)
-
-
-def detrend(data: ArrayLike) -> ArrayLike:
-    """Remove the least-squares linear trend from each series."""
-    array = _as_array(data)
-    length = array.shape[1]
-    t = np.arange(length, dtype=FLOAT_DTYPE)
-    t_centered = t - t.mean()
-    denom = float(np.dot(t_centered, t_centered))
-    if denom <= 0:
-        return _wrap_like(data, array.copy())
-    centered = array - array.mean(axis=1, keepdims=True)
-    slope = centered @ t_centered / denom
-    trend = np.outer(slope, t_centered)
-    out = array - array.mean(axis=1, keepdims=True) - trend + array.mean(
-        axis=1, keepdims=True
-    )
-    # Equivalent to removing slope*t while keeping the series mean.
-    return _wrap_like(data, out)
-
-
-def moving_average(data: ArrayLike, window: int) -> ArrayLike:
-    """Smooth each series with a centred moving average of ``window`` points.
-
-    Edges are handled by shrinking the averaging window, so the output has the
-    same length as the input.
-    """
-    array = _as_array(data)
-    if window < 1:
-        raise DataValidationError(f"window must be >= 1, got {window}")
-    if window == 1:
-        return _wrap_like(data, array.copy())
-    length = array.shape[1]
-    kernel = np.ones(window, dtype=FLOAT_DTYPE)
-    counts = np.convolve(np.ones(length, dtype=FLOAT_DTYPE), kernel, mode="same")
-    out = np.empty_like(array)
-    for i in range(array.shape[0]):
-        out[i] = np.convolve(array[i], kernel, mode="same") / counts
-    return _wrap_like(data, out)
-
-
-def winsorize(data: ArrayLike, lower: float = 0.01, upper: float = 0.99) -> ArrayLike:
-    """Clip each series to its ``[lower, upper]`` quantile range.
-
-    Used to tame the heavy-tailed spikes typical of finance and sensor data
-    before computing Pearson correlations.
-    """
-    if not 0.0 <= lower < upper <= 1.0:
-        raise DataValidationError(
-            f"quantiles must satisfy 0 <= lower < upper <= 1, got ({lower}, {upper})"
-        )
-    array = _as_array(data)
-    lo = np.quantile(array, lower, axis=1, keepdims=True)
-    hi = np.quantile(array, upper, axis=1, keepdims=True)
-    return _wrap_like(data, np.clip(array, lo, hi))
 
 
 def fill_missing(data: ArrayLike, method: str = "linear") -> ArrayLike:
@@ -140,14 +69,3 @@ def fill_missing(data: ArrayLike, method: str = "linear") -> ArrayLike:
             row[:] = row[last]
         array[i] = row
     return _wrap_like(data, array)
-
-
-def find_constant_series(data: ArrayLike, epsilon: float = VARIANCE_EPSILON) -> List[int]:
-    """Return row indices whose variance is below ``epsilon``.
-
-    Pearson correlation is undefined for constant series; callers typically
-    drop these rows or accept that the engines report no edges for them.
-    """
-    array = _as_array(data)
-    variances = array.var(axis=1)
-    return [int(i) for i in np.flatnonzero(variances < epsilon)]

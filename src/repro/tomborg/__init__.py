@@ -10,10 +10,8 @@ so the imposed correlations survive the transform.
 
 from repro.tomborg.correlation_targets import (
     block_correlation_matrix,
-    factor_correlation_matrix,
     is_valid_correlation_matrix,
     nearest_correlation_matrix,
-    random_correlation_from_eigenvalues,
     random_correlation_matrix,
 )
 from repro.tomborg.distributions import (
@@ -30,7 +28,6 @@ from repro.tomborg.generator import (
     TomborgDataset,
     TomborgGenerator,
     TomborgSegment,
-    quick_dataset,
 )
 from repro.tomborg.noise import (
     AR1Noise,
@@ -50,20 +47,17 @@ from repro.tomborg.spectral import (
     named_spectrum,
     peaked_spectrum,
     power_law_spectrum,
-    real_forward_dft,
     real_inverse_dft,
     real_synthesis_matrix,
 )
 from repro.tomborg.suite import (
     DEFAULT_SUITE,
     SuiteCase,
-    case_by_name,
     default_suite,
 )
 from repro.tomborg.validation import (
     SegmentValidation,
     empirical_correlation,
-    max_target_error,
     validate_dataset,
 )
 
@@ -91,24 +85,18 @@ __all__ = [
     "apply_noise",
     "band_limited_spectrum",
     "block_correlation_matrix",
-    "case_by_name",
     "default_suite",
     "empirical_correlation",
     "expected_attenuation",
-    "factor_correlation_matrix",
     "flat_spectrum",
     "is_valid_correlation_matrix",
-    "max_target_error",
     "named_distribution",
     "named_noise",
     "named_spectrum",
     "nearest_correlation_matrix",
     "peaked_spectrum",
     "power_law_spectrum",
-    "quick_dataset",
-    "random_correlation_from_eigenvalues",
     "random_correlation_matrix",
-    "real_forward_dft",
     "real_inverse_dft",
     "real_synthesis_matrix",
     "validate_dataset",

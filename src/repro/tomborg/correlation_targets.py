@@ -131,60 +131,3 @@ def block_correlation_matrix(
     if not is_valid_correlation_matrix(matrix):
         matrix = nearest_correlation_matrix(matrix)
     return matrix
-
-
-def factor_correlation_matrix(
-    num_series: int,
-    num_factors: int = 3,
-    loading_scale: float = 0.7,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Correlation matrix implied by a linear factor model (PSD by construction).
-
-    Each series loads on ``num_factors`` latent factors with Gaussian loadings
-    of scale ``loading_scale``; the remaining variance is idiosyncratic.  This
-    mirrors the structure of financial returns and parcellated fMRI signals.
-    """
-    if num_series < 2:
-        raise GenerationError(f"need at least 2 series, got {num_series}")
-    if num_factors < 1:
-        raise GenerationError(f"need at least 1 factor, got {num_factors}")
-    if not 0.0 < loading_scale < 1.0:
-        raise GenerationError("loading_scale must lie in (0, 1)")
-    rng = rng if rng is not None else np.random.default_rng()
-    loadings = rng.normal(0.0, 1.0, size=(num_series, num_factors))
-    # Scale rows so that the factor part explains loading_scale^2 of variance.
-    row_norms = np.linalg.norm(loadings, axis=1, keepdims=True)
-    row_norms[row_norms == 0] = 1.0
-    loadings = loadings / row_norms * loading_scale
-    common = loadings @ loadings.T
-    idiosyncratic = 1.0 - np.diag(common)
-    covariance = common + np.diag(idiosyncratic)
-    d = np.sqrt(np.diag(covariance))
-    matrix = covariance / np.outer(d, d)
-    np.fill_diagonal(matrix, 1.0)
-    return np.clip(matrix.astype(FLOAT_DTYPE), -1.0, 1.0)
-
-
-def random_correlation_from_eigenvalues(
-    eigenvalues: Sequence[float],
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Random correlation matrix with prescribed eigenvalues (Davies–Higham).
-
-    Thin wrapper over :func:`scipy.stats.random_correlation` that normalizes
-    the eigenvalue sum to the matrix dimension as the routine requires.
-    """
-    from scipy import stats
-
-    eigenvalues = np.asarray(eigenvalues, dtype=FLOAT_DTYPE)
-    if eigenvalues.ndim != 1 or len(eigenvalues) < 2:
-        raise GenerationError("need a 1-D list of at least two eigenvalues")
-    if np.any(eigenvalues < 0):
-        raise GenerationError("eigenvalues must be non-negative")
-    if eigenvalues.sum() <= 0:
-        raise GenerationError("eigenvalues must not all be zero")
-    scaled = eigenvalues * (len(eigenvalues) / eigenvalues.sum())
-    rng = rng if rng is not None else np.random.default_rng()
-    matrix = stats.random_correlation.rvs(scaled, random_state=rng)
-    return np.clip(matrix.astype(FLOAT_DTYPE), -1.0, 1.0)

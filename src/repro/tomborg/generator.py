@@ -273,16 +273,3 @@ def _whiten_rows(coefficients: np.ndarray) -> np.ndarray:
         np.where(eigenvalues > tolerance, eigenvalues, 1.0)), 0.0)
     whitener = (eigenvectors * inverse_sqrt) @ eigenvectors.T
     return whitener @ coefficients
-
-
-def quick_dataset(
-    num_series: int,
-    length: int,
-    target_value: float = 0.6,
-    seed: Optional[int] = DEFAULT_SEED,
-) -> TomborgDataset:
-    """Convenience helper: an equicorrelated dataset in one call (used in examples)."""
-    target = np.full((num_series, num_series), target_value, dtype=FLOAT_DTYPE)
-    np.fill_diagonal(target, 1.0)
-    generator = TomborgGenerator(num_series=num_series, seed=seed)
-    return generator.generate(length, target)

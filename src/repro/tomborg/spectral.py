@@ -18,8 +18,8 @@ domain (the property the paper invokes: "DFT preserves the distance between
 coefficients and the original time series").  In particular, cross-series
 correlations imposed on the coefficients carry over to the generated series.
 
-:func:`real_forward_dft` is the exact inverse of :func:`real_inverse_dft`;
-round-trip and orthonormality are covered by property tests.
+The orthonormality of :func:`real_synthesis_matrix` is covered by property
+tests.
 
 Spectrum *shapers* produce per-frequency magnitude envelopes that control how
 energy concentrates across frequencies.  They matter because the robustness of
@@ -41,18 +41,6 @@ from repro.exceptions import GenerationError
 # ---------------------------------------------------------------------------
 # Real-valued DFT pair
 # ---------------------------------------------------------------------------
-
-def num_real_coefficients(length: int) -> int:
-    """Number of real coefficients describing a real series of ``length`` points.
-
-    One DC term, ``floor((L-1)/2)`` cosine/sine pairs, plus a lone Nyquist term
-    when ``L`` is even — always exactly ``L`` numbers, as required for an
-    orthonormal change of basis.
-    """
-    if length < 2:
-        raise GenerationError(f"series length must be at least 2, got {length}")
-    return length
-
 
 def real_synthesis_matrix(length: int) -> np.ndarray:
     """The ``L x L`` orthonormal synthesis matrix of the real DFT basis.
@@ -85,14 +73,6 @@ def real_inverse_dft(coefficients: np.ndarray) -> np.ndarray:
     length = coefficients.shape[-1]
     basis = real_synthesis_matrix(length)
     return coefficients @ basis.T
-
-
-def real_forward_dft(series: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`real_inverse_dft` (orthonormal analysis transform)."""
-    series = np.asarray(series, dtype=FLOAT_DTYPE)
-    length = series.shape[-1]
-    basis = real_synthesis_matrix(length)
-    return series @ basis
 
 
 # ---------------------------------------------------------------------------

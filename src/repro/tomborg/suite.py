@@ -193,13 +193,3 @@ DEFAULT_SUITE: List[SuiteCase] = [
 def default_suite() -> List[SuiteCase]:
     """A copy of the standard suite (callers may extend or filter it)."""
     return list(DEFAULT_SUITE)
-
-
-def case_by_name(name: str) -> SuiteCase:
-    """Look up a standard suite case by name."""
-    for case in DEFAULT_SUITE:
-        if case.name == name:
-            return case
-    raise GenerationError(
-        f"unknown suite case {name!r}; known: {[c.name for c in DEFAULT_SUITE]}"
-    )

@@ -91,11 +91,3 @@ def validate_dataset(
             )
         )
     return results
-
-
-def max_target_error(dataset: TomborgDataset) -> float:
-    """Worst per-segment maximum absolute error (quick pass/fail number)."""
-    validations = validate_dataset(dataset)
-    if not validations:
-        return 0.0
-    return max(v.max_abs_error for v in validations)

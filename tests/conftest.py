@@ -11,11 +11,24 @@ import numpy as np
 import pytest
 
 from repro.core.query import SlidingQuery
-from repro.datasets.random_walk import ar1_series, white_noise
 from repro.timeseries.matrix import TimeSeriesMatrix
 from repro.tomborg.distributions import BimodalCorrelations
 from repro.tomborg.generator import SegmentSpec, TomborgGenerator
+from repro.tomborg.noise import AR1Noise
 from repro.tomborg.spectral import power_law_spectrum
+
+
+def correlated_ar1(num_series, length, coefficient, shared_weight=0.0, seed=None):
+    """AR(1) series mixing one shared AR(1) path into each own path.
+
+    Row 0 of the noise draw is the shared path; any two series correlate at
+    ``shared_weight ** 2`` in expectation.
+    """
+    paths = AR1Noise(sigma=1.0, coefficient=coefficient).apply(
+        np.zeros((num_series + 1, length)), np.random.default_rng(seed)
+    )
+    mixed = np.sqrt(1.0 - shared_weight**2) * paths[1:] + shared_weight * paths[0]
+    return TimeSeriesMatrix(mixed)
 
 
 @pytest.fixture(scope="session")
@@ -24,15 +37,21 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture(scope="session")
+def ar1_matrix():
+    """The :func:`correlated_ar1` factory, for tests that size their own data."""
+    return correlated_ar1
+
+
+@pytest.fixture(scope="session")
 def small_matrix() -> TimeSeriesMatrix:
     """16 correlated AR(1) series of length 512 (shared innovations)."""
-    return ar1_series(16, 512, coefficient=0.8, shared_innovation_weight=0.7, seed=42)
+    return correlated_ar1(16, 512, coefficient=0.8, shared_weight=0.7, seed=42)
 
 
 @pytest.fixture(scope="session")
 def noise_matrix() -> TimeSeriesMatrix:
     """12 independent white-noise series of length 384 (no true edges)."""
-    return white_noise(12, 384, seed=43)
+    return TimeSeriesMatrix(np.random.default_rng(43).normal(size=(12, 384)))
 
 
 @pytest.fixture(scope="session")

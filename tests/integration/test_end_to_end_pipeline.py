@@ -6,6 +6,8 @@ query with Dangoron, build the dynamic network, and export the results — then
 verify every artefact is consistent with a direct computation.
 """
 
+import csv
+
 import numpy as np
 
 from repro.analysis.accuracy import compare_results
@@ -13,29 +15,25 @@ from repro.baselines.brute_force import BruteForceEngine
 from repro.core.dangoron import DangoronEngine
 from repro.core.query import SlidingQuery
 from repro.datasets.climate import SyntheticUSCRN
-from repro.datasets.loaders import load_uscrn_hourly, write_uscrn_hourly
+from repro.datasets.loaders import load_wide_csv, write_wide_csv
 from repro.network.dynamic import DynamicNetwork
-from repro.network.export import read_edge_list, write_edge_list, write_summary_json
-from repro.network.builder import graph_from_matrix
+from repro.network.export import write_temporal_edge_list
 from repro.storage.catalog import Catalog
 from repro.storage.chunk_store import ChunkStore
 from repro.storage.stats_index import StatsIndex
-from repro.timeseries.preprocess import znormalize
 
 
 class TestClimatePipeline:
     def test_generate_store_query_network_export(self, tmp_path):
-        # 1. Generate USCRN-like data and write it in the real file format.
+        # 1. Generate USCRN-like anomalies and write them as the CLI's wide CSV.
         generator = SyntheticUSCRN(num_stations=12, num_days=30, seed=17)
-        raw = generator.generate()
-        paths = write_uscrn_hourly(raw, tmp_path / "uscrn")
+        raw = generator.generate_anomalies()
+        path = write_wide_csv(raw, tmp_path / "uscrn.csv")
 
-        # 2. Load it back the way a user with real files would.
-        loaded = load_uscrn_hourly(paths, resolution_hours=1.0)
-        assert loaded.num_series == raw.num_series
-
-        # 3. Preprocess (anomalies via z-normalisation for this small test).
-        matrix = znormalize(loaded)
+        # 2-3. Load them back the way a CLI user would.
+        matrix = load_wide_csv(path)
+        assert matrix.num_series == raw.num_series
+        assert np.array_equal(matrix.values, raw.values)
 
         # 4. Persist raw data + statistics index in a catalog.
         catalog = Catalog(tmp_path / "catalog")
@@ -64,13 +62,11 @@ class TestClimatePipeline:
         # 6. Build the dynamic network and export artefacts.
         network = DynamicNetwork.from_result(result)
         assert len(network) == query.num_windows
-        edge_path = write_edge_list(
-            graph_from_matrix(result[0], series_ids=result.series_ids),
-            tmp_path / "window0.csv",
-        )
-        assert read_edge_list(edge_path).number_of_edges() == result[0].num_edges
-        summary_path = write_summary_json(result, tmp_path / "summary.json")
-        assert summary_path.exists()
+        edge_path = write_temporal_edge_list(result, tmp_path / "edges.csv")
+        with open(edge_path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == sum(m.num_edges for m in result.matrices)
+        assert sum(row["window"] == "0" for row in rows) == result[0].num_edges
 
     def test_query_results_identical_from_store_and_memory(self, tmp_path):
         generator = SyntheticUSCRN(num_stations=10, num_days=20, seed=23)

@@ -11,7 +11,6 @@ import pytest
 
 from repro.analysis.accuracy import compare_results
 from repro.analysis.significance import significance_threshold
-from repro.analysis.stability import threshold_crossings
 from repro.baselines.brute_force import BruteForceEngine
 from repro.core.dangoron import DangoronEngine
 from repro.core.incremental import IncrementalEngine
@@ -21,7 +20,17 @@ from repro.network.communities import link_activity
 from repro.network.dynamic import DynamicNetwork
 from repro.streaming.monitor import NetworkChangeMonitor
 from repro.streaming.online import OnlineCorrelationMonitor
-from repro.tomborg.suite import case_by_name
+from repro.tomborg.suite import default_suite
+
+SUITE = {case.name: case for case in default_suite()}
+
+
+def crossing_rate(dataset, query):
+    """Edge on/off flips between consecutive exact windows, per pair and step."""
+    exact = BruteForceEngine().run(dataset.matrix, query)
+    flips = link_activity(DynamicNetwork.from_result(exact)).transitions().sum()
+    n = dataset.matrix.num_series
+    return flips / ((query.num_windows - 1) * (n * (n - 1) // 2))
 
 
 class TestTopKToThresholdPipeline:
@@ -44,7 +53,7 @@ class TestTopKToThresholdPipeline:
 
 class TestSuiteDrivenEngines:
     def test_incremental_and_dangoron_agree_on_suite_case(self):
-        dataset, query = case_by_name("sparse_easy").generate(
+        dataset, query = SUITE["sparse_easy"].generate(
             num_series=12, segment_columns=256, seed=17
         )
         exact = BruteForceEngine().run(dataset.matrix, query)
@@ -55,15 +64,13 @@ class TestSuiteDrivenEngines:
 
     def test_crossing_rate_predicts_pruned_recall_direction(self):
         """More threshold crossings (near-threshold data) means lower pruned recall."""
-        easy_data, easy_query = case_by_name("sparse_easy").generate(
+        easy_data, easy_query = SUITE["sparse_easy"].generate(
             num_series=12, segment_columns=256, seed=19
         )
-        hard_data, hard_query = case_by_name("uniform_near_threshold").generate(
+        hard_data, hard_query = SUITE["uniform_near_threshold"].generate(
             num_series=12, segment_columns=256, seed=19
         )
-        easy_crossings = threshold_crossings(easy_data.matrix, easy_query).crossing_rate
-        hard_crossings = threshold_crossings(hard_data.matrix, hard_query).crossing_rate
-        assert hard_crossings >= easy_crossings
+        assert crossing_rate(hard_data, hard_query) >= crossing_rate(easy_data, easy_query)
 
 
 class TestStreamingVsOffline:

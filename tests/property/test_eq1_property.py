@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.basic_window import BasicWindowLayout, combine_pair_from_series
+from repro.core.basic_window import BasicWindowLayout
 from repro.core.correlation import correlation_matrix, pearson
 from repro.core.sketch import BasicWindowSketch
 
@@ -40,7 +40,9 @@ def series_pair_and_size(draw):
 @settings(max_examples=60, deadline=None)
 def test_eq1_equals_direct_pearson(data):
     x, y, size = data
-    recombined = combine_pair_from_series(x, y, size)
+    layout = BasicWindowLayout(offset=0, size=size, count=len(x) // size)
+    sketch = BasicWindowSketch.build(np.vstack([x, y]), layout)
+    recombined = sketch.exact_matrix_scan(0, layout.count)[0, 1]
     direct = pearson(x, y)
     assert recombined == pytest.approx(direct, abs=1e-6)
 

@@ -8,7 +8,7 @@ cross product
     build     = dense | tiled
     pruning   = off | on           (horizontal pruning, a threshold-engine option)
 
-Every cell is classified in :data:`EXPECTED_SUPPORT` with one of three
+Every cell is classified in :data:`EXPECTED_SUPPORT` with one of four
 outcomes:
 
 ``supported``
@@ -20,6 +20,10 @@ outcomes:
     why (``build_reason``) — e.g. pruned threshold queries read raw values
     for pivot selection, so a tiled build cannot bound their memory.
     The result is still bit-identical to the reference.
+``serial-fallback``
+    The cell runs, but the execution honestly stays serial and the plan
+    records why (``execution_reason``) — lagged scans are one BLAS product
+    per window, which already spreads over the cores.
 ``inapplicable``
     The cell cannot even be requested: pruning is an option of the
     threshold engine, and the planner rejects engine overrides for
@@ -67,6 +71,7 @@ PRUNING = (False, True)
 
 SUPPORTED = "supported"
 DENSE_FALLBACK = "dense-fallback"
+SERIAL_FALLBACK = "serial-fallback"
 INAPPLICABLE = "inapplicable"
 
 EXPECTED_SUPPORT = {
@@ -89,11 +94,13 @@ EXPECTED_SUPPORT = {
     ("topk", "serial", "tiled", True): INAPPLICABLE,
     ("topk", "sharded", "dense", True): INAPPLICABLE,
     ("topk", "sharded", "tiled", True): INAPPLICABLE,
-    # lagged: raw-value path; "tiled" means streamed window buffers.
+    # lagged: raw-value path; "tiled" means streamed window buffers.  The
+    # lag kernel is one BLAS product per window, so requested workers stay
+    # serial.
     ("lagged", "serial", "dense", False): SUPPORTED,
     ("lagged", "serial", "tiled", False): SUPPORTED,
-    ("lagged", "sharded", "dense", False): SUPPORTED,
-    ("lagged", "sharded", "tiled", False): SUPPORTED,
+    ("lagged", "sharded", "dense", False): SERIAL_FALLBACK,
+    ("lagged", "sharded", "tiled", False): SERIAL_FALLBACK,
     ("lagged", "serial", "dense", True): INAPPLICABLE,
     ("lagged", "serial", "tiled", True): INAPPLICABLE,
     ("lagged", "sharded", "dense", True): INAPPLICABLE,
@@ -103,9 +110,7 @@ EXPECTED_SUPPORT = {
 #: Cells this repo learned in the scenario-matrix PR; they must stay
 #: ``supported`` — regressing one of these is an API break, not a tweak.
 NEWLY_SUPPORTED = (
-    ("lagged", "sharded", "dense", False),
     ("lagged", "serial", "tiled", False),
-    ("lagged", "sharded", "tiled", False),
     ("topk", "sharded", "dense", False),
     ("topk", "sharded", "tiled", False),
     ("threshold", "sharded", "dense", True),
@@ -213,14 +218,22 @@ def test_plan_matches_expected_support(cell):
 
     ``supported`` cells get the requested execution *and* build; a
     ``dense-fallback`` cell keeps the requested execution but records a
-    ``build_reason`` that ``describe()`` surfaces.  If the planner starts
-    honouring a cell the table calls a fallback, this fails — update the
-    table (and the docs matrix) with the new capability.
+    ``build_reason`` that ``describe()`` surfaces, and a ``serial-fallback``
+    cell keeps the requested build but runs serial with an
+    ``execution_reason``.  If the planner starts honouring a cell the table
+    calls a fallback, this fails — update the table (and the docs matrix)
+    with the new capability.
     """
     family, execution, build, pruned = cell
     matrix = _matrix(8, seed=7)
     planner = _planner(execution, build, pruned, matrix.num_series)
     plan = planner.plan(matrix, _query(family))
+    if EXPECTED_SUPPORT[cell] == SERIAL_FALLBACK:
+        assert plan.execution == EXECUTION_SERIAL
+        assert plan.execution_reason is not None
+        assert f"exec=serial ({plan.execution_reason})" in plan.describe()
+        assert plan.sketch_build == build
+        return
     assert plan.execution == execution
     assert plan.execution_reason is None
     if EXPECTED_SUPPORT[cell] == SUPPORTED:
@@ -365,6 +378,12 @@ def test_declined_sharding_names_the_reason_in_describe():
     plan = planner.plan(matrix, unaligned)
     assert plan.execution == EXECUTION_SERIAL
     assert "windows not basic-window aligned" in plan.describe()
+
+    # Lagged: the lag kernel is one BLAS product per window.
+    planner = _planner("sharded", "dense", False, 8)
+    plan = planner.plan(matrix, _query("lagged"))
+    assert plan.execution == EXECUTION_SERIAL
+    assert "lagged scans are one BLAS product per window" in plan.describe()
 
 
 def test_impossible_lagged_budget_raises_naming_family_and_strategy():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.accuracy import compare_results, matrix_rmse
+from repro.analysis.accuracy import WindowAccuracy, compare_results
 from repro.core.query import SlidingQuery
 from repro.core.result import CorrelationSeriesResult, EngineStats, ThresholdedMatrix
 from repro.exceptions import ExperimentError
@@ -91,19 +91,40 @@ class TestCompareResults:
         assert record["precision"] == 1.0
         assert record["engine"] == "candidate"
 
+    def test_totals_are_pooled_over_windows_not_averaged(self):
+        # Window 0: 1 of 1 found; window 1: 1 of 3 found.  Pooled recall is
+        # 2 / 4, where the mean of per-window recalls would be 2 / 3.
+        reference = build_result([[(0, 1, 0.9)], [(0, 1, 0.9), (1, 2, 0.9), (2, 3, 0.9)]])
+        candidate = build_result([[(0, 1, 0.9)], [(0, 1, 0.9)]])
+        assert compare_results(candidate, reference).recall == pytest.approx(0.5)
 
-class TestMatrixRmse:
-    def test_zero_for_identical(self):
-        result = build_result([[(0, 1, 0.9)]])
-        assert matrix_rmse(result, result) == 0.0
+    def test_rmse_and_max_error_over_several_windows(self):
+        reference = build_result([[(0, 1, 0.9)], [(0, 1, 0.5), (2, 3, 0.6)]])
+        candidate = build_result([[(0, 1, 0.6)], [(0, 1, 0.5), (2, 3, 0.7)]])
+        report = compare_results(candidate, reference)
+        assert report.value_max_error == pytest.approx(0.3)
+        assert report.value_rmse == pytest.approx(np.sqrt((0.09 + 0.0 + 0.01) / 3))
 
-    def test_positive_for_different_values(self):
-        a = build_result([[(0, 1, 0.9)]])
-        b = build_result([[(0, 1, 0.5)]])
-        assert matrix_rmse(a, b) > 0.0
 
-    def test_window_mismatch_rejected(self):
-        a = build_result([[(0, 1, 0.9)]])
-        b = build_result([[(0, 1, 0.9)], []])
-        with pytest.raises(ExperimentError):
-            matrix_rmse(a, b)
+class TestWindowAccuracy:
+    def test_scores_from_counts(self):
+        window = WindowAccuracy(0, true_edges=4, reported_edges=3, true_positives=2,
+                                false_positives=1, false_negatives=2)
+        assert window.precision == pytest.approx(2 / 3)
+        assert window.recall == pytest.approx(0.5)
+        assert window.f1 == pytest.approx(4 / 7)
+        assert window.jaccard == pytest.approx(0.4)
+
+    def test_nothing_found_scores_zero(self):
+        window = WindowAccuracy(0, true_edges=2, reported_edges=1, true_positives=0,
+                                false_positives=1, false_negatives=2)
+        assert (window.precision, window.recall, window.f1, window.jaccard) == (
+            0.0, 0.0, 0.0, 0.0
+        )
+
+    def test_nothing_reported_keeps_precision_at_one(self):
+        window = WindowAccuracy(0, true_edges=2, reported_edges=0, true_positives=0,
+                                false_positives=0, false_negatives=2)
+        assert window.precision == 1.0
+        assert window.recall == 0.0
+        assert window.f1 == 0.0

@@ -1,64 +1,21 @@
-"""Unit tests for correlation significance tools (repro.analysis.significance)."""
+"""Unit tests for the significance threshold (repro.analysis.significance)."""
+
+import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from repro.analysis.significance import (
-    correlation_confidence_interval,
-    correlation_pvalue,
-    edge_pvalues,
-    evaluate_significance,
-    filter_significant,
-    fisher_z,
-    fisher_z_inverse,
-    significance_threshold,
-)
-from repro.baselines.brute_force import BruteForceEngine
-from repro.core.query import SlidingQuery
-from repro.exceptions import DataValidationError, QueryValidationError
+from repro.analysis.significance import significance_threshold
+from repro.exceptions import QueryValidationError
 
 
-class TestFisherTransform:
-    def test_roundtrip(self):
-        for r in (-0.95, -0.3, 0.0, 0.5, 0.99):
-            assert fisher_z_inverse(fisher_z(r)) == pytest.approx(r, abs=1e-12)
-
-    def test_vectorized(self):
-        values = np.linspace(-0.9, 0.9, 7)
-        assert np.allclose(fisher_z_inverse(fisher_z(values)), values, atol=1e-12)
-
-    def test_handles_exact_one(self):
-        assert np.isfinite(fisher_z(1.0))
-        assert np.isfinite(fisher_z(-1.0))
-
-
-class TestPValues:
-    def test_matches_scipy_pearsonr(self, rng):
-        x = rng.normal(size=60)
-        y = 0.5 * x + rng.normal(size=60)
-        r, p_scipy = stats.pearsonr(x, y)
-        assert correlation_pvalue(r, 60) == pytest.approx(p_scipy, rel=1e-9)
-
-    def test_zero_correlation_not_significant(self):
-        assert correlation_pvalue(0.0, 100) == pytest.approx(1.0)
-
-    def test_perfect_correlation_significant(self):
-        assert correlation_pvalue(0.9999999, 30) < 1e-10
-
-    def test_pvalue_decreases_with_sample_size(self):
-        assert correlation_pvalue(0.3, 200) < correlation_pvalue(0.3, 20)
-
-    def test_small_sample_rejected(self):
-        with pytest.raises(QueryValidationError):
-            correlation_pvalue(0.5, 3)
-
-
-class TestThresholdAndInterval:
+class TestThreshold:
     def test_threshold_is_exactly_significant(self):
         n = 120
         threshold = significance_threshold(n, alpha=0.05)
-        assert correlation_pvalue(threshold, n) == pytest.approx(0.05, abs=1e-9)
+        t = threshold * math.sqrt((n - 2) / (1.0 - threshold**2))
+        assert 2.0 * stats.t.sf(t, n - 2) == pytest.approx(0.05, abs=1e-9)
 
     def test_bonferroni_raises_threshold(self):
         plain = significance_threshold(120, alpha=0.05)
@@ -68,59 +25,35 @@ class TestThresholdAndInterval:
     def test_threshold_shrinks_with_window_length(self):
         assert significance_threshold(1000) < significance_threshold(50)
 
-    def test_confidence_interval_contains_estimate(self):
-        low, high = correlation_confidence_interval(0.6, 100)
-        assert low < 0.6 < high
-        narrow_low, narrow_high = correlation_confidence_interval(0.6, 1000)
-        assert (narrow_high - narrow_low) < (high - low)
-
     def test_parameter_validation(self):
         with pytest.raises(QueryValidationError):
             significance_threshold(100, alpha=0.0)
         with pytest.raises(QueryValidationError):
             significance_threshold(100, num_comparisons=0)
         with pytest.raises(QueryValidationError):
-            correlation_confidence_interval(0.5, 100, confidence=1.5)
+            significance_threshold(3)
 
+    @pytest.mark.parametrize("n", [10, 64, 500])
+    @pytest.mark.parametrize("alpha", [0.01, 0.1])
+    def test_pearsonr_pvalue_at_threshold_equals_alpha(self, n, alpha):
+        # Two series whose sample correlation is exactly the threshold.
+        threshold = significance_threshold(n, alpha=alpha)
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=n)
+        b = rng.normal(size=n)
+        a = (a - a.mean()) / np.linalg.norm(a - a.mean())
+        b = b - b.mean() - (b - b.mean()) @ a * a
+        b /= np.linalg.norm(b)
+        y = threshold * a + math.sqrt(1.0 - threshold**2) * b
+        r, p = stats.pearsonr(a, y)
+        assert r == pytest.approx(threshold, abs=1e-12)
+        assert p == pytest.approx(alpha, rel=1e-6)
 
-class TestResultLevel:
-    @pytest.fixture
-    def query_result(self, small_matrix, standard_query):
-        return BruteForceEngine().run(small_matrix, standard_query)
+    def test_bonferroni_equals_plain_threshold_at_divided_alpha(self):
+        corrected = significance_threshold(200, alpha=0.05, num_comparisons=10)
+        assert corrected == pytest.approx(significance_threshold(200, alpha=0.005))
 
-    def test_evaluate_counts_edges(self, query_result):
-        report = evaluate_significance(query_result, alpha=0.05)
-        assert report.edges_total == query_result.total_edges()
-        assert 0 <= report.edges_significant <= report.edges_total
-        assert len(report.per_window_significant) == query_result.num_windows
-        assert 0.0 <= report.significant_fraction <= 1.0
-
-    def test_high_threshold_edges_are_significant(self, query_result):
-        """beta=0.6 over 128-point windows is far above the significance floor."""
-        report = evaluate_significance(query_result, alpha=0.05, bonferroni=False)
-        assert report.significant_fraction == pytest.approx(1.0)
-
-    def test_filter_keeps_query_and_drops_weak_edges(self, small_matrix):
-        query = SlidingQuery(
-            start=0, end=small_matrix.length, window=128, step=64, threshold=0.05
-        )
-        result = BruteForceEngine().run(small_matrix, query)
-        filtered = filter_significant(result, alpha=0.001)
-        assert filtered.query == result.query
-        assert filtered.total_edges() <= result.total_edges()
-        minimum = evaluate_significance(result, alpha=0.001).min_significant_correlation
-        for matrix in filtered.matrices:
-            if matrix.num_edges:
-                assert np.all(np.abs(matrix.values) >= minimum - 1e-12)
-
-    def test_filter_noop_when_threshold_already_significant(self, query_result):
-        filtered = filter_significant(query_result, alpha=0.05, bonferroni=False)
-        assert filtered is query_result
-
-    def test_edge_pvalues(self, query_result):
-        matrix = query_result[0]
-        pvalues = edge_pvalues(matrix, query_result.query.window)
-        assert pvalues.shape == (matrix.num_edges,)
-        assert np.all((pvalues >= 0.0) & (pvalues <= 1.0))
-        with pytest.raises(DataValidationError):
-            edge_pvalues(matrix, 3)
+    def test_threshold_shrinks_as_alpha_grows(self):
+        values = [significance_threshold(80, alpha=a) for a in (0.001, 0.01, 0.1, 0.5)]
+        assert all(0.0 < v < 1.0 for v in values)
+        assert values == sorted(values, reverse=True)

@@ -128,6 +128,33 @@ class TestPlanDecision:
 
 
 class TestExecution:
+    @pytest.mark.parametrize("budget,build,kernel_budget", [
+        (DENSE_BYTES * 2, SKETCH_BUILD_DENSE, None),
+        (DENSE_BYTES // 4, SKETCH_BUILD_TILED, DENSE_BYTES // 4),
+    ])
+    def test_lagged_kernel_receives_the_budget_only_when_tiled(
+        self, matrix, monkeypatch, budget, build, kernel_budget
+    ):
+        """A dense lagged plan slices the resident matrix, so the kernel gets
+        no budget; a tiled one streams window buffers under it."""
+        import repro.api.planner as planner_module
+
+        seen = []
+        kernel = planner_module.sliding_lagged_correlation
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["memory_budget"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(planner_module, "sliding_lagged_correlation", spy)
+        planner = QueryPlanner(basic_window_size=BASIC, memory_budget=budget)
+        query = LaggedQuery(start=0, end=L, window=128, step=64, threshold=0.5,
+                            max_lag=2)
+        plan = planner.plan(matrix, query)
+        assert plan.sketch_build == build
+        planner.execute(matrix, plan)
+        assert seen == [kernel_budget]
+
     def test_tiled_execution_bit_identical(self, matrix, store, threshold_query):
         dense = CorrelationSession(matrix, basic_window_size=BASIC).run(threshold_query)
         session = CorrelationSession.from_chunk_store(

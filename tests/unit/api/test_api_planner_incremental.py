@@ -12,14 +12,13 @@ import pytest
 from repro.api import QueryPlanner, ThresholdQuery
 from repro.api.planner import SKETCH_BUILD_INCREMENTAL
 from repro.core.basic_window import BasicWindowLayout
-from repro.datasets.random_walk import ar1_series
 from repro.storage.cache import SketchCache
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 
 @pytest.fixture
-def matrix():
-    return ar1_series(8, 512, coefficient=0.8, shared_innovation_weight=0.5, seed=5)
+def matrix(ar1_matrix):
+    return ar1_matrix(8, 512, coefficient=0.8, shared_weight=0.5, seed=5)
 
 
 def chained(cache: SketchCache, matrix: TimeSeriesMatrix, delta_columns: int = 64):

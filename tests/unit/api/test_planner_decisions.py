@@ -178,6 +178,16 @@ def _scenarios():
                 threshold=0.4,
             ),
         ),
+        # Lagged with workers requested: the lag kernel is one BLAS product
+        # per window, so the plan stays serial and says why.
+        "lagged-declined-workers": (
+            _planner(workers=2, parallel_min_pairs=1, parallel_mode="thread"),
+            _matrix(),
+            LaggedQuery(
+                start=0, end=LENGTH, window=WINDOW, step=STEP, max_lag=4,
+                threshold=0.4,
+            ),
+        ),
         # A chained cache prefix: incremental beats dense on cost and the
         # reason names the covered prefix.
         "incremental-chained-prefix": _chained_setup(),
@@ -356,6 +366,20 @@ GOLDEN = {
         "describe": (
             "plan[lagged] engine=- sketch=raw exec=serial "
             "build=tiled(budget=8192B)"
+        ),
+    },
+    "lagged-declined-workers": {
+        "execution": "serial",
+        "workers": 1,
+        "sketch_build": "dense",
+        "memory_budget": None,
+        "reasons": (
+            ("execution", "lagged scans are one BLAS product per window"),
+        ),
+        "cost_source": "calibration",
+        "describe": (
+            "plan[lagged] engine=- sketch=raw exec=serial "
+            "(lagged scans are one BLAS product per window)"
         ),
     },
     "incremental-chained-prefix": {

@@ -1,13 +1,17 @@
 """Unit tests for the StatStream (truncated DFT) baseline."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.accuracy import compare_results
 from repro.baselines.brute_force import BruteForceEngine
 from repro.baselines.statstream import StatStreamEngine
 from repro.core.query import SlidingQuery
-from repro.datasets.random_walk import sinusoid_mixture, white_noise
 from repro.exceptions import QueryValidationError
+from repro.timeseries.matrix import TimeSeriesMatrix
+from repro.tomborg.distributions import BimodalCorrelations
+from repro.tomborg.generator import TomborgGenerator
+from repro.tomborg.spectral import band_limited_spectrum
 
 
 class TestStatStream:
@@ -31,8 +35,10 @@ class TestStatStream:
         assert compare_results(result, exact).precision == pytest.approx(1.0)
 
     def test_good_recall_on_energy_concentrated_signals(self):
-        """Low-frequency sinusoid mixtures are the friendly case for DFT truncation."""
-        data = sinusoid_mixture(14, 512, num_tones=2, noise_scale=0.2, seed=9)
+        """Low-frequency, band-limited signals are the friendly case for DFT truncation."""
+        data = TomborgGenerator(
+            num_series=14, spectrum=band_limited_spectrum(0.0, 0.02), seed=9
+        ).generate(512, BimodalCorrelations()).matrix
         query = SlidingQuery(start=0, end=512, window=256, step=64, threshold=0.7)
         exact = BruteForceEngine().run(data, query)
         result = StatStreamEngine(num_coefficients=16, verify=False,
@@ -41,7 +47,7 @@ class TestStatStream:
 
     def test_poor_estimates_on_white_noise(self):
         """With a flat spectrum, few coefficients capture little of the correlation."""
-        data = white_noise(10, 512, seed=4)
+        data = TimeSeriesMatrix(np.random.default_rng(4).normal(size=(10, 512)))
         query = SlidingQuery(start=0, end=512, window=256, step=128, threshold=-1.0)
         exact = BruteForceEngine().run(data, query)
         truncated = StatStreamEngine(

@@ -1,19 +1,30 @@
-"""Unit tests for basic-window layouts and the Eq. 1 recombination."""
+"""Unit tests for basic-window layouts and the Eq. 1 recombination.
+
+Eq. 1 lives in :class:`~repro.core.sketch.BasicWindowSketch`: per-basic-window
+statistics at build time, recombined over a window by ``exact_pairs_scan``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.basic_window import (
-    BasicWindowLayout,
-    basic_window_correlations,
-    basic_window_statistics,
-    choose_basic_window_size,
-    combine_pair_eq1,
-    combine_pair_from_series,
-)
+from repro.core.basic_window import BasicWindowLayout, choose_basic_window_size
 from repro.core.correlation import pearson
 from repro.core.query import SlidingQuery
+from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import SketchError
+
+
+def _sketch(x, y, size):
+    """Sketch of the two-row matrix ``[x, y]`` over whole basic windows."""
+    values = np.stack([x, y])
+    layout = BasicWindowLayout.for_range(0, values.shape[1], size)
+    return BasicWindowSketch.build(values, layout)
+
+
+def _recombined(x, y, size):
+    """Eq. 1 over every basic window of the pair ``(x, y)``."""
+    sketch = _sketch(x, y, size)
+    return float(sketch.exact_pairs_scan([0], [1], 0, sketch.num_basic_windows)[0])
 
 
 class TestLayout:
@@ -107,25 +118,28 @@ class TestChooseBasicWindowSize:
 class TestPerWindowStatistics:
     def test_basic_window_statistics_values(self):
         series = np.arange(12, dtype=float)
-        means, stds = basic_window_statistics(series, 4)
+        sketch = _sketch(series, series[::-1].copy(), 4)
+        means = sketch.series_sums[0] / 4
+        stds = np.sqrt(sketch.series_sumsqs[0] / 4 - means**2)
         assert np.allclose(means, [1.5, 5.5, 9.5])
         assert np.allclose(stds, np.std(np.arange(4.0)))
 
-    def test_length_must_divide(self):
+    def test_length_must_divide(self, rng):
+        sketch = _sketch(rng.normal(size=16), rng.normal(size=16), 4)
         with pytest.raises(SketchError):
-            basic_window_statistics(np.arange(10.0), 4)
+            sketch.extend(rng.normal(size=(2, 10)))
 
     def test_basic_window_correlations_match_pearson(self, rng):
         x = rng.normal(size=64)
         y = rng.normal(size=64)
-        corrs = basic_window_correlations(x, y, 16)
+        corrs = _sketch(x, y, 16).pair_corrs[:, 0, 1]
         expected = [pearson(x[i : i + 16], y[i : i + 16]) for i in range(0, 64, 16)]
         assert np.allclose(corrs, expected, atol=1e-12)
 
     def test_constant_basic_window_gives_zero(self, rng):
         x = np.ones(32)
         y = rng.normal(size=32)
-        assert np.all(basic_window_correlations(x, y, 8) == 0.0)
+        assert np.all(_sketch(x, y, 8).pair_corrs[:, 0, 1] == 0.0)
 
 
 class TestEq1Recombination:
@@ -133,61 +147,44 @@ class TestEq1Recombination:
     def test_equals_direct_pearson_for_equal_windows(self, rng, size):
         x = rng.normal(size=128)
         y = 0.3 * x + rng.normal(size=128)
-        assert combine_pair_from_series(x, y, size) == pytest.approx(
-            pearson(x, y), abs=1e-9
-        )
+        assert _recombined(x, y, size) == pytest.approx(pearson(x, y), abs=1e-9)
 
     def test_equals_direct_pearson_with_trend(self, rng):
         # Between-window mean differences exercise the delta terms of Eq. 1.
         t = np.linspace(0, 5, 120)
         x = t + 0.2 * rng.normal(size=120)
         y = -t + 0.2 * rng.normal(size=120)
-        assert combine_pair_from_series(x, y, 24) == pytest.approx(
-            pearson(x, y), abs=1e-9
-        )
+        assert _recombined(x, y, 24) == pytest.approx(pearson(x, y), abs=1e-9)
 
     def test_unequal_window_sizes_with_weighted_mean(self, rng):
+        # An unaligned range is an aligned core plus shorter head/tail pieces.
         x = rng.normal(size=100)
         y = rng.normal(size=100)
-        sizes = [20, 30, 50]
-        bounds = np.cumsum([0] + sizes)
-        means_x, means_y, stds_x, stds_y, corrs = [], [], [], [], []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            means_x.append(x[lo:hi].mean())
-            means_y.append(y[lo:hi].mean())
-            stds_x.append(x[lo:hi].std())
-            stds_y.append(y[lo:hi].std())
-            corrs.append(pearson(x[lo:hi], y[lo:hi]))
-        value = combine_pair_eq1(
-            sizes, means_x, means_y, stds_x, stds_y, corrs, weighted_grand_mean=True
-        )
-        assert value == pytest.approx(pearson(x, y), abs=1e-9)
+        values = np.stack([x, y])
+        sketch = BasicWindowSketch.build(values, BasicWindowLayout.for_range(0, 100, 20))
+        corr = sketch.exact_matrix_range(7, 93, values)
+        assert corr[0, 1] == pytest.approx(pearson(x[7:93], y[7:93]), abs=1e-9)
 
     def test_paper_form_matches_weighted_for_equal_sizes(self, rng):
+        # The scan over a window range and the prefix-sum form of the same
+        # range are two evaluations of one formula.
         x = rng.normal(size=96)
         y = rng.normal(size=96)
-        size = 16
-        means_x, stds_x = basic_window_statistics(x, size)
-        means_y, stds_y = basic_window_statistics(y, size)
-        corrs = basic_window_correlations(x, y, size)
-        sizes = [size] * len(corrs)
-        weighted = combine_pair_eq1(
-            sizes, means_x, means_y, stds_x, stds_y, corrs, weighted_grand_mean=True
-        )
-        unweighted = combine_pair_eq1(
-            sizes, means_x, means_y, stds_x, stds_y, corrs, weighted_grand_mean=False
-        )
-        assert weighted == pytest.approx(unweighted, abs=1e-12)
+        sketch = _sketch(x, y, 16)
+        for first, count in [(0, 6), (1, 3), (4, 2)]:
+            scan = sketch.exact_pairs_scan([0], [1], first, count)
+            fast = sketch.exact_pairs_fast([0], [1], first, count)
+            assert fast == pytest.approx(scan, abs=1e-12)
 
     def test_constant_pair_returns_zero(self):
-        sizes = [10, 10]
-        value = combine_pair_eq1(sizes, [1, 1], [2, 2], [0, 0], [0, 0], [0, 0])
-        assert value == 0.0
+        assert _recombined(np.full(20, 1.0), np.full(20, 2.0), 10) == 0.0
 
-    def test_input_length_mismatch(self):
+    def test_input_length_mismatch(self, rng):
+        layout = BasicWindowLayout.for_range(0, 40, 10)
         with pytest.raises(SketchError):
-            combine_pair_eq1([10], [1, 2], [1], [1], [1], [1])
+            BasicWindowSketch.build(rng.normal(size=(2, 30)), layout)
 
-    def test_empty_inputs_rejected(self):
+    def test_empty_inputs_rejected(self, rng):
+        sketch = _sketch(rng.normal(size=40), rng.normal(size=40), 10)
         with pytest.raises(SketchError):
-            combine_pair_eq1([], [], [], [], [], [])
+            sketch.exact_pairs_scan([0], [1], 0, 0)

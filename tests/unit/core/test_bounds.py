@@ -8,7 +8,6 @@ from repro.core.bounds import (
     first_possible_crossing,
     first_possible_crossing_absolute,
     max_skippable_steps_scalar,
-    temporal_lower_bound,
     temporal_upper_bound,
     triangle_bounds,
     triangle_bounds_from_pivots,
@@ -22,9 +21,6 @@ class TestTemporalBoundArithmetic:
     def test_upper_bound_formula(self):
         # Corr + (k - sum c_i) / ns
         assert temporal_upper_bound(0.4, 2, 0.6, 8) == pytest.approx(0.4 + 1.4 / 8)
-
-    def test_lower_bound_formula(self):
-        assert temporal_lower_bound(0.4, 2, 0.6, 8) == pytest.approx(0.4 - 2.6 / 8)
 
     def test_vectorized_inputs(self):
         corr = np.array([0.1, 0.5])
@@ -46,7 +42,7 @@ class TestTemporalBoundArithmetic:
         with pytest.raises(QueryValidationError):
             temporal_upper_bound(0.1, 1, 0.0, 0)
         with pytest.raises(QueryValidationError):
-            temporal_lower_bound(0.1, 1, 0.0, -3)
+            temporal_upper_bound(0.1, 1, 0.0, -3)
 
 
 def all_pairs_binary_search(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.correlation import (
-    RunningPairCorrelation,
     correlation_against,
     correlation_from_sums,
     correlation_matrix,
@@ -94,50 +93,6 @@ class TestCorrelationAgainst:
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(DataValidationError):
             correlation_against(rng.normal(size=(3, 50)), rng.normal(size=(1, 40)))
-
-
-class TestRunningPairCorrelation:
-    def test_matches_batch_pearson(self, pair):
-        x, y = pair
-        running = RunningPairCorrelation()
-        for xv, yv in zip(x, y):
-            running.update(float(xv), float(yv))
-        assert running.correlation() == pytest.approx(pearson(x, y), abs=1e-10)
-
-    def test_update_many_equivalent_to_scalar_updates(self, pair):
-        x, y = pair
-        a = RunningPairCorrelation()
-        a.update_many(x, y)
-        b = RunningPairCorrelation()
-        for xv, yv in zip(x, y):
-            b.update(float(xv), float(yv))
-        assert a.correlation() == pytest.approx(b.correlation(), abs=1e-12)
-
-    def test_remove_many_slides_the_window(self, pair):
-        x, y = pair
-        running = RunningPairCorrelation()
-        running.update_many(x, y)
-        running.remove_many(x[:100], y[:100])
-        assert running.correlation() == pytest.approx(
-            pearson(x[100:], y[100:]), abs=1e-8
-        )
-
-    def test_too_few_points_returns_none(self):
-        running = RunningPairCorrelation()
-        assert running.correlation() is None
-        running.update(1.0, 2.0)
-        assert running.correlation() is None
-
-    def test_cannot_remove_more_than_added(self, rng):
-        running = RunningPairCorrelation()
-        running.update_many(rng.normal(size=5), rng.normal(size=5))
-        with pytest.raises(DataValidationError):
-            running.remove_many(rng.normal(size=6), rng.normal(size=6))
-
-    def test_constant_window_returns_zero(self):
-        running = RunningPairCorrelation()
-        running.update_many(np.ones(10), np.arange(10.0))
-        assert running.correlation() == 0.0
 
 
 class TestCorrelationFromSums:

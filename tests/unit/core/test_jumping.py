@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.jumping import JumpScheduler, simulate_pair_schedule
+from repro.core.jumping import JumpScheduler
 from repro.exceptions import QueryValidationError
 
 
@@ -80,51 +80,59 @@ class TestScheduler:
             view[0] = 3
 
 
-class TestSimulatedSchedule:
+def _drive_one_pair(correlations, beta, jumps_when_below):
+    """Run one pair through the scheduler the way the engine does.
+
+    At each due window the pair is evaluated; below ``beta`` it jumps
+    ``jumps_when_below[k]`` windows ahead.  Returns the evaluated mask and
+    the scheduler.
+    """
+    scheduler = JumpScheduler(1, len(correlations))
+    evaluated = np.zeros(len(correlations), dtype=bool)
+    for k in range(len(correlations)):
+        due = scheduler.due_indices(k)
+        if len(due) == 0:
+            continue
+        evaluated[k] = True
+        scheduler.record_evaluations(k, due)
+        if correlations[k] < beta:
+            scheduler.schedule_jumps(k, due, np.array([jumps_when_below[k]]))
+    return evaluated, scheduler
+
+
+class TestSinglePairSchedule:
     def test_always_above_threshold_evaluates_everything(self):
-        correlations = np.full(6, 0.9)
-        evaluated, skipped = simulate_pair_schedule(correlations, 0.5, np.ones(6, dtype=int))
+        evaluated, scheduler = _drive_one_pair(np.full(6, 0.9), 0.5, np.full(6, 3))
         assert evaluated.all()
-        assert skipped == 0
+        assert scheduler.stats.skipped_evaluations == 0
+        assert scheduler.stats.exact_evaluations == 6
 
     def test_below_threshold_with_jumps_skips_windows(self):
         correlations = np.array([0.1, 0.1, 0.1, 0.1, 0.9, 0.9])
         jumps = np.array([3, 1, 1, 1, 1, 1])
-        evaluated, skipped = simulate_pair_schedule(correlations, 0.5, jumps)
+        evaluated, scheduler = _drive_one_pair(correlations, 0.5, jumps)
         assert list(evaluated) == [True, False, False, True, True, True]
-        assert skipped == 2
+        assert scheduler.stats.skipped_evaluations == 2
 
     def test_jump_past_end(self):
-        correlations = np.array([0.1, 0.1, 0.1])
-        jumps = np.array([10, 1, 1])
-        evaluated, skipped = simulate_pair_schedule(correlations, 0.5, jumps)
+        evaluated, scheduler = _drive_one_pair(np.full(3, 0.1), 0.5, np.array([10, 1, 1]))
         assert list(evaluated) == [True, False, False]
-        assert skipped == 2
+        assert scheduler.stats.skipped_evaluations == 2
+        assert scheduler.next_due[0] == 10
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(QueryValidationError):
-            simulate_pair_schedule(np.zeros(3), 0.5, np.zeros(4, dtype=int))
-
-    def test_scheduler_matches_simulation_for_one_pair(self):
-        """Drive a JumpScheduler with the same decisions the simulation makes."""
+    def test_every_window_is_evaluated_or_skipped(self):
         correlations = np.array([0.2, 0.2, 0.8, 0.2, 0.2, 0.2, 0.9, 0.9])
-        jumps_when_below = np.array([2, 2, 1, 3, 1, 1, 1, 1])
-        beta = 0.5
-        evaluated_expected, skipped_expected = simulate_pair_schedule(
-            correlations, beta, jumps_when_below
-        )
+        jumps = np.array([2, 2, 1, 3, 1, 1, 1, 1])
+        evaluated, scheduler = _drive_one_pair(correlations, 0.5, jumps)
+        stats = scheduler.stats
+        assert stats.exact_evaluations == int(evaluated.sum())
+        assert stats.exact_evaluations + stats.skipped_evaluations == len(correlations)
 
-        scheduler = JumpScheduler(1, len(correlations))
-        evaluated = np.zeros(len(correlations), dtype=bool)
-        for k in range(len(correlations)):
-            due = scheduler.due_indices(k)
-            if len(due) == 0:
-                continue
-            evaluated[k] = True
-            scheduler.record_evaluations(k, due)
-            if correlations[k] < beta:
-                scheduler.schedule_jumps(
-                    k, due, np.array([jumps_when_below[k]])
-                )
-        assert list(evaluated) == list(evaluated_expected)
-        assert scheduler.stats.skipped_evaluations == skipped_expected
+    def test_scheduler_matches_hand_schedule_for_one_pair(self):
+        correlations = np.array([0.2, 0.2, 0.8, 0.2, 0.2, 0.2, 0.9, 0.9])
+        jumps = np.array([2, 2, 1, 3, 1, 1, 1, 1])
+        evaluated, scheduler = _drive_one_pair(correlations, 0.5, jumps)
+        # 0 jumps to 2 (above, next is 3); 3 jumps to 6; 6 and 7 are above.
+        assert list(evaluated) == [True, False, True, True, False, False, True, True]
+        assert scheduler.stats.jumps_scheduled == 2
+        assert scheduler.stats.mean_jump_length() == pytest.approx(2.5)

@@ -194,3 +194,28 @@ class TestExactPairsFast:
         with pytest.raises(SketchError):
             sketch.exact_pairs_fast(np.array([0]), np.array([1]), 0, 21)
 
+
+
+class TestSlidingAfterExtend:
+    def test_extended_sketch_slides_the_window(self, data):
+        head = BasicWindowSketch.build(data[:, :160], BasicWindowLayout(0, 16, 10))
+        grown = head.extend(data[:, 160:320])
+        # A 128-point window ending at the newest column, one pair at a time.
+        for first in (0, 6, 12):
+            values = grown.exact_pairs_scan([0], [3], first, 8)
+            direct = correlation_matrix(data[:, first * 16 : first * 16 + 128])[0, 3]
+            assert values[0] == pytest.approx(direct, abs=1e-12)
+
+    def test_extend_leaves_the_receiver_unchanged(self, data):
+        head = BasicWindowSketch.build(data[:, :160], BasicWindowLayout(0, 16, 10))
+        sums = head.series_sums.copy()
+        grown = head.extend(data[:, 160:192])
+        assert grown is not head
+        assert head.num_basic_windows == 10
+        assert grown.num_basic_windows == 12
+        assert np.array_equal(head.series_sums, sums)
+
+    def test_extend_rejects_another_series_count(self, data):
+        head = BasicWindowSketch.build(data[:, :160], BasicWindowLayout(0, 16, 10))
+        with pytest.raises(SketchError):
+            head.extend(data[:5, 160:192])

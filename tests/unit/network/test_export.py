@@ -1,83 +1,108 @@
-"""Unit tests for network export/import helpers."""
+"""Unit tests for the edge-list writers (repro.network.export)."""
 
-import json
+import csv
 
-import networkx as nx
 import numpy as np
 import pytest
 
-from repro.baselines.brute_force import BruteForceEngine
-from repro.exceptions import DataValidationError
-from repro.network.builder import graph_from_matrix
-from repro.network.export import (
-    read_edge_list,
-    write_adjacency_npz,
-    write_edge_list,
-    write_summary_json,
-    write_temporal_edge_list,
-)
+from repro.api import CorrelationSession, LaggedQuery, TopKQuery
+from repro.core.query import SlidingQuery
+from repro.core.result import CorrelationSeriesResult, ThresholdedMatrix
+from repro.network.export import write_protocol_edge_list, write_temporal_edge_list
+from repro.timeseries.matrix import TimeSeriesMatrix
+
+
+def _read(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+@pytest.fixture
+def two_window_result():
+    query = SlidingQuery(start=0, end=12, window=8, step=4, threshold=0.5)
+    windows = [
+        ThresholdedMatrix(3, rows=[0], cols=[1], values=[0.9]),
+        ThresholdedMatrix(3, rows=[0, 1], cols=[1, 2], values=[0.8, 0.1 + 0.2]),
+    ]
+    return CorrelationSeriesResult(query, windows, series_ids=["a", "b", "c"])
 
 
 @pytest.fixture(scope="module")
-def result(small_matrix):
-    from repro.core.query import SlidingQuery
-
-    query = SlidingQuery(
-        start=0, end=small_matrix.length, window=128, step=64, threshold=0.6
-    )
-    return BruteForceEngine().run(small_matrix, query)
+def lead_lag_matrix():
+    leader = np.random.default_rng(13).standard_normal(128)
+    return TimeSeriesMatrix(np.stack([leader, np.roll(leader, 2)]),
+                            series_ids=["lead", "follow"])
 
 
-class TestEdgeList:
-    def test_round_trip(self, result, tmp_path):
-        graph = graph_from_matrix(result[0], series_ids=result.series_ids)
-        path = write_edge_list(graph, tmp_path / "edges.csv")
-        loaded = read_edge_list(path)
-        assert set(map(frozenset, loaded.edges())) == set(map(frozenset, graph.edges()))
-        for u, v, data in graph.edges(data=True):
-            assert loaded[str(u)][str(v)]["weight"] == pytest.approx(data["weight"])
+class TestTemporalEdgeList:
+    def test_one_row_per_edge_with_header(self, two_window_result, tmp_path):
+        rows = _read(write_temporal_edge_list(two_window_result, tmp_path / "e.csv"))
+        assert rows[0] == ["window", "source", "target", "weight"]
+        assert [row[:3] for row in rows[1:]] == [
+            ["0", "a", "b"], ["1", "a", "b"], ["1", "b", "c"]
+        ]
 
-    def test_read_missing_file(self, tmp_path):
-        with pytest.raises(DataValidationError):
-            read_edge_list(tmp_path / "missing.csv")
+    def test_weights_round_trip_exactly(self, two_window_result, tmp_path):
+        rows = _read(write_temporal_edge_list(two_window_result, tmp_path / "e.csv"))
+        written = [float(row[3]) for row in rows[1:]]
+        expected = [float(v) for m in two_window_result for v in m.values]
+        assert written == expected
 
-    def test_read_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,0.5\n")
-        with pytest.raises(DataValidationError):
-            read_edge_list(path)
+    def test_indices_without_series_ids(self, two_window_result, tmp_path):
+        bare = CorrelationSeriesResult(two_window_result.query,
+                                       two_window_result.matrices)
+        rows = _read(write_temporal_edge_list(bare, tmp_path / "e.csv"))
+        assert rows[1][:3] == ["0", "0", "1"]
 
-    def test_read_rejects_short_rows(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text("source,target,weight\n1,2\n")
-        with pytest.raises(DataValidationError):
-            read_edge_list(path)
+    def test_empty_windows_write_only_the_header(self, tmp_path):
+        query = SlidingQuery(start=0, end=12, window=8, step=4, threshold=0.5)
+        empty = [ThresholdedMatrix(3, rows=[], cols=[], values=[])] * 2
+        path = write_temporal_edge_list(
+            CorrelationSeriesResult(query, empty), tmp_path / "e.csv"
+        )
+        assert _read(path) == [["window", "source", "target", "weight"]]
 
-    def test_empty_graph_round_trip(self, tmp_path):
-        path = write_edge_list(nx.Graph(), tmp_path / "empty.csv")
-        assert read_edge_list(path).number_of_edges() == 0
+    def test_creates_missing_parent_directories(self, two_window_result, tmp_path):
+        path = write_temporal_edge_list(
+            two_window_result, str(tmp_path / "nested" / "dir" / "e.csv")
+        )
+        assert path == tmp_path / "nested" / "dir" / "e.csv"
+        assert path.exists()
 
 
-class TestBulkExports:
-    def test_adjacency_npz_contains_all_windows(self, result, tmp_path):
-        path = write_adjacency_npz(result, tmp_path / "adjacency.npz")
-        with np.load(path) as archive:
-            windows = [
-                k for k in archive.files
-                if k.startswith("window_") and k != "window_starts"
-            ]
-            assert len(windows) == result.num_windows
-            assert np.allclose(archive["window_00000"], result.dense(0))
-            assert np.array_equal(archive["window_starts"], result.window_starts())
+class TestProtocolEdgeList:
+    def test_thresholded_result_has_lag_zero(self, two_window_result, tmp_path):
+        rows = _read(write_protocol_edge_list(two_window_result, tmp_path / "e.csv"))
+        assert rows[0] == ["window", "source", "target", "weight", "lag"]
+        assert [row[4] for row in rows[1:]] == ["0", "0", "0"]
+        assert [row[1] for row in rows[1:]] == ["a", "a", "b"]
 
-    def test_temporal_edge_list_rows(self, result, tmp_path):
-        path = write_temporal_edge_list(result, tmp_path / "temporal.csv")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "window,source,target,weight"
-        assert len(lines) - 1 == result.total_edges()
+    def test_explicit_series_ids_override_the_results(self, two_window_result,
+                                                      tmp_path):
+        path = write_protocol_edge_list(
+            two_window_result, tmp_path / "e.csv", series_ids=["x", "y", "z"]
+        )
+        assert [row[1:3] for row in _read(path)[1:]] == [
+            ["x", "y"], ["x", "y"], ["y", "z"]
+        ]
 
-    def test_summary_json(self, result, tmp_path):
-        path = write_summary_json(result, tmp_path / "summary.json")
-        payload = json.loads(path.read_text())
-        assert payload["edge_counts"] == [int(m.num_edges) for m in result.matrices]
-        assert "query" in payload and "stats" in payload
+    def test_lagged_result_carries_the_best_lag(self, lead_lag_matrix, tmp_path):
+        session = CorrelationSession(lead_lag_matrix, basic_window_size=8)
+        result = session.run(LaggedQuery(start=0, end=128, window=64, step=32,
+                                         max_lag=3, threshold=0.9))
+        rows = _read(write_protocol_edge_list(
+            result, tmp_path / "e.csv", series_ids=lead_lag_matrix.series_ids
+        ))[1:]
+        assert len(rows) == len(result.to_edges()) == result.num_windows
+        assert {row[4] for row in rows} == {"2"}
+        assert {tuple(row[1:3]) for row in rows} == {("lead", "follow")}
+
+    def test_top_k_result_writes_k_rows_per_window(self, small_matrix, tmp_path):
+        session = CorrelationSession(small_matrix, basic_window_size=32)
+        query = TopKQuery(start=0, end=small_matrix.length, window=128, step=64, k=3)
+        result = session.run(query)
+        rows = _read(write_protocol_edge_list(result, tmp_path / "e.csv"))[1:]
+        assert len(rows) == 3 * query.num_windows
+        for edge, row in zip(result.to_edges(), rows):
+            assert row == [str(edge.window), str(edge.source), str(edge.target),
+                           repr(float(edge.weight)), "0"]

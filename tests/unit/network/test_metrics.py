@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import DataValidationError
 from repro.network.metrics import (
     community_agreement,
-    degree_histogram,
     edge_jaccard,
     greedy_communities,
     summarize,
@@ -50,10 +49,6 @@ class TestSummarize:
 
 
 class TestDegreeAndJaccard:
-    def test_degree_histogram(self, two_cliques):
-        histogram = degree_histogram(two_cliques)
-        assert histogram[2] == 6
-
     def test_edge_jaccard_identical(self, two_cliques):
         assert edge_jaccard(two_cliques, two_cliques) == 1.0
 

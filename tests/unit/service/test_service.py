@@ -527,6 +527,31 @@ class TestAppendAndWatch:
         with pytest.raises(ServiceError, match="one per series"):
             service.append("demo", {"columns": [[1.0, 2.0]]})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected_append_keeps_the_warm_cache(self, service, bad):
+        """A non-finite append is refused before the sketch chain moves: the
+        length stays, the identical re-query is a hit, and a finite append
+        afterwards still extends the cached sketch instead of rebuilding."""
+        service.query("demo", dict(THRESHOLD_REQUEST))
+        cache = service._runtime("demo").sketch_cache
+        builds, entries = cache.builds, len(cache)
+        block = np.random.default_rng(5).standard_normal((32, NUM_SERIES))
+        poisoned = block.copy()
+        poisoned[3, 1] = bad
+        with pytest.raises(ServiceError, match="finite") as excinfo:
+            service.append("demo", {"columns": poisoned.tolist()})
+        assert excinfo.value.status == 400
+        assert service.dataset_info("demo")["length"] == LENGTH
+
+        service.query("demo", dict(THRESHOLD_REQUEST))
+        assert (cache.builds, len(cache)) == (builds, entries)
+
+        extensions = cache.stats.sketch_extensions
+        service.append("demo", {"columns": block.tolist()})
+        service.query("demo", {**THRESHOLD_REQUEST, "end": LENGTH + 32})
+        assert cache.stats.sketch_extensions == extensions + 1
+        assert cache.builds == builds
+
     def test_append_requires_columns_key(self, service):
         with pytest.raises(ServiceError, match="columns"):
             service.append("demo", {"rows": []})

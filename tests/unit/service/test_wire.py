@@ -22,7 +22,6 @@ from repro.core.result import CorrelationSeriesResult, EngineStats, ThresholdedM
 from repro.exceptions import QueryValidationError, ServiceError
 from repro.service.wire import (
     RESULT_SCHEMA,
-    edges_from_wire,
     edges_to_wire,
     query_from_wire,
     query_to_wire,
@@ -169,7 +168,6 @@ class TestResultRoundTrip:
             ThresholdQuery(start=0, end=192, window=64, step=32, threshold=0.6)
         )
         document = json_round_trip(result_to_wire(result, include_edges=True))
-        assert edges_from_wire(document["edges"]) == result.to_edges()
         assert document["edges"] == json_round_trip(edges_to_wire(result.to_edges()))
 
     def test_series_ids_survive(self):

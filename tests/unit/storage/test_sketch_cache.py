@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.basic_window import BasicWindowLayout
-from repro.datasets.random_walk import ar1_series
 from repro.exceptions import StorageError
 from repro.storage.cache import SketchCache
 
 
 @pytest.fixture
-def matrix():
-    return ar1_series(8, 256, coefficient=0.8, shared_innovation_weight=0.6, seed=9)
+def matrix(ar1_matrix):
+    return ar1_matrix(8, 256, coefficient=0.8, shared_weight=0.6, seed=9)
 
 
 @pytest.fixture
@@ -74,14 +73,14 @@ class TestHitMissAccounting:
 
 
 class TestFingerprintMemoSafety:
-    def test_memo_entry_dies_with_the_matrix(self, layout):
+    def test_memo_entry_dies_with_the_matrix(self, layout, ar1_matrix):
         """The per-object fingerprint memo must not survive its matrix: a
         recycled id() would otherwise inherit a dead object's fingerprint and
         silently serve a sketch built from different data."""
         import gc
 
         cache = SketchCache()
-        matrix = ar1_series(8, 256, coefficient=0.8, seed=1)
+        matrix = ar1_matrix(8, 256, coefficient=0.8, seed=1)
         cache.get_or_build(matrix, layout)
         assert len(cache._fingerprint._fingerprints) == 1
         del matrix
@@ -142,12 +141,11 @@ class TestSeeding:
         assert cache.seeds == 0
         assert cache.get_or_build(matrix, layout) is built
 
-    def test_seed_rejects_mismatched_sketch(self, matrix, layout):
+    def test_seed_rejects_mismatched_sketch(self, matrix, layout, ar1_matrix):
         from repro.core.sketch import BasicWindowSketch
-        from repro.datasets.random_walk import ar1_series
 
         cache = SketchCache()
-        other = ar1_series(4, 256, coefficient=0.5, seed=1)
+        other = ar1_matrix(4, 256, coefficient=0.5, seed=1)
         foreign = BasicWindowSketch.build(other.values, layout)
         with pytest.raises(StorageError, match="series"):
             cache.seed(matrix, foreign)

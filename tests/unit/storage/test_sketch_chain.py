@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
-from repro.datasets.random_walk import ar1_series
 from repro.exceptions import StorageError
 from repro.storage.cache import SketchCache, matrix_fingerprint
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -26,8 +25,8 @@ def grown(matrix: TimeSeriesMatrix, columns: np.ndarray) -> TimeSeriesMatrix:
 
 
 @pytest.fixture
-def matrix():
-    return ar1_series(6, 256, coefficient=0.8, shared_innovation_weight=0.5, seed=3)
+def matrix(ar1_matrix):
+    return ar1_matrix(6, 256, coefficient=0.8, shared_weight=0.5, seed=3)
 
 
 @pytest.fixture

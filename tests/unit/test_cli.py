@@ -11,13 +11,12 @@ import pytest
 from repro import __version__
 from repro.cli import build_parser, main
 from repro.datasets.loaders import load_wide_csv, write_wide_csv
-from repro.datasets.random_walk import ar1_series
 
 
 @pytest.fixture
-def csv_dataset(tmp_path):
+def csv_dataset(tmp_path, ar1_matrix):
     """A small correlated dataset written in the CLI's wide CSV format."""
-    matrix = ar1_series(8, 256, coefficient=0.8, shared_innovation_weight=0.7, seed=3)
+    matrix = ar1_matrix(8, 256, coefficient=0.8, shared_weight=0.7, seed=3)
     path = tmp_path / "data.csv"
     write_wide_csv(matrix, path)
     return path

@@ -4,13 +4,12 @@ import pytest
 
 from repro.cli import main, parse_engine_option
 from repro.datasets.loaders import write_wide_csv
-from repro.datasets.random_walk import ar1_series
 from repro.exceptions import ReproError
 
 
 @pytest.fixture
-def csv_dataset(tmp_path):
-    matrix = ar1_series(8, 256, coefficient=0.8, shared_innovation_weight=0.7, seed=3)
+def csv_dataset(tmp_path, ar1_matrix):
+    matrix = ar1_matrix(8, 256, coefficient=0.8, shared_weight=0.7, seed=3)
     path = tmp_path / "data.csv"
     write_wide_csv(matrix, path)
     return path

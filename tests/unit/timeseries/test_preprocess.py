@@ -1,92 +1,11 @@
-"""Unit tests for preprocessing helpers (repro.timeseries.preprocess)."""
+"""Unit tests for missing-value repair (repro.timeseries.preprocess)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import DataValidationError
 from repro.timeseries.matrix import TimeSeriesMatrix
-from repro.timeseries.preprocess import (
-    detrend,
-    fill_missing,
-    find_constant_series,
-    moving_average,
-    winsorize,
-    znormalize,
-)
-
-
-class TestZNormalize:
-    def test_zero_mean_unit_variance(self, rng):
-        data = rng.normal(size=(4, 200)) * 5 + 10
-        out = znormalize(data)
-        assert np.allclose(out.mean(axis=1), 0.0, atol=1e-10)
-        assert np.allclose(out.std(axis=1), 1.0, atol=1e-10)
-
-    def test_constant_series_becomes_zero(self, rng):
-        data = rng.normal(size=(3, 50))
-        data[1] = 2.0
-        out = znormalize(data)
-        assert np.all(out[1] == 0.0)
-
-    def test_preserves_matrix_wrapper(self, rng):
-        matrix = TimeSeriesMatrix(rng.normal(size=(2, 30)), series_ids=["a", "b"])
-        out = znormalize(matrix)
-        assert isinstance(out, TimeSeriesMatrix)
-        assert out.series_ids == ["a", "b"]
-
-    def test_does_not_modify_input(self, rng):
-        data = rng.normal(size=(2, 20))
-        copy = data.copy()
-        znormalize(data)
-        assert np.array_equal(data, copy)
-
-
-class TestDetrend:
-    def test_removes_linear_trend(self, rng):
-        t = np.arange(100, dtype=float)
-        data = np.stack([3.0 * t + 5.0, -2.0 * t + 1.0])
-        out = detrend(data)
-        # After removing the trend the slope of a least-squares fit is ~0.
-        for row in np.asarray(out):
-            slope = np.polyfit(t, row, 1)[0]
-            assert abs(slope) < 1e-8
-
-    def test_preserves_mean(self, rng):
-        data = rng.normal(size=(3, 80)) + 7.0
-        out = np.asarray(detrend(data))
-        assert np.allclose(out.mean(axis=1), data.mean(axis=1), atol=1e-8)
-
-
-class TestMovingAverage:
-    def test_smooths_noise(self, rng):
-        data = rng.normal(size=(1, 500))
-        smooth = np.asarray(moving_average(data, 25))
-        assert smooth.std() < data.std()
-
-    def test_window_one_is_identity(self, rng):
-        data = rng.normal(size=(2, 30))
-        assert np.allclose(np.asarray(moving_average(data, 1)), data)
-
-    def test_constant_signal_unchanged(self):
-        data = np.full((1, 40), 3.0)
-        assert np.allclose(np.asarray(moving_average(data, 7)), 3.0)
-
-    def test_invalid_window(self, rng):
-        with pytest.raises(DataValidationError):
-            moving_average(rng.normal(size=(1, 10)), 0)
-
-
-class TestWinsorize:
-    def test_clips_extremes(self, rng):
-        data = rng.normal(size=(1, 1000))
-        data[0, 0] = 100.0
-        out = np.asarray(winsorize(data, 0.01, 0.99))
-        assert out.max() < 100.0
-        assert out.max() <= np.quantile(data, 0.99) + 1e-12
-
-    def test_invalid_quantiles(self, rng):
-        with pytest.raises(DataValidationError):
-            winsorize(rng.normal(size=(1, 10)), 0.9, 0.1)
+from repro.timeseries.preprocess import fill_missing
 
 
 class TestFillMissing:
@@ -121,12 +40,42 @@ class TestFillMissing:
         assert isinstance(fixed, TimeSeriesMatrix)
         assert not fixed.has_missing()
 
+    def test_does_not_modify_input(self):
+        data = np.array([[1.0, np.nan, 3.0]])
+        fill_missing(data, "linear")
+        assert np.isnan(data[0, 1])
 
-class TestFindConstantSeries:
-    def test_detects_constant_rows(self, rng):
-        data = rng.normal(size=(4, 60))
-        data[2] = 1.5
-        assert find_constant_series(data) == [2]
+    def test_one_dimensional_input_becomes_one_row(self):
+        out = np.asarray(fill_missing([1.0, np.nan, 5.0]))
+        assert out.shape == (1, 3)
+        assert np.allclose(out, [[1.0, 3.0, 5.0]])
 
-    def test_empty_when_all_vary(self, rng):
-        assert find_constant_series(rng.normal(size=(3, 60))) == []
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(DataValidationError):
+            fill_missing(np.zeros((2, 2, 2)))
+
+    def test_linear_edges_take_nearest_finite_value(self):
+        data = np.array([[np.nan, np.nan, 2.0, 4.0, np.nan]])
+        assert np.allclose(fill_missing(data, "linear"), [[2, 2, 2, 4, 4]])
+
+    def test_previous_carries_forward_across_a_gap(self):
+        data = np.array([[1.0, np.nan, np.nan, 7.0, np.nan]])
+        assert np.allclose(fill_missing(data, "previous"), [[1, 1, 1, 7, 7]])
+
+    def test_mean_uses_only_its_own_row(self):
+        data = np.array([[1.0, np.nan, 3.0], [10.0, 20.0, np.nan]])
+        out = fill_missing(data, "mean")
+        assert out[0, 1] == pytest.approx(2.0)
+        assert out[1, 2] == pytest.approx(15.0)
+
+    def test_infinite_values_are_treated_as_missing(self):
+        data = np.array([[1.0, np.inf, 3.0, -np.inf, 5.0]])
+        assert np.allclose(fill_missing(data, "linear"), [[1, 2, 3, 4, 5]])
+
+    @pytest.mark.parametrize("method", ["linear", "previous", "mean"])
+    def test_complete_rows_are_unchanged(self, rng, method):
+        data = rng.normal(size=(3, 16))
+        data[1, 4] = np.nan
+        out = fill_missing(data, method)
+        assert np.array_equal(out[[0, 2]], data[[0, 2]])
+        assert np.all(np.isfinite(out))

@@ -6,10 +6,8 @@ import pytest
 from repro.exceptions import GenerationError
 from repro.tomborg.correlation_targets import (
     block_correlation_matrix,
-    factor_correlation_matrix,
     is_valid_correlation_matrix,
     nearest_correlation_matrix,
-    random_correlation_from_eigenvalues,
     random_correlation_matrix,
 )
 from repro.tomborg.distributions import UniformCorrelations
@@ -96,26 +94,38 @@ class TestStructuredTargets:
         with pytest.raises(GenerationError):
             block_correlation_matrix([2, 3], within=1.5)
 
-    def test_factor_model_valid_and_low_rank_structure(self, rng):
-        matrix = factor_correlation_matrix(15, num_factors=2, loading_scale=0.8, rng=rng)
-        assert is_valid_correlation_matrix(matrix, tolerance=1e-8)
-        eigenvalues = np.sort(np.linalg.eigvalsh(matrix))[::-1]
-        # Two factors should dominate the spectrum.
-        assert eigenvalues[1] > eigenvalues[3]
+    def test_valid_block_matrix_keeps_exact_values(self):
+        matrix = block_correlation_matrix([3, 2], within=0.7, between=0.1)
+        expected = np.full((5, 5), 0.1)
+        expected[:3, :3] = 0.7
+        expected[3:, 3:] = 0.7
+        np.fill_diagonal(expected, 1.0)
+        assert np.array_equal(matrix, expected)
 
-    def test_factor_model_validation(self, rng):
-        with pytest.raises(GenerationError):
-            factor_correlation_matrix(2, num_factors=0)
-        with pytest.raises(GenerationError):
-            factor_correlation_matrix(2, loading_scale=1.5)
+    def test_singleton_blocks_are_all_between(self):
+        matrix = block_correlation_matrix([1, 1, 1], within=0.9, between=0.3)
+        assert np.array_equal(matrix[np.triu_indices(3, k=1)], [0.3, 0.3, 0.3])
 
-    def test_random_from_eigenvalues(self, rng):
-        matrix = random_correlation_from_eigenvalues([3.0, 1.0, 0.5, 0.5], rng)
-        assert is_valid_correlation_matrix(matrix, tolerance=1e-8)
-        assert matrix.shape == (4, 4)
+    def test_indefinite_block_is_repaired(self):
+        # Three series cannot all correlate at -0.9 (the floor is -1/2).
+        matrix = block_correlation_matrix([3], within=-0.9)
+        assert is_valid_correlation_matrix(matrix, tolerance=1e-6)
+        assert np.all(matrix[np.triu_indices(3, k=1)] < 0)
 
-    def test_random_from_eigenvalues_validation(self, rng):
-        with pytest.raises(GenerationError):
-            random_correlation_from_eigenvalues([1.0], rng)
-        with pytest.raises(GenerationError):
-            random_correlation_from_eigenvalues([-1.0, 2.0], rng)
+
+class TestTargetProperties:
+    def test_entries_outside_unit_interval_invalid(self):
+        assert not is_valid_correlation_matrix(np.array([[1.0, 1.5], [1.5, 1.0]]))
+
+    def test_repair_is_idempotent(self):
+        indefinite = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        once = nearest_correlation_matrix(indefinite)
+        twice = nearest_correlation_matrix(once)
+        assert np.allclose(once, once.T)
+        assert np.allclose(twice, once, atol=1e-8)
+
+    def test_random_matrix_reproducible_from_seed(self):
+        dist = UniformCorrelations(-0.5, 0.5)
+        first = random_correlation_matrix(6, dist, np.random.default_rng(4))
+        second = random_correlation_matrix(6, dist, np.random.default_rng(4))
+        assert np.array_equal(first, second)

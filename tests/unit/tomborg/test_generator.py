@@ -7,18 +7,14 @@ from repro.core.correlation import correlation_matrix
 from repro.exceptions import GenerationError
 from repro.tomborg.correlation_targets import block_correlation_matrix
 from repro.tomborg.distributions import ConstantCorrelations, UniformCorrelations
-from repro.tomborg.generator import (
-    SegmentSpec,
-    TomborgGenerator,
-    quick_dataset,
-)
+from repro.tomborg.generator import SegmentSpec, TomborgGenerator
 from repro.tomborg.spectral import (
     band_limited_spectrum,
     flat_spectrum,
     peaked_spectrum,
     power_law_spectrum,
 )
-from repro.tomborg.validation import max_target_error, validate_dataset
+from repro.tomborg.validation import validate_dataset
 
 
 class TestExactGeneration:
@@ -43,7 +39,7 @@ class TestExactGeneration:
         generator = TomborgGenerator(num_series=10, seed=2)
         dataset = generator.generate(768, UniformCorrelations(0.0, 0.6))
         assert dataset.segments[0].target.shape == (10, 10)
-        assert max_target_error(dataset) < 1e-6
+        assert validate_dataset(dataset)[0].max_abs_error < 1e-6
 
     def test_generated_series_are_zero_mean(self):
         dataset = TomborgGenerator(num_series=6, seed=4).generate(
@@ -79,7 +75,7 @@ class TestExactGeneration:
         target = block_correlation_matrix([8, 8], within=0.7, between=0.1)
         generator = TomborgGenerator(num_series=16, seed=7, exact=False)
         dataset = generator.generate(4096, target)
-        error = max_target_error(dataset)
+        error = validate_dataset(dataset)[0].max_abs_error
         assert 1e-6 < error < 0.35
 
     def test_peaked_spectrum_produces_oscillatory_series(self):
@@ -171,9 +167,3 @@ class TestValidationErrors:
     def test_zero_scale(self):
         with pytest.raises(GenerationError):
             TomborgGenerator(num_series=4, scale=0.0)
-
-    def test_quick_dataset_helper(self):
-        dataset = quick_dataset(5, 256, target_value=0.5, seed=15)
-        assert dataset.num_series == 5
-        assert dataset.length == 256
-        assert max_target_error(dataset) < 1e-6

@@ -6,7 +6,8 @@ import pytest
 from repro.core.correlation import pearson
 from repro.exceptions import GenerationError
 from repro.timeseries.matrix import TimeSeriesMatrix
-from repro.tomborg.generator import quick_dataset
+from repro.tomborg.distributions import ConstantCorrelations
+from repro.tomborg.generator import TomborgGenerator
 from repro.tomborg.noise import (
     AR1Noise,
     HeteroscedasticNoise,
@@ -47,6 +48,17 @@ class TestWhiteNoise:
         with pytest.raises(GenerationError):
             WhiteNoise(-0.1)
 
+    def test_marginal_std_is_sigma(self):
+        noise = WhiteNoise(0.3).apply(np.zeros((4, 4096)), np.random.default_rng(8))
+        assert np.std(noise) == pytest.approx(0.3, rel=0.05)
+        assert abs(np.mean(noise)) < 0.01
+
+    def test_independent_series_weakly_correlated(self):
+        noise = WhiteNoise(1.0).apply(np.zeros((6, 2048)), np.random.default_rng(9))
+        corr = np.corrcoef(noise)
+        off_diagonal = corr[np.triu_indices(6, k=1)]
+        assert np.max(np.abs(off_diagonal)) < 0.1
+
 
 class TestAR1Noise:
     def test_noise_is_autocorrelated(self, clean_values):
@@ -61,6 +73,20 @@ class TestAR1Noise:
             np.zeros_like(clean_values), np.random.default_rng(7)
         )
         assert np.std(noisy) == pytest.approx(0.5, abs=0.1)
+
+    @pytest.mark.parametrize("coefficient", [0.0, 0.5, 0.9])
+    def test_lag_one_autocorrelation_matches_coefficient(self, coefficient):
+        noise = AR1Noise(sigma=1.0, coefficient=coefficient).apply(
+            np.zeros((8, 4096)), np.random.default_rng(10)
+        )
+        lag1 = np.mean([pearson(row[:-1], row[1:]) for row in noise])
+        assert lag1 == pytest.approx(coefficient, abs=0.03)
+
+    def test_series_are_independent_of_each_other(self):
+        noise = AR1Noise(sigma=1.0, coefficient=0.5).apply(
+            np.zeros((2, 4096)), np.random.default_rng(11)
+        )
+        assert abs(pearson(noise[0], noise[1])) < 0.1
 
     def test_coefficient_validated(self):
         with pytest.raises(GenerationError):
@@ -131,7 +157,9 @@ class TestApplyNoiseAndFactory:
         assert not np.allclose(noisy.values, matrix.values)
 
     def test_apply_to_dataset_keeps_ground_truth(self):
-        dataset = quick_dataset(num_series=6, length=512, target_value=0.7, seed=3)
+        dataset = TomborgGenerator(num_series=6, seed=3).generate(
+            512, ConstantCorrelations(0.7)
+        )
         noisy = apply_noise(dataset, WhiteNoise(0.3), seed=2)
         assert len(noisy.segments) == len(dataset.segments)
         assert np.array_equal(noisy.segments[0].target, dataset.segments[0].target)
@@ -161,3 +189,16 @@ class TestApplyNoiseAndFactory:
             expected_attenuation(-1.0)
         with pytest.raises(GenerationError):
             expected_attenuation(0.5, signal_variance=0.0)
+
+
+class TestSharedAR1Fixture:
+    """The ``ar1_matrix`` factory behind the shared fixtures is what it claims."""
+
+    def test_shared_weight_sets_pair_correlation(self, ar1_matrix):
+        values = ar1_matrix(6, 4096, coefficient=0.5, shared_weight=0.8, seed=12).values
+        off_diagonal = np.corrcoef(values)[np.triu_indices(6, k=1)]
+        assert np.mean(off_diagonal) == pytest.approx(0.64, abs=0.08)
+
+    def test_unit_marginal_variance(self, ar1_matrix):
+        values = ar1_matrix(4, 4096, coefficient=0.8, shared_weight=0.7, seed=13).values
+        assert np.var(values) == pytest.approx(1.0, abs=0.15)

@@ -1,4 +1,4 @@
-"""Unit tests for the real-valued DFT pair and spectrum shapes."""
+"""Unit tests for the real-valued DFT basis and spectrum shapes."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from repro.tomborg.spectral import (
     band_limited_spectrum,
     flat_spectrum,
     named_spectrum,
-    num_real_coefficients,
     peaked_spectrum,
     power_law_spectrum,
-    real_forward_dft,
     real_inverse_dft,
     real_synthesis_matrix,
 )
@@ -28,7 +26,7 @@ class TestRealDFTBasis:
     def test_round_trip(self, rng, length):
         coefficients = rng.normal(size=(3, length))
         series = real_inverse_dft(coefficients)
-        recovered = real_forward_dft(series)
+        recovered = series @ real_synthesis_matrix(length)
         assert np.allclose(recovered, coefficients, atol=1e-10)
 
     def test_inner_products_preserved(self, rng):
@@ -53,15 +51,29 @@ class TestRealDFTBasis:
         expected = np.sqrt(2.0 / length) * np.cos(2 * np.pi * t / length)
         assert np.allclose(series, expected, atol=1e-10)
 
-    def test_num_real_coefficients(self):
-        assert num_real_coefficients(10) == 10
-        assert num_real_coefficients(11) == 11
-        with pytest.raises(GenerationError):
-            num_real_coefficients(1)
-
     def test_too_short_length_rejected(self):
         with pytest.raises(GenerationError):
             real_synthesis_matrix(1)
+
+    def test_sine_column_follows_its_cosine(self):
+        length = 32
+        t = np.arange(length)
+        basis = real_synthesis_matrix(length)
+        expected = -np.sqrt(2.0 / length) * np.sin(2 * np.pi * 3 * t / length)
+        assert np.allclose(basis[:, 6], expected, atol=1e-12)
+
+    def test_even_length_ends_with_the_nyquist_column(self):
+        basis = real_synthesis_matrix(8)
+        assert np.allclose(basis[:, -1], [1, -1, 1, -1, 1, -1, 1, -1] / np.sqrt(8))
+        odd = real_synthesis_matrix(9)
+        last_sine = -np.sqrt(2.0 / 9) * np.sin(2 * np.pi * 4 * np.arange(9) / 9)
+        assert np.allclose(odd[:, -1], last_sine)
+
+    @pytest.mark.parametrize("length", [8, 9])
+    def test_every_column_but_dc_has_zero_mean(self, length):
+        means = real_synthesis_matrix(length).mean(axis=0)
+        assert means[0] == pytest.approx(1.0 / np.sqrt(length))
+        assert np.allclose(means[1:], 0.0, atol=1e-12)
 
 
 class TestSpectrumShapes:

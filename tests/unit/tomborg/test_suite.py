@@ -7,7 +7,9 @@ from repro.baselines.brute_force import BruteForceEngine
 from repro.core.dangoron import DangoronEngine
 from repro.exceptions import GenerationError
 from repro.tomborg.noise import WhiteNoise
-from repro.tomborg.suite import DEFAULT_SUITE, SuiteCase, case_by_name, default_suite
+from repro.tomborg.suite import DEFAULT_SUITE, SuiteCase, default_suite
+
+SUITE = {case.name: case for case in DEFAULT_SUITE}
 
 
 class TestSuiteDefinition:
@@ -21,14 +23,8 @@ class TestSuiteDefinition:
         suite.pop()
         assert len(suite) == len(DEFAULT_SUITE) - 1
 
-    def test_case_lookup(self):
-        case = case_by_name("bimodal_reference")
-        assert case.distribution == "bimodal"
-        with pytest.raises(GenerationError):
-            case_by_name("does-not-exist")
-
     def test_describe_mentions_components(self):
-        case = case_by_name("bimodal_white_noise")
+        case = SUITE["bimodal_white_noise"]
         text = case.describe()
         assert "bimodal" in text and "white" in text
 
@@ -37,15 +33,15 @@ class TestSuiteDefinition:
             SuiteCase(name="bad", distribution="bimodal", spectrum="flat", num_segments=0)
 
     def test_noise_model_construction(self):
-        clean = case_by_name("bimodal_reference")
+        clean = SUITE["bimodal_reference"]
         assert clean.noise_model() is None
-        noisy = case_by_name("bimodal_white_noise")
+        noisy = SUITE["bimodal_white_noise"]
         assert isinstance(noisy.noise_model(), WhiteNoise)
 
 
 class TestGeneration:
     def test_generate_produces_aligned_query(self):
-        case = case_by_name("bimodal_reference")
+        case = SUITE["bimodal_reference"]
         dataset, query = case.generate(
             num_series=12, segment_columns=256, basic_window_size=32, seed=5
         )
@@ -56,20 +52,20 @@ class TestGeneration:
         assert query.step == 32
 
     def test_generation_is_reproducible(self):
-        case = case_by_name("sparse_easy")
+        case = SUITE["sparse_easy"]
         first, _ = case.generate(num_series=10, segment_columns=128, seed=9)
         second, _ = case.generate(num_series=10, segment_columns=128, seed=9)
         assert np.array_equal(first.matrix.values, second.matrix.values)
 
     def test_noisy_case_differs_from_clean(self):
-        clean_case = case_by_name("bimodal_reference")
-        noisy_case = case_by_name("bimodal_white_noise")
+        clean_case = SUITE["bimodal_reference"]
+        noisy_case = SUITE["bimodal_white_noise"]
         clean, _ = clean_case.generate(num_series=10, segment_columns=128, seed=9)
         noisy, _ = noisy_case.generate(num_series=10, segment_columns=128, seed=9)
         assert not np.allclose(clean.matrix.values, noisy.matrix.values)
 
     def test_parameters_validated(self):
-        case = case_by_name("bimodal_reference")
+        case = SUITE["bimodal_reference"]
         with pytest.raises(GenerationError):
             case.generate(num_series=1)
         with pytest.raises(GenerationError):
@@ -77,7 +73,7 @@ class TestGeneration:
 
     def test_engines_run_on_generated_case(self):
         """Every engine can answer the suite's query; Dangoron stays exact on edges."""
-        case = case_by_name("sparse_easy")
+        case = SUITE["sparse_easy"]
         dataset, query = case.generate(num_series=10, segment_columns=256, seed=11)
         exact = BruteForceEngine().run(dataset.matrix, query)
         pruned = DangoronEngine(basic_window_size=32).run(dataset.matrix, query)

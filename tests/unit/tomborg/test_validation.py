@@ -6,11 +6,7 @@ import pytest
 from repro.exceptions import GenerationError
 from repro.tomborg.correlation_targets import block_correlation_matrix
 from repro.tomborg.generator import SegmentSpec, TomborgGenerator
-from repro.tomborg.validation import (
-    empirical_correlation,
-    max_target_error,
-    validate_dataset,
-)
+from repro.tomborg.validation import empirical_correlation, validate_dataset
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +27,6 @@ class TestValidation:
             assert report.rmse <= report.max_abs_error + 1e-12
             assert report.edge_jaccard == pytest.approx(1.0)
             assert set(report.as_dict()) >= {"segment", "max_abs_error", "edge_jaccard"}
-
-    def test_max_target_error(self, dataset):
-        assert max_target_error(dataset) < 1e-6
 
     def test_empirical_correlation_range_validation(self, dataset):
         with pytest.raises(GenerationError):
@@ -58,3 +51,31 @@ class TestValidation:
             assert reports[0].max_abs_error > 0.5
         finally:
             corrupted.target = original
+
+    def test_reports_carry_the_segment_ranges(self, dataset):
+        reports = validate_dataset(dataset)
+        assert [(r.segment_index, r.start, r.end) for r in reports] == [
+            (i, s.start, s.end) for i, s in enumerate(dataset.segments)
+        ]
+        assert reports[1].start == reports[0].end == 384
+
+    def test_error_summaries_are_ordered(self, dataset):
+        for report in validate_dataset(dataset):
+            assert 0.0 <= report.mean_abs_error <= report.rmse <= report.max_abs_error
+
+    def test_threshold_above_every_target_is_perfect_agreement(self, dataset):
+        # No target and no empirical pair reaches 0.99: both edge sets are empty.
+        reports = validate_dataset(dataset, edge_threshold=0.99)
+        assert [r.edge_jaccard for r in reports] == [1.0, 1.0]
+
+    def test_mismatched_target_lowers_edge_agreement(self, dataset):
+        segment = dataset.segments[0]
+        original = segment.target.copy()
+        # Keep only the first block's edges in the recorded target.
+        segment.target = original.copy()
+        segment.target[4:, 4:] = np.eye(4)
+        try:
+            report = validate_dataset(dataset, edge_threshold=0.7)[0]
+            assert report.edge_jaccard == pytest.approx(0.5)
+        finally:
+            segment.target = original
