@@ -1,19 +1,22 @@
 """Cost-based planning substrate: calibrated throughputs + runtime feedback.
 
-The planner's strategy decisions (serial vs sharded, dense vs tiled vs
-incremental, worker and tile-size counts) are ranked by *predicted wall
-seconds*, not by fixed heuristics.  Two ingredients produce a prediction:
+The planner makes one priced decision: serial vs sharded execution across
+the configured workers.  Everything else about a plan — the sketch build
+(dense, tiled, incremental), the layout, the engine — follows from rules,
+and is the same for both candidates, so it cancels out of the ranking and
+is never priced.  Two ingredients produce a prediction:
 
 :class:`Calibration`
-    Machine throughputs for the four primitive operations every plan is
-    composed of — sketch build (elements reduced per second), pair scan
-    (pair-windows recombined per second), shard dispatch/merge, and tile
-    IO.  Three sources exist, recorded in ``Calibration.source``:
+    Machine throughputs for the primitives the two candidates differ in —
+    pair scan (pair-windows recombined per second), shard dispatch and
+    merge, and the realized share of the ideal ``workers``-way speed-up.
+    Three sources exist, recorded in ``Calibration.source``:
 
     ``measured``
         Micro-benchmarked on first use (:func:`measure_calibration`),
         cached per process via :meth:`CostModel.shared`.  The default
-        outside test runs: a few tens of milliseconds, once.
+        outside test runs: a few milliseconds, once, and only in a process
+        that asks for workers.
     ``fixture``
         The committed :data:`FIXTURE_CALIBRATION` constants — selected by
         ``REPRO_COST_CALIBRATION=off`` so tier-1 tests and the CI smoke
@@ -24,8 +27,8 @@ seconds*, not by fixed heuristics.  Two ingredients produce a prediction:
 
 :class:`FeedbackStore`
     Observed wall seconds per *plan key*, recorded by
-    ``QueryPlanner.execute`` after every run.  Once every candidate of a
-    decision has at least :data:`MIN_FEEDBACK_SAMPLES` observations, the
+    ``QueryPlanner.execute`` after every run.  Once both candidates of a
+    decision have at least :data:`MIN_FEEDBACK_SAMPLES` observations, the
     planner ranks by the observed means (blended with the calibrated
     prediction as a weak prior) instead of by calibration alone —
     ``plan.describe()`` then says ``source=feedback(n=...)``.  Requiring
@@ -75,17 +78,13 @@ FEEDBACK_SCHEMA = "repro.feedback/v1"
 
 @dataclass(frozen=True)
 class Calibration:
-    """Primitive-operation throughputs a plan's wall cost is predicted from.
+    """Primitive-operation throughputs a candidate's scan cost is predicted from.
 
     All throughputs are "per second of one worker"; overheads are absolute
     seconds.  ``parallel_efficiency`` scales the ideal ``workers``-way scan
     speedup (1.0 = perfect scaling).
     """
 
-    #: Sketch build: matrix elements reduced into γ·N² statistics per second.
-    sketch_build_elems_per_s: float
-    #: Incremental extension: Δ elements appended to a chained sketch per second.
-    sketch_extend_elems_per_s: float
     #: Pair scan: (pair, window) recombinations answered per second.
     pair_scan_pair_windows_per_s: float
     #: Shard merge: (pair, window) results folded into one result per second.
@@ -94,10 +93,6 @@ class Calibration:
     shard_dispatch_seconds: float
     #: Fraction of the ideal ``workers``-way speedup actually realized.
     parallel_efficiency: float
-    #: Tiled build: bytes streamed through the bounded tile buffer per second.
-    tile_io_bytes_per_s: float
-    #: Fixed per-tile cost (buffer turnover, bookkeeping).
-    tile_overhead_seconds: float
     #: Where the numbers came from: ``measured`` / ``fixture`` / ``injected``.
     source: str = "injected"
 
@@ -111,13 +106,7 @@ class Calibration:
                     f"calibration field {field.name} must be finite and "
                     f"non-negative, got {value!r}"
                 )
-        for name in (
-            "sketch_build_elems_per_s",
-            "sketch_extend_elems_per_s",
-            "pair_scan_pair_windows_per_s",
-            "merge_pair_windows_per_s",
-            "tile_io_bytes_per_s",
-        ):
+        for name in ("pair_scan_pair_windows_per_s", "merge_pair_windows_per_s"):
             if getattr(self, name) <= 0:
                 raise StorageError(f"calibration throughput {name} must be positive")
         if not 0 < self.parallel_efficiency <= 1:
@@ -127,29 +116,23 @@ class Calibration:
 
 
 #: The committed calibration behind ``REPRO_COST_CALIBRATION=off``.  The
-#: numbers are *idealized*, not measured: dispatch and tile overheads are
-#: near zero and scan throughput is conservative, so on the toy matrices the
-#: test suite plans over, the cost ranking reproduces the historic heuristic
-#: decisions exactly (workers configured + eligible → sharded; budget below
-#: the data → tiled at the full budget; chained coverage → incremental).
-#: Machine-adaptive behaviour comes from ``measured`` mode, which tier-1
-#: deliberately does not exercise.
+#: numbers are *idealized*, not measured: dispatch overhead is near zero and
+#: scan throughput is conservative, so on the toy matrices the test suite
+#: plans over, workers configured + eligible → sharded.  Machine-adaptive
+#: behaviour comes from ``measured`` mode, which tier-1 deliberately does
+#: not exercise.
 FIXTURE_CALIBRATION = Calibration(
-    sketch_build_elems_per_s=2.0e8,
-    sketch_extend_elems_per_s=2.0e8,
     pair_scan_pair_windows_per_s=1.0e6,
     merge_pair_windows_per_s=5.0e7,
     shard_dispatch_seconds=1.0e-6,
     parallel_efficiency=0.95,
-    tile_io_bytes_per_s=1.0e9,
-    tile_overhead_seconds=1.0e-6,
     source="fixture",
 )
 
 
 # ------------------------------------------------------------- calibration
-#: Micro-benchmark geometry: small enough to finish in tens of
-#: milliseconds, large enough that per-call overhead does not dominate.
+#: Micro-benchmark geometry: small enough to finish in milliseconds, large
+#: enough that per-call overhead does not dominate.
 _CAL_SERIES = 16
 _CAL_LENGTH = 4096
 _CAL_BASIC = 32
@@ -174,10 +157,10 @@ def _timed_per_call(fn) -> float:
 def measure_calibration() -> Calibration:
     """Micro-benchmark the primitive throughputs on this machine.
 
-    Uses the real kernels (``BasicWindowSketch.build`` / ``extend`` /
-    ``exact_pairs_scan``, a worker-pool round trip, a bounded-buffer
-    column copy) over a small deterministic matrix, so the measured ratios
-    track the machine the planner is deciding for.
+    Uses the real scan kernel (``BasicWindowSketch.exact_pairs_scan``), a
+    merge-shaped gather and a worker-pool round trip over a small
+    deterministic matrix, so the measured ratios track the machine the
+    planner is deciding for.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -188,14 +171,7 @@ def measure_calibration() -> Calibration:
     ticks = np.arange(_CAL_LENGTH, dtype=FLOAT_DTYPE)[None, :]
     values = np.sin(0.01 * ticks + phases) + 0.1 * np.cos(0.37 * ticks * (1 + phases))
     layout = BasicWindowLayout.for_range(0, _CAL_LENGTH, _CAL_BASIC)
-    elems = _CAL_SERIES * _CAL_LENGTH
-
-    build_s = _timed_per_call(lambda: BasicWindowSketch.build(values, layout))
     sketch = BasicWindowSketch.build(values, layout)
-
-    delta = values[:, : 4 * _CAL_BASIC]
-    extend_s = _timed_per_call(lambda: sketch.extend(delta))
-    extend_elems = _CAL_SERIES * delta.shape[1]
 
     scan_windows = layout.count // 4
     rows, cols = np.triu_indices(_CAL_SERIES, k=1)
@@ -219,56 +195,24 @@ def measure_calibration() -> Calibration:
 
         dispatch_s = _timed_per_call(_dispatch) / 8
 
-    tile = np.empty((_CAL_SERIES, 512), dtype=FLOAT_DTYPE)
-
-    def _tile_copy():
-        for start in range(0, _CAL_LENGTH - 512, 512):
-            np.copyto(tile, values[:, start : start + 512])
-
-    tile_s = _timed_per_call(_tile_copy)
-    tile_bytes = values[:, : (_CAL_LENGTH - 512) // 512 * 512].nbytes
-
     return Calibration(
-        sketch_build_elems_per_s=elems / build_s,
-        sketch_extend_elems_per_s=extend_elems / extend_s,
         pair_scan_pair_windows_per_s=scanned_pair_windows / scan_s,
         merge_pair_windows_per_s=merged / merge_s,
         shard_dispatch_seconds=dispatch_s,
         parallel_efficiency=0.85,
-        tile_io_bytes_per_s=tile_bytes / tile_s,
-        tile_overhead_seconds=max(dispatch_s, 1e-7),
         source="measured",
     )
 
 
 # ------------------------------------------------------------------- model
-@dataclass(frozen=True)
-class PlanWorkload:
-    """The size numbers one query's candidate costs are predicted from."""
-
-    kind: str
-    pairs: int
-    windows: int
-    #: ``2 * max_lag + 1`` for lagged queries, 1 otherwise: every lag offset
-    #: multiplies the scan work.
-    lag_span: int = 1
-    #: Elements a fresh sketch build reduces (0 for raw-value paths).
-    sketch_elems: int = 0
-    #: Elements an incremental extension reduces (the Δ tail).
-    delta_elems: int = 0
-    #: Bytes of raw data a tiled build / streamed run moves.
-    data_bytes: int = 0
-    #: The needed sketch is already cached: builds cost nothing.
-    cached: bool = False
-
-
 class CostModel:
-    """Predicts wall seconds for candidate plans from a :class:`Calibration`.
+    """Predicts the scan seconds of serial and sharded candidate executions.
 
-    The model is additive — ``build + scan (+ dispatch + merge)`` — which is
-    exactly the structure of ``QueryPlanner.execute``.  It is deliberately
-    coarse: its job is *ranking* a handful of candidates, and ranking
-    mistakes are corrected by the feedback loop, not by more model terms.
+    The model prices only what differs between the two candidates of the
+    planner's one decision: the scan itself, divided across the workers,
+    plus the shards' dispatch and merge.  It is deliberately coarse: its
+    job is *ranking* two candidates, and ranking mistakes are corrected by
+    the feedback loop, not by more model terms.
     """
 
     _shared: Optional["CostModel"] = None
@@ -285,7 +229,7 @@ class CostModel:
 
     @classmethod
     def measured(cls) -> "CostModel":
-        """Micro-benchmark this machine (tens of milliseconds, once)."""
+        """Micro-benchmark this machine (milliseconds, once)."""
         return cls(measure_calibration())
 
     @classmethod
@@ -313,52 +257,18 @@ class CostModel:
             cls._shared = None
 
     # ------------------------------------------------------------ prediction
-    def predict(
-        self,
-        workload: PlanWorkload,
-        execution: str,
-        workers: int,
-        sketch_build: str,
-        tile_budget: Optional[int] = None,
-    ) -> float:
-        """Predicted wall seconds of one candidate plan."""
+    def predict(self, pair_windows: int, execution: str, workers: int = 1) -> float:
+        """Predicted scan seconds of ``pair_windows`` under one execution."""
         c = self.calibration
-        pair_windows = workload.pairs * workload.windows * workload.lag_span
-
-        if sketch_build == "incremental":
-            prepare = workload.delta_elems / c.sketch_extend_elems_per_s
-        elif sketch_build == "tiled":
-            if workload.kind == "lagged":
-                # Streamed window buffers: the raw columns flow through one
-                # bounded buffer instead of being sliced from a resident array.
-                prepare = workload.data_bytes / c.tile_io_bytes_per_s
-            elif workload.cached:
-                prepare = 0.0
-            else:
-                tiles = (
-                    math.ceil(workload.data_bytes / tile_budget)
-                    if tile_budget
-                    else 1
-                )
-                prepare = (
-                    workload.sketch_elems / c.sketch_build_elems_per_s
-                    + workload.data_bytes / c.tile_io_bytes_per_s
-                    + tiles * c.tile_overhead_seconds
-                )
-        elif workload.cached:
-            prepare = 0.0
-        else:
-            prepare = workload.sketch_elems / c.sketch_build_elems_per_s
-
         scan = pair_windows / c.pair_scan_pair_windows_per_s
-        if execution == "sharded":
-            shards = workers * DEFAULT_SHARDS_PER_WORKER
-            scan = (
-                scan / (workers * c.parallel_efficiency)
-                + shards * c.shard_dispatch_seconds
-                + pair_windows / c.merge_pair_windows_per_s
-            )
-        return prepare + scan
+        if execution != "sharded":
+            return scan
+        shards = workers * DEFAULT_SHARDS_PER_WORKER
+        return (
+            scan / (workers * c.parallel_efficiency)
+            + shards * c.shard_dispatch_seconds
+            + pair_windows / c.merge_pair_windows_per_s
+        )
 
 
 # ---------------------------------------------------------------- feedback

@@ -21,22 +21,24 @@ LaggedQuery            ``sliding_lagged_correlation`` (raw or        none
                        streamed window buffers)
 =====================  ============================================  ==========
 
-Every family additionally carries an *execution* and a *build* decision —
-serial vs sharded across the configured workers, dense vs tiled in tiles of
-the configured budget vs incremental.  Eligibility is still gated by hard policy
-(an engine must support pair subsets to shard; unaligned windows read raw
-values; a budget below the data forbids a dense build), but among the
-*eligible* candidates the planner now ranks by **predicted wall cost**: a
+Every family additionally carries an *execution* and a *build* decision.
+The build is a rule, not a price: ``incremental`` when an append chain lets
+the cached prefix grow in O(Δ), ``tiled`` in tiles of the configured budget
+when the raw data exceeds it (and the run can honour the bound), ``dense``
+otherwise — and every plan fetches its sketch through one
+:meth:`~repro.storage.cache.SketchCache.get_or_extend` call that does
+exactly what the rule predicted.  The one priced decision is serial vs
+sharded across the configured workers: when sharding passes its hard gates
+(pair subsets, pair-count floor, aligned windows, not lagged) a
 :class:`~repro.api.cost.CostModel` (micro-benchmark calibrated, or the
-committed fixture under ``REPRO_COST_CALIBRATION=off``) prices every
-candidate, and once the shared :class:`~repro.api.cost.FeedbackStore` has
-observed every candidate of a decision often enough, observed runtimes
-replace the calibrated guesses (``plan.describe()`` then says
-``source=feedback(n=...)``).  Chosen or declined, the plan string names the
-costs and reasons — no fallback is silent.  Sharded and tiled results are
-bit-identical to serial/dense ones, so the ranking is free to pick any
-eligible candidate.  A configuration that cannot be honoured at all — e.g.
-a lagged ``memory_budget`` smaller than one window buffer — raises
+committed fixture under ``REPRO_COST_CALIBRATION=off``) prices both
+candidates, and once the shared :class:`~repro.api.cost.FeedbackStore` has
+observed both often enough, observed runtimes replace the calibrated
+guesses (``plan.describe()`` then says ``source=feedback(n=...)``).  Chosen
+or declined, the plan string names the costs and reasons — no fallback is
+silent.  Sharded and tiled results are bit-identical to serial/dense ones.
+A configuration that cannot be honoured at all — e.g. a lagged
+``memory_budget`` smaller than one window buffer — raises
 :class:`~repro.exceptions.ExperimentError` naming the query family, the
 requested strategy and the reason.
 """
@@ -44,12 +46,12 @@ requested strategy and the reason.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api.cost import MIN_FEEDBACK_SAMPLES, CostModel, PlanWorkload
+from repro.api.cost import MIN_FEEDBACK_SAMPLES, CostModel
 from repro.api.queries import LaggedQuery, TopKQuery
 from repro.api.results import LaggedSeriesResult
 from repro.config import (
@@ -131,12 +133,13 @@ class ExecutionPlan:
     #: fallback is silent.
     execution_reason: Optional[str] = None
     build_reason: Optional[str] = None
-    #: Cost-ranking provenance, set by :meth:`QueryPlanner.plan` whenever a
-    #: cost model ranked this plan: the predicted wall seconds, whether the
-    #: prediction came from ``calibration`` or ``feedback(n=...)``, the
-    #: rendered ranking (``cost_detail``, only on the chosen plan of a
-    #: multi-candidate decision), and the feedback key ``execute`` records
-    #: the observed wall time under.
+    #: Cost-ranking provenance, set by :meth:`QueryPlanner.plan` when the
+    #: serial-vs-sharded decision was priced (``None`` when there was no
+    #: choice): the predicted seconds, whether the prediction came from
+    #: ``calibration`` or ``feedback(n=...)``, and the rendered ranking
+    #: (``cost_detail``, only on the chosen plan).  ``cost_key`` is the
+    #: feedback key ``execute`` records the observed wall time under; every
+    #: planned query carries one.
     predicted_seconds: Optional[float] = None
     cost_source: Optional[str] = None
     cost_detail: Optional[str] = None
@@ -183,31 +186,6 @@ class ExecutionPlan:
         return summary
 
 
-@dataclass
-class _BuildOption:
-    """One feasible sketch-build candidate, pre-costing."""
-
-    build: str
-    reason: Optional[str] = None
-    tile_budget: Optional[int] = None
-    #: Basic windows an incremental extension must append (0 elsewhere).
-    delta_windows: int = 0
-
-
-@dataclass
-class _Candidate:
-    """One feasible (execution, workers, build, tile) combination, costed."""
-
-    execution: str
-    workers: int
-    build: str
-    tile_budget: Optional[int]
-    build_reason: Optional[str]
-    key: str
-    predicted: float
-    cost: float
-
-
 class QueryPlanner:
     """Routes query specs to execution paths and memoizes sketches across them.
 
@@ -227,9 +205,10 @@ class QueryPlanner:
         The shared :class:`SketchCache`; pass one to share sketches across
         planners/sessions, omit for a private cache.
     workers:
-        When greater than 1, threshold queries over at least
-        ``parallel_min_pairs`` series pairs execute sharded across this many
-        pool workers (engines that support pair subsets only; results are
+        When greater than 1, threshold and top-k queries over at least
+        ``parallel_min_pairs`` series pairs may execute sharded across this
+        many pool workers — the one decision the cost model prices against
+        serial (engines that support pair subsets only; results are
         bit-identical to serial runs).  ``None``/``1`` keeps every query
         serial.
     parallel_min_pairs:
@@ -252,11 +231,11 @@ class QueryPlanner:
         Unaligned windows need the raw values and stay dense (the plan
         records the reason).
     cost_model:
-        The :class:`~repro.api.cost.CostModel` ranking eligible candidates.
-        Defaults to the per-process shared model (micro-benchmark
-        calibrated, or the committed fixture under
-        ``REPRO_COST_CALIBRATION=off``); inject one to force deterministic
-        decisions in tests.
+        The :class:`~repro.api.cost.CostModel` pricing serial vs sharded
+        when both are eligible.  Defaults to the per-process shared model
+        (micro-benchmark calibrated, or the committed fixture under
+        ``REPRO_COST_CALIBRATION=off``), resolved only when a decision
+        needs it; inject one to force deterministic decisions in tests.
 
     Examples
     --------
@@ -337,11 +316,7 @@ class QueryPlanner:
     ) -> ExecutionPlan:
         """Decide the execution path for one query (no side effects).
 
-        The decision is the cheapest member of :meth:`candidate_plans`:
-        hard eligibility gates prune the candidate set (with the decline
-        reasons recorded on the plan), and predicted wall cost — observed
-        runtimes once the feedback store has seen every candidate — ranks
-        what remains.
+        The decision is the cheapest member of :meth:`candidate_plans`.
 
         ``engine`` overrides the planner's default for threshold queries —
         this is how the experiment harness runs its engine line-up through
@@ -359,10 +334,13 @@ class QueryPlanner:
     ) -> List[ExecutionPlan]:
         """Every eligible candidate plan for one query, cheapest first.
 
-        All candidates answer the query bit-identically; they differ only
-        in predicted wall cost (``predicted_seconds`` / ``cost_source``,
-        with the rendered ranking on the chosen plan's ``cost_detail``).
-        Executing each one is how a caller explores: every run feeds the
+        The sketch build is decided by rule (:meth:`_sketch_build`), so the
+        candidates differ only in execution: serial alone, or serial and
+        sharded when workers were requested and every sharding gate passes.
+        Two candidates are priced (``predicted_seconds`` / ``cost_source``,
+        with the rendered ranking on the chosen plan's ``cost_detail``) and
+        answer the query bit-identically.  Executing each one is how a
+        caller explores: every run feeds the
         :class:`~repro.api.cost.FeedbackStore`.
         """
         query.validate_against_length(matrix.length)
@@ -373,159 +351,89 @@ class QueryPlanner:
             )
         if isinstance(query, LaggedQuery):
             kind, layout, engine_obj = KIND_LAGGED, None, None
-            builds = self._lagged_build_options(matrix, query)
+            build, build_reason = self._lagged_build(matrix, query)
+            state = "raw"
         elif isinstance(query, TopKQuery):
             kind, engine_obj = KIND_TOPK, None
             layout = BasicWindowLayout.for_query(query, self.basic_window_size)
-            builds = self._build_options(matrix, layout, query)
+            build, build_reason, state = self._sketch_build(matrix, layout, query)
         else:
             kind = KIND_THRESHOLD
             engine_obj = engine if engine is not None else self.resolve_engine()
             layout = engine_obj.plan_layout(query)
-            builds = self._build_options(matrix, layout, query, engine=engine_obj)
+            build, build_reason, state = self._sketch_build(
+                matrix, layout, query, engine=engine_obj
+            )
         executions, execution_reason = self._execution_options(
             matrix, query, layout=layout, engine=engine_obj
         )
-        return self._ranked_plans(
-            matrix, query, kind, layout, engine_obj, builds, executions,
-            execution_reason,
-        )
+        plans = [
+            ExecutionPlan(
+                query=query,
+                kind=kind,
+                engine=engine_obj,
+                layout=layout,
+                execution=execution,
+                workers=workers,
+                sketch_build=build,
+                memory_budget=self.memory_budget,
+                execution_reason=execution_reason,
+                build_reason=build_reason,
+                cost_key=self._feedback_key(
+                    matrix, query, kind, engine_obj, execution, workers, build, state
+                ),
+            )
+            for execution, workers in executions
+        ]
+        if len(plans) == 1:
+            return plans
+        return self._ranked(plans, pair_count(matrix.num_series) * query.num_windows)
 
-    def _ranked_plans(
-        self,
-        matrix: TimeSeriesMatrix,
-        query: SlidingQuery,
-        kind: str,
-        layout: Optional[BasicWindowLayout],
-        engine: Optional[SlidingCorrelationEngine],
-        builds: List[_BuildOption],
-        executions: List[Tuple[str, int]],
-        execution_reason: Optional[str],
+    def _ranked(
+        self, plans: List[ExecutionPlan], pair_windows: int
     ) -> List[ExecutionPlan]:
-        """Cost every (build x execution) combination and sort cheapest first.
+        """Price the serial and sharded candidates and sort cheapest first.
 
-        Ties keep enumeration order (builds outer: incremental before
-        dense/tiled; executions inner: serial before sharded), which is how
-        a fully-cached sketch still plans ``incremental`` — both prepare
-        for free, and the historic preference breaks the tie.
-
-        The ranking source is ``calibration`` until the feedback store
-        holds :data:`~repro.api.cost.MIN_FEEDBACK_SAMPLES` observations for
-        *every* candidate key; from then on observed means (blended with
-        the calibrated prior) rank the candidates and the plans say
+        Ties keep enumeration order (serial first).  The ranking source is
+        ``calibration`` until the feedback store holds
+        :data:`~repro.api.cost.MIN_FEEDBACK_SAMPLES` observations for
+        *every* candidate key; from then on observed means (blended with the
+        calibrated prior) rank the candidates and the plans say
         ``source=feedback(n=...)``.  Partial coverage never mixes sources —
         an observed mean is not comparable to a calibrated guess.
         """
         model = self._resolve_cost_model()
         feedback = self.sketch_cache.feedback
-        itemsize = np.dtype(FLOAT_DTYPE).itemsize
-        pairs = pair_count(matrix.num_series)
-        data_bytes = matrix.num_series * matrix.length * itemsize
-        cached = layout is not None and self.sketch_cache.contains(matrix, layout)
-        sketch_elems = (
-            matrix.num_series * layout.count * layout.size
-            if layout is not None
-            else 0
-        )
-        candidates: List[_Candidate] = []
-        for option in builds:
-            workload = PlanWorkload(
-                kind=kind,
-                pairs=pairs,
-                windows=query.num_windows,
-                lag_span=(2 * query.max_lag + 1) if kind == KIND_LAGGED else 1,
-                sketch_elems=sketch_elems,
-                delta_elems=(
-                    matrix.num_series * option.delta_windows * layout.size
-                    if layout is not None
-                    else 0
-                ),
-                data_bytes=data_bytes,
-                cached=cached,
-            )
-            if option.build == SKETCH_BUILD_INCREMENTAL:
-                state = "prefix"
-            elif layout is None:
-                state = "raw"
-            else:
-                state = "warm" if cached else "cold"
-            for execution, workers in executions:
-                predicted = model.predict(
-                    workload, execution, workers, option.build, option.tile_budget
-                )
-                key = self._feedback_key(
-                    matrix, query, kind, engine, execution, workers, option, state
-                )
-                candidates.append(
-                    _Candidate(
-                        execution=execution,
-                        workers=workers,
-                        build=option.build,
-                        tile_budget=option.tile_budget,
-                        build_reason=option.reason,
-                        key=key,
-                        predicted=predicted,
-                        cost=predicted,
-                    )
-                )
-        observed = min(feedback.count(candidate.key) for candidate in candidates)
+        costs = [
+            model.predict(pair_windows, plan.execution, plan.workers) for plan in plans
+        ]
+        observed = min(feedback.count(plan.cost_key) for plan in plans)
         if observed >= MIN_FEEDBACK_SAMPLES:
             source = f"feedback(n={observed})"
-            for candidate in candidates:
-                candidate.cost = feedback.blended(candidate.key, candidate.predicted)
+            costs = [
+                feedback.blended(plan.cost_key, cost) for plan, cost in zip(plans, costs)
+            ]
         else:
             source = "calibration"
-        ranked = sorted(candidates, key=lambda candidate: candidate.cost)
-        detail = self._cost_detail(ranked) if len(ranked) > 1 else None
-        plans = []
-        for index, candidate in enumerate(ranked):
-            plans.append(
-                ExecutionPlan(
-                    query=query,
-                    kind=kind,
-                    engine=engine,
-                    layout=layout,
-                    execution=candidate.execution,
-                    workers=candidate.workers,
-                    sketch_build=candidate.build,
-                    memory_budget=self.memory_budget,
-                    execution_reason=execution_reason,
-                    build_reason=candidate.build_reason,
-                    predicted_seconds=candidate.cost,
-                    cost_source=source,
-                    cost_detail=detail if index == 0 else None,
-                    cost_key=candidate.key,
-                )
+        ranked = sorted(zip(costs, plans), key=lambda pair: pair[0])
+        detail = " < ".join(
+            f"{self._execution_label(plan)}={cost:.3g}s" for cost, plan in ranked
+        )
+        return [
+            replace(
+                plan,
+                predicted_seconds=cost,
+                cost_source=source,
+                cost_detail=detail if index == 0 else None,
             )
-        return plans
+            for index, (cost, plan) in enumerate(ranked)
+        ]
 
     @staticmethod
-    def _cost_detail(ranked: List[_Candidate]) -> str:
-        """The rendered ranking, cheapest first: ``sharded(4w)=0.8s < serial=2.1s``."""
-        multi_exec = len({(c.execution, c.workers) for c in ranked}) > 1
-        multi_build = len({(c.build, c.tile_budget) for c in ranked}) > 1
-
-        def label(candidate: _Candidate) -> str:
-            exec_part = (
-                f"sharded({candidate.workers}w)"
-                if candidate.execution == EXECUTION_SHARDED
-                else "serial"
-            )
-            build_part = candidate.build
-            if (
-                candidate.build == SKETCH_BUILD_TILED
-                and candidate.tile_budget is not None
-            ):
-                build_part = f"tiled@{candidate.tile_budget}B"
-            if multi_build and multi_exec:
-                return f"{exec_part}+{build_part}"
-            if multi_build:
-                return build_part
-            return exec_part
-
-        return " < ".join(
-            f"{label(candidate)}={candidate.cost:.3g}s" for candidate in ranked
-        )
+    def _execution_label(plan: ExecutionPlan) -> str:
+        if plan.execution == EXECUTION_SHARDED:
+            return f"sharded({plan.workers}w)"
+        return plan.execution
 
     def _feedback_key(
         self,
@@ -535,7 +443,7 @@ class QueryPlanner:
         engine: Optional[SlidingCorrelationEngine],
         execution: str,
         workers: int,
-        option: _BuildOption,
+        build: str,
         state: str,
     ) -> str:
         """The key observed wall times are recorded under.
@@ -565,9 +473,9 @@ class QueryPlanner:
         exec_part = (
             execution if execution == EXECUTION_SERIAL else f"{execution}@{workers}"
         )
-        build_part = option.build
-        if option.build == SKETCH_BUILD_TILED and option.tile_budget is not None:
-            build_part = f"{option.build}@{option.tile_budget}"
+        build_part = build
+        if build == SKETCH_BUILD_TILED:
+            build_part = f"{build}@{self.memory_budget}"
         parts += [f"exec={exec_part}", f"build={build_part}", f"sketch={state}"]
         return "|".join(parts)
 
@@ -581,13 +489,13 @@ class QueryPlanner:
         """Eligible ``(execution, workers)`` candidates plus the decline reason.
 
         Serial is always eligible, and the only candidate for a lagged
-        query.  Sharded variants join the candidate set — for the cost
-        ranking to price, not as a foregone decision — only when workers
-        were *requested* (``workers > 1``) and the hard gates pass; a failed
-        gate records why, so ``plan.describe()`` names the
-        decline instead of falling back silently.  Declines here are policy
-        (the serial run answers the query exactly); impossible
-        configurations raise from the build decisions instead.
+        query.  Sharded joins the candidate set — for the cost ranking to
+        price, not as a foregone decision — only when workers were
+        *requested* (``workers > 1``) and the hard gates pass; a failed
+        gate records why, so ``plan.describe()`` names the decline instead
+        of falling back silently.  Declines here are policy (the serial run
+        answers the query exactly); impossible configurations raise from
+        the build decisions instead.
         """
         serial: List[Tuple[str, int]] = [(EXECUTION_SERIAL, 1)]
         if self.workers is None or self.workers <= 1:
@@ -605,137 +513,108 @@ class QueryPlanner:
             return serial, "windows not basic-window aligned"
         return serial + [(EXECUTION_SHARDED, self.workers)], None
 
-    def _build_options(
+    def _sketch_build(
         self,
         matrix: TimeSeriesMatrix,
         layout: Optional[BasicWindowLayout],
         query: SlidingQuery,
         engine: Optional[SlidingCorrelationEngine] = None,
-    ) -> List[_BuildOption]:
-        """Feasible sketch-build candidates for a planned layout.
+    ) -> Tuple[str, Optional[str], str]:
+        """The sketch build for a planned layout, its reason, and the sketch
+        state the feedback key records (``raw``/``prefix``/``warm``/``cold``)
+        — by rule.
 
-        Incremental joins the candidate set whenever it applies: the matrix
-        heads an append chain (``SketchCache.extend_chain`` ran on it) and a
-        chained cache entry covers a prefix of the planned layout, so the
-        sketch refreshes in O(Δ) — bit-identical to a rebuild — instead of
-        recomputing O(history) statistics.  Its reason states *which*
-        prefix is extended; when a chain exists but cannot serve the query
-        (unaligned windows, raw-values engine, no chained entry for this
-        layout) the decline is named instead of silently rebuilding.  Cold
-        matrices (never appended) skip the incremental question entirely
-        and keep their historic plan strings.
+        The rule mirrors what :meth:`SketchCache.get_or_extend` will do, so
+        the plan never claims a build the fetch does not perform:
 
-        Tiled candidates appear only when tiling pays *and* suffices: a
-        budget is configured, the raw data it would have to hold at once
-        exceeds it (a dense build is then infeasible, not merely slower),
-        every query window recombines from whole basic windows (an
-        unaligned window needs the raw matrix for edge correction anyway,
-        so tiling the build would not bound the run's memory), and the
-        engine configuration is sketch-only (``engine.needs_raw_values`` —
-        e.g. Dangoron's pivot selection under horizontal pruning would
-        materialize the matrix regardless, so such plans honestly stay
-        dense instead of claiming a bounded build).  The reason names why a
-        configured budget fell back to dense.  A tiled build streams tiles
-        of the whole budget: fewer, larger tiles only save per-tile overhead.
+        1. **incremental** whenever
+           :meth:`~repro.storage.cache.SketchCache.extension_coverage` says
+           a chained cache entry covers a prefix of the layout: the sketch
+           refreshes in O(Δ), bit-identical to a rebuild, instead of
+           recomputing O(history) statistics.  The reason states *which*
+           prefix.  When the matrix heads an append chain but no chained
+           entry covers a prefix, the decline is named instead.  Cold
+           matrices (never appended) skip the question and keep their
+           historic plan strings.
+        2. **tiled**, in tiles of the whole budget (fewer, larger tiles only
+           save per-tile overhead), when a budget is configured and the raw
+           data exceeds it — a dense build is then infeasible, not merely
+           slower — *and* tiling bounds the run: every window recombines
+           from whole basic windows (an unaligned window needs the raw
+           matrix for edge correction anyway), and the engine configuration
+           is sketch-only (``engine.needs_raw_values`` — e.g. Dangoron's
+           pivot selection under horizontal pruning materializes the matrix
+           regardless).
+        3. **dense** otherwise; under a configured budget the reason names
+           why it fell back.
+
+        The state is read from the same lookup where one was made (a chained
+        matrix's coverage).  Otherwise a tiled plan *peeks* at the memoized
+        fingerprint — its build hashes a cold out-of-core source during the
+        tile pass, so planning must not read that source first — and every
+        other plan asks :meth:`SketchCache.contains`, which hashes exactly
+        what the fetch would hash anyway.
         """
-        declined = None
-        options: List[_BuildOption] = []
-        if layout is not None and self.sketch_cache.has_chain(matrix):
-            if not self._windows_sketch_aligned(layout, query):
-                declined = "incremental declined: unaligned windows read raw values"
-            elif engine is not None and engine.needs_raw_values(query):
-                declined = (
-                    "incremental declined: engine needs raw values (pivot selection)"
-                )
-            else:
-                coverage = self.sketch_cache.extension_coverage(matrix, layout)
-                if coverage is None:
-                    declined = (
-                        "incremental declined: no chained sketch entry covers "
-                        "a prefix of this layout"
-                    )
-                else:
-                    options.append(
-                        _BuildOption(
-                            build=SKETCH_BUILD_INCREMENTAL,
-                            reason=(
-                                f"chained sketch covers {coverage}/{layout.count} "
-                                f"basic windows"
-                            ),
-                            delta_windows=layout.count - coverage,
-                        )
-                    )
-        if self.memory_budget is None:
-            options.append(_BuildOption(build=SKETCH_BUILD_DENSE, reason=declined))
-            return options
         if layout is None:
-            options.append(
-                _BuildOption(
-                    build=SKETCH_BUILD_DENSE,
-                    reason="execution path plans no sketch layout",
+            if self.memory_budget is None:
+                return SKETCH_BUILD_DENSE, None, "raw"
+            return SKETCH_BUILD_DENSE, "execution path plans no sketch layout", "raw"
+        if self.sketch_cache.has_chain(matrix):
+            coverage = self.sketch_cache.extension_coverage(matrix, layout)
+            if coverage is not None:
+                return (
+                    SKETCH_BUILD_INCREMENTAL,
+                    f"chained sketch covers {coverage}/{layout.count} basic windows",
+                    "prefix",
                 )
+            build, reason = self._full_build(matrix, layout, query, engine)
+            declined = (
+                "incremental declined: no chained sketch entry covers a prefix "
+                "of this layout"
             )
-            return options
+            # No coverage means no cached exact entry either: the fetch builds.
+            return build, f"{declined}; {reason}" if reason else declined, "cold"
+        build, reason = self._full_build(matrix, layout, query, engine)
+        if build == SKETCH_BUILD_TILED:
+            cached = self.sketch_cache.extension_coverage(matrix, layout) == layout.count
+        else:
+            cached = self.sketch_cache.contains(matrix, layout)
+        return build, reason, "warm" if cached else "cold"
+
+    def _full_build(
+        self,
+        matrix: TimeSeriesMatrix,
+        layout: BasicWindowLayout,
+        query: SlidingQuery,
+        engine: Optional[SlidingCorrelationEngine],
+    ) -> Tuple[str, Optional[str]]:
+        """Dense or tiled for a layout no chained prefix covers (rules 2-3)."""
+        if self.memory_budget is None:
+            return SKETCH_BUILD_DENSE, None
         if not self._windows_sketch_aligned(layout, query):
-            options.append(
-                _BuildOption(
-                    build=SKETCH_BUILD_DENSE,
-                    reason=self._joined(
-                        declined, "unaligned windows read raw values"
-                    ),
-                )
-            )
-            return options
+            return SKETCH_BUILD_DENSE, "unaligned windows read raw values"
         if engine is not None and engine.needs_raw_values(query):
-            options.append(
-                _BuildOption(
-                    build=SKETCH_BUILD_DENSE,
-                    reason=self._joined(
-                        declined, "engine needs raw values (pivot selection)"
-                    ),
-                )
-            )
-            return options
+            return SKETCH_BUILD_DENSE, "engine needs raw values (pivot selection)"
         dense_bytes = matrix.num_series * matrix.length * np.dtype(FLOAT_DTYPE).itemsize
         if dense_bytes <= self.memory_budget:
-            options.append(
-                _BuildOption(
-                    build=SKETCH_BUILD_DENSE,
-                    reason=self._joined(declined, "raw data fits the budget"),
-                )
-            )
-            return options
-        options.append(
-            _BuildOption(
-                build=SKETCH_BUILD_TILED, reason=declined, tile_budget=self.memory_budget
-            )
-        )
-        return options
+            return SKETCH_BUILD_DENSE, "raw data fits the budget"
+        return SKETCH_BUILD_TILED, None
 
-    @staticmethod
-    def _joined(declined: Optional[str], reason: str) -> str:
-        """Stack an incremental decline on top of the dense-build reason."""
-        if declined is None or declined.endswith(reason):
-            return declined or reason
-        return f"{declined}; {reason}"
-
-    def _lagged_build_options(
+    def _lagged_build(
         self, matrix: TimeSeriesMatrix, query: SlidingQuery
-    ) -> List[_BuildOption]:
-        """The sketch-build candidate for a lagged query.
+    ) -> Tuple[str, Optional[str]]:
+        """The window-buffer strategy of a lagged query, and its reason.
 
         Lagged queries never build a sketch (``layout=None``); ``tiled``
         here means *streamed window buffers*: windows assemble out of the
         matrix's column-chunk source into one bounded rolling buffer
         (:func:`repro.core.lag.iter_query_windows`) instead of slicing a
-        resident array.  The budget dictates the single feasible candidate
-        — streaming when the data exceeds it, dense when it fits — so the
-        cost ranking only prices the execution axis here.  A budget that
-        cannot even hold one ``(N, window)`` buffer is impossible to
-        honour, not a policy decline, and raises.
+        resident array — chosen when the data exceeds the budget, dense when
+        it fits.  A budget that cannot even hold one ``(N, window)`` buffer
+        is impossible to honour, not a policy decline, and raises.
         """
         if self.memory_budget is None:
-            return [_BuildOption(build=SKETCH_BUILD_DENSE, reason=None)]
+            return SKETCH_BUILD_DENSE, None
         window_bytes = (
             matrix.num_series * query.window * np.dtype(FLOAT_DTYPE).itemsize
         )
@@ -748,18 +627,8 @@ class QueryPlanner:
             )
         dense_bytes = matrix.num_series * matrix.length * np.dtype(FLOAT_DTYPE).itemsize
         if dense_bytes <= self.memory_budget:
-            return [
-                _BuildOption(
-                    build=SKETCH_BUILD_DENSE, reason="raw data fits the budget"
-                )
-            ]
-        return [
-            _BuildOption(
-                build=SKETCH_BUILD_TILED,
-                reason=None,
-                tile_budget=self.memory_budget,
-            )
-        ]
+            return SKETCH_BUILD_DENSE, "raw data fits the budget"
+        return SKETCH_BUILD_TILED, None
 
     @staticmethod
     def _windows_sketch_aligned(
@@ -796,32 +665,26 @@ class QueryPlanner:
         return result
 
     def materialize_sketch(self, matrix: TimeSeriesMatrix, plan: ExecutionPlan):
-        """Fetch (or build) the sketch a plan will recombine from.
+        """Fetch the sketch a plan will recombine from: one ``get_or_extend``.
 
         This is the exact sketch-acquisition step :meth:`execute` performs —
-        honoring the plan's build strategy (incremental extension, tiled
-        out-of-core, dense) against the shared cache — exposed so the service
-        can materialize a plan's sketch once in the parent process and export
+        a hit, an O(Δ) extension of a chained prefix, or a build (tiled in
+        tiles of the plan's budget when the plan says ``tiled``), as the
+        plan's build rule predicted — exposed so the service can
+        materialize a plan's sketch once in the parent process and export
         it to an mmap-backed segment for the worker pool.  Returns ``None``
         for plans that read raw values (``plan.layout is None``).
         """
         if plan.layout is None:
             return None
-        if plan.sketch_build == SKETCH_BUILD_INCREMENTAL:
-            return self.sketch_cache.get_or_extend(
-                matrix,
-                plan.layout,
-                memory_budget=plan.memory_budget,
-                workers=self.workers or 1,
-            )
-        if plan.sketch_build == SKETCH_BUILD_TILED:
-            return self.sketch_cache.get_or_build_tiled(
-                matrix,
-                plan.layout,
-                memory_budget=plan.memory_budget,
-                workers=self.workers or 1,
-            )
-        return self.sketch_cache.get_or_build(matrix, plan.layout)
+        return self.sketch_cache.get_or_extend(
+            matrix,
+            plan.layout,
+            memory_budget=(
+                None if plan.sketch_build == SKETCH_BUILD_DENSE else plan.memory_budget
+            ),
+            workers=self.workers or 1,
+        )
 
     def _run_plan(self, matrix: TimeSeriesMatrix, plan: ExecutionPlan):
         """Dispatch one plan to its execution path (no feedback bookkeeping)."""

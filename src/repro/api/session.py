@@ -72,8 +72,8 @@ class CorrelationSession:
         (:mod:`repro.core.tiled`) with bit-identical results.  Combine with
         :meth:`from_chunk_store` so the dense matrix is never materialized.
     cost_model:
-        The :class:`~repro.api.cost.CostModel` the planner ranks eligible
-        execution/build candidates with; defaults to the per-process shared
+        The :class:`~repro.api.cost.CostModel` the planner prices serial
+        vs sharded execution with; defaults to the per-process shared
         model.  Inject one for deterministic decisions in tests.
     planner:
         A preconfigured :class:`QueryPlanner`; overrides the options above.

@@ -472,10 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--cost-calibration", default=None, choices=["measured", "fixture"],
-        help="how the planner prices candidate plans: 'measured' "
-             "micro-benchmarks this machine on first use, 'fixture' uses the "
-             "committed deterministic calibration (default: the "
-             "REPRO_COST_CALIBRATION environment knob)",
+        help="how the planner prices serial vs sharded under --workers: "
+             "'measured' micro-benchmarks this machine on first use, "
+             "'fixture' uses the committed deterministic calibration "
+             "(default: the REPRO_COST_CALIBRATION environment knob)",
     )
     query.add_argument(
         "--absolute", action="store_true", help="threshold on |c| instead of c"
@@ -527,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cost-calibration", default=None, choices=["measured", "fixture"],
-        help="how each dataset's planner prices candidate plans (see "
+        help="how each dataset's planner prices serial vs sharded (see "
              "'repro query --cost-calibration'; default: the "
              "REPRO_COST_CALIBRATION environment knob)",
     )

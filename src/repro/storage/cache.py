@@ -443,58 +443,61 @@ class SketchCache:
         matrix: TimeSeriesMatrix,
         layout: BasicWindowLayout,
         pairwise: bool = True,
+        memory_budget: Optional[int] = None,
+        workers: Optional[int] = None,
     ) -> BasicWindowSketch:
-        """Return the cached sketch for (data, layout) or build and cache it.
+        """Return the sketch for (data, layout): a hit, an extension or a build.
+
+        A hit returns the cached entry.  When an append chain holds the
+        columns between a cached prefix entry's coverage and ``layout``'s,
+        the entry is *extended* (delta basic windows only, bit-identical to
+        a rebuild — see :meth:`BasicWindowSketch.extend`) and republished
+        under the full layout; the superseded prefix entry is dropped.
+        Counted under ``stats.sketch_extensions`` (not ``builds``).
+        :meth:`extension_coverage` answers, with no side effects, which of
+        the three this call will do.
+
+        Otherwise a miss builds dense, or out-of-core in column tiles of
+        ``memory_budget`` bytes when one is given (``workers`` threads split
+        each resident tile).  Tiled builds are bit-identical to dense ones,
+        so both are cached under the same key and a dense query after a
+        tiled one (or vice versa) hits the same entry.  ``matrix`` may be a
+        lazy :class:`repro.core.tiled.ChunkBackedMatrix`; fingerprinting
+        streams and never materializes it, and for a *cold* source (no
+        memoized fingerprint yet) a tiled miss computes the content hash
+        **during** the tile pass, so an on-disk catalog is decompressed
+        once, not twice.
 
         Holding the lock across the build doubles as single-flight: two
         threads racing on a cold (data, layout) run one build, not two.
         """
         with self._lock:
-            key = self._key(matrix, layout, pairwise)
+            fingerprint = self._fingerprint.peek(matrix)
+            if fingerprint is None and memory_budget is None:
+                fingerprint = self._fingerprint(matrix)
+            if fingerprint is None:
+                return self._build_tiled_cold(
+                    matrix, layout, pairwise, memory_budget, workers
+                )
+            key = self._key_for(fingerprint, layout, pairwise)
             sketch = self._entries.get(key)
             if sketch is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 return sketch
             self.stats.misses += 1
-            sketch = BasicWindowSketch.build(
-                matrix.values,  # repro-lint: disable=RPR002 -- get_or_build is the declared dense path; out-of-core callers use get_or_build_tiled
-                layout,
-                pairwise=pairwise,
-            )
-            return self._insert_built(key, sketch)
+            sketch = self._extend_prefix(fingerprint, key, layout, pairwise)
+            if sketch is not None:
+                return sketch
+            if memory_budget is None:
+                sketch = BasicWindowSketch.build(
+                    matrix.values,  # repro-lint: disable=RPR002 -- the no-budget build is the declared dense path; a memory_budget builds tiled
+                    layout,
+                    pairwise=pairwise,
+                )
+            else:
+                from repro.core.tiled import build_sketch_tiled, tile_source_for
 
-    def get_or_build_tiled(
-        self,
-        matrix: TimeSeriesMatrix,
-        layout: BasicWindowLayout,
-        memory_budget: int,
-        pairwise: bool = True,
-        workers: Optional[int] = None,
-    ) -> BasicWindowSketch:
-        """Like :meth:`get_or_build`, but a miss builds out-of-core.
-
-        The cache key is identical to the dense build's (same content
-        fingerprint, same layout), which is sound because tiled builds are
-        bit-identical to dense ones — so a dense query after a tiled one (or
-        vice versa) hits the same entry.  ``matrix`` may be a lazy
-        :class:`repro.core.tiled.ChunkBackedMatrix`; fingerprinting streams
-        and never materializes it.  For a *cold* source (no memoized
-        fingerprint yet) the content hash is computed **during** the tile
-        pass, so an on-disk catalog is decompressed once, not twice.
-        """
-        from repro.core.tiled import build_sketch_tiled, tile_source_for
-
-        with self._lock:
-            fingerprint = self._fingerprint.peek(matrix)
-            if fingerprint is not None:
-                key = self._key_for(fingerprint, layout, pairwise)
-                sketch = self._entries.get(key)
-                if sketch is not None:
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
-                    return sketch
-                self.stats.misses += 1
                 sketch = build_sketch_tiled(
                     tile_source_for(matrix),
                     layout,
@@ -502,33 +505,38 @@ class SketchCache:
                     pairwise=pairwise,
                     workers=workers,
                 )
-                return self._insert_built(key, sketch)
-
-            # Cold source: one pass feeds both the tile assembler and the
-            # fingerprint digest (the tee re-blocks the chunk stream to the
-            # canonical fingerprint boundaries as it flows through).
-            source = _HashingTileSource(tile_source_for(matrix), matrix)
-            sketch = build_sketch_tiled(
-                source,
-                layout,
-                memory_budget=memory_budget,
-                pairwise=pairwise,
-                workers=workers,
-            )
-            fingerprint = source.hexdigest()
-            self._fingerprint.record(matrix, fingerprint)
-            key = self._key_for(fingerprint, layout, pairwise)
-            existing = self._entries.get(key)
-            if existing is not None:
-                # The same content was cached through another matrix object; the
-                # duplicate build is discarded (the cached sketch may hold
-                # materialized prefixes).  Counted as a hit: the caller's answer
-                # came from the shared entry.
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return existing
-            self.stats.misses += 1
             return self._insert_built(key, sketch)
+
+    def _build_tiled_cold(
+        self, matrix, layout, pairwise, memory_budget, workers
+    ) -> BasicWindowSketch:  # requires-lock: _lock
+        """Tiled build of an unhashed source: one pass feeds both the tile
+        assembler and the fingerprint digest (the tee re-blocks the chunk
+        stream to the canonical fingerprint boundaries as it flows through)."""
+        from repro.core.tiled import build_sketch_tiled, tile_source_for
+
+        source = _HashingTileSource(tile_source_for(matrix), matrix)
+        sketch = build_sketch_tiled(
+            source,
+            layout,
+            memory_budget=memory_budget,
+            pairwise=pairwise,
+            workers=workers,
+        )
+        fingerprint = source.hexdigest()
+        self._fingerprint.record(matrix, fingerprint)
+        key = self._key_for(fingerprint, layout, pairwise)
+        existing = self._entries.get(key)
+        if existing is not None:
+            # The same content was cached through another matrix object; the
+            # duplicate build is discarded (the cached sketch may hold
+            # materialized prefixes).  Counted as a hit: the caller's answer
+            # came from the shared entry.
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            return existing
+        self.stats.misses += 1
+        return self._insert_built(key, sketch)
 
     def _publish(self, key, sketch: BasicWindowSketch) -> BasicWindowSketch:  # requires-lock: _lock
         self._entries[key] = sketch
@@ -629,16 +637,22 @@ class SketchCache:
                 return None
             if self._key_for(fingerprint, layout, pairwise) in self._entries:
                 return layout.count
-            chain = self._chains.get(fingerprint)
-            if chain is None or layout.covered_end > chain.length:
-                return None
-            prefix = self._prefix_entry_key(fingerprint, layout, pairwise)
-            if prefix is None:
-                return None
-            covered_end = layout.offset + layout.size * prefix[3]
-            if not chain.covers(covered_end, layout.covered_end):
-                return None
-            return prefix[3]
+            base = self._extension_base(fingerprint, layout, pairwise)
+            return base[1][3] if base is not None else None
+
+    def _extension_base(
+        self, fingerprint: str, layout: BasicWindowLayout, pairwise: bool
+    ) -> Optional[Tuple[_FingerprintChain, Tuple[str, int, int, int, bool]]]:  # requires-lock: _lock
+        """The chain and prefix entry key an extension to ``layout`` grows from."""
+        chain = self._chains.get(fingerprint)
+        if chain is None or layout.covered_end > chain.length:
+            return None
+        prefix = self._prefix_entry_key(fingerprint, layout, pairwise)
+        if prefix is None:
+            return None
+        if not chain.covers(layout.offset + layout.size * prefix[3], layout.covered_end):
+            return None
+        return chain, prefix
 
     def _prefix_entry_key(
         self, fingerprint: str, layout: BasicWindowLayout, pairwise: bool
@@ -665,63 +679,29 @@ class SketchCache:
         ]
         return min(ends) if ends else default
 
-    def get_or_extend(
-        self,
-        matrix: TimeSeriesMatrix,
-        layout: BasicWindowLayout,
-        pairwise: bool = True,
-        memory_budget: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> BasicWindowSketch:
-        """Return the sketch for (data, layout), extending a chained prefix.
+    def _extend_prefix(
+        self, fingerprint: str, key, layout: BasicWindowLayout, pairwise: bool
+    ) -> Optional[BasicWindowSketch]:  # requires-lock: _lock
+        """Extend the chained prefix entry to ``layout`` and publish it under
+        ``key`` (the superseded prefix entry is dropped), or ``None``."""
+        base = self._extension_base(fingerprint, layout, pairwise)
+        if base is None:
+            return None
+        chain, prefix = base
+        prefix_sketch = self._entries[prefix]
+        start = prefix_sketch.layout.covered_end
+        sketch = prefix_sketch.extend(chain.tail_columns(start, layout.covered_end))
+        self.stats.sketch_extensions += 1
+        self.stats.extended_windows += layout.count - prefix_sketch.layout.count
+        self._entries.pop(prefix)
+        self._publish(key, sketch)
+        chain.trim(self._min_covered_end(fingerprint, chain.length))
+        return sketch
 
-        The O(Δ) read-side half of incremental maintenance: when an append
-        chain holds the columns between a cached prefix entry's coverage and
-        ``layout``'s, the entry is *extended* (delta basic windows only,
-        bit-identical to a rebuild — see :meth:`BasicWindowSketch.extend`)
-        and republished under the full layout; the superseded prefix entry
-        is dropped.  Counted under ``stats.sketch_extensions`` (not
-        ``builds``).  Without a usable chain this degrades to
-        :meth:`get_or_build_tiled` when ``memory_budget`` is set, else
-        :meth:`get_or_build` — the planner's decline reasons make that path
-        visible before execution.
-        """
-        with self._lock:
-            fingerprint = self._fingerprint.peek(matrix)
-            if fingerprint is not None:
-                key = self._key_for(fingerprint, layout, pairwise)
-                sketch = self._entries.get(key)
-                if sketch is not None:
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
-                    return sketch
-                chain = self._chains.get(fingerprint)
-                prefix = (
-                    self._prefix_entry_key(fingerprint, layout, pairwise)
-                    if chain is not None and layout.covered_end <= chain.length
-                    else None
-                )
-                if prefix is not None:
-                    base = self._entries[prefix]
-                    start = base.layout.covered_end
-                    if chain.covers(start, layout.covered_end):
-                        self.stats.misses += 1
-                        sketch = base.extend(
-                            chain.tail_columns(start, layout.covered_end)
-                        )
-                        self.stats.sketch_extensions += 1
-                        self.stats.extended_windows += (
-                            layout.count - base.layout.count
-                        )
-                        self._entries.pop(prefix)
-                        self._publish(key, sketch)
-                        chain.trim(self._min_covered_end(fingerprint, chain.length))
-                        return sketch
-        if memory_budget is not None:
-            return self.get_or_build_tiled(
-                matrix, layout, memory_budget, pairwise=pairwise, workers=workers
-            )
-        return self.get_or_build(matrix, layout, pairwise=pairwise)
+    #: The query path's name for :meth:`get_or_build` (the same call): every
+    #: plan fetches its sketch through it, so the name says what an appended
+    #: dataset's query does.
+    get_or_extend = get_or_build
 
     def set_buffered_columns(self, count: int) -> None:
         """Record the service write buffer's current depth (a gauge)."""

@@ -183,6 +183,30 @@ class TestExecution:
         assert cache.builds == 1  # dense run hit the tiled-built sketch
         assert cache.stats.hits >= 1
 
+    def test_cold_chunk_backed_query_reads_its_source_once(self, store, threshold_query):
+        """Planning must not fingerprint a cold out-of-core source: the tiled
+        build hashes it during its own pass, so one query is one read."""
+        passes = []
+
+        class CountingStore:
+            num_series = store.num_series
+            length = store.length
+            series_ids = store.series_ids
+
+            def iter_chunks(self):
+                passes.append(1)
+                return store.iter_chunks()
+
+        session = CorrelationSession.from_chunk_store(
+            CountingStore(), basic_window_size=BASIC, memory_budget=DENSE_BYTES // 4
+        )
+        assert session.plan(threshold_query).sketch_build == SKETCH_BUILD_TILED
+        assert passes == []
+        session.run(threshold_query)
+        assert len(passes) == 1 and not session.matrix.materialized
+        session.run(threshold_query)
+        assert len(passes) == 1  # the warm repeat is a cache hit
+
     def test_composes_with_sharded_execution(self, matrix, store, threshold_query):
         session = CorrelationSession.from_chunk_store(
             store,

@@ -80,6 +80,55 @@ class TestStrategyChoice:
         assert cache.builds == 1  # only the pre-append scratch build
 
 
+    def test_unaligned_windows_still_extend_the_chained_sketch(self, matrix):
+        """The build rule mirrors the fetch: TSUBASA reads raw values for
+        the unaligned window edges, but the sketch it recombines from still
+        grows in O(Δ), and the plan says so."""
+        cache = SketchCache()
+        bigger = chained(cache, matrix)
+        planner = QueryPlanner(engine="tsubasa", basic_window_size=32, sketch_cache=cache)
+        query = ThresholdQuery(start=0, end=576, window=100, step=50, threshold=0.6)
+        plan = planner.plan(bigger, query)
+        assert plan.sketch_build == SKETCH_BUILD_INCREMENTAL
+        result = planner.execute(bigger, plan)
+        assert cache.builds == 1 and cache.stats.sketch_extensions == 1
+        scratch = QueryPlanner(engine="tsubasa", basic_window_size=32).run(bigger, query)
+        for got, expected in zip(result.matrices, scratch.matrices):
+            assert got.edge_dict() == expected.edge_dict()
+
+    @pytest.mark.parametrize("budget", [None, 1 << 30, 8192])
+    def test_every_plan_fetches_its_sketch_with_one_get_or_extend(
+        self, matrix, monkeypatch, budget
+    ):
+        """Dense, tiled and incremental plans all acquire through exactly one
+        ``SketchCache.get_or_extend`` call and never through ``get_or_build``."""
+        calls = []
+        for name in ("get_or_extend", "get_or_build"):
+            method = getattr(SketchCache, name)
+
+            def spy(self, *args, _name=name, _method=method, **kwargs):
+                calls.append(_name)
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(SketchCache, name, spy)
+        cache = SketchCache()
+        bigger = chained(cache, matrix)
+        planner = QueryPlanner(
+            basic_window_size=32, sketch_cache=cache, memory_budget=budget
+        )
+        builds = []
+        for target in (bigger, matrix):  # incremental, then cold dense/tiled
+            calls.clear()
+            plan = planner.plan(target, ThresholdQuery(
+                start=0, end=target.length, window=128, step=32, threshold=0.6
+            ))
+            builds.append(plan.sketch_build)
+            planner.execute(target, plan)
+            assert calls == ["get_or_extend"], plan.describe()
+        assert builds[0] == SKETCH_BUILD_INCREMENTAL
+        assert builds[1] == ("tiled" if budget == 8192 else "dense")
+
+
 class TestDeclineReasons:
     def test_unaligned_windows_decline_states_why(self, matrix):
         cache = SketchCache()

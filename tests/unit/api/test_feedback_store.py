@@ -162,8 +162,12 @@ class TestCacheIntegration:
         # The lenient owner surfaces the strict loader's message...
         assert cache.feedback.load_error is not None
         assert str(path) in cache.feedback.load_error
-        # ...and the planner runs normally on calibrated predictions.
-        planner = QueryPlanner(basic_window_size=16, sketch_cache=cache)
+        # ...and the planner prices its serial-vs-sharded decision on
+        # calibrated predictions.
+        planner = QueryPlanner(
+            basic_window_size=16, sketch_cache=cache, workers=2,
+            parallel_min_pairs=1, parallel_mode="thread",
+        )
         plan = planner.plan(_matrix(), QUERY)
         assert plan.cost_source == "calibration"
         result = planner.execute(_matrix(), plan)

@@ -2,10 +2,11 @@
 
 Each scenario configures a planner + workload, and the table pins the full
 decision — execution, workers, build, budget, the ordered reason list and
-the rendered ``describe()`` line including the cost ranking.  The cost
-model is the committed fixture calibration (deterministic by construction;
-``conftest.py`` pins ``REPRO_COST_CALIBRATION=off`` repo-wide), injected
-explicitly here so the table holds even if the suite-level pin moves.
+the rendered ``describe()`` line including the cost ranking of the one
+priced decision, serial vs sharded.  The cost model is the committed
+fixture calibration (deterministic by construction; ``conftest.py`` pins
+``REPRO_COST_CALIBRATION=off`` repo-wide), injected explicitly here so the
+table holds even if the suite-level pin moves.
 
 The comparison is one dict against one dict, so any drift shows the *whole*
 diff at once: a changed worker count, a reworded reason and a shifted cost
@@ -56,7 +57,7 @@ def _planner(**overrides):
     return QueryPlanner(**config)
 
 
-def _chained_setup():
+def _chained_setup(**overrides):
     """The append-chain recipe (mirrors docs/scaling.md): 16 of 18 windows
     cached, two arriving via O(Δ) extension."""
     rng = np.random.default_rng(0)
@@ -67,9 +68,10 @@ def _chained_setup():
     fingerprint = cache.extend_chain(history, delta)
     grown = TimeSeriesMatrix(np.concatenate([history.values, delta], axis=1))
     cache.adopt_fingerprint(grown, fingerprint)
-    planner = _planner(basic_window_size=32, sketch_cache=cache)
+    config = dict(basic_window_size=32, sketch_cache=cache)
+    config.update(overrides)
     query = ThresholdQuery(start=0, end=576, window=128, step=32, threshold=0.6)
-    return planner, grown, query
+    return _planner(**config), grown, query
 
 
 def _scenarios():
@@ -188,9 +190,17 @@ def _scenarios():
                 threshold=0.4,
             ),
         ),
-        # A chained cache prefix: incremental beats dense on cost and the
-        # reason names the covered prefix.
+        # A chained cache prefix: the build rule picks incremental (no
+        # price) and the reason names the covered prefix.
         "incremental-chained-prefix": _chained_setup(),
+        # Both decisions at once: the rule picks the build, the price picks
+        # the execution — the cost line ranks executions only.
+        "incremental-chained-sharded-2w": _chained_setup(
+            workers=2, parallel_min_pairs=1, parallel_mode="thread"
+        ),
+        # A chain exists but holds no prefix at this basic-window size: the
+        # decline is named on the dense plan.
+        "incremental-declined-no-prefix": _chained_setup(basic_window_size=16),
     }
     return scenarios
 
@@ -216,7 +226,7 @@ GOLDEN = {
         "sketch_build": "dense",
         "memory_budget": None,
         "reasons": (),
-        "cost_source": "calibration",
+        "cost_source": None,
         "describe": (
             "plan[threshold] engine=dangoron[temporal, b<=16] "
             "sketch=b=16 x 16 exec=serial"
@@ -232,7 +242,7 @@ GOLDEN = {
         "describe": (
             "plan[threshold] engine=dangoron[temporal, b<=16] "
             "sketch=b=16 x 16 exec=sharded(workers=4) "
-            "cost: sharded(4w)=7.37e-05s < serial=0.000206s, "
+            "cost: sharded(4w)=6.35e-05s < serial=0.000196s, "
             "source=calibration"
         ),
     },
@@ -244,7 +254,7 @@ GOLDEN = {
         "reasons": (
             ("execution", "pair count below parallel_min_pairs=4096"),
         ),
-        "cost_source": "calibration",
+        "cost_source": None,
         "describe": (
             "plan[threshold] engine=dangoron[temporal, b<=16] "
             "sketch=b=16 x 16 exec=serial "
@@ -263,7 +273,7 @@ GOLDEN = {
                 "support pair subsets",
             ),
         ),
-        "cost_source": "calibration",
+        "cost_source": None,
         "describe": (
             "plan[threshold] engine=dangoron[temporal+horizontal(4), b<=16] "
             "sketch=b=16 x 16 exec=serial (engine "
@@ -277,7 +287,7 @@ GOLDEN = {
         "sketch_build": "dense",
         "memory_budget": None,
         "reasons": (("execution", "windows not basic-window aligned"),),
-        "cost_source": "calibration",
+        "cost_source": None,
         "describe": (
             "plan[threshold] engine=tsubasa[b=16] sketch=b=16 x 16 "
             "exec=serial (windows not basic-window aligned)"
@@ -289,7 +299,7 @@ GOLDEN = {
         "sketch_build": "tiled",
         "memory_budget": DENSE_BYTES // 2,
         "reasons": (),
-        "cost_source": "calibration",
+        "cost_source": None,
         "describe": (
             "plan[threshold] engine=dangoron[temporal, b<=16] "
             "sketch=b=16 x 16 exec=serial build=tiled(budget=8192B)"
@@ -301,7 +311,7 @@ GOLDEN = {
         "sketch_build": "dense",
         "memory_budget": DENSE_BYTES,
         "reasons": (("build", "raw data fits the budget"),),
-        "cost_source": "calibration",
+        "cost_source": None,
         "describe": (
             "plan[threshold] engine=dangoron[temporal, b<=16] "
             "sketch=b=16 x 16 exec=serial build=dense "
@@ -314,7 +324,7 @@ GOLDEN = {
         "sketch_build": "dense",
         "memory_budget": DENSE_BYTES // 2,
         "reasons": (("build", "engine needs raw values (pivot selection)"),),
-        "cost_source": "calibration",
+        "cost_source": None,
         "describe": (
             "plan[threshold] engine=dangoron[temporal+horizontal(2), b<=16] "
             "sketch=b=16 x 16 exec=serial build=dense "
@@ -334,7 +344,7 @@ GOLDEN = {
             ),
             ("build", "engine needs raw values (pivot selection)"),
         ),
-        "cost_source": "calibration",
+        "cost_source": None,
         "describe": (
             "plan[threshold] engine=dangoron[temporal+horizontal(4), b<=16] "
             "sketch=b=16 x 16 exec=serial (engine "
@@ -352,7 +362,7 @@ GOLDEN = {
         "cost_source": "calibration",
         "describe": (
             "plan[topk] engine=- sketch=b=16 x 16 exec=sharded(workers=2) "
-            "cost: sharded(2w)=0.000121s < serial=0.000206s, "
+            "cost: sharded(2w)=0.000111s < serial=0.000196s, "
             "source=calibration"
         ),
     },
@@ -362,7 +372,7 @@ GOLDEN = {
         "sketch_build": "tiled",
         "memory_budget": DENSE_BYTES // 2,
         "reasons": (),
-        "cost_source": "calibration",
+        "cost_source": None,
         "describe": (
             "plan[lagged] engine=- sketch=raw exec=serial "
             "build=tiled(budget=8192B)"
@@ -376,7 +386,7 @@ GOLDEN = {
         "reasons": (
             ("execution", "lagged scans are one BLAS product per window"),
         ),
-        "cost_source": "calibration",
+        "cost_source": None,
         "describe": (
             "plan[lagged] engine=- sketch=raw exec=serial "
             "(lagged scans are one BLAS product per window)"
@@ -390,13 +400,48 @@ GOLDEN = {
         "reasons": (
             ("build", "chained sketch covers 16/18 basic windows"),
         ),
-        "cost_source": "calibration",
+        "cost_source": None,
         "describe": (
             "plan[threshold] engine=dangoron[temporal, b<=32] "
             "sketch=b=32 x 18 exec=serial "
+            "build=incremental(chained sketch covers 16/18 basic windows)"
+        ),
+    },
+    "incremental-chained-sharded-2w": {
+        "execution": "sharded",
+        "workers": 2,
+        "sketch_build": "incremental",
+        "memory_budget": None,
+        "reasons": (
+            ("build", "chained sketch covers 16/18 basic windows"),
+        ),
+        "cost_source": "calibration",
+        "describe": (
+            "plan[threshold] engine=dangoron[temporal, b<=32] "
+            "sketch=b=32 x 18 exec=sharded(workers=2) "
             "build=incremental(chained sketch covers 16/18 basic windows) "
-            "cost: incremental=0.000423s < dense=0.000443s, "
+            "cost: sharded(2w)=0.000233s < serial=0.00042s, "
             "source=calibration"
+        ),
+    },
+    "incremental-declined-no-prefix": {
+        "execution": "serial",
+        "workers": 1,
+        "sketch_build": "dense",
+        "memory_budget": None,
+        "reasons": (
+            (
+                "build",
+                "incremental declined: no chained sketch entry covers a "
+                "prefix of this layout",
+            ),
+        ),
+        "cost_source": None,
+        "describe": (
+            "plan[threshold] engine=dangoron[temporal, b<=16] "
+            "sketch=b=16 x 36 exec=serial build=dense (incremental "
+            "declined: no chained sketch entry covers a prefix of this "
+            "layout)"
         ),
     },
 }
@@ -505,6 +550,44 @@ def test_candidate_plans_rank_cheapest_first_and_agree_with_plan():
     # Only the chosen plan carries the rendered ranking.
     assert candidates[0].cost_detail is not None
     assert all(plan.cost_detail is None for plan in candidates[1:])
+
+
+class _RefusingCostModel(CostModel):
+    """A cost model that fails the test if anything asks it for a price."""
+
+    def __init__(self):
+        super().__init__(CostModel.fixture().calibration)
+
+    def predict(self, *args, **kwargs):
+        raise AssertionError("a single-candidate plan was priced")
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(name for name, row in GOLDEN.items() if row["cost_source"] is None),
+)
+def test_single_candidate_plans_are_not_priced(name):
+    """Only serial vs sharded is priced; with one candidate there is no
+    decision, so the cost model is never consulted and the plan carries no
+    prediction."""
+    planner, matrix, query = _scenarios()[name]
+    planner.cost_model = _RefusingCostModel()
+    plan = planner.plan(matrix, query)
+    assert plan.predicted_seconds is None and plan.cost_detail is None
+    assert plan.cost_key is not None  # execute still records its wall time
+
+
+def test_a_planner_without_workers_never_calibrates():
+    """No workers, no decision: planning must not trigger the per-process
+    micro-benchmark a default planner would otherwise pay on first use."""
+    CostModel.reset_shared()
+    try:
+        planner = QueryPlanner(basic_window_size=BASIC)
+        planner.run(_matrix(), _threshold())
+        assert planner.cost_model is None
+        assert CostModel._shared is None
+    finally:
+        CostModel.reset_shared()
 
 
 def test_feedback_keys_separate_engine_configurations():

@@ -92,14 +92,14 @@ class TestSingleReadColdCache:
         lazy = ChunkBackedMatrix(CountingStore())
         cache = SketchCache()
         layout = BasicWindowLayout(offset=0, size=25, count=10)
-        sketch = cache.get_or_build_tiled(lazy, layout, memory_budget=10**6)
+        sketch = cache.get_or_build(lazy, layout, memory_budget=10**6)
         assert passes["count"] == 1  # hashed during the tile pass, not before
         # The recorded fingerprint matches an independent dense computation.
         assert cache._fingerprint.peek(lazy) == matrix_fingerprint(
             ChunkBackedMatrix(store)
         )
         # Warm source: the second call is a pure cache hit, no re-read.
-        assert cache.get_or_build_tiled(lazy, layout, memory_budget=10**6) is sketch
+        assert cache.get_or_build(lazy, layout, memory_budget=10**6) is sketch
         assert passes["count"] == 1
         assert cache.builds == 1 and cache.stats.hits == 1
 

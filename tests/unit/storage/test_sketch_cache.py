@@ -72,6 +72,24 @@ class TestHitMissAccounting:
         assert cache.builds == 2
 
 
+class TestBudgetedBuilds:
+    """``get_or_build(memory_budget=...)`` is the tiled out-of-core build."""
+
+    STATISTICS = ("series_sums", "series_sumsqs", "pair_sumprods")
+
+    def test_budgeted_build_is_bit_identical_to_the_dense_one(self, matrix, layout):
+        dense = SketchCache().get_or_build(matrix, layout)
+        tiled = SketchCache().get_or_build(matrix, layout, memory_budget=4096)
+        for name in self.STATISTICS:
+            assert np.array_equal(getattr(dense, name), getattr(tiled, name)), name
+
+    def test_budgeted_and_dense_requests_share_one_entry(self, matrix, layout):
+        cache = SketchCache()
+        tiled = cache.get_or_build(matrix, layout, memory_budget=4096)
+        assert cache.get_or_build(matrix, layout) is tiled
+        assert cache.builds == 1 and cache.stats.hits == 1
+
+
 class TestFingerprintMemoSafety:
     def test_memo_entry_dies_with_the_matrix(self, layout, ar1_matrix):
         """The per-object fingerprint memo must not survive its matrix: a

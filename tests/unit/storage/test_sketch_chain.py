@@ -174,12 +174,16 @@ class TestGetOrExtend:
         assert first is second
         assert cache.stats.sketch_extensions == 1
 
-    def test_falls_back_to_build_without_chain(self, matrix):
+    @pytest.mark.parametrize("budget", [None, 4096])
+    def test_falls_back_to_build_without_chain(self, matrix, budget):
+        # A budget makes the fallback the tiled build: same bits as dense.
         cache = SketchCache()
         layout = BasicWindowLayout.for_range(0, 256, 32)
-        sketch = cache.get_or_extend(matrix, layout)
-        assert cache.builds == 1
+        sketch = cache.get_or_extend(matrix, layout, memory_budget=budget)
+        scratch = BasicWindowSketch.build(matrix.values, layout)
+        assert cache.builds == 1 and cache.stats.sketch_extensions == 0
         assert sketch.layout == layout
+        assert sketch.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
 
     def test_sub_window_appends_extend_once_enough_columns_accumulate(self, matrix):
         rng = np.random.default_rng(8)
@@ -197,6 +201,30 @@ class TestGetOrExtend:
         scratch = BasicWindowSketch.build(current.values, layout)
         assert extended.pair_corrs.tobytes() == scratch.pair_corrs.tobytes()
         assert cache.stats.extended_windows == 2
+
+    def test_extension_coverage_predicts_what_get_or_extend_does(self, matrix, delta):
+        """The planner's build rule reads ``extension_coverage``; the fetch
+        is ``get_or_extend``.  Coverage of the whole layout means a hit, of
+        a prefix an extension, ``None`` a build — never anything else."""
+        cache = SketchCache()
+        cache.get_or_build(matrix, BasicWindowLayout.for_range(0, 256, 32))
+        fingerprint = cache.extend_chain(matrix, delta)
+        bigger = grown(matrix, delta)
+        cache.adopt_fingerprint(bigger, fingerprint)
+        cases = (
+            (BasicWindowLayout.for_range(0, 320, 32), 8, "extension"),
+            (BasicWindowLayout.for_range(0, 320, 32), 10, "hit"),
+            (BasicWindowLayout.for_range(0, 320, 16), None, "build"),
+        )
+        for layout, coverage, outcome in cases:
+            assert cache.extension_coverage(bigger, layout) == coverage
+            before = (cache.stats.hits, cache.stats.sketch_extensions, cache.builds)
+            cache.get_or_extend(bigger, layout)
+            after = (cache.stats.hits, cache.stats.sketch_extensions, cache.builds)
+            moved = {
+                "hit": (1, 0, 0), "extension": (0, 1, 0), "build": (0, 0, 1)
+            }[outcome]
+            assert tuple(b - a for a, b in zip(before, after)) == moved, outcome
 
     def test_clear_drops_chains(self, matrix, delta):
         cache = SketchCache()
