@@ -24,6 +24,13 @@ every other :class:`~repro.exceptions.ReproError` is a 400 (the request was
 understood but invalid); anything else is a 500.  Error bodies are always
 ``{"error": {"type": ..., "message": ...}}``; a shed 429 additionally sends
 a ``Retry-After`` header (the service's ``retry_after_seconds``).
+
+Connections: successful responses keep an HTTP/1.1 connection alive, and
+every accepted connection has ``TCP_NODELAY`` set.  A response goes out as
+two writes (headers, then body); under Nagle's algorithm the body waits in
+the kernel for the ACK of the headers, which a client sending requests
+back to back on one connection holds for its delayed-ACK timer, so each
+such response arrived ~44 ms late.
 """
 
 from __future__ import annotations
@@ -58,6 +65,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service"
     protocol_version = "HTTP/1.1"
+    #: ``StreamRequestHandler.setup`` sets ``TCP_NODELAY`` on the accepted
+    #: socket before the first request is read (module docstring).
+    disable_nagle_algorithm = True
 
     # --------------------------------------------------------------- plumbing
     def log_message(self, format: str, *args) -> None:  # noqa: A002 (stdlib name)

@@ -6,8 +6,11 @@ route table, the error envelope and the client's decoding are all exercised
 over a real socket.
 """
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -17,6 +20,7 @@ import pytest
 from repro.api import CorrelationSession, ThresholdQuery
 from repro.exceptions import ServiceError
 from repro.service import CorrelationServer, CorrelationService, ServiceClient
+from repro.service import http as service_http
 from repro.storage.catalog import Catalog
 from repro.storage.chunk_store import ChunkStore
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -144,8 +148,6 @@ class TestErrorMapping:
         # (e.g. a 405 on a POST), so every error response must carry
         # Connection: close — otherwise the leftover bytes desynchronize the
         # next request on the same connection.
-        import http.client
-
         connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
         try:
             connection.request(
@@ -159,8 +161,6 @@ class TestErrorMapping:
             connection.close()
 
     def test_success_responses_keep_the_connection_alive(self, server):
-        import http.client
-
         connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
         try:
             for _ in range(2):  # two requests over one keep-alive connection
@@ -205,6 +205,51 @@ def test_shed_request_is_a_429_with_the_retry_hint_on_the_wire(server, parked_sc
     assert len(served) == 1
     assert stats["admission"]["shed"] == 1
     assert stats["queries"] == 1
+
+
+@pytest.fixture
+def accepted(monkeypatch):
+    """The ``TCP_NODELAY`` value of each connection the server accepts."""
+    values = []
+    setup = service_http._ServiceHandler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        values.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    monkeypatch.setattr(service_http._ServiceHandler, "setup", recording_setup)
+    return values
+
+
+class TestConnections:
+    def test_every_accepted_connection_has_tcp_nodelay(self, server, accepted):
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            connection.request("GET", "/healthz")
+            connection.getresponse().read()
+        finally:
+            connection.close()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:  # an error response's too
+            urllib.request.urlopen(f"{server.url}/nope", timeout=10)
+        excinfo.value.close()
+        assert len(accepted) == 2
+        assert all(accepted)
+
+    def test_keep_alive_responses_do_not_wait_for_a_delayed_ack(self, server):
+        # With Nagle on, the body of every response on a reused connection
+        # waited for the client's delayed ACK of the headers: >= 40 ms each
+        # on Linux, against well under a millisecond for /healthz.
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        latencies = []
+        try:
+            for _ in range(10):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                connection.getresponse().read()
+                latencies.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert sorted(latencies)[len(latencies) // 2] < 0.02
 
 
 class TestServerLifecycle:
