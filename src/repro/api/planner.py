@@ -70,7 +70,7 @@ from repro.exceptions import ExperimentError
 from repro.core.lag import sliding_lagged_correlation
 from repro.core.query import SlidingQuery
 from repro.core.topk import sliding_top_k
-from repro.parallel.executor import MODE_AUTO, ShardedExecutor
+from repro.parallel.executor import ShardedExecutor
 from repro.parallel.partition import pair_count
 from repro.storage.cache import SketchCache
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -207,17 +207,13 @@ class QueryPlanner:
     workers:
         When greater than 1, threshold and top-k queries over at least
         ``parallel_min_pairs`` series pairs may execute sharded across this
-        many pool workers — the one decision the cost model prices against
+        many pool threads — the one decision the cost model prices against
         serial (engines that support pair subsets only; results are
         bit-identical to serial runs).  ``None``/``1`` keeps every query
         serial.
     parallel_min_pairs:
         Pair-count floor below which sharding is not worth the dispatch
         overhead (default :data:`~repro.config.DEFAULT_PARALLEL_MIN_PAIRS`).
-    parallel_mode:
-        Pool flavour for sharded runs: ``"auto"`` (default; processes for
-        large pair-window counts, threads otherwise), ``"process"`` or
-        ``"thread"``.
     memory_budget:
         When set (bytes), sketch-building queries whose raw data exceeds the
         budget build their sketch **tiled** (:mod:`repro.core.tiled`):
@@ -260,7 +256,6 @@ class QueryPlanner:
         sketch_cache: Optional[SketchCache] = None,
         workers: Optional[int] = None,
         parallel_min_pairs: int = DEFAULT_PARALLEL_MIN_PAIRS,
-        parallel_mode: str = MODE_AUTO,
         memory_budget: Optional[int] = None,
         cost_model: Optional[CostModel] = None,
     ) -> None:
@@ -276,7 +271,6 @@ class QueryPlanner:
         self.sketch_cache = sketch_cache if sketch_cache is not None else SketchCache()
         self.workers = workers
         self.parallel_min_pairs = parallel_min_pairs
-        self.parallel_mode = parallel_mode
         self.memory_budget = memory_budget
         self.cost_model = cost_model
         self._default_engine: Optional[SlidingCorrelationEngine] = None
@@ -696,7 +690,7 @@ class QueryPlanner:
         else:
             sketch = None
         executor = (
-            ShardedExecutor(workers=plan.workers, mode=self.parallel_mode)
+            ShardedExecutor(workers=plan.workers)
             if plan.execution == EXECUTION_SHARDED
             else None
         )

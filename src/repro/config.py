@@ -46,19 +46,18 @@ DEFAULT_NUM_PIVOTS = 4
 DEFAULT_SEED = 20230611
 
 #: Minimum number of series pairs before the query planner considers sharded
-#: parallel execution.  Below this the per-shard dispatch overhead exceeds the
-#: O(n^2) pair work a worker would take off the critical path.
+#: parallel execution.  Every shard repeats the per-window fixed cost (window
+#: statistics, schedule bookkeeping) over its own pair block, so the shard
+#: seconds sum to more than the serial scan — 1.7x at N = 256 on the 2-vCPU
+#: reference box, measured on shards that did not share a GIL
+#: (``docs/benchmarks.md``) — and below this floor the overlap cannot win
+#: that back.
 DEFAULT_PARALLEL_MIN_PAIRS = 4096
 
 #: Default number of pair blocks created per worker by the sharded executor.
 #: More blocks than workers smooths load imbalance from uneven pruning at the
 #: cost of slightly more dispatch overhead.
 DEFAULT_SHARDS_PER_WORKER = 2
-
-#: Minimum number of pair-windows (candidate pairs times sliding windows)
-#: before the sharded executor prefers processes over threads in ``auto``
-#: mode; below it the process startup and data transfer cost dominates.
-DEFAULT_PROCESS_MIN_PAIR_WINDOWS = 500_000
 
 
 def clamp_correlation(value: float) -> float:

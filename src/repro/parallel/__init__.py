@@ -9,8 +9,7 @@ trajectory.  This package exploits that:
     Splits the canonical pair enumeration into contiguous blocks.
 :mod:`repro.parallel.executor`
     Runs a shardable engine (Dangoron, TSUBASA) once per block across a
-    process pool — threads for small inputs — sharing one basic-window
-    sketch build.
+    thread pool, every shard reading one in-memory basic-window sketch.
 :mod:`repro.parallel.merge`
     Recombines per-block results into a result bit-identical to the serial
     run, for any partition of the pair space.
@@ -21,33 +20,16 @@ query planner decides serial vs sharded execution from the pair count and
 routes through :class:`ShardedExecutor` automatically.
 """
 
-from repro.parallel.executor import (
-    MODE_AUTO,
-    MODE_PROCESS,
-    MODE_SERIAL,
-    MODE_THREAD,
-    ShardedExecutor,
-    available_workers,
-)
+from repro.parallel.executor import ShardedExecutor, available_workers
 from repro.parallel.merge import merge_shard_results, merge_shard_stats
-from repro.parallel.partition import (
-    PairBlock,
-    pair_count,
-    pair_slice,
-    partition_pairs,
-)
+from repro.parallel.partition import PairBlock, pair_count, partition_pairs
 
 __all__ = [
-    "MODE_AUTO",
-    "MODE_PROCESS",
-    "MODE_SERIAL",
-    "MODE_THREAD",
     "PairBlock",
     "ShardedExecutor",
     "available_workers",
     "merge_shard_results",
     "merge_shard_stats",
     "pair_count",
-    "pair_slice",
     "partition_pairs",
 ]

@@ -9,25 +9,13 @@ merges the per-block results back into one
 subset exactly as their full run would, the merged result is **bit-identical
 to the serial run** for any worker count.
 
-Execution modes
----------------
-``process``
-    A ``ProcessPoolExecutor``; the matrix, query, engine and (shared) sketch
-    are shipped to each worker once through the pool initializer, and tasks
-    carry only two integers (the block bounds).  This is the mode that scales
-    with cores — the per-window recombination work is Python/NumPy code that
-    holds the GIL for most of its time.
-``thread``
-    A ``ThreadPoolExecutor`` sharing the sketch in memory.  The fallback for
-    small inputs (no fork/pickle cost) and for environments where process
-    pools are unavailable; NumPy releases the GIL in large kernels, so big
-    windows still overlap somewhat.
-``auto``
-    Picks ``process`` when the total pair-window count crosses
-    :data:`~repro.config.DEFAULT_PROCESS_MIN_PAIR_WINDOWS`, else ``thread``.
-``serial``
-    Runs the engine unsharded (used by ``workers=1`` and as the planner's
-    default); returns exactly what ``engine.run`` returns.
+Shards fan out over one ``ThreadPoolExecutor`` that shares the matrix and
+the sketch in memory: nothing is pickled or copied per shard, and NumPy
+releases the GIL inside its large kernels, so shards overlap there.
+``workers=1`` (or fewer than two pairs) runs the engine unsharded and returns
+exactly what ``engine.run`` returns.  The only process pool in the package is
+the service's (:mod:`repro.service.workers`), whose daemonic workers could not
+fork a pool of their own anyway.
 
 One sketch, many shards: when no prebuilt sketch is passed, the executor
 builds the engine's planned layout once and hands the same sketch to every
@@ -43,19 +31,12 @@ already uses every core, so it is the serial pass for any worker count.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import List, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.config import (
-    DEFAULT_BASIC_WINDOW_SIZE,
-    DEFAULT_PROCESS_MIN_PAIR_WINDOWS,
-    DEFAULT_SHARDS_PER_WORKER,
-)
+from repro.config import DEFAULT_BASIC_WINDOW_SIZE, DEFAULT_SHARDS_PER_WORKER
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.engine import SlidingCorrelationEngine, accepts_sketch_kwarg
 from repro.core.lag import LagMatrices, sliding_lagged_correlation
@@ -65,21 +46,8 @@ from repro.core.sketch import BasicWindowSketch
 from repro.core.topk import TopKResult, sliding_top_k
 from repro.exceptions import ParallelError
 from repro.parallel.merge import merge_shard_results, merge_topk_results
-from repro.parallel.partition import (
-    PairBlock,
-    pair_count,
-    pair_slice,
-    partition_pairs,
-)
+from repro.parallel.partition import PairBlock, pair_count, partition_pairs
 from repro.timeseries.matrix import TimeSeriesMatrix
-
-#: Execution mode names accepted by :class:`ShardedExecutor`.
-MODE_AUTO = "auto"
-MODE_THREAD = "thread"
-MODE_PROCESS = "process"
-MODE_SERIAL = "serial"
-
-_MODES = (MODE_AUTO, MODE_THREAD, MODE_PROCESS, MODE_SERIAL)
 
 
 def available_workers() -> int:
@@ -90,55 +58,13 @@ def available_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-# ---------------------------------------------------------------------------
-# Block plumbing.  Every sharded family is a ``(kind, payload)`` run once per
-# pair block.  Threads are handed the block's materialized pair arrays;
-# process workers receive the heavy payload once through the pool initializer
-# and each task is just the (start, stop) bounds of its block.
-# ---------------------------------------------------------------------------
-
-_BLOCK_CONTEXT: Optional[Tuple[str, tuple]] = None
-
-
-def _init_block_worker(kind: str, payload: tuple) -> None:
-    global _BLOCK_CONTEXT
-    _BLOCK_CONTEXT = (kind, payload)
-
-
-def _run_block(kind: str, payload: tuple, pairs: Tuple[np.ndarray, np.ndarray]):
-    """Run one pair block ``pairs=(rows, cols)`` of a sharded family."""
-    matrix, query, *rest = payload
-    if kind == "engine":
-        engine, sketch = rest
-        kwargs = {} if sketch is None else {"sketch": sketch}
-        return engine.run(matrix, query, pairs=pairs, **kwargs)
-    k, basic_window_size, absolute, sketch = rest
-    return sliding_top_k(
-        matrix,
-        query,
-        k,
-        basic_window_size=basic_window_size,
-        absolute=absolute,
-        sketch=sketch,
-        pairs=pairs,
-    )
-
-
-def _run_context_block(bounds: Tuple[int, int]):
-    """Process-pool task: rematerialize the block from its bounds and run it."""
-    kind, payload = _BLOCK_CONTEXT
-    return _run_block(kind, payload, pair_slice(payload[0].num_series, *bounds))
-
-
 class ShardedExecutor:
-    """Runs one engine over a partitioned pair space with a pool of workers.
+    """Runs one engine over a partitioned pair space with a pool of threads.
 
     Parameters
     ----------
     workers:
-        Number of pool workers.  ``1`` always executes serially.
-    mode:
-        ``"auto"`` (default), ``"process"``, ``"thread"`` or ``"serial"``.
+        Number of pool threads.  ``1`` always executes serially.
 
     The pair space is cut into ``workers *``
     :data:`~repro.config.DEFAULT_SHARDS_PER_WORKER` blocks, so uneven pruning
@@ -155,7 +81,7 @@ class ShardedExecutor:
     >>> matrix = TimeSeriesMatrix(rng.standard_normal((12, 256)))
     >>> query = SlidingQuery(start=0, end=256, window=64, step=32, threshold=0.2)
     >>> engine = DangoronEngine(basic_window_size=16)
-    >>> executor = ShardedExecutor(workers=2, mode="thread")
+    >>> executor = ShardedExecutor(workers=2)
     >>> sharded = executor.run(engine, matrix, query)
     >>> serial = engine.run(matrix, query)
     >>> all(np.array_equal(a.values, b.values)
@@ -163,30 +89,15 @@ class ShardedExecutor:
     True
     """
 
-    def __init__(self, workers: int, mode: str = MODE_AUTO) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ParallelError(f"workers must be at least 1, got {workers}")
-        if mode not in _MODES:
-            raise ParallelError(f"mode must be one of {_MODES}, got {mode!r}")
         self.workers = workers
-        self.mode = mode
-
-    # ------------------------------------------------------------------ plan
-    def resolve_mode(self, num_pairs: int, num_windows: int) -> str:
-        """The concrete mode ``run`` will use for a given problem size."""
-        if self.mode != MODE_AUTO:
-            return self.mode
-        if self.workers == 1 or num_pairs < 2:
-            return MODE_SERIAL
-        if num_pairs * num_windows >= DEFAULT_PROCESS_MIN_PAIR_WINDOWS:
-            return MODE_PROCESS
-        return MODE_THREAD
-
-    def describe(self) -> str:
-        shards = self.workers * DEFAULT_SHARDS_PER_WORKER
-        return f"sharded[{self.mode} x{self.workers} workers, {shards} shards]"
 
     def _blocks(self, num_series: int) -> List[PairBlock]:
+        """The pair blocks to fan out over; empty when the run is serial."""
+        if self.workers == 1 or pair_count(num_series) < 2:
+            return []
         return partition_pairs(num_series, self.workers * DEFAULT_SHARDS_PER_WORKER)
 
     # ------------------------------------------------------------------- run
@@ -204,21 +115,23 @@ class ShardedExecutor:
         summed across shards and wall-clock ``query_seconds``.
         """
         query.validate_against_length(matrix.length)
-        n = matrix.num_series
-        total_pairs = pair_count(n)
-        mode = self.resolve_mode(total_pairs, query.num_windows)
-        if mode != MODE_SERIAL and not engine.supports_pair_subset():
+        blocks = self._blocks(matrix.num_series)
+        if not blocks:
+            if sketch is not None:
+                return engine.run(matrix, query, sketch=sketch)
+            return engine.run(matrix, query)
+        if not engine.supports_pair_subset():
             raise ParallelError(
                 f"engine {engine.describe()!r} does not support pair subsets "
                 f"and cannot be sharded; run it serially instead"
             )
 
-        if mode != MODE_SERIAL and not accepts_sketch_kwarg(engine):
+        if not accepts_sketch_kwarg(engine):
             # A shardable engine without the sketch keyword cannot share a
             # prebuilt sketch; run it sketch-less rather than exploding with
-            # a TypeError inside a pool worker.
+            # a TypeError inside a shard.
             sketch = None
-        elif sketch is None and mode != MODE_SERIAL:
+        elif sketch is None:
             layout = engine.plan_layout(query)
             if layout is not None:
                 # One shared build instead of one per shard.
@@ -227,17 +140,6 @@ class ShardedExecutor:
                     layout,
                 )
 
-        if mode == MODE_SERIAL:
-            if sketch is not None:
-                return engine.run(matrix, query, sketch=sketch)
-            return engine.run(matrix, query)
-
-        blocks = self._blocks(n)
-        if len(blocks) < 2:
-            if sketch is not None:
-                return engine.run(matrix, query, sketch=sketch)
-            return engine.run(matrix, query)
-
         corr_prefix_seconds = 0.0
         if (
             sketch is not None
@@ -245,19 +147,19 @@ class ShardedExecutor:
             and not sketch.has_corr_prefix
             and getattr(engine, "use_temporal_pruning", False)
         ):
-            # Materialize the lazy Eq. 2 prefix once before fan-out: thread
-            # shards would otherwise each build a copy in a benign race, and
-            # forked process workers would each build a private one instead
-            # of inheriting it copy-on-write.  Engines that never read it
-            # (TSUBASA) skip the cost entirely.  Booked like the serial run
-            # books it: part of the sketch build, not of the query.
+            # Materialize the lazy Eq. 2 prefix once before fan-out: shards
+            # would otherwise each build a copy in a benign race.  Engines
+            # that never read it (TSUBASA) skip the cost entirely.  Booked
+            # like the serial run books it: part of the sketch build, not of
+            # the query.
             prefix_start = time.perf_counter()
             sketch.corr_prefix
             corr_prefix_seconds = time.perf_counter() - prefix_start
 
+        kwargs = {} if sketch is None else {"sketch": sketch}
         wall_start = time.perf_counter()
-        shard_results, ran_mode = self._map_blocks(
-            mode, "engine", (matrix, query, engine, sketch), blocks
+        shard_results = self._map_blocks(
+            lambda pairs: engine.run(matrix, query, pairs=pairs, **kwargs), blocks
         )
         wall_seconds = time.perf_counter() - wall_start
 
@@ -279,9 +181,6 @@ class ShardedExecutor:
             merged.stats.extra["corr_prefix_seconds"] = corr_prefix_seconds
         merged.stats.extra["parallel_workers"] = float(self.workers)
         merged.stats.extra["parallel_shards"] = float(len(blocks))
-        merged.stats.extra["parallel_mode_process"] = float(ran_mode == MODE_PROCESS)
-        if ran_mode != mode:
-            merged.stats.extra["parallel_fallback_thread"] = 1.0
         return merged
 
     # -------------------------------------------------------------- run_topk
@@ -305,10 +204,8 @@ class ShardedExecutor:
         query.validate_against_length(matrix.length)
         if absolute is None:
             absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
-        n = matrix.num_series
-        mode = self.resolve_mode(pair_count(n), query.num_windows)
-        blocks = self._blocks(n) if mode != MODE_SERIAL else []
-        if mode == MODE_SERIAL or len(blocks) < 2:
+        blocks = self._blocks(matrix.num_series)
+        if not blocks:
             return sliding_top_k(
                 matrix,
                 query,
@@ -324,8 +221,16 @@ class ShardedExecutor:
                 matrix.values,  # repro-lint: disable=RPR002 -- shared dense build is the explicit non-tiled fallback; tiled callers pass a prebuilt sketch
                 layout,
             )
-        shard_results, _ = self._map_blocks(
-            mode, "topk", (matrix, query, k, basic_window_size, absolute, sketch),
+        shard_results = self._map_blocks(
+            lambda pairs: sliding_top_k(
+                matrix,
+                query,
+                k,
+                basic_window_size=basic_window_size,
+                absolute=absolute,
+                sketch=sketch,
+                pairs=pairs,
+            ),
             blocks,
         )
         return merge_topk_results(query, k, absolute, shard_results)
@@ -355,52 +260,19 @@ class ShardedExecutor:
         )
 
     def _map_blocks(
-        self, mode: str, kind: str, payload: tuple, blocks: Sequence[PairBlock]
-    ) -> Tuple[list, str]:
-        """Fan one family out over pair blocks; returns ``(results, mode run)``.
+        self,
+        run_block: Callable[[Tuple[np.ndarray, np.ndarray]], object],
+        blocks: Sequence[PairBlock],
+    ) -> list:
+        """Run one family's ``run_block(pairs=(rows, cols))`` per pair block.
 
-        Pool creation and submission touch only infrastructure (fork,
-        semaphores, task pickling); failures there — or workers killed by the
-        environment — mean "no process pool here" and degrade to threads
-        rather than failing the query.  ``future.result()`` re-raises whatever
-        the engine or scan itself raised in a worker, which propagates.
+        Results come back in block order, the order the merge expects.
+
+        ``future.result()`` re-raises whatever the engine or scan raised in a
+        shard, so a failing shard fails the query.
         """
-        if mode == MODE_PROCESS:
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=self._process_context(),
-                    initializer=_init_block_worker,
-                    initargs=(kind, payload),
-                ) as pool:
-                    futures = [
-                        pool.submit(_run_context_block, (block.start, block.stop))
-                        for block in blocks
-                    ]
-            except (OSError, ValueError, ImportError, pickle.PicklingError,
-                    TypeError, BrokenProcessPool):
-                pass
-            else:
-                try:
-                    return [future.result() for future in futures], MODE_PROCESS
-                except BrokenProcessPool:
-                    pass
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             futures = [
-                pool.submit(_run_block, kind, payload, (block.rows, block.cols))
-                for block in blocks
+                pool.submit(run_block, (block.rows, block.cols)) for block in blocks
             ]
-            return [future.result() for future in futures], MODE_THREAD
-
-    @staticmethod
-    def _process_context():
-        """The multiprocessing context for shard pools.
-
-        Prefers ``fork`` where available: the workers then inherit the
-        matrix and the shared sketch through copy-on-write memory instead of
-        pickling them, which keeps pool startup cost flat in the data size.
-        """
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return multiprocessing.get_context()
+            return [future.result() for future in futures]

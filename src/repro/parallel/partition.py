@@ -18,7 +18,7 @@ emission order exactly (see :mod:`repro.parallel.merge`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -54,25 +54,6 @@ class PairBlock:
 
     def describe(self) -> str:
         return f"block[{self.index}] pairs [{self.start}, {self.stop})"
-
-
-def pair_slice(num_series: int, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(rows, cols)`` arrays of canonical pairs ``[start, stop)``.
-
-    Used by process workers to rematerialize their block from two integers
-    instead of shipping index arrays through the task queue.
-    """
-    total = pair_count(num_series)
-    if not 0 <= start <= stop <= total:
-        raise ParallelError(
-            f"pair slice [{start}, {stop}) outside [0, {total}) for "
-            f"{num_series} series"
-        )
-    rows, cols = np.triu_indices(num_series, k=1)
-    return (
-        rows[start:stop].astype(INDEX_DTYPE, copy=False),
-        cols[start:stop].astype(INDEX_DTYPE, copy=False),
-    )
 
 
 def partition_pairs(num_series: int, num_blocks: int) -> List[PairBlock]:

@@ -351,10 +351,11 @@ class SketchCache:
 
     Sharded parallel execution reuses the cache too: the planner fetches one
     sketch here and hands the same object to every shard of a
-    :class:`repro.parallel.ShardedExecutor` run (fork-based process pools
-    inherit it copy-on-write), so ``workers=N`` never multiplies the γ·N²
-    build cost.  Cached sketches are immutable after publication, apart from
-    the lazily materialized prefix tensors every reader would compute alike.
+    :class:`repro.parallel.ShardedExecutor` run (its shards are threads
+    reading the one object in memory), so ``workers=N`` never multiplies the
+    γ·N² build cost.  Cached sketches are immutable after publication, apart
+    from the lazily materialized prefix tensors every reader would compute
+    alike.
 
     Parameters
     ----------

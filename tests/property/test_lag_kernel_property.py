@@ -4,7 +4,7 @@
 taken: one BLAS product of a whole window's two row-normalized overlaps.
 The dense pass and the streamed pass (``memory_budget``) differ only in where
 a window's bytes come from, and a sharded session runs the same serial pass
-whatever workers and mode it was given, so they must agree bit for bit — on
+whatever workers it was given, so they must agree bit for bit — on
 ordinary, constant and huge-magnitude rows, from one series to more than a
 register tile's worth, for every lag range a window supports.
 
@@ -25,7 +25,7 @@ from repro.core.lag import (
     sliding_lagged_correlation,
 )
 from repro.core.query import SlidingQuery
-from repro.parallel import MODE_PROCESS, MODE_THREAD, ShardedExecutor
+from repro.parallel import ShardedExecutor
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 WINDOW = 24
@@ -57,7 +57,7 @@ def assert_same_windows(expected, actual):
 
 
 # ---------------------------------------------------------------------------
-# (a) dense == streamed == a sharded session, "thread" or "process" requested
+# (a) dense == streamed == a sharded session at any worker count
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("absolute", [False, True], ids=["signed", "absolute"])
@@ -69,7 +69,6 @@ def test_every_execution_of_a_lagged_query_returns_the_same_bits(
     def no_pool(*args, **kwargs):
         raise AssertionError("a lagged run must never start a worker pool")
 
-    monkeypatch.setattr("repro.parallel.executor.ProcessPoolExecutor", no_pool)
     monkeypatch.setattr("repro.parallel.executor.ThreadPoolExecutor", no_pool)
     matrix = make_matrix(num_series)
     one_window_buffer = num_series * WINDOW * 8
@@ -82,12 +81,12 @@ def test_every_execution_of_a_lagged_query_returns_the_same_bits(
             memory_budget=one_window_buffer,
         )
         assert_same_windows(dense, streamed)
-        for workers, mode in ((2, MODE_THREAD), (3, MODE_THREAD), (2, MODE_PROCESS)):
-            executor = ShardedExecutor(workers=workers, mode=mode)
+        for workers in (2, 3):
+            executor = ShardedExecutor(workers=workers)
             assert_same_windows(
                 dense, executor.run_lagged(matrix, query, max_lag, absolute=absolute)
             )
-        budgeted = ShardedExecutor(workers=2, mode=MODE_THREAD).run_lagged(
+        budgeted = ShardedExecutor(workers=2).run_lagged(
             matrix, query, max_lag, absolute=absolute,
             memory_budget=one_window_buffer,
         )

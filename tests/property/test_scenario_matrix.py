@@ -162,7 +162,6 @@ def _planner(execution: str, build: str, pruned: bool, num_series: int) -> Query
         basic_window_size=BASIC,
         workers=2 if execution == "sharded" else None,
         parallel_min_pairs=1,
-        parallel_mode="thread",
         memory_budget=budget,
     )
 
@@ -351,7 +350,6 @@ def test_declined_sharding_names_the_reason_in_describe():
         basic_window_size=BASIC,
         workers=2,
         parallel_min_pairs=1,
-        parallel_mode="thread",
     )
     plan = planner.plan(matrix, _query("threshold"))
     assert plan.execution == EXECUTION_SERIAL
@@ -367,8 +365,7 @@ def test_declined_sharding_names_the_reason_in_describe():
     # (TSUBASA plans a layout even for unaligned windows, which is what arms
     # this gate; Dangoron plans no layout there and shards on raw values.)
     planner = QueryPlanner(
-        engine="tsubasa", basic_window_size=BASIC, workers=2, parallel_min_pairs=1,
-        parallel_mode="thread",
+        engine="tsubasa", basic_window_size=BASIC, workers=2, parallel_min_pairs=1
     )
     unaligned = ThresholdQuery(start=0, end=LENGTH, window=50, step=25, threshold=0.4)
     plan = planner.plan(matrix, unaligned)

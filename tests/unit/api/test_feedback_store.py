@@ -166,7 +166,7 @@ class TestCacheIntegration:
         # calibrated predictions.
         planner = QueryPlanner(
             basic_window_size=16, sketch_cache=cache, workers=2,
-            parallel_min_pairs=1, parallel_mode="thread",
+            parallel_min_pairs=1,
         )
         plan = planner.plan(_matrix(), QUERY)
         assert plan.cost_source == "calibration"

@@ -87,7 +87,7 @@ def _scenarios():
         # Workers configured and every sharding gate passes: the ranking
         # prices serial against the configured worker count.
         "threshold-sharded-4w": (
-            _planner(workers=4, parallel_min_pairs=1, parallel_mode="thread"),
+            _planner(workers=4, parallel_min_pairs=1),
             _matrix(),
             _threshold(),
         ),
@@ -115,10 +115,7 @@ def _scenarios():
         # Unaligned windows under a worker request (TSUBASA plans a layout
         # even there, arming the alignment gate).
         "threshold-declined-unaligned": (
-            _planner(
-                engine="tsubasa", workers=2, parallel_min_pairs=1,
-                parallel_mode="thread",
-            ),
+            _planner(engine="tsubasa", workers=2, parallel_min_pairs=1),
             _matrix(),
             _threshold(window=50, step=25),
         ),
@@ -166,7 +163,7 @@ def _scenarios():
         ),
         # Top-k shards without an engine gate (its path accepts subsets).
         "topk-sharded-2w": (
-            _planner(workers=2, parallel_min_pairs=1, parallel_mode="thread"),
+            _planner(workers=2, parallel_min_pairs=1),
             _matrix(),
             TopKQuery(start=0, end=LENGTH, window=WINDOW, step=STEP, k=5),
         ),
@@ -183,7 +180,7 @@ def _scenarios():
         # Lagged with workers requested: the lag kernel is one BLAS product
         # per window, so the plan stays serial and says why.
         "lagged-declined-workers": (
-            _planner(workers=2, parallel_min_pairs=1, parallel_mode="thread"),
+            _planner(workers=2, parallel_min_pairs=1),
             _matrix(),
             LaggedQuery(
                 start=0, end=LENGTH, window=WINDOW, step=STEP, max_lag=4,
@@ -196,7 +193,7 @@ def _scenarios():
         # Both decisions at once: the rule picks the build, the price picks
         # the execution — the cost line ranks executions only.
         "incremental-chained-sharded-2w": _chained_setup(
-            workers=2, parallel_min_pairs=1, parallel_mode="thread"
+            workers=2, parallel_min_pairs=1
         ),
         # A chain exists but holds no prefix at this basic-window size: the
         # decline is named on the dense plan.
@@ -495,9 +492,7 @@ def test_feedback_overrides_calibration_once_every_candidate_is_observed():
     actually fastest on "this machine", the planner must choose serial and
     attribute the choice to feedback.
     """
-    planner = _planner(
-        workers=4, parallel_min_pairs=1, parallel_mode="thread"
-    )
+    planner = _planner(workers=4, parallel_min_pairs=1)
     matrix = _matrix()
     query = _threshold()
 
@@ -524,9 +519,7 @@ def test_feedback_overrides_calibration_once_every_candidate_is_observed():
 
 def test_partial_feedback_coverage_stays_on_calibration():
     """An observed mean must never be ranked against a calibrated guess."""
-    planner = _planner(
-        workers=4, parallel_min_pairs=1, parallel_mode="thread"
-    )
+    planner = _planner(workers=4, parallel_min_pairs=1)
     matrix = _matrix()
     query = _threshold()
     candidates = planner.candidate_plans(matrix, query)
@@ -539,9 +532,7 @@ def test_partial_feedback_coverage_stays_on_calibration():
 
 
 def test_candidate_plans_rank_cheapest_first_and_agree_with_plan():
-    planner = _planner(
-        workers=4, parallel_min_pairs=1, parallel_mode="thread"
-    )
+    planner = _planner(workers=4, parallel_min_pairs=1)
     matrix = _matrix()
     candidates = planner.candidate_plans(matrix, _threshold())
     costs = [plan.predicted_seconds for plan in candidates]

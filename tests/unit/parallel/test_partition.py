@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParallelError
-from repro.parallel.partition import (
-    pair_count,
-    pair_slice,
-    partition_pairs,
-)
+from repro.parallel.partition import pair_count, partition_pairs
 
 
 def test_pair_count_matches_triangle():
@@ -56,16 +52,3 @@ def test_partition_rejects_zero_blocks():
     with pytest.raises(ParallelError):
         partition_pairs(8, 0)
 
-
-def test_pair_slice_matches_partition_blocks():
-    for block in partition_pairs(12, 4):
-        rows, cols = pair_slice(12, block.start, block.stop)
-        assert np.array_equal(rows, block.rows)
-        assert np.array_equal(cols, block.cols)
-
-
-def test_pair_slice_rejects_out_of_range():
-    with pytest.raises(ParallelError):
-        pair_slice(5, 0, pair_count(5) + 1)
-    with pytest.raises(ParallelError):
-        pair_slice(5, -1, 2)
