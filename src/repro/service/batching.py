@@ -156,7 +156,7 @@ class BatchMember:
 
     def __init__(self, query: SlidingQuery) -> None:
         self.query = query
-        self.payload: Optional[Dict[str, object]] = None
+        self.payload: Optional[bytes] = None  # the encoded response body
 
 
 class QueryBatch:

@@ -3,7 +3,8 @@
 A :class:`~http.server.ThreadingHTTPServer` fronting one
 :class:`~repro.service.service.CorrelationService`.  The handler is a pure
 JSON shim: it parses the path and body, calls the matching service method,
-and writes the returned document — every piece of domain logic (sessions,
+and writes the returned document (query answers come back as finished
+bytes and are written as they are) — every piece of domain logic (sessions,
 coalescing, standing queries) lives in the service layer so it is testable
 without sockets.
 
@@ -19,7 +20,8 @@ Routes::
     GET  /datasets/{name}/watch/{id}       windows the standing query emitted
 
 Error mapping: :class:`~repro.exceptions.ServiceError` carries its own
-status (404 for unknown datasets/routes, 429 for shed load, 400 otherwise);
+status (404 for unknown datasets/routes, 429 for shed load, 413 for an
+oversized body, 400 otherwise — a malformed ``Content-Length`` included);
 every other :class:`~repro.exceptions.ReproError` is a 400 (the request was
 understood but invalid); anything else is a 500.  Error bodies are always
 ``{"error": {"type": ..., "message": ...}}``; a shed 429 additionally sends
@@ -39,7 +41,7 @@ import json
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ReproError, ServiceError
 from repro.service.service import CorrelationService
@@ -74,8 +76,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
 
-    def _write_json(self, status: int, document: Dict[str, object]) -> None:
-        body = json.dumps(document).encode("utf-8")
+    def _write_json(self, status: int, document: Union[bytes, Dict[str, object]]) -> None:
+        # Query answers arrive already encoded (``CorrelationService.query``).
+        body = document if isinstance(document, bytes) else json.dumps(document).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -106,7 +109,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self._write_json(status, {"error": {"type": error_type, "message": message}})
 
     def _read_body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length", 0))
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise ServiceError(
+                f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise ServiceError(
                 f"request body of {length} bytes exceeds the {MAX_BODY_BYTES} byte cap",

@@ -41,6 +41,7 @@ concurrently.
 
 from __future__ import annotations
 
+import json
 import shutil
 import tempfile
 import threading
@@ -66,7 +67,9 @@ from repro.service.batching import (
     filter_threshold_result,
     is_batchable,
 )
-from repro.service.wire import (
+# ``result_to_wire`` stays bound here for ``perf/trace.py``'s encode target.
+from repro.service.wire import (  # noqa: F401
+    encode_result,
     query_from_wire,
     query_to_wire,
     result_from_wire,
@@ -648,13 +651,17 @@ class CorrelationService:
             "watches": [w.describe() for w in runtime.watches.values()],
         }
 
-    def query(self, name: str, request: Dict[str, object]) -> Dict[str, object]:
+    def query(self, name: str, request: Dict[str, object]) -> bytes:
         """Answer one query request through admission and request merging.
 
         The request document is the query spec (see
         :func:`~repro.service.wire.query_from_wire`) plus the optional
         transport fields ``workers`` (sharded execution override) and
-        ``include_edges`` (inline the flattened edge list).
+        ``include_edges`` (a boolean: inline the flattened edge list).
+        Returns the finished ``repro.result/v1`` body as UTF-8 JSON bytes
+        (:func:`~repro.service.wire.encode_result`), encoded once by
+        whichever process holds the result — a pool worker, or this one —
+        and shared as-is by every coalesced duplicate.
 
         Admission first: with an ``admission_queue_limit`` configured, a
         dataset already saturated sheds this request with a 429 carrying
@@ -697,7 +704,7 @@ class CorrelationService:
     # --------------------------------------------------------- query paths
     def _query_batched(
         self, runtime: DatasetRuntime, request: Dict[str, object]
-    ) -> Dict[str, object]:
+    ) -> bytes:
         """Join (or lead) the open batch this request is compatible with.
 
         Non-threshold requests are compatible only with their exact
@@ -835,7 +842,15 @@ class CorrelationService:
         workers = request.get("workers")
         if workers is not None and (isinstance(workers, bool) or not isinstance(workers, int)):
             raise ServiceError(f"request field 'workers' must be an integer, got {workers!r}")
-        include_edges = bool(request.get("include_edges", False))
+        # ``null`` means "not set", as for ``workers``; any other non-boolean
+        # is refused rather than read by truthiness ("no" is truthy).
+        include_edges = request.get("include_edges")
+        if include_edges is None:
+            include_edges = False
+        elif not isinstance(include_edges, bool):
+            raise ServiceError(
+                f"request field 'include_edges' must be a boolean, got {include_edges!r}"
+            )
         return workers, include_edges, query_from_wire(spec)
 
     def _segment_job(self, runtime: DatasetRuntime, session, plan):  # requires-lock: lock
@@ -859,7 +874,11 @@ class CorrelationService:
         return str(path), generation
 
     def _run_scan(self, runtime: DatasetRuntime, choose_query, workers, include_edges):
-        """Plan and run one scan; returns ``(payload, result_or_None)``.
+        """Plan and run one scan; returns ``(body, plan, result_or_None)``.
+
+        ``body`` is the encoded response, ``plan`` its plan string, and the
+        result object comes back only from an inline scan (a pooled one
+        stays in the worker, which sends the bytes it encoded).
 
         ``choose_query`` is called under the runtime lock (after the write
         flush) and returns ``(query, exact_scan)`` — for a batch leader
@@ -888,12 +907,8 @@ class CorrelationService:
                 # can never diverge, and planning happens once per request.
                 result = session.planner.execute(session.matrix, plan)
                 runtime.counters["executed"] += 1
-                payload = {
-                    "dataset": runtime.name,
-                    "plan": plan.describe(),
-                    **result_to_wire(result, include_edges=include_edges),
-                }
-                return payload, result
+                head = {"dataset": runtime.name, "plan": plan.describe()}
+                return encode_result(head, result, include_edges), head["plan"], result
         segment_dir, generation = job
         reply = self._pool.run_query(
             runtime.name,
@@ -911,7 +926,7 @@ class CorrelationService:
                 runtime.sketch_cache.feedback.record(
                     cost_key, float(reply["wall_seconds"])
                 )
-        return {"dataset": runtime.name, **reply["payload"]}, None
+        return reply["body"], reply["plan"], None
 
     def _execute_batch(
         self,
@@ -957,31 +972,31 @@ class CorrelationService:
             exact_scan = len({m.query.threshold for m in members}) > 1
             return floor.query, exact_scan
 
-        floor_payload, result = self._run_scan(
+        floor_body, plan, result = self._run_scan(
             runtime, close_and_choose_floor, workers, include_edges
         )
         members = state["members"]
         floor = state["floor"]
-        floor.payload = floor_payload
+        floor.payload = floor_body
         others = [member for member in members if member is not floor]
         if not others:
             return
         if result is None:
-            # Pooled scan: rebuild the result object from the wire document.
+            # Pooled scan: rebuild the result object from the worker's body.
             # ``repro.result/v1`` round-trips bit-identically, so the derived
             # members are exactly what an inline scan would have produced.
-            result = result_from_wire(floor_payload)
+            result = result_from_wire(json.loads(floor_body))
+        head = {
+            "dataset": runtime.name,
+            "plan": plan,
+            "batch": {
+                "floor_threshold": float(floor.query.threshold),
+                "members": len(members),
+            },
+        }
         for member in others:
             derived = filter_threshold_result(result, member.query)
-            member.payload = {
-                "dataset": runtime.name,
-                "plan": floor_payload["plan"],
-                "batch": {
-                    "floor_threshold": float(floor.query.threshold),
-                    "members": len(members),
-                },
-                **result_to_wire(derived, include_edges=include_edges),
-            }
+            member.payload = encode_result(head, derived, include_edges)
 
     # ------------------------------------------------------------------ metrics
     def metrics(self) -> Dict[str, object]:

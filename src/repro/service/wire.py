@@ -32,7 +32,8 @@ The exact field lists are documented with JSON examples in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+import json
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from repro.api.queries import LaggedQuery, ThresholdQuery, TopKQuery
 from repro.api.results import LaggedSeriesResult
 from repro.core.lag import LagMatrices
 from repro.core.query import SlidingQuery, THRESHOLD_SIGNED
-from repro.core.result import CorrelationSeriesResult, Edge, EngineStats, ThresholdedMatrix
+from repro.core.result import CorrelationSeriesResult, EngineStats, ThresholdedMatrix
 from repro.core.topk import TopKResult, TopKWindow
 from repro.exceptions import ServiceError
 
@@ -185,11 +186,6 @@ def stats_from_wire(payload: Dict[str, object]) -> EngineStats:
 # Results
 # ---------------------------------------------------------------------------
 
-def edges_to_wire(edges: Sequence[Edge]) -> List[List[object]]:
-    """Flatten protocol edges to ``[window, source, target, weight, lag]`` rows."""
-    return [[e.window, e.source, e.target, e.weight, e.lag] for e in edges]
-
-
 AnyResult = Union[CorrelationSeriesResult, TopKResult, LaggedSeriesResult]
 
 
@@ -246,8 +242,28 @@ def result_to_wire(result: AnyResult, include_edges: bool = False) -> Dict[str, 
         **extras,
     }
     if include_edges:
-        document["edges"] = edges_to_wire(result.to_edges())
+        if kind == "lagged":
+            document["edges"] = [list(edge) for edge in result.to_edges()]
+        else:
+            # ``to_edges()`` order and values, read from the window lists
+            # above instead of building one ``Edge`` per pair.
+            document["edges"] = [
+                [window["index"], row, col, value, 0]
+                for window in windows
+                for row, col, value in zip(window["rows"], window["cols"], window["values"])
+            ]
     return document
+
+
+def encode_result(
+    head: Dict[str, object], result: AnyResult, include_edges: bool = False
+) -> bytes:
+    """The UTF-8 JSON response body ``{**head, **result_to_wire(result, include_edges)}``.
+
+    The service calls this once per answer, in the process holding the
+    result: a pool worker sends these bytes, and the parent forwards them.
+    """
+    return json.dumps({**head, **result_to_wire(result, include_edges)}).encode()
 
 
 def result_from_wire(payload: Dict[str, object]) -> AnyResult:

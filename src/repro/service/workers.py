@@ -8,9 +8,11 @@ kernel shares the file-backed pages across every worker, so the dominant
 sketch arrays exist once in memory, not once per worker); seeds a private
 :class:`~repro.storage.cache.SketchCache` with the attached sketch; and
 executes the query through the ordinary
-:class:`~repro.api.planner.QueryPlanner` path, returning the wire result
-document plus the plan's ``cost_key`` and observed wall seconds so the
-parent can feed its :class:`~repro.api.cost.FeedbackStore`.
+:class:`~repro.api.planner.QueryPlanner` path, returning the finished
+response body (encoded here, once, by
+:func:`~repro.service.wire.encode_result`; the parent forwards the bytes)
+plus the plan's ``cost_key`` and observed wall seconds so the parent can
+feed its :class:`~repro.api.cost.FeedbackStore`.
 
 Workers re-attach when a job names a generation newer than the one they
 hold (the parent bumps the generation on every append), and the pool
@@ -41,7 +43,8 @@ from repro.api.planner import QueryPlanner
 from repro.api.session import CorrelationSession
 from repro.exceptions import ReproError, ServiceError
 from repro.service.batching import exact_scan_options
-from repro.service.wire import query_from_wire, result_to_wire
+# ``result_to_wire`` stays bound here for ``perf/trace.py``'s encode target.
+from repro.service.wire import encode_result, query_from_wire, result_to_wire  # noqa: F401
 from repro.storage.cache import SketchCache
 from repro.storage.shared import SharedSegment, attach_segment
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -197,11 +200,10 @@ def _execute_query(
     started = time.perf_counter()
     result = session.planner.execute(attachment.matrix, plan)
     wall = time.perf_counter() - started
+    head = {"dataset": message["dataset"], "plan": plan.describe()}
     return {
-        "payload": {
-            "plan": plan.describe(),
-            **result_to_wire(result, include_edges=bool(message.get("include_edges"))),
-        },
+        "body": encode_result(head, result, bool(message.get("include_edges"))),
+        "plan": head["plan"],
         "cost_key": plan.cost_key,
         "wall_seconds": wall,
         "generation": attachment.generation,
@@ -365,9 +367,10 @@ class WorkerPool:
     ) -> Dict[str, object]:
         """Execute one query on a free worker; returns the worker's reply.
 
-        The reply carries ``payload`` (the wire result document including the
-        plan string), ``cost_key``/``wall_seconds`` for the parent's feedback
-        store, and the ``generation`` the worker ended up attached to.
+        The reply carries ``body`` (the finished ``repro.result/v1`` response
+        bytes, headed by ``dataset`` and ``plan``), the ``plan`` string,
+        ``cost_key``/``wall_seconds`` for the parent's feedback store, and
+        the ``generation`` the worker ended up attached to.
         ``exact_scan`` jobs run under the threshold-exact session (see
         :meth:`_Attachment.session_for`) — batch leaders dispatch them so
         members derived from the floor scan stay bit-identical.

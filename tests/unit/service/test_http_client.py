@@ -143,6 +143,22 @@ class TestErrorMapping:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("declared", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, server, declared):
+        # Raw socket: http.client and urllib both refuse to send such a header.
+        request = (
+            "POST /datasets/demo/query HTTP/1.1\r\n"
+            f"Host: {server.host}\r\nContent-Length: {declared}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection((server.host, server.port), timeout=10) as raw:
+            raw.sendall(request)
+            response = http.client.HTTPResponse(raw)
+            response.begin()
+            body = json.loads(response.read())
+        assert response.status == 400
+        assert body["error"]["type"] == "ServiceError"
+        assert "Content-Length" in body["error"]["message"]
+
     def test_error_responses_close_the_connection(self, server):
         # Errors can leave an unread request body on a keep-alive socket
         # (e.g. a 405 on a POST), so every error response must carry

@@ -8,6 +8,8 @@ edges must match the pool-less service's, which plans the same sharded scan
 in the server process.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -53,9 +55,9 @@ def catalog(tmp_path_factory):
 
 def _answer(catalog, request, **options):
     with CorrelationService(catalog, basic_window_size=BASIC, **options) as service:
-        document = service.query(
+        document = json.loads(service.query(
             "demo", {**request, "workers": 2, "include_edges": True}
-        )
+        ))
     return document["plan"], result_from_wire(document).to_edges()
 
 

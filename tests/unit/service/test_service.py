@@ -5,6 +5,7 @@ threshold batching, load shedding, lazy materialization of persisted stats
 indexes, the append/standing-query path and the error surface.
 """
 
+import json
 import threading
 import time
 
@@ -83,7 +84,7 @@ class TestInventory:
 
 class TestQueryExecution:
     def test_bit_identical_to_in_process_session(self, service, values):
-        document = service.query("demo", dict(THRESHOLD_REQUEST))
+        document = json.loads(service.query("demo", dict(THRESHOLD_REQUEST)))
         remote = result_from_wire(document)
         session = CorrelationSession(
             TimeSeriesMatrix(values, series_ids=[f"s{i}" for i in range(NUM_SERIES)]),
@@ -103,23 +104,37 @@ class TestQueryExecution:
         assert stats["hits"] >= 1
 
     def test_topk_query_over_wire(self, service):
-        document = service.query(
+        document = json.loads(service.query(
             "demo",
             {"mode": "topk", "start": 0, "end": LENGTH, "window": 64, "step": 32,
              "k": 3},
-        )
+        ))
         result = result_from_wire(document)
         assert result.num_windows == 7
         assert all(window.k == 3 for window in result.windows)
 
     def test_request_only_fields_do_not_leak_into_spec(self, service):
-        document = service.query(
+        document = json.loads(service.query(
             "demo", {**THRESHOLD_REQUEST, "workers": 1, "include_edges": True}
-        )
+        ))
         assert "edges" in document
         assert document["query"] == {k: v for k, v in THRESHOLD_REQUEST.items()} | {
             "threshold_mode": "signed"
         }
+
+    @pytest.mark.parametrize("flag", ["no", 1])
+    def test_non_boolean_include_edges_rejected(self, service, flag):
+        # ``bool("no")`` is True: a truthiness check would include the edges.
+        with pytest.raises(ServiceError, match="'include_edges'") as excinfo:
+            service.query("demo", {**THRESHOLD_REQUEST, "include_edges": flag})
+        assert excinfo.value.status == 400
+
+    def test_null_include_edges_means_no_edges(self, service):
+        # Like ``"workers": null``, a null transport field is "not set".
+        document = json.loads(service.query(
+            "demo", {**THRESHOLD_REQUEST, "include_edges": None}
+        ))
+        assert "edges" not in document
 
     def test_bad_workers_type_rejected(self, service):
         with pytest.raises(ServiceError, match="'workers'"):
@@ -228,11 +243,11 @@ class TestCoalescing:
             for threshold in (0.4, 0.5, 0.6)
         ] + [TOPK_REQUEST, LAGGED_REQUEST]
         expected = [
-            result_from_wire(
+            result_from_wire(json.loads(
                 CorrelationService(
                     catalog.root, basic_window_size=BASIC, engine_options=options
                 ).query("demo", dict(request))
-            ).to_edges()
+            )).to_edges()
             for request in requests
         ]
         service = CorrelationService(
@@ -254,7 +269,7 @@ class TestCoalescing:
             try:
                 barrier.wait(timeout=10)
                 for _ in range(rounds):
-                    document = service.query("demo", dict(requests[index]))
+                    document = json.loads(service.query("demo", dict(requests[index])))
                     if result_from_wire(document).to_edges() != expected[index]:
                         mismatches.append(index)
             except Exception as error:  # noqa: BLE001 — surfaced below
@@ -297,7 +312,9 @@ class TestCoalescing:
             catalog.root, basic_window_size=BASIC, engine_options=options
         )
         expected = {
-            threshold: result_from_wire(alone.query("demo", dict(request))).to_edges()
+            threshold: result_from_wire(
+                json.loads(alone.query("demo", dict(request)))
+            ).to_edges()
             for threshold, request in requests.items()
         }
         service = CorrelationService(
@@ -307,7 +324,7 @@ class TestCoalescing:
         answers = {}
 
         def ask(threshold):
-            document = service.query("demo", dict(requests[threshold]))
+            document = json.loads(service.query("demo", dict(requests[threshold])))
             answers[threshold] = result_from_wire(document).to_edges()
 
         askers = [threading.Thread(target=ask, args=(t,)) for t in requests]
@@ -369,14 +386,14 @@ class TestIndexSeeding:
     def test_matching_index_is_materialized_lazily(self, catalog, values):
         catalog.add_index("demo", StatsIndex.build(values, basic_window_size=BASIC))
         service = CorrelationService(catalog, basic_window_size=BASIC)
-        document = service.query("demo", dict(THRESHOLD_REQUEST))
+        document = json.loads(service.query("demo", dict(THRESHOLD_REQUEST)))
         stats = service.dataset_info("demo")["stats"]
         assert stats["indexes_seeded"] == 1
         assert stats["sketch_cache"]["builds"] == 0
         assert stats["sketch_cache"]["seeds"] == 1
         # Seeded statistics answer with the exact same result.
         fresh = CorrelationService(catalog.root, basic_window_size=BASIC)
-        rebuilt = fresh.query("demo", dict(THRESHOLD_REQUEST))
+        rebuilt = json.loads(fresh.query("demo", dict(THRESHOLD_REQUEST)))
         assert result_from_wire(document).to_edges() == result_from_wire(rebuilt).to_edges()
 
     def test_mismatched_index_size_is_ignored(self, catalog, values):
@@ -394,7 +411,7 @@ class TestIndexSeeding:
         other = np.random.default_rng(1234).standard_normal(values.shape)
         catalog.add_index("demo", StatsIndex.build(other, basic_window_size=BASIC))
         service = CorrelationService(catalog, basic_window_size=BASIC)
-        document = service.query("demo", dict(THRESHOLD_REQUEST))
+        document = json.loads(service.query("demo", dict(THRESHOLD_REQUEST)))
         stats = service.dataset_info("demo")["stats"]
         assert stats["indexes_seeded"] == 0
         assert stats["sketch_cache"]["builds"] == 1
@@ -465,9 +482,9 @@ class TestAppendAndWatch:
             service.append("demo", {"columns": block.tolist()})
             expected.extend(monitor.append(np.ascontiguousarray(block.T)))
             length = LENGTH + 32 * (round_index + 1)
-            document = service.query(
+            document = json.loads(service.query(
                 "demo", {**self.WATCH_REQUEST, "end": length}
-            )
+            ))
             assert document["num_windows"] == (length - 64) // 32 + 1
         assert cache.builds == builds
         assert cache.stats.sketch_extensions == rounds
@@ -516,11 +533,11 @@ class TestAppendAndWatch:
             "demo",
             {"columns": np.zeros((32, NUM_SERIES)).tolist()},
         )
-        document = service.query(
+        document = json.loads(service.query(
             "demo",
             {"mode": "threshold", "start": 0, "end": LENGTH + 32, "window": 64,
              "step": 32, "threshold": 0.5},
-        )
+        ))
         assert document["num_windows"] == 8
 
     def test_append_shape_mismatch_rejected(self, service):

@@ -1,5 +1,7 @@
 """Service-level tests: memory-budgeted execution is invisible on the wire."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -37,8 +39,8 @@ def test_budgeted_service_answers_identically(catalog):
     budgeted = CorrelationService(
         catalog, basic_window_size=16, memory_budget=N * L * 8 // 4
     )
-    dense_doc = dense.query("demo", dict(REQUEST))
-    tiled_doc = budgeted.query("demo", dict(REQUEST))
+    dense_doc = json.loads(dense.query("demo", dict(REQUEST)))
+    tiled_doc = json.loads(budgeted.query("demo", dict(REQUEST)))
     assert "build=tiled" in tiled_doc["plan"]
     assert "build=tiled" not in dense_doc["plan"]
     # Identical wire payload apart from the plan line: tiled execution is
@@ -49,7 +51,7 @@ def test_budgeted_service_answers_identically(catalog):
 
 def test_budget_covering_dataset_stays_dense(catalog):
     service = CorrelationService(catalog, basic_window_size=16, memory_budget=10**9)
-    document = service.query("demo", dict(REQUEST))
+    document = json.loads(service.query("demo", dict(REQUEST)))
     assert "build=tiled" not in document["plan"]
 
 

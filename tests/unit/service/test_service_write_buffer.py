@@ -7,6 +7,8 @@ results) flush first, so every accepted append is observable — the buffer
 changes *when* storage writes happen, never *what* a reader sees.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -110,7 +112,7 @@ class TestReadYourWrites:
         )
         service.append("demo", {"columns": steps(64)})
         request = {**THRESHOLD_REQUEST, "end": LENGTH + 64}
-        result = service.query("demo", request)  # must not raise out-of-range
+        result = json.loads(service.query("demo", request))  # must not raise out-of-range
         assert result["num_windows"] > 0
         runtime = service._runtime("demo")
         assert runtime.store.length == LENGTH + 64
@@ -151,7 +153,7 @@ class TestChainedAppends:
         service.query("demo", dict(THRESHOLD_REQUEST))  # warm the sketch cache
         service.append("demo", {"columns": steps(32)})
         request = {**THRESHOLD_REQUEST, "end": LENGTH + 32}
-        result = service.query("demo", request)
+        result = json.loads(service.query("demo", request))
         assert "build=incremental(" in result["plan"]
         stats = service.dataset_info("demo")["stats"]["sketch_cache"]
         assert stats["extensions"] == 1

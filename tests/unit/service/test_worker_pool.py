@@ -151,7 +151,7 @@ class TestWorkerProtocol:
         assert reply["generation"] == generation
         assert reply["cost_key"]
         assert reply["wall_seconds"] >= 0
-        remote = result_from_wire(reply["payload"])
+        remote = result_from_wire(json.loads(reply["body"]))
         assert remote.to_edges() == _expected_edges(store.read_all())
 
     def test_invalid_pool_size_rejected(self):
@@ -173,7 +173,7 @@ def test_service_without_fork_serves_pool_less(tmp_path, store, monkeypatch):
         catalog, basic_window_size=BASIC, service_workers=2
     ) as service:
         assert service.metrics()["worker_pool"] is None
-        document = service.query("demo", query_to_wire(QUERY))
+        document = json.loads(service.query("demo", query_to_wire(QUERY)))
         assert "segments" not in service.dataset_info("demo")["stats"]
     assert result_from_wire(document).to_edges() == _expected_edges(store.read_all())
 
@@ -223,7 +223,7 @@ class TestProcessMode:
         _, path, generation = segment
         with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
             reply = pool.run_query("demo", query_to_wire(QUERY), path, generation)
-            remote = result_from_wire(reply["payload"])
+            remote = result_from_wire(json.loads(reply["body"]))
             assert remote.to_edges() == _expected_edges(store.read_all())
             assert pool.describe() == {"size": 2, "restarts": 0, "dispatched": 1}
 
@@ -244,7 +244,7 @@ class TestProcessMode:
             # The next job finds the dead worker, replaces it, and still
             # answers correctly on the replacement.
             reply = pool.run_query("demo", query_to_wire(QUERY), path, generation)
-            remote = result_from_wire(reply["payload"])
+            remote = result_from_wire(json.loads(reply["body"]))
             assert remote.to_edges() == _expected_edges(store.read_all())
             assert pool.describe()["restarts"] == 1
 
@@ -365,7 +365,7 @@ class TestProcessMode:
         )
         request = query_to_wire(QUERY)
         assert service.metrics()["worker_pool"]["size"] == 1
-        assert service.query("demo", request)["kind"] == "threshold"
+        assert json.loads(service.query("demo", request))["kind"] == "threshold"
         service.close()
         error = _error_within(lambda: service.query("demo", request))
         assert isinstance(error, ServiceError) and error.status == 503
