@@ -630,10 +630,10 @@ class QueryPlanner:
     ) -> bool:
         """Sharding gate: every window must recombine from whole basic windows.
 
-        An unaligned window makes each shard fall back to the dense
-        edge-corrected matrix (TSUBASA's arbitrary-window path), so sharding
-        would *multiply* that window's work by the shard count instead of
-        dividing it.  Such queries stay serial.
+        An unaligned window's edge correction (TSUBASA's arbitrary-window
+        path) is one ``N x N`` product per edge whatever the pair subset, so
+        sharding would *multiply* that window's work by the shard count
+        instead of dividing it.  Such queries stay serial.
         """
         if layout is None:
             return True

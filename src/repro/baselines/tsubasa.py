@@ -89,14 +89,11 @@ class TsubasaEngine(SlidingCorrelationEngine):
         sketch: Optional[BasicWindowSketch] = None,
         pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> CorrelationSeriesResult:
-        # Raw values are read lazily: with a prebuilt sketch and aligned
-        # windows the run is sketch-only, so lazily-backed matrices are never
-        # materialized (unaligned edges still read matrix.values).
         query.validate_against_length(matrix.length)
         n = matrix.num_series
-        pair_rows: Optional[np.ndarray] = None
-        pair_cols: Optional[np.ndarray] = None
-        if pairs is not None:
+        if pairs is None:
+            pair_rows, pair_cols = np.triu_indices(n, 1)
+        else:
             pair_rows, pair_cols = validate_pair_subset(pairs, n)
 
         layout = self.plan_layout(query)
@@ -108,29 +105,18 @@ class TsubasaEngine(SlidingCorrelationEngine):
             sketch = BasicWindowSketch.build(matrix.values, layout)
             sketch_seconds = time.perf_counter() - build_start
 
+        # Raw values are read only when some window needs edge correction:
+        # with a prebuilt sketch and aligned windows the run is sketch-only,
+        # so lazily-backed matrices are never materialized.
+        aligned = all(layout.is_aligned(b, e) for _, b, e in query.iter_windows())
+        values = None if aligned else matrix.values
+
         matrices: List[ThresholdedMatrix] = []
         started = time.perf_counter()
         for _, begin, end in query.iter_windows():
-            if pair_rows is None:
-                if layout.is_aligned(begin, end):
-                    first, count = layout.covering(begin, end)
-                    corr = sketch.exact_matrix_scan(first, count)
-                else:
-                    corr = sketch.exact_matrix_range(begin, end, values=matrix.values)
-                matrices.append(ThresholdedMatrix.from_dense(corr, query=query))
-                continue
-            # Pair-subset path: the per-window cost is proportional to the
-            # subset size for aligned windows (the sharded executor's case).
-            # Unaligned windows fall back to the dense edge-corrected matrix
-            # before selecting the subset — correct, but not cheaper.
-            if layout.is_aligned(begin, end):
-                first, count = layout.covering(begin, end)
-                window_vals = sketch.exact_pairs_scan(
-                    pair_rows, pair_cols, first, count
-                )
-            else:
-                corr = sketch.exact_matrix_range(begin, end, values=matrix.values)
-                window_vals = corr[pair_rows, pair_cols]
+            window_vals = sketch.exact_pairs_range(
+                pair_rows, pair_cols, begin, end, values=values
+            )
             keep = query.keep_mask(window_vals)
             matrices.append(
                 ThresholdedMatrix(
@@ -139,9 +125,7 @@ class TsubasaEngine(SlidingCorrelationEngine):
             )
         elapsed = time.perf_counter() - started
 
-        pairs_evaluated = (
-            n * (n - 1) // 2 if pair_rows is None else int(len(pair_rows))
-        )
+        pairs_evaluated = len(pair_rows)
         stats = EngineStats(
             engine=self.describe(),
             num_series=n,

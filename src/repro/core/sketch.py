@@ -14,10 +14,10 @@ The recombination exposed here comes in two flavours:
 ``exact_pairs_scan``
     Sums the per-basic-window statistics of the window (cost ``O(n_s)`` per
     pair).  This is the combination step whose repeated cost Dangoron's
-    jumping structure avoids, and every exact evaluation of Dangoron and
-    top-k goes through it.  ``exact_matrix_scan`` is the same recombination
-    for all ``N x N`` pairs at once, which is what the TSUBASA baseline
-    performs in every window; gathering pairs from it gives the same bits.
+    jumping structure avoids, and every exact evaluation of Dangoron, top-k
+    and the TSUBASA baseline goes through it.  ``exact_pairs_range`` is the
+    same gather for arbitrary column ranges: the covered core is gathered,
+    and unaligned edges are added from the raw values.
 
 ``exact_pairs_fast``
     Uses prefix sums along the basic-window axis for an ``O(1)`` per-pair
@@ -400,31 +400,22 @@ class BasicWindowSketch:
         return prefix[first + count, rows, cols] - prefix[first, rows, cols]
 
     # -------------------------------------------------------------- exact scan
-    def exact_matrix_scan(self, first: int, count: int) -> np.ndarray:
-        """Exact correlation matrix of a basic-window range by scanning it.
+    def _gather_sums(
+        self, rows: np.ndarray, cols: np.ndarray, first: int, count: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Series sums, sums of squares and the pairs' sums of products over
+        a basic-window range: the one pair gather every Eq. 1 answer reads.
 
-        This is the faithful TSUBASA-style combination: the per-pair cost is
-        proportional to ``count`` (the ``n_s`` of Eq. 1).  Only the TSUBASA
-        baseline and :meth:`exact_matrix_range` recombine whole matrices;
-        every other exact evaluation gathers its pairs with
-        :meth:`exact_pairs_scan`, which gives the same bits.
+        One flat pair index on the ``(count, N * N)`` view, gathered
+        transposed: the ``(P, count)`` result is already the layout
+        :func:`_pairwise_window_sum` reduces (no copy), so a pair's sum is
+        the same bits whichever other pairs are gathered with it.
         """
-        self._require_pairwise()
-        self._check_range(first, count)
-        n_points = count * self.layout.size
         sums = self.series_sums[:, first : first + count].sum(axis=1)
         sumsqs = self.series_sumsqs[:, first : first + count].sum(axis=1)
-        sumprods = _pairwise_window_sum(self.pair_sumprods[first : first + count])
-        corr = correlation_from_sums(
-            np.full_like(sumprods, float(n_points)),
-            sums[:, None],
-            sums[None, :],
-            sumsqs[:, None],
-            sumsqs[None, :],
-            sumprods,
-        )
-        np.fill_diagonal(corr, 1.0)
-        return corr
+        by_window = self.pair_sumprods.reshape(self.num_basic_windows, -1)
+        gathered = by_window[first : first + count].T[rows * self.num_series + cols]
+        return sums, sumsqs, _pairwise_window_sum(gathered.T)
 
     def exact_pairs_scan(
         self, rows: np.ndarray, cols: np.ndarray, first: int, count: int
@@ -432,24 +423,17 @@ class BasicWindowSketch:
         """Exact correlations of selected pairs over a basic-window range.
 
         ``rows``/``cols`` are parallel index arrays selecting the pairs.  The
-        per-pair cost is ``O(count)`` — this is the work Dangoron performs for
-        the pairs that were *not* pruned in a given window, and the one
-        recombination kernel of Dangoron, its pivot rows and top-k, whether
-        the pairs are a few due ones or the whole upper triangle.
+        per-pair cost is ``O(count)`` (the ``n_s`` of Eq. 1) — this is the
+        work Dangoron performs for the pairs that were *not* pruned in a
+        given window and TSUBASA for every pair in every window: the one
+        recombination kernel, whether the pairs are a few due ones or the
+        whole upper triangle.
         """
         self._require_pairwise()
         self._check_range(first, count)
         rows = np.asarray(rows)
         cols = np.asarray(cols)
-        sums = self.series_sums[:, first : first + count].sum(axis=1)
-        sumsqs = self.series_sumsqs[:, first : first + count].sum(axis=1)
-        # One flat pair index on the (count, N * N) view, gathered transposed:
-        # the (P, count) result is already the layout _pairwise_window_sum
-        # reduces (no copy), and going through that primitive keeps subset
-        # results bit-identical to gathering them from exact_matrix_scan.
-        by_window = self.pair_sumprods.reshape(self.num_basic_windows, -1)
-        gathered = by_window[first : first + count].T[rows * self.num_series + cols]
-        sumprods = _pairwise_window_sum(gathered.T)
+        sums, sumsqs, sumprods = self._gather_sums(rows, cols, first, count)
         return correlation_from_sums(
             float(count * self.layout.size),
             sums[rows],
@@ -489,26 +473,30 @@ class BasicWindowSketch:
         )
 
     # --------------------------------------------------------------- unaligned
-    def exact_matrix_range(
+    def exact_pairs_range(
         self,
+        rows: np.ndarray,
+        cols: np.ndarray,
         start: int,
         end: int,
         values: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Exact correlation matrix of an arbitrary column range ``[start, end)``.
+        """Exact correlations of selected pairs over a column range ``[start, end)``.
 
-        Aligned ranges inside the sketch coverage are answered from the sketch
-        alone.  Any other range (unaligned edges, or columns beyond the last
-        complete basic window) combines the covered aligned core with directly
-        computed statistics of the remaining edge columns, which requires the
-        raw ``values`` matrix (TSUBASA's arbitrary-window capability).
+        Aligned ranges inside the sketch coverage are :meth:`exact_pairs_scan`.
+        Any other range (unaligned edges, or columns beyond the last complete
+        basic window) gathers the covered aligned core like the scan does and
+        adds the remaining edge columns' statistics, computed directly from
+        the raw ``values`` matrix (TSUBASA's arbitrary-window capability).
+        Each edge is one ``N x N`` product, so a pair's value does not depend
+        on which other pairs were asked for.
         """
         self._require_pairwise()
         if start < 0 or end <= start:
             raise SketchError(f"invalid column range [{start}, {end})")
         if self.layout.is_aligned(start, end):
             first, count = self.layout.covering(start, end)
-            return self.exact_matrix_scan(first, count)
+            return self.exact_pairs_scan(rows, cols, first, count)
         if values is None:
             raise SketchError(
                 "ranges not aligned to the sketch require the raw values matrix "
@@ -520,7 +508,8 @@ class BasicWindowSketch:
                 f"column range [{start}, {end}) exceeds the matrix length "
                 f"{values.shape[1]}"
             )
-        n_points = float(end - start)
+        rows = np.asarray(rows)
+        cols = np.asarray(cols)
 
         # Aligned core: the complete basic windows fully inside the requested
         # range *and* inside the sketch coverage.
@@ -531,18 +520,14 @@ class BasicWindowSketch:
         first = -(-(inner_start - offset) // size) if inner_end > inner_start else 0
         last = (inner_end - offset) // size if inner_end > inner_start else 0
 
-        n = self.num_series
         if last > first:
-            count = last - first
-            sums = self.series_sums[:, first : first + count].sum(axis=1)
-            sumsqs = self.series_sumsqs[:, first : first + count].sum(axis=1)
-            sumprods = _pairwise_window_sum(self.pair_sumprods[first : first + count])
+            sums, sumsqs, sumprods = self._gather_sums(rows, cols, first, last - first)
             core_start = offset + first * size
             core_end = offset + last * size
         else:
-            sums = np.zeros(n, dtype=FLOAT_DTYPE)
-            sumsqs = np.zeros(n, dtype=FLOAT_DTYPE)
-            sumprods = np.zeros((n, n), dtype=FLOAT_DTYPE)
+            sums = np.zeros(self.num_series, dtype=FLOAT_DTYPE)
+            sumsqs = np.zeros(self.num_series, dtype=FLOAT_DTYPE)
+            sumprods = np.zeros(len(rows), dtype=FLOAT_DTYPE)
             core_start = core_end = start
 
         for edge_start, edge_end in ((start, core_start), (core_end, end)):
@@ -551,15 +536,13 @@ class BasicWindowSketch:
             edge = values[:, edge_start:edge_end]
             sums = sums + edge.sum(axis=1)
             sumsqs = sumsqs + np.einsum("ij,ij->i", edge, edge)
-            sumprods = sumprods + edge @ edge.T
+            sumprods = sumprods + (edge @ edge.T)[rows, cols]
 
-        corr = correlation_from_sums(
-            np.full_like(sumprods, n_points),
-            sums[:, None],
-            sums[None, :],
-            sumsqs[:, None],
-            sumsqs[None, :],
+        return correlation_from_sums(
+            float(end - start),
+            sums[rows],
+            sums[cols],
+            sumsqs[rows],
+            sumsqs[cols],
             sumprods,
         )
-        np.fill_diagonal(corr, 1.0)
-        return corr

@@ -125,7 +125,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             raise ServiceError("request body must be a JSON object")
         try:
             return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
             raise ServiceError(f"request body is not valid JSON: {error}") from error
 
     # ---------------------------------------------------------------- routing

@@ -42,7 +42,7 @@ def test_eq1_equals_direct_pearson(data):
     x, y, size = data
     layout = BasicWindowLayout(offset=0, size=size, count=len(x) // size)
     sketch = BasicWindowSketch.build(np.vstack([x, y]), layout)
-    recombined = sketch.exact_matrix_scan(0, layout.count)[0, 1]
+    recombined = sketch.exact_pairs_scan([0], [1], 0, layout.count)[0]
     direct = pearson(x, y)
     assert recombined == pytest.approx(direct, abs=1e-6)
 
@@ -71,8 +71,9 @@ def test_sketch_scan_matches_direct_correlation(data):
     layout = BasicWindowLayout(offset=0, size=size, count=count)
     sketch = BasicWindowSketch.build(values, layout)
     window = values[:, first * size : (first + span) * size]
-    expected = correlation_matrix(window)
-    got = sketch.exact_matrix_scan(first, span)
+    rows, cols = np.triu_indices(values.shape[0], k=1)
+    expected = correlation_matrix(window)[rows, cols]
+    got = sketch.exact_pairs_scan(rows, cols, first, span)
     assert np.allclose(got, expected, atol=1e-6)
 
 
@@ -97,7 +98,7 @@ def test_fast_prefix_combination_matches_scan(data):
     rows, cols = np.triu_indices(values.shape[0], k=1)
     assert np.allclose(
         sketch.exact_pairs_fast(rows, cols, first, span),
-        sketch.exact_matrix_scan(first, span)[rows, cols],
+        sketch.exact_pairs_scan(rows, cols, first, span),
         atol=1e-7,
     )
 
@@ -118,6 +119,7 @@ def test_unaligned_range_matches_direct(num_series, length, seed):
     sketch = BasicWindowSketch.build(values, layout)
     start = int(rng.integers(0, length - 2))
     end = int(rng.integers(start + 2, length + 1))
-    expected = correlation_matrix(values[:, start:end])
-    got = sketch.exact_matrix_range(start, end, values=values)
+    rows, cols = np.triu_indices(num_series, k=1)
+    expected = correlation_matrix(values[:, start:end])[rows, cols]
+    got = sketch.exact_pairs_range(rows, cols, start, end, values=values)
     assert np.allclose(got, expected, atol=1e-6)

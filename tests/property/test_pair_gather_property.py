@@ -1,17 +1,22 @@
 """Property tests: every exact evaluation is one pair gather, equal to the dense scan.
 
-Dangoron, its horizontal-pruning pivot rows, standing queries and top-k all
-recombine the pairs they need with ``BasicWindowSketch.exact_pairs_scan`` (or
-``exact_pairs_fast`` under the ``prefix_combination`` ablation), whatever
-share of the pairs a window asks for.  These tests pin that the gather gives
-the bits of the dense ``N x N`` recombination gathered afterwards — the
-formulation the window step used when most pairs were due — on ordinary,
+Dangoron, its horizontal-pruning pivot rows, standing queries, top-k and the
+TSUBASA baseline all recombine the pairs they need with
+``BasicWindowSketch.exact_pairs_scan`` (or ``exact_pairs_fast`` under the
+``prefix_combination`` ablation, or ``exact_pairs_range`` for TSUBASA's
+unaligned windows), whatever share of the pairs a window asks for.  These
+tests pin that the gather gives the bits of the dense ``N x N``
+recombination gathered afterwards — the formulation the window step used
+when most pairs were due, and TSUBASA in every window — on ordinary,
 constant, huge-magnitude and locally flat rows, from one series to a few
 hundred.
 
-The dense window step lives on here as the reference evaluator
-(:func:`dense_step_window`): engine runs, standing queries and top-k must
-answer exactly as they did with it, counters included.
+The dense recombinations live on here as the reference evaluators
+(:func:`dense_scan`, :func:`dense_range`, :func:`dense_step_window`): engine
+runs, standing queries, top-k and TSUBASA must answer exactly as they did
+with them, counters included.  TSUBASA's unaligned edges are one BLAS
+product per window, so that identity holds for one BLAS set-up (CI runs
+this file at one and at two BLAS threads).
 """
 
 from unittest import mock
@@ -23,12 +28,14 @@ from hypothesis import strategies as st
 
 from repro.analysis.accuracy import compare_results
 from repro.baselines.brute_force import BruteForceEngine
+from repro.baselines.tsubasa import TsubasaEngine
+from repro.config import FLOAT_DTYPE
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.bounds import first_possible_crossing, first_possible_crossing_absolute
 from repro.core.correlation import correlation_from_sums
 from repro.core.dangoron import DangoronEngine
 from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
-from repro.core.sketch import BasicWindowSketch
+from repro.core.sketch import BasicWindowSketch, _pairwise_window_sum
 from repro.core.topk import select_top_k, sliding_top_k
 from repro.streaming.online import OnlineCorrelationMonitor
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -39,6 +46,62 @@ BASIC = 8
 # ---------------------------------------------------------------------------
 # References: the dense recombinations the gather replaced
 # ---------------------------------------------------------------------------
+
+def dense_scan(sketch, first, count):
+    """Every pair's Eq. 1 recombination over a basic-window range as one
+    ``N x N`` matrix, diagonal pinned to 1."""
+    n_points = count * sketch.layout.size
+    sums = sketch.series_sums[:, first : first + count].sum(axis=1)
+    sumsqs = sketch.series_sumsqs[:, first : first + count].sum(axis=1)
+    sumprods = _pairwise_window_sum(sketch.pair_sumprods[first : first + count])
+    corr = correlation_from_sums(
+        np.full_like(sumprods, float(n_points)),
+        sums[:, None], sums[None, :], sumsqs[:, None], sumsqs[None, :], sumprods,
+    )
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+def dense_range(sketch, start, end, values):
+    """The ``N x N`` matrix of a column range: the covered aligned core plus
+    each unaligned edge's statistics from the raw values."""
+    layout = sketch.layout
+    if layout.is_aligned(start, end):
+        return dense_scan(sketch, *layout.covering(start, end))
+    size, offset = layout.size, layout.offset
+    inner_start = max(start, layout.covered_start)
+    inner_end = min(end, layout.covered_end)
+    first = -(-(inner_start - offset) // size) if inner_end > inner_start else 0
+    last = (inner_end - offset) // size if inner_end > inner_start else 0
+
+    n = sketch.num_series
+    if last > first:
+        count = last - first
+        sums = sketch.series_sums[:, first : first + count].sum(axis=1)
+        sumsqs = sketch.series_sumsqs[:, first : first + count].sum(axis=1)
+        sumprods = _pairwise_window_sum(sketch.pair_sumprods[first : first + count])
+        core_start, core_end = offset + first * size, offset + last * size
+    else:
+        sums = np.zeros(n, dtype=FLOAT_DTYPE)
+        sumsqs = np.zeros(n, dtype=FLOAT_DTYPE)
+        sumprods = np.zeros((n, n), dtype=FLOAT_DTYPE)
+        core_start = core_end = start
+
+    for edge_start, edge_end in ((start, core_start), (core_end, end)):
+        if edge_end <= edge_start:
+            continue
+        edge = values[:, edge_start:edge_end]
+        sums = sums + edge.sum(axis=1)
+        sumsqs = sumsqs + np.einsum("ij,ij->i", edge, edge)
+        sumprods = sumprods + edge @ edge.T
+
+    corr = correlation_from_sums(
+        np.full_like(sumprods, float(end - start)),
+        sums[:, None], sums[None, :], sumsqs[:, None], sumsqs[None, :], sumprods,
+    )
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
 
 def dense_prefix_combination(sketch, first, count):
     """Every pair's prefix-difference recombination as one ``N x N`` matrix."""
@@ -75,7 +138,7 @@ def dense_step_window(
     elif prefix_combination:
         exact_vals = sketch.exact_pairs_fast(pair_rows, pair_cols, bw_first, window_bw)
     elif all_pairs and len(positions) * 2 > len(rows):
-        exact_vals = sketch.exact_matrix_scan(bw_first, window_bw)[pair_rows, pair_cols]
+        exact_vals = dense_scan(sketch, bw_first, window_bw)[pair_rows, pair_cols]
     else:
         exact_vals = sketch.exact_pairs_scan(pair_rows, pair_cols, bw_first, window_bw)
     scheduler.record_evaluations(k, positions)
@@ -108,15 +171,11 @@ def with_dense_step(run):
 # Cases
 # ---------------------------------------------------------------------------
 
-@st.composite
-def sketch_cases(draw):
-    num_series = draw(st.sampled_from([1, 2, 3, 17, 129, 300]))
-    size = draw(st.sampled_from([2, 7, 24]))
-    count = draw(st.integers(min_value=1, max_value=5 if num_series > 100 else 12))
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((num_series, size * count))
-    # A constant series, a 1e9-magnitude one, and one flat in one basic window.
+def case_rows(draw, rng, num_series, size, count, length):
+    """``(num_series, length)`` normal rows with a constant series, a
+    1e9-magnitude one, and one flat in one of the first ``count`` basic
+    windows of ``size``."""
+    values = rng.standard_normal((num_series, length))
     for row, kind in zip(
         rng.permutation(num_series)[:3], ("constant", "huge", "flat-window")
     ):
@@ -127,6 +186,17 @@ def sketch_cases(draw):
         else:
             window = int(rng.integers(count))
             values[row, window * size : (window + 1) * size] = 7.5
+    return values
+
+
+@st.composite
+def sketch_cases(draw):
+    num_series = draw(st.sampled_from([1, 2, 3, 17, 129, 300]))
+    size = draw(st.sampled_from([2, 7, 24]))
+    count = draw(st.integers(min_value=1, max_value=5 if num_series > 100 else 12))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    values = case_rows(draw, rng, num_series, size, count, size * count)
     first = draw(st.integers(min_value=0, max_value=count - 1))
     span = draw(st.integers(min_value=1, max_value=count - first))
     sketch = BasicWindowSketch.build(
@@ -203,7 +273,7 @@ def test_full_triangle_gather_is_the_dense_scan_gathered(case):
     rows, cols = np.triu_indices(sketch.num_series, k=1)
     scan = sketch.exact_pairs_scan(rows, cols, first, span)
     assert np.array_equal(
-        scan, sketch.exact_matrix_scan(first, span)[rows, cols], equal_nan=True
+        scan, dense_scan(sketch, first, span)[rows, cols], equal_nan=True
     )
     fast = sketch.exact_pairs_fast(rows, cols, first, span)
     assert np.array_equal(
@@ -221,6 +291,54 @@ def test_full_triangle_gather_is_the_dense_scan_gathered(case):
         fast[subset],
         equal_nan=True,
     )
+
+
+@st.composite
+def tsubasa_cases(draw):
+    """The :func:`sketch_cases` rows under a TSUBASA query: aligned windows,
+    or unaligned ones (some holding no complete basic window, the last ones
+    running past the sketch's coverage when the range is no whole number of
+    basic windows)."""
+    num_series = draw(st.sampled_from([1, 2, 3, 17, 129]))
+    size = draw(st.sampled_from([2, 7, 24]))
+    count = draw(st.integers(min_value=2, max_value=10))
+    start = draw(st.integers(min_value=0, max_value=size - 1))
+    tail = draw(st.integers(min_value=0, max_value=size - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    length = start + size * count + tail
+    values = case_rows(draw, rng, num_series, size, count, length)
+    if draw(st.booleans()):
+        window = size * draw(st.integers(min_value=1, max_value=count))
+        step = size * draw(st.integers(min_value=1, max_value=count))
+    else:
+        window = draw(st.integers(min_value=2, max_value=length - start))
+        step = draw(st.integers(min_value=1, max_value=window))
+    # Threshold -1 keeps every pair, so each window lists all its values.
+    query = SlidingQuery(start, length, window, step, -1.0)
+    return TimeSeriesMatrix(values), query, size, rng
+
+
+@given(tsubasa_cases())
+@settings(max_examples=40, deadline=None)
+def test_tsubasa_is_the_dense_range_gathered(case):
+    matrix, query, size, rng = case
+    engine = TsubasaEngine(size)
+    sketch = BasicWindowSketch.build(matrix.values, engine.plan_layout(query))
+    rows, cols = np.triu_indices(matrix.num_series, k=1)
+    result = engine.run(matrix, query, sketch=sketch)
+    for window, (_, begin, end) in zip(result.matrices, query.iter_windows()):
+        assert window.rows.tobytes() == rows.astype(window.rows.dtype).tobytes()
+        assert window.cols.tobytes() == cols.astype(window.cols.dtype).tobytes()
+        expected = dense_range(sketch, begin, end, matrix.values)[rows, cols]
+        assert window.values.tobytes() == expected.tobytes()
+
+    # A pair subset answers its pairs exactly as the full run does.
+    picked = rng.random(len(rows)) < 0.4
+    on_subset = engine.run(matrix, query, sketch=sketch, pairs=(rows[picked], cols[picked]))
+    for ours, full in zip(on_subset.matrices, result.matrices):
+        assert ours.rows.tobytes() == full.rows[picked].tobytes()
+        assert ours.cols.tobytes() == full.cols[picked].tobytes()
+        assert ours.values.tobytes() == full.values[picked].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +428,7 @@ def test_top_k_matches_the_dense_scan(seed, num_series, k, absolute, on_subset):
     )
     for window, (index, begin, _) in zip(result.windows, query.iter_windows()):
         first, count = sketch.layout.covering(begin, begin + query.window)
-        dense = sketch.exact_matrix_scan(first, count)[rows, cols]
+        dense = dense_scan(sketch, first, count)[rows, cols]
         expected = select_top_k(rows, cols, dense, k, absolute, index)
         assert window.rows.tobytes() == expected.rows.tobytes()
         assert window.cols.tobytes() == expected.cols.tobytes()

@@ -167,6 +167,25 @@ class TestExecution:
             assert np.array_equal(a.values, b.values)
         assert not session.matrix.materialized
 
+    def test_tsubasa_aligned_tiled_run_never_materializes(
+        self, matrix, store, threshold_query
+    ):
+        # Only unaligned windows read raw values; aligned ones are sketch-only.
+        session = CorrelationSession.from_chunk_store(
+            store, engine="tsubasa", basic_window_size=BASIC,
+            memory_budget=DENSE_BYTES // 4,
+        )
+        assert session.plan(threshold_query).sketch_build == SKETCH_BUILD_TILED
+        tiled = session.run(threshold_query)
+        dense = CorrelationSession(
+            matrix, engine="tsubasa", basic_window_size=BASIC
+        ).run(threshold_query)
+        for a, b in zip(dense.matrices, tiled.matrices):
+            assert np.array_equal(a.rows, b.rows)
+            assert np.array_equal(a.cols, b.cols)
+            assert np.array_equal(a.values, b.values)
+        assert not session.matrix.materialized
+
     def test_tiled_and_dense_share_cache_entry(self, matrix, store, threshold_query):
         from repro.core.tiled import ChunkBackedMatrix
 

@@ -162,8 +162,8 @@ class TestEq1Recombination:
         y = rng.normal(size=100)
         values = np.stack([x, y])
         sketch = BasicWindowSketch.build(values, BasicWindowLayout.for_range(0, 100, 20))
-        corr = sketch.exact_matrix_range(7, 93, values)
-        assert corr[0, 1] == pytest.approx(pearson(x[7:93], y[7:93]), abs=1e-9)
+        corr = sketch.exact_pairs_range([0], [1], 7, 93, values)
+        assert corr[0] == pytest.approx(pearson(x[7:93], y[7:93]), abs=1e-9)
 
     def test_paper_form_matches_weighted_for_equal_sizes(self, rng):
         # The scan over a window range and the prefix-sum form of the same

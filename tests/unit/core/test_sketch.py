@@ -59,7 +59,9 @@ class TestBuild:
         sketch = BasicWindowSketch.build(data, layout, pairwise=False)
         assert not sketch.has_pairwise
         with pytest.raises(SketchError):
-            sketch.exact_matrix_scan(0, 5)
+            sketch.exact_pairs_scan([0], [1], 0, 5)
+        with pytest.raises(SketchError):
+            sketch.exact_pairs_range([0], [1], 5, 100, values=data)
         with pytest.raises(SketchError):
             _ = sketch.corr_prefix
 
@@ -82,11 +84,12 @@ class TestBuild:
 
 class TestExactCombination:
     def test_scan_matches_direct_correlation(self, data, sketch):
+        rows, cols = np.triu_indices(sketch.num_series, k=1)
         for first, count in [(0, 20), (0, 4), (5, 8), (16, 4)]:
             window = data[:, first * 16 : (first + count) * 16]
-            expected = correlation_matrix(window)
+            expected = correlation_matrix(window)[rows, cols]
             assert np.allclose(
-                sketch.exact_matrix_scan(first, count), expected, atol=1e-9
+                sketch.exact_pairs_scan(rows, cols, first, count), expected, atol=1e-9
             )
 
     def test_fast_matches_scan(self, sketch):
@@ -94,27 +97,33 @@ class TestExactCombination:
         for first, count in [(0, 20), (3, 7), (10, 10)]:
             assert np.allclose(
                 sketch.exact_pairs_fast(rows, cols, first, count),
-                sketch.exact_matrix_scan(first, count)[rows, cols],
+                sketch.exact_pairs_scan(rows, cols, first, count),
                 atol=1e-9,
             )
 
-    def test_pairs_scan_matches_matrix_scan(self, sketch, rng):
+    def test_pairs_scan_subset_matches_full_triangle(self, sketch, rng):
         rows = np.array([0, 0, 3, 7])
         cols = np.array([3, 9, 5, 8])
-        full = sketch.exact_matrix_scan(2, 9)
+        all_rows, all_cols = np.triu_indices(sketch.num_series, k=1)
+        full = np.zeros((sketch.num_series, sketch.num_series))
+        full[all_rows, all_cols] = sketch.exact_pairs_scan(all_rows, all_cols, 2, 9)
         pairs = sketch.exact_pairs_scan(rows, cols, 2, 9)
         assert np.allclose(pairs, full[rows, cols], atol=1e-12)
 
-    def test_pivot_against_all_series_matches_matrix_scan_bitwise(self, sketch):
+    def test_pivot_against_all_series_matches_full_triangle_bitwise(self, sketch):
         """(pivot, every series) pairs — both triangles — as horizontal pruning asks."""
         n = sketch.num_series
         pivots = np.array([7, 0, 4])
         rows = np.repeat(pivots, n)
         cols = np.tile(np.arange(n), len(pivots))
         assert (rows > cols).any() and (rows < cols).any()
-        off_diagonal = rows != cols  # the dense scan pins its diagonal to 1.0
+        off_diagonal = rows != cols
+        all_rows, all_cols = np.triu_indices(n, k=1)
         for first, count in [(0, 1), (2, 9), (0, 20), (13, 7)]:
-            full = sketch.exact_matrix_scan(first, count)
+            triangle = sketch.exact_pairs_scan(all_rows, all_cols, first, count)
+            full = np.ones((n, n))
+            full[all_rows, all_cols] = triangle
+            full[all_cols, all_rows] = triangle
             pairs = sketch.exact_pairs_scan(rows, cols, first, count)
             assert np.array_equal(
                 pairs[off_diagonal], full[rows, cols][off_diagonal]
@@ -123,11 +132,11 @@ class TestExactCombination:
 
     def test_range_validation(self, sketch):
         with pytest.raises(SketchError):
-            sketch.exact_matrix_scan(0, 21)
+            sketch.exact_pairs_scan([0], [1], 0, 21)
         with pytest.raises(SketchError):
-            sketch.exact_matrix_scan(-1, 2)
+            sketch.exact_pairs_scan([0], [1], -1, 2)
         with pytest.raises(SketchError):
-            sketch.exact_matrix_scan(5, 0)
+            sketch.exact_pairs_scan([0], [1], 5, 0)
 
     def test_series_range_sums(self, data, sketch):
         sums, sumsqs = sketch.series_range_sums(4, 6)
@@ -158,18 +167,31 @@ class TestPrefixes:
 
 class TestUnalignedRanges:
     def test_aligned_range_answers_from_sketch(self, data, sketch):
-        expected = correlation_matrix(data[:, 32:96])
-        assert np.allclose(sketch.exact_matrix_range(32, 96), expected, atol=1e-9)
+        rows, cols = np.triu_indices(sketch.num_series, k=1)
+        expected = correlation_matrix(data[:, 32:96])[rows, cols]
+        got = sketch.exact_pairs_range(rows, cols, 32, 96)
+        assert np.allclose(got, expected, atol=1e-9)
+        assert np.array_equal(got, sketch.exact_pairs_scan(rows, cols, 2, 4))
 
     @pytest.mark.parametrize("start,end", [(5, 100), (16, 100), (5, 96), (3, 17)])
     def test_unaligned_range_matches_direct(self, data, sketch, start, end):
-        expected = correlation_matrix(data[:, start:end])
-        got = sketch.exact_matrix_range(start, end, values=data)
+        rows, cols = np.triu_indices(sketch.num_series, k=1)
+        expected = correlation_matrix(data[:, start:end])[rows, cols]
+        got = sketch.exact_pairs_range(rows, cols, start, end, values=data)
         assert np.allclose(got, expected, atol=1e-8)
 
     def test_unaligned_without_values_rejected(self, sketch):
         with pytest.raises(SketchError):
-            sketch.exact_matrix_range(5, 100)
+            sketch.exact_pairs_range([0], [1], 5, 100)
+
+    @pytest.mark.parametrize("start,end", [(-1, 16), (16, 16), (20, 10)])
+    def test_invalid_range_rejected(self, data, sketch, start, end):
+        with pytest.raises(SketchError):
+            sketch.exact_pairs_range([0], [1], start, end, values=data)
+
+    def test_range_beyond_values_rejected(self, data, sketch):
+        with pytest.raises(SketchError):
+            sketch.exact_pairs_range([0], [1], 5, 330, values=data)
 
 
 class TestExactPairsFast:

@@ -96,8 +96,10 @@ class TestBuildSketchTiled:
         layout = BasicWindowLayout(offset=0, size=16, count=25)
         dense = BasicWindowSketch.build(values, layout)
         tiled = build_sketch_tiled(store, layout, memory_budget=5 * 16 * VALUE_BYTES * 2)
+        rows, cols = np.triu_indices(dense.num_series, k=1)
         assert np.array_equal(
-            dense.exact_matrix_scan(3, 8), tiled.exact_matrix_scan(3, 8)
+            dense.exact_pairs_scan(rows, cols, 3, 8),
+            tiled.exact_pairs_scan(rows, cols, 3, 8),
         )
 
     def test_layout_exceeding_source_raises(self, store):

@@ -135,6 +135,21 @@ class TestErrorMapping:
         body = json.loads(excinfo.value.read().decode("utf-8"))
         assert body["error"]["type"] == "ServiceError"
 
+    def test_deeply_nested_json_body_is_400(self, server):
+        # The decoder recurses once per nesting level, so this overflows it.
+        request = urllib.request.Request(
+            f"{server.url}/datasets/demo/query",
+            data=b"[" * 100_000,
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read().decode("utf-8"))
+        assert body["error"]["type"] == "ServiceError"
+        assert "not valid JSON" in body["error"]["message"]
+
     def test_empty_body_is_400(self, server):
         request = urllib.request.Request(
             f"{server.url}/datasets/demo/query", data=b"", method="POST"

@@ -22,8 +22,10 @@ class TestBuildAndQuery:
         index = StatsIndex.build(data, basic_window_size=32)
         from repro.core.correlation import correlation_matrix
 
-        expected = correlation_matrix(data[:, 0:64])
-        assert np.allclose(index.sketch.exact_matrix_scan(0, 2), expected, atol=1e-9)
+        rows, cols = np.triu_indices(5, k=1)
+        expected = correlation_matrix(data[:, 0:64])[rows, cols]
+        got = index.sketch.exact_pairs_scan(rows, cols, 0, 2)
+        assert np.allclose(got, expected, atol=1e-9)
 
     def test_build_requires_2d(self, rng):
         with pytest.raises(StorageError):
@@ -44,9 +46,10 @@ class TestExtension:
         assert np.allclose(
             incremental.sketch.pair_sumprods, rebuilt.sketch.pair_sumprods
         )
+        rows, cols = np.triu_indices(4, k=1)
         assert np.allclose(
-            incremental.sketch.exact_matrix_scan(0, 10),
-            rebuilt.sketch.exact_matrix_scan(0, 10),
+            incremental.sketch.exact_pairs_scan(rows, cols, 0, 10),
+            rebuilt.sketch.exact_pairs_scan(rows, cols, 0, 10),
         )
 
     def test_extend_is_bitwise_a_rebuild(self, rng):
@@ -92,9 +95,10 @@ class TestPersistence:
         loaded = StatsIndex.load(path)
         assert loaded.layout.size == 24
         assert loaded.layout.count == index.layout.count
+        rows, cols = np.triu_indices(4, k=1)
         assert np.allclose(
-            loaded.sketch.exact_matrix_scan(0, 4),
-            index.sketch.exact_matrix_scan(0, 4),
+            loaded.sketch.exact_pairs_scan(rows, cols, 0, 4),
+            index.sketch.exact_pairs_scan(rows, cols, 0, 4),
         )
 
     def test_load_missing_or_foreign_file(self, tmp_path):
