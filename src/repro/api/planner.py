@@ -30,13 +30,13 @@ otherwise — and every plan fetches its sketch through one
 exactly what the rule predicted.  The one priced decision is serial vs
 sharded across the configured workers: when sharding passes its hard gates
 (pair subsets, pair-count floor, aligned windows, not lagged) a
-:class:`~repro.api.cost.CostModel` (micro-benchmark calibrated, or the
-committed fixture under ``REPRO_COST_CALIBRATION=off``) prices both
-candidates, and once the shared :class:`~repro.api.cost.FeedbackStore` has
-observed both often enough, observed runtimes replace the calibrated
-guesses (``plan.describe()`` then says ``source=feedback(n=...)``).  Chosen
-or declined, the plan string names the costs and reasons — no fallback is
-silent.  Sharded and tiled results are bit-identical to serial/dense ones.
+:class:`~repro.api.cost.CostModel` (the committed fixture calibration
+unless one is injected) prices both candidates, and once the shared
+:class:`~repro.api.cost.FeedbackStore` has observed both often enough,
+observed runtimes replace the calibrated guesses (``plan.describe()`` then
+says ``source=feedback(n=...)``).  Chosen or declined, the plan string
+names the costs and reasons — no fallback is silent.  Sharded and tiled
+results are bit-identical to serial/dense ones.
 A configuration that cannot be honoured at all — e.g. a lagged
 ``memory_budget`` smaller than one window buffer — raises
 :class:`~repro.exceptions.ExperimentError` naming the query family, the
@@ -228,10 +228,9 @@ class QueryPlanner:
         records the reason).
     cost_model:
         The :class:`~repro.api.cost.CostModel` pricing serial vs sharded
-        when both are eligible.  Defaults to the per-process shared model
-        (micro-benchmark calibrated, or the committed fixture under
-        ``REPRO_COST_CALIBRATION=off``), resolved only when a decision
-        needs it; inject one to force deterministic decisions in tests.
+        when both are eligible.  Defaults to the committed fixture
+        calibration (:meth:`~repro.api.cost.CostModel.fixture`); inject one
+        to force a particular ranking.
 
     Examples
     --------
@@ -272,7 +271,7 @@ class QueryPlanner:
         self.workers = workers
         self.parallel_min_pairs = parallel_min_pairs
         self.memory_budget = memory_budget
-        self.cost_model = cost_model
+        self.cost_model = cost_model or CostModel.fixture()
         self._default_engine: Optional[SlidingCorrelationEngine] = None
 
     # ---------------------------------------------------------------- engines
@@ -294,12 +293,6 @@ class QueryPlanner:
                 options["memory_budget"] = self.memory_budget
             self._default_engine = create_engine(self.engine_name, **options)
         return self._default_engine
-
-    def _resolve_cost_model(self) -> CostModel:
-        """The planner's cost model, defaulting to the per-process one."""
-        if self.cost_model is None:
-            self.cost_model = CostModel.shared()
-        return self.cost_model
 
     # ---------------------------------------------------------------- planning
     def plan(
@@ -396,8 +389,7 @@ class QueryPlanner:
         ``source=feedback(n=...)``.  Partial coverage never mixes sources —
         an observed mean is not comparable to a calibrated guess.
         """
-        model = self._resolve_cost_model()
-        feedback = self.sketch_cache.feedback
+        model, feedback = self.cost_model, self.sketch_cache.feedback
         costs = [
             model.predict(pair_windows, plan.execution, plan.workers) for plan in plans
         ]

@@ -226,21 +226,6 @@ def _build_query(args: argparse.Namespace, end: int):
     return ThresholdQuery(threshold=args.threshold, **common)
 
 
-def _cost_model_for(choice):
-    """The planner cost model a ``--cost-calibration`` flag asks for.
-
-    ``None`` (flag absent) defers to the planner's process-shared model,
-    which honours the ``REPRO_COST_CALIBRATION`` environment knob.
-    """
-    from repro.api.cost import CostModel
-
-    if choice == "fixture":
-        return CostModel.fixture()
-    if choice == "measured":
-        return CostModel.measured()
-    return None
-
-
 def _command_query(args: argparse.Namespace) -> int:
     if args.mode != "threshold" and (args.engine != "dangoron" or args.engine_opt):
         # Engines answer threshold queries only; accepting these flags for
@@ -266,7 +251,6 @@ def _command_query(args: argparse.Namespace) -> int:
         basic_window_size=args.basic_window,
         workers=args.workers,
         memory_budget=memory_budget,
-        cost_model=_cost_model_for(args.cost_calibration),
     )
     # Shows whether the planner chose serial or sharded execution — in
     # particular *why* an explicit --workers request stays serial (pair
@@ -344,7 +328,6 @@ def create_server(args: argparse.Namespace):
         memory_budget=memory_budget,
         write_buffer_columns=args.write_buffer_columns,
         write_buffer_seconds=args.write_buffer_seconds,
-        cost_model=_cost_model_for(args.cost_calibration),
         service_workers=args.service_workers,
         admission_queue_limit=args.admission_queue_limit,
         batch_window_seconds=args.batch_window_seconds,
@@ -471,13 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
              "materializing the dense matrix",
     )
     query.add_argument(
-        "--cost-calibration", default=None, choices=["measured", "fixture"],
-        help="how the planner prices serial vs sharded under --workers: "
-             "'measured' micro-benchmarks this machine on first use, "
-             "'fixture' uses the committed deterministic calibration "
-             "(default: the REPRO_COST_CALIBRATION environment knob)",
-    )
-    query.add_argument(
         "--absolute", action="store_true", help="threshold on |c| instead of c"
     )
     query.add_argument(
@@ -526,10 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
              "old; reads always flush first, so queries see every append",
     )
     serve.add_argument(
-        "--cost-calibration", default=None, choices=["measured", "fixture"],
-        help="how each dataset's planner prices serial vs sharded (see "
-             "'repro query --cost-calibration'; default: the "
-             "REPRO_COST_CALIBRATION environment knob)",
+        "--cost-calibration", default=None, choices=["fixture"],
+        help="accepted for compatibility and changes nothing: every planner "
+             "prices serial vs sharded with the committed fixture calibration",
     )
     serve.add_argument(
         "--service-workers", type=int, default=None, metavar="N",

@@ -23,6 +23,23 @@ from repro.config import (
 from repro.exceptions import DataValidationError
 
 
+def sqrt_product(a, b):
+    """``sqrt(a * b)`` of non-negative factors, finite where ``a * b`` overflows.
+
+    From about 1e77 in magnitude the product of two sums of squares exceeds
+    the float range while each factor's root does not, so overflowing
+    entries take ``sqrt(a) * sqrt(b)`` instead; every other entry keeps the
+    bits of ``sqrt(a * b)``.
+    """
+    with np.errstate(over="ignore"):
+        product = np.multiply(a, b)
+    root = np.sqrt(product)
+    overflow = np.isinf(product)
+    if overflow.any():
+        root = np.where(overflow, np.sqrt(a) * np.sqrt(b), root)
+    return root
+
+
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
     """Exact Pearson correlation between two 1-D series of equal length."""
     x = np.asarray(x, dtype=FLOAT_DTYPE)
@@ -41,7 +58,7 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     var_y = float(np.dot(yc, yc))
     if var_x < VARIANCE_EPSILON * len(x) or var_y < VARIANCE_EPSILON * len(y):
         return 0.0
-    return clamp_correlation(float(np.dot(xc, yc)) / np.sqrt(var_x * var_y))
+    return clamp_correlation(float(np.dot(xc, yc)) / sqrt_product(var_x, var_y))
 
 
 def correlation_matrix(window: np.ndarray) -> np.ndarray:
@@ -130,6 +147,8 @@ def correlation_from_sums(
         | (var_x < 1e-10 * np.abs(sum_xx))
         | (var_y < 1e-10 * np.abs(sum_yy))
     )
-    safe = np.sqrt(np.where(degenerate, 1.0, var_x * var_y))
+    safe = sqrt_product(
+        np.where(degenerate, 1.0, var_x), np.where(degenerate, 1.0, var_y)
+    )
     corr = np.where(degenerate, 0.0, cov / safe)
     return clamp_correlation_array(corr)

@@ -37,6 +37,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.config import FLOAT_DTYPE, INDEX_DTYPE, VARIANCE_EPSILON
+from repro.core.correlation import sqrt_product
 from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
 from repro.core.result import Edge
 from repro.exceptions import DataValidationError, QueryValidationError
@@ -86,7 +87,7 @@ def lagged_correlation(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray
             result[lag + max_lag] = 0.0
         else:
             result[lag + max_lag] = np.clip(
-                float(np.dot(ac, bc)) / np.sqrt(var_a * var_b), -1.0, 1.0
+                float(np.dot(ac, bc)) / sqrt_product(var_a, var_b), -1.0, 1.0
             )
     return result
 

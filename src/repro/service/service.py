@@ -53,13 +53,13 @@ from typing import Deque, Dict, List, Optional
 import numpy as np
 
 from repro import __version__
-from repro.api.cost import CostModel
 from repro.api.queries import ThresholdQuery
 from repro.api.session import CorrelationSession
 from repro.config import DEFAULT_BASIC_WINDOW_SIZE
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import ServiceError, StorageError
+from repro.parallel.executor import available_workers
 from repro.service.batching import (
     QueryBatch,
     batch_key_for,
@@ -482,7 +482,9 @@ class CorrelationService:
         The dataset catalog to serve (a :class:`Catalog` or a directory path).
     engine, engine_options, basic_window_size, workers:
         Defaults applied to every dataset session; a query request may
-        override ``workers`` per call (``"workers": N`` in the request body).
+        override ``workers`` per call (``"workers": N`` in the request body,
+        at most the CPUs this process may use).  Every session's planner
+        prices serial vs sharded with the committed fixture calibration.
     memory_budget:
         Bytes a dataset's sketch build may hold resident at once; larger
         datasets stream through the tiled builder (bit-identical results,
@@ -531,7 +533,6 @@ class CorrelationService:
         memory_budget: Optional[int] = None,
         write_buffer_columns: Optional[int] = None,
         write_buffer_seconds: Optional[float] = None,
-        cost_model: Optional[CostModel] = None,
         service_workers: Optional[int] = None,
         admission_queue_limit: Optional[int] = None,
         retry_after_seconds: float = 1.0,
@@ -574,7 +575,6 @@ class CorrelationService:
             engine_options=dict(engine_options or {}),
             basic_window_size=basic_window_size,
             memory_budget=memory_budget,
-            cost_model=cost_model,
         )
         self.workers = workers
         self.write_buffer_columns = write_buffer_columns
@@ -842,6 +842,13 @@ class CorrelationService:
         workers = request.get("workers")
         if workers is not None and (isinstance(workers, bool) or not isinstance(workers, int)):
             raise ServiceError(f"request field 'workers' must be an integer, got {workers!r}")
+        # Each distinct count keeps a session alive for the runtime's
+        # lifetime, and threads beyond the usable CPUs only slow the scan.
+        if workers is not None and not 1 <= workers <= available_workers():
+            raise ServiceError(
+                f"request field 'workers' must be between 1 and the "
+                f"{available_workers()} usable CPUs, got {workers}"
+            )
         # ``null`` means "not set", as for ``workers``; any other non-boolean
         # is refused rather than read by truthiness ("no" is truthy).
         include_edges = request.get("include_edges")

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.api.cost import CostModel
 from repro.api.planner import QueryPlanner
 from repro.api.session import CorrelationSession
 from repro.exceptions import ReproError, ServiceError
@@ -77,7 +76,6 @@ class WorkerConfig:
     engine_options: Dict[str, object] = field(default_factory=dict)
     basic_window_size: int = 16
     memory_budget: Optional[int] = None
-    cost_model: Optional[CostModel] = None
 
     def session(
         self,
@@ -109,7 +107,6 @@ class WorkerConfig:
                 sketch_cache=sketch_cache,
                 workers=workers,
                 memory_budget=self.memory_budget,
-                cost_model=self.cost_model,
             ),
         )
 

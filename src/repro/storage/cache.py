@@ -16,7 +16,6 @@ import hashlib
 import threading
 import weakref
 from collections import OrderedDict
-from pathlib import Path
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -361,24 +360,13 @@ class SketchCache:
     ----------
     max_entries:
         Maximum number of sketches kept (least recently used evicted first).
-    feedback_path:
-        When set, the cache's :class:`~repro.api.cost.FeedbackStore` loads
-        from (and :meth:`~repro.api.cost.FeedbackStore.save` writes to) this
-        JSON file, persisting what the planner learned alongside the
-        sketches.  A corrupt or truncated file does not take the cache down:
-        the store starts empty — the planner falls back to calibration —
-        and carries the :class:`~repro.exceptions.StorageError` message on
-        ``feedback.load_error``.
 
-    The feedback store shares this cache's lock, so planner threads
-    recording observed runtimes serialize with the cache's own bookkeeping.
+    The cache's in-memory :class:`~repro.api.cost.FeedbackStore`
+    (``feedback``) shares this cache's lock, so planner threads recording
+    observed runtimes serialize with the cache's own bookkeeping.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 8,
-        feedback_path: Optional[object] = None,
-    ) -> None:
+    def __init__(self, max_entries: int = 8) -> None:
         # Deferred import: ``repro.api`` imports this module at its top
         # level, so importing ``repro.api.cost`` here at module scope would
         # be circular.
@@ -398,14 +386,7 @@ class SketchCache:
         # the chain under the old digest and re-files it under the new one,
         # moving every cache entry along with it.
         self._chains: Dict[str, _FingerprintChain] = {}  # guarded-by: _lock
-        if feedback_path is not None and Path(feedback_path).exists():
-            try:
-                self.feedback = FeedbackStore.load(feedback_path, lock=self._lock)
-            except StorageError as exc:
-                self.feedback = FeedbackStore(path=feedback_path, lock=self._lock)
-                self.feedback.load_error = str(exc)
-        else:
-            self.feedback = FeedbackStore(path=feedback_path, lock=self._lock)
+        self.feedback = FeedbackStore(lock=self._lock)
 
     def __len__(self) -> int:
         with self._lock:

@@ -1,11 +1,12 @@
-"""The cost model: calibration sources, prediction structure, env wiring.
+"""The cost model: calibration sources and prediction structure.
 
 The planner's one priced decision is serial vs sharded, so this file pins
 the model's *structure* (the serial scan; the sharded scan divided across
 workers plus dispatch and merge; nothing about the sketch build) against
-hand-computed expectations on an injected calibration, and exercises every
-calibration source (``fixture`` / ``measured`` / ``injected`` / the
-``REPRO_COST_CALIBRATION`` environment knob) the planner can run under.
+hand-computed expectations on an injected calibration, and checks both
+calibration sources (``fixture`` / ``injected``) the planner can run under:
+a planner nobody hands a model prices with the fixture, whatever the
+environment says.
 
 The sketch build is the same for every candidate, so the planner picks it by
 rule instead of pricing it.  What the build terms once priced — a cached
@@ -25,11 +26,9 @@ import repro.core.lag as lag_module
 import repro.core.tiled as tiled_module
 from repro.api import LaggedQuery, QueryPlanner, ThresholdQuery
 from repro.api.cost import (
-    ENV_CALIBRATION,
     FIXTURE_CALIBRATION,
     Calibration,
     CostModel,
-    measure_calibration,
 )
 from repro.api.planner import (
     SKETCH_BUILD_INCREMENTAL,
@@ -259,33 +258,16 @@ class TestCalibrationSources:
         assert model.calibration is FIXTURE_CALIBRATION
         assert model.calibration.source == "fixture"
 
-    def test_environment_off_selects_the_fixture(self):
-        for value in ("off", "fixture", "OFF", " 0 ", "false"):
-            model = CostModel.from_environment({ENV_CALIBRATION: value})
-            assert model.calibration.source == "fixture", value
+    def test_a_planner_nobody_hands_a_model_prices_with_the_fixture(self):
+        planner = QueryPlanner(basic_window_size=16, workers=2)
+        assert planner.cost_model.calibration is FIXTURE_CALIBRATION
+        assert planner.cost_model.calibration.source == "fixture"
 
-    def test_environment_default_measures_this_machine(self):
-        model = CostModel.from_environment({})
-        assert model.calibration.source == "measured"
-
-    def test_measured_calibration_is_sane(self):
-        calibration = measure_calibration()
-        assert calibration.source == "measured"
-        # Any real machine scans at least a thousand pair-windows and merges
-        # at least a thousand results per second; a wildly implausible
-        # number here means a broken timer, not a slow host.
-        assert calibration.pair_scan_pair_windows_per_s > 1e3
-        assert calibration.merge_pair_windows_per_s > 1e3
-        assert calibration.shard_dispatch_seconds >= 0
-        assert 0 < calibration.parallel_efficiency <= 1
-
-    def test_shared_model_honours_the_tier1_env_pin(self):
-        # conftest.py pins REPRO_COST_CALIBRATION=off for the whole suite,
-        # so the per-process shared model every default planner uses must be
-        # the deterministic fixture.
-        CostModel.reset_shared()
-        try:
-            assert CostModel.shared().calibration.source == "fixture"
-            assert CostModel.shared() is CostModel.shared()
-        finally:
-            CostModel.reset_shared()
+    def test_an_injected_calibration_is_used_as_is(self):
+        calibration = _calibration(pair_scan_pair_windows_per_s=7.0)
+        assert calibration.source == "injected"
+        planner = QueryPlanner(
+            basic_window_size=16, workers=2, cost_model=CostModel(calibration)
+        )
+        assert planner.cost_model.calibration is calibration
+        assert planner.cost_model.predict(14, "serial") == pytest.approx(2.0)

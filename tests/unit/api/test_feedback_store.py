@@ -1,21 +1,17 @@
-"""The feedback store: recording, blending, persistence, and failure modes.
+"""The feedback store: recording, blending, bounds and thread safety.
 
-The robustness contract under test: a corrupt or truncated feedback file
-raises :class:`StorageError` *naming the path* from :meth:`FeedbackStore
-.load`, while the lenient owner — :class:`SketchCache` — catches it, starts
-empty with the message on ``feedback.load_error``, and the planner keeps
-ranking by calibration instead of crashing.  Concurrent ``record()`` calls
-share the cache's lock, so no observation is ever lost to a race.
+The store is in-memory only; it lives on :class:`SketchCache` and shares
+its lock, so concurrent ``record()`` calls never lose an observation, and
+``QueryPlanner.execute`` records every run's wall time under its plan key.
 """
 
-import json
 import threading
 
 import numpy as np
 import pytest
 
 from repro.api import QueryPlanner, ThresholdQuery
-from repro.api.cost import FEEDBACK_SCHEMA, FeedbackStore
+from repro.api.cost import MAX_FEEDBACK_SAMPLES, FeedbackStore
 from repro.exceptions import StorageError
 from repro.storage.cache import SketchCache
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -46,11 +42,12 @@ class TestRecording:
         assert store.blended("k", 7.0) == pytest.approx((1 + 1 + 7) / 3)
 
     def test_history_is_bounded_newest_kept(self):
-        store = FeedbackStore(max_samples=3)
-        for wall in (10.0, 1.0, 2.0, 3.0):
-            store.record("k", wall)
-        assert store.count("k") == 3
-        assert store.mean("k") == pytest.approx(2.0)  # the 10.0 rolled off
+        store = FeedbackStore()
+        store.record("k", 1000.0)
+        for _ in range(MAX_FEEDBACK_SAMPLES):
+            store.record("k", 2.0)
+        assert store.count("k") == MAX_FEEDBACK_SAMPLES
+        assert store.mean("k") == pytest.approx(2.0)  # the 1000.0 rolled off
 
     def test_rejects_unusable_observations(self):
         store = FeedbackStore()
@@ -89,89 +86,13 @@ class TestRecording:
         }
 
 
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "feedback.json"
-        store = FeedbackStore(path=path)
-        store.record("plan-a", 0.5)
-        store.record("plan-a", 0.7)
-        store.record("plan-b", 1.5)
-        assert store.save() == path
-        loaded = FeedbackStore.load(path)
-        assert loaded.snapshot() == store.snapshot()
-
-    def test_corrupt_json_raises_naming_the_path(self, tmp_path):
-        path = tmp_path / "feedback.json"
-        path.write_text("{not json")
-        with pytest.raises(StorageError, match=str(path)):
-            FeedbackStore.load(path)
-
-    def test_truncated_document_raises_naming_the_path(self, tmp_path):
-        path = tmp_path / "feedback.json"
-        store = FeedbackStore(path=path)
-        store.record("plan-a", 0.5)
-        full = store.save().read_text()
-        path.write_text(full[: len(full) // 2])  # a crash mid-write
-        with pytest.raises(StorageError) as excinfo:
-            FeedbackStore.load(path)
-        assert str(path) in str(excinfo.value)
-        assert "corrupt or truncated" in str(excinfo.value)
-
-    def test_wrong_schema_raises(self, tmp_path):
-        path = tmp_path / "feedback.json"
-        path.write_text(json.dumps({"schema": "other/v9", "samples": {}}))
-        with pytest.raises(StorageError, match=FEEDBACK_SCHEMA.replace("/", "/")):
-            FeedbackStore.load(path)
-
-    def test_corrupt_sample_row_raises_naming_the_key(self, tmp_path):
-        path = tmp_path / "feedback.json"
-        path.write_text(
-            json.dumps(
-                {"schema": FEEDBACK_SCHEMA, "samples": {"plan-a": [0.5, "oops"]}}
-            )
-        )
-        with pytest.raises(StorageError, match="plan-a"):
-            FeedbackStore.load(path)
-
-    def test_missing_samples_table_raises(self, tmp_path):
-        path = tmp_path / "feedback.json"
-        path.write_text(json.dumps({"schema": FEEDBACK_SCHEMA}))
-        with pytest.raises(StorageError, match="no samples table"):
-            FeedbackStore.load(path)
-
-
 class TestCacheIntegration:
-    def test_cache_loads_a_persisted_store(self, tmp_path):
-        path = tmp_path / "feedback.json"
-        seed = FeedbackStore(path=path)
-        seed.record("plan-a", 0.25)
-        seed.save()
-        cache = SketchCache(feedback_path=path)
-        assert cache.feedback.count("plan-a") == 1
-        assert cache.feedback.load_error is None
-
-    def test_cache_with_no_file_starts_empty(self, tmp_path):
-        cache = SketchCache(feedback_path=tmp_path / "absent.json")
+    def test_a_fresh_cache_starts_with_an_empty_store_on_its_lock(self):
+        cache = SketchCache()
         assert cache.feedback.snapshot() == {}
-        assert cache.feedback.load_error is None
-
-    def test_corrupt_file_degrades_to_calibration_not_a_crash(self, tmp_path):
-        path = tmp_path / "feedback.json"
-        path.write_text("{definitely not json")
-        cache = SketchCache(feedback_path=path)
-        # The lenient owner surfaces the strict loader's message...
-        assert cache.feedback.load_error is not None
-        assert str(path) in cache.feedback.load_error
-        # ...and the planner prices its serial-vs-sharded decision on
-        # calibrated predictions.
-        planner = QueryPlanner(
-            basic_window_size=16, sketch_cache=cache, workers=2,
-            parallel_min_pairs=1,
-        )
-        plan = planner.plan(_matrix(), QUERY)
-        assert plan.cost_source == "calibration"
-        result = planner.execute(_matrix(), plan)
-        assert result.num_windows == 7
+        assert cache.feedback.records == 0
+        # Recording serializes with the cache's own bookkeeping.
+        assert cache.feedback._lock is cache._lock
 
     def test_execute_records_observed_wall_under_the_plan_key(self):
         planner = QueryPlanner(basic_window_size=16)

@@ -4,9 +4,9 @@ Each scenario configures a planner + workload, and the table pins the full
 decision — execution, workers, build, budget, the ordered reason list and
 the rendered ``describe()`` line including the cost ranking of the one
 priced decision, serial vs sharded.  The cost model is the committed
-fixture calibration (deterministic by construction; ``conftest.py`` pins
-``REPRO_COST_CALIBRATION=off`` repo-wide), injected explicitly here so the
-table holds even if the suite-level pin moves.
+fixture calibration (deterministic by construction, and what every planner
+without an injected model prices with), injected explicitly here so the
+table states what it pins.
 
 The comparison is one dict against one dict, so any drift shows the *whole*
 diff at once: a changed worker count, a reworded reason and a shifted cost
@@ -15,9 +15,14 @@ change here is intentional, update the table — that review moment is the
 point of the test.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.api import (
     CostModel,
     LaggedQuery,
@@ -569,16 +574,47 @@ def test_single_candidate_plans_are_not_priced(name):
 
 
 def test_a_planner_without_workers_never_calibrates():
-    """No workers, no decision: planning must not trigger the per-process
-    micro-benchmark a default planner would otherwise pay on first use."""
-    CostModel.reset_shared()
-    try:
-        planner = QueryPlanner(basic_window_size=BASIC)
-        planner.run(_matrix(), _threshold())
-        assert planner.cost_model is None
-        assert CostModel._shared is None
-    finally:
-        CostModel.reset_shared()
+    """No workers, no decision: planning and running never consult the
+    cost model."""
+    planner = QueryPlanner(basic_window_size=BASIC, cost_model=_RefusingCostModel())
+    planner.run(_matrix(), _threshold())
+
+
+#: A default planner (no injected model) planning a two-worker threshold
+#: query, run in a fresh interpreter so nothing cached in this one leaks in.
+_DEFAULT_PLANNER_SCRIPT = f"""
+import numpy as np
+from repro.api import QueryPlanner, ThresholdQuery
+from repro.timeseries.matrix import TimeSeriesMatrix
+matrix = TimeSeriesMatrix(np.random.default_rng(7).standard_normal(({N}, {LENGTH})))
+query = ThresholdQuery(start=0, end={LENGTH}, window={WINDOW}, step={STEP}, threshold=0.4)
+planner = QueryPlanner(basic_window_size={BASIC}, workers=2, parallel_min_pairs=1)
+print(planner.plan(matrix, query).describe())
+"""
+
+
+def test_a_default_planner_prices_with_the_fixture_whatever_the_environment(
+    monkeypatch,
+):
+    """The environment selects no calibration: a planner nobody hands a
+    model prices serial vs sharded with the committed fixture numbers."""
+    matrix = TimeSeriesMatrix(np.random.default_rng(7).standard_normal((N, LENGTH)))
+    fixture = _planner(workers=2, parallel_min_pairs=1).plan(matrix, _threshold())
+    assert fixture.cost_source == "calibration"
+    assert "sharded(2w)" in fixture.describe()
+    src = Path(repro.__file__).resolve().parents[1]
+    monkeypatch.setenv("PYTHONPATH", str(src))
+    retired_knob = "REPRO_COST_CALIBRATION"  # once selected a measured model
+    for setting in (None, "measured"):
+        if setting is None:
+            monkeypatch.delenv(retired_knob, raising=False)
+        else:
+            monkeypatch.setenv(retired_knob, setting)
+        done = subprocess.run(
+            [sys.executable, "-c", _DEFAULT_PLANNER_SCRIPT],
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == fixture.describe(), setting
 
 
 def test_feedback_keys_separate_engine_configurations():

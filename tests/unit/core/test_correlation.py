@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.baselines.brute_force import BruteForceEngine
 from repro.core.correlation import (
     correlation_against,
     correlation_from_sums,
     correlation_matrix,
     pearson,
 )
+from repro.core.engine import create_engine
+from repro.core.lag import lagged_correlation
+from repro.core.query import SlidingQuery
+from repro.core.topk import sliding_top_k, top_k_brute_force
 from repro.exceptions import DataValidationError
+from repro.timeseries.matrix import TimeSeriesMatrix
 
 
 @pytest.fixture
@@ -121,3 +127,49 @@ class TestCorrelationFromSums:
     def test_degenerate_entries_zeroed(self):
         value = correlation_from_sums(10.0, 0.0, 5.0, 0.0, 30.0, 0.0)
         assert value == 0.0
+
+
+class TestLargeMagnitudes:
+    """From about 1e77 the product of two sums of squares overflows; the
+    correlations recombined from those sums must not read 0 there.  (Past
+    ~1e154 the sums themselves overflow in every engine: out of reach.)"""
+
+    QUERY = SlidingQuery(start=0, end=256, window=64, step=32, threshold=0.9)
+
+    @pytest.fixture(params=[1.0, 1e100], ids=["unit", "1e100"])
+    def matrix(self, request):
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal(256) * request.param
+        noise = rng.standard_normal(256)
+        return TimeSeriesMatrix(np.stack([base, 2 * base, -base, noise]))
+
+    @pytest.mark.parametrize(
+        "engine, options",
+        [
+            ("dangoron", {"basic_window_size": 16}),
+            ("tsubasa", {"basic_window_size": 16}),
+            ("incremental", {}),
+        ],
+    )
+    def test_engines_match_brute_force(self, matrix, engine, options):
+        reference = BruteForceEngine().run(matrix, self.QUERY)
+        result = create_engine(engine, **options).run(matrix, self.QUERY)
+        assert reference.total_edges() == 7
+        for ours, theirs in zip(result, reference):
+            assert ours.edge_set() == theirs.edge_set()
+            for edge, value in ours.edge_dict().items():
+                assert value == pytest.approx(theirs.edge_dict()[edge], abs=1e-8)
+
+    def test_top_k_matches_brute_force(self, matrix):
+        ours = sliding_top_k(matrix, self.QUERY, k=2, basic_window_size=16)
+        theirs = top_k_brute_force(matrix, self.QUERY, k=2)
+        for mine, reference in zip(ours, theirs):
+            assert mine.values[0] == pytest.approx(1.0)
+            np.testing.assert_allclose(mine.values, reference.values, atol=1e-8)
+
+    def test_scalar_oracles_match_brute_force(self, matrix):
+        x, y, noise = matrix.values[0, :64], matrix.values[1, :64], matrix.values[3, :64]
+        expected = correlation_matrix(np.stack([x, y, noise]))
+        assert pearson(x, y) == pytest.approx(1.0)
+        assert pearson(x, noise) == pytest.approx(expected[0, 2], abs=1e-8)
+        assert lagged_correlation(x, y, max_lag=0)[0] == pytest.approx(1.0)

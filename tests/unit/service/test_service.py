@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import CorrelationSession, ThresholdQuery, TopKQuery
 from repro.exceptions import ServiceError
+from repro.parallel.executor import available_workers
 from repro.service import CorrelationService, result_from_wire
 from repro.service.service import DatasetRuntime
 from repro.storage.catalog import Catalog
@@ -139,6 +140,16 @@ class TestQueryExecution:
     def test_bad_workers_type_rejected(self, service):
         with pytest.raises(ServiceError, match="'workers'"):
             service.query("demo", {**THRESHOLD_REQUEST, "workers": "many"})
+
+    def test_workers_beyond_the_usable_cpus_rejected(self, service):
+        limit = available_workers()
+        service.query("demo", {**THRESHOLD_REQUEST, "workers": limit})
+        for workers in (limit + 1, 64 * limit):
+            with pytest.raises(ServiceError, match="usable CPUs") as excinfo:
+                service.query("demo", {**THRESHOLD_REQUEST, "workers": workers})
+            assert excinfo.value.status == 400
+        # A refused count leaves no session behind.
+        assert service.metrics()["datasets"]["demo"]["sessions"] == 1
 
     def test_non_object_request_rejected(self, service):
         with pytest.raises(ServiceError, match="JSON object"):
