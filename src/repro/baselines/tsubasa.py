@@ -33,7 +33,7 @@ from repro.core.result import (
     EngineStats,
     ThresholdedMatrix,
 )
-from repro.core.sketch import BasicWindowSketch, ensure_sketch_layout
+from repro.core.sketch import BasicWindowSketch, ensure_sketch_layout, pair_slots
 from repro.exceptions import SketchError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -95,6 +95,7 @@ class TsubasaEngine(SlidingCorrelationEngine):
             pair_rows, pair_cols = np.triu_indices(n, 1)
         else:
             pair_rows, pair_cols = validate_pair_subset(pairs, n)
+        slots = pair_slots(n, pair_rows, pair_cols)
 
         layout = self.plan_layout(query)
         if sketch is not None:
@@ -115,7 +116,7 @@ class TsubasaEngine(SlidingCorrelationEngine):
         started = time.perf_counter()
         for _, begin, end in query.iter_windows():
             window_vals = sketch.exact_pairs_range(
-                pair_rows, pair_cols, begin, end, values=values
+                pair_rows, pair_cols, begin, end, values=values, slots=slots
             )
             keep = query.keep_mask(window_vals)
             matrices.append(

@@ -71,8 +71,7 @@ def first_possible_crossing(
     corr_now: np.ndarray,
     beta: float,
     corr_prefix: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
+    slots: np.ndarray,
     bw_start: int,
     step_bw: int,
     num_basic_windows: int,
@@ -82,7 +81,8 @@ def first_possible_crossing(
 ) -> np.ndarray:
     """Smallest number of *window* steps after which Eq. 2 allows crossing ``beta``.
 
-    For each pair ``p`` (given by ``rows[p], cols[p]``) whose current window
+    For each pair ``p`` (its sketch row ``slots[p]``, see
+    :func:`repro.core.sketch.pair_slots`) whose current window
     starts at basic window ``bw_start`` and whose correlation ``corr_now[p]``
     is below the threshold, returns the smallest ``m >= 1`` such that the
     Eq. 2 upper bound after ``m`` window slides (``m * step_bw`` outgoing basic
@@ -94,30 +94,28 @@ def first_possible_crossing(
     due at window ``current + m``; windows ``current+1 … current+m-1`` are
     skipped (reported as below threshold).
 
-    ``corr_prefix`` is the sketch's ``(num_bw + 1, N, N)`` prefix-sum tensor of
-    basic-window correlations; ``slack`` tightens the effective threshold to
-    trade skipped work for recall (``slack > 0`` skips less aggressively).
+    ``corr_prefix`` is the sketch's ``(P, num_bw + 1)`` prefix sums of
+    basic-window correlations, one row per pair; ``slack`` tightens the
+    effective threshold to trade skipped work for recall (``slack > 0`` skips
+    less aggressively).
 
     ``negate=True`` applies the bound to the *negated* correlation (used for
     absolute-value thresholds, where a pair may also become an edge by
     crossing ``-beta`` from above): the caller passes ``-corr_now`` and the
     outgoing basic-window correlations are negated internally.
     """
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
+    slots = np.asarray(slots)
     corr_now = np.asarray(corr_now, dtype=FLOAT_DTYPE)
-    num_pairs = len(rows)
+    num_pairs = len(slots)
     if num_pairs == 0:
         return np.zeros(0, dtype=np.int64)
     if max_steps < 1:
         return np.ones(num_pairs, dtype=np.int64)
 
     effective_beta = beta - slack
-    # One row per basic window: a fixed step is a contiguous row ``take``, a
-    # per-pair step a two-index gather, through one flat pair index.
-    by_window = corr_prefix.reshape(corr_prefix.shape[0], -1)
-    pairs = rows * corr_prefix.shape[2] + cols
-    base = by_window[bw_start].take(pairs)
+    # One row per pair: every probe reads the pairs' rows at one column (a
+    # fixed step) or at a column per pair (the bisection).
+    base = corr_prefix[slots, bw_start]
 
     def reaches(steps, prefix_then, prefix_now, corr) -> np.ndarray:
         """Whether the Eq. 2 bound after ``steps`` slides reaches the threshold.
@@ -139,10 +137,10 @@ def first_possible_crossing(
     # Pairs whose bound never reaches the threshold jump past the horizon;
     # pairs that can already cross at the very next step need no search.
     reaches_at_last = reaches(
-        max_steps, by_window[bw_start + max_steps * step_bw].take(pairs), base, corr_now
+        max_steps, corr_prefix[slots, bw_start + max_steps * step_bw], base, corr_now
     )
     crosses_immediately = reaches(
-        1, by_window[bw_start + step_bw].take(pairs), base, corr_now
+        1, corr_prefix[slots, bw_start + step_bw], base, corr_now
     )
     jumps = np.where(reaches_at_last, max_steps, max_steps + 1)
     jumps[crosses_immediately] = 1
@@ -151,13 +149,13 @@ def first_possible_crossing(
     # bracket has closed (``lo >= hi``) keeps probing its own ``hi``, which
     # leaves it put.
     undecided = np.flatnonzero(reaches_at_last & ~crosses_immediately)
-    u_pairs, u_corr, u_base = pairs[undecided], corr_now[undecided], base[undecided]
+    u_slots, u_corr, u_base = slots[undecided], corr_now[undecided], base[undecided]
     lo = np.ones(len(undecided), dtype=np.int64)
     hi = np.full(len(undecided), max_steps, dtype=np.int64)
     while np.any(lo < hi):
         mid = (lo + hi) // 2
         crossed = reaches(
-            mid, by_window[bw_start + mid * step_bw, u_pairs], u_base, u_corr
+            mid, corr_prefix[u_slots, bw_start + mid * step_bw], u_base, u_corr
         )
         lo = np.where(crossed, lo, mid + 1)
         hi = np.where(crossed, mid, hi)
@@ -169,8 +167,7 @@ def first_possible_crossing_absolute(
     corr_now: np.ndarray,
     beta: float,
     corr_prefix: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
+    slots: np.ndarray,
     bw_start: int,
     step_bw: int,
     num_basic_windows: int,
@@ -184,11 +181,11 @@ def first_possible_crossing_absolute(
     crossing points (the negative side reuses Eq. 2 applied to ``-c``).
     """
     positive = first_possible_crossing(
-        corr_now, beta, corr_prefix, rows, cols, bw_start, step_bw,
+        corr_now, beta, corr_prefix, slots, bw_start, step_bw,
         num_basic_windows, max_steps, slack,
     )
     negative = first_possible_crossing(
-        -np.asarray(corr_now, dtype=FLOAT_DTYPE), beta, corr_prefix, rows, cols,
+        -np.asarray(corr_now, dtype=FLOAT_DTYPE), beta, corr_prefix, slots,
         bw_start, step_bw, num_basic_windows, max_steps, slack, negate=True,
     )
     return np.minimum(positive, negative)

@@ -53,7 +53,7 @@ from repro.core.result import (
     EngineStats,
     ThresholdedMatrix,
 )
-from repro.core.sketch import BasicWindowSketch, ensure_sketch_layout
+from repro.core.sketch import BasicWindowSketch, ensure_sketch_layout, pair_slots
 from repro.exceptions import ParallelError, QueryValidationError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -71,6 +71,7 @@ def step_window(
     use_temporal_pruning: bool = True,
     slack: float = 0.0,
     prefix_combination: bool = False,
+    slots: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step one sliding window: the only place a window is evaluated and scheduled.
 
@@ -80,7 +81,9 @@ def step_window(
     ``query.keep_mask`` and schedules the rest as far ahead as the Eq. 2 bound
     allows, at most ``max_steps`` windows.  The evaluation is one pair gather
     whatever the share of due pairs (the first window is all of them).
-    Returns the window's edges ``(rows, cols, values)``.
+    Returns the window's edges ``(rows, cols, values)``.  ``slots`` are the
+    enumeration's sketch rows (:func:`~repro.core.sketch.pair_slots` of
+    ``rows``/``cols``); callers stepping many windows map them once.
 
     All state lives in ``scheduler``, so a caller resumes at ``k + 1`` once
     the sketch covers it: :class:`DangoronEngine` over a fixed range
@@ -92,10 +95,12 @@ def step_window(
         return empty, empty, np.empty(0, dtype=FLOAT_DTYPE)
     layout = sketch.layout
     bw_first, window_bw = layout.covering(*query.window_bounds(k))
+    if slots is None:
+        slots = pair_slots(sketch.num_series, rows, cols)
     pair_rows = rows[positions]
     pair_cols = cols[positions]
     evaluate = sketch.exact_pairs_fast if prefix_combination else sketch.exact_pairs_scan
-    exact_vals = evaluate(pair_rows, pair_cols, bw_first, window_bw)
+    exact_vals = evaluate(pair_rows, pair_cols, bw_first, window_bw, slots[positions])
     scheduler.record_evaluations(k, positions)
 
     keep = query.keep_mask(exact_vals)
@@ -107,9 +112,8 @@ def step_window(
             else first_possible_crossing
         )
         jumps = crossing(
-            exact_vals[~keep], query.threshold, sketch.corr_prefix, rows[below],
-            cols[below], bw_first, query.step // layout.size, window_bw, max_steps,
-            slack=slack,
+            exact_vals[~keep], query.threshold, sketch.corr_prefix, slots[below],
+            bw_first, query.step // layout.size, window_bw, max_steps, slack=slack,
         )
         scheduler.schedule_jumps(k, below, jumps)
     return pair_rows[keep], pair_cols[keep], exact_vals[keep]
@@ -258,6 +262,7 @@ class DangoronEngine(SlidingCorrelationEngine):
             rows, cols = validate_pair_subset(pairs, n)
         else:
             rows, cols = np.triu_indices(n, k=1)
+        slots = pair_slots(n, rows, cols)
         scheduler = JumpScheduler(len(rows), num_windows)
 
         pivots: Optional[np.ndarray] = None
@@ -267,6 +272,11 @@ class DangoronEngine(SlidingCorrelationEngine):
             pivots = select_pivots(
                 first_window, self.num_pivots, self.pivot_strategy, rng
             )
+            # (pivot, every series), the diagonal and j < pivot included:
+            # those map to their packed rows by symmetry.
+            pivot_rows = np.repeat(pivots, n)
+            pivot_cols = np.tile(np.arange(n), len(pivots))
+            pivot_slots = pair_slots(n, pivot_rows, pivot_cols)
 
         # The lazy prefix is materialized here, outside query_seconds; a run
         # that pays for it books the time as part of the sketch build.
@@ -298,10 +308,8 @@ class DangoronEngine(SlidingCorrelationEngine):
             # (a shard with no due pairs skips only the pivot evaluations).
             if pivots is not None and len(due) > 0:
                 bw_first, _ = layout.covering(*query.window_bounds(k))
-                pivot_rows = np.repeat(pivots, n)
-                pivot_cols = np.tile(np.arange(n), len(pivots))
                 pivot_corrs = sketch.exact_pairs_scan(
-                    pivot_rows, pivot_cols, bw_first, window_bw
+                    pivot_rows, pivot_cols, bw_first, window_bw, pivot_slots
                 ).reshape(len(pivots), n)
                 pivot_evaluations += len(pivots) * n
                 lower, upper = triangle_bounds_from_pivots(pivot_corrs)
@@ -327,8 +335,7 @@ class DangoronEngine(SlidingCorrelationEngine):
                             surrogate,
                             query.threshold,
                             corr_prefix,
-                            rows[pruned],
-                            cols[pruned],
+                            slots[pruned],
                             bw_first,
                             step_bw,
                             window_bw,
@@ -345,6 +352,7 @@ class DangoronEngine(SlidingCorrelationEngine):
                 use_temporal_pruning=self.use_temporal_pruning,
                 slack=self.slack,
                 prefix_combination=self.prefix_combination,
+                slots=slots,
             )
             matrices.append(ThresholdedMatrix(n, *edges))
         query_seconds = time.perf_counter() - query_start_time

@@ -4,8 +4,17 @@ The sketch stores, for every basic window of the layout,
 
 * per-series sums and sums of squares (equivalently means and population
   standard deviations), and
-* for every pair of series, the sum of products and the basic-window
-  correlation ``c_j`` used both by Eq. 1 and by the Eq. 2 temporal bound.
+* for every pair of series, the sum of products Eq. 1 recombines.
+
+The pair statistics are packed pair-major: ``pair_sumprods`` has shape
+``(P, count)``, one row per pair of the upper triangle, ``P = N (N + 1) / 2``
+in ``np.triu_indices(N, k=0)`` order (:func:`pair_slots` maps a pair to its
+row).  The diagonal stays so that horizontal pruning's ``(pivot, pivot)``
+and ``(pivot, j < pivot)`` reads map by symmetry.  The basic-window
+correlations ``c_j`` of the Eq. 2 temporal bound are not stored: the lazy
+``corr_prefix`` (``(P, count + 1)``) computes them from the packed sums when
+jumping first asks for it, and :meth:`BasicWindowSketch.extend` carries a
+materialized prefix forward.
 
 With these statistics the exact Pearson correlation of any query window that
 is a union of basic windows can be recombined without touching the raw data.
@@ -54,33 +63,53 @@ def _contiguous_array(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return np.ascontiguousarray(array, dtype=FLOAT_DTYPE)
 
 
-def _pairwise_window_sum(block: np.ndarray) -> np.ndarray:
-    """Sum a ``(count, ...)`` statistics block over its window axis.
+def pair_slots(num_series: int, rows, cols) -> np.ndarray:
+    """The packed rows holding pairs ``(rows[p], cols[p])``: their *slots*.
 
-    Moves the window axis last (copying into the canonical contiguous
-    layout) so every output element is reduced independently along
-    contiguous memory.  NumPy's deterministic pairwise summation then makes
-    the result a function of *(that pair's values, count)* alone — the same
-    bits whether the block came from a dense ``(count, N, N)`` slice or a
-    ``(count, P)`` pair gather, whatever the subset size, provenance or
-    heap layout.  This is the primitive that keeps serial, sharded and
-    seeded-from-disk executions bit-identical.
+    The sketch stores pair ``(i, j)``, ``i <= j``, at row
+    ``i * N - i * (i - 1) / 2 + (j - i)`` of its ``(P, count)`` pair
+    statistics, ``P = N (N + 1) / 2`` — the ``np.triu_indices(N, k=0)``
+    order, diagonal included.  ``(j, i)`` maps to the same row: the
+    statistics are exactly symmetric.  Callers map their pair enumeration
+    once per run and hand the slots to every window's kernel call.
     """
-    return np.ascontiguousarray(np.moveaxis(block, 0, -1)).sum(axis=-1)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    low = np.minimum(rows, cols)
+    return low * (2 * num_series - low + 1) // 2 + np.abs(cols - rows)
 
 
-def _window_prefix(per_window: np.ndarray) -> np.ndarray:
-    """``(count + 1, N, N)`` running sums of a ``(count, N, N)`` tensor.
+def _pack_pairs(per_window: np.ndarray) -> np.ndarray:
+    """``(P, count)`` upper triangles, one row per pair, of ``(count, N, N)`` planes.
 
-    Accumulates window by window — ``prefix[w + 1] = prefix[w] + x[w]``, the
-    order a ``cumsum`` along the window axis uses, so the bits are the same —
-    but as whole contiguous planes instead of ``N * N`` strided columns.
+    Pure data movement: every packed value is the plane entry, bit for bit.
     """
     count, n, _ = per_window.shape
-    prefix = np.empty((count + 1, n, n), dtype=FLOAT_DTYPE)
-    prefix[0] = 0.0
-    for w in range(count):
-        np.add(prefix[w], per_window[w], out=prefix[w + 1])
+    rows, cols = np.triu_indices(n)
+    return np.ascontiguousarray(per_window.reshape(count, n * n).T[rows * n + cols])
+
+
+def _row_prefix(
+    per_window: np.ndarray, carried: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``(P, count + 1)`` running sums along each row of ``(P, count)`` windows.
+
+    One sequential ``cumsum`` along the row from a leading ``0.0``:
+    ``prefix[:, w + 1] = prefix[:, w] + x[:, w]``, so each column adds in
+    window order.  With ``carried`` (a ``(P, c + 1)`` prefix of the windows
+    before these) the sum continues from its last column, which gives the
+    bits a prefix over all ``c + count`` windows would have.
+    """
+    done = 0 if carried is None else carried.shape[1] - 1
+    slots, count = per_window.shape
+    prefix = np.empty((slots, done + count + 1), dtype=FLOAT_DTYPE)
+    if carried is None:
+        prefix[:, 0] = 0.0
+    else:
+        prefix[:, : done + 1] = carried
+    prefix[:, done + 1 :] = per_window
+    tail = prefix[:, done:]
+    np.cumsum(tail, axis=1, out=tail)
     return prefix
 
 
@@ -93,13 +122,13 @@ def pair_corrs_from_stats(
     """Per-basic-window pair correlations from the raw per-window statistics.
 
     ``series_sums``/``series_sumsqs`` have shape ``(N, count)`` and
-    ``pair_sumprods`` has shape ``(count, N, N)``; the result matches
-    ``pair_sumprods``.  Every operation is element-wise per basic window, so
-    a window's correlations are the same bits whether it arrived in a dense
-    build, an extension or a tile.  The ``(count, N, N)`` passes run in place
-    in the output and one scratch tensor; each element still sees
-    ``(sumprod / size - mean_i * mean_j) / (std_i * std_j)``, clamped.
+    ``pair_sumprods`` is the packed ``(P, count)`` layout (rows in
+    :func:`pair_slots` order); the result matches ``pair_sumprods``.  Every
+    operation is element-wise per basic window, so a window's correlations
+    are the same bits whether it arrived in a build, an extension or a
+    tile: ``(sumprod / size - mean_i * mean_j) / (std_i * std_j)``, clamped.
     """
+    rows, cols = np.triu_indices(series_sums.shape[0])
     means = series_sums / size
     variances = series_sumsqs / size - means**2
     # Flag near-constant basic windows both absolutely and relative to
@@ -108,21 +137,18 @@ def pair_corrs_from_stats(
         variances < 1e-10 * np.abs(series_sumsqs / size)
     )
     stds = np.sqrt(np.maximum(variances, 0.0))
-    means_by_window = np.ascontiguousarray(means.T)
-    stds_by_window = np.ascontiguousarray(stds.T)
 
     # Covariance per basic window: E[xy] - E[x]E[y].
     pair_corrs = np.divide(pair_sumprods, size)
-    scratch = means_by_window[:, :, None] * means_by_window[:, None, :]
+    scratch = means[rows]
+    np.multiply(scratch, means[cols], out=scratch)
     np.subtract(pair_corrs, scratch, out=pair_corrs)
-    denom = np.multiply(
-        stds_by_window[:, :, None], stds_by_window[:, None, :], out=scratch
-    )
+    denom = np.take(stds, rows, axis=0, out=scratch)
+    np.multiply(denom, stds[cols], out=denom)
     degenerate = denom < VARIANCE_EPSILON
     if degenerate_window.any():
-        flagged = degenerate_window.T
-        degenerate |= flagged[:, :, None]
-        degenerate |= flagged[:, None, :]
+        degenerate |= degenerate_window[rows]
+        degenerate |= degenerate_window[cols]
     patch = degenerate.any()
     if patch:
         denom[degenerate] = 1.0
@@ -136,11 +162,12 @@ def _window_statistics(blocks: np.ndarray, size: int, pairwise: bool):
     """Statistics of whole basic windows: the one place they are computed.
 
     ``blocks`` is ``(N, count, size)``; returns ``(series_sums, series_sumsqs,
-    pair_sumprods, pair_corrs)``, the pair tensors ``None`` without
-    ``pairwise``.  ``pair_sumprods`` is one batched product: every basic
-    window is copied to its own contiguous ``(N, size)`` matrix and multiplied
-    by its transpose, so a window is the same ``(N, size)`` BLAS call in
-    :meth:`BasicWindowSketch.build`, as a delta in
+    pair_sumprods)``, the pair statistics ``None`` without ``pairwise``.
+    ``pair_sumprods`` is one batched product, packed: every basic window is
+    copied to its own contiguous ``(N, size)`` matrix and multiplied by its
+    transpose, and the upper triangles (diagonal included) are laid out one
+    row per pair, ``(P, count)``.  A window is therefore the same
+    ``(N, size)`` BLAS call in :meth:`BasicWindowSketch.build`, as a delta in
     :meth:`BasicWindowSketch.extend` and in a tile or a thread's span of
     :func:`repro.core.tiled.build_sketch_tiled`.  All three call this, nothing
     else; the only cut that keeps the contract is along the window axis.
@@ -153,12 +180,11 @@ def _window_statistics(blocks: np.ndarray, size: int, pairwise: bool):
     series_sums = blocks.sum(axis=2)
     series_sumsqs = np.einsum("nws,nws->nw", blocks, blocks)
     if not pairwise:
-        return series_sums, series_sumsqs, None, None
+        return series_sums, series_sumsqs, None
     by_window = np.ascontiguousarray(blocks.transpose(1, 0, 2))
-    # (count, N, N), C-contiguous; x @ x.T is exactly symmetric per window.
-    pair_sumprods = np.matmul(by_window, by_window.transpose(0, 2, 1))
-    pair_corrs = pair_corrs_from_stats(series_sums, series_sumsqs, pair_sumprods, size)
-    return series_sums, series_sumsqs, pair_sumprods, pair_corrs
+    # x @ x.T is exactly symmetric per window, so one triangle says it all.
+    pair_sumprods = _pack_pairs(np.matmul(by_window, by_window.transpose(0, 2, 1)))
+    return series_sums, series_sumsqs, pair_sumprods
 
 
 def ensure_sketch_layout(sketch: "BasicWindowSketch", layout) -> "BasicWindowSketch":
@@ -185,15 +211,21 @@ class BasicWindowSketch:
         series_sums: np.ndarray,
         series_sumsqs: np.ndarray,
         pair_sumprods: Optional[np.ndarray],
-        pair_corrs: Optional[np.ndarray],
         build_seconds: float = 0.0,
     ) -> None:
         self.layout = layout
         self.series_sums = _contiguous_array(series_sums)
         self.series_sumsqs = _contiguous_array(series_sumsqs)
         self.pair_sumprods = _contiguous_array(pair_sumprods)
-        self.pair_corrs = _contiguous_array(pair_corrs)
         self.build_seconds = build_seconds
+        n, count = self.series_sums.shape
+        packed = (n * (n + 1) // 2, count)
+        if pair_sumprods is not None and pair_sumprods.shape != packed:
+            raise SketchError(
+                f"pair statistics of shape {tuple(pair_sumprods.shape)} are not "
+                f"the packed {packed} layout of {n} series over {count} basic "
+                f"windows"
+            )
 
         self._sum_prefix = np.concatenate(
             [np.zeros((series_sums.shape[0], 1), dtype=FLOAT_DTYPE),
@@ -279,29 +311,35 @@ class BasicWindowSketch:
                 f"(buffer sub-window residuals until a window completes)"
             )
         delta_count = columns.shape[1] // size
-        delta_sums, delta_sumsqs, delta_sumprods, delta_corrs = _window_statistics(
+        delta_sums, delta_sumsqs, delta_sumprods = _window_statistics(
             columns.reshape(self.num_series, delta_count, size), size, self.has_pairwise
         )
-        series_sums = np.concatenate([self.series_sums, delta_sums], axis=1)
-        series_sumsqs = np.concatenate([self.series_sumsqs, delta_sumsqs], axis=1)
         pair_sumprods = None
-        pair_corrs = None
         if self.has_pairwise:
-            pair_sumprods = np.concatenate([self.pair_sumprods, delta_sumprods])
-            pair_corrs = np.concatenate([self.pair_corrs, delta_corrs])
-
-        return BasicWindowSketch(
+            pair_sumprods = np.concatenate([self.pair_sumprods, delta_sumprods], axis=1)
+        grown = BasicWindowSketch(
             layout=BasicWindowLayout(
                 offset=self.layout.offset,
                 size=size,
                 count=self.layout.count + delta_count,
             ),
-            series_sums=series_sums,
-            series_sumsqs=series_sumsqs,
+            series_sums=np.concatenate([self.series_sums, delta_sums], axis=1),
+            series_sumsqs=np.concatenate([self.series_sumsqs, delta_sumsqs], axis=1),
             pair_sumprods=pair_sumprods,
-            pair_corrs=pair_corrs,
-            build_seconds=time.perf_counter() - started,
         )
+        # A materialized prefix carries forward: only the delta windows are
+        # new terms, and the running sum continues from its last column.
+        if self._corr_prefix is not None:
+            grown._corr_prefix = _row_prefix(
+                pair_corrs_from_stats(delta_sums, delta_sumsqs, delta_sumprods, size),
+                carried=self._corr_prefix,
+            )
+        if self._sumprod_prefix is not None:
+            grown._sumprod_prefix = _row_prefix(
+                delta_sumprods, carried=self._sumprod_prefix
+            )
+        grown.build_seconds = time.perf_counter() - started
+        return grown
 
     # ------------------------------------------------------------------ shape
     @property
@@ -320,8 +358,7 @@ class BasicWindowSketch:
         """Approximate memory footprint of the stored statistics."""
         total = self.series_sums.nbytes + self.series_sumsqs.nbytes
         total += self._sum_prefix.nbytes + self._sumsq_prefix.nbytes
-        for tensor in (self.pair_sumprods, self.pair_corrs, self._corr_prefix,
-                       self._sumprod_prefix):
+        for tensor in (self.pair_sumprods, self._corr_prefix, self._sumprod_prefix):
             if tensor is not None:
                 total += tensor.nbytes
         return int(total)
@@ -338,12 +375,17 @@ class BasicWindowSketch:
     def corr_prefix(self) -> np.ndarray:
         """Prefix sums of the per-basic-window pair correlations.
 
-        ``corr_prefix[w]`` is the sum of ``pair_corrs[0:w]``; shape
-        ``(count + 1, N, N)``.  Used by the Eq. 2 bound in O(1) per check.
+        ``corr_prefix[s, w]`` is the sum of slot ``s``'s correlations over
+        basic windows ``[0, w)``; shape ``(P, count + 1)``.  Used by the
+        Eq. 2 bound in O(1) per check.  The correlations are computed from
+        the packed sums here, on first use, and are not kept.
         """
         self._require_pairwise()
         if self._corr_prefix is None:
-            self._corr_prefix = _window_prefix(self.pair_corrs)
+            self._corr_prefix = _row_prefix(pair_corrs_from_stats(
+                self.series_sums, self.series_sumsqs, self.pair_sumprods,
+                self.layout.size,
+            ))
         return self._corr_prefix
 
     @property
@@ -357,14 +399,14 @@ class BasicWindowSketch:
         Used when the prefix was materialized elsewhere — e.g. exported once
         by the service parent into an mmap-backed shared segment — so that
         attaching processes answer Eq. 2 bound checks from the shared pages
-        instead of each allocating a private ``(count+1, N, N)`` tensor.
+        instead of each allocating a private ``(P, count + 1)`` array.
         """
         self._require_pairwise()
-        count, n, _ = self.pair_corrs.shape
-        if tuple(prefix.shape) != (count + 1, n, n):
+        slots, count = self.pair_sumprods.shape
+        if tuple(prefix.shape) != (slots, count + 1):
             raise SketchError(
                 f"corr prefix shape {tuple(prefix.shape)} does not match the "
-                f"sketch's ({count + 1}, {n}, {n})"
+                f"sketch's ({slots}, {count + 1})"
             )
         self._corr_prefix = _contiguous_array(prefix)
 
@@ -373,7 +415,7 @@ class BasicWindowSketch:
         """Prefix sums of the per-basic-window pair sums of products."""
         self._require_pairwise()
         if self._sumprod_prefix is None:
-            self._sumprod_prefix = _window_prefix(self.pair_sumprods)
+            self._sumprod_prefix = _row_prefix(self.pair_sumprods)
         return self._sumprod_prefix
 
     # ------------------------------------------------------------ range sums
@@ -391,34 +433,47 @@ class BasicWindowSketch:
         sumsqs = self._sumsq_prefix[:, first + count] - self._sumsq_prefix[:, first]
         return sums, sumsqs
 
+    def _slots(self, rows, cols, slots: Optional[np.ndarray]) -> np.ndarray:
+        return pair_slots(self.num_series, rows, cols) if slots is None else slots
+
     def pair_corr_range_sum(
-        self, rows: np.ndarray, cols: np.ndarray, first: int, count: int
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        first: int,
+        count: int,
+        slots: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Sum of basic-window correlations over a range, per requested pair (O(1))."""
         self._check_range(first, count)
+        slots = self._slots(rows, cols, slots)
         prefix = self.corr_prefix
-        return prefix[first + count, rows, cols] - prefix[first, rows, cols]
+        return prefix[slots, first + count] - prefix[slots, first]
 
     # -------------------------------------------------------------- exact scan
     def _gather_sums(
-        self, rows: np.ndarray, cols: np.ndarray, first: int, count: int
+        self, slots: np.ndarray, first: int, count: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Series sums, sums of squares and the pairs' sums of products over
         a basic-window range: the one pair gather every Eq. 1 answer reads.
 
-        One flat pair index on the ``(count, N * N)`` view, gathered
-        transposed: the ``(P, count)`` result is already the layout
-        :func:`_pairwise_window_sum` reduces (no copy), so a pair's sum is
-        the same bits whichever other pairs are gathered with it.
+        Each pair's sum is its contiguous row slice reduced along the row,
+        numpy's pairwise summation over ``count`` adjacent values: a function
+        of that pair's values and the range alone, the same bits whichever
+        other pairs are gathered with it (a due set, a shard, the triangle).
         """
-        sums = self.series_sums[:, first : first + count].sum(axis=1)
-        sumsqs = self.series_sumsqs[:, first : first + count].sum(axis=1)
-        by_window = self.pair_sumprods.reshape(self.num_basic_windows, -1)
-        gathered = by_window[first : first + count].T[rows * self.num_series + cols]
-        return sums, sumsqs, _pairwise_window_sum(gathered.T)
+        window = slice(first, first + count)
+        sums = self.series_sums[:, window].sum(axis=1)
+        sumsqs = self.series_sumsqs[:, window].sum(axis=1)
+        return sums, sumsqs, self.pair_sumprods[slots, window].sum(axis=-1)
 
     def exact_pairs_scan(
-        self, rows: np.ndarray, cols: np.ndarray, first: int, count: int
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        first: int,
+        count: int,
+        slots: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Exact correlations of selected pairs over a basic-window range.
 
@@ -427,13 +482,16 @@ class BasicWindowSketch:
         work Dangoron performs for the pairs that were *not* pruned in a
         given window and TSUBASA for every pair in every window: the one
         recombination kernel, whether the pairs are a few due ones or the
-        whole upper triangle.
+        whole upper triangle.  ``slots`` are the pairs' :func:`pair_slots`,
+        mapped once by callers that scan many windows.
         """
         self._require_pairwise()
         self._check_range(first, count)
         rows = np.asarray(rows)
         cols = np.asarray(cols)
-        sums, sumsqs, sumprods = self._gather_sums(rows, cols, first, count)
+        sums, sumsqs, sumprods = self._gather_sums(
+            self._slots(rows, cols, slots), first, count
+        )
         return correlation_from_sums(
             float(count * self.layout.size),
             sums[rows],
@@ -445,12 +503,17 @@ class BasicWindowSketch:
 
     # -------------------------------------------------------------- exact fast
     def exact_pairs_fast(
-        self, rows: np.ndarray, cols: np.ndarray, first: int, count: int
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        first: int,
+        count: int,
+        slots: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Exact correlations of selected pairs via prefix sums (O(1) per pair).
 
         The ``prefix_combination`` ablation's kernel: the range's sums of
-        products are one difference of :attr:`sumprod_prefix` planes per
+        products are one difference of :attr:`sumprod_prefix` columns per
         pair, so a window costs the same whatever ``count`` is.  Every
         operation is element-wise per pair, so a pair's value does not
         depend on which other pairs were asked for.
@@ -461,8 +524,9 @@ class BasicWindowSketch:
         cols = np.asarray(cols)
         n_points = count * self.layout.size
         sums, sumsqs = self.series_range_sums(first, count)
+        slots = self._slots(rows, cols, slots)
         prefix = self.sumprod_prefix
-        sumprods = prefix[first + count, rows, cols] - prefix[first, rows, cols]
+        sumprods = prefix[slots, first + count] - prefix[slots, first]
         return correlation_from_sums(
             np.full(len(rows), float(n_points)),
             sums[rows],
@@ -480,6 +544,7 @@ class BasicWindowSketch:
         start: int,
         end: int,
         values: Optional[np.ndarray] = None,
+        slots: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Exact correlations of selected pairs over a column range ``[start, end)``.
 
@@ -496,7 +561,7 @@ class BasicWindowSketch:
             raise SketchError(f"invalid column range [{start}, {end})")
         if self.layout.is_aligned(start, end):
             first, count = self.layout.covering(start, end)
-            return self.exact_pairs_scan(rows, cols, first, count)
+            return self.exact_pairs_scan(rows, cols, first, count, slots)
         if values is None:
             raise SketchError(
                 "ranges not aligned to the sketch require the raw values matrix "
@@ -521,7 +586,9 @@ class BasicWindowSketch:
         last = (inner_end - offset) // size if inner_end > inner_start else 0
 
         if last > first:
-            sums, sumsqs, sumprods = self._gather_sums(rows, cols, first, last - first)
+            sums, sumsqs, sumprods = self._gather_sums(
+                self._slots(rows, cols, slots), first, last - first
+            )
             core_start = offset + first * size
             core_end = offset + last * size
         else:

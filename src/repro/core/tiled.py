@@ -33,9 +33,10 @@ This module provides that path:
 The resident raw data of a tiled build is one tile buffer
 (``N x tile_columns x 8`` bytes, bounded by ``memory_budget``), the kernel's
 window-major copy of it, and the one source chunk currently being copied in.
-The kernel's temporaries are three pair tensors of the tile's windows; the
-output statistics arrays are the sketch itself and are identical for dense
-and tiled builds.
+The kernel's temporaries are the tile's ``(windows, N, N)`` product and its
+packed copy; the output statistics arrays are the sketch itself (packed
+per tile into one ``(P, count)`` array) and are identical for dense and
+tiled builds.
 
 The module deliberately has no dependency on :mod:`repro.storage` (which
 imports :mod:`repro.core`): sources are duck-typed.
@@ -270,18 +271,16 @@ def build_sketch_tiled(
     series_sums = np.empty((n, count), dtype=FLOAT_DTYPE)
     series_sumsqs = np.empty((n, count), dtype=FLOAT_DTYPE)
     pair_sumprods = (
-        np.empty((count, n, n), dtype=FLOAT_DTYPE) if pairwise else None
+        np.empty((n * (n + 1) // 2, count), dtype=FLOAT_DTYPE) if pairwise else None
     )
-    pair_corrs = np.empty((count, n, n), dtype=FLOAT_DTYPE) if pairwise else None
 
     def fill(first: int, blocks: np.ndarray) -> None:
-        sums, sumsqs, sumprods, corrs = _window_statistics(blocks, size, pairwise)
+        sums, sumsqs, sumprods = _window_statistics(blocks, size, pairwise)
         windows = slice(first, first + blocks.shape[1])
         series_sums[:, windows] = sums
         series_sumsqs[:, windows] = sumsqs
         if pairwise:
-            pair_sumprods[windows] = sumprods
-            pair_corrs[windows] = corrs
+            pair_sumprods[:, windows] = sumprods
 
     for first, tile in _iter_aligned_tiles(source, layout, plan.windows_per_tile):
         blocks = tile.reshape(n, tile.shape[1] // size, size)
@@ -301,7 +300,6 @@ def build_sketch_tiled(
         series_sums=series_sums,
         series_sumsqs=series_sumsqs,
         pair_sumprods=pair_sumprods,
-        pair_corrs=pair_corrs,
         build_seconds=time.perf_counter() - started,
     )
 

@@ -34,7 +34,7 @@ from repro.core.correlation import correlation_matrix
 from repro.core.engine import validate_pair_subset
 from repro.core.query import SlidingQuery
 from repro.core.result import Edge
-from repro.core.sketch import BasicWindowSketch, ensure_sketch_layout
+from repro.core.sketch import BasicWindowSketch, ensure_sketch_layout, pair_slots
 from repro.exceptions import QueryValidationError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -247,11 +247,12 @@ def sliding_top_k(
     else:
         sketch = BasicWindowSketch.build(matrix.values, layout)
     window_bw = query.window // layout.size
+    slots = pair_slots(matrix.num_series, rows, cols)
 
     windows: List[TopKWindow] = []
     for index, begin, _ in query.iter_windows():
         first, _ = layout.covering(begin, begin + query.window)
-        values = sketch.exact_pairs_scan(rows, cols, first, window_bw)
+        values = sketch.exact_pairs_scan(rows, cols, first, window_bw, slots)
         windows.append(select_top_k(rows, cols, values, k, absolute, index))
     return TopKResult(query=query, k=k, absolute=absolute, windows=windows)
 

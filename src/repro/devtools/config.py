@@ -87,16 +87,19 @@ class LintConfig:
 
     # ------------------------------------------------------------------ RPR003
     #: The only module allowed to run reductions over pair-window statistic
-    #: arrays.  Its helpers force the canonical contiguous layout first,
-    #: which is what makes shard/tile results bit-identical to serial runs
-    #: (docs/invariants.md tells the ulp-divergence story).  The tiled
+    #: arrays.  Its helpers (``pair_corrs_from_stats``, ``_row_prefix``,
+    #: ``BasicWindowSketch._gather_sums``) reduce each pair's contiguous
+    #: packed row, which is what makes shard/tile results bit-identical to
+    #: serial runs (docs/invariants.md tells the ulp-divergence story).  The tiled
     #: builder is *not* blessed: it only calls the sketch's kernel per tile.
     blessed_accumulation_modules: Tuple[str, ...] = ("repro/core/sketch.py",)
 
     #: Identifier substrings that mark an expression as a pair-window
     #: statistic.  Matched against every Name/Attribute inside the reduction
     #: call, so ``np.dot(pair_sumprods, w)`` and
-    #: ``stats.series_sums.sum(axis=0)`` both register.
+    #: ``stats.series_sums.sum(axis=0)`` both register.  ``pair_corrs`` is no
+    #: longer a stored array but still names the per-window correlations
+    #: ``corr_prefix`` is summed from, so it stays watched.
     stat_name_markers: FrozenSet[str] = frozenset(
         {
             "series_sums",

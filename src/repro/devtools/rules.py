@@ -188,9 +188,9 @@ class CanonicalAccumulationRule(LintRule):
                 context,
                 node,
                 f"{reduction} over pair-window statistic '{marker}' outside "
-                f"the blessed helpers; use pair_corrs_from_stats / "
-                f"_pairwise_window_sum from core/sketch.py to keep results "
-                f"bit-identical across layouts",
+                f"the blessed helpers; use pair_corrs_from_stats / _row_prefix "
+                f"/ BasicWindowSketch._gather_sums from core/sketch.py to keep "
+                f"results bit-identical across layouts",
             )
 
 

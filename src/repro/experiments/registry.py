@@ -40,7 +40,7 @@ from repro.core.basic_window import BasicWindowLayout
 from repro.core.bounds import temporal_upper_bound
 from repro.core.dangoron import DangoronEngine
 from repro.core.query import SlidingQuery
-from repro.core.sketch import BasicWindowSketch
+from repro.core.sketch import BasicWindowSketch, pair_slots
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import run_comparison
 from repro.experiments.workloads import (
@@ -465,8 +465,8 @@ def experiment_e9_bound_quality(
     if len(all_rows) > max_pairs:
         chosen = rng.choice(len(all_rows), size=max_pairs, replace=False)
         all_rows, all_cols = all_rows[chosen], all_cols[chosen]
+    slots = pair_slots(n, all_rows, all_cols)
 
-    prefix = sketch.corr_prefix
     rows: List[List[object]] = []
     for horizon in horizons:
         usable_windows = query.num_windows - horizon
@@ -477,15 +477,16 @@ def experiment_e9_bound_quality(
         slack_sum = 0.0
         for k in range(0, usable_windows, max(1, usable_windows // 8)):
             bw_first = (k * query.step) // layout.size
-            now = sketch.exact_pairs_scan(all_rows, all_cols, bw_first, window_bw)
+            now = sketch.exact_pairs_scan(
+                all_rows, all_cols, bw_first, window_bw, slots
+            )
             future_first = bw_first + horizon * step_bw
             future = sketch.exact_pairs_scan(
-                all_rows, all_cols, future_first, window_bw
+                all_rows, all_cols, future_first, window_bw, slots
             )
             outgoing = horizon * step_bw
-            outgoing_sum = (
-                prefix[bw_first + outgoing, all_rows, all_cols]
-                - prefix[bw_first, all_rows, all_cols]
+            outgoing_sum = sketch.pair_corr_range_sum(
+                all_rows, all_cols, bw_first, outgoing, slots
             )
             bound = temporal_upper_bound(now, outgoing, outgoing_sum, window_bw)
             violations += int(np.count_nonzero(future > bound + 1e-9))

@@ -123,9 +123,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServiceError("request body must be a JSON object")
+        # ValueError covers bad UTF-8, malformed JSON and integer literals
+        # past Python's int-digit limit; RecursionError, deep nesting.
         try:
             return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        except (ValueError, RecursionError) as error:
             raise ServiceError(f"request body is not valid JSON: {error}") from error
 
     # ---------------------------------------------------------------- routing

@@ -85,7 +85,10 @@ def _as_float(payload: Dict[str, object], field: str, default: Optional[float] =
         value = _require(payload, field)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ServiceError(f"query field {field!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as error:
+        raise ServiceError(f"query field {field!r} is too large for a float") from error
 
 
 # ---------------------------------------------------------------------------

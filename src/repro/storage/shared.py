@@ -23,9 +23,8 @@ Layout of one exported segment directory::
         values.npy           (N, L)        raw columns (streamed from chunks)
         series_sums.npy      (N, count)
         series_sumsqs.npy    (N, count)
-        pair_sumprods.npy    (count, N, N)
-        pair_corrs.npy       (count, N, N)
-        corr_prefix.npy      (count+1, N, N)  materialized once, in the parent
+        pair_sumprods.npy    (P, count)      packed, P = N (N + 1) / 2
+        corr_prefix.npy      (P, count + 1)  materialized once, in the parent
 
 ``manifest.json`` is written last, so a crashed or torn export is never
 attachable; every attach failure raises :class:`~repro.exceptions
@@ -46,9 +45,10 @@ from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import StorageError
 
-#: Version tag checked on attach, so a future layout change cannot be
-#: silently misread by an old worker.
-SEGMENT_SCHEMA = "repro.segment/v1"
+#: Version tag checked on attach, so a layout change cannot be silently
+#: misread: v2 packs the pair statistics pair-major and stores no
+#: ``pair_corrs``; a v1 (dense ``(count, N, N)``) segment is refused.
+SEGMENT_SCHEMA = "repro.segment/v2"
 
 #: The sketch statistic tensors a segment carries, in export order.  The raw
 #: ``values`` array is handled separately (it streams from the chunk store).
@@ -56,7 +56,6 @@ _SKETCH_ARRAYS = (
     "series_sums",
     "series_sumsqs",
     "pair_sumprods",
-    "pair_corrs",
     "corr_prefix",
 )
 
@@ -155,8 +154,7 @@ def export_segment(
         "series_sums": sketch.series_sums,
         "series_sumsqs": sketch.series_sumsqs,
         "pair_sumprods": sketch.pair_sumprods,
-        "pair_corrs": sketch.pair_corrs,
-        # The property materializes the (count+1, N, N) prefix at most once,
+        # The property materializes the (P, count + 1) prefix at most once,
         # here in the exporting parent; attaching workers mmap it instead of
         # each allocating their own (which would void the shared-memory win).
         "corr_prefix": sketch.corr_prefix,
@@ -241,7 +239,6 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
         series_sums=loaded["series_sums"],
         series_sumsqs=loaded["series_sumsqs"],
         pair_sumprods=loaded["pair_sumprods"],
-        pair_corrs=loaded["pair_corrs"],
     )
     sketch.attach_corr_prefix(loaded["corr_prefix"])
     return SharedSegment(path, manifest, values, sketch)

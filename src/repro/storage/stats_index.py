@@ -23,6 +23,11 @@ from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import StorageError
 
+#: Format tag every archive carries.  The packed pair-major layout is the
+#: first tagged one; an untagged archive holds dense ``(count, N, N)``
+#: statistics and is refused rather than misread.
+ARCHIVE_FORMAT = "repro.stats-index/v2"
+
 
 class StatsIndex:
     """A persisted, extensible basic-window statistics index."""
@@ -110,10 +115,10 @@ class StatsIndex:
             offset=np.array([self.layout.offset]),
             size=np.array([self.layout.size]),
             count=np.array([self.layout.count]),
+            format=np.array(ARCHIVE_FORMAT),
             series_sums=self._sketch.series_sums,
             series_sumsqs=self._sketch.series_sumsqs,
             pair_sumprods=self._sketch.pair_sumprods,
-            pair_corrs=self._sketch.pair_corrs,
         )
         return path
 
@@ -130,6 +135,13 @@ class StatsIndex:
             # interpretation errors; name the file instead.
             raise StorageError(f"{path} is not a readable .npz archive") from error
         with archive_ctx as archive:
+            tag = str(archive["format"]) if "format" in archive.files else None
+            if tag != ARCHIVE_FORMAT:
+                raise StorageError(
+                    f"{path} is a stats-index archive of format {tag!r}, expected "
+                    f"{ARCHIVE_FORMAT!r} (untagged archives hold the dense layout); "
+                    f"rebuild the index"
+                )
             try:
                 layout = BasicWindowLayout(
                     offset=int(archive["offset"][0]),
@@ -141,7 +153,6 @@ class StatsIndex:
                     series_sums=archive["series_sums"],
                     series_sumsqs=archive["series_sumsqs"],
                     pair_sumprods=archive["pair_sumprods"],
-                    pair_corrs=archive["pair_corrs"],
                 )
             except KeyError as error:
                 raise StorageError(f"{path} is not a stats-index archive") from error

@@ -27,7 +27,7 @@ from repro.core.dangoron import step_window
 from repro.core.jumping import JumpScheduler
 from repro.core.query import THRESHOLD_SIGNED, SlidingQuery
 from repro.core.result import ThresholdedMatrix
-from repro.core.sketch import BasicWindowSketch
+from repro.core.sketch import BasicWindowSketch, pair_slots
 from repro.exceptions import StreamingError
 
 
@@ -96,6 +96,7 @@ class WindowCursor:
         #: Windows emitted so far, i.e. the index of the next one.
         self.emitted_windows = 0
         self._rows, self._cols = np.triu_indices(num_series, k=1)
+        self._slots = pair_slots(num_series, self._rows, self._cols)
         self._scheduler = JumpScheduler(len(self._rows), num_windows=None)
 
     @classmethod
@@ -173,6 +174,7 @@ class WindowCursor:
             edges = step_window(
                 sketch, query, self._rows, self._cols, self._scheduler, k, due,
                 horizon, use_temporal_pruning=self.use_temporal_pruning,
+                slots=self._slots,
             )
             results.append(OnlineWindowResult(
                 k, begin, end, ThresholdedMatrix(self.num_series, *edges),

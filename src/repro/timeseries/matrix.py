@@ -52,7 +52,9 @@ class TimeSeriesMatrix:
     Parameters
     ----------
     values:
-        Array-like of shape ``(N, L)``.  Copied and converted to ``float64``.
+        Array-like of shape ``(N, L)``.  Copied and converted to ``float64``;
+        a read-only ``float64`` :class:`numpy.memmap` (mode ``"r"``) is
+        adopted without a copy.
     series_ids:
         Optional sequence of ``N`` identifiers (strings).  Defaults to
         ``"s0" … "s{N-1}"``.
@@ -89,8 +91,18 @@ class TimeSeriesMatrix:
                 "allow_nan=True and use fill_missing() to repair it"
             )
 
-        self._values = np.array(array, dtype=FLOAT_DTYPE, copy=True)
-        self._values.setflags(write=False)
+        if (
+            isinstance(values, np.memmap)
+            and values.mode == "r"
+            and not array.flags.writeable
+        ):
+            # Read-only file pages (an attached shared segment): nothing can
+            # write through them, so they are adopted in place.  Anything
+            # else is copied, a read-only view of a writable array included.
+            self._values = array
+        else:
+            self._values = np.array(array, dtype=FLOAT_DTYPE, copy=True)
+            self._values.setflags(write=False)
 
         if series_ids is None:
             series_ids = [f"s{i}" for i in range(array.shape[0])]

@@ -74,12 +74,12 @@ def test_vectorized_crossing_matches_scalar_reference(corr_now, beta, outgoing, 
     """first_possible_crossing with step_bw=1 must equal the scalar loop."""
     outgoing_arr = np.asarray(outgoing)
     max_steps = len(outgoing_arr)
-    # Build a fake prefix tensor for a single pair at (0, 1).
-    prefix = np.zeros((max_steps + 1, 2, 2))
-    prefix[1:, 0, 1] = np.cumsum(outgoing_arr)
+    # Build a fake prefix for two series: pair (0, 1) is packed row 1.
+    prefix = np.zeros((3, max_steps + 1))
+    prefix[1, 1:] = np.cumsum(outgoing_arr)
     expected = max_skippable_steps_scalar(corr_now, beta, outgoing_arr, ns)
     got = first_possible_crossing(
-        np.array([corr_now]), beta, prefix, np.array([0]), np.array([1]),
+        np.array([corr_now]), beta, prefix, np.array([1]),
         bw_start=0, step_bw=1, num_basic_windows=ns, max_steps=max_steps,
     )
     assert got[0] == expected

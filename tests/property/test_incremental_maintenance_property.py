@@ -6,7 +6,9 @@ sequence of appended batches (including batches smaller than one basic
 window, which must sit in the chain's tail buffer until a window completes):
 
 1. a sketch refreshed through ``SketchCache.get_or_extend`` is **bitwise**
-   equal to one built from scratch over the full stream, and
+   equal to one built from scratch over the full stream (and a prefix the
+   base sketch had materialized is carried forward to the same bits, at the
+   cost of the delta windows' correlations only), and
 2. the chained fingerprint equals ``matrix_fingerprint`` of the grown
    matrix computed from scratch — so extended sketches re-key exactly where
    a cold cache would file them.
@@ -25,10 +27,13 @@ ROADMAP open item "the online Eq. 2 horizon depends on batching"; tighten
 the last assertion to equality when it is closed.)
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import sketch as sketch_module
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.storage.cache import SketchCache, matrix_fingerprint
@@ -99,7 +104,48 @@ def test_any_append_split_extends_bit_identically(case):
     assert refreshed.series_sumsqs.tobytes() == scratch.series_sumsqs.tobytes()
     if pairwise:
         assert refreshed.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
-        assert refreshed.pair_corrs.tobytes() == scratch.pair_corrs.tobytes()
+        assert refreshed.corr_prefix.tobytes() == scratch.corr_prefix.tobytes()
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([2, 8, 24]),
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_an_extended_sketch_carries_its_prefixes_forward(
+    num_series, size, base_windows, deltas, seed
+):
+    values = np.random.default_rng(seed).standard_normal(
+        (num_series, size * (base_windows + sum(deltas)))
+    )
+    sketch = BasicWindowSketch.build(values, BasicWindowLayout(0, size, base_windows))
+    sketch.corr_prefix, sketch.sumprod_prefix  # materialize both
+    computed = []
+    kernel = sketch_module.pair_corrs_from_stats
+
+    def counting(*args):
+        corrs = kernel(*args)
+        computed.append(corrs.shape)
+        return corrs
+
+    with mock.patch.object(sketch_module, "pair_corrs_from_stats", counting):
+        for delta in deltas:
+            begin = sketch.layout.covered_end
+            sketch = sketch.extend(values[:, begin : begin + size * delta])
+            assert sketch.has_corr_prefix
+        carried = (sketch.corr_prefix, sketch.sumprod_prefix)
+    # Only the delta windows' correlations were computed, once per extend.
+    num_slots = num_series * (num_series + 1) // 2
+    assert computed == [(num_slots, delta) for delta in deltas]
+
+    scratch = BasicWindowSketch.build(
+        values, BasicWindowLayout(0, size, base_windows + sum(deltas))
+    )
+    assert carried[0].tobytes() == scratch.corr_prefix.tobytes()
+    assert carried[1].tobytes() == scratch.sumprod_prefix.tobytes()
 
 
 @st.composite
@@ -157,7 +203,7 @@ def test_any_chunking_grows_the_same_index_and_windows(case):
         values, BasicWindowLayout.for_range(0, values.shape[1], size)
     )
     assert index.layout == scratch.layout
-    for name in ("series_sums", "series_sumsqs", "pair_sumprods", "pair_corrs"):
+    for name in ("series_sums", "series_sumsqs", "pair_sumprods", "corr_prefix"):
         assert getattr(index.sketch, name).tobytes() == getattr(scratch, name).tobytes()
 
     # One window step: exact emission is independent of the batching ...

@@ -14,9 +14,10 @@ hundred.
 The dense recombinations live on here as the reference evaluators
 (:func:`dense_scan`, :func:`dense_range`, :func:`dense_step_window`): engine
 runs, standing queries, top-k and TSUBASA must answer exactly as they did
-with them, counters included.  TSUBASA's unaligned edges are one BLAS
-product per window, so that identity holds for one BLAS set-up (CI runs
-this file at one and at two BLAS threads).
+with them, counters included.  They read the sketch's packed pair-major
+statistics as dense ``(count, N, N)`` planes (:func:`planes`).  TSUBASA's
+unaligned edges are one BLAS product per window, so that identity holds for
+one BLAS set-up (CI runs this file at one and at two BLAS threads).
 """
 
 from unittest import mock
@@ -35,7 +36,7 @@ from repro.core.bounds import first_possible_crossing, first_possible_crossing_a
 from repro.core.correlation import correlation_from_sums
 from repro.core.dangoron import DangoronEngine
 from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
-from repro.core.sketch import BasicWindowSketch, _pairwise_window_sum
+from repro.core.sketch import BasicWindowSketch, pair_slots
 from repro.core.topk import select_top_k, sliding_top_k
 from repro.streaming.online import OnlineCorrelationMonitor
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -47,13 +48,30 @@ BASIC = 8
 # References: the dense recombinations the gather replaced
 # ---------------------------------------------------------------------------
 
+def planes(packed, n):
+    """``(columns, N, N)`` planes of a packed ``(P, columns)`` pair array,
+    whose rows are the upper triangle in ``np.triu_indices(N, k=0)`` order."""
+    rows, cols = np.triu_indices(n)
+    dense = np.empty((packed.shape[1], n, n))
+    dense[:, rows, cols] = packed.T
+    dense[:, cols, rows] = packed.T
+    return dense
+
+
+def window_sum(block):
+    """Sum a ``(count, N, N)`` block over its window axis, each element
+    reduced along contiguous memory (the dense scan's reduction)."""
+    return np.ascontiguousarray(np.moveaxis(block, 0, -1)).sum(axis=-1)
+
+
 def dense_scan(sketch, first, count):
     """Every pair's Eq. 1 recombination over a basic-window range as one
     ``N x N`` matrix, diagonal pinned to 1."""
     n_points = count * sketch.layout.size
     sums = sketch.series_sums[:, first : first + count].sum(axis=1)
     sumsqs = sketch.series_sumsqs[:, first : first + count].sum(axis=1)
-    sumprods = _pairwise_window_sum(sketch.pair_sumprods[first : first + count])
+    per_window = planes(sketch.pair_sumprods, sketch.num_series)
+    sumprods = window_sum(per_window[first : first + count])
     corr = correlation_from_sums(
         np.full_like(sumprods, float(n_points)),
         sums[:, None], sums[None, :], sumsqs[:, None], sumsqs[None, :], sumprods,
@@ -79,7 +97,8 @@ def dense_range(sketch, start, end, values):
         count = last - first
         sums = sketch.series_sums[:, first : first + count].sum(axis=1)
         sumsqs = sketch.series_sumsqs[:, first : first + count].sum(axis=1)
-        sumprods = _pairwise_window_sum(sketch.pair_sumprods[first : first + count])
+        per_window = planes(sketch.pair_sumprods, n)
+        sumprods = window_sum(per_window[first : first + count])
         core_start, core_end = offset + first * size, offset + last * size
     else:
         sums = np.zeros(n, dtype=FLOAT_DTYPE)
@@ -106,7 +125,7 @@ def dense_range(sketch, start, end, values):
 def dense_prefix_combination(sketch, first, count):
     """Every pair's prefix-difference recombination as one ``N x N`` matrix."""
     sums, sumsqs = sketch.series_range_sums(first, count)
-    prefix = sketch.sumprod_prefix
+    prefix = planes(sketch.sumprod_prefix, sketch.num_series)
     sumprods = prefix[first + count] - prefix[first]
     return correlation_from_sums(
         np.full_like(sumprods, float(count * sketch.layout.size)),
@@ -116,7 +135,7 @@ def dense_prefix_combination(sketch, first, count):
 
 def dense_step_window(
     sketch, query, rows, cols, scheduler, k, positions, max_steps, *,
-    use_temporal_pruning=True, slack=0.0, prefix_combination=False,
+    use_temporal_pruning=True, slack=0.0, prefix_combination=False, slots=None,
 ):
     """``step_window`` as it was with its dense branches.
 
@@ -152,9 +171,9 @@ def dense_step_window(
             else first_possible_crossing
         )
         jumps = crossing(
-            exact_vals[~keep], query.threshold, sketch.corr_prefix, rows[below],
-            cols[below], bw_first, query.step // layout.size, window_bw, max_steps,
-            slack=slack,
+            exact_vals[~keep], query.threshold, sketch.corr_prefix,
+            pair_slots(n, rows[below], cols[below]), bw_first,
+            query.step // layout.size, window_bw, max_steps, slack=slack,
         )
         scheduler.schedule_jumps(k, below, jumps)
     return pair_rows[keep], pair_cols[keep], exact_vals[keep]

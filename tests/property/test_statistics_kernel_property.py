@@ -11,7 +11,9 @@ rows, from one series to a few hundred.
 The formulations the kernel replaced live on here as references: the
 ``einsum`` kernel and its row-block thread partition (equal up to the order
 GEMM accumulates in), the many-temporaries correlation pass and the strided
-``cumsum`` prefix (equal bit for bit — same per-element operations).
+``cumsum`` prefix (equal bit for bit — same per-element operations).  They
+work on dense ``(count, N, N)`` planes; the sketch's packed pair-major
+arrays are unpacked (:func:`planes`) to compare.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -30,9 +32,18 @@ STATISTICS = (
     "series_sums",
     "series_sumsqs",
     "pair_sumprods",
-    "pair_corrs",
     "corr_prefix",
 )
+
+
+def planes(packed: np.ndarray, n: int) -> np.ndarray:
+    """``(columns, N, N)`` planes of a packed ``(P, columns)`` pair array,
+    whose rows are the upper triangle in ``np.triu_indices(N, k=0)`` order."""
+    rows, cols = np.triu_indices(n)
+    dense = np.empty((packed.shape[1], n, n))
+    dense[:, rows, cols] = packed.T
+    dense[:, cols, rows] = packed.T
+    return dense
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +146,6 @@ def test_every_build_strategy_gives_the_same_bits(case):
     layout = BasicWindowLayout(offset=offset, size=size, count=count)
     dense = BasicWindowSketch.build(values, layout)
 
-    for w in range(count):
-        assert np.array_equal(dense.pair_sumprods[w], dense.pair_sumprods[w].T)
-
     # build, then extend at the cut points.
     edges = [0, *cuts, count]
     grown = BasicWindowSketch.build(
@@ -170,16 +178,17 @@ def test_kernel_agrees_with_the_formulations_it_replaced(case):
     # the products' scale (|x_i| |x_j| per window), never bit for bit.
     norms = np.sqrt(sketch.series_sumsqs.T)
     scale = norms[:, :, None] * norms[:, None, :]
+    n = values.shape[0]
+    pair_sumprods = planes(sketch.pair_sumprods, n)
     for workers in (1, 3):
         reference = einsum_pair_sumprods(blocks, workers)
-        assert np.all(np.abs(sketch.pair_sumprods - reference) <= 1e-12 * scale)
+        assert np.all(np.abs(pair_sumprods - reference) <= 1e-12 * scale)
 
     # Same per-element operations in the same order: bit for bit.
-    assert np.array_equal(
-        sketch.pair_corrs,
-        pair_corrs_with_temporaries(
-            sketch.series_sums, sketch.series_sumsqs, sketch.pair_sumprods, size
-        ),
+    pair_corrs = pair_corrs_with_temporaries(
+        sketch.series_sums, sketch.series_sumsqs, pair_sumprods, size
     )
-    assert np.array_equal(sketch.corr_prefix, cumsum_prefix(sketch.pair_corrs))
-    assert np.array_equal(sketch.sumprod_prefix, cumsum_prefix(sketch.pair_sumprods))
+    assert np.array_equal(planes(sketch.corr_prefix, n), cumsum_prefix(pair_corrs))
+    assert np.array_equal(
+        planes(sketch.sumprod_prefix, n), cumsum_prefix(pair_sumprods)
+    )

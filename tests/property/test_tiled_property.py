@@ -55,7 +55,7 @@ def test_tiled_sketch_bit_identical_for_any_boundaries(case):
     assert np.array_equal(dense.series_sums, tiled.series_sums)
     assert np.array_equal(dense.series_sumsqs, tiled.series_sumsqs)
     assert np.array_equal(dense.pair_sumprods, tiled.pair_sumprods)
-    assert np.array_equal(dense.pair_corrs, tiled.pair_corrs)
+    assert np.array_equal(dense.corr_prefix, tiled.corr_prefix)
 
 
 @given(

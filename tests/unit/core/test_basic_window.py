@@ -132,14 +132,17 @@ class TestPerWindowStatistics:
     def test_basic_window_correlations_match_pearson(self, rng):
         x = rng.normal(size=64)
         y = rng.normal(size=64)
-        corrs = _sketch(x, y, 16).pair_corrs[:, 0, 1]
+        sketch = _sketch(x, y, 16)
+        corrs = [sketch.pair_corr_range_sum([0], [1], w, 1)[0] for w in range(4)]
         expected = [pearson(x[i : i + 16], y[i : i + 16]) for i in range(0, 64, 16)]
         assert np.allclose(corrs, expected, atol=1e-12)
 
     def test_constant_basic_window_gives_zero(self, rng):
         x = np.ones(32)
         y = rng.normal(size=32)
-        assert np.all(_sketch(x, y, 8).pair_corrs[:, 0, 1] == 0.0)
+        sketch = _sketch(x, y, 8)
+        corrs = [sketch.pair_corr_range_sum([0], [1], w, 1)[0] for w in range(4)]
+        assert np.all(np.asarray(corrs) == 0.0)
 
 
 class TestEq1Recombination:

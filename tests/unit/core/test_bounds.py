@@ -13,7 +13,7 @@ from repro.core.bounds import (
     triangle_bounds_from_pivots,
 )
 from repro.core.correlation import correlation_matrix
-from repro.core.sketch import BasicWindowSketch
+from repro.core.sketch import BasicWindowSketch, pair_corrs_from_stats, pair_slots
 from repro.exceptions import QueryValidationError
 
 
@@ -51,10 +51,10 @@ def all_pairs_binary_search(
 ):
     """Reference: the search as it was first written, every pair in every probe.
 
-    Three-index gathers from the ``(count + 1, N, N)`` tensor and a masked
-    bisection over *all* pairs; ``first_possible_crossing`` probes the two
-    fixed steps as row takes and bisects only the undecided pairs, and must
-    return exactly these jumps.
+    Three-index gathers from a ``(count + 1, N, N)`` tensor and a masked
+    bisection over *all* pairs; ``first_possible_crossing`` probes one row
+    per pair (see :func:`flat_rows`) and bisects only the undecided pairs,
+    and must return exactly these jumps.
     """
     num_pairs = len(rows)
     effective_beta = beta - slack
@@ -85,6 +85,13 @@ def all_pairs_binary_search(
     return hi
 
 
+def flat_rows(corr_prefix, rows, cols):
+    """The ``(count + 1, N, N)`` tensor as one row per ``(i, j)`` entry, and
+    each pair's row: the per-pair layout ``first_possible_crossing`` probes."""
+    count_1, n, _ = corr_prefix.shape
+    return np.ascontiguousarray(corr_prefix.reshape(count_1, n * n).T), rows * n + cols
+
+
 class TestFirstPossibleCrossing:
     @pytest.fixture
     def sketch(self, small_matrix):
@@ -97,14 +104,19 @@ class TestFirstPossibleCrossing:
         step_bw = 1
         max_steps = 10
         rows, cols = np.triu_indices(sketch.num_series, k=1)
+        slots = pair_slots(sketch.num_series, rows, cols)
         corr_now = sketch.exact_pairs_scan(rows, cols, 0, window_bw)
         beta = 0.75
         vectorized = first_possible_crossing(
-            corr_now, beta, sketch.corr_prefix, rows, cols, 0, step_bw, window_bw,
+            corr_now, beta, sketch.corr_prefix, slots, 0, step_bw, window_bw,
             max_steps,
         )
+        pair_corrs = pair_corrs_from_stats(
+            sketch.series_sums, sketch.series_sumsqs, sketch.pair_sumprods,
+            sketch.layout.size,
+        )
         for index in range(len(rows)):
-            outgoing = sketch.pair_corrs[0:max_steps, rows[index], cols[index]]
+            outgoing = pair_corrs[slots[index], 0:max_steps]
             expected = max_skippable_steps_scalar(
                 float(corr_now[index]), beta, outgoing, window_bw
             )
@@ -130,13 +142,15 @@ class TestFirstPossibleCrossing:
         if negate:
             corr_now = -corr_now
         for slack in (0.0, 0.07):
-            arguments = (
-                corr_now, 0.8, corr_prefix, rows, cols, bw_start, step_bw,
-                window_bw, max_steps, slack, negate,
+            search = (bw_start, step_bw, window_bw, max_steps, slack, negate)
+            jumps = first_possible_crossing(
+                corr_now, 0.8, *flat_rows(corr_prefix, rows, cols), *search
             )
-            jumps = first_possible_crossing(*arguments)
             assert jumps.dtype == np.int64
-            assert np.array_equal(jumps, all_pairs_binary_search(*arguments))
+            assert np.array_equal(
+                jumps,
+                all_pairs_binary_search(corr_now, 0.8, corr_prefix, rows, cols, *search),
+            )
         if max_steps == 90:  # the case is not degenerate: all three outcomes occur
             assert (jumps == 1).any()
             assert (jumps == max_steps + 1).any()
@@ -155,7 +169,8 @@ class TestFirstPossibleCrossing:
         rows, cols = (index.ravel() for index in np.indices((n, n)))
         corr_now = rng.uniform(-1.0, 0.6, n * n)
         jumps = first_possible_crossing(
-            corr_now, 0.6, corr_prefix, rows, cols, bw_start, 1, window_bw, max_steps
+            corr_now, 0.6, *flat_rows(corr_prefix, rows, cols), bw_start, 1,
+            window_bw, max_steps,
         )
         for index in range(n * n):
             outgoing = pair_corrs[bw_start : bw_start + max_steps, rows[index], cols[index]]
@@ -165,18 +180,16 @@ class TestFirstPossibleCrossing:
             assert jumps[index] == expected
 
     def test_high_current_correlation_crosses_immediately(self, sketch):
-        rows = np.array([0])
-        cols = np.array([1])
+        slots = pair_slots(sketch.num_series, [0], [1])
         jumps = first_possible_crossing(
-            np.array([0.99]), 0.5, sketch.corr_prefix, rows, cols, 0, 1, 4, 10
+            np.array([0.99]), 0.5, sketch.corr_prefix, slots, 0, 1, 4, 10
         )
         assert jumps[0] == 1
 
     def test_unreachable_threshold_returns_max_plus_one(self, sketch):
-        rows = np.array([0])
-        cols = np.array([1])
+        slots = pair_slots(sketch.num_series, [0], [1])
         jumps = first_possible_crossing(
-            np.array([-1.0]), 1.0, sketch.corr_prefix, rows, cols, 0, 1, 4, 3
+            np.array([-1.0]), 1.0, sketch.corr_prefix, slots, 0, 1, 4, 3
         )
         # Bound increases by at most (1 - c)/ns <= 2/4 per step; from -1 it
         # cannot reach 1.0 within 3 steps unless all outgoing c_i = -1.
@@ -184,37 +197,38 @@ class TestFirstPossibleCrossing:
 
     def test_empty_input(self, sketch):
         out = first_possible_crossing(
-            np.array([]), 0.5, sketch.corr_prefix, np.array([], dtype=int),
-            np.array([], dtype=int), 0, 1, 4, 5,
+            np.array([]), 0.5, sketch.corr_prefix, np.array([], dtype=int), 0, 1, 4, 5,
         )
         assert out.shape == (0,)
 
     def test_zero_max_steps_returns_one(self, sketch):
         out = first_possible_crossing(
-            np.array([0.0]), 0.5, sketch.corr_prefix, np.array([0]), np.array([1]),
-            0, 1, 4, 0,
+            np.array([0.0]), 0.5, sketch.corr_prefix,
+            pair_slots(sketch.num_series, [0], [1]), 0, 1, 4, 0,
         )
         assert out[0] == 1
 
     def test_slack_never_lengthens_jumps(self, sketch):
         rows, cols = np.triu_indices(sketch.num_series, k=1)
+        slots = pair_slots(sketch.num_series, rows, cols)
         corr_now = sketch.exact_pairs_scan(rows, cols, 0, 4)
         loose = first_possible_crossing(
-            corr_now, 0.8, sketch.corr_prefix, rows, cols, 0, 1, 4, 10, slack=0.0
+            corr_now, 0.8, sketch.corr_prefix, slots, 0, 1, 4, 10, slack=0.0
         )
         tight = first_possible_crossing(
-            corr_now, 0.8, sketch.corr_prefix, rows, cols, 0, 1, 4, 10, slack=0.1
+            corr_now, 0.8, sketch.corr_prefix, slots, 0, 1, 4, 10, slack=0.1
         )
         assert np.all(tight <= loose)
 
     def test_absolute_variant_never_exceeds_signed(self, sketch):
         rows, cols = np.triu_indices(sketch.num_series, k=1)
+        slots = pair_slots(sketch.num_series, rows, cols)
         corr_now = sketch.exact_pairs_scan(rows, cols, 0, 4)
         signed = first_possible_crossing(
-            corr_now, 0.8, sketch.corr_prefix, rows, cols, 0, 1, 4, 10
+            corr_now, 0.8, sketch.corr_prefix, slots, 0, 1, 4, 10
         )
         both_sides = first_possible_crossing_absolute(
-            corr_now, 0.8, sketch.corr_prefix, rows, cols, 0, 1, 4, 10
+            corr_now, 0.8, sketch.corr_prefix, slots, 0, 1, 4, 10
         )
         assert np.all(both_sides <= signed)
 

@@ -22,10 +22,32 @@ def sketch(data):
     return BasicWindowSketch.build(data, layout)
 
 
+def planes(packed, n):
+    """``(count, N, N)`` planes of a packed ``(P, count)`` pair array, whose
+    rows are the upper triangle in ``np.triu_indices(N, k=0)`` order."""
+    rows, cols = np.triu_indices(n)
+    dense = np.empty((packed.shape[1], n, n))
+    dense[:, rows, cols] = packed.T
+    dense[:, cols, rows] = packed.T
+    return dense
+
+
+def window_corrs(data, first, count, size=16):
+    """Each basic window's correlation matrix, computed from the raw data."""
+    return np.stack([
+        correlation_matrix(data[:, w * size : (w + 1) * size])
+        for w in range(first, first + count)
+    ])
+
+
 def dense_prefix_combination(sketch, first, count):
-    """The prefix-difference recombination of every pair at once (reference)."""
+    """The prefix-difference recombination of every pair at once (reference):
+    its own window-by-window running sums over the unpacked planes."""
     sums, sumsqs = sketch.series_range_sums(first, count)
-    prefix = sketch.sumprod_prefix
+    per_window = planes(sketch.pair_sumprods, sketch.num_series)
+    prefix = np.zeros((len(per_window) + 1,) + per_window.shape[1:])
+    for w, plane in enumerate(per_window):
+        prefix[w + 1] = prefix[w] + plane
     sumprods = prefix[first + count] - prefix[first]
     return correlation_from_sums(
         np.full_like(sumprods, float(count * sketch.layout.size)),
@@ -38,8 +60,9 @@ class TestBuild:
         assert sketch.num_series == 10
         assert sketch.num_basic_windows == 20
         assert sketch.series_sums.shape == (10, 20)
-        assert sketch.pair_sumprods.shape == (20, 10, 10)
-        assert sketch.pair_corrs.shape == (20, 10, 10)
+        assert sketch.pair_sumprods.shape == (55, 20)
+        assert not hasattr(sketch, "pair_corrs")
+        assert sketch.corr_prefix.shape == (55, 21)
 
     def test_per_window_statistics_match_direct(self, data, sketch):
         block = data[:, 32:48]
@@ -47,10 +70,10 @@ class TestBuild:
         assert np.allclose(
             sketch.series_sumsqs[:, 2], np.einsum("ij,ij->i", block, block)
         )
-        assert np.allclose(sketch.pair_sumprods[2], block @ block.T)
+        assert np.allclose(planes(sketch.pair_sumprods, 10)[2], block @ block.T)
         expected_corr = correlation_matrix(block)
         np.fill_diagonal(expected_corr, 1.0)
-        got = sketch.pair_corrs[2].copy()
+        got = planes(sketch.corr_prefix[:, 3:] - sketch.corr_prefix[:, 2:-1], 10)[0]
         np.fill_diagonal(got, 1.0)
         assert np.allclose(got, expected_corr, atol=1e-10)
 
@@ -146,23 +169,24 @@ class TestExactCombination:
 
 
 class TestPrefixes:
-    def test_corr_prefix_is_cumulative(self, sketch):
+    def test_corr_prefix_is_cumulative(self, data, sketch):
         prefix = sketch.corr_prefix
-        assert prefix.shape == (21, 10, 10)
-        assert np.allclose(prefix[0], 0.0)
-        assert np.allclose(prefix[5] - prefix[2], sketch.pair_corrs[2:5].sum(axis=0))
+        assert prefix.shape == (55, 21)
+        assert np.allclose(prefix[:, 0], 0.0)
+        got = planes((prefix[:, 5] - prefix[:, 2])[:, None], 10)[0]
+        assert np.allclose(got, window_corrs(data, 2, 3).sum(axis=0))
 
-    def test_pair_corr_range_sum(self, sketch):
-        rows = np.array([0, 1])
-        cols = np.array([3, 2])
-        direct = sketch.pair_corrs[4:12, rows, cols].sum(axis=0)
+    def test_pair_corr_range_sum(self, data, sketch):
+        rows = np.array([0, 1, 3])
+        cols = np.array([3, 2, 0])
+        direct = window_corrs(data, 4, 8)[:, rows, cols].sum(axis=0)
         assert np.allclose(sketch.pair_corr_range_sum(rows, cols, 4, 8), direct)
 
-    def test_sumprod_prefix_consistency(self, sketch):
+    def test_sumprod_prefix_consistency(self, data, sketch):
         prefix = sketch.sumprod_prefix
-        assert np.allclose(
-            prefix[10] - prefix[7], sketch.pair_sumprods[7:10].sum(axis=0)
-        )
+        window = data[:, 7 * 16 : 10 * 16]
+        got = planes((prefix[:, 10] - prefix[:, 7])[:, None], 10)[0]
+        assert np.allclose(got, window @ window.T)
 
 
 class TestUnalignedRanges:

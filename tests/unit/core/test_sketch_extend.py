@@ -37,7 +37,7 @@ def test_extend_matches_scratch_build(rng, base_values):
     assert extended.series_sums.tobytes() == scratch.series_sums.tobytes()
     assert extended.series_sumsqs.tobytes() == scratch.series_sumsqs.tobytes()
     assert extended.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
-    assert extended.pair_corrs.tobytes() == scratch.pair_corrs.tobytes()
+    assert extended.corr_prefix.tobytes() == scratch.corr_prefix.tobytes()
 
 
 def test_extend_without_pairwise_stats(rng, base_values):
@@ -58,9 +58,11 @@ def test_extend_without_pairwise_stats(rng, base_values):
 def test_extend_leaves_base_untouched(rng, base_values):
     layout = BasicWindowLayout.for_range(0, 192, 32)
     base = BasicWindowSketch.build(base_values, layout)
-    before = base.pair_corrs.copy()
+    before = base.pair_sumprods.copy()
+    prefix = base.corr_prefix.copy()
     base.extend(rng.normal(size=(5, 32)))
-    np.testing.assert_array_equal(base.pair_corrs, before)
+    np.testing.assert_array_equal(base.pair_sumprods, before)
+    np.testing.assert_array_equal(base.corr_prefix, prefix)
     assert base.layout == layout
 
 
@@ -76,7 +78,8 @@ def test_extend_repeatedly(rng, base_values):
         np.concatenate(pieces, axis=1),
         BasicWindowLayout.for_range(0, 192 + 3 * 32, 32),
     )
-    assert sketch.pair_corrs.tobytes() == scratch.pair_corrs.tobytes()
+    assert sketch.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
+    assert sketch.corr_prefix.tobytes() == scratch.corr_prefix.tobytes()
 
 
 def test_extend_works_with_offset_layout(rng):
@@ -89,7 +92,8 @@ def test_extend_works_with_offset_layout(rng):
         np.concatenate([values, delta], axis=1),
         BasicWindowLayout(offset=8, size=32, count=7),
     )
-    assert extended.pair_corrs.tobytes() == scratch.pair_corrs.tobytes()
+    assert extended.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
+    assert extended.corr_prefix.tobytes() == scratch.corr_prefix.tobytes()
 
 
 def test_extend_rejects_bad_shapes(rng, base_values):

@@ -35,7 +35,7 @@ def _assert_sketches_bit_identical(a: BasicWindowSketch, b: BasicWindowSketch):
     assert np.array_equal(a.series_sums, b.series_sums)
     assert np.array_equal(a.series_sumsqs, b.series_sumsqs)
     assert np.array_equal(a.pair_sumprods, b.pair_sumprods)
-    assert np.array_equal(a.pair_corrs, b.pair_corrs)
+    assert np.array_equal(a.corr_prefix, b.corr_prefix)
 
 
 class TestPlanTiles:

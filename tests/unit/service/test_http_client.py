@@ -150,6 +150,36 @@ class TestErrorMapping:
         assert body["error"]["type"] == "ServiceError"
         assert "not valid JSON" in body["error"]["message"]
 
+    @staticmethod
+    def _post_raw(server, body: bytes):
+        request = urllib.request.Request(
+            f"{server.url}/datasets/demo/query",
+            data=body,
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        return excinfo.value.code, json.loads(excinfo.value.read().decode("utf-8"))
+
+    def test_number_too_large_for_a_float_is_400(self, server):
+        body = (
+            b'{"mode": "threshold", "start": 0, "end": 192, "window": 64, '
+            b'"step": 32, "threshold": 1' + b"0" * 400 + b"}"
+        )
+        status, document = self._post_raw(server, body)
+        assert status == 400
+        assert document["error"]["type"] == "ServiceError"
+        assert "'threshold' is too large for a float" in document["error"]["message"]
+
+    def test_integer_past_the_digit_limit_is_400(self, server):
+        # json.loads refuses int literals over 4300 digits with a ValueError.
+        body = b'{"mode": "threshold", "window": 1' + b"0" * 5000 + b"}"
+        status, document = self._post_raw(server, body)
+        assert status == 400
+        assert document["error"]["type"] == "ServiceError"
+        assert "not valid JSON" in document["error"]["message"]
+
     def test_empty_body_is_400(self, server):
         request = urllib.request.Request(
             f"{server.url}/datasets/demo/query", data=b"", method="POST"

@@ -178,6 +178,25 @@ def test_service_without_fork_serves_pool_less(tmp_path, store, monkeypatch):
     assert result_from_wire(document).to_edges() == _expected_edges(store.read_all())
 
 
+class TestAttachmentMemory:
+    def test_attached_matrix_shares_the_segment_pages(self, segment):
+        """A worker's matrix is the segment's read-only memmap, not a copy."""
+        _, path, generation = segment
+        attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
+        attachment = attachments.attachment_for("demo", str(path), generation)
+        assert np.shares_memory(attachment.matrix.values, attachment.segment.values)
+        assert not attachment.matrix.values.flags.writeable
+
+    def test_a_view_of_a_writable_array_is_still_copied(self):
+        values = _values()
+        view = values.view()
+        view.setflags(write=False)
+        matrix = TimeSeriesMatrix(view)
+        assert not np.shares_memory(matrix.values, values)
+        values[0, 0] += 1.0
+        assert matrix.values[0, 0] != values[0, 0]
+
+
 class TestGenerationProtocol:
     def test_stale_generation_job_is_rejected(self, segment):
         _, path, generation = segment

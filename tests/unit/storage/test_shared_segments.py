@@ -88,12 +88,13 @@ class TestExportAttach:
         np.testing.assert_array_equal(attached.series_sums, sketch.series_sums)
         np.testing.assert_array_equal(attached.series_sumsqs, sketch.series_sumsqs)
         np.testing.assert_array_equal(attached.pair_sumprods, sketch.pair_sumprods)
-        np.testing.assert_array_equal(attached.pair_corrs, sketch.pair_corrs)
         np.testing.assert_array_equal(attached.corr_prefix, sketch.corr_prefix)
+        # Correlations are not stored: the prefix is all Eq. 2 reads.
+        assert not (path / "pair_corrs.npy").exists()
         # The dominant arrays must be file-backed views, not private copies —
         # that is the whole point of the shared segment.
         assert _memmap_backed(segment.values)
-        assert _memmap_backed(attached.pair_corrs)
+        assert _memmap_backed(attached.pair_sumprods)
         assert _memmap_backed(attached.corr_prefix)
         assert segment.sketch_bytes > 0
 
@@ -144,10 +145,25 @@ class TestCorruption:
         with pytest.raises(StorageError, match=SEGMENT_SCHEMA):
             attach_segment(path)
 
+    def test_v1_segment_is_refused_by_name(self, tmp_path, store, sketch):
+        """A dense-layout (v1) export is refused, not misread as packed."""
+        path = _export(tmp_path, store, sketch)
+        manifest = json.loads((path / "manifest.json").read_text())
+        count, n = LAYOUT.count, NUM_SERIES
+        for name, shape in (("pair_sumprods", (count, n, n)),
+                            ("pair_corrs", (count, n, n)),
+                            ("corr_prefix", (count + 1, n, n))):
+            np.save(path / f"{name}.npy", np.zeros(shape))
+            manifest["shapes"][name] = list(shape)
+        manifest["schema"] = "repro.segment/v1"
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="'repro.segment/v1'.*'repro.segment/v2'"):
+            attach_segment(path)
+
     def test_missing_array_names_the_file(self, tmp_path, store, sketch):
         path = _export(tmp_path, store, sketch)
-        (path / "pair_corrs.npy").unlink()
-        with pytest.raises(StorageError, match="pair_corrs.npy"):
+        (path / "pair_sumprods.npy").unlink()
+        with pytest.raises(StorageError, match="pair_sumprods.npy"):
             attach_segment(path)
 
     def test_truncated_array_names_the_file(self, tmp_path, store, sketch):

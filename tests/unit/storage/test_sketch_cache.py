@@ -178,7 +178,7 @@ class TestSeeding:
 class TestPublishedSketches:
     """A cached sketch is never changed by the cache or by the queries it serves."""
 
-    STATISTICS = ("series_sums", "series_sumsqs", "pair_sumprods", "pair_corrs")
+    STATISTICS = ("series_sums", "series_sumsqs", "pair_sumprods")
 
     def test_seeding_publishes_the_sketch_as_is(self, matrix, layout):
         from repro.core.sketch import BasicWindowSketch

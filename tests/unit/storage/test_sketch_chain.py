@@ -149,7 +149,7 @@ class TestGetOrExtend:
         assert extended.series_sums.tobytes() == scratch.series_sums.tobytes()
         assert extended.series_sumsqs.tobytes() == scratch.series_sumsqs.tobytes()
         assert extended.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
-        assert extended.pair_corrs.tobytes() == scratch.pair_corrs.tobytes()
+        assert extended.corr_prefix.tobytes() == scratch.corr_prefix.tobytes()
 
     def test_extension_counts_stats_not_builds(self, matrix, delta):
         cache = SketchCache()
@@ -199,7 +199,7 @@ class TestGetOrExtend:
         assert layout.count == 10
         extended = cache.get_or_extend(current, layout)
         scratch = BasicWindowSketch.build(current.values, layout)
-        assert extended.pair_corrs.tobytes() == scratch.pair_corrs.tobytes()
+        assert extended.corr_prefix.tobytes() == scratch.corr_prefix.tobytes()
         assert cache.stats.extended_windows == 2
 
     def test_extension_coverage_predicts_what_get_or_extend_does(self, matrix, delta):

@@ -61,7 +61,7 @@ class TestExtension:
         index.extend(data[:, 130:200], previous_tail=data[:, 128:130])
         rebuilt = StatsIndex.build(data, basic_window_size=16)
         assert index.layout == rebuilt.layout
-        for name in ("series_sums", "series_sumsqs", "pair_sumprods", "pair_corrs"):
+        for name in ("series_sums", "series_sumsqs", "pair_sumprods", "corr_prefix"):
             assert (
                 getattr(index.sketch, name).tobytes()
                 == getattr(rebuilt.sketch, name).tobytes()
@@ -108,6 +108,24 @@ class TestPersistence:
         np.savez(foreign, unrelated=np.arange(4))
         with pytest.raises(StorageError):
             StatsIndex.load(foreign)
+
+    def test_untagged_dense_archive_is_refused_by_name(self, rng, tmp_path):
+        """An archive in the dense ``(count, N, N)`` format, which carries no
+        format tag, is refused rather than misread as packed."""
+        n, count, size = 4, 4, 24
+        old = tmp_path / "dense.npz"
+        np.savez_compressed(
+            old,
+            offset=np.array([0]),
+            size=np.array([size]),
+            count=np.array([count]),
+            series_sums=rng.normal(size=(n, count)),
+            series_sumsqs=rng.uniform(1.0, 2.0, size=(n, count)),
+            pair_sumprods=rng.normal(size=(count, n, n)),
+            pair_corrs=rng.uniform(-1.0, 1.0, size=(count, n, n)),
+        )
+        with pytest.raises(StorageError, match=r"dense\.npz.*format None"):
+            StatsIndex.load(old)
 
     def test_repr(self, rng):
         index = StatsIndex.build(rng.normal(size=(3, 64)), basic_window_size=16)

@@ -172,7 +172,7 @@ class TestOnlineMonitor:
         batch = BasicWindowSketch.build(data, BasicWindowLayout(0, 32, 4))
         assert monitor._sketch.layout == batch.layout
         assert monitor._sketch.pair_sumprods.tobytes() == batch.pair_sumprods.tobytes()
-        assert monitor._sketch.pair_corrs.tobytes() == batch.pair_corrs.tobytes()
+        assert monitor._sketch.corr_prefix.tobytes() == batch.corr_prefix.tobytes()
 
 
 class TestMonitorForQuery:
