@@ -310,8 +310,6 @@ def create_server(args: argparse.Namespace):
     from repro.service import CorrelationServer, CorrelationService
     from repro.storage.catalog import Catalog
 
-    if args.workers is not None and args.workers < 1:
-        raise ReproError(f"--workers must be at least 1, got {args.workers}")
     if args.service_workers is not None and args.service_workers < 1:
         raise ReproError(
             f"--service-workers must be at least 1, got {args.service_workers}"
@@ -324,10 +322,7 @@ def create_server(args: argparse.Namespace):
         engine=args.engine,
         engine_options=dict(parse_engine_option(opt) for opt in args.engine_opt),
         basic_window_size=args.basic_window,
-        workers=args.workers,
         memory_budget=memory_budget,
-        write_buffer_columns=args.write_buffer_columns,
-        write_buffer_seconds=args.write_buffer_seconds,
         service_workers=args.service_workers,
         admission_queue_limit=args.admission_queue_limit,
         batch_window_seconds=args.batch_window_seconds,
@@ -482,29 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--basic-window", type=int, default=32)
     serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="default worker count for sharded threshold queries "
-             "(requests may override per call)",
-    )
-    serve.add_argument(
         "--memory-budget", default=None, metavar="BYTES",
         help="bound each dataset's sketch-build working set (e.g. 256MB); "
              "larger datasets build their statistics tiled, bit-identically",
     )
     serve.add_argument(
-        "--write-buffer-columns", type=int, default=None, metavar="N",
-        help="batch appended time steps and flush once N columns are "
-             "buffered (default: write-through, no buffering)",
-    )
-    serve.add_argument(
-        "--write-buffer-seconds", type=float, default=None, metavar="SECONDS",
-        help="flush buffered appends once the oldest buffered column is this "
-             "old; reads always flush first, so queries see every append",
-    )
-    serve.add_argument(
         "--cost-calibration", default=None, choices=["fixture"],
-        help="accepted for compatibility and changes nothing: every planner "
-             "prices serial vs sharded with the committed fixture calibration",
+        help="accepted for compatibility and changes nothing: served "
+             "queries always run serially",
     )
     serve.add_argument(
         "--service-workers", type=int, default=None, metavar="N",

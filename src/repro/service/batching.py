@@ -78,8 +78,8 @@ def is_batchable(request: Dict[str, object]) -> bool:
 def batch_key_for(request: Dict[str, object]) -> str:
     """The compatibility key: the request minus its threshold, canonically.
 
-    Everything else — window grid, ``threshold_mode``, ``workers``,
-    ``include_edges`` — must match for two requests to share a scan; a
+    Everything else — window grid, ``threshold_mode``, ``include_edges`` —
+    must match for two requests to share a scan; a
     differing ``threshold_mode`` changes the keep predicate and therefore
     the key, never silently the semantics.  A request :func:`is_batchable`
     rejects is compatible only with itself: its key is its exact identity,

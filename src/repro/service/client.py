@@ -161,14 +161,11 @@ class ServiceClient:
         self,
         dataset: str,
         query: QuerySpec,
-        workers: Optional[int] = None,
         include_edges: bool = False,
         timeout: Optional[float] = None,
     ) -> Dict[str, object]:
         """``POST /datasets/{name}/query`` returning the raw wire document."""
         body = dict(query_to_wire(query) if isinstance(query, SlidingQuery) else query)
-        if workers is not None:
-            body["workers"] = workers
         if include_edges:
             body["include_edges"] = True
         return self._request(
@@ -179,7 +176,6 @@ class ServiceClient:
         self,
         dataset: str,
         query: QuerySpec,
-        workers: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> AnyResult:
         """Run one query and parse the response into the typed result object.
@@ -192,7 +188,7 @@ class ServiceClient:
         would.
         """
         return result_from_wire(
-            self.query_raw(dataset, query, workers=workers, timeout=timeout)
+            self.query_raw(dataset, query, timeout=timeout)
         )
 
     def append(self, dataset: str, columns) -> Dict[str, object]:

@@ -8,8 +8,9 @@ by every subsequent query; the service is that deployment shape:
 * one :class:`~repro.storage.catalog.Catalog` names the datasets,
 * each dataset gets a lazily-created :class:`DatasetRuntime` holding the raw
   :class:`~repro.storage.chunk_store.ChunkStore` in memory, one warm
-  :class:`~repro.storage.cache.SketchCache`, and per-configuration
-  :class:`~repro.api.CorrelationSession` objects that all share it,
+  :class:`~repro.storage.cache.SketchCache`, and at most two
+  :class:`~repro.api.CorrelationSession` objects (normal and
+  threshold-exact) that share it,
 * persisted :class:`~repro.storage.stats_index.StatsIndex` artefacts are
   *lazily materialized* into the cache: the first query that plans a layout
   matching an on-disk index seeds the cache from disk instead of paying the
@@ -25,7 +26,7 @@ by every subsequent query; the service is that deployment shape:
 * a bounded per-dataset **admission queue** sheds overload with a 429 +
   ``Retry-After`` envelope instead of collapsing, and
 * standing queries keep only a :class:`~repro.streaming.online.WindowCursor`
-  and advance at append/flush time over the dataset's anchored sketch in the
+  and advance at append time over the dataset's anchored sketch in the
   shared cache — the entry appends extend in O(Δ) and queries already share.
 
 With ``service_workers=N`` the scans themselves run in a
@@ -59,7 +60,6 @@ from repro.config import DEFAULT_BASIC_WINDOW_SIZE
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import ServiceError, StorageError
-from repro.parallel.executor import available_workers
 from repro.service.batching import (
     QueryBatch,
     batch_key_for,
@@ -84,7 +84,7 @@ from repro.timeseries.matrix import TimeSeriesMatrix
 
 #: Request fields understood by :meth:`CorrelationService.query` beyond the
 #: query spec itself.
-_REQUEST_ONLY_FIELDS = ("workers", "include_edges")
+_REQUEST_ONLY_FIELDS = ("include_edges",)
 
 
 #: Window documents a standing query retains for ``GET .../watch/{id}``.
@@ -135,8 +135,8 @@ class _StandingQuery:
 class DatasetRuntime:
     """Warm in-memory state of one catalog dataset.
 
-    Owns the chunk store, the shared sketch cache, the session-per-worker
-    configuration map, the standing queries and the per-dataset counters.
+    Owns the chunk store, the shared sketch cache, its two sessions (normal
+    and threshold-exact), the standing queries and the per-dataset counters.
     ``lock`` serializes execution and mutation; the open-batch map keeps
     most concurrent duplicates from ever contending on it.
     """
@@ -146,17 +146,11 @@ class DatasetRuntime:
         name: str,
         catalog: Catalog,
         config: WorkerConfig,
-        workers: Optional[int],
-        write_buffer_columns: Optional[int] = None,
-        write_buffer_seconds: Optional[float] = None,
         segments: Optional[SegmentManager] = None,
     ) -> None:
         self.name = name
         self.catalog = catalog
         self.config = config
-        self.default_workers = workers
-        self.write_buffer_columns = write_buffer_columns
-        self.write_buffer_seconds = write_buffer_seconds
         self.store = catalog.load_dataset(name)
         if self.store.length == 0:
             raise StorageError(f"dataset {name!r} contains no columns")
@@ -189,17 +183,13 @@ class DatasetRuntime:
             "batched": 0,
             "appended_columns": 0,
             "indexes_seeded": 0,
-            "flushes": 0,
         }  # guarded-by: lock
         self._watch_counter = 0  # guarded-by: lock
-        self._write_buffer: List[np.ndarray] = []  # guarded-by: lock
-        self._write_buffer_columns = 0  # guarded-by: lock
-        self._write_buffer_started: Optional[float] = None  # guarded-by: lock
         self._matrix: Optional[TimeSeriesMatrix] = None  # guarded-by: lock
-        # Keyed (workers, exact_scan) -- see ``session_for``.
-        self._sessions: Dict[tuple, CorrelationSession] = {}  # guarded-by: lock
-        # One cache for the dataset's whole lifetime: every session (whatever
-        # its worker count) and every seeded on-disk index shares it.
+        # Keyed by ``exact_scan`` -- see ``session_for``.
+        self._sessions: Dict[bool, CorrelationSession] = {}  # guarded-by: lock
+        # One cache for the dataset's whole lifetime: both sessions and every
+        # seeded on-disk index share it.
         self.sketch_cache = SketchCache()
         self._seed_labels_tried: set = set()  # guarded-by: lock
 
@@ -225,16 +215,12 @@ class DatasetRuntime:
                 self._matrix = self.store.to_matrix()
         return self._matrix
 
-    def session_for(
-        self, workers: Optional[int], exact_scan: bool = False
-    ) -> CorrelationSession:  # requires-lock: lock
-        """The warm session answering queries at this worker count."""
-        workers = workers if workers is not None else self.default_workers
-        key = (workers, exact_scan)
-        session = self._sessions.get(key)
+    def session_for(self, exact_scan: bool = False) -> CorrelationSession:  # requires-lock: lock
+        """The warm session answering queries (threshold-exact or not)."""
+        session = self._sessions.get(exact_scan)
         if session is None:
-            session = self._sessions[key] = self.config.session(
-                self.matrix, self.sketch_cache, workers, exact_scan
+            session = self._sessions[exact_scan] = self.config.session(
+                self.matrix, self.sketch_cache, exact_scan
             )
         return session
 
@@ -327,76 +313,6 @@ class DatasetRuntime:
             "watches": self.advance_watches(self.watches.values()),
         }
 
-    def ingest_columns(self, columns: np.ndarray) -> Dict[str, object]:  # requires-lock: lock
-        """Accept appended time steps, batching them when a write buffer is on.
-
-        With no write buffer configured this is :meth:`append_columns` write-
-        through.  Otherwise the columns are buffered and only flushed into
-        the chunk store (and the standing queries, and the sketch
-        chain) once the buffered column count or the buffer's age crosses its
-        threshold — sustained ingestion then amortizes storage writes and
-        sketch extension over whole batches.  The response always reports the
-        *logical* length (stored plus buffered) and whether this call
-        flushed; buffered appends return no watch windows (they are delivered
-        by the flushing call).
-        """
-        if self.write_buffer_columns is None and self.write_buffer_seconds is None:
-            return {**self.append_columns(columns), "buffered_columns": 0,
-                    "flushed": True}
-        self._write_buffer.append(columns)
-        self._write_buffer_columns += int(columns.shape[1])
-        if self._write_buffer_started is None:
-            self._write_buffer_started = time.monotonic()
-        if self._write_buffer_due():
-            result = self.flush_writes()
-            return {**result, "buffered_columns": 0, "flushed": True}
-        self.sketch_cache.set_buffered_columns(self._write_buffer_columns)
-        return {
-            "appended_columns": int(columns.shape[1]),
-            "length": self.store.length + self._write_buffer_columns,
-            "watches": [],
-            "buffered_columns": self._write_buffer_columns,
-            "flushed": False,
-        }
-
-    def _write_buffer_due(self) -> bool:  # requires-lock: lock
-        if (
-            self.write_buffer_columns is not None
-            and self._write_buffer_columns >= self.write_buffer_columns
-        ):
-            return True
-        return (
-            self.write_buffer_seconds is not None
-            and self._write_buffer_started is not None
-            and time.monotonic() - self._write_buffer_started
-            >= self.write_buffer_seconds
-        )
-
-    def flush_writes(self) -> Dict[str, object]:  # requires-lock: lock
-        """Write buffered appends through to the store and standing queries.
-
-        Query and watch paths call this first, so reads always observe every
-        accepted append (read-your-writes); the age threshold is also
-        enforced here, lazily, instead of by a background timer.
-        """
-        if not self._write_buffer:
-            return {
-                "appended_columns": 0,
-                "length": self.store.length,
-                "watches": [],
-            }
-        if len(self._write_buffer) == 1:
-            columns = self._write_buffer[0]
-        else:
-            columns = np.concatenate(self._write_buffer, axis=1)
-        self._write_buffer = []
-        self._write_buffer_columns = 0
-        self._write_buffer_started = None
-        self.sketch_cache.set_buffered_columns(0)
-        result = self.append_columns(columns)
-        self.counters["flushes"] += 1
-        return result
-
     def register_watch(self, query: ThresholdQuery) -> _StandingQuery:  # requires-lock: lock
         """Register a standing threshold query, caught up on stored history."""
         cursor = WindowCursor.for_query(
@@ -460,7 +376,6 @@ class DatasetRuntime:
                     "entries": len(cache),
                     "extensions": cache.stats.sketch_extensions,
                     "extended_windows": cache.stats.extended_windows,
-                    "buffered_columns": cache.stats.buffered_columns,
                 },
                 # What the planner has learned: observed wall-clock per plan
                 # key, the feedback that outranks calibration once samples
@@ -480,24 +395,14 @@ class CorrelationService:
     ----------
     catalog:
         The dataset catalog to serve (a :class:`Catalog` or a directory path).
-    engine, engine_options, basic_window_size, workers:
-        Defaults applied to every dataset session; a query request may
-        override ``workers`` per call (``"workers": N`` in the request body,
-        at most the CPUs this process may use).  Every session's planner
-        prices serial vs sharded with the committed fixture calibration.
+    engine, engine_options, basic_window_size:
+        Defaults applied to every dataset session.  Scans run serially: the
+        service never shards a query (concurrency comes from the pool).
     memory_budget:
         Bytes a dataset's sketch build may hold resident at once; larger
         datasets stream through the tiled builder (bit-identical results,
         invisible to ``repro.result/v1`` clients).  ``None`` keeps every
         build dense.
-    write_buffer_columns, write_buffer_seconds:
-        Bounded write buffer for sustained append streams: accepted columns
-        batch in memory and flush into the chunk store (and the standing
-        queries, and the sketch fingerprint chain) once either the
-        buffered column count or the buffer's age crosses its threshold.
-        Query and watch reads flush first, so they always observe every
-        accepted append.  Both ``None`` (the default) keeps appends
-        write-through, exactly as before the buffer existed.
     service_workers:
         Size of the forked :class:`~repro.service.workers.WorkerPool`
         executing scans over shared mmap segments.  ``None`` (the default)
@@ -529,26 +434,13 @@ class CorrelationService:
         engine: str = "dangoron",
         engine_options: Optional[Dict[str, object]] = None,
         basic_window_size: int = DEFAULT_BASIC_WINDOW_SIZE,
-        workers: Optional[int] = None,
         memory_budget: Optional[int] = None,
-        write_buffer_columns: Optional[int] = None,
-        write_buffer_seconds: Optional[float] = None,
         service_workers: Optional[int] = None,
         admission_queue_limit: Optional[int] = None,
         retry_after_seconds: float = 1.0,
         batch_window_seconds: float = 0.0,
         segment_root=None,
     ) -> None:
-        if write_buffer_columns is not None and write_buffer_columns < 1:
-            raise ServiceError(
-                f"write_buffer_columns must be a positive column count, "
-                f"got {write_buffer_columns}"
-            )
-        if write_buffer_seconds is not None and write_buffer_seconds <= 0:
-            raise ServiceError(
-                f"write_buffer_seconds must be a positive age in seconds, "
-                f"got {write_buffer_seconds}"
-            )
         if service_workers is not None and service_workers < 1:
             raise ServiceError(
                 f"service_workers must be a positive worker count, "
@@ -576,9 +468,6 @@ class CorrelationService:
             basic_window_size=basic_window_size,
             memory_budget=memory_budget,
         )
-        self.workers = workers
-        self.write_buffer_columns = write_buffer_columns
-        self.write_buffer_seconds = write_buffer_seconds
         self.service_workers = service_workers
         self.admission_queue_limit = admission_queue_limit
         self.retry_after_seconds = float(retry_after_seconds)
@@ -656,8 +545,8 @@ class CorrelationService:
 
         The request document is the query spec (see
         :func:`~repro.service.wire.query_from_wire`) plus the optional
-        transport fields ``workers`` (sharded execution override) and
-        ``include_edges`` (a boolean: inline the flattened edge list).
+        transport field ``include_edges`` (a boolean: inline the flattened
+        edge list).
         Returns the finished ``repro.result/v1`` body as UTF-8 JSON bytes
         (:func:`~repro.service.wire.encode_result`), encoded once by
         whichever process holds the result — a pool worker, or this one —
@@ -713,7 +602,7 @@ class CorrelationService:
         """
         # Parse *before* joining: a malformed request must fail alone, never
         # poison a batch other callers are waiting on.
-        workers, include_edges, query = self._parse_request(request)
+        include_edges, query = self._parse_request(request)
         exact_key = canonical_request_key(request)
         batch_key = batch_key_for(request)
         with runtime.batches_lock:
@@ -745,7 +634,7 @@ class CorrelationService:
                 # Group-commit: wait lock-free so a burst of compatible
                 # queries joins before the floor threshold is fixed.
                 time.sleep(self.batch_window_seconds)
-            self._execute_batch(runtime, batch, workers, include_edges)
+            self._execute_batch(runtime, batch, include_edges)
             with runtime.lock:
                 runtime.counters["queries"] += 1
             return member.payload
@@ -770,9 +659,10 @@ class CorrelationService:
         if not isinstance(request, dict) or "columns" not in request:
             raise ServiceError('append body must be {"columns": [[...], ...]}')
         runtime = self._runtime(name)
+        # OverflowError: an integer past the float range (``10**400``).
         try:
             steps = np.asarray(request["columns"], dtype=float)
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise ServiceError(f"append columns must be numeric: {error}") from error
         if steps.ndim == 1:
             steps = steps.reshape(1, -1)
@@ -786,7 +676,7 @@ class CorrelationService:
         if not np.all(np.isfinite(steps)):
             raise ServiceError("appended values must be finite (no NaN or inf)")
         with runtime.lock:
-            result = runtime.ingest_columns(np.ascontiguousarray(steps.T))
+            result = runtime.append_columns(np.ascontiguousarray(steps.T))
         return {"dataset": name, **result}
 
     def watch(self, name: str, request: Dict[str, object]) -> Dict[str, object]:
@@ -794,7 +684,6 @@ class CorrelationService:
         runtime = self._runtime(name)
         query = query_from_wire(request)
         with runtime.lock:
-            runtime.flush_writes()
             watch = runtime.register_watch(query)
             return {"dataset": name, **watch.describe(), "windows": list(watch.windows)}
 
@@ -802,7 +691,6 @@ class CorrelationService:
         """Every window a standing query has emitted so far."""
         runtime = self._runtime(name)
         with runtime.lock:
-            runtime.flush_writes()
             watch = runtime.watches.get(watch_id)
             if watch is None:
                 raise ServiceError(
@@ -822,9 +710,6 @@ class CorrelationService:
             name,
             self.catalog,
             self.config,
-            workers=self.workers,
-            write_buffer_columns=self.write_buffer_columns,
-            write_buffer_seconds=self.write_buffer_seconds,
             segments=(
                 SegmentManager(self._segment_root / name)
                 if self._segment_root is not None
@@ -839,18 +724,8 @@ class CorrelationService:
     @staticmethod
     def _parse_request(request: Dict[str, object]):
         spec = {k: v for k, v in request.items() if k not in _REQUEST_ONLY_FIELDS}
-        workers = request.get("workers")
-        if workers is not None and (isinstance(workers, bool) or not isinstance(workers, int)):
-            raise ServiceError(f"request field 'workers' must be an integer, got {workers!r}")
-        # Each distinct count keeps a session alive for the runtime's
-        # lifetime, and threads beyond the usable CPUs only slow the scan.
-        if workers is not None and not 1 <= workers <= available_workers():
-            raise ServiceError(
-                f"request field 'workers' must be between 1 and the "
-                f"{available_workers()} usable CPUs, got {workers}"
-            )
-        # ``null`` means "not set", as for ``workers``; any other non-boolean
-        # is refused rather than read by truthiness ("no" is truthy).
+        # ``null`` means "not set"; any other non-boolean is refused rather
+        # than read by truthiness ("no" is truthy).
         include_edges = request.get("include_edges")
         if include_edges is None:
             include_edges = False
@@ -858,7 +733,7 @@ class CorrelationService:
             raise ServiceError(
                 f"request field 'include_edges' must be a boolean, got {include_edges!r}"
             )
-        return workers, include_edges, query_from_wire(spec)
+        return include_edges, query_from_wire(spec)
 
     def _segment_job(self, runtime: DatasetRuntime, session, plan):  # requires-lock: lock
         """Prepare pooled execution for a plan, or ``None`` to run inline.
@@ -880,31 +755,29 @@ class CorrelationService:
         )
         return str(path), generation
 
-    def _run_scan(self, runtime: DatasetRuntime, choose_query, workers, include_edges):
+    def _run_scan(self, runtime: DatasetRuntime, choose_query, include_edges):
         """Plan and run one scan; returns ``(body, plan, result_or_None)``.
 
         ``body`` is the encoded response, ``plan`` its plan string, and the
         result object comes back only from an inline scan (a pooled one
         stays in the worker, which sends the bytes it encoded).
 
-        ``choose_query`` is called under the runtime lock (after the write
-        flush) and returns ``(query, exact_scan)`` — for a batch leader
-        that is the moment the batch closes and its floor threshold is
-        fixed, so joiners keep accumulating for as long as the leader
-        queued on the lock; ``exact_scan`` is True for multi-threshold
-        batches, whose scan must be threshold-exact to derive every
-        member bit-identically.  Planning, seeding and segment export also happen under the
-        lock; a pooled scan then executes *outside* it, which is the
-        concurrency this PR buys — N compatible batches or distinct queries
-        scan on N cores while the parent lock only covers the cheap
-        bookkeeping.  The worker's observed wall feeds the planner's
+        ``choose_query`` is called under the runtime lock and returns
+        ``(query, exact_scan)`` — for a batch leader that is the moment the
+        batch closes and its floor threshold is fixed, so joiners keep
+        accumulating for as long as the leader queued on the lock;
+        ``exact_scan`` is True for multi-threshold batches, whose scan must
+        be threshold-exact to derive every member bit-identically.
+        Planning, seeding and segment export also happen under the lock; a
+        pooled scan then executes *outside* it, which is the concurrency the
+        pool buys — N compatible batches or distinct queries scan on N cores
+        while the parent lock only covers the cheap bookkeeping.  The worker's observed wall feeds the planner's
         :class:`~repro.api.cost.FeedbackStore` exactly as an inline run
         would, so the adaptive planner keeps learning under pooled serving.
         """
         with runtime.lock:
-            runtime.flush_writes()
             query, exact_scan = choose_query()
-            session = runtime.session_for(workers, exact_scan)
+            session = runtime.session_for(exact_scan)
             plan = session.plan(query)
             runtime.seed_sketch_for(plan)
             job = self._segment_job(runtime, session, plan)
@@ -922,7 +795,6 @@ class CorrelationService:
             query_to_wire(query),
             segment_dir,
             generation,
-            workers=workers,
             include_edges=include_edges,
             exact_scan=exact_scan,
         )
@@ -939,7 +811,6 @@ class CorrelationService:
         self,
         runtime: DatasetRuntime,
         batch: QueryBatch,
-        workers: Optional[int],
         include_edges: bool,
     ) -> None:
         """Run one scan at the batch's minimum threshold; fill every member.
@@ -980,7 +851,7 @@ class CorrelationService:
             return floor.query, exact_scan
 
         floor_body, plan, result = self._run_scan(
-            runtime, close_and_choose_floor, workers, include_edges
+            runtime, close_and_choose_floor, include_edges
         )
         members = state["members"]
         floor = state["floor"]

@@ -81,10 +81,9 @@ class WorkerConfig:
         self,
         matrix: TimeSeriesMatrix,
         sketch_cache: SketchCache,
-        workers: Optional[int],
         exact_scan: bool = False,
     ) -> CorrelationSession:
-        """The session answering queries over ``matrix`` at ``workers``.
+        """The serial session answering queries over ``matrix``.
 
         ``exact_scan`` sessions run with the threshold-dependent jumping
         heuristic disabled (:func:`~repro.service.batching
@@ -105,7 +104,6 @@ class WorkerConfig:
                 engine_options=options,
                 basic_window_size=self.basic_window_size,
                 sketch_cache=sketch_cache,
-                workers=workers,
                 memory_budget=self.memory_budget,
             ),
         )
@@ -125,17 +123,14 @@ class _Attachment:
         # parent already fingerprinted.
         self.cache.adopt_fingerprint(self.matrix, segment.fingerprint)
         self.cache.seed(self.matrix, segment.sketch)
-        # Keyed (workers, exact_scan) -- see ``WorkerConfig.session``.
-        self._sessions: Dict[tuple, CorrelationSession] = {}
+        # Keyed by ``exact_scan`` -- see ``WorkerConfig.session``.
+        self._sessions: Dict[bool, CorrelationSession] = {}
 
-    def session_for(
-        self, workers: Optional[int], exact_scan: bool = False
-    ) -> CorrelationSession:
-        key = (workers, exact_scan)
-        session = self._sessions.get(key)
+    def session_for(self, exact_scan: bool = False) -> CorrelationSession:
+        session = self._sessions.get(exact_scan)
         if session is None:
-            session = self._sessions[key] = self.config.session(
-                self.matrix, self.cache, workers, exact_scan
+            session = self._sessions[exact_scan] = self.config.session(
+                self.matrix, self.cache, exact_scan
             )
         return session
 
@@ -190,9 +185,7 @@ def _execute_query(
         message["dataset"], message["segment_dir"], message["generation"]
     )
     query = query_from_wire(message["spec"])
-    session = attachment.session_for(
-        message.get("workers"), bool(message.get("exact_scan"))
-    )
+    session = attachment.session_for(bool(message.get("exact_scan")))
     plan = session.plan(query)
     started = time.perf_counter()
     result = session.planner.execute(attachment.matrix, plan)
@@ -358,7 +351,6 @@ class WorkerPool:
         spec: Dict[str, object],
         segment_dir: str,
         generation: int,
-        workers: Optional[int] = None,
         include_edges: bool = False,
         exact_scan: bool = False,
     ) -> Dict[str, object]:
@@ -378,7 +370,6 @@ class WorkerPool:
             "spec": spec,
             "segment_dir": str(segment_dir),
             "generation": int(generation),
-            "workers": workers,
             "include_edges": include_edges,
             "exact_scan": exact_scan,
         }

@@ -303,10 +303,8 @@ class CacheStats:
     """Hit/miss counters of a :class:`SketchCache`.
 
     The maintenance counters are written by the incremental paths only:
-    ``sketch_extensions`` counts O(Δ) extensions of a chained entry,
-    ``extended_windows`` the basic windows those extensions absorbed, and
-    ``buffered_columns`` is a gauge of the service write buffer's current
-    depth (see :meth:`SketchCache.set_buffered_columns`).
+    ``sketch_extensions`` counts O(Δ) extensions of a chained entry and
+    ``extended_windows`` the basic windows those extensions absorbed.
     """
 
     hits: int = 0
@@ -314,7 +312,6 @@ class CacheStats:
     evictions: int = 0
     sketch_extensions: int = 0
     extended_windows: int = 0
-    buffered_columns: int = 0
 
     @property
     def requests(self) -> int:
@@ -334,7 +331,6 @@ class CacheStats:
             "hit_rate": self.hit_rate,
             "sketch_extensions": self.sketch_extensions,
             "extended_windows": self.extended_windows,
-            "buffered_columns": self.buffered_columns,
         }
 
 
@@ -684,11 +680,6 @@ class SketchCache:
     #: plan fetches its sketch through it, so the name says what an appended
     #: dataset's query does.
     get_or_extend = get_or_build
-
-    def set_buffered_columns(self, count: int) -> None:
-        """Record the service write buffer's current depth (a gauge)."""
-        with self._lock:
-            self.stats.buffered_columns = int(count)
 
     def contains(
         self,

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.config import FLOAT_DTYPE
 from repro.exceptions import StorageError
-from repro.timeseries.matrix import TimeSeriesMatrix
+from repro.timeseries.matrix import TimeSeriesMatrix, finite_columns
 
 
 def _require_chunk_dtype(array: np.ndarray, key: str, path: Path) -> np.ndarray:
@@ -102,16 +102,7 @@ class ChunkStore:
     # ------------------------------------------------------------------ writes
     def append(self, columns: np.ndarray) -> int:
         """Append new columns (shape ``(N, k)`` or ``(N,)``); returns new length."""
-        columns = np.asarray(columns, dtype=FLOAT_DTYPE)
-        if columns.ndim == 1:
-            columns = columns.reshape(-1, 1)
-        if columns.ndim != 2 or columns.shape[0] != self.num_series:
-            raise StorageError(
-                f"appended columns must have shape ({self.num_series}, k), "
-                f"got {columns.shape}"
-            )
-        if not np.all(np.isfinite(columns)):
-            raise StorageError("appended columns must be finite")
+        columns = finite_columns(columns, self.num_series, StorageError)
         remaining = columns
         while remaining.shape[1] > 0:
             if self._chunks and self._chunks[-1].shape[1] < self.chunk_columns:

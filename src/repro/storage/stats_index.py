@@ -22,6 +22,7 @@ from repro.config import DEFAULT_BASIC_WINDOW_SIZE, FLOAT_DTYPE
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import StorageError
+from repro.timeseries.matrix import finite_columns
 
 #: Format tag every archive carries.  The packed pair-major layout is the
 #: first tagged one; an untagged archive holds dense ``(count, N, N)``
@@ -90,15 +91,16 @@ class StatsIndex:
 
         Returns the number of basic windows appended.
         """
-        new_columns = np.asarray(new_columns, dtype=FLOAT_DTYPE)
-        if previous_tail is not None and previous_tail.size:
-            previous_tail = np.asarray(previous_tail, dtype=FLOAT_DTYPE)
-            new_columns = np.concatenate([previous_tail, new_columns], axis=1)
-        if new_columns.ndim != 2 or new_columns.shape[0] != self.num_series:
-            raise StorageError(
-                f"extension columns must have shape ({self.num_series}, k), "
-                f"got {new_columns.shape}"
+        new_columns = finite_columns(
+            new_columns, self.num_series, StorageError, "extension columns",
+            allow_vector=False,
+        )
+        if previous_tail is not None and np.size(previous_tail):
+            previous_tail = finite_columns(
+                previous_tail, self.num_series, StorageError, "previous_tail",
+                allow_vector=False,
             )
+            new_columns = np.concatenate([previous_tail, new_columns], axis=1)
         size = self.layout.size
         complete = new_columns.shape[1] // size
         if complete:

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.config import DEFAULT_BASIC_WINDOW_SIZE, FLOAT_DTYPE
+from repro.config import DEFAULT_BASIC_WINDOW_SIZE
 from repro.core.basic_window import BasicWindowLayout, choose_basic_window_size
 from repro.core.dangoron import step_window
 from repro.core.jumping import JumpScheduler
@@ -29,6 +29,7 @@ from repro.core.query import THRESHOLD_SIGNED, SlidingQuery
 from repro.core.result import ThresholdedMatrix
 from repro.core.sketch import BasicWindowSketch, pair_slots
 from repro.exceptions import StreamingError
+from repro.timeseries.matrix import finite_columns
 
 
 @dataclass
@@ -198,16 +199,7 @@ class OnlineCorrelationMonitor(WindowCursor):
 
     def append(self, columns: np.ndarray) -> List[OnlineWindowResult]:
         """Feed new columns; returns results for every window that completed."""
-        columns = np.asarray(columns, dtype=FLOAT_DTYPE)
-        if columns.ndim == 1:
-            columns = columns.reshape(-1, 1)
-        if columns.ndim != 2 or columns.shape[0] != self.num_series:
-            raise StreamingError(
-                f"appended columns must have shape ({self.num_series}, k), "
-                f"got {columns.shape}"
-            )
-        if not np.all(np.isfinite(columns)):
-            raise StreamingError("appended columns must be finite")
+        columns = finite_columns(columns, self.num_series, StreamingError)
 
         size = self.basic_window_size
         if self._residual is not None:

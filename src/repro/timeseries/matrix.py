@@ -10,13 +10,40 @@ the sliding-query engines rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Type, Union
 
 import numpy as np
 
 from repro.config import FLOAT_DTYPE
-from repro.exceptions import DataValidationError
+from repro.exceptions import DataValidationError, ReproError
 
+
+
+def finite_columns(
+    columns,
+    num_series: int,
+    error: Type[ReproError],
+    what: str = "appended columns",
+    allow_vector: bool = True,
+) -> np.ndarray:
+    """``columns`` as a finite float ``(num_series, k)`` block, or ``error``.
+
+    The check the library's append paths run before any state moves.  A 1-D
+    input is one column when ``allow_vector`` is set.  Values that do not
+    convert to floats (strings, integers past the float range) are refused
+    with ``error`` just like a wrong shape or a NaN.
+    """
+    try:
+        block = np.asarray(columns, dtype=FLOAT_DTYPE)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} must be numeric: {exc}") from exc
+    if allow_vector and block.ndim == 1:
+        block = block.reshape(-1, 1)
+    if block.ndim != 2 or block.shape[0] != num_series:
+        raise error(f"{what} must have shape ({num_series}, k), got {block.shape}")
+    if not np.all(np.isfinite(block)):
+        raise error(f"{what} must be finite")
+    return block
 
 @dataclass(frozen=True)
 class TimeAxis:

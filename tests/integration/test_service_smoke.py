@@ -136,7 +136,7 @@ def test_appended_stream_refreshes_sketch_incrementally(client, values):
     one extension in total, and ``builds`` stays at zero (an extension is not
     a rebuild)."""
     stats = client.dataset("generated")["stats"]["sketch_cache"]
-    assert {"extensions", "extended_windows", "buffered_columns"} <= set(stats)
+    assert {"extensions", "extended_windows"} <= set(stats)
     assert stats["extensions"] == 1  # the watch's advance, at append time
     hits_before = stats["hits"]
 
@@ -160,19 +160,17 @@ def test_appended_stream_refreshes_sketch_incrementally(client, values):
     assert stats["extensions"] == 1
     assert stats["extended_windows"] == 64 // BASIC
     assert stats["builds"] == 0  # the seeded sketch was extended, not rebuilt
-    assert stats["buffered_columns"] == 0  # write-through server: no buffer
 
 
 # --------------------------------------------------------------------------
-# Scenario-matrix smoke: the newly-supported execution cells served over
-# ``repro.result/v1``.  A second server is sized so ``workers=2`` requests
-# clear the parallel pair floor (96 series = 4560 pairs) and configured with
-# a memory budget below the dense matrix, so top-k sketches build tiled and
-# lagged queries stream their window buffers — while a pruned (deterministic
-# kcenter) Dangoron answers threshold queries.  Every response must be
-# bit-identical to a plain serial/dense in-process run, and each response's
-# ``plan`` string must prove the cell actually executed (no silent serial
-# or dense fallback passing as coverage).
+# Scenario-matrix smoke: the execution cells served over
+# ``repro.result/v1``.  A second server is configured with a memory budget
+# below the dense matrix, so top-k sketches build tiled and lagged queries
+# stream their window buffers — while a pruned (deterministic kcenter)
+# Dangoron answers threshold queries.  Every response must be bit-identical
+# to a plain dense in-process run, and each response's ``plan`` string must
+# prove the cell actually executed (no silent dense fallback passing as
+# coverage).
 # --------------------------------------------------------------------------
 MATRIX_NUM = 96
 #: Below the 96 x 512 x 8B = 384 KiB dense matrix, above one 96 x 128-column
@@ -220,16 +218,16 @@ def matrix_reference(matrix_values):
     )
 
 
-def _served(client, query, workers=None):
-    document = client.query_raw("cells", query, workers=workers)
+def _served(client, query):
+    document = client.query_raw("cells", query)
     return document["plan"], result_from_wire(document)
 
 
-def test_matrix_smoke_pruned_threshold_sharded(matrix_client, matrix_reference):
+def test_matrix_smoke_pruned_threshold(matrix_client, matrix_reference):
     query = ThresholdQuery(start=0, end=LENGTH, window=128, step=32, threshold=0.55)
     local = matrix_reference.run(query)
-    plan, remote = _served(matrix_client, query, workers=2)
-    assert "exec=sharded(workers=2)" in plan
+    plan, remote = _served(matrix_client, query)
+    assert "exec=serial" in plan
     # Pruning reads raw values for pivot selection; the plan says so instead
     # of pretending the budget bounded the build.
     assert "build=dense (engine needs raw values" in plan
@@ -239,11 +237,11 @@ def test_matrix_smoke_pruned_threshold_sharded(matrix_client, matrix_reference):
         np.testing.assert_array_equal(ours.values, theirs.values)
 
 
-def test_matrix_smoke_topk_sharded_tiled(matrix_client, matrix_reference):
+def test_matrix_smoke_topk_tiled(matrix_client, matrix_reference):
     query = TopKQuery(start=0, end=LENGTH, window=128, step=32, k=25)
     local = matrix_reference.run(query)
-    plan, remote = _served(matrix_client, query, workers=2)
-    assert "exec=sharded(workers=2)" in plan
+    plan, remote = _served(matrix_client, query)
+    assert "exec=serial" in plan
     assert f"build=tiled(budget={MATRIX_BUDGET}B)" in plan
     assert remote.k == local.k and remote.num_windows == local.num_windows
     for ours, theirs in zip(local.windows, remote.windows):
@@ -253,19 +251,12 @@ def test_matrix_smoke_topk_sharded_tiled(matrix_client, matrix_reference):
         np.testing.assert_array_equal(ours.values, theirs.values)
 
 
-@pytest.mark.parametrize("workers,expected_exec", [
-    (None, "exec=serial"),                 # lagged x tiled: streamed windows
-    # lagged x sharded x tiled: requested workers stay serial
-    (2, "exec=serial (lagged scans are one BLAS product per window)"),
-])
-def test_matrix_smoke_lagged_streamed(
-    matrix_client, matrix_reference, workers, expected_exec
-):
+def test_matrix_smoke_lagged_streamed(matrix_client, matrix_reference):
     query = LaggedQuery(start=0, end=LENGTH, window=128, step=32,
                         max_lag=4, threshold=0.6)
     local = matrix_reference.run(query)
-    plan, remote = _served(matrix_client, query, workers=workers)
-    assert expected_exec in plan
+    plan, remote = _served(matrix_client, query)
+    assert "exec=serial" in plan
     assert f"build=tiled(budget={MATRIX_BUDGET}B)" in plan
     assert remote.num_windows == local.num_windows
     for ours, theirs in zip(local.windows, remote.windows):

@@ -17,10 +17,10 @@ def parked_scan(monkeypatch):
     started, release = threading.Event(), threading.Event()
     original = DatasetRuntime.session_for
 
-    def slow_session_for(self, workers, exact_scan=False):
+    def slow_session_for(self, exact_scan=False):
         started.set()
         release.wait(timeout=10)
-        return original(self, workers, exact_scan)
+        return original(self, exact_scan)
 
     monkeypatch.setattr(DatasetRuntime, "session_for", slow_session_for)
     return started, release

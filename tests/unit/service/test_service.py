@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import CorrelationSession, ThresholdQuery, TopKQuery
 from repro.exceptions import ServiceError
-from repro.parallel.executor import available_workers
 from repro.service import CorrelationService, result_from_wire
 from repro.service.service import DatasetRuntime
 from repro.storage.catalog import Catalog
@@ -116,7 +115,7 @@ class TestQueryExecution:
 
     def test_request_only_fields_do_not_leak_into_spec(self, service):
         document = json.loads(service.query(
-            "demo", {**THRESHOLD_REQUEST, "workers": 1, "include_edges": True}
+            "demo", {**THRESHOLD_REQUEST, "include_edges": True}
         ))
         assert "edges" in document
         assert document["query"] == {k: v for k, v in THRESHOLD_REQUEST.items()} | {
@@ -131,25 +130,21 @@ class TestQueryExecution:
         assert excinfo.value.status == 400
 
     def test_null_include_edges_means_no_edges(self, service):
-        # Like ``"workers": null``, a null transport field is "not set".
+        # A null transport field is "not set".
         document = json.loads(service.query(
             "demo", {**THRESHOLD_REQUEST, "include_edges": None}
         ))
         assert "edges" not in document
 
-    def test_bad_workers_type_rejected(self, service):
-        with pytest.raises(ServiceError, match="'workers'"):
-            service.query("demo", {**THRESHOLD_REQUEST, "workers": "many"})
-
-    def test_workers_beyond_the_usable_cpus_rejected(self, service):
-        limit = available_workers()
-        service.query("demo", {**THRESHOLD_REQUEST, "workers": limit})
-        for workers in (limit + 1, 64 * limit):
-            with pytest.raises(ServiceError, match="usable CPUs") as excinfo:
-                service.query("demo", {**THRESHOLD_REQUEST, "workers": workers})
-            assert excinfo.value.status == 400
-        # A refused count leaves no session behind.
-        assert service.metrics()["datasets"]["demo"]["sessions"] == 1
+    @pytest.mark.parametrize("workers", [None, 1, 2, "many"])
+    def test_workers_field_rejected(self, service, workers):
+        # The service never shards a query, so "workers" is no transport
+        # field: the spec decoder names it like any other unknown field.
+        with pytest.raises(
+            ServiceError, match=r"unknown query field\(s\) \['workers'\]"
+        ) as excinfo:
+            service.query("demo", {**THRESHOLD_REQUEST, "workers": workers})
+        assert excinfo.value.status == 400
 
     def test_non_object_request_rejected(self, service):
         with pytest.raises(ServiceError, match="JSON object"):
@@ -179,10 +174,10 @@ class TestCoalescing:
         started = threading.Event()
         original = DatasetRuntime.session_for
 
-        def slow_session_for(self, workers, exact_scan=False):
+        def slow_session_for(self, exact_scan=False):
             started.set()
             release.wait(timeout=10)
-            return original(self, workers, exact_scan)
+            return original(self, exact_scan)
 
         monkeypatch.setattr(DatasetRuntime, "session_for", slow_session_for)
         payloads = []
@@ -216,7 +211,7 @@ class TestCoalescing:
         release = threading.Event()
         started = threading.Event()
 
-        def exploding_session_for(self, workers, exact_scan=False):
+        def exploding_session_for(self, exact_scan=False):
             started.set()
             release.wait(timeout=10)
             raise RuntimeError("engine on fire")
@@ -554,6 +549,13 @@ class TestAppendAndWatch:
     def test_append_shape_mismatch_rejected(self, service):
         with pytest.raises(ServiceError, match="one per series"):
             service.append("demo", {"columns": [[1.0, 2.0]]})
+
+    def test_append_past_the_float_range_is_a_400(self, service):
+        step = [10 ** 400] + [1.0] * (NUM_SERIES - 1)
+        with pytest.raises(ServiceError, match="numeric") as excinfo:
+            service.append("demo", {"columns": [step]})
+        assert excinfo.value.status == 400
+        assert service.dataset_info("demo")["length"] == LENGTH
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejected_append_keeps_the_warm_cache(self, service, bad):

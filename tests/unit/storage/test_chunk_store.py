@@ -58,6 +58,13 @@ class TestAppendAndRead:
         with pytest.raises(StorageError):
             store.append(np.array([[np.nan], [1.0], [2.0]]))
 
+    @pytest.mark.parametrize("bad", ["a", 10 ** 400], ids=["string", "overflow"])
+    def test_append_of_unconvertible_values_is_a_storage_error(self, bad):
+        store = ChunkStore(3, chunk_columns=8)
+        with pytest.raises(StorageError, match="numeric"):
+            store.append([[bad, bad, bad]] * 3)
+        assert store.length == 0
+
     def test_constructor_validation(self):
         with pytest.raises(StorageError):
             ChunkStore(0)

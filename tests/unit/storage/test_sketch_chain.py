@@ -234,13 +234,3 @@ class TestGetOrExtend:
         cache.adopt_fingerprint(bigger, fingerprint)
         cache.clear()
         assert not cache.has_chain(bigger)
-
-
-class TestBufferedColumnsGauge:
-    def test_gauge_set_and_reset(self, matrix):
-        cache = SketchCache()
-        cache.set_buffered_columns(48)
-        assert cache.stats.buffered_columns == 48
-        assert cache.stats.as_dict()["buffered_columns"] == 48
-        cache.set_buffered_columns(0)
-        assert cache.stats.buffered_columns == 0

@@ -86,6 +86,25 @@ class TestExtension:
         with pytest.raises(StorageError):
             index.extend(rng.normal(size=(4, 16)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_extend_refuses_non_finite_columns(self, rng, bad):
+        index = StatsIndex.build(rng.normal(size=(3, 32)), basic_window_size=16)
+        sums = index.sketch.series_sums.copy()
+        with pytest.raises(StorageError, match="finite"):
+            index.extend(np.full((3, 16), bad))
+        tail = rng.normal(size=(3, 8))
+        tail[1, 2] = bad
+        with pytest.raises(StorageError, match="finite"):
+            index.extend(rng.normal(size=(3, 8)), previous_tail=tail)
+        assert index.layout.count == 2
+        assert np.array_equal(index.sketch.series_sums, sums)
+
+    def test_extend_refuses_a_vector_next_to_a_tail(self, rng):
+        index = StatsIndex.build(rng.normal(size=(3, 32)), basic_window_size=16)
+        with pytest.raises(StorageError, match="shape"):
+            index.extend(rng.normal(size=3), previous_tail=rng.normal(size=(3, 8)))
+        assert index.layout.count == 2
+
 
 class TestPersistence:
     def test_save_load_round_trip(self, rng, tmp_path):

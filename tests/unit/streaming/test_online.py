@@ -146,6 +146,13 @@ class TestOnlineMonitor:
         monitor.append(rng.normal(size=(3, 32)))
         assert monitor.indexed_columns() == 32
 
+    @pytest.mark.parametrize("bad", ["a", 10 ** 400], ids=["string", "overflow"])
+    def test_unconvertible_values_are_a_streaming_error(self, rng, bad):
+        monitor = self.make_monitor(3)
+        with pytest.raises(StreamingError, match="numeric"):
+            monitor.append([[bad] * 16] * 3)
+        assert monitor.indexed_columns() == 0
+
     def test_constructor_validation(self):
         with pytest.raises(StreamingError):
             self.make_monitor(0)

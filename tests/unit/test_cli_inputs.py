@@ -78,11 +78,17 @@ class TestServeWiring:
         finally:
             server.stop()
 
-    def test_serve_rejects_bad_workers(self, tmp_path, capsys):
-        assert main(["serve", "--catalog", str(tmp_path), "--workers", "0"]) == 1
-        assert "--workers" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", [
+        "--workers", "--write-buffer-columns", "--write-buffer-seconds",
+    ])
+    def test_serve_has_no_sharding_or_write_buffer_flags(self, tmp_path, capsys, flag):
+        # Served queries run serially and appends write through.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--catalog", str(tmp_path), flag, "2"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--catalog", "/data/cat"])
         assert (args.host, args.port, args.engine) == ("127.0.0.1", 8350, "dangoron")
-        assert args.basic_window == 32 and args.workers is None
+        assert args.basic_window == 32 and args.service_workers is None
