@@ -112,7 +112,7 @@ class ExecutionPlan:
     >>> plan.kind, plan.execution, plan.workers
     ('threshold', 'serial', 1)
     >>> plan.describe()
-    'plan[threshold] engine=dangoron[temporal, b<=16] sketch=b=16 x 8 exec=serial'
+    'plan[threshold] engine=dangoron[no-pruning, b<=16] answer=exact sketch=b=16 x 8 exec=serial'
     """
 
     query: SlidingQuery
@@ -172,7 +172,10 @@ class ExecutionPlan:
             execution = f"{self.execution}(workers={self.workers})"
         if "execution" in reasons:
             execution += f" ({reasons['execution']})"
-        summary = f"plan[{self.kind}] engine={engine} sketch={layout} exec={execution}"
+        summary = f"plan[{self.kind}] engine={engine}"
+        if self.engine is not None:
+            summary += f" answer={self.engine.exactness()}"
+        summary += f" sketch={layout} exec={execution}"
         if self.sketch_build == SKETCH_BUILD_INCREMENTAL:
             summary += f" build=incremental({reasons.get('build')})"
         elif self.sketch_build == SKETCH_BUILD_TILED:
@@ -197,7 +200,9 @@ class QueryPlanner:
     engine_options:
         Constructor options for that engine (``slack``, ``num_pivots``,
         ``use_horizontal_pruning``, ...).  ``basic_window_size`` is injected
-        automatically when the engine accepts it and the options don't set it.
+        automatically when the engine accepts it and the options don't set
+        it, and so is ``use_temporal_pruning=False``: threshold answers are
+        exact unless the options ask for Dangoron's jumping.
     basic_window_size:
         Requested basic-window size for the injected option and for the
         top-k sketch alignment.
@@ -282,6 +287,10 @@ class QueryPlanner:
             accepted = engine_options(self.engine_name)
             if "basic_window_size" in accepted and "basic_window_size" not in options:
                 options["basic_window_size"] = self.basic_window_size
+            if "use_temporal_pruning" in accepted and "use_temporal_pruning" not in options:
+                # Product queries answer exactly: Dangoron's Eq. 2 jumping
+                # can miss edges, so it runs only when a caller asks for it.
+                options["use_temporal_pruning"] = False
             if (
                 "memory_budget" in accepted
                 and "memory_budget" not in options
@@ -293,6 +302,12 @@ class QueryPlanner:
                 options["memory_budget"] = self.memory_budget
             self._default_engine = create_engine(self.engine_name, **options)
         return self._default_engine
+
+    def jumps(self) -> bool:
+        """Whether threshold answers use Dangoron's Eq. 2 jumping (the
+        resolved engine's ``use_temporal_pruning``): streams and standing
+        queries follow the engine's configuration through this."""
+        return bool(getattr(self.resolve_engine(), "use_temporal_pruning", False))
 
     # ---------------------------------------------------------------- planning
     def plan(

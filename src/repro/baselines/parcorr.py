@@ -26,6 +26,7 @@ from repro.core.correlation import correlation_matrix
 from repro.core.engine import SlidingCorrelationEngine, register_engine
 from repro.core.query import SlidingQuery
 from repro.core.result import (
+    EXACTNESS_APPROXIMATE,
     CorrelationSeriesResult,
     EngineStats,
     ThresholdedMatrix,
@@ -170,6 +171,7 @@ class ParCorrEngine(SlidingCorrelationEngine):
         pairs = n * (n - 1) // 2
         stats = EngineStats(
             engine=self.describe(),
+            exactness=EXACTNESS_APPROXIMATE,
             num_series=n,
             num_windows=query.num_windows,
             exact_evaluations=exact_evaluations,

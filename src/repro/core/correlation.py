@@ -119,6 +119,23 @@ def correlation_against(window: np.ndarray, pivot_rows: np.ndarray) -> np.ndarra
     return clamp_correlation_array(_normalize(pivot_rows) @ _normalize(window).T)
 
 
+def centred_sumsq(count, sums: np.ndarray, sumsqs: np.ndarray):
+    """``(centred sum of squares, degenerate)`` of series from raw sums.
+
+    Degeneracy is judged relative to the uncentred energy as well as in
+    absolute terms: for a constant series the two sums cancel and the
+    floating point residue scales with the magnitude of the data, so a purely
+    absolute epsilon would let catastrophic cancellation masquerade as signal.
+    :func:`correlation_from_sums` and the sketch's grid filter both judge
+    with this, so they flag the same entries.
+    """
+    centred = sumsqs - sums * sums / count
+    degenerate = (centred < VARIANCE_EPSILON * count) | (
+        centred < 1e-10 * np.abs(sumsqs)
+    )
+    return centred, degenerate
+
+
 def correlation_from_sums(
     count: np.ndarray,
     sum_x: np.ndarray,
@@ -135,18 +152,9 @@ def correlation_from_sums(
     """
     count = np.asarray(count, dtype=FLOAT_DTYPE)
     cov = sum_xy - sum_x * sum_y / count
-    var_x = sum_xx - sum_x * sum_x / count
-    var_y = sum_yy - sum_y * sum_y / count
-    # Degeneracy must be judged relative to the uncentred energy as well as in
-    # absolute terms: for a constant series the two sums cancel and the
-    # floating point residue scales with the magnitude of the data, so a purely
-    # absolute epsilon would let catastrophic cancellation masquerade as signal.
-    degenerate = (
-        (var_x < VARIANCE_EPSILON * count)
-        | (var_y < VARIANCE_EPSILON * count)
-        | (var_x < 1e-10 * np.abs(sum_xx))
-        | (var_y < 1e-10 * np.abs(sum_yy))
-    )
+    var_x, degenerate_x = centred_sumsq(count, sum_x, sum_xx)
+    var_y, degenerate_y = centred_sumsq(count, sum_y, sum_yy)
+    degenerate = degenerate_x | degenerate_y
     safe = sqrt_product(
         np.where(degenerate, 1.0, var_x), np.where(degenerate, 1.0, var_y)
     )

@@ -19,7 +19,16 @@ which is where the accuracy-for-speed trade-off of the paper comes from: the
 Eq. 2 bound holds under a per-basic-window stationarity assumption, so a pair
 whose correlation rises faster than the bound predicts is caught late.  The
 ``slack`` option tightens the effective threshold used by the bound to buy
-recall back at the cost of fewer skips.
+recall back at the cost of fewer skips.  Such answers say so:
+``EngineStats.exactness`` reads ``heuristic(jumping)``.
+
+Without either pruning there is nothing to schedule, and the engine answers
+all windows in one window-axis pass instead of walking them
+(:meth:`~repro.core.sketch.BasicWindowSketch.exact_pairs_grid`): a filter over
+every (pair, window) cell, then the per-window Eq. 1 gather for the cells that
+may pass, so the answer is the per-window scan's, bit for bit.  That is the
+product's default (the planner sets ``use_temporal_pruning=False`` unless the
+options ask for jumping).
 """
 
 from __future__ import annotations
@@ -49,6 +58,8 @@ from repro.core.horizontal import select_pivots
 from repro.core.jumping import JumpScheduler
 from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
 from repro.core.result import (
+    EXACTNESS_EXACT,
+    EXACTNESS_JUMPING,
     CorrelationSeriesResult,
     EngineStats,
     ThresholdedMatrix,
@@ -70,7 +81,6 @@ def step_window(
     *,
     use_temporal_pruning: bool = True,
     slack: float = 0.0,
-    prefix_combination: bool = False,
     slots: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step one sliding window: the only place a window is evaluated and scheduled.
@@ -99,8 +109,9 @@ def step_window(
         slots = pair_slots(sketch.num_series, rows, cols)
     pair_rows = rows[positions]
     pair_cols = cols[positions]
-    evaluate = sketch.exact_pairs_fast if prefix_combination else sketch.exact_pairs_scan
-    exact_vals = evaluate(pair_rows, pair_cols, bw_first, window_bw, slots[positions])
+    exact_vals = sketch.exact_pairs_scan(
+        pair_rows, pair_cols, bw_first, window_bw, slots[positions]
+    )
     scheduler.record_evaluations(k, positions)
 
     keep = query.keep_mask(exact_vals)
@@ -139,11 +150,15 @@ class DangoronEngine(SlidingCorrelationEngine):
         Subtracted from the threshold inside the temporal bound; ``0`` uses the
         paper's bound as-is, larger values skip less aggressively and recover
         recall on non-stationary data.
-    prefix_combination:
-        Use the O(1) prefix-sum combination instead of the faithful O(n_s)
-        scan when evaluating pairs exactly (ablation; not part of the paper).
     seed:
         Seed for the pivot-selection RNG (only used by the random strategy).
+
+    Without either pruning the engine answers every window in one
+    window-axis pass (:meth:`BasicWindowSketch.exact_pairs_grid`), with the
+    edges and values of the per-window Eq. 1 scan.  The class keeps the
+    paper's configuration (jumping on) as its default; the query planner
+    fills in ``use_temporal_pruning=False`` when its options leave it unset,
+    so product queries are exact unless a caller asks for jumping.
     """
 
     name = "dangoron"
@@ -157,7 +172,6 @@ class DangoronEngine(SlidingCorrelationEngine):
         num_pivots: int = DEFAULT_NUM_PIVOTS,
         pivot_strategy: str = "kcenter",
         slack: float = 0.0,
-        prefix_combination: bool = False,
         seed: Optional[int] = None,
     ) -> None:
         if slack < 0:
@@ -168,7 +182,6 @@ class DangoronEngine(SlidingCorrelationEngine):
         self.num_pivots = num_pivots
         self.pivot_strategy = pivot_strategy
         self.slack = slack
-        self.prefix_combination = prefix_combination
         self.seed = seed
 
     # ------------------------------------------------------------------ public
@@ -181,9 +194,12 @@ class DangoronEngine(SlidingCorrelationEngine):
         parts = ["+".join(features) or "no-pruning", f"b<={self.basic_window_size}"]
         if self.slack:
             parts.append(f"slack={self.slack:g}")
-        if self.prefix_combination:
-            parts.append("prefix")
         return f"{self.name}[{', '.join(parts)}]"
+
+    def exactness(self) -> str:
+        """Jumping can miss edges (Eq. 2 assumes stationary basic windows);
+        horizontal pruning is a sound bound, so alone it stays exact."""
+        return EXACTNESS_JUMPING if self.use_temporal_pruning else EXACTNESS_EXACT
 
     def plan_layout(self, query: SlidingQuery) -> BasicWindowLayout:
         """The layout ``run`` builds its sketch for (see the planner protocol)."""
@@ -254,7 +270,6 @@ class DangoronEngine(SlidingCorrelationEngine):
             sketch_seconds = time.perf_counter() - build_start
             sketch_reused = 0.0
 
-        step_bw = query.step // layout.size
         window_bw = query.window // layout.size
         num_windows = query.num_windows
 
@@ -263,7 +278,83 @@ class DangoronEngine(SlidingCorrelationEngine):
         else:
             rows, cols = np.triu_indices(n, k=1)
         slots = pair_slots(n, rows, cols)
+
+        # The lazy prefix is materialized here, outside query_seconds; a run
+        # that pays for it books the time as part of the sketch build.
+        corr_prefix_seconds = 0.0
+        if self.use_temporal_pruning and not sketch.has_corr_prefix:
+            prefix_start = time.perf_counter()
+            sketch.corr_prefix
+            corr_prefix_seconds = time.perf_counter() - prefix_start
+            sketch_seconds += corr_prefix_seconds
+
+        query_start_time = time.perf_counter()
+        if self.use_temporal_pruning or self.use_horizontal_pruning:
+            matrices, counters = self._scan_windows(
+                matrix, query, sketch, rows, cols, slots
+            )
+        else:
+            windows, verified = sketch.exact_pairs_grid(rows, cols, query, slots=slots)
+            matrices = [ThresholdedMatrix(n, *edges) for edges in windows]
+            # Every cell is evaluated by the filter; the verified ones again.
+            counters = {
+                "exact_evaluations": len(rows) * num_windows,
+                "verified_evaluations": verified,
+                "skipped_by_jumping": 0,
+                "pruned_horizontally": 0,
+                "pivot_evaluations": 0,
+                "mean_jump_length": 0.0,
+            }
+        query_seconds = time.perf_counter() - query_start_time
+
+        stats = EngineStats(
+            engine=self.describe(),
+            num_series=n,
+            num_windows=num_windows,
+            candidate_pairs=len(rows),
+            sketch_build_seconds=sketch_seconds,
+            query_seconds=query_seconds,
+            exactness=self.exactness(),
+            exact_evaluations=counters["exact_evaluations"],
+            skipped_by_jumping=counters["skipped_by_jumping"],
+            pruned_horizontally=counters["pruned_horizontally"],
+            extra={
+                "sketch_reused": sketch_reused,
+                "corr_prefix_seconds": corr_prefix_seconds,
+                "pivot_evaluations": float(counters["pivot_evaluations"]),
+                "verified_evaluations": float(counters["verified_evaluations"]),
+                "basic_window_size": float(layout.size),
+                "num_basic_windows_per_window": float(window_bw),
+                "mean_jump_length": counters["mean_jump_length"],
+                "sketch_memory_bytes": float(sketch.memory_bytes()),
+            },
+        )
+        return CorrelationSeriesResult(
+            query, matrices, stats, series_ids=matrix.series_ids
+        )
+
+    def _scan_windows(
+        self,
+        matrix: TimeSeriesMatrix,
+        query: SlidingQuery,
+        sketch: BasicWindowSketch,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        slots: np.ndarray,
+    ) -> Tuple[List[ThresholdedMatrix], dict]:
+        """Walk the windows in order under jumping or horizontal pruning.
+
+        Horizontal pruning first, then one :func:`step_window` per window.
+        Returns the windows' matrices and the run's work counters.
+        """
+        n = matrix.num_series
+        layout = sketch.layout
+        step_bw = query.step // layout.size
+        window_bw = query.window // layout.size
+        num_windows = query.num_windows
         scheduler = JumpScheduler(len(rows), num_windows)
+        absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
+        corr_prefix = sketch.corr_prefix if self.use_temporal_pruning else None
 
         pivots: Optional[np.ndarray] = None
         if self.use_horizontal_pruning:
@@ -278,24 +369,9 @@ class DangoronEngine(SlidingCorrelationEngine):
             pivot_cols = np.tile(np.arange(n), len(pivots))
             pivot_slots = pair_slots(n, pivot_rows, pivot_cols)
 
-        # The lazy prefix is materialized here, outside query_seconds; a run
-        # that pays for it books the time as part of the sketch build.
-        corr_prefix = None
-        corr_prefix_seconds = 0.0
-        if self.use_temporal_pruning:
-            prefix_start = time.perf_counter()
-            materialized = not sketch.has_corr_prefix
-            corr_prefix = sketch.corr_prefix
-            if materialized:
-                corr_prefix_seconds = time.perf_counter() - prefix_start
-                sketch_seconds += corr_prefix_seconds
-        absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
-
         matrices: List[ThresholdedMatrix] = []
         pruned_horizontally = 0
         pivot_evaluations = 0
-
-        query_start_time = time.perf_counter()
         for k in range(num_windows):
             due = scheduler.due_indices(k)
             eval_positions = due
@@ -351,32 +427,14 @@ class DangoronEngine(SlidingCorrelationEngine):
                 sketch, query, rows, cols, scheduler, k, eval_positions, max_steps,
                 use_temporal_pruning=self.use_temporal_pruning,
                 slack=self.slack,
-                prefix_combination=self.prefix_combination,
                 slots=slots,
             )
             matrices.append(ThresholdedMatrix(n, *edges))
-        query_seconds = time.perf_counter() - query_start_time
-
-        stats = EngineStats(
-            engine=self.describe(),
-            num_series=n,
-            num_windows=num_windows,
-            exact_evaluations=scheduler.stats.exact_evaluations,
-            skipped_by_jumping=scheduler.stats.skipped_evaluations,
-            pruned_horizontally=pruned_horizontally,
-            candidate_pairs=len(rows),
-            sketch_build_seconds=sketch_seconds,
-            query_seconds=query_seconds,
-            extra={
-                "sketch_reused": sketch_reused,
-                "corr_prefix_seconds": corr_prefix_seconds,
-                "pivot_evaluations": float(pivot_evaluations),
-                "basic_window_size": float(layout.size),
-                "num_basic_windows_per_window": float(window_bw),
-                "mean_jump_length": scheduler.stats.mean_jump_length(),
-                "sketch_memory_bytes": float(sketch.memory_bytes()),
-            },
-        )
-        return CorrelationSeriesResult(
-            query, matrices, stats, series_ids=matrix.series_ids
-        )
+        return matrices, {
+            "exact_evaluations": scheduler.stats.exact_evaluations,
+            "verified_evaluations": scheduler.stats.exact_evaluations,
+            "skipped_by_jumping": scheduler.stats.skipped_evaluations,
+            "pruned_horizontally": pruned_horizontally,
+            "pivot_evaluations": pivot_evaluations,
+            "mean_jump_length": scheduler.stats.mean_jump_length(),
+        }

@@ -18,7 +18,7 @@ import numpy as np
 from repro.config import INDEX_DTYPE
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.query import SlidingQuery
-from repro.core.result import CorrelationSeriesResult
+from repro.core.result import EXACTNESS_EXACT, CorrelationSeriesResult
 from repro.exceptions import ExperimentError, ParallelError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -129,6 +129,11 @@ class SlidingCorrelationEngine(abc.ABC):
     def describe(self) -> str:
         """Human-readable engine description (engine name plus key options)."""
         return self.name
+
+    def exactness(self) -> str:
+        """``EngineStats.exactness`` of this configuration's answers
+        (:data:`~repro.core.result.EXACTNESS_EXACT` unless overridden)."""
+        return EXACTNESS_EXACT
 
     def __repr__(self) -> str:
         return f"{self.__class__.__name__}(name={self.name!r})"

@@ -134,9 +134,27 @@ class ThresholdedMatrix:
         return cls(n, iu[keep], ju[keep], values[keep])
 
 
+#: ``EngineStats.exactness`` of an answer holding every edge with its Eq. 1
+#: value.
+EXACTNESS_EXACT = "exact"
+#: ``EngineStats.exactness`` of a sketch-filtered baseline (ParCorr,
+#: StatStream, FilCorr): candidates come from an approximate filter, so
+#: edges can be missed even when the reported values are verified.
+EXACTNESS_APPROXIMATE = "approximate"
+#: ``EngineStats.exactness`` of a Dangoron answer under Eq. 2 jumping: every
+#: value is exact, but a pair whose correlation rises faster than the bound
+#: assumes can be missed for some windows.
+EXACTNESS_JUMPING = "heuristic(jumping)"
+
+
 @dataclass
 class EngineStats:
-    """Work counters and timings reported by an engine run."""
+    """Work counters and timings reported by an engine run.
+
+    ``exactness`` says whether the answer holds every edge
+    (:data:`EXACTNESS_EXACT`) or may miss some (e.g.
+    :data:`EXACTNESS_JUMPING`).
+    """
 
     engine: str = "unknown"
     num_series: int = 0
@@ -147,6 +165,7 @@ class EngineStats:
     candidate_pairs: int = 0
     sketch_build_seconds: float = 0.0
     query_seconds: float = 0.0
+    exactness: str = EXACTNESS_EXACT
     extra: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -176,6 +195,7 @@ class EngineStats:
             "sketch_build_seconds": self.sketch_build_seconds,
             "query_seconds": self.query_seconds,
             "evaluation_fraction": self.evaluation_fraction,
+            "exactness": self.exactness,
         }
         base.update(self.extra)
         return base
@@ -292,6 +312,6 @@ class CorrelationSeriesResult:
         """One-line summary used by reports."""
         return (
             f"{self.stats.engine}: {self.num_windows} windows x {self.num_series} "
-            f"series, {self.total_edges()} edges, "
+            f"series, {self.total_edges()} edges ({self.stats.exactness}), "
             f"query {self.stats.query_seconds:.4f}s"
         )

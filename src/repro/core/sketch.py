@@ -28,23 +28,36 @@ The recombination exposed here comes in two flavours:
     same gather for arbitrary column ranges: the covered core is gathered,
     and unaligned edges are added from the raw values.
 
-``exact_pairs_fast``
-    Uses prefix sums along the basic-window axis for an ``O(1)`` per-pair
-    combination.  This is *not* part of the paper; it is provided as an
-    ablation point (the ``prefix_combination`` row of ``repro experiment E7``).
+``exact_pairs_grid``
+    Answers a threshold query over every window of a fixed-step grid in one
+    window-axis pass: a block-local prefix of each pair's row filters all
+    (pair, window) cells at once, and only the cells that may pass the
+    threshold are re-gathered with ``exact_pairs_scan``'s kernel, so its
+    edges and values are the per-window scan's bit for bit.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.config import FLOAT_DTYPE, VARIANCE_EPSILON
 from repro.core.basic_window import BasicWindowLayout
-from repro.core.correlation import correlation_from_sums
+from repro.core.correlation import centred_sumsq, correlation_from_sums
+from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
 from repro.exceptions import SketchError
+
+#: Elements of :meth:`BasicWindowSketch.exact_pairs_grid`'s block prefix
+#: buffer (512 KB, so a block's arrays stay in L2): a block holds as many
+#: pairs as fit over the span of its windows, and a verification chunk as
+#: many cells as fit over one window.
+_GRID_BLOCK_CELLS = 1 << 16
+
+#: Filtered-in cells the grid collects before verifying them.
+_GRID_VERIFY_CELLS = 1 << 18
 
 
 def _contiguous_array(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -187,6 +200,20 @@ def _window_statistics(blocks: np.ndarray, size: int, pairwise: bool):
     return series_sums, series_sumsqs, pair_sumprods
 
 
+def _grid_error_coefficient(span: int) -> float:
+    """``16 (gamma_K + 5u)`` for a grid whose prefix spans ``K`` basic windows.
+
+    The grid's ``delta`` for pair ``(i, j)`` is this times ``A_i A_j``, ``A``
+    the largest ratio over the windows of a series' root sum of squares up
+    to the window's end to its centred one.  ``u`` is the unit roundoff and
+    ``gamma_K = K u / (1 - K u)`` bounds the relative error of a ``K``-term
+    floating-point sum in any order (docs/invariants.md derives the bound).
+    """
+    unit = np.finfo(FLOAT_DTYPE).eps / 2
+    gamma = span * unit / (1.0 - span * unit)
+    return 16.0 * (gamma + 5.0 * unit)
+
+
 def ensure_sketch_layout(sketch: "BasicWindowSketch", layout) -> "BasicWindowSketch":
     """Validate that a prebuilt sketch matches the layout an execution plans.
 
@@ -227,18 +254,12 @@ class BasicWindowSketch:
                 f"windows"
             )
 
-        self._sum_prefix = np.concatenate(
-            [np.zeros((series_sums.shape[0], 1), dtype=FLOAT_DTYPE),
-             np.cumsum(series_sums, axis=1)],
-            axis=1,
-        )
         self._sumsq_prefix = np.concatenate(
             [np.zeros((series_sumsqs.shape[0], 1), dtype=FLOAT_DTYPE),
              np.cumsum(series_sumsqs, axis=1)],
             axis=1,
         )
         self._corr_prefix: Optional[np.ndarray] = None
-        self._sumprod_prefix: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -334,10 +355,6 @@ class BasicWindowSketch:
                 pair_corrs_from_stats(delta_sums, delta_sumsqs, delta_sumprods, size),
                 carried=self._corr_prefix,
             )
-        if self._sumprod_prefix is not None:
-            grown._sumprod_prefix = _row_prefix(
-                delta_sumprods, carried=self._sumprod_prefix
-            )
         grown.build_seconds = time.perf_counter() - started
         return grown
 
@@ -357,8 +374,8 @@ class BasicWindowSketch:
     def memory_bytes(self) -> int:
         """Approximate memory footprint of the stored statistics."""
         total = self.series_sums.nbytes + self.series_sumsqs.nbytes
-        total += self._sum_prefix.nbytes + self._sumsq_prefix.nbytes
-        for tensor in (self.pair_sumprods, self._corr_prefix, self._sumprod_prefix):
+        total += self._sumsq_prefix.nbytes
+        for tensor in (self.pair_sumprods, self._corr_prefix):
             if tensor is not None:
                 total += tensor.nbytes
         return int(total)
@@ -410,14 +427,6 @@ class BasicWindowSketch:
             )
         self._corr_prefix = _contiguous_array(prefix)
 
-    @property
-    def sumprod_prefix(self) -> np.ndarray:
-        """Prefix sums of the per-basic-window pair sums of products."""
-        self._require_pairwise()
-        if self._sumprod_prefix is None:
-            self._sumprod_prefix = _row_prefix(self.pair_sumprods)
-        return self._sumprod_prefix
-
     # ------------------------------------------------------------ range sums
     def _check_range(self, first: int, count: int) -> None:
         if count < 1 or first < 0 or first + count > self.num_basic_windows:
@@ -425,13 +434,6 @@ class BasicWindowSketch:
                 f"basic-window range [{first}, {first + count}) outside "
                 f"[0, {self.num_basic_windows})"
             )
-
-    def series_range_sums(self, first: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-series ``(sum, sum of squares)`` over a basic-window range (O(1))."""
-        self._check_range(first, count)
-        sums = self._sum_prefix[:, first + count] - self._sum_prefix[:, first]
-        sumsqs = self._sumsq_prefix[:, first + count] - self._sumsq_prefix[:, first]
-        return sums, sumsqs
 
     def _slots(self, rows, cols, slots: Optional[np.ndarray]) -> np.ndarray:
         return pair_slots(self.num_series, rows, cols) if slots is None else slots
@@ -451,6 +453,16 @@ class BasicWindowSketch:
         return prefix[slots, first + count] - prefix[slots, first]
 
     # -------------------------------------------------------------- exact scan
+    def _series_window_sums(self, first: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-series sums and sums of squares over a basic-window range,
+        each row reduced along its contiguous slice: the reduction every
+        Eq. 1 answer reads its per-series terms from."""
+        window = slice(first, first + count)
+        return (
+            self.series_sums[:, window].sum(axis=1),
+            self.series_sumsqs[:, window].sum(axis=1),
+        )
+
     def _gather_sums(
         self, slots: np.ndarray, first: int, count: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -462,10 +474,8 @@ class BasicWindowSketch:
         of that pair's values and the range alone, the same bits whichever
         other pairs are gathered with it (a due set, a shard, the triangle).
         """
-        window = slice(first, first + count)
-        sums = self.series_sums[:, window].sum(axis=1)
-        sumsqs = self.series_sumsqs[:, window].sum(axis=1)
-        return sums, sumsqs, self.pair_sumprods[slots, window].sum(axis=-1)
+        sums, sumsqs = self._series_window_sums(first, count)
+        return sums, sumsqs, self.pair_sumprods[slots, first : first + count].sum(axis=-1)
 
     def exact_pairs_scan(
         self,
@@ -501,40 +511,165 @@ class BasicWindowSketch:
             sumprods,
         )
 
-    # -------------------------------------------------------------- exact fast
-    def exact_pairs_fast(
+    # -------------------------------------------------------------- exact grid
+    def exact_pairs_grid(
         self,
         rows: np.ndarray,
         cols: np.ndarray,
-        first: int,
-        count: int,
+        query: SlidingQuery,
+        windows: Optional[range] = None,
         slots: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Exact correlations of selected pairs via prefix sums (O(1) per pair).
+    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
+        """A threshold query's edges among selected pairs, every window in one pass.
 
-        The ``prefix_combination`` ablation's kernel: the range's sums of
-        products are one difference of :attr:`sumprod_prefix` columns per
-        pair, so a window costs the same whatever ``count`` is.  Every
-        operation is element-wise per pair, so a pair's value does not
-        depend on which other pairs were asked for.
+        Returns one ``(rows, cols, values)`` triple per window of ``windows``
+        (a step-1 ``range`` of the query's window indices, all of them by
+        default) plus the number of (pair, window) cells verified.  Each
+        triple is exactly what :meth:`exact_pairs_scan` over that window
+        followed by ``query.keep_mask`` keeps: the same pairs, in the
+        enumeration order of ``rows``/``cols``, with the same bits.  Every
+        window must be a union of whole basic windows and the step a
+        multiple of the basic-window size.
+
+        *Filter.*  Blocks of consecutive pairs take the running sum of their
+        packed rows over the windows' span, one ``cumsum`` (no resident
+        prefix is kept), and every window's value is a difference of two
+        prefix columns minus ``S_i S_j / n``, times the per-(series, window)
+        inverse standard deviations.  The per-series terms come from the
+        scan's own reduction, so a cell is degenerate here exactly when the
+        scan reports 0 for it.
+
+        *Verify.*  A cell is re-gathered and correlated as the scan does it
+        unless its filter value lies below ``beta`` by more than ``delta``
+        (``|.|`` in absolute mode; a NaN always verifies), and only the
+        verified value decides and is emitted.  The cells of all windows
+        are verified together, in bounded chunks: each cell's sum is its own
+        contiguous row slice reduced along the row and Eq. 1 is element-wise,
+        so which cells share a chunk does not change a bit.  ``delta`` is a per-pair forward-error bound
+        built from the sums of squares (:func:`_grid_error_coefficient`;
+        docs/invariants.md derives it): data far from zero or cancelling
+        sums widen it, and verification then does more of the work.
         """
         self._require_pairwise()
-        self._check_range(first, count)
         rows = np.asarray(rows)
         cols = np.asarray(cols)
-        n_points = count * self.layout.size
-        sums, sumsqs = self.series_range_sums(first, count)
         slots = self._slots(rows, cols, slots)
-        prefix = self.sumprod_prefix
-        sumprods = prefix[slots, first + count] - prefix[slots, first]
-        return correlation_from_sums(
-            np.full(len(rows), float(n_points)),
-            sums[rows],
-            sums[cols],
-            sumsqs[rows],
-            sumsqs[cols],
-            sumprods,
-        )
+        layout = self.layout
+        if windows is None:
+            windows = range(query.num_windows)
+        num = len(windows)
+        if num == 0:
+            return [], 0
+        if windows.step != 1 or query.step % layout.size:
+            raise SketchError(
+                f"the grid needs consecutive windows whose step ({query.step}) "
+                f"is a multiple of the basic-window size ({layout.size})"
+            )
+        first, window_bw = layout.covering(*query.window_bounds(windows[0]))
+        last, _ = layout.covering(*query.window_bounds(windows[-1]))
+        step_bw = query.step // layout.size
+        span = last + window_bw - first
+        starts = first + step_bw * np.arange(num)
+
+        n_points = float(window_bw * layout.size)
+        sums = np.empty((self.num_series, num), dtype=FLOAT_DTYPE)
+        sumsqs = np.empty_like(sums)
+        for w, start in enumerate(starts):
+            sums[:, w], sumsqs[:, w] = self._series_window_sums(int(start), window_bw)
+        centred, degenerate = centred_sumsq(n_points, sums, sumsqs)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv_root = np.where(
+                degenerate, 0.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, centred))
+            )
+            means = sums / n_points
+            amplitude = (
+                np.sqrt(self._sumsq_prefix[:, starts + window_bw]) * inv_root
+            ).max(axis=1)
+        coefficient = _grid_error_coefficient(span)
+        absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
+        # A signed beta of -1 keeps every value the clip can produce.
+        unbounded = not absolute and query.threshold <= -1.0
+
+        edges: List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
+            [] for _ in range(num)
+        ]
+        pending: List[Tuple[np.ndarray, np.ndarray]] = []
+        verified = 0
+
+        # by_start[slot, first] is the row slice a window starting at basic
+        # window ``first`` reduces; indexing it copies whole slices.
+        by_start = sliding_window_view(self.pair_sumprods, window_bw, axis=1)
+        chunk = max(1, _GRID_BLOCK_CELLS // window_bw)
+
+        def verify() -> int:
+            # Window-major, and in the order of ``rows`` within a window.
+            window_of = np.concatenate([w for w, _ in pending])
+            position = np.concatenate([p for _, p in pending])
+            pending.clear()
+            order = np.argsort(window_of, kind="stable")
+            window_of, position = window_of[order], position[order]
+            for lo in range(0, len(position), chunk):
+                w, p = window_of[lo : lo + chunk], position[lo : lo + chunk]
+                i, j = rows[p], cols[p]
+                values = correlation_from_sums(
+                    n_points, sums[i, w], sums[j, w], sumsqs[i, w], sumsqs[j, w],
+                    by_start[slots[p], starts[w]].sum(axis=-1),
+                )
+                keep = query.keep_mask(values)
+                w = w[keep]
+                if not len(w):
+                    continue
+                cut = np.flatnonzero(np.diff(w)) + 1
+                for k, found in zip(
+                    w[np.r_[0, cut]],
+                    zip(*(np.split(a[keep], cut) for a in (i, j, values))),
+                ):
+                    edges[k].append(found)
+            return len(position)
+
+        block = max(1, _GRID_BLOCK_CELLS // (span + 1))
+        prefix = np.zeros((min(block, len(rows)), span + 1), dtype=FLOAT_DTYPE)
+        waiting = 0
+        for lo in range(0, len(rows), block):
+            hi = min(lo + block, len(rows))
+            running = prefix[: hi - lo]
+            block_rows, block_cols = rows[lo:hi], cols[lo:hi]
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.cumsum(
+                    self.pair_sumprods[slots[lo:hi], first : first + span],
+                    axis=1,
+                    out=running[:, 1:],
+                )
+                value = (
+                    running[:, window_bw : span + 1 : step_bw]
+                    - running[:, : span - window_bw + 1 : step_bw]
+                )
+                value -= sums[block_rows] * means[block_cols]
+                value *= inv_root[block_rows]
+                value *= inv_root[block_cols]
+                if absolute:
+                    np.abs(value, out=value)
+                floor = query.threshold - coefficient * (
+                    amplitude[block_rows] * amplitude[block_cols]
+                )
+                if unbounded:
+                    floor[:] = -np.inf
+                below = value < floor[:, None]
+            position, window_of = np.nonzero(~below)
+            pending.append((window_of, position + lo))
+            waiting += len(position)
+            if waiting >= _GRID_VERIFY_CELLS:
+                verified += verify()
+                waiting = 0
+        if pending:
+            verified += verify()
+
+        empty = np.empty(0, dtype=rows.dtype)
+        return [
+            tuple(np.concatenate(parts) for parts in zip(*found))
+            if found else (empty, empty, np.empty(0, dtype=FLOAT_DTYPE))
+            for found in edges
+        ], verified
 
     # --------------------------------------------------------------- unaligned
     def exact_pairs_range(

@@ -107,7 +107,6 @@ class LintConfig:
             "pair_sumprods",
             "pair_corrs",
             "corr_prefix",
-            "sumprod_prefix",
         }
     )
 

@@ -359,9 +359,6 @@ def experiment_e7_pruning_ablation(scale: float = 0.5, threshold: float = 0.75) 
         ("temporal+horizontal", DangoronEngine(
             basic_window_size=workload.basic_window_size,
             use_temporal_pruning=True, use_horizontal_pruning=True)),
-        ("prefix_combination", DangoronEngine(
-            basic_window_size=workload.basic_window_size,
-            use_temporal_pruning=True, prefix_combination=True)),
     ]
     reference = BruteForceEngine().run(workload.matrix, workload.query)
     rows: List[List[object]] = []

@@ -42,7 +42,7 @@ from repro.exceptions import ParallelError
 
 #: ``EngineStats.extra`` keys that are per-shard work counters (summed on
 #: merge); everything else is kept only when identical across shards.
-_ADDITIVE_EXTRA_KEYS = ("pivot_evaluations",)
+_ADDITIVE_EXTRA_KEYS = ("pivot_evaluations", "verified_evaluations")
 
 #: ``EngineStats.extra`` keys that are build times the shards paid
 #: concurrently: merged, like ``sketch_build_seconds``, as the maximum.
@@ -71,6 +71,7 @@ def merge_shard_stats(
             extra[key] = value
     return EngineStats(
         engine=engine_label if engine_label is not None else first.engine,
+        exactness=first.exactness,
         num_series=first.num_series,
         num_windows=first.num_windows,
         exact_evaluations=sum(s.exact_evaluations for s in shard_stats),

@@ -22,7 +22,8 @@ suite asserts it is bit-identical to an independent per-threshold run
 across random thresholds, layouts and batch compositions.
 
 One engine mechanism is excluded from batch scans: Dangoron's *temporal
-jumping* (Eq. 2) is a threshold-dependent recall heuristic — under its
+jumping* (Eq. 2, which a service runs only when its engine options ask for
+it) is a threshold-dependent recall heuristic — under its
 stationarity assumption a below-threshold pair skips windows, and a pair
 whose correlation rises faster than the bound predicts is caught late.
 Which windows get skipped depends on the scan's threshold, so a floor scan

@@ -319,6 +319,7 @@ class DatasetRuntime:
             query,
             num_series=self.store.num_series,
             basic_window_size=self.config.basic_window_size,
+            use_temporal_pruning=self.session_for().planner.jumps(),
         )
         self._watch_counter += 1
         watch = _StandingQuery(f"w{self._watch_counter}", query, cursor)
@@ -749,6 +750,10 @@ class CorrelationService:
         sketch = session.planner.materialize_sketch(session.matrix, plan)
         if sketch is None or not sketch.has_pairwise:
             return None
+        if runtime.session_for().planner.jumps():
+            # Materialized once here, so the segment carries it and workers
+            # share its pages; an exact service never reads it.
+            sketch.corr_prefix
         fingerprint = runtime.sketch_cache.fingerprint_of(session.matrix)
         path, generation = runtime.segments.ensure(
             runtime.store, sketch, fingerprint, runtime.store.series_ids

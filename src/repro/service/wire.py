@@ -170,7 +170,7 @@ def query_from_wire(payload: Dict[str, object]) -> SlidingQuery:
 _STATS_FIELDS = (
     "engine", "num_series", "num_windows", "exact_evaluations",
     "skipped_by_jumping", "pruned_horizontally", "candidate_pairs",
-    "sketch_build_seconds", "query_seconds",
+    "sketch_build_seconds", "query_seconds", "exactness",
 )
 
 

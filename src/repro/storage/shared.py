@@ -4,10 +4,12 @@ A *segment* is one dataset snapshot exported to disk so that forked worker
 processes can answer queries over it without duplicating the dominant
 arrays: the raw column values, every :class:`~repro.core.sketch
 .BasicWindowSketch` statistic tensor, and the lazily-derived ``corr_prefix``
-are each written as a plain ``.npy`` file and re-opened by workers with
-``np.load(..., mmap_mode="r")``.  File-backed read-only pages are shared by
-the kernel across every attaching process, so N workers cost one copy of the
-sketch, not N — the property the service's per-worker RSS assertion measures.
+when the exported sketch holds one (the parent materializes it only when
+the served engine jumps) are each written as a plain ``.npy`` file and
+re-opened by workers with ``np.load(..., mmap_mode="r")``.  File-backed
+read-only pages are shared by the kernel across every attaching process, so
+N workers cost one copy of the sketch, not N — the property the service's
+per-worker RSS assertion measures.
 
 Segments are keyed the way :class:`~repro.storage.cache.SketchCache` entries
 are keyed — the matrix content fingerprint plus the basic-window layout — and
@@ -19,16 +21,18 @@ than the one they hold.
 Layout of one exported segment directory::
 
     gen-000001/
-        manifest.json        generation, fingerprint, layout, shapes
+        manifest.json        generation, fingerprint, layout, arrays, shapes
         values.npy           (N, L)        raw columns (streamed from chunks)
         series_sums.npy      (N, count)
         series_sumsqs.npy    (N, count)
         pair_sumprods.npy    (P, count)      packed, P = N (N + 1) / 2
-        corr_prefix.npy      (P, count + 1)  materialized once, in the parent
+        corr_prefix.npy      (P, count + 1)  only when the sketch held it
 
 ``manifest.json`` is written last, so a crashed or torn export is never
-attachable; every attach failure raises :class:`~repro.exceptions
-.StorageError` naming the offending path.
+attachable.  Its ``arrays`` list names the statistic tensors the segment
+holds, and attach reads exactly those: a missing or torn listed array, like
+every other attach failure, raises :class:`~repro.exceptions.StorageError`
+naming the offending path.
 """
 
 from __future__ import annotations
@@ -46,17 +50,18 @@ from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import StorageError
 
 #: Version tag checked on attach, so a layout change cannot be silently
-#: misread: v2 packs the pair statistics pair-major and stores no
-#: ``pair_corrs``; a v1 (dense ``(count, N, N)``) segment is refused.
-SEGMENT_SCHEMA = "repro.segment/v2"
+#: misread: v3 lists its statistic tensors in the manifest (``corr_prefix``
+#: is optional); v2 (always a prefix, no list) and v1 (dense
+#: ``(count, N, N)``) segments are refused.
+SEGMENT_SCHEMA = "repro.segment/v3"
 
-#: The sketch statistic tensors a segment carries, in export order.  The raw
-#: ``values`` array is handled separately (it streams from the chunk store).
+#: The sketch statistic tensors every segment carries, in export order.  The
+#: raw ``values`` array is handled separately (it streams from the chunk
+#: store); ``corr_prefix`` follows them when the sketch holds one.
 _SKETCH_ARRAYS = (
     "series_sums",
     "series_sumsqs",
     "pair_sumprods",
-    "corr_prefix",
 )
 
 
@@ -65,8 +70,9 @@ class SharedSegment:
 
     ``values`` is the ``(N, L)`` column matrix and ``sketch`` a
     :class:`BasicWindowSketch` whose statistic tensors (including the
-    injected ``corr_prefix``) are views over the segment files — nothing
-    here holds a private copy of the dominant arrays.
+    injected ``corr_prefix``, when the segment lists one) are views over the
+    segment files — nothing here holds a private copy of the dominant
+    arrays.
     """
 
     def __init__(
@@ -97,7 +103,8 @@ class SharedSegment:
     def sketch_bytes(self) -> int:
         """Summed on-disk size of the statistic tensors (the shared footprint)."""
         return sum(
-            (self.path / f"{name}.npy").stat().st_size for name in _SKETCH_ARRAYS
+            (self.path / f"{name}.npy").stat().st_size
+            for name in self.manifest["arrays"]
         )
 
     def __repr__(self) -> str:
@@ -122,7 +129,8 @@ def export_segment(
     values file chunk by chunk, so the export never materializes a second
     dense copy of the data.  ``sketch`` must carry pairwise statistics —
     a per-series-only sketch cannot answer the correlation scans workers
-    run.  The manifest is written last; see the module docstring.
+    run.  Its ``corr_prefix`` is exported when it is materialized, and only
+    then.  The manifest is written last; see the module docstring.
     """
     if not sketch.has_pairwise:
         raise StorageError(
@@ -150,15 +158,12 @@ def export_segment(
     values.flush()
     del values
 
-    arrays = {
-        "series_sums": sketch.series_sums,
-        "series_sumsqs": sketch.series_sumsqs,
-        "pair_sumprods": sketch.pair_sumprods,
-        # The property materializes the (P, count + 1) prefix at most once,
-        # here in the exporting parent; attaching workers mmap it instead of
-        # each allocating their own (which would void the shared-memory win).
-        "corr_prefix": sketch.corr_prefix,
-    }
+    arrays = {name: getattr(sketch, name) for name in _SKETCH_ARRAYS}
+    if sketch.has_corr_prefix:
+        # Attaching workers of a jumping service mmap the parent's prefix
+        # instead of each allocating their own (which would void the
+        # shared-memory win).
+        arrays["corr_prefix"] = sketch.corr_prefix
     shapes: Dict[str, List[int]] = {"values": [int(store.num_series), int(store.length)]}
     for name, array in arrays.items():
         np.save(target / f"{name}.npy", np.asarray(array))
@@ -176,6 +181,7 @@ def export_segment(
             "size": sketch.layout.size,
             "count": sketch.layout.count,
         },
+        "arrays": list(arrays),
         "shapes": shapes,
     }
     manifest_path = target / "manifest.json"
@@ -204,8 +210,8 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
     """Open a segment read-only; every array comes back memmapped.
 
     Raises :class:`StorageError` naming the offending path when the manifest
-    is absent or unreadable, the schema tag is unknown, an array file is
-    missing, or an array is truncated/corrupt (shape disagrees with the
+    is absent or unreadable, the schema tag is unknown, a listed array file
+    is missing, or an array is truncated/corrupt (shape disagrees with the
     manifest, or the ``.npy`` header cannot be mapped).
     """
     path = Path(directory)
@@ -224,10 +230,18 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
             f"expected {SEGMENT_SCHEMA!r}"
         )
     shapes = manifest["shapes"]
+    listed = manifest.get("arrays")
+    if not isinstance(listed, list) or not (
+        set(_SKETCH_ARRAYS) <= set(listed) <= {*_SKETCH_ARRAYS, "corr_prefix"}
+    ):
+        raise StorageError(
+            f"{manifest_path} must list the statistic arrays "
+            f"{list(_SKETCH_ARRAYS)} (optionally corr_prefix), got {listed!r}"
+        )
     values = _load_array(path / "values.npy", tuple(shapes["values"]))
     loaded = {
         name: _load_array(path / f"{name}.npy", tuple(shapes[name]))
-        for name in _SKETCH_ARRAYS
+        for name in listed
     }
     layout = BasicWindowLayout(
         offset=int(manifest["layout"]["offset"]),
@@ -240,7 +254,8 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
         series_sumsqs=loaded["series_sumsqs"],
         pair_sumprods=loaded["pair_sumprods"],
     )
-    sketch.attach_corr_prefix(loaded["corr_prefix"])
+    if "corr_prefix" in loaded:
+        sketch.attach_corr_prefix(loaded["corr_prefix"])
     return SharedSegment(path, manifest, values, sketch)
 
 

@@ -2,10 +2,13 @@
 
 A standing threshold query is a :class:`WindowCursor`: the next sliding window
 to emit plus, per pair, the window at which it is next due.  It advances over
-any sketch covering the stream from column 0, one
+any sketch covering the stream from column 0.  With jumping, that is one
 :func:`repro.core.dangoron.step_window` call per newly complete window — the
 offline engine's own step, Eq. 2 scheduling included (the outgoing basic
 windows the bound reads are always in the past, so it is computable online).
+Without it, the newly complete windows are one
+:meth:`~repro.core.sketch.BasicWindowSketch.exact_pairs_grid` pass, the
+offline engine's exact kernel.
 
 :class:`OnlineCorrelationMonitor` is a cursor that owns its stream: it buffers
 the columns that do not yet fill a basic window and grows its sketch with
@@ -59,7 +62,8 @@ class WindowCursor:
     basic_window_size:
         Basic-window size of the statistics the cursor advances over.
     use_temporal_pruning:
-        Apply the Eq. 2 jump scheduling across emitted windows.
+        Apply the Eq. 2 jump scheduling across emitted windows (the paper's
+        configuration; ``False`` answers every window exactly).
 
     The sketch is an argument of :meth:`advance`, never state — several
     cursors (and ordinary queries) share one.
@@ -106,15 +110,18 @@ class WindowCursor:
         query: SlidingQuery,
         num_series: int,
         basic_window_size: int = DEFAULT_BASIC_WINDOW_SIZE,
+        use_temporal_pruning: bool = True,
     ) -> "WindowCursor":
         """Answer a threshold query spec over a live stream.
 
         The push-based twin of ``CorrelationSession.run``: the query supplies
         window, step and threshold, and the basic-window size is aligned to
-        them with the rule the offline planner uses.  Only signed-threshold
-        specs stream; top-k, lagged and absolute-mode queries raise
-        :class:`StreamingError`, and so does ``start > 0`` (a standing query
-        watches the stream from its first column; it is not silently shifted).
+        them with the rule the offline planner uses; callers pass the
+        engine's ``use_temporal_pruning`` so both answer alike.  Only
+        signed-threshold specs stream; top-k, lagged and absolute-mode queries
+        raise :class:`StreamingError`, and so does ``start > 0`` (a standing
+        query watches the stream from its first column; it is not silently
+        shifted).
         """
         if getattr(query, "mode", "threshold") != "threshold":
             raise StreamingError(
@@ -139,6 +146,7 @@ class WindowCursor:
             basic_window_size=choose_basic_window_size(
                 query.window, query.step, basic_window_size
             ),
+            use_temporal_pruning=use_temporal_pruning,
         )
 
     def equivalent_query(self, total_columns: int) -> SlidingQuery:
@@ -163,9 +171,23 @@ class WindowCursor:
         if layout.covered_end < self.window:
             return []
         query = self.equivalent_query(layout.covered_end)
+        windows = range(self.emitted_windows, query.num_windows)
+        if not self.use_temporal_pruning:
+            found, _ = sketch.exact_pairs_grid(
+                self._rows, self._cols, query, windows, slots=self._slots
+            )
+            self.emitted_windows = max(self.emitted_windows, query.num_windows)
+            return [
+                OnlineWindowResult(
+                    k, *query.window_bounds(k),
+                    ThresholdedMatrix(self.num_series, *edges),
+                    exact_evaluations=len(self._rows),
+                )
+                for k, edges in zip(windows, found)
+            ]
         step_bw = self.step // layout.size
         results = []
-        for k in range(self.emitted_windows, query.num_windows):
+        for k in windows:
             begin, end = query.window_bounds(k)
             due = self._scheduler.due_indices(k)
             # The Eq. 2 bound reads the basic windows that slide *out*; it

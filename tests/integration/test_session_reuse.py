@@ -48,7 +48,10 @@ class TestSweepReuse:
         session = CorrelationSession(
             workload.matrix, basic_window_size=workload.basic_window_size
         )
-        engine = DangoronEngine(basic_window_size=workload.basic_window_size)
+        # The engine as the planner configures it: exact, no jumping.
+        engine = DangoronEngine(
+            basic_window_size=workload.basic_window_size, use_temporal_pruning=False
+        )
         for beta in THRESHOLDS:
             query = workload.query.with_threshold(beta)
             assert session.run(query).edge_sets() == engine.run(

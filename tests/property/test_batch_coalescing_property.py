@@ -137,7 +137,7 @@ def test_duplicate_and_extreme_thresholds_in_one_batch(case):
 def test_batch_scans_exclude_the_jumping_heuristic():
     """The regression that forced ``exact_scan_options`` (found by Hypothesis).
 
-    On this data the default engine's temporal jumping, evaluated at
+    On this data Dangoron's temporal jumping (opt-in), evaluated at
     threshold 0.5, schedules pair (2, 3) past window 1 — where its true
     correlation is ~0.565, above the threshold (the engine's documented
     stationarity caveat: a pair rising faster than the Eq. 2 bound predicts
@@ -153,7 +153,10 @@ def test_batch_scans_exclude_the_jumping_heuristic():
         threshold=0.5, threshold_mode=THRESHOLD_SIGNED,
     )
 
-    heuristic = CorrelationSession(matrix, basic_window_size=BASIC).run(member)
+    heuristic = CorrelationSession(
+        matrix, basic_window_size=BASIC,
+        engine_options={"use_temporal_pruning": True},
+    ).run(member)
     heuristic_edges = {
         (w, r, c)
         for w, m in enumerate(heuristic.matrices)
@@ -170,6 +173,9 @@ def test_batch_scans_exclude_the_jumping_heuristic():
     independent = exact_session.run(member)
     assert derived.to_edges() == independent.to_edges()
     assert any(w == 1 and r == 2 and c == 3 for w, r, c, *_ in derived.to_edges())
+    # The default session answers exactly too: jumping is opt-in.
+    default = CorrelationSession(matrix, basic_window_size=BASIC).run(member)
+    assert default.to_edges() == independent.to_edges()
 
 
 def test_filter_rejects_scan_that_is_not_a_superset():

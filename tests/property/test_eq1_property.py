@@ -8,12 +8,13 @@ cases of the unit tests.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.correlation import correlation_matrix, pearson
+from repro.core.query import SlidingQuery
 from repro.core.sketch import BasicWindowSketch
 
 finite_floats = st.floats(
@@ -79,28 +80,19 @@ def test_sketch_scan_matches_direct_correlation(data):
 
 @given(matrix_and_window())
 @settings(max_examples=40, deadline=None)
-def test_fast_prefix_combination_matches_scan(data):
+def test_grid_matches_scan(data):
     values, size, count, first, span = data
     layout = BasicWindowLayout(offset=0, size=size, count=count)
     sketch = BasicWindowSketch.build(values, layout)
-    # The fast path recovers range statistics by subtracting prefix sums, so
-    # its absolute error scales with the energy accumulated *before* the range
-    # ends, not with the range's own signal.  When the range variance is much
-    # smaller than that accumulated energy, cancellation noise dominates and
-    # the two exact paths legitimately diverge — skip those inputs rather than
-    # pretending the ablation path is a precision upgrade.
-    window = values[:, first * size : (first + span) * size]
-    prefix = values[:, : (first + span) * size]
-    energy = np.einsum("ij,ij->i", prefix, prefix)
-    centered = window - window.mean(axis=1, keepdims=True)
-    variance = np.einsum("ij,ij->i", centered, centered)
-    assume(bool(np.all(variance >= 1e-7 * energy)))
+    # At a signed threshold of -1 the grid emits every pair: each value is
+    # the scan's own Eq. 1 gather, whatever cancellation its filter met.
+    query = SlidingQuery(first * size, (first + span) * size, span * size, size, -1.0)
     rows, cols = np.triu_indices(values.shape[0], k=1)
-    assert np.allclose(
-        sketch.exact_pairs_fast(rows, cols, first, span),
-        sketch.exact_pairs_scan(rows, cols, first, span),
-        atol=1e-7,
-    )
+    (found,), verified = sketch.exact_pairs_grid(rows, cols, query)
+    assert verified == len(rows)
+    np.testing.assert_array_equal(found[0], rows)
+    np.testing.assert_array_equal(found[1], cols)
+    assert found[2].tobytes() == sketch.exact_pairs_scan(rows, cols, first, span).tobytes()
 
 
 @given(

@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.core import sketch as sketch_module
 from repro.core.basic_window import BasicWindowLayout
+from repro.core.query import SlidingQuery
 from repro.core.sketch import BasicWindowSketch
 from repro.storage.cache import SketchCache, matrix_fingerprint
 from repro.storage.stats_index import StatsIndex
@@ -122,7 +123,7 @@ def test_an_extended_sketch_carries_its_prefixes_forward(
         (num_series, size * (base_windows + sum(deltas)))
     )
     sketch = BasicWindowSketch.build(values, BasicWindowLayout(0, size, base_windows))
-    sketch.corr_prefix, sketch.sumprod_prefix  # materialize both
+    sketch.corr_prefix  # materialize the prefix
     computed = []
     kernel = sketch_module.pair_corrs_from_stats
 
@@ -136,7 +137,7 @@ def test_an_extended_sketch_carries_its_prefixes_forward(
             begin = sketch.layout.covered_end
             sketch = sketch.extend(values[:, begin : begin + size * delta])
             assert sketch.has_corr_prefix
-        carried = (sketch.corr_prefix, sketch.sumprod_prefix)
+        carried = sketch.corr_prefix
     # Only the delta windows' correlations were computed, once per extend.
     num_slots = num_series * (num_series + 1) // 2
     assert computed == [(num_slots, delta) for delta in deltas]
@@ -144,8 +145,16 @@ def test_an_extended_sketch_carries_its_prefixes_forward(
     scratch = BasicWindowSketch.build(
         values, BasicWindowLayout(0, size, base_windows + sum(deltas))
     )
-    assert carried[0].tobytes() == scratch.corr_prefix.tobytes()
-    assert carried[1].tobytes() == scratch.sumprod_prefix.tobytes()
+    assert carried.tobytes() == scratch.corr_prefix.tobytes()
+    # The grid keeps no prefix: over the extended sketch it answers the
+    # scratch build's bits.
+    query = SlidingQuery(0, scratch.layout.covered_end, size, size, 0.0)
+    rows, cols = np.triu_indices(num_series, k=1)
+    grown, _ = sketch.exact_pairs_grid(rows, cols, query)
+    fresh, _ = scratch.exact_pairs_grid(rows, cols, query)
+    for got, expected in zip(grown, fresh):
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
 
 
 @st.composite

@@ -2,19 +2,19 @@
 
 Dangoron, its horizontal-pruning pivot rows, standing queries, top-k and the
 TSUBASA baseline all recombine the pairs they need with
-``BasicWindowSketch.exact_pairs_scan`` (or ``exact_pairs_fast`` under the
-``prefix_combination`` ablation, or ``exact_pairs_range`` for TSUBASA's
-unaligned windows), whatever share of the pairs a window asks for.  These
-tests pin that the gather gives the bits of the dense ``N x N``
-recombination gathered afterwards — the formulation the window step used
-when most pairs were due, and TSUBASA in every window — on ordinary,
+``BasicWindowSketch.exact_pairs_scan`` (or ``exact_pairs_range`` for
+TSUBASA's unaligned windows, or ``exact_pairs_grid``, which verifies with
+the scan's gather, when nothing prunes), whatever share of the pairs a window
+asks for.  These tests pin that the gather gives the bits of the dense
+``N x N`` recombination gathered afterwards — the formulation the window step
+used when most pairs were due, and TSUBASA in every window — on ordinary,
 constant, huge-magnitude and locally flat rows, from one series to a few
 hundred.
 
 The dense recombinations live on here as the reference evaluators
-(:func:`dense_scan`, :func:`dense_range`, :func:`dense_step_window`): engine
-runs, standing queries, top-k and TSUBASA must answer exactly as they did
-with them, counters included.  They read the sketch's packed pair-major
+(:func:`dense_scan`, :func:`dense_range`, :func:`dense_step_window`,
+:func:`dense_grid`): engine runs, standing queries, top-k and TSUBASA must
+answer exactly as they did with them, counters included.  They read the sketch's packed pair-major
 statistics as dense ``(count, N, N)`` planes (:func:`planes`).  TSUBASA's
 unaligned edges are one BLAS product per window, so that identity holds for
 one BLAS set-up (CI runs this file at one and at two BLAS threads).
@@ -122,26 +122,15 @@ def dense_range(sketch, start, end, values):
     return corr
 
 
-def dense_prefix_combination(sketch, first, count):
-    """Every pair's prefix-difference recombination as one ``N x N`` matrix."""
-    sums, sumsqs = sketch.series_range_sums(first, count)
-    prefix = planes(sketch.sumprod_prefix, sketch.num_series)
-    sumprods = prefix[first + count] - prefix[first]
-    return correlation_from_sums(
-        np.full_like(sumprods, float(count * sketch.layout.size)),
-        sums[:, None], sums[None, :], sumsqs[:, None], sumsqs[None, :], sumprods,
-    )
-
-
 def dense_step_window(
     sketch, query, rows, cols, scheduler, k, positions, max_steps, *,
-    use_temporal_pruning=True, slack=0.0, prefix_combination=False, slots=None,
+    use_temporal_pruning=True, slack=0.0, slots=None,
 ):
-    """``step_window`` as it was with its dense branches.
+    """``step_window`` as it was with its dense branch.
 
     Over the full upper triangle it recombined the whole ``N x N`` matrix
-    whenever more than half the pairs were due (and in every window under
-    the prefix ablation), then gathered the due pairs from it.
+    whenever more than half the pairs were due, then gathered the due pairs
+    from it.
     """
     if not len(positions):
         empty = np.empty(0, dtype=np.int64)
@@ -151,12 +140,7 @@ def dense_step_window(
     n = sketch.num_series
     all_pairs = len(rows) == n * (n - 1) // 2
     pair_rows, pair_cols = rows[positions], cols[positions]
-    if prefix_combination and all_pairs:
-        dense = dense_prefix_combination(sketch, bw_first, window_bw)
-        exact_vals = dense[pair_rows, pair_cols]
-    elif prefix_combination:
-        exact_vals = sketch.exact_pairs_fast(pair_rows, pair_cols, bw_first, window_bw)
-    elif all_pairs and len(positions) * 2 > len(rows):
+    if all_pairs and len(positions) * 2 > len(rows):
         exact_vals = dense_scan(sketch, bw_first, window_bw)[pair_rows, pair_cols]
     else:
         exact_vals = sketch.exact_pairs_scan(pair_rows, pair_cols, bw_first, window_bw)
@@ -179,10 +163,24 @@ def dense_step_window(
     return pair_rows[keep], pair_cols[keep], exact_vals[keep]
 
 
+def dense_grid(sketch, rows, cols, query, windows=None, slots=None):
+    """``exact_pairs_grid`` as the per-window scan it replaced: every window's
+    pairs recombined densely, gathered and thresholded."""
+    windows = range(query.num_windows) if windows is None else windows
+    found = []
+    for k in windows:
+        first, count = sketch.layout.covering(*query.window_bounds(k))
+        values = dense_scan(sketch, first, count)[rows, cols]
+        keep = query.keep_mask(values)
+        found.append((rows[keep], cols[keep], values[keep]))
+    return found, len(rows) * len(windows)
+
+
 def with_dense_step(run):
     """Call ``run()`` with the engine and standing queries on the dense step."""
     with mock.patch("repro.core.dangoron.step_window", dense_step_window), \
-            mock.patch("repro.streaming.online.step_window", dense_step_window):
+            mock.patch("repro.streaming.online.step_window", dense_step_window), \
+            mock.patch.object(BasicWindowSketch, "exact_pairs_grid", dense_grid):
         return run()
 
 
@@ -257,7 +255,6 @@ def engine_cases(draw):
         use_horizontal_pruning=draw(st.booleans()),
         num_pivots=draw(st.integers(min_value=1, max_value=4)),
         slack=draw(st.sampled_from([0.0, 0.05])),
-        prefix_combination=draw(st.booleans()),
     )
     matrix = drifting_matrix(seed, num_series, length)
     pairs = np.triu_indices(num_series, k=1)
@@ -294,10 +291,12 @@ def test_full_triangle_gather_is_the_dense_scan_gathered(case):
     assert np.array_equal(
         scan, dense_scan(sketch, first, span)[rows, cols], equal_nan=True
     )
-    fast = sketch.exact_pairs_fast(rows, cols, first, span)
-    assert np.array_equal(
-        fast, dense_prefix_combination(sketch, first, span)[rows, cols], equal_nan=True
-    )
+    # The grid at a signed threshold of -1 emits every pair: one window
+    # over the range gives the scan's bits.
+    size = sketch.layout.size
+    query = SlidingQuery(first * size, (first + span) * size, span * size, size, -1.0)
+    (grid,), _ = sketch.exact_pairs_grid(rows, cols, query)
+    assert grid[2].tobytes() == scan.tobytes()
     # A pair's value does not depend on which other pairs were gathered.
     subset = rng.permutation(len(rows))[: len(rows) // 3]
     assert np.array_equal(
@@ -305,11 +304,8 @@ def test_full_triangle_gather_is_the_dense_scan_gathered(case):
         scan[subset],
         equal_nan=True,
     )
-    assert np.array_equal(
-        sketch.exact_pairs_fast(rows[subset], cols[subset], first, span),
-        fast[subset],
-        equal_nan=True,
-    )
+    (on_subset,), _ = sketch.exact_pairs_grid(rows[subset], cols[subset], query)
+    assert on_subset[2].tobytes() == scan[subset].tobytes()
 
 
 @st.composite

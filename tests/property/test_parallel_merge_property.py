@@ -78,7 +78,9 @@ def test_any_partition_merges_to_serial_result(
 @pytest.mark.parametrize("engine_factory", [
     lambda: DangoronEngine(basic_window_size=16, use_temporal_pruning=False),
     lambda: DangoronEngine(basic_window_size=16, slack=0.05),
-    lambda: DangoronEngine(basic_window_size=16, prefix_combination=True),
+    lambda: DangoronEngine(
+        basic_window_size=16, use_temporal_pruning=False, use_horizontal_pruning=True
+    ),
 ])
 def test_partition_determinism_across_engine_options(
     small_matrix, standard_query, engine_factory

@@ -189,6 +189,3 @@ def test_kernel_agrees_with_the_formulations_it_replaced(case):
         sketch.series_sums, sketch.series_sumsqs, pair_sumprods, size
     )
     assert np.array_equal(planes(sketch.corr_prefix, n), cumsum_prefix(pair_corrs))
-    assert np.array_equal(
-        planes(sketch.sumprod_prefix, n), cumsum_prefix(pair_sumprods)
-    )

@@ -97,9 +97,12 @@ class TestPlannerRouting:
 class TestSessionResults:
     def test_run_threshold_matches_direct_engine(self, small_matrix, session, query):
         via_session = session.run(query)
-        direct = DangoronEngine(basic_window_size=32).run(small_matrix, query)
+        # The planner's engine answers exactly: Dangoron without jumping.
+        direct = DangoronEngine(basic_window_size=32, use_temporal_pruning=False).run(
+            small_matrix, query
+        )
         assert isinstance(via_session, CorrelationSeriesResult)
-        assert via_session.edge_sets() == direct.edge_sets()
+        assert via_session.to_edges() == direct.to_edges()
 
     def test_run_topk_matches_free_function(self, small_matrix, session):
         topk_query = TopKQuery(start=0, end=512, window=128, step=32, k=5)
@@ -152,10 +155,10 @@ class TestSketchReuse:
     def test_reused_results_stay_correct(self, small_matrix, session, query):
         sweep = session.sweep_thresholds(query, [0.5, 0.7])
         for result in sweep:
-            fresh = DangoronEngine(basic_window_size=32).run(
+            fresh = DangoronEngine(basic_window_size=32, use_temporal_pruning=False).run(
                 small_matrix, query.with_threshold(result.query.threshold)
             )
-            assert result.edge_sets() == fresh.edge_sets()
+            assert result.to_edges() == fresh.to_edges()
 
     def test_sessions_can_share_a_cache(self, small_matrix, query):
         cache = SketchCache()
@@ -173,12 +176,19 @@ class TestSketchReuse:
 
 
 class TestStreaming:
-    def test_stream_matches_batch(self, small_matrix, session, query):
+    @pytest.mark.parametrize("jumping", [None, False, True])
+    def test_stream_matches_batch(self, small_matrix, query, jumping):
+        """The stream follows the engine's configuration: exact by default
+        and without jumping, the Eq. 2 schedule when the options ask."""
+        options = {} if jumping is None else {"use_temporal_pruning": jumping}
+        session = CorrelationSession(
+            small_matrix, basic_window_size=32, engine_options=options
+        )
         streamed = list(session.stream(query))
         batch = session.run(query)
         assert len(streamed) == batch.num_windows
         for emitted, window in zip(streamed, batch.matrices):
-            assert emitted.matrix.edge_set() == window.edge_set()
+            assert emitted.matrix.edge_dict() == window.edge_dict()
 
     def test_stream_rejects_topk_and_lagged(self, session):
         with pytest.raises(QueryValidationError):

@@ -25,12 +25,15 @@ class TestLegacyEntryPoints:
         assert result.stats.extra["sketch_reused"] == 0.0
 
     def test_engine_run_agrees_with_session(self, small_matrix, query):
-        direct = DangoronEngine(basic_window_size=32).run(small_matrix, query)
+        # The session's planner configures the engine without jumping.
+        direct = DangoronEngine(basic_window_size=32, use_temporal_pruning=False).run(
+            small_matrix, query
+        )
         via_session = CorrelationSession(small_matrix, basic_window_size=32).run(
             ThresholdQuery(**{f: getattr(query, f) for f in (
                 "start", "end", "window", "step", "threshold", "threshold_mode")})
         )
-        assert direct.edge_sets() == via_session.edge_sets()
+        assert direct.to_edges() == via_session.to_edges()
 
     def test_sliding_top_k_agrees_with_session(self, small_matrix, query):
         direct = sliding_top_k(small_matrix, query, k=5, basic_window_size=32)

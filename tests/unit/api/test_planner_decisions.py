@@ -230,7 +230,7 @@ GOLDEN = {
         "reasons": (),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[temporal, b<=16] "
+            "plan[threshold] engine=dangoron[no-pruning, b<=16] answer=exact "
             "sketch=b=16 x 16 exec=serial"
         ),
     },
@@ -242,7 +242,7 @@ GOLDEN = {
         "reasons": (),
         "cost_source": "calibration",
         "describe": (
-            "plan[threshold] engine=dangoron[temporal, b<=16] "
+            "plan[threshold] engine=dangoron[no-pruning, b<=16] answer=exact "
             "sketch=b=16 x 16 exec=sharded(workers=4) "
             "cost: sharded(4w)=6.35e-05s < serial=0.000196s, "
             "source=calibration"
@@ -258,7 +258,7 @@ GOLDEN = {
         ),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[temporal, b<=16] "
+            "plan[threshold] engine=dangoron[no-pruning, b<=16] answer=exact "
             "sketch=b=16 x 16 exec=serial "
             "(pair count below parallel_min_pairs=4096)"
         ),
@@ -271,15 +271,15 @@ GOLDEN = {
         "reasons": (
             (
                 "execution",
-                "engine dangoron[temporal+horizontal(4), b<=16] does not "
+                "engine dangoron[horizontal(4), b<=16] does not "
                 "support pair subsets",
             ),
         ),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[temporal+horizontal(4), b<=16] "
+            "plan[threshold] engine=dangoron[horizontal(4), b<=16] answer=exact "
             "sketch=b=16 x 16 exec=serial (engine "
-            "dangoron[temporal+horizontal(4), b<=16] does not support pair "
+            "dangoron[horizontal(4), b<=16] does not support pair "
             "subsets)"
         ),
     },
@@ -291,7 +291,7 @@ GOLDEN = {
         "reasons": (("execution", "windows not basic-window aligned"),),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=tsubasa[b=16] sketch=b=16 x 16 "
+            "plan[threshold] engine=tsubasa[b=16] answer=exact sketch=b=16 x 16 "
             "exec=serial (windows not basic-window aligned)"
         ),
     },
@@ -303,7 +303,7 @@ GOLDEN = {
         "reasons": (),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[temporal, b<=16] "
+            "plan[threshold] engine=dangoron[no-pruning, b<=16] answer=exact "
             "sketch=b=16 x 16 exec=serial build=tiled(budget=8192B)"
         ),
     },
@@ -315,7 +315,7 @@ GOLDEN = {
         "reasons": (("build", "raw data fits the budget"),),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[temporal, b<=16] "
+            "plan[threshold] engine=dangoron[no-pruning, b<=16] answer=exact "
             "sketch=b=16 x 16 exec=serial build=dense "
             "(raw data fits the budget)"
         ),
@@ -328,7 +328,7 @@ GOLDEN = {
         "reasons": (("build", "engine needs raw values (pivot selection)"),),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[temporal+horizontal(2), b<=16] "
+            "plan[threshold] engine=dangoron[horizontal(2), b<=16] answer=exact "
             "sketch=b=16 x 16 exec=serial build=dense "
             "(engine needs raw values (pivot selection))"
         ),
@@ -341,16 +341,16 @@ GOLDEN = {
         "reasons": (
             (
                 "execution",
-                "engine dangoron[temporal+horizontal(4), b<=16] does not "
+                "engine dangoron[horizontal(4), b<=16] does not "
                 "support pair subsets",
             ),
             ("build", "engine needs raw values (pivot selection)"),
         ),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[temporal+horizontal(4), b<=16] "
+            "plan[threshold] engine=dangoron[horizontal(4), b<=16] answer=exact "
             "sketch=b=16 x 16 exec=serial (engine "
-            "dangoron[temporal+horizontal(4), b<=16] does not support pair "
+            "dangoron[horizontal(4), b<=16] does not support pair "
             "subsets) build=dense (engine needs raw values "
             "(pivot selection))"
         ),
@@ -404,7 +404,7 @@ GOLDEN = {
         ),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[temporal, b<=32] "
+            "plan[threshold] engine=dangoron[no-pruning, b<=32] answer=exact "
             "sketch=b=32 x 18 exec=serial "
             "build=incremental(chained sketch covers 16/18 basic windows)"
         ),
@@ -419,7 +419,7 @@ GOLDEN = {
         ),
         "cost_source": "calibration",
         "describe": (
-            "plan[threshold] engine=dangoron[temporal, b<=32] "
+            "plan[threshold] engine=dangoron[no-pruning, b<=32] answer=exact "
             "sketch=b=32 x 18 exec=sharded(workers=2) "
             "build=incremental(chained sketch covers 16/18 basic windows) "
             "cost: sharded(2w)=0.000233s < serial=0.00042s, "
@@ -440,7 +440,7 @@ GOLDEN = {
         ),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[temporal, b<=16] "
+            "plan[threshold] engine=dangoron[no-pruning, b<=16] answer=exact "
             "sketch=b=16 x 36 exec=serial build=dense (incremental "
             "declined: no chained sketch entry covers a prefix of this "
             "layout)"
@@ -620,16 +620,16 @@ def test_a_default_planner_prices_with_the_fixture_whatever_the_environment(
 def test_feedback_keys_separate_engine_configurations():
     """Sessions sharing one cache record under their own engine configuration.
 
-    A pruned or prefix-combination session runs at a different speed from
-    the default one; pooling their walls under one key would rank every
-    session against the others' runs.
+    A pruned or jumping session runs at a different speed from the default
+    one; pooling their walls under one key would rank every session against
+    the others' runs.
     """
     cache = SketchCache()
     configurations = [
         {},
         {"use_horizontal_pruning": True},
-        {"prefix_combination": True},
-        {"slack": 0.1},
+        {"use_temporal_pruning": True},
+        {"use_temporal_pruning": True, "slack": 0.1},
     ]
     plans = [
         _planner(engine_options=options, sketch_cache=cache).plan(
@@ -639,10 +639,10 @@ def test_feedback_keys_separate_engine_configurations():
     ]
     assert len({plan.cost_key for plan in plans}) == len(configurations)
     assert [plan.engine.describe() for plan in plans] == [
+        "dangoron[no-pruning, b<=16]",
+        "dangoron[horizontal(4), b<=16]",
         "dangoron[temporal, b<=16]",
-        "dangoron[temporal+horizontal(4), b<=16]",
-        "dangoron[temporal, b<=16, prefix]",
         "dangoron[temporal, b<=16, slack=0.1]",
     ]
     assert plans[0].describe() == GOLDEN["threshold-cold-serial"]["describe"]
-    assert "|engine=dangoron[temporal, b<=16]|" in plans[0].cost_key
+    assert "|engine=dangoron[no-pruning, b<=16]|" in plans[0].cost_key

@@ -169,15 +169,16 @@ class TestEq1Recombination:
         assert corr[0] == pytest.approx(pearson(x[7:93], y[7:93]), abs=1e-9)
 
     def test_paper_form_matches_weighted_for_equal_sizes(self, rng):
-        # The scan over a window range and the prefix-sum form of the same
-        # range are two evaluations of one formula.
+        # The scan over a window range and the grid's one-window pass over
+        # the same range are one evaluation of one formula.
         x = rng.normal(size=96)
         y = rng.normal(size=96)
         sketch = _sketch(x, y, 16)
         for first, count in [(0, 6), (1, 3), (4, 2)]:
             scan = sketch.exact_pairs_scan([0], [1], first, count)
-            fast = sketch.exact_pairs_fast([0], [1], first, count)
-            assert fast == pytest.approx(scan, abs=1e-12)
+            query = SlidingQuery(16 * first, 16 * (first + count), 16 * count, 16, -1.0)
+            (grid,), _ = sketch.exact_pairs_grid(np.array([0]), np.array([1]), query)
+            assert grid[2].tobytes() == scan.tobytes()
 
     def test_constant_pair_returns_zero(self):
         assert _recombined(np.full(20, 1.0), np.full(20, 2.0), 10) == 0.0

@@ -61,13 +61,17 @@ class TestExactness:
         report = compare_results(result, reference)
         assert report.recall >= 0.9
 
-    def test_prefix_combination_matches_scan(self, small_matrix, standard_query):
-        scan = DangoronEngine(basic_window_size=32).run(small_matrix, standard_query)
-        fast = DangoronEngine(basic_window_size=32, prefix_combination=True).run(
-            small_matrix, standard_query
+    def test_grid_matches_the_horizontal_loop(self, small_matrix, standard_query):
+        """Without pruning the engine runs the grid; horizontal pruning alone
+        walks windows with the scan and prunes soundly: the same answer."""
+        grid = DangoronEngine(basic_window_size=32, use_temporal_pruning=False)
+        walked = DangoronEngine(
+            basic_window_size=32, use_temporal_pruning=False,
+            use_horizontal_pruning=True,
         )
-        for a, b in zip(scan, fast):
-            assert a.edge_set() == b.edge_set()
+        assert grid.run(small_matrix, standard_query).to_edges() == walked.run(
+            small_matrix, standard_query
+        ).to_edges()
 
 
 class TestPruningBehaviour:
@@ -190,8 +194,8 @@ class TestValidationAndOptions:
         assert DangoronEngine(basic_window_size=16).describe() == (
             "dangoron[temporal, b<=16]"
         )
-        tuned = DangoronEngine(basic_window_size=16, slack=0.05, prefix_combination=True)
-        assert tuned.describe() == "dangoron[temporal, b<=16, slack=0.05, prefix]"
+        tuned = DangoronEngine(basic_window_size=16, slack=0.05)
+        assert tuned.describe() == "dangoron[temporal, b<=16, slack=0.05]"
 
     def test_stats_identify_engine_and_workload(self, small_matrix, standard_query):
         result = DangoronEngine(basic_window_size=32).run(small_matrix, standard_query)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.basic_window import BasicWindowLayout
-from repro.core.correlation import correlation_from_sums, correlation_matrix
+from repro.core.correlation import correlation_matrix
+from repro.core.query import SlidingQuery
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import SketchError
 
@@ -40,19 +41,16 @@ def window_corrs(data, first, count, size=16):
     ])
 
 
-def dense_prefix_combination(sketch, first, count):
-    """The prefix-difference recombination of every pair at once (reference):
-    its own window-by-window running sums over the unpacked planes."""
-    sums, sumsqs = sketch.series_range_sums(first, count)
-    per_window = planes(sketch.pair_sumprods, sketch.num_series)
-    prefix = np.zeros((len(per_window) + 1,) + per_window.shape[1:])
-    for w, plane in enumerate(per_window):
-        prefix[w + 1] = prefix[w] + plane
-    sumprods = prefix[first + count] - prefix[first]
-    return correlation_from_sums(
-        np.full_like(sumprods, float(count * sketch.layout.size)),
-        sums[:, None], sums[None, :], sumsqs[:, None], sumsqs[None, :], sumprods,
-    )
+def per_window_scan(sketch, rows, cols, query):
+    """The per-window Eq. 1 scan the grid replaces (reference): each window's
+    pairs gathered with ``exact_pairs_scan`` and thresholded."""
+    found = []
+    for k in range(query.num_windows):
+        first, count = sketch.layout.covering(*query.window_bounds(k))
+        values = sketch.exact_pairs_scan(rows, cols, first, count)
+        keep = query.keep_mask(values)
+        found.append((rows[keep], cols[keep], values[keep]))
+    return found
 
 
 class TestBuild:
@@ -115,13 +113,13 @@ class TestExactCombination:
                 sketch.exact_pairs_scan(rows, cols, first, count), expected, atol=1e-9
             )
 
-    def test_fast_matches_scan(self, sketch):
+    def test_grid_matches_scan(self, sketch):
         rows, cols = np.triu_indices(sketch.num_series, k=1)
         for first, count in [(0, 20), (3, 7), (10, 10)]:
-            assert np.allclose(
-                sketch.exact_pairs_fast(rows, cols, first, count),
-                sketch.exact_pairs_scan(rows, cols, first, count),
-                atol=1e-9,
+            query = SlidingQuery(16 * first, 16 * (first + count), 16 * count, 16, -1.0)
+            (found,), _ = sketch.exact_pairs_grid(rows, cols, query)
+            assert np.array_equal(
+                found[2], sketch.exact_pairs_scan(rows, cols, first, count)
             )
 
     def test_pairs_scan_subset_matches_full_triangle(self, sketch, rng):
@@ -161,12 +159,6 @@ class TestExactCombination:
         with pytest.raises(SketchError):
             sketch.exact_pairs_scan([0], [1], 5, 0)
 
-    def test_series_range_sums(self, data, sketch):
-        sums, sumsqs = sketch.series_range_sums(4, 6)
-        window = data[:, 64:160]
-        assert np.allclose(sums, window.sum(axis=1))
-        assert np.allclose(sumsqs, np.einsum("ij,ij->i", window, window))
-
 
 class TestPrefixes:
     def test_corr_prefix_is_cumulative(self, data, sketch):
@@ -181,12 +173,6 @@ class TestPrefixes:
         cols = np.array([3, 2, 0])
         direct = window_corrs(data, 4, 8)[:, rows, cols].sum(axis=0)
         assert np.allclose(sketch.pair_corr_range_sum(rows, cols, 4, 8), direct)
-
-    def test_sumprod_prefix_consistency(self, data, sketch):
-        prefix = sketch.sumprod_prefix
-        window = data[:, 7 * 16 : 10 * 16]
-        got = planes((prefix[:, 10] - prefix[:, 7])[:, None], 10)[0]
-        assert np.allclose(got, window @ window.T)
 
 
 class TestUnalignedRanges:
@@ -218,27 +204,46 @@ class TestUnalignedRanges:
             sketch.exact_pairs_range([0], [1], 5, 330, values=data)
 
 
-class TestExactPairsFast:
-    def test_matches_dense_prefix_path_bitwise(self, sketch):
+class TestExactPairsGrid:
+    @pytest.mark.parametrize("mode", ["signed", "absolute"])
+    def test_matches_the_per_window_scan_bitwise(self, sketch, mode):
         rows, cols = np.triu_indices(sketch.num_series, k=1)
-        for first, count in ((0, 20), (3, 5), (10, 2)):
-            dense = dense_prefix_combination(sketch, first, count)
-            pairs = sketch.exact_pairs_fast(rows, cols, first, count)
-            assert np.array_equal(dense[rows, cols], pairs)
+        for start, window, step, beta in ((0, 320, 16, 0.3), (48, 80, 32, 0.0),
+                                          (16, 32, 48, 0.9)):
+            query = SlidingQuery(start, 320, window, step, beta, mode)
+            found, verified = sketch.exact_pairs_grid(rows, cols, query)
+            expected = per_window_scan(sketch, rows, cols, query)
+            assert verified >= sum(len(v) for _, _, v in found)
+            for got, want in zip(found, expected):
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
 
     def test_subset_selection(self, sketch):
         rows, cols = np.triu_indices(sketch.num_series, k=1)
-        every_pair = sketch.exact_pairs_fast(rows, cols, 2, 6)
-        enumeration = list(zip(rows.tolist(), cols.tolist()))
-        picked = np.array([enumeration.index(pair) for pair in [(0, 3), (0, 5), (3, 7)]])
-        assert np.array_equal(
-            sketch.exact_pairs_fast(rows[picked], cols[picked], 2, 6),
-            every_pair[picked],
-        )
+        query = SlidingQuery(32, 288, 96, 32, 0.1)
+        every_pair, _ = sketch.exact_pairs_grid(rows, cols, query)
+        picked = np.array([2, 4, 27])
+        ours, _ = sketch.exact_pairs_grid(rows[picked], cols[picked], query)
+        chosen = set(zip(rows[picked].tolist(), cols[picked].tolist()))
+        for got, full in zip(ours, every_pair):
+            inside = [(i, j) in chosen for i, j in zip(*(a.tolist() for a in full[:2]))]
+            assert got[2].tobytes() == full[2][inside].tobytes()
+
+    def test_window_range(self, sketch):
+        rows, cols = np.triu_indices(sketch.num_series, k=1)
+        query = SlidingQuery(0, 320, 64, 32, 0.2)
+        every_window, _ = sketch.exact_pairs_grid(rows, cols, query)
+        tail, _ = sketch.exact_pairs_grid(rows, cols, query, range(3, query.num_windows))
+        assert [w[2].tobytes() for w in tail] == [w[2].tobytes() for w in every_window[3:]]
 
     def test_range_validation(self, sketch):
-        with pytest.raises(SketchError):
-            sketch.exact_pairs_fast(np.array([0]), np.array([1]), 0, 21)
+        rows, cols = np.array([0]), np.array([1])
+        with pytest.raises(SketchError):  # beyond the sketch's coverage
+            sketch.exact_pairs_grid(rows, cols, SlidingQuery(0, 336, 32, 16, 0.5))
+        with pytest.raises(SketchError):  # not whole basic windows
+            sketch.exact_pairs_grid(rows, cols, SlidingQuery(0, 320, 40, 16, 0.5))
+        with pytest.raises(SketchError):  # step not a basic-window multiple
+            sketch.exact_pairs_grid(rows, cols, SlidingQuery(0, 320, 32, 24, 0.5))
 
 
 

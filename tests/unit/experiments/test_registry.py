@@ -66,10 +66,7 @@ class TestIndividualExperiments:
     def test_e7_covers_all_ablation_configurations(self):
         result = experiment_e7_pruning_ablation(scale=0.15)
         labels = [row[0] for row in result.rows]
-        assert labels == [
-            "none", "temporal", "horizontal", "temporal+horizontal",
-            "prefix_combination",
-        ]
+        assert labels == ["none", "temporal", "horizontal", "temporal+horizontal"]
         rows = {row[0]: row for row in result.rows}
         recall_index = result.headers.index("recall")
         eval_index = result.headers.index("eval_fraction")

@@ -442,6 +442,31 @@ class TestAppendAndWatch:
         response = service.watch("demo", dict(self.WATCH_REQUEST))
         assert response["emitted_windows"] == 7  # (256 - 64) / 32 + 1
 
+    @pytest.mark.parametrize("options", [
+        {}, {"use_temporal_pruning": False}, {"use_temporal_pruning": True},
+    ])
+    def test_watch_answers_like_the_served_query(self, tmp_path, small_matrix, options):
+        """A watch follows the service's engine configuration: over the
+        stored prefix it emits the served query's windows, bit for bit.
+        (On this data jumping misses edges the exact scan reports, so a
+        watch that jumped under an exact service would differ.)"""
+        store = ChunkStore(small_matrix.num_series, chunk_columns=128)
+        store.append(small_matrix.values)
+        catalog = Catalog(tmp_path / "catalog")
+        catalog.add_dataset("ar1", store)
+        service = CorrelationService(
+            catalog, basic_window_size=32, engine_options=options
+        )
+        request = {"mode": "threshold", "start": 0, "end": small_matrix.length,
+                   "window": 128, "step": 32, "threshold": 0.6}
+        served = json.loads(service.query("ar1", dict(request)))
+        watched = service.watch("ar1", dict(request))["windows"]
+        assert [w["index"] for w in watched] == [w["index"] for w in served["windows"]]
+        for ours, theirs in zip(watched, served["windows"]):
+            assert (ours["rows"], ours["cols"], ours["values"]) == (
+                theirs["rows"], theirs["cols"], theirs["values"]
+            )
+
     def test_append_feeds_standing_queries(self, service, values):
         watch = service.watch("demo", dict(self.WATCH_REQUEST))
         rng = np.random.default_rng(5)

@@ -6,14 +6,16 @@ the lifecycle contract:
 
 * export -> attach round-trips every array bit-identically, and the attached
   arrays are genuinely memmapped (``np.memmap``), not copies;
+* the Eq. 2 ``corr_prefix`` travels only when the exported sketch holds it
+  (the manifest lists the arrays, and attach reads exactly those);
 * :class:`SegmentManager.ensure` is idempotent per ``(fingerprint, layout)``
   and bumps the generation when either changes (the append protocol);
 * superseded fingerprints are pruned per layout family ``(offset, size)``,
   keeping the newest ``KEEP_GENERATIONS`` — so the growing anchored layout
   of an appended-to dataset retires its own predecessors, while different
   window counts over one snapshot stay live together;
-* every corruption mode — missing manifest, bad schema, missing array,
-  truncated array, shape mismatch, torn export — raises
+* every corruption mode — missing manifest, bad schema, missing listed
+  array, truncated array, shape mismatch, torn export — raises
   :class:`~repro.exceptions.StorageError` naming the offending path.
 """
 
@@ -77,6 +79,7 @@ def _export(tmp_path, store, sketch, generation=1, fingerprint="fp-1"):
 
 class TestExportAttach:
     def test_round_trip_is_bit_identical_and_memmapped(self, tmp_path, store, sketch):
+        sketch.corr_prefix  # a jumping service's parent materializes it
         path = _export(tmp_path, store, sketch)
         segment = attach_segment(path)
         assert segment.generation == 1
@@ -97,6 +100,17 @@ class TestExportAttach:
         assert _memmap_backed(attached.pair_sumprods)
         assert _memmap_backed(attached.corr_prefix)
         assert segment.sketch_bytes > 0
+
+    def test_the_prefix_travels_only_when_materialized(self, tmp_path, store, sketch):
+        path = _export(tmp_path, store, sketch)
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["arrays"] == ["series_sums", "series_sumsqs", "pair_sumprods"]
+        assert not (path / "corr_prefix.npy").exists()
+        attached = attach_segment(path).sketch
+        assert not attached.has_corr_prefix
+        np.testing.assert_array_equal(attached.pair_sumprods, sketch.pair_sumprods)
+        # A jumping caller still gets the prefix: computed on first use.
+        np.testing.assert_array_equal(attached.corr_prefix, sketch.corr_prefix)
 
     def test_export_requires_pairwise_sketch(self, tmp_path, store):
         lean = BasicWindowSketch.build(store.read_all(), LAYOUT, pairwise=False)
@@ -157,7 +171,23 @@ class TestCorruption:
             manifest["shapes"][name] = list(shape)
         manifest["schema"] = "repro.segment/v1"
         (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(StorageError, match="'repro.segment/v1'.*'repro.segment/v2'"):
+        with pytest.raises(StorageError, match="'repro.segment/v1'.*'repro.segment/v3'"):
+            attach_segment(path)
+
+    def test_unlisted_arrays_are_refused_by_name(self, tmp_path, store, sketch):
+        """A manifest that does not list the statistic arrays (v2) is refused."""
+        path = _export(tmp_path, store, sketch)
+        manifest = json.loads((path / "manifest.json").read_text())
+        del manifest["arrays"]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="manifest.json must list"):
+            attach_segment(path)
+
+    def test_missing_listed_prefix_names_the_file(self, tmp_path, store, sketch):
+        sketch.corr_prefix
+        path = _export(tmp_path, store, sketch)
+        (path / "corr_prefix.npy").unlink()
+        with pytest.raises(StorageError, match="corr_prefix.npy"):
             attach_segment(path)
 
     def test_missing_array_names_the_file(self, tmp_path, store, sketch):
@@ -167,6 +197,7 @@ class TestCorruption:
             attach_segment(path)
 
     def test_truncated_array_names_the_file(self, tmp_path, store, sketch):
+        sketch.corr_prefix
         path = _export(tmp_path, store, sketch)
         target = path / "corr_prefix.npy"
         target.write_bytes(target.read_bytes()[:40])

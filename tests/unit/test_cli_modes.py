@@ -23,7 +23,7 @@ class TestParseEngineOption:
             ("num_pivots=4", ("num_pivots", 4)),
             ("use_horizontal_pruning=true", ("use_horizontal_pruning", True)),
             ("use_temporal_pruning=False", ("use_temporal_pruning", False)),
-            ("prefix_combination=yes", ("prefix_combination", True)),
+            ("use_temporal_pruning=yes", ("use_temporal_pruning", True)),
             ("seed=none", ("seed", None)),
             ("pivot_strategy=kcenter", ("pivot_strategy", "kcenter")),
         ],
