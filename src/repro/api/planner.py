@@ -89,6 +89,9 @@ SKETCH_BUILD_DENSE = "dense"
 SKETCH_BUILD_TILED = "tiled"
 SKETCH_BUILD_INCREMENTAL = "incremental"
 
+#: Dangoron's horizontal-pruning options, dropped when the engine does not jump.
+_PIVOT_OPTIONS = ("use_horizontal_pruning", "num_pivots", "pivot_strategy", "seed")
+
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -202,7 +205,10 @@ class QueryPlanner:
         ``use_horizontal_pruning``, ...).  ``basic_window_size`` is injected
         automatically when the engine accepts it and the options don't set
         it, and so is ``use_temporal_pruning=False``: threshold answers are
-        exact unless the options ask for Dangoron's jumping.
+        exact unless the options ask for Dangoron's jumping.  Horizontal
+        pruning acts only under jumping: without it the planner drops
+        ``use_horizontal_pruning`` and the pivot options, and the window-axis
+        grid answers.
     basic_window_size:
         Requested basic-window size for the injected option and for the
         top-k sketch alignment.
@@ -291,6 +297,14 @@ class QueryPlanner:
                 # Product queries answer exactly: Dangoron's Eq. 2 jumping
                 # can miss edges, so it runs only when a caller asks for it.
                 options["use_temporal_pruning"] = False
+            if "use_horizontal_pruning" in accepted and not options.get(
+                "use_temporal_pruning", True
+            ):
+                # Without jumping the grid answers: its filter bounds every
+                # cell to ~1e-13 for less than the pivot pass alone costs, so
+                # the triangle bound could only add work.
+                for name in _PIVOT_OPTIONS:
+                    options.pop(name, None)
             if (
                 "memory_budget" in accepted
                 and "memory_budget" not in options

@@ -12,8 +12,8 @@ Five subcommands cover the workflow a user of the system actually runs:
     selects the query type (``threshold``, ``topk`` or ``lagged``),
     repeatable ``--engine-opt key=value`` flags reach every engine option
     without writing Python (threshold answers are exact unless
-    ``use_temporal_pruning=true`` opts into jumping; the summary says
-    which), ``--workers N`` shards large queries of any mode across a
+    ``use_temporal_pruning=true`` opts into jumping, the only mode in which
+    horizontal pruning acts; the summary says which), ``--workers N`` shards large queries of any mode across a
     worker pool, and ``--memory-budget BYTES`` streams
     ``.npz`` inputs through the tiled out-of-core builder (lagged mode:
     streamed window buffers) without materializing the dense matrix (both
@@ -428,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine-opt", action="append", default=[], metavar="KEY=VALUE",
         help="engine constructor option (repeatable); threshold answers are "
              "exact unless --engine-opt use_temporal_pruning=true opts into "
-             "Dangoron's Eq. 2 jumping",
+             "Dangoron's Eq. 2 jumping, and horizontal pruning "
+             "(use_horizontal_pruning, num_pivots, ...) acts only with it",
     )
     query.add_argument("--window", type=int, required=True)
     query.add_argument("--step", type=int, required=True)

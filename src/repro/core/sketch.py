@@ -23,23 +23,24 @@ The recombination exposed here comes in two flavours:
 ``exact_pairs_scan``
     Sums the per-basic-window statistics of the window (cost ``O(n_s)`` per
     pair).  This is the combination step whose repeated cost Dangoron's
-    jumping structure avoids, and every exact evaluation of Dangoron, top-k
-    and the TSUBASA baseline goes through it.  ``exact_pairs_range`` is the
-    same gather for arbitrary column ranges: the covered core is gathered,
-    and unaligned edges are added from the raw values.
+    jumping structure avoids, and every exact evaluation of Dangoron, the
+    grids and the TSUBASA baseline goes through it.  ``exact_pairs_range``
+    is the same gather for arbitrary column ranges: the covered core is
+    gathered, and unaligned edges are added from the raw values.
 
-``exact_pairs_grid``
-    Answers a threshold query over every window of a fixed-step grid in one
-    window-axis pass: a block-local prefix of each pair's row filters all
-    (pair, window) cells at once, and only the cells that may pass the
-    threshold are re-gathered with ``exact_pairs_scan``'s kernel, so its
-    edges and values are the per-window scan's bit for bit.
+``exact_pairs_grid`` and ``exact_top_k_grid``
+    Answer a threshold or a top-k query over every window of a fixed-step
+    grid in one window-axis pass: a block-local prefix of each pair's row
+    filters all (pair, window) cells at once, and only the cells that may
+    pass the threshold, or rank in their window's top k, are re-gathered
+    with ``exact_pairs_scan``'s kernel, so the answers are the per-window
+    scan's bit for bit.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -212,6 +213,194 @@ def _grid_error_coefficient(span: int) -> float:
     unit = np.finfo(FLOAT_DTYPE).eps / 2
     gamma = span * unit / (1.0 - span * unit)
     return 16.0 * (gamma + 5.0 * unit)
+
+
+def _cells(parts, dtype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One window's ``(rows, cols, values)`` parts joined in order."""
+    if not parts:
+        empty = np.empty(0, dtype=dtype)
+        return empty, empty, np.empty(0, dtype=FLOAT_DTYPE)
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+class _GridPass:
+    """One window-axis pass of selected pairs over consecutive windows.
+
+    What :meth:`BasicWindowSketch.exact_pairs_grid` and
+    :meth:`BasicWindowSketch.exact_top_k_grid` share: the per-series terms
+    of every window, the filter values of blocks of pairs with the bound on
+    their error, and the gather that verifies cells.
+
+    *Filter.*  Blocks of consecutive pairs take the running sum of their
+    packed rows over the windows' span, one ``cumsum`` (no resident prefix
+    is kept), and every window's value is a difference of two prefix
+    columns minus ``S_i S_j / n``, times the per-(series, window) inverse
+    standard deviations.  The per-series terms come from the scan's own
+    reduction, so a cell is degenerate here exactly when the scan reports 0
+    for it.  A filter value lies within the pair's :meth:`delta` of the
+    scan's value before its clip: a forward-error bound built from the sums
+    of squares (:func:`_grid_error_coefficient`; docs/invariants.md derives
+    it), so data far from zero or cancelling sums widen it and verification
+    then does more of the work.
+
+    *Verify.*  Cells are re-gathered and correlated as the scan does it, the
+    cells of all windows together, in bounded chunks: each cell's sum is its
+    own contiguous row slice reduced along the row and Eq. 1 is
+    element-wise, so which cells share a chunk does not change a bit.
+    """
+
+    def __init__(
+        self,
+        sketch: "BasicWindowSketch",
+        rows: np.ndarray,
+        cols: np.ndarray,
+        slots: np.ndarray,
+        query: SlidingQuery,
+        windows: range,
+        absolute: bool,
+    ) -> None:
+        layout = sketch.layout
+        if windows.step != 1 or query.step % layout.size:
+            raise SketchError(
+                f"the grid needs consecutive windows whose step ({query.step}) "
+                f"is a multiple of the basic-window size ({layout.size})"
+            )
+        first, window_bw = layout.covering(*query.window_bounds(windows[0]))
+        last, _ = layout.covering(*query.window_bounds(windows[-1]))
+        self.rows, self.cols, self.slots = rows, cols, slots
+        self.absolute = absolute
+        self.num_windows = len(windows)
+        self.pair_sumprods = sketch.pair_sumprods
+        self.first = first
+        self.window_bw = window_bw
+        self.step_bw = query.step // layout.size
+        self.span = last + window_bw - first
+        self.starts = first + self.step_bw * np.arange(self.num_windows)
+        #: Pairs per filter block: as many as fit over the windows' span.
+        self.block = max(1, _GRID_BLOCK_CELLS // (self.span + 1))
+
+        self.n_points = float(window_bw * layout.size)
+        self.sums = np.empty((sketch.num_series, self.num_windows), dtype=FLOAT_DTYPE)
+        self.sumsqs = np.empty_like(self.sums)
+        for w, start in enumerate(self.starts):
+            self.sums[:, w], self.sumsqs[:, w] = sketch._series_window_sums(
+                int(start), window_bw
+            )
+        centred, degenerate = centred_sumsq(self.n_points, self.sums, self.sumsqs)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.inv_root = np.where(
+                degenerate, 0.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, centred))
+            )
+            self.means = self.sums / self.n_points
+            self.amplitude = (
+                np.sqrt(sketch._sumsq_prefix[:, self.starts + window_bw]) * self.inv_root
+            ).max(axis=1)
+        self.coefficient = _grid_error_coefficient(self.span)
+
+    def delta(self, pairs) -> np.ndarray:
+        """The filter's error bound for the pairs at ``pairs`` (a slice or
+        positions): ``16 (gamma_K + 5u) A_i A_j``, NaN or inf where the
+        amplitudes overflowed (such cells always verify)."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self.coefficient * (
+                self.amplitude[self.rows[pairs]] * self.amplitude[self.cols[pairs]]
+            )
+
+    def blocks(self) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """``(lo, hi, filter)`` for consecutive pair blocks ``[lo, hi)``.
+
+        ``filter`` is ``(hi - lo, windows)``, ``|f|`` in absolute mode.
+        """
+        span, window_bw, step_bw = self.span, self.window_bw, self.step_bw
+        prefix = np.zeros((min(self.block, len(self.rows)), span + 1), dtype=FLOAT_DTYPE)
+        for lo in range(0, len(self.rows), self.block):
+            hi = min(lo + self.block, len(self.rows))
+            running = prefix[: hi - lo]
+            block_rows, block_cols = self.rows[lo:hi], self.cols[lo:hi]
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.cumsum(
+                    self.pair_sumprods[self.slots[lo:hi], self.first : self.first + span],
+                    axis=1,
+                    out=running[:, 1:],
+                )
+                value = (
+                    running[:, window_bw : span + 1 : step_bw]
+                    - running[:, : span - window_bw + 1 : step_bw]
+                )
+                value -= self.sums[block_rows] * self.means[block_cols]
+                value *= self.inv_root[block_rows]
+                value *= self.inv_root[block_cols]
+                if self.absolute:
+                    np.abs(value, out=value)
+            yield lo, hi, value
+
+    def verify(
+        self, window_of: np.ndarray, position: np.ndarray
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """The scan's values of cells ``(window_of, position)``, as
+        ``(window, rows, cols, values)`` runs: window-major, and in the
+        order of ``position`` within a window (a window may span runs)."""
+        order = np.argsort(window_of, kind="stable")
+        window_of, position = window_of[order], position[order]
+        # by_start[slot, first] is the row slice a window starting at basic
+        # window ``first`` reduces; indexing it copies whole slices.
+        by_start = sliding_window_view(self.pair_sumprods, self.window_bw, axis=1)
+        chunk = max(1, _GRID_BLOCK_CELLS // self.window_bw)
+        sums, sumsqs = self.sums, self.sumsqs
+        for lo in range(0, len(position), chunk):
+            w, p = window_of[lo : lo + chunk], position[lo : lo + chunk]
+            i, j = self.rows[p], self.cols[p]
+            values = correlation_from_sums(
+                self.n_points, sums[i, w], sums[j, w], sumsqs[i, w], sumsqs[j, w],
+                by_start[self.slots[p], self.starts[w]].sum(axis=-1),
+            )
+            cut = np.flatnonzero(np.diff(w)) + 1
+            for index, *run in zip(
+                w[np.r_[0, cut]], *(np.split(a, cut) for a in (i, j, values))
+            ):
+                yield int(index), *run
+
+
+def _top_k_cells(grid: _GridPass, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(window_of, position)`` of the cells that may rank in their window's
+    top ``k`` (fewer than the pairs): the filter of
+    :meth:`BasicWindowSketch.exact_top_k_grid`."""
+    # Columns [0, k) hold every window's k highest lower bounds f - delta so
+    # far, negated: np.partition puts NaN last, so a NaN never counts.
+    best = np.full((grid.num_windows, k + grid.block), np.inf)
+
+    def lowest() -> np.ndarray:
+        # The k-th true value is at least this, per window.
+        bound = np.minimum(-best[:, k - 1], 1.0)
+        if not grid.absolute:
+            # The scan's clip lifts every value below -1 to -1.
+            bound[bound <= -1.0] = -np.inf
+        return bound
+
+    def survivors(cells):
+        window_of, position, rank = (np.concatenate(column) for column in zip(*cells))
+        with np.errstate(invalid="ignore"):
+            kept = ~(rank + grid.delta(position) < lowest()[window_of])
+        return window_of[kept], position[kept], rank[kept]
+
+    pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    waiting, limit = 0, _GRID_VERIFY_CELLS
+    for lo, hi, rank in grid.blocks():
+        delta = grid.delta(slice(lo, hi))[:, None]
+        with np.errstate(invalid="ignore"):
+            np.subtract(delta.T, rank.T, out=best[:, k : k + hi - lo])
+        best[:, : k + hi - lo].partition(k - 1, axis=1)
+        with np.errstate(invalid="ignore"):
+            below = rank + delta < lowest()
+        position, window_of = np.nonzero(~below)
+        pending.append((window_of, position + lo, rank[position, window_of]))
+        waiting += len(position)
+        if waiting >= limit:
+            pending = [survivors(pending)]
+            waiting = len(pending[0][0])
+            limit = max(limit, 2 * waiting)
+    window_of, position, _ = survivors(pending)
+    return window_of, position
 
 
 def ensure_sketch_layout(sketch: "BasicWindowSketch", layout) -> "BasicWindowSketch":
@@ -531,131 +720,46 @@ class BasicWindowSketch:
         window must be a union of whole basic windows and the step a
         multiple of the basic-window size.
 
-        *Filter.*  Blocks of consecutive pairs take the running sum of their
-        packed rows over the windows' span, one ``cumsum`` (no resident
-        prefix is kept), and every window's value is a difference of two
-        prefix columns minus ``S_i S_j / n``, times the per-(series, window)
-        inverse standard deviations.  The per-series terms come from the
-        scan's own reduction, so a cell is degenerate here exactly when the
-        scan reports 0 for it.
-
-        *Verify.*  A cell is re-gathered and correlated as the scan does it
-        unless its filter value lies below ``beta`` by more than ``delta``
-        (``|.|`` in absolute mode; a NaN always verifies), and only the
-        verified value decides and is emitted.  The cells of all windows
-        are verified together, in bounded chunks: each cell's sum is its own
-        contiguous row slice reduced along the row and Eq. 1 is element-wise,
-        so which cells share a chunk does not change a bit.  ``delta`` is a per-pair forward-error bound
-        built from the sums of squares (:func:`_grid_error_coefficient`;
-        docs/invariants.md derives it): data far from zero or cancelling
-        sums widen it, and verification then does more of the work.
+        A cell is verified (:class:`_GridPass`) unless its filter value lies
+        below ``beta`` by more than its ``delta`` (``|.|`` in absolute mode;
+        a NaN always verifies), and only the verified value decides and is
+        emitted.
         """
         self._require_pairwise()
         rows = np.asarray(rows)
         cols = np.asarray(cols)
-        slots = self._slots(rows, cols, slots)
-        layout = self.layout
         if windows is None:
             windows = range(query.num_windows)
-        num = len(windows)
-        if num == 0:
+        if len(windows) == 0:
             return [], 0
-        if windows.step != 1 or query.step % layout.size:
-            raise SketchError(
-                f"the grid needs consecutive windows whose step ({query.step}) "
-                f"is a multiple of the basic-window size ({layout.size})"
-            )
-        first, window_bw = layout.covering(*query.window_bounds(windows[0]))
-        last, _ = layout.covering(*query.window_bounds(windows[-1]))
-        step_bw = query.step // layout.size
-        span = last + window_bw - first
-        starts = first + step_bw * np.arange(num)
-
-        n_points = float(window_bw * layout.size)
-        sums = np.empty((self.num_series, num), dtype=FLOAT_DTYPE)
-        sumsqs = np.empty_like(sums)
-        for w, start in enumerate(starts):
-            sums[:, w], sumsqs[:, w] = self._series_window_sums(int(start), window_bw)
-        centred, degenerate = centred_sumsq(n_points, sums, sumsqs)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            inv_root = np.where(
-                degenerate, 0.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, centred))
-            )
-            means = sums / n_points
-            amplitude = (
-                np.sqrt(self._sumsq_prefix[:, starts + window_bw]) * inv_root
-            ).max(axis=1)
-        coefficient = _grid_error_coefficient(span)
         absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
+        grid = _GridPass(self, rows, cols, self._slots(rows, cols, slots), query,
+                         windows, absolute)
         # A signed beta of -1 keeps every value the clip can produce.
         unbounded = not absolute and query.threshold <= -1.0
 
         edges: List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
-            [] for _ in range(num)
+            [] for _ in windows
         ]
         pending: List[Tuple[np.ndarray, np.ndarray]] = []
-        verified = 0
-
-        # by_start[slot, first] is the row slice a window starting at basic
-        # window ``first`` reduces; indexing it copies whole slices.
-        by_start = sliding_window_view(self.pair_sumprods, window_bw, axis=1)
-        chunk = max(1, _GRID_BLOCK_CELLS // window_bw)
+        verified = waiting = 0
 
         def verify() -> int:
-            # Window-major, and in the order of ``rows`` within a window.
             window_of = np.concatenate([w for w, _ in pending])
             position = np.concatenate([p for _, p in pending])
             pending.clear()
-            order = np.argsort(window_of, kind="stable")
-            window_of, position = window_of[order], position[order]
-            for lo in range(0, len(position), chunk):
-                w, p = window_of[lo : lo + chunk], position[lo : lo + chunk]
-                i, j = rows[p], cols[p]
-                values = correlation_from_sums(
-                    n_points, sums[i, w], sums[j, w], sumsqs[i, w], sumsqs[j, w],
-                    by_start[slots[p], starts[w]].sum(axis=-1),
-                )
+            for index, i, j, values in grid.verify(window_of, position):
                 keep = query.keep_mask(values)
-                w = w[keep]
-                if not len(w):
-                    continue
-                cut = np.flatnonzero(np.diff(w)) + 1
-                for k, found in zip(
-                    w[np.r_[0, cut]],
-                    zip(*(np.split(a[keep], cut) for a in (i, j, values))),
-                ):
-                    edges[k].append(found)
+                if keep.any():
+                    edges[index].append((i[keep], j[keep], values[keep]))
             return len(position)
 
-        block = max(1, _GRID_BLOCK_CELLS // (span + 1))
-        prefix = np.zeros((min(block, len(rows)), span + 1), dtype=FLOAT_DTYPE)
-        waiting = 0
-        for lo in range(0, len(rows), block):
-            hi = min(lo + block, len(rows))
-            running = prefix[: hi - lo]
-            block_rows, block_cols = rows[lo:hi], cols[lo:hi]
-            with np.errstate(invalid="ignore", over="ignore"):
-                np.cumsum(
-                    self.pair_sumprods[slots[lo:hi], first : first + span],
-                    axis=1,
-                    out=running[:, 1:],
-                )
-                value = (
-                    running[:, window_bw : span + 1 : step_bw]
-                    - running[:, : span - window_bw + 1 : step_bw]
-                )
-                value -= sums[block_rows] * means[block_cols]
-                value *= inv_root[block_rows]
-                value *= inv_root[block_cols]
-                if absolute:
-                    np.abs(value, out=value)
-                floor = query.threshold - coefficient * (
-                    amplitude[block_rows] * amplitude[block_cols]
-                )
-                if unbounded:
-                    floor[:] = -np.inf
-                below = value < floor[:, None]
-            position, window_of = np.nonzero(~below)
+        for lo, hi, value in grid.blocks():
+            if unbounded:
+                position, window_of = np.indices(value.shape).reshape(2, -1)
+            else:
+                below = value < (query.threshold - grid.delta(slice(lo, hi)))[:, None]
+                position, window_of = np.nonzero(~below)
             pending.append((window_of, position + lo))
             waiting += len(position)
             if waiting >= _GRID_VERIFY_CELLS:
@@ -663,13 +767,64 @@ class BasicWindowSketch:
                 waiting = 0
         if pending:
             verified += verify()
+        return [_cells(found, rows.dtype) for found in edges], verified
 
-        empty = np.empty(0, dtype=rows.dtype)
-        return [
-            tuple(np.concatenate(parts) for parts in zip(*found))
-            if found else (empty, empty, np.empty(0, dtype=FLOAT_DTYPE))
-            for found in edges
-        ], verified
+    def exact_top_k_grid(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        query: SlidingQuery,
+        k: int,
+        absolute: bool,
+    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The cells of every window that may rank in its top ``k``, in one pass.
+
+        Returns one ``(rows, cols, values)`` triple per window of the query:
+        pairs of ``rows``/``cols`` with the values :meth:`exact_pairs_scan`
+        gives them, among which are all the pairs
+        :func:`~repro.core.topk.select_top_k` ranks in the window's top
+        ``k`` (by ``|c|`` when ``absolute``).  That order is total, so
+        ranking a triple gives the per-window scan's top ``k``: the same
+        pairs, ties and bits.  The windows and the step must be unions of
+        whole basic windows, as for :meth:`exact_pairs_grid`.
+
+        The filter (:class:`_GridPass`) keeps, per window, the running ``k``
+        highest lower bounds ``f - delta`` (``|f|`` in absolute mode) over
+        the blocks so far.  ``k`` cells have true values at or above the
+        ``k``-th of them, ``G``, so the ``k``-th true value is at least
+        ``min(G, 1)``: a cell whose filter value lies more than its own
+        ``delta`` below that cannot rank.  ``G`` only rises as blocks
+        arrive, so a cell dropped against the running value stays dropped
+        against the final one, which prunes the survivors again before they
+        are verified.  A NaN always verifies, and a window that verifies
+        fewer than ``k`` finite values verifies all its cells, so NaN ranks
+        fall where the scan puts them.
+        """
+        self._require_pairwise()
+        rows = np.asarray(rows)
+        cols = np.asarray(cols)
+        windows = range(query.num_windows)
+        grid = _GridPass(self, rows, cols, pair_slots(self.num_series, rows, cols),
+                         query, windows, absolute)
+        num, count = len(windows), len(rows)
+        if k >= count:
+            window_of, position = np.indices((num, count)).reshape(2, -1)
+        else:
+            window_of, position = _top_k_cells(grid, k)
+
+        found: List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
+            [] for _ in windows
+        ]
+        finite = np.zeros(num, dtype=np.int64)
+        for index, i, j, values in grid.verify(window_of, position):
+            finite[index] += np.count_nonzero(np.isfinite(values))
+            found[index].append((i, j, values))
+        if k < count:
+            for index in np.flatnonzero(finite < k):
+                found[index] = [
+                    run for _, *run in grid.verify(np.full(count, index), np.arange(count))
+                ]
+        return [_cells(cells, rows.dtype) for cells in found]
 
     # --------------------------------------------------------------- unaligned
     def exact_pairs_range(

@@ -10,9 +10,12 @@ top-k run can seed a threshold query.
 Two paths are provided:
 
 ``sliding_top_k``
-    Sketch-based: every pair of the window recombined exactly with one pair
-    gather, partial-sorted for the top k (exact, cost comparable to TSUBASA's
-    per-window work).
+    Sketch-based, on the window-axis grid
+    (:meth:`~repro.core.sketch.BasicWindowSketch.exact_top_k_grid`): one
+    pass filters every (pair, window) cell against a running per-window
+    k-th value, only the cells that may rank are recombined exactly with the
+    per-window scan's pair gather, and ``select_top_k`` ranks them, so the
+    answer is the per-window scan's, bit for bit, without walking windows.
 ``top_k_brute_force``
     Direct Pearson computation per window (ground truth for tests).
 
@@ -34,7 +37,7 @@ from repro.core.correlation import correlation_matrix
 from repro.core.engine import validate_pair_subset
 from repro.core.query import SlidingQuery
 from repro.core.result import Edge
-from repro.core.sketch import BasicWindowSketch, ensure_sketch_layout, pair_slots
+from repro.core.sketch import BasicWindowSketch, ensure_sketch_layout
 from repro.exceptions import QueryValidationError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -95,10 +98,13 @@ class TopKResult:
         return self.windows[index]
 
     def effective_thresholds(self) -> np.ndarray:
-        """Per-window k-th correlation values (NaN for empty windows)."""
-        return np.array(
+        """Per-window k-th values of the ranking (NaN for empty windows):
+        ``c`` in signed mode, ``|c|`` in absolute mode, so each is the
+        ``beta`` of the query's own threshold mode."""
+        thresholds = np.array(
             [w.effective_threshold() for w in self.windows], dtype=FLOAT_DTYPE
         )
+        return np.abs(thresholds) if self.absolute else thresholds
 
     def suggested_threshold(self) -> float:
         """A single threshold that would have captured the top k in most windows.
@@ -231,6 +237,9 @@ def sliding_top_k(
         with it (:meth:`BasicWindowSketch.exact_pairs_scan`), and the
         canonical selection order is partition-independent, so merged shard
         candidates reproduce the full run exactly.
+
+    The layout's step is a multiple of its basic window
+    (:meth:`BasicWindowLayout.for_query`), so every query runs on the grid.
     """
     _validate_k(k, matrix.num_series)
     query.validate_against_length(matrix.length)
@@ -246,14 +255,11 @@ def sliding_top_k(
         ensure_sketch_layout(sketch, layout)
     else:
         sketch = BasicWindowSketch.build(matrix.values, layout)
-    window_bw = query.window // layout.size
-    slots = pair_slots(matrix.num_series, rows, cols)
-
-    windows: List[TopKWindow] = []
-    for index, begin, _ in query.iter_windows():
-        first, _ = layout.covering(begin, begin + query.window)
-        values = sketch.exact_pairs_scan(rows, cols, first, window_bw, slots)
-        windows.append(select_top_k(rows, cols, values, k, absolute, index))
+    candidates = sketch.exact_top_k_grid(rows, cols, query, k, absolute)
+    windows = [
+        select_top_k(*cells, k, absolute, index)
+        for index, cells in enumerate(candidates)
+    ]
     return TopKResult(query=query, k=k, absolute=absolute, windows=windows)
 
 

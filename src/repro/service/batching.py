@@ -29,8 +29,9 @@ whose correlation rises faster than the bound predicts is caught late.
 Which windows get skipped depends on the scan's threshold, so a floor scan
 with jumping on could not reproduce each member's own schedule.  Batch
 leaders therefore run the floor scan with :func:`exact_scan_options`
-(jumping disabled; horizontal pruning, which is exact per window, stays
-on): the scan's survivor set is exactly ``{corr >= floor}``, derivation is
+(jumping disabled, and with it horizontal pruning: without jumping the
+planner drops the pivot options and the window-axis grid answers): the
+scan's survivor set is exactly ``{corr >= floor}``, derivation is
 bit-identical to an independent exact run of each member's query, and the
 answer is independent of batch composition.  Single-threshold batches are
 pure coalescing and keep the normal plan untouched.

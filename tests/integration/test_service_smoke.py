@@ -176,7 +176,9 @@ MATRIX_NUM = 96
 #: Below the 96 x 512 x 8B = 384 KiB dense matrix, above one 96 x 128-column
 #: window buffer (96 KiB): sketch builds tile and lagged windows stream.
 MATRIX_BUDGET = 128 * 1024
+#: Pivots act only under jumping (without it the planner drops them).
 PRUNED_OPTIONS = {
+    "use_temporal_pruning": True,
     "use_horizontal_pruning": True,
     "pivot_strategy": "kcenter",
     "num_pivots": 3,

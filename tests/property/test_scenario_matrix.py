@@ -8,6 +8,10 @@ cross product
     build     = dense | tiled
     pruning   = off | on           (horizontal pruning, a threshold-engine option)
 
+Horizontal pruning acts only under Dangoron's jumping (without it the
+planner drops the pivot options and the exact grid answers), so the
+``on`` cells ask for both.
+
 Every cell is classified in :data:`EXPECTED_SUPPORT` with one of four
 outcomes:
 
@@ -125,6 +129,7 @@ BASIC = 16
 
 #: Deterministic pruning configuration — shard-safe by construction.
 PRUNED_OPTIONS = {
+    "use_temporal_pruning": True,
     "use_horizontal_pruning": True,
     "pivot_strategy": "kcenter",
     "num_pivots": 2,
@@ -346,7 +351,11 @@ def test_declined_sharding_names_the_reason_in_describe():
     # Unseeded random pivots: each shard would draw different pivots.
     planner = QueryPlanner(
         engine="dangoron",
-        engine_options={"use_horizontal_pruning": True, "pivot_strategy": "random"},
+        engine_options={
+            "use_temporal_pruning": True,
+            "use_horizontal_pruning": True,
+            "pivot_strategy": "random",
+        },
         basic_window_size=BASIC,
         workers=2,
         parallel_min_pairs=1,

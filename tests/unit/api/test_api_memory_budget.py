@@ -113,10 +113,11 @@ class TestPlanDecision:
     def test_raw_reading_engine_configuration_stays_dense(self, matrix, threshold_query):
         # Dangoron's pivot selection (horizontal pruning) reads matrix.values
         # even with a prebuilt sketch; claiming build=tiled there would
-        # materialize a lazy matrix and blow the budget anyway.
+        # materialize a lazy matrix and blow the budget anyway.  (Pivots act
+        # only under jumping.)
         planner = QueryPlanner(
             basic_window_size=BASIC,
-            engine_options={"use_horizontal_pruning": True},
+            engine_options={"use_temporal_pruning": True, "use_horizontal_pruning": True},
             memory_budget=DENSE_BYTES // 4,
         )
         plan = planner.plan(matrix, threshold_query)

@@ -50,17 +50,22 @@ def test_plan_shards_pruned_config_but_not_unseeded_random_pivots(
 ):
     # Horizontal pruning decisions are per-pair, so pruned configs shard;
     # only unseeded random pivot selection (shards would draw different
-    # pivots) refuses pair subsets — and the plan says so.
+    # pivots) refuses pair subsets — and the plan says so.  Pivots act only
+    # under jumping, so both configs ask for it.
     planner = QueryPlanner(
         basic_window_size=32,
         workers=4,
-        engine_options={"use_horizontal_pruning": True},
+        engine_options={"use_temporal_pruning": True, "use_horizontal_pruning": True},
     )
     assert planner.plan(wide_matrix, wide_query).execution == EXECUTION_SHARDED
     planner = QueryPlanner(
         basic_window_size=32,
         workers=4,
-        engine_options={"use_horizontal_pruning": True, "pivot_strategy": "random"},
+        engine_options={
+            "use_temporal_pruning": True,
+            "use_horizontal_pruning": True,
+            "pivot_strategy": "random",
+        },
     )
     plan = planner.plan(wide_matrix, wide_query)
     assert plan.execution == EXECUTION_SERIAL

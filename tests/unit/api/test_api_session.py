@@ -74,11 +74,16 @@ class TestPlannerRouting:
         session = CorrelationSession(
             small_matrix,
             engine="dangoron",
-            engine_options={"slack": 0.05, "use_horizontal_pruning": True},
+            engine_options={
+                "slack": 0.05,
+                "use_temporal_pruning": True,
+                "use_horizontal_pruning": True,
+            },
             basic_window_size=32,
         )
         engine = session.planner.resolve_engine()
         assert engine.slack == 0.05
+        assert engine.use_temporal_pruning
         assert engine.use_horizontal_pruning
         assert engine.basic_window_size == 32  # injected from the session
 

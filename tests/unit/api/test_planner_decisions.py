@@ -104,10 +104,12 @@ def _scenarios():
             _threshold(),
         ),
         # Unseeded random pivots cannot shard (each shard would draw its own
-        # pivots): the engine gate declines.
+        # pivots): the engine gate declines.  Pivots act only under jumping,
+        # so every pruned scenario asks for it.
         "threshold-declined-engine-gate": (
             _planner(
                 engine_options={
+                    "use_temporal_pruning": True,
                     "use_horizontal_pruning": True,
                     "pivot_strategy": "random",
                 },
@@ -142,6 +144,7 @@ def _scenarios():
         "threshold-pruned-stays-dense": (
             _planner(
                 engine_options={
+                    "use_temporal_pruning": True,
                     "use_horizontal_pruning": True,
                     "pivot_strategy": "kcenter",
                     "num_pivots": 2,
@@ -156,6 +159,7 @@ def _scenarios():
         "threshold-both-axes-declined": (
             _planner(
                 engine_options={
+                    "use_temporal_pruning": True,
                     "use_horizontal_pruning": True,
                     "pivot_strategy": "random",
                 },
@@ -271,15 +275,16 @@ GOLDEN = {
         "reasons": (
             (
                 "execution",
-                "engine dangoron[horizontal(4), b<=16] does not "
+                "engine dangoron[temporal+horizontal(4), b<=16] does not "
                 "support pair subsets",
             ),
         ),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[horizontal(4), b<=16] answer=exact "
+            "plan[threshold] engine=dangoron[temporal+horizontal(4), b<=16] "
+            "answer=heuristic(jumping) "
             "sketch=b=16 x 16 exec=serial (engine "
-            "dangoron[horizontal(4), b<=16] does not support pair "
+            "dangoron[temporal+horizontal(4), b<=16] does not support pair "
             "subsets)"
         ),
     },
@@ -328,7 +333,8 @@ GOLDEN = {
         "reasons": (("build", "engine needs raw values (pivot selection)"),),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[horizontal(2), b<=16] answer=exact "
+            "plan[threshold] engine=dangoron[temporal+horizontal(2), b<=16] "
+            "answer=heuristic(jumping) "
             "sketch=b=16 x 16 exec=serial build=dense "
             "(engine needs raw values (pivot selection))"
         ),
@@ -341,16 +347,17 @@ GOLDEN = {
         "reasons": (
             (
                 "execution",
-                "engine dangoron[horizontal(4), b<=16] does not "
+                "engine dangoron[temporal+horizontal(4), b<=16] does not "
                 "support pair subsets",
             ),
             ("build", "engine needs raw values (pivot selection)"),
         ),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[horizontal(4), b<=16] answer=exact "
+            "plan[threshold] engine=dangoron[temporal+horizontal(4), b<=16] "
+            "answer=heuristic(jumping) "
             "sketch=b=16 x 16 exec=serial (engine "
-            "dangoron[horizontal(4), b<=16] does not support pair "
+            "dangoron[temporal+horizontal(4), b<=16] does not support pair "
             "subsets) build=dense (engine needs raw values "
             "(pivot selection))"
         ),
@@ -627,7 +634,7 @@ def test_feedback_keys_separate_engine_configurations():
     cache = SketchCache()
     configurations = [
         {},
-        {"use_horizontal_pruning": True},
+        {"use_temporal_pruning": True, "use_horizontal_pruning": True},
         {"use_temporal_pruning": True},
         {"use_temporal_pruning": True, "slack": 0.1},
     ]
@@ -640,9 +647,36 @@ def test_feedback_keys_separate_engine_configurations():
     assert len({plan.cost_key for plan in plans}) == len(configurations)
     assert [plan.engine.describe() for plan in plans] == [
         "dangoron[no-pruning, b<=16]",
-        "dangoron[horizontal(4), b<=16]",
+        "dangoron[temporal+horizontal(4), b<=16]",
         "dangoron[temporal, b<=16]",
         "dangoron[temporal, b<=16, slack=0.1]",
     ]
     assert plans[0].describe() == GOLDEN["threshold-cold-serial"]["describe"]
     assert "|engine=dangoron[no-pruning, b<=16]|" in plans[0].cost_key
+
+
+def test_horizontal_pruning_without_jumping_plans_the_grid():
+    """Pivots act only under jumping: a session asking for horizontal
+    pruning alone plans ``no-pruning`` and answers with the exact grid,
+    bit for bit what the default session answers."""
+    matrix, query = _matrix(), _threshold()
+    pruned = _planner(
+        engine_options={
+            "use_horizontal_pruning": True,
+            "num_pivots": 2,
+            "pivot_strategy": "random",
+        },
+        workers=2,
+        parallel_min_pairs=1,
+    )
+    plan = pruned.plan(matrix, query)
+    assert plan.engine.describe() == "dangoron[no-pruning, b<=16]"
+    assert plan.execution == "sharded"  # no random-pivot gate left to decline
+    ours = pruned.run(matrix, query)
+    theirs = _planner().run(matrix, query)
+    assert ours.stats.pruned_horizontally == 0
+    assert sum(m.num_edges for m in theirs.matrices) > 0
+    for a, b in zip(ours.matrices, theirs.matrices):
+        assert a.rows.tobytes() == b.rows.tobytes()
+        assert a.cols.tobytes() == b.cols.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()

@@ -124,6 +124,28 @@ class TestResultApi:
         # per-window top-k pairs.
         assert result.suggested_threshold() <= thresholds.max()
 
+    def test_absolute_mode_suggests_an_absolute_threshold(self):
+        """Ranked by ``|c|``, a window's k-th value is a ``|c|`` cut-off: an
+        anti-correlated k-th pair (window 2's ``(0, 2)``, c = -0.318) must
+        not pull the suggestion below every window's real cut-off."""
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal(96)
+        noise = rng.standard_normal((2, 96))
+        values = np.vstack([
+            base + 0.3 * noise[0], -base + 0.3 * noise[1],
+            rng.standard_normal((3, 96)),
+        ])
+        query = SlidingQuery(0, 96, 32, 16, 0.0, "absolute")
+        result = sliding_top_k(
+            TimeSeriesMatrix(values), query, k=2, basic_window_size=8
+        )
+        assert result.absolute
+        assert result[2].values[-1] < 0
+        kth = np.array([abs(w.values[-1]) for w in result])
+        assert np.array_equal(result.effective_thresholds(), kth)
+        assert result.suggested_threshold() == kth.min()
+        assert result.suggested_threshold() == pytest.approx(0.2049, abs=1e-4)
+
     def test_persistent_pairs_subset_of_reported_pairs(self, small_matrix, topk_query):
         result = sliding_top_k(small_matrix, topk_query, k=4, basic_window_size=32)
         everything = set()

@@ -76,11 +76,12 @@ class TestQueryModes:
     def test_engine_opt_reaches_the_engine(self, csv_dataset, capsys):
         code = main(self._query(
             csv_dataset,
+            "--engine-opt", "use_temporal_pruning=true",
             "--engine-opt", "use_horizontal_pruning=true",
             "--engine-opt", "num_pivots=2",
         ))
         assert code == 0
-        assert "horizontal(2)" in capsys.readouterr().out
+        assert "temporal+horizontal(2)" in capsys.readouterr().out
 
     def test_bad_engine_opt_reports_accepted_options(self, csv_dataset, capsys):
         code = main(self._query(csv_dataset, "--engine-opt", "num_pivot=4"))
