@@ -89,7 +89,7 @@ SKETCH_BUILD_DENSE = "dense"
 SKETCH_BUILD_TILED = "tiled"
 SKETCH_BUILD_INCREMENTAL = "incremental"
 
-#: Dangoron's horizontal-pruning options, dropped when the engine does not jump.
+#: The horizontal-pruning ablation's options, dropped when Dangoron does not jump.
 _PIVOT_OPTIONS = ("use_horizontal_pruning", "num_pivots", "pivot_strategy", "seed")
 
 
@@ -201,14 +201,11 @@ class QueryPlanner:
         Name of the registered engine answering threshold queries (default
         ``"dangoron"``).
     engine_options:
-        Constructor options for that engine (``slack``, ``num_pivots``,
-        ``use_horizontal_pruning``, ...).  ``basic_window_size`` is injected
-        automatically when the engine accepts it and the options don't set
-        it, and so is ``use_temporal_pruning=False``: threshold answers are
-        exact unless the options ask for Dangoron's jumping.  Horizontal
-        pruning acts only under jumping: without it the planner drops
-        ``use_horizontal_pruning`` and the pivot options, and the window-axis
-        grid answers.
+        Constructor options for that engine (``use_temporal_pruning``,
+        ``slack``, ...).  ``basic_window_size`` is injected automatically
+        when the engine accepts it and the options don't set it, and so is
+        ``use_temporal_pruning=False``: threshold answers are exact unless
+        the options ask for Dangoron's jumping.
     basic_window_size:
         Requested basic-window size for the injected option and for the
         top-k sketch alignment.
@@ -297,12 +294,11 @@ class QueryPlanner:
                 # Product queries answer exactly: Dangoron's Eq. 2 jumping
                 # can miss edges, so it runs only when a caller asks for it.
                 options["use_temporal_pruning"] = False
-            if "use_horizontal_pruning" in accepted and not options.get(
-                "use_temporal_pruning", True
-            ):
-                # Without jumping the grid answers: its filter bounds every
-                # cell to ~1e-13 for less than the pivot pass alone costs, so
-                # the triangle bound could only add work.
+            if "use_temporal_pruning" in accepted and not options["use_temporal_pruning"]:
+                # Horizontal pruning is an experiment-only ablation; without
+                # jumping its options are dropped (the grid answers, exactly)
+                # so sessions that still name them keep planning.  Under
+                # jumping they reach create_engine, which rejects them.
                 for name in _PIVOT_OPTIONS:
                     options.pop(name, None)
             if (
@@ -377,9 +373,7 @@ class QueryPlanner:
             kind = KIND_THRESHOLD
             engine_obj = engine if engine is not None else self.resolve_engine()
             layout = engine_obj.plan_layout(query)
-            build, build_reason, state = self._sketch_build(
-                matrix, layout, query, engine=engine_obj
-            )
+            build, build_reason, state = self._sketch_build(matrix, layout, query)
         executions, execution_reason = self._execution_options(
             matrix, query, layout=layout, engine=engine_obj
         )
@@ -533,7 +527,6 @@ class QueryPlanner:
         matrix: TimeSeriesMatrix,
         layout: Optional[BasicWindowLayout],
         query: SlidingQuery,
-        engine: Optional[SlidingCorrelationEngine] = None,
     ) -> Tuple[str, Optional[str], str]:
         """The sketch build for a planned layout, its reason, and the sketch
         state the feedback key records (``raw``/``prefix``/``warm``/``cold``)
@@ -556,10 +549,7 @@ class QueryPlanner:
            data exceeds it — a dense build is then infeasible, not merely
            slower — *and* tiling bounds the run: every window recombines
            from whole basic windows (an unaligned window needs the raw
-           matrix for edge correction anyway), and the engine configuration
-           is sketch-only (``engine.needs_raw_values`` — e.g. Dangoron's
-           pivot selection under horizontal pruning materializes the matrix
-           regardless).
+           matrix for edge correction anyway).
         3. **dense** otherwise; under a configured budget the reason names
            why it fell back.
 
@@ -582,14 +572,14 @@ class QueryPlanner:
                     f"chained sketch covers {coverage}/{layout.count} basic windows",
                     "prefix",
                 )
-            build, reason = self._full_build(matrix, layout, query, engine)
+            build, reason = self._full_build(matrix, layout, query)
             declined = (
                 "incremental declined: no chained sketch entry covers a prefix "
                 "of this layout"
             )
             # No coverage means no cached exact entry either: the fetch builds.
             return build, f"{declined}; {reason}" if reason else declined, "cold"
-        build, reason = self._full_build(matrix, layout, query, engine)
+        build, reason = self._full_build(matrix, layout, query)
         if build == SKETCH_BUILD_TILED:
             cached = self.sketch_cache.extension_coverage(matrix, layout) == layout.count
         else:
@@ -601,15 +591,12 @@ class QueryPlanner:
         matrix: TimeSeriesMatrix,
         layout: BasicWindowLayout,
         query: SlidingQuery,
-        engine: Optional[SlidingCorrelationEngine],
     ) -> Tuple[str, Optional[str]]:
         """Dense or tiled for a layout no chained prefix covers (rules 2-3)."""
         if self.memory_budget is None:
             return SKETCH_BUILD_DENSE, None
         if not self._windows_sketch_aligned(layout, query):
             return SKETCH_BUILD_DENSE, "unaligned windows read raw values"
-        if engine is not None and engine.needs_raw_values(query):
-            return SKETCH_BUILD_DENSE, "engine needs raw values (pivot selection)"
         dense_bytes = matrix.num_series * matrix.length * np.dtype(FLOAT_DTYPE).itemsize
         if dense_bytes <= self.memory_budget:
             return SKETCH_BUILD_DENSE, "raw data fits the budget"

@@ -69,14 +69,6 @@ class TsubasaEngine(SlidingCorrelationEngine):
         size = max(size, 2)
         return BasicWindowLayout.for_range(query.start, query.end, size)
 
-    def needs_raw_values(self, query: SlidingQuery) -> bool:
-        """Sketch-only for aligned windows (the only case the planner tiles).
-
-        Unaligned windows read the raw matrix for edge correction, but the
-        planner's tiled gate already requires whole-basic-window alignment.
-        """
-        return False
-
     def supports_pair_subset(self) -> bool:
         """Always shardable: every pair is evaluated independently every window."""
         return True

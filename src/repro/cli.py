@@ -12,8 +12,8 @@ Five subcommands cover the workflow a user of the system actually runs:
     selects the query type (``threshold``, ``topk`` or ``lagged``),
     repeatable ``--engine-opt key=value`` flags reach every engine option
     without writing Python (threshold answers are exact unless
-    ``use_temporal_pruning=true`` opts into jumping, the only mode in which
-    horizontal pruning acts; the summary says which), ``--workers N`` shards large queries of any mode across a
+    ``use_temporal_pruning=true`` opts into jumping; the summary says
+    which), ``--workers N`` shards large queries of any mode across a
     worker pool, and ``--memory-budget BYTES`` streams
     ``.npz`` inputs through the tiled out-of-core builder (lagged mode:
     streamed window buffers) without materializing the dense matrix (both
@@ -111,7 +111,7 @@ def parse_engine_option(text: str) -> tuple:
 
     Values are coerced in order: booleans (``true``/``false``/``yes``/``no``,
     case-insensitive), ints, floats, ``none``/``null`` to ``None``; anything
-    else stays a string (e.g. ``pivot_strategy=kcenter``).
+    else stays a string (e.g. ``name=value``).
     """
     key, separator, raw = text.partition("=")
     key = key.strip()
@@ -428,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine-opt", action="append", default=[], metavar="KEY=VALUE",
         help="engine constructor option (repeatable); threshold answers are "
              "exact unless --engine-opt use_temporal_pruning=true opts into "
-             "Dangoron's Eq. 2 jumping, and horizontal pruning "
-             "(use_horizontal_pruning, num_pivots, ...) acts only with it",
+             "Dangoron's Eq. 2 jumping (slack=... tunes its recall)",
     )
     query.add_argument("--window", type=int, required=True)
     query.add_argument("--step", type=int, required=True)

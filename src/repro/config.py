@@ -39,9 +39,6 @@ DEFAULT_BASIC_WINDOW_SIZE = 32
 #: Default correlation threshold (the paper's beta) used by examples.
 DEFAULT_THRESHOLD = 0.7
 
-#: Default number of pivot series used by horizontal (triangle) pruning.
-DEFAULT_NUM_PIVOTS = 4
-
 #: Default seed used by examples and benchmarks so results are reproducible.
 DEFAULT_SEED = 20230611
 

@@ -15,10 +15,8 @@ from repro.core.bounds import (
     max_skippable_steps_scalar,
     temporal_upper_bound,
     triangle_bounds,
-    triangle_bounds_from_pivots,
 )
 from repro.core.correlation import (
-    correlation_against,
     correlation_from_sums,
     correlation_matrix,
     pearson,
@@ -31,7 +29,6 @@ from repro.core.engine import (
     engine_options,
     register_engine,
 )
-from repro.core.horizontal import select_pivots
 from repro.core.incremental import IncrementalEngine
 from repro.core.jumping import JumpScheduler, JumpStats
 from repro.core.lag import (
@@ -92,7 +89,6 @@ __all__ = [
     "best_lag",
     "build_sketch_tiled",
     "choose_basic_window_size",
-    "correlation_against",
     "correlation_from_sums",
     "correlation_matrix",
     "create_engine",
@@ -106,12 +102,10 @@ __all__ = [
     "pearson",
     "plan_tiles",
     "register_engine",
-    "select_pivots",
     "sliding_lagged_correlation",
     "sliding_top_k",
     "temporal_upper_bound",
     "top_k_brute_force",
     "top_k_overlap",
     "triangle_bounds",
-    "triangle_bounds_from_pivots",
 ]

@@ -23,8 +23,9 @@ Two families of bounds drive Dangoron's pruning:
   .. math::  c_{xz} c_{yz} - \\sqrt{(1-c_{xz}^2)(1-c_{yz}^2)} \\;\\le\\; c_{xy}
              \\;\\le\\; c_{xz} c_{yz} + \\sqrt{(1-c_{xz}^2)(1-c_{yz}^2)}
 
-  which is exact (no distributional assumption) and lets one window's pivot
-  correlations prune many pairs without computing them.
+  which is exact (no distributional assumption).  Pruning with it (pivot
+  correlations bounding every other pair) is an experiment-only ablation,
+  :mod:`repro.experiments.horizontal`: it measured slower than jumping alone.
 """
 
 from __future__ import annotations
@@ -241,31 +242,3 @@ def triangle_bounds(
         return float(lower), float(upper)
     return lower, upper
 
-
-def triangle_bounds_from_pivots(
-    pivot_corrs: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Combine triangle bounds over several pivots into per-pair bounds.
-
-    ``pivot_corrs`` has shape ``(P, N)``: the exact correlation of each pivot
-    series with every series in the current window.  For every pair ``(i, j)``
-    each pivot yields an interval for ``c_ij``; the intersection over pivots is
-    the tightest available interval.  Returns ``(lower, upper)`` matrices of
-    shape ``(N, N)`` (symmetric, diagonal equal to 1).
-    """
-    pivot_corrs = np.asarray(pivot_corrs, dtype=FLOAT_DTYPE)
-    if pivot_corrs.ndim != 2:
-        raise QueryValidationError(
-            f"pivot_corrs must have shape (num_pivots, N), got {pivot_corrs.shape}"
-        )
-    num_pivots, n = pivot_corrs.shape
-    lower = np.full((n, n), -1.0, dtype=FLOAT_DTYPE)
-    upper = np.full((n, n), 1.0, dtype=FLOAT_DTYPE)
-    for p in range(num_pivots):
-        c = pivot_corrs[p]
-        lo, up = triangle_bounds(c[:, None], c[None, :])
-        lower = np.maximum(lower, lo)
-        upper = np.minimum(upper, up)
-    np.fill_diagonal(lower, 1.0)
-    np.fill_diagonal(upper, 1.0)
-    return lower, upper

@@ -89,36 +89,6 @@ def correlation_matrix(window: np.ndarray) -> np.ndarray:
     return corr
 
 
-def correlation_against(window: np.ndarray, pivot_rows: np.ndarray) -> np.ndarray:
-    """Correlations of every row of ``window`` against each row of ``pivot_rows``.
-
-    Returns an array of shape ``(num_pivots, N)``.  Used by horizontal pruning,
-    which only needs pivot-to-everything correlations.
-    """
-    window = np.asarray(window, dtype=FLOAT_DTYPE)
-    pivot_rows = np.asarray(pivot_rows, dtype=FLOAT_DTYPE)
-    if pivot_rows.ndim == 1:
-        pivot_rows = pivot_rows.reshape(1, -1)
-    if window.ndim != 2 or pivot_rows.ndim != 2:
-        raise DataValidationError("correlation_against() expects 2-D arrays")
-    if window.shape[1] != pivot_rows.shape[1]:
-        raise DataValidationError(
-            "window and pivot rows must cover the same number of time steps"
-        )
-    length = window.shape[1]
-
-    def _normalize(rows: np.ndarray) -> np.ndarray:
-        centered = rows - rows.mean(axis=1, keepdims=True)
-        norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
-        degenerate = norms < np.sqrt(VARIANCE_EPSILON * length)
-        safe = np.where(degenerate, 1.0, norms)
-        normalized = centered / safe[:, None]
-        normalized[degenerate, :] = 0.0
-        return normalized
-
-    return clamp_correlation_array(_normalize(pivot_rows) @ _normalize(window).T)
-
-
 def centred_sumsq(count, sums: np.ndarray, sumsqs: np.ndarray):
     """``(centred sum of squares, degenerate)`` of series from raw sums.
 

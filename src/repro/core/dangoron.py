@@ -7,9 +7,7 @@ Per query the engine
    windows) and builds the :class:`BasicWindowSketch` over the query range;
 2. walks the windows in order, keeping for every pair the index of the next
    window at which it must be evaluated exactly (:class:`JumpScheduler`);
-3. at each window, optionally applies **horizontal pruning** (pivot
-   correlations plus the triangle bound) to drop pairs that cannot reach the
-   threshold, evaluates the remaining due pairs exactly with the Eq. 1
+3. at each window evaluates the due pairs exactly with the Eq. 1
    combination, emits the above-threshold values, and uses the Eq. 2 temporal
    bound to schedule the next evaluation of each below-threshold pair as far
    in the future as the bound allows (Fig. 2's jumping structure).
@@ -22,39 +20,32 @@ whose correlation rises faster than the bound predicts is caught late.  The
 recall back at the cost of fewer skips.  Such answers say so:
 ``EngineStats.exactness`` reads ``heuristic(jumping)``.
 
-Without either pruning there is nothing to schedule, and the engine answers
-all windows in one window-axis pass instead of walking them
+Without jumping there is nothing to schedule, and the engine answers all
+windows in one window-axis pass instead of walking them
 (:meth:`~repro.core.sketch.BasicWindowSketch.exact_pairs_grid`): a filter over
 every (pair, window) cell, then the per-window Eq. 1 gather for the cells that
 may pass, so the answer is the per-window scan's, bit for bit.  That is the
 product's default (the planner sets ``use_temporal_pruning=False`` unless the
-options ask for jumping).
+options ask for jumping).  The paper's second mechanism, pivot/triangle
+"horizontal" pruning, is an experiment-only ablation
+(:mod:`repro.experiments.horizontal`): it measured slower than jumping alone.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import (
-    DEFAULT_BASIC_WINDOW_SIZE,
-    DEFAULT_NUM_PIVOTS,
-    FLOAT_DTYPE,
-)
+from repro.config import DEFAULT_BASIC_WINDOW_SIZE, FLOAT_DTYPE
 from repro.core.basic_window import BasicWindowLayout
-from repro.core.bounds import (
-    first_possible_crossing,
-    first_possible_crossing_absolute,
-    triangle_bounds_from_pivots,
-)
+from repro.core.bounds import first_possible_crossing, first_possible_crossing_absolute
 from repro.core.engine import (
     SlidingCorrelationEngine,
     register_engine,
     validate_pair_subset,
 )
-from repro.core.horizontal import select_pivots
 from repro.core.jumping import JumpScheduler
 from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
 from repro.core.result import (
@@ -65,7 +56,7 @@ from repro.core.result import (
     ThresholdedMatrix,
 )
 from repro.core.sketch import BasicWindowSketch, ensure_sketch_layout, pair_slots
-from repro.exceptions import ParallelError, QueryValidationError
+from repro.exceptions import QueryValidationError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 
@@ -86,8 +77,8 @@ def step_window(
     """Step one sliding window: the only place a window is evaluated and scheduled.
 
     Evaluates the pairs at ``positions`` (indices into ``rows``/``cols``, the
-    enumeration ``scheduler`` tracks: those due at ``k``, minus whatever
-    horizontal pruning settled) exactly with Eq. 1, keeps the ones passing
+    enumeration ``scheduler`` tracks: those due at ``k``, minus whatever the
+    caller settled otherwise) exactly with Eq. 1, keeps the ones passing
     ``query.keep_mask`` and schedules the rest as far ahead as the Eq. 2 bound
     allows, at most ``max_steps`` windows.  The evaluation is one pair gather
     whatever the share of due pairs (the first window is all of them).
@@ -132,7 +123,7 @@ def step_window(
 
 @register_engine
 class DangoronEngine(SlidingCorrelationEngine):
-    """Sliding correlation computation with temporal jumping and horizontal pruning.
+    """Sliding correlation computation with temporal jumping.
 
     Parameters
     ----------
@@ -142,23 +133,17 @@ class DangoronEngine(SlidingCorrelationEngine):
         :func:`repro.core.basic_window.choose_basic_window_size`).
     use_temporal_pruning:
         Enable the Eq. 2 jumping structure (Fig. 2).
-    use_horizontal_pruning:
-        Enable pivot-based triangle pruning inside each window.
-    num_pivots, pivot_strategy:
-        Horizontal-pruning configuration (ignored when it is disabled).
     slack:
         Subtracted from the threshold inside the temporal bound; ``0`` uses the
         paper's bound as-is, larger values skip less aggressively and recover
         recall on non-stationary data.
-    seed:
-        Seed for the pivot-selection RNG (only used by the random strategy).
 
-    Without either pruning the engine answers every window in one
-    window-axis pass (:meth:`BasicWindowSketch.exact_pairs_grid`), with the
-    edges and values of the per-window Eq. 1 scan.  The class keeps the
-    paper's configuration (jumping on) as its default; the query planner
-    fills in ``use_temporal_pruning=False`` when its options leave it unset,
-    so product queries are exact unless a caller asks for jumping.
+    Without jumping the engine answers every window in one window-axis pass
+    (:meth:`BasicWindowSketch.exact_pairs_grid`), with the edges and values
+    of the per-window Eq. 1 scan.  The class keeps the paper's configuration
+    (jumping on) as its default; the query planner fills in
+    ``use_temporal_pruning=False`` when its options leave it unset, so
+    product queries are exact unless a caller asks for jumping.
     """
 
     name = "dangoron"
@@ -168,72 +153,35 @@ class DangoronEngine(SlidingCorrelationEngine):
         self,
         basic_window_size: int = DEFAULT_BASIC_WINDOW_SIZE,
         use_temporal_pruning: bool = True,
-        use_horizontal_pruning: bool = False,
-        num_pivots: int = DEFAULT_NUM_PIVOTS,
-        pivot_strategy: str = "kcenter",
         slack: float = 0.0,
-        seed: Optional[int] = None,
     ) -> None:
         if slack < 0:
             raise QueryValidationError(f"slack must be non-negative, got {slack}")
         self.basic_window_size = basic_window_size
         self.use_temporal_pruning = use_temporal_pruning
-        self.use_horizontal_pruning = use_horizontal_pruning
-        self.num_pivots = num_pivots
-        self.pivot_strategy = pivot_strategy
         self.slack = slack
-        self.seed = seed
 
     # ------------------------------------------------------------------ public
     def describe(self) -> str:
-        features = []
-        if self.use_temporal_pruning:
-            features.append("temporal")
-        if self.use_horizontal_pruning:
-            features.append(f"horizontal({self.num_pivots})")
-        parts = ["+".join(features) or "no-pruning", f"b<={self.basic_window_size}"]
+        features = "temporal" if self.use_temporal_pruning else "no-pruning"
+        parts = [features, f"b<={self.basic_window_size}"]
         if self.slack:
             parts.append(f"slack={self.slack:g}")
         return f"{self.name}[{', '.join(parts)}]"
 
     def exactness(self) -> str:
-        """Jumping can miss edges (Eq. 2 assumes stationary basic windows);
-        horizontal pruning is a sound bound, so alone it stays exact."""
+        """Jumping can miss edges (Eq. 2 assumes stationary basic windows)."""
         return EXACTNESS_JUMPING if self.use_temporal_pruning else EXACTNESS_EXACT
 
     def plan_layout(self, query: SlidingQuery) -> BasicWindowLayout:
         """The layout ``run`` builds its sketch for (see the planner protocol)."""
         return BasicWindowLayout.for_query(query, self.basic_window_size)
 
-    def needs_raw_values(self, query: SlidingQuery) -> bool:
-        """Raw values are only read for pivot selection (horizontal pruning).
-
-        With temporal pruning alone, a planner-supplied sketch makes the run
-        sketch-only, so out-of-core (tiled) execution never materializes the
-        matrix.
-        """
-        return self.use_horizontal_pruning
-
     def supports_pair_subset(self) -> bool:
-        """Shardable whenever per-pair decisions are partition-independent.
-
-        With temporal pruning every pair's evaluation schedule depends only
-        on its own values and the Eq. 2 bound.  Horizontal pruning is
-        per-pair too: the pivot bounds are computed from the full pivot
-        rows against *all* series (identically in every shard, from the
-        shared sketch), and each due pair is kept or pruned purely from its
-        own bound entry — so a run restricted to any pair subset reproduces
-        exactly the schedule (and therefore the edges) of the full run.
-
-        The single exception is unseeded random pivot selection: each shard
-        would draw its own pivots and the per-shard bounds — hence schedules
-        — would diverge from the serial run.
-        """
-        return not (
-            self.use_horizontal_pruning
-            and self.pivot_strategy == "random"
-            and self.seed is None
-        )
+        """Every pair's evaluation schedule depends only on its own values and
+        the Eq. 2 bound, so a run over any pair subset reproduces exactly the
+        edges of the full run on those pairs."""
+        return True
 
     def run(
         self,
@@ -243,19 +191,12 @@ class DangoronEngine(SlidingCorrelationEngine):
         sketch: Optional[BasicWindowSketch] = None,
         pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> CorrelationSeriesResult:
-        # Raw values are read lazily (sketch build, pivot selection): with a
-        # planner-supplied sketch and no horizontal pruning, the whole run is
-        # sketch-only — which is what lets out-of-core sessions answer without
-        # ever materializing a dense matrix (see repro.core.tiled).
+        # Raw values are read only to build a sketch: with a planner-supplied
+        # sketch the whole run is sketch-only — which is what lets out-of-core
+        # sessions answer without ever materializing a dense matrix (see
+        # repro.core.tiled).
         query.validate_against_length(matrix.length)
         n = matrix.num_series
-        if pairs is not None and not self.supports_pair_subset():
-            raise ParallelError(
-                "dangoron with horizontal pruning and unseeded random pivots "
-                "cannot run on a pair subset: each shard would draw different "
-                "pivots and diverge from the serial run; pass seed=... or a "
-                "deterministic pivot_strategy"
-            )
 
         layout = self.plan_layout(query)
         if sketch is not None:
@@ -269,9 +210,6 @@ class DangoronEngine(SlidingCorrelationEngine):
             sketch = BasicWindowSketch.build(matrix.values, layout)
             sketch_seconds = time.perf_counter() - build_start
             sketch_reused = 0.0
-
-        window_bw = query.window // layout.size
-        num_windows = query.num_windows
 
         if pairs is not None:
             rows, cols = validate_pair_subset(pairs, n)
@@ -289,43 +227,29 @@ class DangoronEngine(SlidingCorrelationEngine):
             sketch_seconds += corr_prefix_seconds
 
         query_start_time = time.perf_counter()
-        if self.use_temporal_pruning or self.use_horizontal_pruning:
-            matrices, counters = self._scan_windows(
-                matrix, query, sketch, rows, cols, slots
-            )
-        else:
-            windows, verified = sketch.exact_pairs_grid(rows, cols, query, slots=slots)
-            matrices = [ThresholdedMatrix(n, *edges) for edges in windows]
-            # Every cell is evaluated by the filter; the verified ones again.
-            counters = {
-                "exact_evaluations": len(rows) * num_windows,
-                "verified_evaluations": verified,
-                "skipped_by_jumping": 0,
-                "pruned_horizontally": 0,
-                "pivot_evaluations": 0,
-                "mean_jump_length": 0.0,
-            }
+        matrices, counters = self._scan_windows(matrix, query, sketch, rows, cols, slots)
         query_seconds = time.perf_counter() - query_start_time
+        exact_evaluations = counters.pop("exact_evaluations")
+        skipped_by_jumping = counters.pop("skipped_by_jumping")
+        pruned_horizontally = counters.pop("pruned_horizontally", 0)
 
         stats = EngineStats(
             engine=self.describe(),
             num_series=n,
-            num_windows=num_windows,
+            num_windows=query.num_windows,
             candidate_pairs=len(rows),
             sketch_build_seconds=sketch_seconds,
             query_seconds=query_seconds,
             exactness=self.exactness(),
-            exact_evaluations=counters["exact_evaluations"],
-            skipped_by_jumping=counters["skipped_by_jumping"],
-            pruned_horizontally=counters["pruned_horizontally"],
+            exact_evaluations=exact_evaluations,
+            skipped_by_jumping=skipped_by_jumping,
+            pruned_horizontally=pruned_horizontally,
             extra={
                 "sketch_reused": sketch_reused,
                 "corr_prefix_seconds": corr_prefix_seconds,
-                "pivot_evaluations": float(counters["pivot_evaluations"]),
-                "verified_evaluations": float(counters["verified_evaluations"]),
+                **{key: float(value) for key, value in counters.items()},
                 "basic_window_size": float(layout.size),
-                "num_basic_windows_per_window": float(window_bw),
-                "mean_jump_length": counters["mean_jump_length"],
+                "num_basic_windows_per_window": float(query.window // layout.size),
                 "sketch_memory_bytes": float(sketch.memory_bytes()),
             },
         )
@@ -341,100 +265,38 @@ class DangoronEngine(SlidingCorrelationEngine):
         rows: np.ndarray,
         cols: np.ndarray,
         slots: np.ndarray,
-    ) -> Tuple[List[ThresholdedMatrix], dict]:
-        """Walk the windows in order under jumping or horizontal pruning.
+    ) -> Tuple[List[ThresholdedMatrix], Dict[str, float]]:
+        """Answer every window: one grid pass, or under jumping one
+        :func:`step_window` per window in order.
 
-        Horizontal pruning first, then one :func:`step_window` per window.
-        Returns the windows' matrices and the run's work counters.
+        Returns the windows' matrices and the run's work counters:
+        ``exact_evaluations`` and ``skipped_by_jumping`` (and
+        ``pruned_horizontally`` where a subclass prunes) become
+        :class:`EngineStats` fields, the rest ``extra`` entries.
         """
-        n = matrix.num_series
-        layout = sketch.layout
-        step_bw = query.step // layout.size
-        window_bw = query.window // layout.size
+        n = sketch.num_series
         num_windows = query.num_windows
+        if not self.use_temporal_pruning:
+            windows, verified = sketch.exact_pairs_grid(rows, cols, query, slots=slots)
+            # Every cell is evaluated by the filter; the verified ones again.
+            return [ThresholdedMatrix(n, *edges) for edges in windows], {
+                "exact_evaluations": len(rows) * num_windows,
+                "skipped_by_jumping": 0,
+                "verified_evaluations": verified,
+                "mean_jump_length": 0.0,
+            }
         scheduler = JumpScheduler(len(rows), num_windows)
-        absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
-        corr_prefix = sketch.corr_prefix if self.use_temporal_pruning else None
-
-        pivots: Optional[np.ndarray] = None
-        if self.use_horizontal_pruning:
-            rng = np.random.default_rng(self.seed)
-            first_window = matrix.values[:, query.start : query.start + query.window]
-            pivots = select_pivots(
-                first_window, self.num_pivots, self.pivot_strategy, rng
-            )
-            # (pivot, every series), the diagonal and j < pivot included:
-            # those map to their packed rows by symmetry.
-            pivot_rows = np.repeat(pivots, n)
-            pivot_cols = np.tile(np.arange(n), len(pivots))
-            pivot_slots = pair_slots(n, pivot_rows, pivot_cols)
-
-        matrices: List[ThresholdedMatrix] = []
-        pruned_horizontally = 0
-        pivot_evaluations = 0
-        for k in range(num_windows):
-            due = scheduler.due_indices(k)
-            eval_positions = due
-            max_steps = num_windows - 1 - k
-
-            # ---------------------------------------------- horizontal pruning
-            # Runs whenever any pair is due.  The decision per pair is a pure
-            # function of its own bound entry, so serial and sharded runs
-            # prune — and schedule — identically for any pair partition
-            # (a shard with no due pairs skips only the pivot evaluations).
-            if pivots is not None and len(due) > 0:
-                bw_first, _ = layout.covering(*query.window_bounds(k))
-                pivot_corrs = sketch.exact_pairs_scan(
-                    pivot_rows, pivot_cols, bw_first, window_bw, pivot_slots
-                ).reshape(len(pivots), n)
-                pivot_evaluations += len(pivots) * n
-                lower, upper = triangle_bounds_from_pivots(pivot_corrs)
-                if absolute:
-                    cannot_be_edge = (
-                        upper[rows[due], cols[due]] < query.threshold
-                    ) & (-lower[rows[due], cols[due]] < query.threshold)
-                else:
-                    cannot_be_edge = upper[rows[due], cols[due]] < query.threshold
-                pruned = due[cannot_be_edge]
-                eval_positions = due[~cannot_be_edge]
-                pruned_horizontally += int(len(pruned))
-                if len(pruned):
-                    if (
-                        self.use_temporal_pruning
-                        and not absolute
-                        and max_steps >= 1
-                    ):
-                        # The triangle upper bound is >= the true correlation,
-                        # so it is a valid (conservative) stand-in for Eq. 2.
-                        surrogate = upper[rows[pruned], cols[pruned]]
-                        jumps = first_possible_crossing(
-                            surrogate,
-                            query.threshold,
-                            corr_prefix,
-                            slots[pruned],
-                            bw_first,
-                            step_bw,
-                            window_bw,
-                            max_steps,
-                            slack=self.slack,
-                        )
-                    else:
-                        jumps = np.ones(len(pruned), dtype=np.int64)
-                    scheduler.schedule_jumps(k, pruned, jumps)
-
-            # ---------------------------------------------------- exact values
-            edges = step_window(
-                sketch, query, rows, cols, scheduler, k, eval_positions, max_steps,
-                use_temporal_pruning=self.use_temporal_pruning,
-                slack=self.slack,
-                slots=slots,
-            )
-            matrices.append(ThresholdedMatrix(n, *edges))
+        matrices = [
+            ThresholdedMatrix(n, *step_window(
+                sketch, query, rows, cols, scheduler, k, scheduler.due_indices(k),
+                num_windows - 1 - k, slack=self.slack, slots=slots,
+            ))
+            for k in range(num_windows)
+        ]
         return matrices, {
             "exact_evaluations": scheduler.stats.exact_evaluations,
-            "verified_evaluations": scheduler.stats.exact_evaluations,
             "skipped_by_jumping": scheduler.stats.skipped_evaluations,
-            "pruned_horizontally": pruned_horizontally,
-            "pivot_evaluations": pivot_evaluations,
+            "verified_evaluations": scheduler.stats.exact_evaluations,
             "mean_jump_length": scheduler.stats.mean_jump_length(),
         }
+

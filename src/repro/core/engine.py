@@ -97,21 +97,6 @@ class SlidingCorrelationEngine(abc.ABC):
         """
         return None
 
-    def needs_raw_values(self, query: SlidingQuery) -> bool:
-        """Whether ``run`` reads ``matrix.values`` even given a prebuilt sketch.
-
-        The planner's out-of-core path (``memory_budget=``) only pays off
-        when the whole run is sketch-only; an engine (or engine
-        configuration) that touches the raw matrix anyway — pivot selection,
-        candidate generation from raw series, edge correction — would
-        silently materialize a lazily-backed matrix and blow the budget in
-        exactly the bigger-than-RAM scenario the knob exists for.  The
-        default is conservatively ``True``; sketch-complete engines override
-        it (the planner separately guarantees window alignment before
-        choosing a tiled build, so overrides may assume aligned windows).
-        """
-        return True
-
     def supports_pair_subset(self) -> bool:
         """Whether ``run`` accepts a ``pairs=(rows, cols)`` keyword.
 
@@ -213,7 +198,7 @@ def create_engine(name: str, **kwargs) -> SlidingCorrelationEngine:
 
     Unknown names and unknown constructor options both raise
     :class:`ExperimentError` naming the engine and the options it accepts, so
-    a typo like ``num_pivot=4`` fails with a message instead of a bare
+    a typo like ``slak=0.1`` fails with a message instead of a bare
     ``TypeError``.
     """
     try:

@@ -9,7 +9,8 @@ combination work.
 
 The scheduler is deliberately engine-agnostic: it only tracks *when* each pair
 is due, not *why* (temporal bound, horizontal bound, or initial state), so the
-Dangoron engine can compose both pruning mechanisms on top of it.
+horizontal-pruning ablation (:mod:`repro.experiments.horizontal`) composes
+its pivot pass with jumping on top of it.
 """
 
 from __future__ import annotations

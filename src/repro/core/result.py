@@ -6,8 +6,10 @@ result stores only the surviving entries of the strict upper triangle plus
 enough metadata to reconstruct dense matrices, edge sets, or networkx graphs.
 
 Engines also report an :class:`EngineStats` describing how much work they did
-(pairs evaluated exactly, evaluations skipped by jumping, pairs pruned
-horizontally) — this is what the pruning-effectiveness experiments measure.
+(pairs evaluated exactly, evaluations skipped by jumping) — this is what the
+pruning-effectiveness experiments measure.  ``pruned_horizontally`` stays 0
+for every product engine; only the pivot-pruning ablation of the E7 / E14
+experiments (:mod:`repro.experiments.horizontal`) sets it.
 """
 
 from __future__ import annotations

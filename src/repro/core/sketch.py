@@ -9,8 +9,9 @@ The sketch stores, for every basic window of the layout,
 The pair statistics are packed pair-major: ``pair_sumprods`` has shape
 ``(P, count)``, one row per pair of the upper triangle, ``P = N (N + 1) / 2``
 in ``np.triu_indices(N, k=0)`` order (:func:`pair_slots` maps a pair to its
-row).  The diagonal stays so that horizontal pruning's ``(pivot, pivot)``
-and ``(pivot, j < pivot)`` reads map by symmetry.  The basic-window
+row).  The diagonal stays so that the horizontal-pruning ablation's
+(:mod:`repro.experiments.horizontal`) ``(pivot, pivot)`` and
+``(pivot, j < pivot)`` reads map by symmetry.  The basic-window
 correlations ``c_j`` of the Eq. 2 temporal bound are not stored: the lazy
 ``corr_prefix`` (``(P, count + 1)``) computes them from the packed sums when
 jumping first asks for it, and :meth:`BasicWindowSketch.extend` carries a

@@ -68,12 +68,6 @@ class TopKWindow:
             for i, j, v in zip(self.rows, self.cols, self.values)
         ]
 
-    def effective_threshold(self) -> float:
-        """The smallest reported correlation (a data-driven ``beta`` candidate)."""
-        if self.k == 0:
-            return float("nan")
-        return float(self.values[-1])
-
 
 @dataclass(frozen=True)
 class TopKResult:
@@ -102,7 +96,8 @@ class TopKResult:
         ``c`` in signed mode, ``|c|`` in absolute mode, so each is the
         ``beta`` of the query's own threshold mode."""
         thresholds = np.array(
-            [w.effective_threshold() for w in self.windows], dtype=FLOAT_DTYPE
+            [w.values[-1] if w.k else np.nan for w in self.windows],
+            dtype=FLOAT_DTYPE,
         )
         return np.abs(thresholds) if self.absolute else thresholds
 

@@ -59,7 +59,6 @@ class LintConfig:
         "repro/core/lag.py",
         "repro/core/incremental.py",
         "repro/core/jumping.py",
-        "repro/core/horizontal.py",
         "repro/core/basic_window.py",
         "repro/core/correlation.py",
         "repro/datasets/*",
@@ -124,7 +123,6 @@ class LintConfig:
     #: ``CorrelationEngine``).
     engine_protocol: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         ("plan_layout", ("self", "query")),
-        ("needs_raw_values", ("self", "query")),
     )
 
     # ------------------------------------------------------------------ RPR005

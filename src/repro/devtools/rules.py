@@ -269,16 +269,15 @@ class EngineProtocolRule(LintRule):
     The parallel executor feeds ``pairs=`` to any engine whose
     ``supports_pair_subset`` returns True; an engine that advertises
     support but whose ``run`` lacks the kwarg fails only at shard time,
-    deep inside a worker process.  Same story for ``plan_layout`` /
-    ``needs_raw_values``: the planner calls them positionally with exactly
-    one query argument.
+    deep inside a worker process.  Same story for ``plan_layout``: the
+    planner calls it positionally with exactly one query argument.
     """
 
     code = "RPR004"
     name = "engine-protocol-conformance"
     summary = (
         "engines advertising pair-subset support must accept pairs= in run; "
-        "plan_layout/needs_raw_values must match the protocol signature"
+        "plan_layout must match the protocol signature"
     )
 
     def check(self, context: ModuleContext, config: LintConfig) -> Iterator[Finding]:

@@ -34,6 +34,7 @@ from repro.core.dangoron import DangoronEngine
 from repro.core.incremental import IncrementalEngine
 from repro.core.query import SlidingQuery
 from repro.core.topk import sliding_top_k, top_k_brute_force, top_k_overlap
+from repro.experiments.horizontal import HorizontalPruningEngine
 from repro.experiments.registry import EXPERIMENTS, ExperimentResult
 from repro.experiments.workloads import climate_workload, tomborg_workload
 from repro.tomborg.suite import default_suite
@@ -187,10 +188,9 @@ def experiment_e14_pivot_count(
     reference = BruteForceEngine().run(workload.matrix, workload.query)
     rows: List[List[object]] = []
     for num_pivots in pivot_counts:
-        engine = DangoronEngine(
+        engine = HorizontalPruningEngine(
             basic_window_size=workload.basic_window_size,
             use_temporal_pruning=False,
-            use_horizontal_pruning=True,
             num_pivots=num_pivots,
         )
         result = engine.run(workload.matrix, workload.query)

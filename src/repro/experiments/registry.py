@@ -42,6 +42,7 @@ from repro.core.dangoron import DangoronEngine
 from repro.core.query import SlidingQuery
 from repro.core.sketch import BasicWindowSketch, pair_slots
 from repro.exceptions import ExperimentError
+from repro.experiments.horizontal import HorizontalPruningEngine
 from repro.experiments.runner import run_comparison
 from repro.experiments.workloads import (
     Workload,
@@ -349,16 +350,16 @@ def experiment_e7_pruning_ablation(scale: float = 0.5, threshold: float = 0.75) 
     variants = [
         ("none", DangoronEngine(
             basic_window_size=workload.basic_window_size,
-            use_temporal_pruning=False, use_horizontal_pruning=False)),
+            use_temporal_pruning=False)),
         ("temporal", DangoronEngine(
             basic_window_size=workload.basic_window_size,
-            use_temporal_pruning=True, use_horizontal_pruning=False)),
-        ("horizontal", DangoronEngine(
+            use_temporal_pruning=True)),
+        ("horizontal", HorizontalPruningEngine(
             basic_window_size=workload.basic_window_size,
-            use_temporal_pruning=False, use_horizontal_pruning=True)),
-        ("temporal+horizontal", DangoronEngine(
+            use_temporal_pruning=False)),
+        ("temporal+horizontal", HorizontalPruningEngine(
             basic_window_size=workload.basic_window_size,
-            use_temporal_pruning=True, use_horizontal_pruning=True)),
+            use_temporal_pruning=True)),
     ]
     reference = BruteForceEngine().run(workload.matrix, workload.query)
     rows: List[List[object]] = []

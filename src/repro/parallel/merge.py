@@ -42,7 +42,7 @@ from repro.exceptions import ParallelError
 
 #: ``EngineStats.extra`` keys that are per-shard work counters (summed on
 #: merge); everything else is kept only when identical across shards.
-_ADDITIVE_EXTRA_KEYS = ("pivot_evaluations", "verified_evaluations")
+_ADDITIVE_EXTRA_KEYS = ("verified_evaluations",)
 
 #: ``EngineStats.extra`` keys that are build times the shards paid
 #: concurrently: merged, like ``sketch_build_seconds``, as the maximum.

@@ -8,15 +8,11 @@ grid, same ``threshold_mode``, same transport fields — additionally share a
 batch, because the engine's scan at the *lowest* requested threshold
 computes a superset of every member's answer with bit-identical values:
 
-* every execution strategy in this repo emits bit-identical correlation
-  values for a surviving pair regardless of the threshold (the canonical
-  layout + pairwise-sum invariants, property-tested per strategy), and
-* Dangoron's horizontal pruning is *sound* — a pair pruned at threshold
-  ``t`` is provably below ``t``, hence below every member threshold
-  ``>= t``,
-
-so deriving a member's result is a pure order-preserving subset filter of
-the floor scan's entries through the member query's own ``keep_mask``.
+every execution strategy in this repo emits bit-identical correlation
+values for a surviving pair regardless of the threshold (the canonical
+layout + pairwise-sum invariants, property-tested per strategy), so deriving
+a member's result is a pure order-preserving subset filter of the floor
+scan's entries through the member query's own ``keep_mask``.
 :func:`filter_threshold_result` is that filter; the Hypothesis property
 suite asserts it is bit-identical to an independent per-threshold run
 across random thresholds, layouts and batch compositions.
@@ -29,9 +25,8 @@ whose correlation rises faster than the bound predicts is caught late.
 Which windows get skipped depends on the scan's threshold, so a floor scan
 with jumping on could not reproduce each member's own schedule.  Batch
 leaders therefore run the floor scan with :func:`exact_scan_options`
-(jumping disabled, and with it horizontal pruning: without jumping the
-planner drops the pivot options and the window-axis grid answers): the
-scan's survivor set is exactly ``{corr >= floor}``, derivation is
+(jumping disabled, so the window-axis grid answers): the scan's survivor
+set is exactly ``{corr >= floor}``, derivation is
 bit-identical to an independent exact run of each member's query, and the
 answer is independent of batch composition.  Single-threshold batches are
 pure coalescing and keep the normal plan untouched.

@@ -223,14 +223,6 @@ class TestEngineProtocolConformance:
         """
         assert codes(source, "repro/core/custom.py") == ["RPR004"]
 
-    def test_needs_raw_values_signature_drift_is_flagged(self):
-        source = """
-        class DriftyEngine:
-            def needs_raw_values(self, q):
-                pass
-        """
-        assert codes(source, "repro/core/custom.py") == ["RPR004"]
-
     def test_run_positional_shape_is_enforced(self):
         source = """
         class OddEngine:
@@ -252,7 +244,7 @@ class TestEngineProtocolConformance:
     def test_engine_base_class_name_triggers_the_check(self):
         source = """
         class Custom(SlidingCorrelationEngine):
-            def needs_raw_values(self, spec):
+            def plan_layout(self, spec):
                 pass
         """
         assert codes(source, "repro/core/custom.py") == ["RPR004"]

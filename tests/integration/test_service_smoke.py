@@ -166,8 +166,8 @@ def test_appended_stream_refreshes_sketch_incrementally(client, values):
 # Scenario-matrix smoke: the execution cells served over
 # ``repro.result/v1``.  A second server is configured with a memory budget
 # below the dense matrix, so top-k sketches build tiled and lagged queries
-# stream their window buffers — while a pruned (deterministic kcenter)
-# Dangoron answers threshold queries.  Every response must be bit-identical
+# stream their window buffers — while a jumping Dangoron answers threshold
+# queries from the same tiled sketch.  Every response must be bit-identical
 # to a plain dense in-process run, and each response's ``plan`` string must
 # prove the cell actually executed (no silent dense fallback passing as
 # coverage).
@@ -176,13 +176,8 @@ MATRIX_NUM = 96
 #: Below the 96 x 512 x 8B = 384 KiB dense matrix, above one 96 x 128-column
 #: window buffer (96 KiB): sketch builds tile and lagged windows stream.
 MATRIX_BUDGET = 128 * 1024
-#: Pivots act only under jumping (without it the planner drops them).
-PRUNED_OPTIONS = {
-    "use_temporal_pruning": True,
-    "use_horizontal_pruning": True,
-    "pivot_strategy": "kcenter",
-    "num_pivots": 3,
-}
+#: Dangoron's Eq. 2 jumping: the one pruning the product offers.
+PRUNED_OPTIONS = {"use_temporal_pruning": True}
 
 
 @pytest.fixture(scope="module")
@@ -230,9 +225,9 @@ def test_matrix_smoke_pruned_threshold(matrix_client, matrix_reference):
     local = matrix_reference.run(query)
     plan, remote = _served(matrix_client, query)
     assert "exec=serial" in plan
-    # Pruning reads raw values for pivot selection; the plan says so instead
-    # of pretending the budget bounded the build.
-    assert "build=dense (engine needs raw values" in plan
+    # Jumping reads only the sketch, so the budget bounds the build.
+    assert "answer=heuristic(jumping)" in plan
+    assert f"build=tiled(budget={MATRIX_BUDGET}B)" in plan
     for (_, ours), (_, theirs) in zip(local.iter_windows(), remote.iter_windows()):
         np.testing.assert_array_equal(ours.rows, theirs.rows)
         np.testing.assert_array_equal(ours.cols, theirs.cols)

@@ -5,13 +5,12 @@ queries differing only in their threshold with **one** engine scan at the
 minimum threshold, deriving every member's result through
 :func:`repro.service.batching.filter_threshold_result`.  Batch leaders run
 that scan under :func:`repro.service.batching.exact_scan_options` — the
-threshold-dependent temporal-jumping heuristic off, sound horizontal
-pruning on — because a heuristic scan's skip schedule varies with the scan
-threshold and could not reproduce each member's own run.  The soundness
-argument under the exact configuration (engine values are bit-identical for
-surviving pairs regardless of threshold; horizontal pruning at ``t`` is
-provably below every member threshold ``>= t``; the filter is an
-order-preserving subset) is asserted here across random data, window
+threshold-dependent temporal-jumping heuristic off — because a heuristic
+scan's skip schedule varies with the scan threshold and could not reproduce
+each member's own run.  The soundness argument under the exact
+configuration (engine values are bit-identical for surviving pairs
+regardless of threshold; the filter is an order-preserving subset) is
+asserted here across random data, window
 layouts, threshold modes and batch compositions: for every member, the
 derived result must equal an *independent* serial run of that member's own
 query under the same exact scan — same edges, same float bits, same

@@ -17,7 +17,6 @@ from repro.core.bounds import (
     max_skippable_steps_scalar,
     temporal_upper_bound,
     triangle_bounds,
-    triangle_bounds_from_pivots,
 )
 from repro.core.correlation import correlation_matrix
 
@@ -33,18 +32,6 @@ def test_triangle_bound_contains_true_correlation(seed, length):
     corr = correlation_matrix(data)
     lower, upper = triangle_bounds(corr[0, 2], corr[1, 2])
     assert lower - 1e-7 <= corr[0, 1] <= upper + 1e-7
-
-
-@given(st.integers(min_value=0, max_value=10_000_000), st.integers(2, 5), st.integers(1, 3))
-@settings(max_examples=50, deadline=None)
-def test_pivot_bounds_contain_all_pairs(seed, num_series, num_pivots):
-    rng = np.random.default_rng(seed)
-    data = rng.normal(size=(num_series + num_pivots, 32))
-    corr = correlation_matrix(data)
-    pivots = np.arange(num_pivots)
-    lower, upper = triangle_bounds_from_pivots(corr[pivots, :])
-    assert np.all(corr >= lower - 1e-7)
-    assert np.all(corr <= upper + 1e-7)
 
 
 @given(

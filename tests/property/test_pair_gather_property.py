@@ -1,8 +1,8 @@
 """Property tests: every exact evaluation is one pair gather, equal to the dense scan.
 
-Dangoron, its horizontal-pruning pivot rows, standing queries, top-k and the
-TSUBASA baseline all recombine the pairs they need with
-``BasicWindowSketch.exact_pairs_scan`` (or ``exact_pairs_range`` for
+Dangoron, standing queries, top-k and the TSUBASA baseline (and the
+horizontal-pruning ablation's pivot rows) all recombine the pairs they need
+with ``BasicWindowSketch.exact_pairs_scan`` (or ``exact_pairs_range`` for
 TSUBASA's unaligned windows, or ``exact_pairs_grid``, which verifies with
 the scan's gather, when nothing prunes), whatever share of the pairs a window
 asks for.  These tests pin that the gather gives the bits of the dense
@@ -38,6 +38,7 @@ from repro.core.dangoron import DangoronEngine
 from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
 from repro.core.sketch import BasicWindowSketch, pair_slots
 from repro.core.topk import select_top_k, sliding_top_k
+from repro.experiments.horizontal import HorizontalPruningEngine
 from repro.streaming.online import OnlineCorrelationMonitor
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -252,8 +253,6 @@ def engine_cases(draw):
     options = dict(
         basic_window_size=BASIC,
         use_temporal_pruning=draw(st.booleans()),
-        use_horizontal_pruning=draw(st.booleans()),
-        num_pivots=draw(st.integers(min_value=1, max_value=4)),
         slack=draw(st.sampled_from([0.0, 0.05])),
     )
     matrix = drifting_matrix(seed, num_series, length)
@@ -274,7 +273,6 @@ def counters(result):
         stats.exact_evaluations,
         stats.skipped_by_jumping,
         stats.pruned_horizontally,
-        stats.extra["pivot_evaluations"],
     )
 
 
@@ -451,7 +449,8 @@ def test_top_k_matches_the_dense_scan(seed, num_series, k, absolute, on_subset):
 
 
 # ---------------------------------------------------------------------------
-# (c) horizontal pruning in absolute mode keeps strongly negative pairs
+# (c) the horizontal-pruning ablation in absolute mode keeps strongly
+#     negative pairs
 # ---------------------------------------------------------------------------
 
 def test_absolute_mode_pruning_keeps_a_strongly_negative_pair():
@@ -461,9 +460,9 @@ def test_absolute_mode_pruning_keeps_a_strongly_negative_pair():
     values = np.stack([x, -x + 0.1 * rng.normal(size=512), rng.normal(size=512)])
     matrix = TimeSeriesMatrix(values)
     query = SlidingQuery(0, 512, 128, 64, 0.8, THRESHOLD_ABSOLUTE)
-    engine = DangoronEngine(
+    engine = HorizontalPruningEngine(
         basic_window_size=32, use_temporal_pruning=False,
-        use_horizontal_pruning=True, num_pivots=1, pivot_strategy="first",
+        num_pivots=1, pivot_strategy="first",
     )
     result = engine.run(matrix, query)
     assert result.stats.pruned_horizontally > 0  # pair (1, 2) every window
@@ -483,9 +482,8 @@ def test_absolute_mode_pruning_keeps_a_strongly_negative_pair():
 def test_absolute_mode_horizontal_pruning_has_full_recall(seed, threshold, pivots):
     matrix = drifting_matrix(seed, 16, BASIC * 24)
     query = SlidingQuery(0, BASIC * 24, BASIC * 8, BASIC * 2, threshold, THRESHOLD_ABSOLUTE)
-    engine = DangoronEngine(
-        basic_window_size=BASIC, use_temporal_pruning=False,
-        use_horizontal_pruning=True, num_pivots=pivots,
+    engine = HorizontalPruningEngine(
+        basic_window_size=BASIC, use_temporal_pruning=False, num_pivots=pivots,
     )
     report = compare_results(
         engine.run(matrix, query), BruteForceEngine().run(matrix, query)

@@ -6,8 +6,8 @@ the upper triangle, ``P = N (N + 1) / 2``, rows in
 build, a build extended at random cuts, a tiled build — the packed entry of
 ``(i, j)`` must equal entries ``(i, j)`` *and* ``(j, i)`` of the dense
 ``x @ x.T`` this test computes itself for every basic window, bit for bit,
-diagonal included (horizontal pruning reads ``(pivot, pivot)`` and
-``(pivot, j < pivot)`` through that symmetry).  ``pair_slots`` must name the
+diagonal included (the horizontal-pruning ablation reads ``(pivot, pivot)``
+and ``(pivot, j < pivot)`` through that symmetry).  ``pair_slots`` must name the
 same rows.
 
 The products are BLAS calls, so the identity holds for one BLAS build and

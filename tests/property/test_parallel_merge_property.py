@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.tsubasa import TsubasaEngine
 from repro.core.dangoron import DangoronEngine
+from repro.experiments.horizontal import HorizontalPruningEngine
 from repro.core.query import SlidingQuery
 from repro.parallel import merge_shard_results
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -78,9 +79,7 @@ def test_any_partition_merges_to_serial_result(
 @pytest.mark.parametrize("engine_factory", [
     lambda: DangoronEngine(basic_window_size=16, use_temporal_pruning=False),
     lambda: DangoronEngine(basic_window_size=16, slack=0.05),
-    lambda: DangoronEngine(
-        basic_window_size=16, use_temporal_pruning=False, use_horizontal_pruning=True
-    ),
+    lambda: HorizontalPruningEngine(basic_window_size=16, use_temporal_pruning=False),
 ])
 def test_partition_determinism_across_engine_options(
     small_matrix, standard_query, engine_factory

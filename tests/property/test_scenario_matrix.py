@@ -6,37 +6,21 @@ cross product
     family    = threshold | topk | lagged
     execution = serial | sharded
     build     = dense | tiled
-    pruning   = off | on           (horizontal pruning, a threshold-engine option)
 
-Horizontal pruning acts only under Dangoron's jumping (without it the
-planner drops the pivot options and the exact grid answers), so the
-``on`` cells ask for both.
-
-Every cell is classified in :data:`EXPECTED_SUPPORT` with one of four
+Every cell is classified in :data:`EXPECTED_SUPPORT` with one of two
 outcomes:
 
 ``supported``
     The planner plans exactly the requested strategy and the result is
-    **bit-identical** to the serial/dense reference run with the same
-    pruning configuration.
-``dense-fallback``
-    The cell runs, but the build honestly stays dense and the plan records
-    why (``build_reason``) — e.g. pruned threshold queries read raw values
-    for pivot selection, so a tiled build cannot bound their memory.
-    The result is still bit-identical to the reference.
+    **bit-identical** to the serial/dense reference run.
 ``serial-fallback``
     The cell runs, but the execution honestly stays serial and the plan
     records why (``execution_reason``) — lagged scans are one BLAS product
     per window, which already spreads over the cores.
-``inapplicable``
-    The cell cannot even be requested: pruning is an option of the
-    threshold engine, and the planner rejects engine overrides for
-    top-k/lagged queries with :class:`ExperimentError` instead of silently
-    ignoring them.
 
 The table is *exhaustive* (a test asserts its keys equal the full product)
 and *honest in both directions*: supported cells must plan the strategy they
-claim, and excluded cells must be rejected or declined with a reason that
+claim, and excluded cells must be declined with a reason that
 ``plan.describe()`` surfaces.  When the planner learns a new cell, the cell's
 classification here goes stale and the drift tests fail loudly — updating
 this table is part of supporting a new cell.
@@ -63,7 +47,6 @@ from repro.api.planner import (
     SKETCH_BUILD_TILED,
 )
 from repro.config import FLOAT_DTYPE
-from repro.core.engine import create_engine
 from repro.exceptions import ExperimentError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -71,53 +54,36 @@ from repro.timeseries.matrix import TimeSeriesMatrix
 FAMILIES = ("threshold", "topk", "lagged")
 EXECUTIONS = (EXECUTION_SERIAL, EXECUTION_SHARDED)
 BUILDS = (SKETCH_BUILD_DENSE, SKETCH_BUILD_TILED)
-PRUNING = (False, True)
 
 SUPPORTED = "supported"
-DENSE_FALLBACK = "dense-fallback"
 SERIAL_FALLBACK = "serial-fallback"
-INAPPLICABLE = "inapplicable"
 
 EXPECTED_SUPPORT = {
-    # threshold: the engine path; every strategy pair works, but pruning pins
-    # the build dense (pivot selection reads raw values).
-    ("threshold", "serial", "dense", False): SUPPORTED,
-    ("threshold", "serial", "dense", True): SUPPORTED,
-    ("threshold", "serial", "tiled", False): SUPPORTED,
-    ("threshold", "serial", "tiled", True): DENSE_FALLBACK,
-    ("threshold", "sharded", "dense", False): SUPPORTED,
-    ("threshold", "sharded", "dense", True): SUPPORTED,
-    ("threshold", "sharded", "tiled", False): SUPPORTED,
-    ("threshold", "sharded", "tiled", True): DENSE_FALLBACK,
-    # topk: sketch path, no engine — pruning cannot be requested.
-    ("topk", "serial", "dense", False): SUPPORTED,
-    ("topk", "serial", "tiled", False): SUPPORTED,
-    ("topk", "sharded", "dense", False): SUPPORTED,
-    ("topk", "sharded", "tiled", False): SUPPORTED,
-    ("topk", "serial", "dense", True): INAPPLICABLE,
-    ("topk", "serial", "tiled", True): INAPPLICABLE,
-    ("topk", "sharded", "dense", True): INAPPLICABLE,
-    ("topk", "sharded", "tiled", True): INAPPLICABLE,
+    # threshold: the engine path; every strategy pair works.
+    ("threshold", "serial", "dense"): SUPPORTED,
+    ("threshold", "serial", "tiled"): SUPPORTED,
+    ("threshold", "sharded", "dense"): SUPPORTED,
+    ("threshold", "sharded", "tiled"): SUPPORTED,
+    # topk: sketch path, no engine.
+    ("topk", "serial", "dense"): SUPPORTED,
+    ("topk", "serial", "tiled"): SUPPORTED,
+    ("topk", "sharded", "dense"): SUPPORTED,
+    ("topk", "sharded", "tiled"): SUPPORTED,
     # lagged: raw-value path; "tiled" means streamed window buffers.  The
     # lag kernel is one BLAS product per window, so requested workers stay
     # serial.
-    ("lagged", "serial", "dense", False): SUPPORTED,
-    ("lagged", "serial", "tiled", False): SUPPORTED,
-    ("lagged", "sharded", "dense", False): SERIAL_FALLBACK,
-    ("lagged", "sharded", "tiled", False): SERIAL_FALLBACK,
-    ("lagged", "serial", "dense", True): INAPPLICABLE,
-    ("lagged", "serial", "tiled", True): INAPPLICABLE,
-    ("lagged", "sharded", "dense", True): INAPPLICABLE,
-    ("lagged", "sharded", "tiled", True): INAPPLICABLE,
+    ("lagged", "serial", "dense"): SUPPORTED,
+    ("lagged", "serial", "tiled"): SUPPORTED,
+    ("lagged", "sharded", "dense"): SERIAL_FALLBACK,
+    ("lagged", "sharded", "tiled"): SERIAL_FALLBACK,
 }
 
 #: Cells this repo learned in the scenario-matrix PR; they must stay
 #: ``supported`` — regressing one of these is an API break, not a tweak.
 NEWLY_SUPPORTED = (
-    ("lagged", "serial", "tiled", False),
-    ("topk", "sharded", "dense", False),
-    ("topk", "sharded", "tiled", False),
-    ("threshold", "sharded", "dense", True),
+    ("lagged", "serial", "tiled"),
+    ("topk", "sharded", "dense"),
+    ("topk", "sharded", "tiled"),
 )
 
 # Query geometry shared by every cell: basic-window aligned (so sharding and
@@ -126,14 +92,6 @@ LENGTH = 256
 WINDOW = 64
 STEP = 32
 BASIC = 16
-
-#: Deterministic pruning configuration — shard-safe by construction.
-PRUNED_OPTIONS = {
-    "use_temporal_pruning": True,
-    "use_horizontal_pruning": True,
-    "pivot_strategy": "kcenter",
-    "num_pivots": 2,
-}
 
 
 def _matrix(num_series: int, seed: int) -> TimeSeriesMatrix:
@@ -152,7 +110,7 @@ def _query(family: str):
     return LaggedQuery(max_lag=4, threshold=0.4, **bounds)
 
 
-def _planner(execution: str, build: str, pruned: bool, num_series: int) -> QueryPlanner:
+def _planner(execution: str, build: str, num_series: int) -> QueryPlanner:
     """A planner configured to *request* the cell's strategy pair.
 
     ``tiled`` is requested via a budget below the dense matrix but above one
@@ -163,7 +121,6 @@ def _planner(execution: str, build: str, pruned: bool, num_series: int) -> Query
     budget = num_series * LENGTH * itemsize // 2 if build == "tiled" else None
     return QueryPlanner(
         engine="dangoron",
-        engine_options=dict(PRUNED_OPTIONS) if pruned else None,
         basic_window_size=BASIC,
         workers=2 if execution == "sharded" else None,
         parallel_min_pairs=1,
@@ -189,12 +146,7 @@ def _canonical(family: str, result):
     ]
 
 
-RUNNABLE_CELLS = sorted(
-    cell for cell, outcome in EXPECTED_SUPPORT.items() if outcome != INAPPLICABLE
-)
-INAPPLICABLE_CELLS = sorted(
-    cell for cell, outcome in EXPECTED_SUPPORT.items() if outcome == INAPPLICABLE
-)
+CELLS = sorted(EXPECTED_SUPPORT)
 
 
 # ----------------------------------------------------------- table invariants
@@ -204,7 +156,7 @@ def test_expected_support_table_is_exhaustive():
     A new family/strategy axis value must be added here explicitly; a missing
     or extra key is a hard failure, not a skip.
     """
-    full_product = set(itertools.product(FAMILIES, EXECUTIONS, BUILDS, PRUNING))
+    full_product = set(itertools.product(FAMILIES, EXECUTIONS, BUILDS))
     assert set(EXPECTED_SUPPORT) == full_product
 
 
@@ -216,21 +168,19 @@ def test_newly_supported_cells_stay_supported():
 
 
 # ------------------------------------------------- plans match their cells
-@pytest.mark.parametrize("cell", RUNNABLE_CELLS, ids=lambda c: "-".join(map(str, c)))
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: "-".join(map(str, c)))
 def test_plan_matches_expected_support(cell):
-    """Each runnable cell plans exactly what the table claims.
+    """Each cell plans exactly what the table claims.
 
     ``supported`` cells get the requested execution *and* build; a
-    ``dense-fallback`` cell keeps the requested execution but records a
-    ``build_reason`` that ``describe()`` surfaces, and a ``serial-fallback``
-    cell keeps the requested build but runs serial with an
-    ``execution_reason``.  If the planner starts honouring a cell the table
-    calls a fallback, this fails — update the table (and the docs matrix)
-    with the new capability.
+    ``serial-fallback`` cell keeps the requested build but runs serial with
+    an ``execution_reason``.  If the planner starts honouring a cell the
+    table calls a fallback, this fails — update the table (and the docs
+    matrix) with the new capability.
     """
-    family, execution, build, pruned = cell
+    family, execution, build = cell
     matrix = _matrix(8, seed=7)
-    planner = _planner(execution, build, pruned, matrix.num_series)
+    planner = _planner(execution, build, matrix.num_series)
     plan = planner.plan(matrix, _query(family))
     if EXPECTED_SUPPORT[cell] == SERIAL_FALLBACK:
         assert plan.execution == EXECUTION_SERIAL
@@ -240,33 +190,8 @@ def test_plan_matches_expected_support(cell):
         return
     assert plan.execution == execution
     assert plan.execution_reason is None
-    if EXPECTED_SUPPORT[cell] == SUPPORTED:
-        assert plan.sketch_build == build
-        assert plan.build_reason is None
-    else:  # dense-fallback: requested tiled, planner honestly declined
-        assert plan.sketch_build == SKETCH_BUILD_DENSE
-        assert plan.build_reason is not None
-        assert f"build=dense ({plan.build_reason})" in plan.describe()
-
-
-@pytest.mark.parametrize(
-    "cell", INAPPLICABLE_CELLS, ids=lambda c: "-".join(map(str, c))
-)
-def test_inapplicable_cells_reject_the_request(cell):
-    """Pruning rides on the threshold engine; other families refuse it loudly.
-
-    The only way to request pruning is an engine override, and the planner
-    raises :class:`ExperimentError` for overrides on fixed-path queries —
-    never a silent ignore.
-    """
-    family, execution, build, _ = cell
-    matrix = _matrix(8, seed=7)
-    planner = _planner(execution, build, pruned=False, num_series=8)
-    pruned_engine = create_engine(
-        "dangoron", basic_window_size=BASIC, **PRUNED_OPTIONS
-    )
-    with pytest.raises(ExperimentError, match="threshold queries only"):
-        planner.plan(matrix, _query(family), engine=pruned_engine)
+    assert plan.sketch_build == build
+    assert plan.build_reason is None
 
 
 # ---------------------------------------------------------------- bit-identity
@@ -276,23 +201,23 @@ def test_inapplicable_cells_reject_the_request(cell):
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_every_runnable_cell_is_bit_identical_to_reference(num_series, seed):
-    """The conformance sweep: all runnable cells vs the serial/dense reference.
+    """The conformance sweep: every cell vs the serial/dense reference.
 
-    One reference run per pruning configuration (serial, dense, same engine
-    options); every other cell of that family must reproduce it byte for
-    byte — sharded, tiled/streamed, and pruned-sharded alike.
+    One reference run per family (serial, dense); every other cell of that
+    family must reproduce it byte for byte — sharded and tiled/streamed
+    alike.
     """
     matrix = _matrix(num_series, seed)
     references = {}
-    for family, pruned in {(c[0], c[3]) for c in RUNNABLE_CELLS}:
-        planner = _planner("serial", "dense", pruned, num_series)
+    for family in FAMILIES:
+        planner = _planner("serial", "dense", num_series)
         result = planner.run(matrix, _query(family))
-        references[(family, pruned)] = _canonical(family, result)
-    for cell in RUNNABLE_CELLS:
-        family, execution, build, pruned = cell
-        planner = _planner(execution, build, pruned, num_series)
+        references[family] = _canonical(family, result)
+    for cell in CELLS:
+        family, execution, build = cell
+        planner = _planner(execution, build, num_series)
         result = planner.run(matrix, _query(family))
-        assert _canonical(family, result) == references[(family, pruned)], (
+        assert _canonical(family, result) == references[family], (
             f"cell {cell} diverged from the serial/dense reference"
         )
 
@@ -329,10 +254,10 @@ def test_cost_chosen_plans_are_bit_identical_whatever_the_calibration(
     num_series = 7
     matrix = _matrix(num_series, seed)
     for family in FAMILIES:
-        reference = _planner("serial", "dense", False, num_series).run(
+        reference = _planner("serial", "dense", num_series).run(
             matrix, _query(family)
         )
-        chooser = _planner("sharded", "tiled", False, num_series)
+        chooser = _planner("sharded", "tiled", num_series)
         chooser.cost_model = CostModel(calibration)
         plan = chooser.plan(matrix, _query(family))
         assert plan.cost_source == (None if family == "lagged" else "calibration")
@@ -348,17 +273,9 @@ def test_declined_sharding_names_the_reason_in_describe():
     """Policy declines stay serial and ``describe()`` says why — each gate."""
     matrix = _matrix(8, seed=7)
 
-    # Unseeded random pivots: each shard would draw different pivots.
+    # An engine that cannot run on a pair subset cannot shard.
     planner = QueryPlanner(
-        engine="dangoron",
-        engine_options={
-            "use_temporal_pruning": True,
-            "use_horizontal_pruning": True,
-            "pivot_strategy": "random",
-        },
-        basic_window_size=BASIC,
-        workers=2,
-        parallel_min_pairs=1,
+        engine="brute_force", basic_window_size=BASIC, workers=2, parallel_min_pairs=1
     )
     plan = planner.plan(matrix, _query("threshold"))
     assert plan.execution == EXECUTION_SERIAL
@@ -382,7 +299,7 @@ def test_declined_sharding_names_the_reason_in_describe():
     assert "windows not basic-window aligned" in plan.describe()
 
     # Lagged: the lag kernel is one BLAS product per window.
-    planner = _planner("sharded", "dense", False, 8)
+    planner = _planner("sharded", "dense", 8)
     plan = planner.plan(matrix, _query("lagged"))
     assert plan.execution == EXECUTION_SERIAL
     assert "lagged scans are one BLAS product per window" in plan.describe()

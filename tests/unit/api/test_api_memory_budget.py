@@ -110,18 +110,31 @@ class TestPlanDecision:
         plan = planner.plan(matrix, query)
         assert plan.sketch_build == SKETCH_BUILD_DENSE
 
-    def test_raw_reading_engine_configuration_stays_dense(self, matrix, threshold_query):
-        # Dangoron's pivot selection (horizontal pruning) reads matrix.values
-        # even with a prebuilt sketch; claiming build=tiled there would
-        # materialize a lazy matrix and blow the budget anyway.  (Pivots act
-        # only under jumping.)
+    def test_jumping_configuration_builds_tiled(self, matrix):
+        # Jumping reads only the sketch (its Eq. 2 prefix included), so a
+        # budget below the data tiles the build and the answer is the dense
+        # build's, bit for bit.
+        threshold_query = ThresholdQuery(
+            start=0, end=L, window=128, step=16, threshold=0.9
+        )
+        options = {"use_temporal_pruning": True}
         planner = QueryPlanner(
             basic_window_size=BASIC,
-            engine_options={"use_temporal_pruning": True, "use_horizontal_pruning": True},
+            engine_options=options,
             memory_budget=DENSE_BYTES // 4,
         )
         plan = planner.plan(matrix, threshold_query)
-        assert plan.sketch_build == SKETCH_BUILD_DENSE
+        assert plan.sketch_build == SKETCH_BUILD_TILED
+        assert plan.build_reason is None
+        tiled = planner.execute(matrix, plan)
+        dense = QueryPlanner(basic_window_size=BASIC, engine_options=options).run(
+            matrix, threshold_query
+        )
+        assert tiled.stats.skipped_by_jumping > 0
+        for ours, theirs in zip(tiled.matrices, dense.matrices):
+            assert ours.rows.tobytes() == theirs.rows.tobytes()
+            assert ours.cols.tobytes() == theirs.cols.tobytes()
+            assert ours.values.tobytes() == theirs.values.tobytes()
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ExperimentError, match="memory_budget"):

@@ -45,33 +45,6 @@ def test_plan_stays_serial_without_workers(wide_matrix, wide_query):
     assert plan.execution == EXECUTION_SERIAL
 
 
-def test_plan_shards_pruned_config_but_not_unseeded_random_pivots(
-    wide_matrix, wide_query
-):
-    # Horizontal pruning decisions are per-pair, so pruned configs shard;
-    # only unseeded random pivot selection (shards would draw different
-    # pivots) refuses pair subsets — and the plan says so.  Pivots act only
-    # under jumping, so both configs ask for it.
-    planner = QueryPlanner(
-        basic_window_size=32,
-        workers=4,
-        engine_options={"use_temporal_pruning": True, "use_horizontal_pruning": True},
-    )
-    assert planner.plan(wide_matrix, wide_query).execution == EXECUTION_SHARDED
-    planner = QueryPlanner(
-        basic_window_size=32,
-        workers=4,
-        engine_options={
-            "use_temporal_pruning": True,
-            "use_horizontal_pruning": True,
-            "pivot_strategy": "random",
-        },
-    )
-    plan = planner.plan(wide_matrix, wide_query)
-    assert plan.execution == EXECUTION_SERIAL
-    assert "does not support pair subsets" in plan.describe()
-
-
 def test_plan_stays_serial_for_sketch_unaligned_windows(wide_matrix):
     """Unaligned windows make every shard fall back to the dense path, so
     sharding them would multiply work instead of dividing it."""

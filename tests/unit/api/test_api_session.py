@@ -74,17 +74,12 @@ class TestPlannerRouting:
         session = CorrelationSession(
             small_matrix,
             engine="dangoron",
-            engine_options={
-                "slack": 0.05,
-                "use_temporal_pruning": True,
-                "use_horizontal_pruning": True,
-            },
+            engine_options={"slack": 0.05, "use_temporal_pruning": True},
             basic_window_size=32,
         )
         engine = session.planner.resolve_engine()
         assert engine.slack == 0.05
         assert engine.use_temporal_pruning
-        assert engine.use_horizontal_pruning
         assert engine.basic_window_size == 32  # injected from the session
 
     def test_bad_engine_options_raise_experiment_error(self, small_matrix):

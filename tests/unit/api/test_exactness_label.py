@@ -4,7 +4,8 @@ Dangoron's Eq. 2 jumping can miss edges; the product default (the planner's
 ``use_temporal_pruning=False``) answers exactly.  The label rides on
 ``EngineStats.exactness`` and shows in the result's ``describe()``, the plan
 string, the wire result's stats and ``repro query``'s summary, in both
-configurations.  Horizontal pruning alone is a sound bound, so it stays
+configurations.  Pivot options without jumping are dropped by the planner
+(horizontal pruning is an experiment-only ablation), so the answer stays
 ``exact``.
 """
 
@@ -27,7 +28,6 @@ CONFIGURATIONS = [
     ({"use_temporal_pruning": False}, EXACTNESS_EXACT),
     ({"use_horizontal_pruning": True}, EXACTNESS_EXACT),
     ({"use_temporal_pruning": True}, EXACTNESS_JUMPING),
-    ({"use_temporal_pruning": True, "use_horizontal_pruning": True}, EXACTNESS_JUMPING),
 ]
 
 

@@ -31,6 +31,7 @@ from repro.api import (
     TopKQuery,
 )
 from repro.api.planner import ExecutionPlan
+from repro.exceptions import ExperimentError
 from repro.core.basic_window import BasicWindowLayout
 from repro.storage.cache import SketchCache
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -103,19 +104,10 @@ def _scenarios():
             _matrix(),
             _threshold(),
         ),
-        # Unseeded random pivots cannot shard (each shard would draw its own
-        # pivots): the engine gate declines.  Pivots act only under jumping,
-        # so every pruned scenario asks for it.
+        # An engine that cannot run on a pair subset (brute force) cannot
+        # shard: the engine gate declines.
         "threshold-declined-engine-gate": (
-            _planner(
-                engine_options={
-                    "use_temporal_pruning": True,
-                    "use_horizontal_pruning": True,
-                    "pivot_strategy": "random",
-                },
-                workers=2,
-                parallel_min_pairs=1,
-            ),
+            _planner(engine="brute_force", workers=2, parallel_min_pairs=1),
             _matrix(),
             _threshold(),
         ),
@@ -139,30 +131,12 @@ def _scenarios():
             _matrix(),
             _threshold(),
         ),
-        # Pruning reads raw values: a configured budget falls back to dense
-        # and the plan says why.
-        "threshold-pruned-stays-dense": (
-            _planner(
-                engine_options={
-                    "use_temporal_pruning": True,
-                    "use_horizontal_pruning": True,
-                    "pivot_strategy": "kcenter",
-                    "num_pivots": 2,
-                },
-                memory_budget=DENSE_BYTES // 2,
-            ),
-            _matrix(),
-            _threshold(),
-        ),
         # Both axes constrained at once: the engine gate declines sharding
-        # AND pruning pins the build dense — both reasons must render.
+        # AND an engine without a sketch layout pins the build dense — both
+        # reasons must render.
         "threshold-both-axes-declined": (
             _planner(
-                engine_options={
-                    "use_temporal_pruning": True,
-                    "use_horizontal_pruning": True,
-                    "pivot_strategy": "random",
-                },
+                engine="brute_force",
                 workers=2,
                 parallel_min_pairs=1,
                 memory_budget=DENSE_BYTES // 2,
@@ -273,19 +247,12 @@ GOLDEN = {
         "sketch_build": "dense",
         "memory_budget": None,
         "reasons": (
-            (
-                "execution",
-                "engine dangoron[temporal+horizontal(4), b<=16] does not "
-                "support pair subsets",
-            ),
+            ("execution", "engine brute_force does not support pair subsets"),
         ),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[temporal+horizontal(4), b<=16] "
-            "answer=heuristic(jumping) "
-            "sketch=b=16 x 16 exec=serial (engine "
-            "dangoron[temporal+horizontal(4), b<=16] does not support pair "
-            "subsets)"
+            "plan[threshold] engine=brute_force answer=exact sketch=raw "
+            "exec=serial (engine brute_force does not support pair subsets)"
         ),
     },
     "threshold-declined-unaligned": {
@@ -325,41 +292,20 @@ GOLDEN = {
             "(raw data fits the budget)"
         ),
     },
-    "threshold-pruned-stays-dense": {
-        "execution": "serial",
-        "workers": 1,
-        "sketch_build": "dense",
-        "memory_budget": DENSE_BYTES // 2,
-        "reasons": (("build", "engine needs raw values (pivot selection)"),),
-        "cost_source": None,
-        "describe": (
-            "plan[threshold] engine=dangoron[temporal+horizontal(2), b<=16] "
-            "answer=heuristic(jumping) "
-            "sketch=b=16 x 16 exec=serial build=dense "
-            "(engine needs raw values (pivot selection))"
-        ),
-    },
     "threshold-both-axes-declined": {
         "execution": "serial",
         "workers": 1,
         "sketch_build": "dense",
         "memory_budget": DENSE_BYTES // 2,
         "reasons": (
-            (
-                "execution",
-                "engine dangoron[temporal+horizontal(4), b<=16] does not "
-                "support pair subsets",
-            ),
-            ("build", "engine needs raw values (pivot selection)"),
+            ("execution", "engine brute_force does not support pair subsets"),
+            ("build", "execution path plans no sketch layout"),
         ),
         "cost_source": None,
         "describe": (
-            "plan[threshold] engine=dangoron[temporal+horizontal(4), b<=16] "
-            "answer=heuristic(jumping) "
-            "sketch=b=16 x 16 exec=serial (engine "
-            "dangoron[temporal+horizontal(4), b<=16] does not support pair "
-            "subsets) build=dense (engine needs raw values "
-            "(pivot selection))"
+            "plan[threshold] engine=brute_force answer=exact sketch=raw "
+            "exec=serial (engine brute_force does not support pair subsets) "
+            "build=dense (execution path plans no sketch layout)"
         ),
     },
     "topk-sharded-2w": {
@@ -634,7 +580,7 @@ def test_feedback_keys_separate_engine_configurations():
     cache = SketchCache()
     configurations = [
         {},
-        {"use_temporal_pruning": True, "use_horizontal_pruning": True},
+        {"slack": 0.1},
         {"use_temporal_pruning": True},
         {"use_temporal_pruning": True, "slack": 0.1},
     ]
@@ -647,7 +593,7 @@ def test_feedback_keys_separate_engine_configurations():
     assert len({plan.cost_key for plan in plans}) == len(configurations)
     assert [plan.engine.describe() for plan in plans] == [
         "dangoron[no-pruning, b<=16]",
-        "dangoron[temporal+horizontal(4), b<=16]",
+        "dangoron[no-pruning, b<=16, slack=0.1]",
         "dangoron[temporal, b<=16]",
         "dangoron[temporal, b<=16, slack=0.1]",
     ]
@@ -680,3 +626,39 @@ def test_horizontal_pruning_without_jumping_plans_the_grid():
         assert a.rows.tobytes() == b.rows.tobytes()
         assert a.cols.tobytes() == b.cols.tobytes()
         assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("use_horizontal_pruning", True),
+    ("num_pivots", 2),
+    ("pivot_strategy", "random"),
+    ("seed", 7),
+])
+def test_each_pivot_option_is_dropped_without_jumping(name, value):
+    """Sessions that still name a pivot option keep planning the exact grid
+    (the benchmark's pruned session is one): without jumping the planner
+    drops every option of the horizontal-pruning ablation."""
+    planner = _planner(engine_options={name: value})
+    engine = planner.resolve_engine()
+    assert engine.describe() == "dangoron[no-pruning, b<=16]"
+    assert not hasattr(engine, name)
+
+
+@pytest.mark.parametrize("pivot_options", [
+    {"use_horizontal_pruning": True},
+    {"num_pivots": 2, "pivot_strategy": "kcenter"},
+])
+def test_pivot_options_under_jumping_are_rejected_by_name(pivot_options):
+    """Horizontal pruning is an experiment-only ablation: with jumping on,
+    the planner passes its options on and the engine registry rejects them
+    with a named error listing what Dangoron accepts."""
+    planner = QueryPlanner(
+        basic_window_size=BASIC,
+        engine_options={"use_temporal_pruning": True, **pivot_options},
+    )
+    with pytest.raises(ExperimentError) as excinfo:
+        planner.plan(_matrix(), _threshold())
+    message = str(excinfo.value)
+    assert message.startswith("invalid options for engine 'dangoron'")
+    assert next(iter(pivot_options)) in message
+    assert "accepted options: ['basic_window_size', 'slack', " in message

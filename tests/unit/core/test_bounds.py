@@ -10,7 +10,6 @@ from repro.core.bounds import (
     max_skippable_steps_scalar,
     temporal_upper_bound,
     triangle_bounds,
-    triangle_bounds_from_pivots,
 )
 from repro.core.correlation import correlation_matrix
 from repro.core.sketch import BasicWindowSketch, pair_corrs_from_stats, pair_slots
@@ -269,24 +268,3 @@ class TestTriangleBounds:
         assert lower.shape == (5,)
         assert np.all(lower <= upper)
         assert np.all(lower >= -1.0) and np.all(upper <= 1.0)
-
-    def test_pivot_matrix_bounds_contain_all_pairs(self, rng):
-        data = rng.normal(size=(8, 500))
-        data[4] = 0.8 * data[0] + 0.2 * data[4]
-        corr = correlation_matrix(data)
-        pivots = np.array([0, 5])
-        lower, upper = triangle_bounds_from_pivots(corr[pivots, :])
-        assert np.all(corr <= upper + 1e-9)
-        assert np.all(corr >= lower - 1e-9)
-
-    def test_pivot_matrix_requires_2d(self):
-        with pytest.raises(QueryValidationError):
-            triangle_bounds_from_pivots(np.array([0.1, 0.2]))
-
-    def test_more_pivots_never_loosen_bounds(self, rng):
-        data = rng.normal(size=(6, 300))
-        corr = correlation_matrix(data)
-        lower1, upper1 = triangle_bounds_from_pivots(corr[[0], :])
-        lower2, upper2 = triangle_bounds_from_pivots(corr[[0, 3], :])
-        assert np.all(upper2 <= upper1 + 1e-12)
-        assert np.all(lower2 >= lower1 - 1e-12)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines.brute_force import BruteForceEngine
 from repro.core.correlation import (
-    correlation_against,
     correlation_from_sums,
     correlation_matrix,
     pearson,
@@ -81,24 +80,6 @@ class TestCorrelationMatrix:
             correlation_matrix(rng.normal(size=12))
         with pytest.raises(DataValidationError):
             correlation_matrix(rng.normal(size=(3, 1)))
-
-
-class TestCorrelationAgainst:
-    def test_matches_full_matrix_rows(self, rng):
-        data = rng.normal(size=(6, 120))
-        pivots = data[[1, 4]]
-        expected = np.corrcoef(data)[[1, 4], :]
-        assert np.allclose(correlation_against(data, pivots), expected, atol=1e-10)
-
-    def test_single_pivot_1d_input(self, rng):
-        data = rng.normal(size=(4, 90))
-        result = correlation_against(data, data[0])
-        assert result.shape == (1, 4)
-        assert result[0, 0] == pytest.approx(1.0)
-
-    def test_length_mismatch_rejected(self, rng):
-        with pytest.raises(DataValidationError):
-            correlation_against(rng.normal(size=(3, 50)), rng.normal(size=(1, 40)))
 
 
 class TestCorrelationFromSums:

@@ -9,10 +9,11 @@ from repro.analysis.accuracy import compare_results
 from repro.baselines.brute_force import BruteForceEngine
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.dangoron import DangoronEngine, step_window
+from repro.core.engine import create_engine, engine_options
 from repro.core.jumping import JumpScheduler
 from repro.core.query import SlidingQuery
 from repro.core.sketch import BasicWindowSketch
-from repro.exceptions import QueryValidationError, SketchError
+from repro.exceptions import ExperimentError, QueryValidationError, SketchError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 
@@ -25,11 +26,7 @@ class TestExactness:
     def test_no_pruning_matches_brute_force_exactly(
         self, small_matrix, standard_query, reference
     ):
-        engine = DangoronEngine(
-            basic_window_size=32,
-            use_temporal_pruning=False,
-            use_horizontal_pruning=False,
-        )
+        engine = DangoronEngine(basic_window_size=32, use_temporal_pruning=False)
         result = engine.run(small_matrix, standard_query)
         for ours, theirs in zip(result, reference):
             assert ours.edge_set() == theirs.edge_set()
@@ -60,19 +57,6 @@ class TestExactness:
         result = DangoronEngine(basic_window_size=32).run(small_matrix, standard_query)
         report = compare_results(result, reference)
         assert report.recall >= 0.9
-
-    def test_grid_matches_the_horizontal_loop(self, small_matrix, standard_query):
-        """Without pruning the engine runs the grid; horizontal pruning alone
-        walks windows with the scan and prunes soundly: the same answer."""
-        grid = DangoronEngine(basic_window_size=32, use_temporal_pruning=False)
-        walked = DangoronEngine(
-            basic_window_size=32, use_temporal_pruning=False,
-            use_horizontal_pruning=True,
-        )
-        assert grid.run(small_matrix, standard_query).to_edges() == walked.run(
-            small_matrix, standard_query
-        ).to_edges()
-
 
 class TestPruningBehaviour:
     def test_temporal_pruning_skips_work_on_sparse_networks(self, noise_matrix):
@@ -105,36 +89,6 @@ class TestPruningBehaviour:
         recall_slacked = compare_results(slacked, reference).recall
         assert recall_slacked >= recall_plain - 1e-12
         assert slacked.stats.skipped_by_jumping <= plain.stats.skipped_by_jumping
-
-    def test_horizontal_pruning_preserves_precision(self, small_matrix, standard_query):
-        reference = BruteForceEngine().run(small_matrix, standard_query)
-        engine = DangoronEngine(
-            basic_window_size=32,
-            use_temporal_pruning=False,
-            use_horizontal_pruning=True,
-            num_pivots=2,
-        )
-        result = engine.run(small_matrix, standard_query)
-        report = compare_results(result, reference)
-        assert report.precision == pytest.approx(1.0)
-        # Horizontal pruning alone is lossless: the triangle bound is exact.
-        assert report.recall == pytest.approx(1.0)
-
-    def test_combined_pruning_reports_counters(self, small_matrix):
-        query = SlidingQuery(
-            start=0, end=small_matrix.length, window=128, step=32, threshold=0.9
-        )
-        engine = DangoronEngine(
-            basic_window_size=32,
-            use_temporal_pruning=True,
-            use_horizontal_pruning=True,
-            num_pivots=2,
-        )
-        result = engine.run(small_matrix, query)
-        stats = result.stats.as_dict()
-        assert stats["pivot_evaluations"] >= 0
-        assert stats["exact_evaluations"] + stats["skipped_by_jumping"] > 0
-
 
 class TestThresholdModes:
     def test_absolute_mode_reports_negative_edges(self, rng):
@@ -184,18 +138,30 @@ class TestValidationAndOptions:
             DangoronEngine(slack=-0.1)
 
     def test_describe_reflects_configuration(self):
-        engine = DangoronEngine(use_horizontal_pruning=True, num_pivots=7)
-        assert "horizontal(7)" in engine.describe()
-        assert "temporal" in engine.describe()
-        plain = DangoronEngine(
-            use_temporal_pruning=False, use_horizontal_pruning=False
-        )
+        assert "temporal" in DangoronEngine().describe()
+        plain = DangoronEngine(use_temporal_pruning=False)
         assert "no-pruning" in plain.describe()
         assert DangoronEngine(basic_window_size=16).describe() == (
             "dangoron[temporal, b<=16]"
         )
         tuned = DangoronEngine(basic_window_size=16, slack=0.05)
         assert tuned.describe() == "dangoron[temporal, b<=16, slack=0.05]"
+
+    def test_options_are_basic_window_jumping_and_slack(self):
+        """Pivot pruning is an experiment-only ablation, not an option."""
+        assert list(engine_options("dangoron")) == [
+            "basic_window_size", "use_temporal_pruning", "slack",
+        ]
+        with pytest.raises(ExperimentError, match="use_horizontal_pruning"):
+            create_engine("dangoron", use_horizontal_pruning=True)
+
+    @pytest.mark.parametrize("jumping", [False, True])
+    def test_stats_carry_no_pivot_counters(self, small_matrix, standard_query, jumping):
+        engine = DangoronEngine(basic_window_size=32, use_temporal_pruning=jumping)
+        stats = engine.run(small_matrix, standard_query).stats
+        assert stats.pruned_horizontally == 0
+        assert "pivot_evaluations" not in stats.extra
+        assert stats.extra["verified_evaluations"] > 0
 
     def test_stats_identify_engine_and_workload(self, small_matrix, standard_query):
         result = DangoronEngine(basic_window_size=32).run(small_matrix, standard_query)
@@ -237,12 +203,8 @@ class TestValidationAndOptions:
         assert again.stats.sketch_build_seconds == sketch.build_seconds
 
     def test_runs_are_deterministic(self, small_matrix, standard_query):
-        first = DangoronEngine(basic_window_size=32, seed=1).run(
-            small_matrix, standard_query
-        )
-        second = DangoronEngine(basic_window_size=32, seed=1).run(
-            small_matrix, standard_query
-        )
+        first = DangoronEngine(basic_window_size=32).run(small_matrix, standard_query)
+        second = DangoronEngine(basic_window_size=32).run(small_matrix, standard_query)
         assert [m.edge_set() for m in first] == [m.edge_set() for m in second]
 
 

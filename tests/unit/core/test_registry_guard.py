@@ -67,14 +67,14 @@ class TestDuplicateRegistration:
 class TestCreateEngineErrors:
     def test_unknown_option_raises_experiment_error(self):
         with pytest.raises(ExperimentError) as excinfo:
-            create_engine("dangoron", num_pivot=4)
+            create_engine("dangoron", slak=0.1)
         message = str(excinfo.value)
         assert "dangoron" in message
-        assert "num_pivots" in message  # the accepted options are listed
+        assert "'slack'" in message  # the accepted options are listed
 
     def test_valid_options_still_work(self):
-        engine = create_engine("dangoron", num_pivots=4, slack=0.1)
-        assert engine.num_pivots == 4
+        engine = create_engine("dangoron", use_temporal_pruning=False, slack=0.1)
+        assert not engine.use_temporal_pruning
         assert engine.slack == 0.1
 
     def test_engine_options_lists_constructor_parameters(self):

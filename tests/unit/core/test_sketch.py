@@ -132,7 +132,8 @@ class TestExactCombination:
         assert np.allclose(pairs, full[rows, cols], atol=1e-12)
 
     def test_pivot_against_all_series_matches_full_triangle_bitwise(self, sketch):
-        """(pivot, every series) pairs — both triangles — as horizontal pruning asks."""
+        """(pivot, every series) pairs — both triangles — as the
+        horizontal-pruning ablation asks."""
         n = sketch.num_series
         pivots = np.array([7, 0, 4])
         rows = np.repeat(pivots, n)

@@ -146,6 +146,19 @@ class TestResultApi:
         assert result.suggested_threshold() == kth.min()
         assert result.suggested_threshold() == pytest.approx(0.2049, abs=1e-4)
 
+    def test_only_the_result_names_a_windows_cut_off(self):
+        """A window's k-th value keeps its sign (window 1's third pair has
+        c = -0.215); the window cannot know the ranking mode, so only the
+        result turns it into the ``|c|`` cut-off of absolute mode."""
+        values = np.random.default_rng(0).standard_normal((6, 96))
+        query = SlidingQuery(0, 96, 32, 16, 0.0, "absolute")
+        result = sliding_top_k(
+            TimeSeriesMatrix(values), query, k=3, basic_window_size=16
+        )
+        assert result[1].values[-1] == pytest.approx(-0.2154, abs=1e-4)
+        assert result.effective_thresholds()[1] == pytest.approx(0.2154, abs=1e-4)
+        assert not hasattr(result[1], "effective_threshold")
+
     def test_persistent_pairs_subset_of_reported_pairs(self, small_matrix, topk_query):
         result = sliding_top_k(small_matrix, topk_query, k=4, basic_window_size=32)
         everything = set()

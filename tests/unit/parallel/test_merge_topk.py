@@ -12,10 +12,10 @@ costs pruning effectiveness.
 import numpy as np
 import pytest
 
-from repro.core.dangoron import DangoronEngine
 from repro.core.query import SlidingQuery
 from repro.core.topk import TopKResult, TopKWindow, select_top_k
 from repro.exceptions import ParallelError
+from repro.experiments.horizontal import HorizontalPruningEngine
 from repro.parallel.merge import merge_topk_results
 
 #: One-window query shared by the constructed-shard tests.
@@ -111,11 +111,8 @@ def test_sharded_pruning_prunes_at_least_as_much_as_serial(
     the shards' pruned counts sum to *exactly* the serial count.  Asserted
     as >= (the regression direction) plus the exact-sum identity.
     """
-    engine = DangoronEngine(
-        basic_window_size=16,
-        use_horizontal_pruning=True,
-        pivot_strategy="kcenter",
-        num_pivots=3,
+    engine = HorizontalPruningEngine(
+        basic_window_size=16, pivot_strategy="kcenter", num_pivots=3
     )
     serial = engine.run(small_matrix, standard_query)
     rows, cols = np.triu_indices(small_matrix.num_series, k=1)

@@ -50,64 +50,11 @@ def test_pair_subset_run_matches_serial_restriction(
 
 
 def test_dangoron_declares_shardability_by_configuration():
+    # Each pair's schedule depends only on its own values and the Eq. 2
+    # bound, so every configuration shards.
     assert DangoronEngine().supports_pair_subset()
-    # Horizontal pruning is per-pair (pivot bounds are identical in every
-    # shard), so it shards — except when unseeded random pivot selection
-    # would make each shard draw different pivots.
-    assert DangoronEngine(use_horizontal_pruning=True).supports_pair_subset()
-    assert DangoronEngine(
-        use_horizontal_pruning=True, pivot_strategy="variance"
-    ).supports_pair_subset()
-    assert DangoronEngine(
-        use_horizontal_pruning=True, pivot_strategy="random", seed=7
-    ).supports_pair_subset()
-    assert not DangoronEngine(
-        use_horizontal_pruning=True, pivot_strategy="random"
-    ).supports_pair_subset()
+    assert DangoronEngine(use_temporal_pruning=False).supports_pair_subset()
     assert TsubasaEngine().supports_pair_subset()
-
-
-def test_dangoron_rejects_pairs_with_unseeded_random_pivots(
-    small_matrix, standard_query
-):
-    engine = DangoronEngine(
-        basic_window_size=16, use_horizontal_pruning=True, pivot_strategy="random"
-    )
-    with pytest.raises(ParallelError, match="random"):
-        engine.run(
-            small_matrix,
-            standard_query,
-            pairs=(np.array([0, 0]), np.array([1, 2])),
-        )
-
-
-@pytest.mark.parametrize("engine_options", [
-    {"pivot_strategy": "kcenter"},
-    {"pivot_strategy": "variance"},
-    {"pivot_strategy": "random", "seed": 11},
-    {"pivot_strategy": "kcenter", "use_temporal_pruning": False},
-])
-def test_pruned_pair_subset_matches_serial_restriction(
-    small_matrix, standard_query, engine_options
-):
-    """Horizontal pruning decisions are per-pair: subsets match the serial run."""
-    engine = DangoronEngine(
-        basic_window_size=16,
-        use_horizontal_pruning=True,
-        num_pivots=3,
-        **engine_options,
-    )
-    serial = engine.run(small_matrix, standard_query)
-    rows, cols = np.triu_indices(small_matrix.num_series, k=1)
-    subset = slice(10, 75)
-    restricted = engine.run(
-        small_matrix, standard_query, pairs=(rows[subset], cols[subset])
-    )
-    for serial_m, restricted_m in zip(serial.matrices, restricted.matrices):
-        expected = _subset_of_serial(serial_m, rows[subset], cols[subset])
-        assert np.array_equal(restricted_m.rows, expected[0])
-        assert np.array_equal(restricted_m.cols, expected[1])
-        assert np.array_equal(restricted_m.values, expected[2])
 
 
 def test_validate_pair_subset_rejects_malformed_subsets():

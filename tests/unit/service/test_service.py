@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import CorrelationSession, ThresholdQuery, TopKQuery
-from repro.exceptions import ServiceError
+from repro.exceptions import ExperimentError, ServiceError
 from repro.service import CorrelationService, result_from_wire
 from repro.service.service import DatasetRuntime
 from repro.storage.catalog import Catalog
@@ -145,6 +145,18 @@ class TestQueryExecution:
         ) as excinfo:
             service.query("demo", {**THRESHOLD_REQUEST, "workers": workers})
         assert excinfo.value.status == 400
+
+    def test_pivot_options_under_jumping_are_a_named_error(self, catalog):
+        """Horizontal pruning is no service option: a service started with
+        its options under jumping names them on threshold requests (a 400
+        over HTTP) instead of answering with a silently different engine."""
+        service = CorrelationService(
+            catalog,
+            engine_options={"use_temporal_pruning": True, "num_pivots": 2},
+            basic_window_size=BASIC,
+        )
+        with pytest.raises(ExperimentError, match="'num_pivots'"):
+            service.query("demo", dict(THRESHOLD_REQUEST))
 
     def test_non_object_request_rejected(self, service):
         with pytest.raises(ServiceError, match="JSON object"):

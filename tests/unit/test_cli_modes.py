@@ -1,5 +1,10 @@
 """CLI tests for the unified query modes and --engine-opt (repro.cli)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main, parse_engine_option
@@ -77,17 +82,50 @@ class TestQueryModes:
         code = main(self._query(
             csv_dataset,
             "--engine-opt", "use_temporal_pruning=true",
-            "--engine-opt", "use_horizontal_pruning=true",
-            "--engine-opt", "num_pivots=2",
+            "--engine-opt", "slack=0.05",
         ))
         assert code == 0
-        assert "temporal+horizontal(2)" in capsys.readouterr().out
+        assert "dangoron[temporal, b<=32, slack=0.05]" in capsys.readouterr().out
 
     def test_bad_engine_opt_reports_accepted_options(self, csv_dataset, capsys):
-        code = main(self._query(csv_dataset, "--engine-opt", "num_pivot=4"))
+        code = main(self._query(csv_dataset, "--engine-opt", "slak=0.05"))
         assert code == 1
         err = capsys.readouterr().err
-        assert "num_pivots" in err  # accepted options listed in the message
+        assert "'slack'" in err  # accepted options listed in the message
+
+    def test_pivot_options_under_jumping_fail_cleanly(self, csv_dataset, capsys):
+        """Horizontal pruning is an experiment-only ablation, not an option:
+        under jumping the planner passes the pivot options on and the engine
+        registry names them, with no traceback."""
+        code = main(self._query(
+            csv_dataset,
+            "--engine-opt", "use_temporal_pruning=true",
+            "--engine-opt", "use_horizontal_pruning=true",
+        ))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid options for engine 'dangoron'")
+        assert "use_horizontal_pruning" in err
+        assert "Traceback" not in err
+
+    def test_pivot_options_under_jumping_fail_cleanly_as_a_process(self, csv_dataset):
+        """The same request through the console entry point: exit status 1
+        and one ``error:`` line, whatever the interpreter prints on exit."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *self._query(
+                csv_dataset,
+                "--engine-opt", "use_temporal_pruning=true",
+                "--engine-opt", "use_horizontal_pruning=true",
+            )],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: invalid options for engine 'dangoron'")
+        assert "Traceback" not in done.stderr
 
     def test_malformed_engine_opt_fails_cleanly(self, csv_dataset, capsys):
         code = main(self._query(csv_dataset, "--engine-opt", "slack"))
