@@ -124,7 +124,22 @@ def correlation_from_sums(
     cov = sum_xy - sum_x * sum_y / count
     var_x, degenerate_x = centred_sumsq(count, sum_x, sum_xx)
     var_y, degenerate_y = centred_sumsq(count, sum_y, sum_yy)
-    degenerate = degenerate_x | degenerate_y
+    return correlation_from_centred(cov, var_x, var_y, degenerate_x | degenerate_y)
+
+
+def correlation_from_centred(
+    cov: np.ndarray,
+    var_x: np.ndarray,
+    var_y: np.ndarray,
+    degenerate: np.ndarray,
+) -> np.ndarray:
+    """Eq. 1's last step: ``cov / sqrt(var_x var_y)``, clipped, 0 where degenerate.
+
+    ``var_x``/``var_y`` are centred sums of squares and ``degenerate`` is
+    either side's :func:`centred_sumsq` flag.  Element-wise, so callers that
+    hold the per-series terms already (the sketch grid's verification) give
+    :func:`correlation_from_sums`'s bits without recomputing them.
+    """
     safe = sqrt_product(
         np.where(degenerate, 1.0, var_x), np.where(degenerate, 1.0, var_y)
     )

@@ -33,10 +33,10 @@ This module provides that path:
 The resident raw data of a tiled build is one tile buffer
 (``N x tile_columns x 8`` bytes, bounded by ``memory_budget``), the kernel's
 window-major copy of it, and the one source chunk currently being copied in.
-The kernel's temporaries are the tile's ``(windows, N, N)`` product and its
-packed copy; the output statistics arrays are the sketch itself (packed
-per tile into one ``(P, count)`` array) and are identical for dense and
-tiled builds.
+The kernel's temporaries are the tile's packed ``(P, windows)`` statistics
+and one row block's ``(windows, B, N)`` product at most; the output
+statistics arrays are the sketch itself (packed per tile into one
+``(P, count)`` array) and are identical for dense and tiled builds.
 
 The module deliberately has no dependency on :mod:`repro.storage` (which
 imports :mod:`repro.core`): sources are duck-typed.
@@ -271,7 +271,7 @@ def build_sketch_tiled(
     series_sums = np.empty((n, count), dtype=FLOAT_DTYPE)
     series_sumsqs = np.empty((n, count), dtype=FLOAT_DTYPE)
     pair_sumprods = (
-        np.empty((n * (n + 1) // 2, count), dtype=FLOAT_DTYPE) if pairwise else None
+        np.empty((n * (n - 1) // 2, count), dtype=FLOAT_DTYPE) if pairwise else None
     )
 
     def fill(first: int, blocks: np.ndarray) -> None:

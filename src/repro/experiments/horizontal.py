@@ -232,11 +232,14 @@ class HorizontalPruningEngine(DangoronEngine):
         rng = np.random.default_rng(self.seed)
         first_window = matrix.values[:, query.start : query.start + query.window]
         pivots = select_pivots(first_window, self.num_pivots, self.pivot_strategy, rng)
-        # (pivot, every series), the diagonal and j < pivot included: those
-        # map to their packed rows by symmetry.
+        # (pivot, every other series): (pivot, j < pivot) maps to the packed
+        # row of (j, pivot) by symmetry, and (pivot, pivot) reads as 1.
         pivot_rows = np.repeat(pivots, n)
         pivot_cols = np.tile(np.arange(n), len(pivots))
+        others = pivot_rows != pivot_cols
+        pivot_rows, pivot_cols = pivot_rows[others], pivot_cols[others]
         pivot_slots = pair_slots(n, pivot_rows, pivot_cols)
+        pivot_corrs = np.ones(len(pivots) * n, dtype=FLOAT_DTYPE)
 
         matrices: List[ThresholdedMatrix] = []
         pruned_horizontally = 0
@@ -251,11 +254,13 @@ class HorizontalPruningEngine(DangoronEngine):
             # only the pivot evaluations).
             if len(due) > 0:
                 bw_first, _ = layout.covering(*query.window_bounds(k))
-                pivot_corrs = sketch.exact_pairs_scan(
+                pivot_corrs[others] = sketch.exact_pairs_scan(
                     pivot_rows, pivot_cols, bw_first, window_bw, pivot_slots
-                ).reshape(len(pivots), n)
+                )
                 pivot_evaluations += len(pivots) * n
-                lower, upper = triangle_bounds_from_pivots(pivot_corrs)
+                lower, upper = triangle_bounds_from_pivots(
+                    pivot_corrs.reshape(len(pivots), n)
+                )
                 if absolute:
                     cannot_be_edge = (
                         upper[rows[due], cols[due]] < query.threshold

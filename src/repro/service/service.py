@@ -469,6 +469,9 @@ class CorrelationService:
             basic_window_size=basic_window_size,
             memory_budget=memory_budget,
         )
+        # Resolve the engine once, so an unknown engine or option fails the
+        # start rather than every threshold request that reaches it.
+        self.config.planner().resolve_engine()
         self.service_workers = service_workers
         self.admission_queue_limit = admission_queue_limit
         self.retry_after_seconds = float(retry_after_seconds)

@@ -92,20 +92,23 @@ class WorkerConfig:
         Parent runtimes and pool workers both build their sessions here, so
         a pooled scan plans exactly as the in-process one would.
         """
+        return CorrelationSession(matrix, planner=self.planner(sketch_cache, exact_scan))
+
+    def planner(
+        self, sketch_cache: Optional[SketchCache] = None, exact_scan: bool = False
+    ) -> QueryPlanner:
+        """The planner a :meth:`session` plans with."""
         options = (
             exact_scan_options(self.engine, self.engine_options)
             if exact_scan
             else self.engine_options
         )
-        return CorrelationSession(
-            matrix,
-            planner=QueryPlanner(
-                engine=self.engine,
-                engine_options=options,
-                basic_window_size=self.basic_window_size,
-                sketch_cache=sketch_cache,
-                memory_budget=self.memory_budget,
-            ),
+        return QueryPlanner(
+            engine=self.engine,
+            engine_options=options,
+            basic_window_size=self.basic_window_size,
+            sketch_cache=sketch_cache,
+            memory_budget=self.memory_budget,
         )
 
 

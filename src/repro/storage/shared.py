@@ -25,7 +25,7 @@ Layout of one exported segment directory::
         values.npy           (N, L)        raw columns (streamed from chunks)
         series_sums.npy      (N, count)
         series_sumsqs.npy    (N, count)
-        pair_sumprods.npy    (P, count)      packed, P = N (N + 1) / 2
+        pair_sumprods.npy    (P, count)      packed, P = N (N - 1) / 2
         corr_prefix.npy      (P, count + 1)  only when the sketch held it
 
 ``manifest.json`` is written last, so a crashed or torn export is never
@@ -50,10 +50,11 @@ from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import StorageError
 
 #: Version tag checked on attach, so a layout change cannot be silently
-#: misread: v3 lists its statistic tensors in the manifest (``corr_prefix``
-#: is optional); v2 (always a prefix, no list) and v1 (dense
-#: ``(count, N, N)``) segments are refused.
-SEGMENT_SCHEMA = "repro.segment/v3"
+#: misread: v4 packs the strict upper triangle (no diagonal rows) and lists
+#: its statistic tensors in the manifest (``corr_prefix`` is optional); v3
+#: (diagonal rows, ``N (N + 1) / 2`` of them), v2 (always a prefix, no list)
+#: and v1 (dense ``(count, N, N)``) segments are refused.
+SEGMENT_SCHEMA = "repro.segment/v4"
 
 #: The sketch statistic tensors every segment carries, in export order.  The
 #: raw ``values`` array is handled separately (it streams from the chunk

@@ -21,13 +21,14 @@ import numpy as np
 from repro.config import DEFAULT_BASIC_WINDOW_SIZE, FLOAT_DTYPE
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
-from repro.exceptions import StorageError
+from repro.exceptions import SketchError, StorageError
 from repro.timeseries.matrix import finite_columns
 
-#: Format tag every archive carries.  The packed pair-major layout is the
-#: first tagged one; an untagged archive holds dense ``(count, N, N)``
-#: statistics and is refused rather than misread.
-ARCHIVE_FORMAT = "repro.stats-index/v2"
+#: Format tag every archive carries.  v3 packs the strict upper triangle,
+#: ``N (N - 1) / 2`` pair rows; v2 packed the diagonal too, ``N (N + 1) / 2``
+#: rows, and an untagged archive holds dense ``(count, N, N)`` statistics.
+#: Both are refused rather than misread.
+ARCHIVE_FORMAT = "repro.stats-index/v3"
 
 
 class StatsIndex:
@@ -141,7 +142,8 @@ class StatsIndex:
             if tag != ARCHIVE_FORMAT:
                 raise StorageError(
                     f"{path} is a stats-index archive of format {tag!r}, expected "
-                    f"{ARCHIVE_FORMAT!r} (untagged archives hold the dense layout); "
+                    f"{ARCHIVE_FORMAT!r} (v2 packs the diagonal, untagged archives "
+                    f"hold the dense layout); "
                     f"rebuild the index"
                 )
             try:
@@ -158,6 +160,10 @@ class StatsIndex:
                 )
             except KeyError as error:
                 raise StorageError(f"{path} is not a stats-index archive") from error
+            except SketchError as error:
+                raise StorageError(
+                    f"{path} holds inconsistent statistics ({error}); rebuild the index"
+                ) from error
         return cls(sketch)
 
     def __repr__(self) -> str:

@@ -139,7 +139,7 @@ def test_an_extended_sketch_carries_its_prefixes_forward(
             assert sketch.has_corr_prefix
         carried = sketch.corr_prefix
     # Only the delta windows' correlations were computed, once per extend.
-    num_slots = num_series * (num_series + 1) // 2
+    num_slots = num_series * (num_series - 1) // 2
     assert computed == [(num_slots, delta) for delta in deltas]
 
     scratch = BasicWindowSketch.build(

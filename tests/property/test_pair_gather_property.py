@@ -49,13 +49,16 @@ BASIC = 8
 # References: the dense recombinations the gather replaced
 # ---------------------------------------------------------------------------
 
-def planes(packed, n):
-    """``(columns, N, N)`` planes of a packed ``(P, columns)`` pair array,
-    whose rows are the upper triangle in ``np.triu_indices(N, k=0)`` order."""
-    rows, cols = np.triu_indices(n)
-    dense = np.empty((packed.shape[1], n, n))
-    dense[:, rows, cols] = packed.T
-    dense[:, cols, rows] = packed.T
+def planes(sketch):
+    """``(count, N, N)`` per-window product planes of a sketch: its packed
+    pair rows (``np.triu_indices(N, k=1)`` order) on both triangles and each
+    series' sum of squares on the diagonal."""
+    n = sketch.num_series
+    rows, cols = np.triu_indices(n, k=1)
+    dense = np.empty((sketch.num_basic_windows, n, n))
+    dense[:, rows, cols] = sketch.pair_sumprods.T
+    dense[:, cols, rows] = sketch.pair_sumprods.T
+    dense[:, np.arange(n), np.arange(n)] = sketch.series_sumsqs.T
     return dense
 
 
@@ -71,7 +74,7 @@ def dense_scan(sketch, first, count):
     n_points = count * sketch.layout.size
     sums = sketch.series_sums[:, first : first + count].sum(axis=1)
     sumsqs = sketch.series_sumsqs[:, first : first + count].sum(axis=1)
-    per_window = planes(sketch.pair_sumprods, sketch.num_series)
+    per_window = planes(sketch)
     sumprods = window_sum(per_window[first : first + count])
     corr = correlation_from_sums(
         np.full_like(sumprods, float(n_points)),
@@ -98,7 +101,7 @@ def dense_range(sketch, start, end, values):
         count = last - first
         sums = sketch.series_sums[:, first : first + count].sum(axis=1)
         sumsqs = sketch.series_sumsqs[:, first : first + count].sum(axis=1)
-        per_window = planes(sketch.pair_sumprods, n)
+        per_window = planes(sketch)
         sumprods = window_sum(per_window[first : first + count])
         core_start, core_end = offset + first * size, offset + last * size
     else:

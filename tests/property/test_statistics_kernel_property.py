@@ -13,7 +13,8 @@ The formulations the kernel replaced live on here as references: the
 GEMM accumulates in), the many-temporaries correlation pass and the strided
 ``cumsum`` prefix (equal bit for bit — same per-element operations).  They
 work on dense ``(count, N, N)`` planes; the sketch's packed pair-major
-arrays are unpacked (:func:`planes`) to compare.
+arrays are unpacked (:func:`planes`, the series' sums of squares on the
+diagonal) to compare.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -36,13 +37,15 @@ STATISTICS = (
 )
 
 
-def planes(packed: np.ndarray, n: int) -> np.ndarray:
+def planes(packed: np.ndarray, n: int, diagonal: np.ndarray) -> np.ndarray:
     """``(columns, N, N)`` planes of a packed ``(P, columns)`` pair array,
-    whose rows are the upper triangle in ``np.triu_indices(N, k=0)`` order."""
-    rows, cols = np.triu_indices(n)
+    whose rows are the strict upper triangle in ``np.triu_indices(N, k=1)``
+    order, with ``diagonal`` (``(N, columns)``) on the diagonal."""
+    rows, cols = np.triu_indices(n, k=1)
     dense = np.empty((packed.shape[1], n, n))
     dense[:, rows, cols] = packed.T
     dense[:, cols, rows] = packed.T
+    dense[:, np.arange(n), np.arange(n)] = diagonal.T
     return dense
 
 
@@ -179,7 +182,7 @@ def test_kernel_agrees_with_the_formulations_it_replaced(case):
     norms = np.sqrt(sketch.series_sumsqs.T)
     scale = norms[:, :, None] * norms[:, None, :]
     n = values.shape[0]
-    pair_sumprods = planes(sketch.pair_sumprods, n)
+    pair_sumprods = planes(sketch.pair_sumprods, n, sketch.series_sumsqs)
     for workers in (1, 3):
         reference = einsum_pair_sumprods(blocks, workers)
         assert np.all(np.abs(pair_sumprods - reference) <= 1e-12 * scale)
@@ -188,4 +191,5 @@ def test_kernel_agrees_with_the_formulations_it_replaced(case):
     pair_corrs = pair_corrs_with_temporaries(
         sketch.series_sums, sketch.series_sumsqs, pair_sumprods, size
     )
-    assert np.array_equal(planes(sketch.corr_prefix, n), cumsum_prefix(pair_corrs))
+    rows, cols = np.triu_indices(n, k=1)
+    assert np.array_equal(sketch.corr_prefix, cumsum_prefix(pair_corrs)[:, rows, cols].T)

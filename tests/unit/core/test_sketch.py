@@ -23,13 +23,15 @@ def sketch(data):
     return BasicWindowSketch.build(data, layout)
 
 
-def planes(packed, n):
+def planes(packed, n, diagonal):
     """``(count, N, N)`` planes of a packed ``(P, count)`` pair array, whose
-    rows are the upper triangle in ``np.triu_indices(N, k=0)`` order."""
-    rows, cols = np.triu_indices(n)
+    rows are the strict upper triangle in ``np.triu_indices(N, k=1)`` order,
+    with ``diagonal`` (``(N, count)``, or a scalar) on the diagonal."""
+    rows, cols = np.triu_indices(n, k=1)
     dense = np.empty((packed.shape[1], n, n))
     dense[:, rows, cols] = packed.T
     dense[:, cols, rows] = packed.T
+    dense[:, np.arange(n), np.arange(n)] = np.transpose(diagonal)
     return dense
 
 
@@ -58,9 +60,9 @@ class TestBuild:
         assert sketch.num_series == 10
         assert sketch.num_basic_windows == 20
         assert sketch.series_sums.shape == (10, 20)
-        assert sketch.pair_sumprods.shape == (55, 20)
+        assert sketch.pair_sumprods.shape == (45, 20)
         assert not hasattr(sketch, "pair_corrs")
-        assert sketch.corr_prefix.shape == (55, 21)
+        assert sketch.corr_prefix.shape == (45, 21)
 
     def test_per_window_statistics_match_direct(self, data, sketch):
         block = data[:, 32:48]
@@ -68,10 +70,12 @@ class TestBuild:
         assert np.allclose(
             sketch.series_sumsqs[:, 2], np.einsum("ij,ij->i", block, block)
         )
-        assert np.allclose(planes(sketch.pair_sumprods, 10)[2], block @ block.T)
+        assert np.allclose(
+            planes(sketch.pair_sumprods, 10, sketch.series_sumsqs)[2], block @ block.T
+        )
         expected_corr = correlation_matrix(block)
         np.fill_diagonal(expected_corr, 1.0)
-        got = planes(sketch.corr_prefix[:, 3:] - sketch.corr_prefix[:, 2:-1], 10)[0]
+        got = planes(sketch.corr_prefix[:, 3:] - sketch.corr_prefix[:, 2:-1], 10, 1.0)[0]
         np.fill_diagonal(got, 1.0)
         assert np.allclose(got, expected_corr, atol=1e-10)
 
@@ -132,14 +136,16 @@ class TestExactCombination:
         assert np.allclose(pairs, full[rows, cols], atol=1e-12)
 
     def test_pivot_against_all_series_matches_full_triangle_bitwise(self, sketch):
-        """(pivot, every series) pairs — both triangles — as the
-        horizontal-pruning ablation asks."""
+        """(pivot, every other series) pairs — both triangles — as the
+        horizontal-pruning ablation asks; a series paired with itself has no
+        packed row and is refused (the ablation reads it as 1)."""
         n = sketch.num_series
         pivots = np.array([7, 0, 4])
         rows = np.repeat(pivots, n)
         cols = np.tile(np.arange(n), len(pivots))
-        assert (rows > cols).any() and (rows < cols).any()
         off_diagonal = rows != cols
+        rows, cols = rows[off_diagonal], cols[off_diagonal]
+        assert (rows > cols).any() and (rows < cols).any()
         all_rows, all_cols = np.triu_indices(n, k=1)
         for first, count in [(0, 1), (2, 9), (0, 20), (13, 7)]:
             triangle = sketch.exact_pairs_scan(all_rows, all_cols, first, count)
@@ -147,10 +153,9 @@ class TestExactCombination:
             full[all_rows, all_cols] = triangle
             full[all_cols, all_rows] = triangle
             pairs = sketch.exact_pairs_scan(rows, cols, first, count)
-            assert np.array_equal(
-                pairs[off_diagonal], full[rows, cols][off_diagonal]
-            )
-            assert np.allclose(pairs[~off_diagonal], 1.0, atol=1e-12)
+            assert np.array_equal(pairs, full[rows, cols])
+        with pytest.raises(SketchError, match="itself"):
+            sketch.exact_pairs_scan(pivots, pivots, 0, 1)
 
     def test_range_validation(self, sketch):
         with pytest.raises(SketchError):
@@ -164,9 +169,10 @@ class TestExactCombination:
 class TestPrefixes:
     def test_corr_prefix_is_cumulative(self, data, sketch):
         prefix = sketch.corr_prefix
-        assert prefix.shape == (55, 21)
+        assert prefix.shape == (45, 21)
         assert np.allclose(prefix[:, 0], 0.0)
-        got = planes((prefix[:, 5] - prefix[:, 2])[:, None], 10)[0]
+        # Three windows' self-correlations of 1 on the diagonal.
+        got = planes((prefix[:, 5] - prefix[:, 2])[:, None], 10, 3.0)[0]
         assert np.allclose(got, window_corrs(data, 2, 3).sum(axis=0))
 
     def test_pair_corr_range_sum(self, data, sketch):

@@ -83,8 +83,9 @@ class TestE14PivotCount:
             assert 0.0 <= row[pruned_index] <= 1.0
 
     def test_pivot_evaluations_grow_with_pivot_count(self):
-        # Pivot counts small enough that the engine's cost gate (pivot analysis
-        # must be cheaper than the pairs it could prune) keeps pruning active.
+        # E14 runs without temporal pruning, so every window has pairs due and
+        # evaluates each pivot against all N series: the count is pivots x N
+        # x windows, positive and growing with the pivot count.
         result = experiment_e14_pivot_count(scale=0.15, pivot_counts=(1, 2))
         evals_index = result.headers.index("pivot_evaluations")
         assert result.rows[0][evals_index] > 0

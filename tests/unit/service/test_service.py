@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import CorrelationSession, ThresholdQuery, TopKQuery
+from repro.cli import main
 from repro.exceptions import ExperimentError, ServiceError
 from repro.service import CorrelationService, result_from_wire
 from repro.service.service import DatasetRuntime
@@ -147,16 +148,29 @@ class TestQueryExecution:
         assert excinfo.value.status == 400
 
     def test_pivot_options_under_jumping_are_a_named_error(self, catalog):
-        """Horizontal pruning is no service option: a service started with
-        its options under jumping names them on threshold requests (a 400
-        over HTTP) instead of answering with a silently different engine."""
-        service = CorrelationService(
-            catalog,
-            engine_options={"use_temporal_pruning": True, "num_pivots": 2},
-            basic_window_size=BASIC,
-        )
+        """Horizontal pruning is no service option: a service asked to start
+        with its options under jumping names them instead of answering with
+        a silently different engine."""
         with pytest.raises(ExperimentError, match="'num_pivots'"):
-            service.query("demo", dict(THRESHOLD_REQUEST))
+            CorrelationService(
+                catalog,
+                engine_options={"use_temporal_pruning": True, "num_pivots": 2},
+                basic_window_size=BASIC,
+            )
+
+    def test_a_misspelt_engine_option_fails_the_start(self, catalog, capsys):
+        """The engine resolves when the service starts, so a bad option is
+        named then, not on each threshold request after top-k answered."""
+        with pytest.raises(ExperimentError, match="'num_pivtos'"):
+            CorrelationService(catalog, engine_options={"num_pivtos": 2})
+        code = main([
+            "serve", "--catalog", str(catalog.root), "--port", "0",
+            "--engine-opt", "num_pivtos=2",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: invalid options for engine 'dangoron'")
+        assert "'num_pivtos'" in err and "Traceback" not in err
 
     def test_non_object_request_rejected(self, service):
         with pytest.raises(ServiceError, match="JSON object"):
@@ -421,6 +435,30 @@ class TestIndexSeeding:
         stats = service.dataset_info("demo")["stats"]
         assert stats["indexes_seeded"] == 0
         assert stats["sketch_cache"]["builds"] == 1
+
+    def test_previous_format_index_degrades_to_a_build(self, catalog, values):
+        # A v2 archive (diagonal rows packed, N (N + 1) / 2 of them) left in
+        # the catalog by an older release is refused by format and the
+        # request is answered by a normal build, with the same answer.
+        built = json.loads(
+            CorrelationService(catalog, basic_window_size=BASIC).query(
+                "demo", dict(THRESHOLD_REQUEST)
+            )
+        )
+        label = catalog.add_index("demo", StatsIndex.build(values, basic_window_size=BASIC))
+        path = catalog.root / catalog.describe("demo").index_files[label]
+        with np.load(path) as archive:
+            fields = {name: archive[name] for name in archive.files}
+        count = fields["series_sums"].shape[1]
+        fields["format"] = np.array("repro.stats-index/v2")
+        fields["pair_sumprods"] = np.zeros((NUM_SERIES * (NUM_SERIES + 1) // 2, count))
+        np.savez_compressed(path, **fields)
+        service = CorrelationService(catalog, basic_window_size=BASIC)
+        document = json.loads(service.query("demo", dict(THRESHOLD_REQUEST)))
+        stats = service.dataset_info("demo")["stats"]
+        assert stats["indexes_seeded"] == 0
+        assert stats["sketch_cache"]["builds"] == 1
+        assert result_from_wire(document).to_edges() == result_from_wire(built).to_edges()
 
     def test_stale_index_is_rejected_not_served(self, catalog, values):
         # An index whose statistics do not match the live data (here: built

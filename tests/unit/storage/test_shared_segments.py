@@ -171,7 +171,21 @@ class TestCorruption:
             manifest["shapes"][name] = list(shape)
         manifest["schema"] = "repro.segment/v1"
         (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(StorageError, match="'repro.segment/v1'.*'repro.segment/v3'"):
+        with pytest.raises(StorageError, match="'repro.segment/v1'.*'repro.segment/v4'"):
+            attach_segment(path)
+
+    def test_v3_segment_is_refused_by_name(self, tmp_path, store, sketch):
+        """A v3 export, whose packed rows include the diagonal, is refused,
+        not misread as the strict upper triangle."""
+        path = _export(tmp_path, store, sketch)
+        manifest = json.loads((path / "manifest.json").read_text())
+        count, n = LAYOUT.count, NUM_SERIES
+        shape = (n * (n + 1) // 2, count)
+        np.save(path / "pair_sumprods.npy", np.zeros(shape))
+        manifest["shapes"]["pair_sumprods"] = list(shape)
+        manifest["schema"] = "repro.segment/v3"
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="'repro.segment/v3'.*'repro.segment/v4'"):
             attach_segment(path)
 
     def test_unlisted_arrays_are_refused_by_name(self, tmp_path, store, sketch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import StorageError
-from repro.storage.stats_index import StatsIndex
+from repro.storage.stats_index import ARCHIVE_FORMAT, StatsIndex
 
 
 class TestBuildAndQuery:
@@ -145,6 +145,46 @@ class TestPersistence:
         )
         with pytest.raises(StorageError, match=r"dense\.npz.*format None"):
             StatsIndex.load(old)
+
+    def test_v2_archive_is_refused_by_name(self, rng, tmp_path):
+        """A v2 archive packs the diagonal, ``N (N + 1) / 2`` pair rows, which
+        no longer fit the strict-upper-triangle layout; it is refused by
+        format, naming both tags, before its statistics are read."""
+        n, count, size = 4, 4, 24
+        old = tmp_path / "v2.npz"
+        np.savez_compressed(
+            old,
+            offset=np.array([0]),
+            size=np.array([size]),
+            count=np.array([count]),
+            format=np.array("repro.stats-index/v2"),
+            series_sums=rng.normal(size=(n, count)),
+            series_sumsqs=rng.uniform(1.0, 2.0, size=(n, count)),
+            pair_sumprods=rng.normal(size=(n * (n + 1) // 2, count)),
+        )
+        with pytest.raises(
+            StorageError,
+            match=r"v2\.npz.*'repro\.stats-index/v2'.*'repro\.stats-index/v3'.*rebuild",
+        ):
+            StatsIndex.load(old)
+
+    def test_inconsistent_tagged_archive_is_a_storage_error(self, rng, tmp_path):
+        """Statistics whose shapes disagree under the current tag surface as
+        a StorageError naming the file, not as a bare sketch error."""
+        n, count = 4, 4
+        bad = tmp_path / "bad.npz"
+        np.savez_compressed(
+            bad,
+            offset=np.array([0]),
+            size=np.array([24]),
+            count=np.array([count]),
+            format=np.array(ARCHIVE_FORMAT),
+            series_sums=rng.normal(size=(n, count)),
+            series_sumsqs=rng.uniform(1.0, 2.0, size=(n, count)),
+            pair_sumprods=rng.normal(size=(n * (n + 1) // 2, count)),
+        )
+        with pytest.raises(StorageError, match=r"bad\.npz.*rebuild the index"):
+            StatsIndex.load(bad)
 
     def test_repr(self, rng):
         index = StatsIndex.build(rng.normal(size=(3, 64)), basic_window_size=16)
