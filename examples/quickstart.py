@@ -50,7 +50,6 @@ def main() -> None:
         ["precision vs exact", report.precision],
         ["recall vs exact", report.recall],
         ["pair-windows evaluated", stats.exact_evaluations],
-        ["pair-windows skipped by jumping", stats.skipped_by_jumping],
         ["evaluation fraction", stats.evaluation_fraction],
         ["pure query seconds", stats.query_seconds],
         ["sketch build seconds", stats.sketch_build_seconds],

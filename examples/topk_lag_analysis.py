@@ -2,7 +2,7 @@
 
 Uses climate anomalies to show the query family beyond ``ThresholdQuery``:
 (1) :class:`TopKQuery` — the k most correlated station pairs per window, and
-the data-driven threshold they suggest for a subsequent pruned run — and
+the data-driven threshold they suggest for a subsequent threshold run — and
 (2) :class:`LaggedQuery` — station pairs whose weather is correlated at a
 time offset (one station "leads" the other as systems move across the map).
 All three run through one :class:`CorrelationSession`, so the top-k query and
@@ -61,7 +61,7 @@ def main() -> None:
     for i, j in persistent[:5]:
         print(f"  {stations[i]} -- {stations[j]}")
 
-    # 3. Use the suggested threshold to drive a pruned Dangoron run — the
+    # 3. Use the suggested threshold to drive a Dangoron threshold run — the
     #    session reuses the sketch the top-k query already built.
     tuned_query = ThresholdQuery(
         start=0, end=data.length, window=240, step=48,

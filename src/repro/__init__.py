@@ -38,8 +38,9 @@ Subpackages
     (``ThresholdQuery`` / ``TopKQuery`` / ``LaggedQuery``), the planner and
     the shared result protocol.
 ``repro.core``
-    The Dangoron engine and its building blocks (basic-window sketch, Eq. 2
-    temporal bound, triangle bound, jump scheduler).
+    The Dangoron engine and its building blocks (the basic-window sketch and
+    its exact window-axis grid).  The paper's Eq. 2 jumping and triangle
+    pruning are experiment engines in ``repro.experiments``.
 ``repro.baselines``
     Brute force, TSUBASA, ParCorr and StatStream engines behind the same API.
 ``repro.tomborg``

@@ -89,7 +89,9 @@ SKETCH_BUILD_DENSE = "dense"
 SKETCH_BUILD_TILED = "tiled"
 SKETCH_BUILD_INCREMENTAL = "incremental"
 
-#: The horizontal-pruning ablation's options, dropped when Dangoron does not jump.
+#: The horizontal-pruning ablation's options, which Dangoron drops: the
+#: declared benchmark's ``pruned`` session still names them and must keep
+#: planning the exact grid.
 _PIVOT_OPTIONS = ("use_horizontal_pruning", "num_pivots", "pivot_strategy", "seed")
 
 
@@ -201,11 +203,9 @@ class QueryPlanner:
         Name of the registered engine answering threshold queries (default
         ``"dangoron"``).
     engine_options:
-        Constructor options for that engine (``use_temporal_pruning``,
-        ``slack``, ...).  ``basic_window_size`` is injected automatically
-        when the engine accepts it and the options don't set it, and so is
-        ``use_temporal_pruning=False``: threshold answers are exact unless
-        the options ask for Dangoron's jumping.
+        Constructor options for that engine (``verify``, ``memory_budget``,
+        ...).  ``basic_window_size`` is injected automatically when the
+        engine accepts it and the options don't set it.
     basic_window_size:
         Requested basic-window size for the injected option and for the
         top-k sketch alignment.
@@ -290,15 +290,11 @@ class QueryPlanner:
             accepted = engine_options(self.engine_name)
             if "basic_window_size" in accepted and "basic_window_size" not in options:
                 options["basic_window_size"] = self.basic_window_size
-            if "use_temporal_pruning" in accepted and "use_temporal_pruning" not in options:
-                # Product queries answer exactly: Dangoron's Eq. 2 jumping
-                # can miss edges, so it runs only when a caller asks for it.
-                options["use_temporal_pruning"] = False
-            if "use_temporal_pruning" in accepted and not options["use_temporal_pruning"]:
-                # Horizontal pruning is an experiment-only ablation; without
-                # jumping its options are dropped (the grid answers, exactly)
-                # so sessions that still name them keep planning.  Under
-                # jumping they reach create_engine, which rejects them.
+            if self.engine_name == "dangoron":
+                # Horizontal pruning is an experiment-only ablation; its
+                # options are dropped (the grid answers, exactly) so sessions
+                # that still name them keep planning.  Any other unknown
+                # option reaches create_engine, which rejects it.
                 for name in _PIVOT_OPTIONS:
                     options.pop(name, None)
             if (
@@ -312,12 +308,6 @@ class QueryPlanner:
                 options["memory_budget"] = self.memory_budget
             self._default_engine = create_engine(self.engine_name, **options)
         return self._default_engine
-
-    def jumps(self) -> bool:
-        """Whether threshold answers use Dangoron's Eq. 2 jumping (the
-        resolved engine's ``use_temporal_pruning``): streams and standing
-        queries follow the engine's configuration through this."""
-        return bool(getattr(self.resolve_engine(), "use_temporal_pruning", False))
 
     # ---------------------------------------------------------------- planning
     def plan(

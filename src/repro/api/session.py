@@ -216,9 +216,8 @@ class CorrelationSession:
         :class:`OnlineWindowResult` as soon as its data is complete — the
         push-based view of the same answer ``run`` returns in one batch.
 
-        The monitor jumps exactly when the planner's engine does
-        (``use_temporal_pruning``), so both views give the same windows.
-        Only signed-threshold queries stream (the monitor's semantics);
+        Both views answer exactly, so they give the same windows bit for
+        bit.  Only signed-threshold queries stream (the monitor's semantics);
         top-k, lagged and absolute-mode queries raise
         :class:`QueryValidationError`.
         """
@@ -242,7 +241,6 @@ class CorrelationSession:
             step=query.step,
             threshold=query.threshold,
             basic_window_size=basic,
-            use_temporal_pruning=self.planner.jumps(),
         )
         chunk = chunk_columns if chunk_columns is not None else query.step
         if chunk < 1:

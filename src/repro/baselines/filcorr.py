@@ -108,6 +108,10 @@ class FilCorrEngine(SlidingCorrelationEngine):
         self.verify = verify
         self.exact = verify
 
+    def exactness(self) -> str:
+        """Candidates come from an approximate filter, so edges can be missed."""
+        return EXACTNESS_APPROXIMATE
+
     def describe(self) -> str:
         mode = "verified" if self.verify else "approximate"
         return (
@@ -179,7 +183,7 @@ class FilCorrEngine(SlidingCorrelationEngine):
         pairs = n * (n - 1) // 2
         stats = EngineStats(
             engine=self.describe(),
-            exactness=EXACTNESS_APPROXIMATE,
+            exactness=self.exactness(),
             num_series=n,
             num_windows=query.num_windows,
             exact_evaluations=exact_evaluations,

@@ -98,6 +98,10 @@ class ParCorrEngine(SlidingCorrelationEngine):
         self.seed = seed
         self.exact = verify
 
+    def exactness(self) -> str:
+        """Candidates come from an approximate filter, so edges can be missed."""
+        return EXACTNESS_APPROXIMATE
+
     def describe(self) -> str:
         mode = "verified" if self.verify else "approximate"
         return f"{self.name}[k={self.sketch_size}, {mode}]"
@@ -171,7 +175,7 @@ class ParCorrEngine(SlidingCorrelationEngine):
         pairs = n * (n - 1) // 2
         stats = EngineStats(
             engine=self.describe(),
-            exactness=EXACTNESS_APPROXIMATE,
+            exactness=self.exactness(),
             num_series=n,
             num_windows=query.num_windows,
             exact_evaluations=exact_evaluations,

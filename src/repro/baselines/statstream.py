@@ -74,6 +74,10 @@ class StatStreamEngine(SlidingCorrelationEngine):
         self.verify = verify
         self.exact = verify
 
+    def exactness(self) -> str:
+        """Candidates come from an approximate filter, so edges can be missed."""
+        return EXACTNESS_APPROXIMATE
+
     def describe(self) -> str:
         mode = "verified" if self.verify else "approximate"
         return f"{self.name}[m={self.num_coefficients}, {mode}]"
@@ -151,7 +155,7 @@ class StatStreamEngine(SlidingCorrelationEngine):
 
         stats = EngineStats(
             engine=self.describe(),
-            exactness=EXACTNESS_APPROXIMATE,
+            exactness=self.exactness(),
             num_series=n,
             num_windows=query.num_windows,
             exact_evaluations=exact_evaluations,

@@ -11,9 +11,8 @@ Five subcommands cover the workflow a user of the system actually runs:
     per-window summary (optionally exporting the edge list).  ``--mode``
     selects the query type (``threshold``, ``topk`` or ``lagged``),
     repeatable ``--engine-opt key=value`` flags reach every engine option
-    without writing Python (threshold answers are exact unless
-    ``use_temporal_pruning=true`` opts into jumping; the summary says
-    which), ``--workers N`` shards large queries of any mode across a
+    without writing Python (the summary says whether the engine's answer
+    is exact), ``--workers N`` shards large queries of any mode across a
     worker pool, and ``--memory-budget BYTES`` streams
     ``.npz`` inputs through the tiled out-of-core builder (lagged mode:
     streamed window buffers) without materializing the dense matrix (both
@@ -426,9 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--engine", default="dangoron", choices=sorted(available_engines()))
     query.add_argument(
         "--engine-opt", action="append", default=[], metavar="KEY=VALUE",
-        help="engine constructor option (repeatable); threshold answers are "
-             "exact unless --engine-opt use_temporal_pruning=true opts into "
-             "Dangoron's Eq. 2 jumping (slack=... tunes its recall)",
+        help="engine constructor option (repeatable; an unknown option is "
+             "an error naming the accepted ones)",
     )
     query.add_argument("--window", type=int, required=True)
     query.add_argument("--step", type=int, required=True)

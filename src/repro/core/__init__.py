@@ -1,21 +1,14 @@
-"""Dangoron core: sketches, bounds, pruning, and the sliding-query engine (S2, S3).
+"""Dangoron core: sketches and the sliding-query engine (S2, S3).
 
 The public entry points are :class:`SlidingQuery` (what to compute),
 :class:`DangoronEngine` (how Dangoron computes it) and
 :class:`CorrelationSeriesResult` (the answer).  The lower-level pieces —
-basic-window layouts, the sketch, the Eq. 2 / triangle bounds and the jump
-scheduler — are exported for tests, ablations, and users who want to build
-their own pruning policies.
+basic-window layouts and the sketch — are exported for tests and users who
+build their own scans.  The paper's Eq. 2 jumping and triangle bounds live
+in :mod:`repro.experiments.jumping` and :mod:`repro.experiments.horizontal`.
 """
 
 from repro.core.basic_window import BasicWindowLayout, choose_basic_window_size
-from repro.core.bounds import (
-    first_possible_crossing,
-    first_possible_crossing_absolute,
-    max_skippable_steps_scalar,
-    temporal_upper_bound,
-    triangle_bounds,
-)
 from repro.core.correlation import (
     correlation_from_sums,
     correlation_matrix,
@@ -30,7 +23,6 @@ from repro.core.engine import (
     register_engine,
 )
 from repro.core.incremental import IncrementalEngine
-from repro.core.jumping import JumpScheduler, JumpStats
 from repro.core.lag import (
     LagMatrices,
     best_lag,
@@ -74,8 +66,6 @@ __all__ = [
     "Edge",
     "EngineStats",
     "IncrementalEngine",
-    "JumpScheduler",
-    "JumpStats",
     "LagMatrices",
     "SlidingCorrelationEngine",
     "SlidingQuery",
@@ -93,19 +83,14 @@ __all__ = [
     "correlation_matrix",
     "create_engine",
     "engine_options",
-    "first_possible_crossing",
-    "first_possible_crossing_absolute",
     "lagged_correlation",
     "lagged_correlation_matrix",
     "lead_lag_graph_edges",
-    "max_skippable_steps_scalar",
     "pearson",
     "plan_tiles",
     "register_engine",
     "sliding_lagged_correlation",
     "sliding_top_k",
-    "temporal_upper_bound",
     "top_k_brute_force",
     "top_k_overlap",
-    "triangle_bounds",
 ]

@@ -7,9 +7,10 @@ enough metadata to reconstruct dense matrices, edge sets, or networkx graphs.
 
 Engines also report an :class:`EngineStats` describing how much work they did
 (pairs evaluated exactly, evaluations skipped by jumping) — this is what the
-pruning-effectiveness experiments measure.  ``pruned_horizontally`` stays 0
-for every product engine; only the pivot-pruning ablation of the E7 / E14
-experiments (:mod:`repro.experiments.horizontal`) sets it.
+pruning-effectiveness experiments measure.  ``skipped_by_jumping`` and
+``pruned_horizontally`` stay 0 for every product engine; only the paper's
+pruning mechanisms, run as experiments (:mod:`repro.experiments.jumping`,
+:mod:`repro.experiments.horizontal`), set them.
 """
 
 from __future__ import annotations
@@ -143,10 +144,6 @@ EXACTNESS_EXACT = "exact"
 #: StatStream, FilCorr): candidates come from an approximate filter, so
 #: edges can be missed even when the reported values are verified.
 EXACTNESS_APPROXIMATE = "approximate"
-#: ``EngineStats.exactness`` of a Dangoron answer under Eq. 2 jumping: every
-#: value is exact, but a pair whose correlation rises faster than the bound
-#: assumes can be missed for some windows.
-EXACTNESS_JUMPING = "heuristic(jumping)"
 
 
 @dataclass
@@ -155,7 +152,7 @@ class EngineStats:
 
     ``exactness`` says whether the answer holds every edge
     (:data:`EXACTNESS_EXACT`) or may miss some (e.g.
-    :data:`EXACTNESS_JUMPING`).
+    :data:`EXACTNESS_APPROXIMATE`).
     """
 
     engine: str = "unknown"

@@ -13,11 +13,10 @@ The pair statistics are packed pair-major: ``pair_sumprods`` has shape
 is its sum of squares, so no diagonal row is stored.  One kernel computes
 them, :func:`_window_statistics`: fixed blocks of series multiplied against
 the series at or right of the block, each row's pairs written straight into
-its contiguous run of rows.  The basic-window correlations ``c_j`` of the
-Eq. 2 temporal bound are not stored: the lazy ``corr_prefix``
-(``(P, count + 1)``) computes them from the packed sums when jumping first
-asks for it, and :meth:`BasicWindowSketch.extend` carries a materialized
-prefix forward.
+its contiguous run of rows.  The basic-window correlations ``c_j`` are
+not stored: :func:`pair_corrs_from_stats` computes them from the packed sums
+for whoever needs them (the Eq. 2 jumping experiment,
+:mod:`repro.experiments.jumping`).
 
 With these statistics the exact Pearson correlation of any query window that
 is a union of basic windows can be recombined without touching the raw data.
@@ -25,9 +24,9 @@ The recombination exposed here comes in two flavours:
 
 ``exact_pairs_scan``
     Sums the per-basic-window statistics of the window (cost ``O(n_s)`` per
-    pair).  This is the combination step whose repeated cost Dangoron's
-    jumping structure avoids, and every exact evaluation of Dangoron, the
-    grids and the TSUBASA baseline goes through it.  ``exact_pairs_range``
+    pair).  This is the combination step whose repeated cost the paper's
+    jumping structure avoids, and every exact evaluation of the grids, the
+    jumping experiment and the TSUBASA baseline goes through it.  ``exact_pairs_range``
     is the same gather for arbitrary column ranges: the covered core is
     gathered, and unaligned edges are added from the raw values.
 
@@ -108,30 +107,6 @@ def pair_slots(num_series: int, rows, cols) -> np.ndarray:
         raise SketchError("a series paired with itself has no packed row")
     low = np.minimum(rows, cols)
     return low * (2 * num_series - low - 1) // 2 + np.abs(cols - rows) - 1
-
-
-def _row_prefix(
-    per_window: np.ndarray, carried: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """``(P, count + 1)`` running sums along each row of ``(P, count)`` windows.
-
-    One sequential ``cumsum`` along the row from a leading ``0.0``:
-    ``prefix[:, w + 1] = prefix[:, w] + x[:, w]``, so each column adds in
-    window order.  With ``carried`` (a ``(P, c + 1)`` prefix of the windows
-    before these) the sum continues from its last column, which gives the
-    bits a prefix over all ``c + count`` windows would have.
-    """
-    done = 0 if carried is None else carried.shape[1] - 1
-    slots, count = per_window.shape
-    prefix = np.empty((slots, done + count + 1), dtype=FLOAT_DTYPE)
-    if carried is None:
-        prefix[:, 0] = 0.0
-    else:
-        prefix[:, : done + 1] = carried
-    prefix[:, done + 1 :] = per_window
-    tail = prefix[:, done:]
-    np.cumsum(tail, axis=1, out=tail)
-    return prefix
 
 
 def pair_corrs_from_stats(
@@ -479,7 +454,6 @@ class BasicWindowSketch:
              np.cumsum(series_sumsqs, axis=1)],
             axis=1,
         )
-        self._corr_prefix: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -568,13 +542,6 @@ class BasicWindowSketch:
             series_sumsqs=np.concatenate([self.series_sumsqs, delta_sumsqs], axis=1),
             pair_sumprods=pair_sumprods,
         )
-        # A materialized prefix carries forward: only the delta windows are
-        # new terms, and the running sum continues from its last column.
-        if self._corr_prefix is not None:
-            grown._corr_prefix = _row_prefix(
-                pair_corrs_from_stats(delta_sums, delta_sumsqs, delta_sumprods, size),
-                carried=self._corr_prefix,
-            )
         grown.build_seconds = time.perf_counter() - started
         return grown
 
@@ -595,9 +562,8 @@ class BasicWindowSketch:
         """Approximate memory footprint of the stored statistics."""
         total = self.series_sums.nbytes + self.series_sumsqs.nbytes
         total += self._sumsq_prefix.nbytes
-        for tensor in (self.pair_sumprods, self._corr_prefix):
-            if tensor is not None:
-                total += tensor.nbytes
+        if self.pair_sumprods is not None:
+            total += self.pair_sumprods.nbytes
         return int(total)
 
     def _require_pairwise(self) -> None:
@@ -606,46 +572,6 @@ class BasicWindowSketch:
                 "this sketch was built with pairwise=False and cannot answer "
                 "pairwise correlation queries"
             )
-
-    # ---------------------------------------------------------------- prefixes
-    @property
-    def corr_prefix(self) -> np.ndarray:
-        """Prefix sums of the per-basic-window pair correlations.
-
-        ``corr_prefix[s, w]`` is the sum of slot ``s``'s correlations over
-        basic windows ``[0, w)``; shape ``(P, count + 1)``.  Used by the
-        Eq. 2 bound in O(1) per check.  The correlations are computed from
-        the packed sums here, on first use, and are not kept.
-        """
-        self._require_pairwise()
-        if self._corr_prefix is None:
-            self._corr_prefix = _row_prefix(pair_corrs_from_stats(
-                self.series_sums, self.series_sumsqs, self.pair_sumprods,
-                self.layout.size,
-            ))
-        return self._corr_prefix
-
-    @property
-    def has_corr_prefix(self) -> bool:
-        """Whether :attr:`corr_prefix` is already materialized (or attached)."""
-        return self._corr_prefix is not None
-
-    def attach_corr_prefix(self, prefix: np.ndarray) -> None:
-        """Adopt a precomputed :attr:`corr_prefix` tensor.
-
-        Used when the prefix was materialized elsewhere — e.g. exported once
-        by the service parent into an mmap-backed shared segment — so that
-        attaching processes answer Eq. 2 bound checks from the shared pages
-        instead of each allocating a private ``(P, count + 1)`` array.
-        """
-        self._require_pairwise()
-        slots, count = self.pair_sumprods.shape
-        if tuple(prefix.shape) != (slots, count + 1):
-            raise SketchError(
-                f"corr prefix shape {tuple(prefix.shape)} does not match the "
-                f"sketch's ({slots}, {count + 1})"
-            )
-        self._corr_prefix = _contiguous_array(prefix)
 
     # ------------------------------------------------------------ range sums
     def _check_range(self, first: int, count: int) -> None:
@@ -657,20 +583,6 @@ class BasicWindowSketch:
 
     def _slots(self, rows, cols, slots: Optional[np.ndarray]) -> np.ndarray:
         return pair_slots(self.num_series, rows, cols) if slots is None else slots
-
-    def pair_corr_range_sum(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        first: int,
-        count: int,
-        slots: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Sum of basic-window correlations over a range, per requested pair (O(1))."""
-        self._check_range(first, count)
-        slots = self._slots(rows, cols, slots)
-        prefix = self.corr_prefix
-        return prefix[slots, first + count] - prefix[slots, first]
 
     # -------------------------------------------------------------- exact scan
     def _series_window_sums(self, first: int, count: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -58,7 +58,6 @@ class LintConfig:
         "repro/core/topk.py",
         "repro/core/lag.py",
         "repro/core/incremental.py",
-        "repro/core/jumping.py",
         "repro/core/basic_window.py",
         "repro/core/correlation.py",
         "repro/datasets/*",
@@ -86,7 +85,7 @@ class LintConfig:
 
     # ------------------------------------------------------------------ RPR003
     #: The only module allowed to run reductions over pair-window statistic
-    #: arrays.  Its helpers (``pair_corrs_from_stats``, ``_row_prefix``,
+    #: arrays.  Its helpers (``pair_corrs_from_stats``,
     #: ``BasicWindowSketch._gather_sums``) reduce each pair's contiguous
     #: packed row, which is what makes shard/tile results bit-identical to
     #: serial runs (docs/invariants.md tells the ulp-divergence story).  The tiled
@@ -98,14 +97,13 @@ class LintConfig:
     #: call, so ``np.dot(pair_sumprods, w)`` and
     #: ``stats.series_sums.sum(axis=0)`` both register.  ``pair_corrs`` is no
     #: longer a stored array but still names the per-window correlations
-    #: ``corr_prefix`` is summed from, so it stays watched.
+    #: ``pair_corrs_from_stats`` computes, so it stays watched.
     stat_name_markers: FrozenSet[str] = frozenset(
         {
             "series_sums",
             "series_sumsqs",
             "pair_sumprods",
             "pair_corrs",
-            "corr_prefix",
         }
     )
 

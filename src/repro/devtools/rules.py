@@ -188,7 +188,7 @@ class CanonicalAccumulationRule(LintRule):
                 context,
                 node,
                 f"{reduction} over pair-window statistic '{marker}' outside "
-                f"the blessed helpers; use pair_corrs_from_stats / _row_prefix "
+                f"the blessed helpers; use pair_corrs_from_stats "
                 f"/ BasicWindowSketch._gather_sums from core/sketch.py to keep "
                 f"results bit-identical across layouts",
             )

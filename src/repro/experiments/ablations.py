@@ -30,11 +30,11 @@ import numpy as np
 from repro.analysis.accuracy import compare_results
 from repro.baselines.brute_force import BruteForceEngine
 from repro.baselines.tsubasa import TsubasaEngine
-from repro.core.dangoron import DangoronEngine
 from repro.core.incremental import IncrementalEngine
 from repro.core.query import SlidingQuery
 from repro.core.topk import sliding_top_k, top_k_brute_force, top_k_overlap
 from repro.experiments.horizontal import HorizontalPruningEngine
+from repro.experiments.jumping import JumpingEngine
 from repro.experiments.registry import EXPERIMENTS, ExperimentResult
 from repro.experiments.workloads import climate_workload, tomborg_workload
 from repro.tomborg.suite import default_suite
@@ -64,7 +64,7 @@ def experiment_e11_incremental(
         reference = BruteForceEngine().run(base.matrix, query)
         engines = [
             TsubasaEngine(basic_window_size=base.basic_window_size),
-            DangoronEngine(basic_window_size=base.basic_window_size),
+            JumpingEngine(basic_window_size=base.basic_window_size),
             IncrementalEngine(),
         ]
         tsubasa_seconds = None
@@ -149,7 +149,7 @@ def experiment_e13_slack(
     reference = BruteForceEngine().run(workload.matrix, workload.query)
     rows: List[List[object]] = []
     for slack in slacks:
-        engine = DangoronEngine(
+        engine = JumpingEngine(
             basic_window_size=workload.basic_window_size, slack=slack
         )
         result = engine.run(workload.matrix, workload.query)
@@ -231,7 +231,7 @@ def experiment_e15_robustness_suite(
             seed=seed,
         )
         reference = BruteForceEngine().run(dataset.matrix, query)
-        result = DangoronEngine(basic_window_size=32).run(dataset.matrix, query)
+        result = JumpingEngine(basic_window_size=32).run(dataset.matrix, query)
         accuracy = compare_results(result, reference)
         rows.append(
             [

@@ -31,7 +31,7 @@ strategies (:func:`select_pivots`):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,19 +41,51 @@ from repro.config import (
     VARIANCE_EPSILON,
     clamp_correlation_array,
 )
-from repro.core.bounds import first_possible_crossing, triangle_bounds
-from repro.core.dangoron import DangoronEngine, step_window
-from repro.core.jumping import JumpScheduler
 from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
 from repro.core.result import ThresholdedMatrix
 from repro.core.sketch import BasicWindowSketch, pair_slots
 from repro.exceptions import DataValidationError, QueryValidationError
+from repro.experiments.jumping import (
+    JumpingEngine,
+    JumpScheduler,
+    first_possible_crossing,
+    step_window,
+)
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 #: Default number of pivot series used by horizontal (triangle) pruning.
 DEFAULT_NUM_PIVOTS = 4
 
 _STRATEGIES = ("kcenter", "variance", "random", "first")
+
+
+def triangle_bounds(
+    corr_xz: Union[float, np.ndarray], corr_yz: Union[float, np.ndarray]
+) -> Tuple[Union[float, np.ndarray], Union[float, np.ndarray]]:
+    """Exact bounds on ``c_xy`` from the correlations of ``x`` and ``y`` with ``z``.
+
+    Pearson correlations are cosines of angles between centred vectors, so
+    for any pivot series ``z``
+
+    .. math::  c_{xz} c_{yz} - \\sqrt{(1-c_{xz}^2)(1-c_{yz}^2)} \\;\\le\\; c_{xy}
+               \\;\\le\\; c_{xz} c_{yz} + \\sqrt{(1-c_{xz}^2)(1-c_{yz}^2)}
+
+    which is exact (no distributional assumption).  Returns ``(lower,
+    upper)``.  Both inputs may be arrays (broadcast together).  Values are
+    clipped into ``[-1, 1]`` to absorb floating point noise on the square
+    root.
+    """
+    corr_xz = np.asarray(corr_xz, dtype=FLOAT_DTYPE)
+    corr_yz = np.asarray(corr_yz, dtype=FLOAT_DTYPE)
+    slack = np.sqrt(
+        np.maximum(0.0, (1.0 - corr_xz**2)) * np.maximum(0.0, (1.0 - corr_yz**2))
+    )
+    product = corr_xz * corr_yz
+    lower = np.clip(product - slack, -1.0, 1.0)
+    upper = np.clip(product + slack, -1.0, 1.0)
+    if lower.ndim == 0:
+        return float(lower), float(upper)
+    return lower, upper
 
 
 def correlation_against(window: np.ndarray, pivot_rows: np.ndarray) -> np.ndarray:
@@ -94,7 +126,7 @@ def triangle_bounds_from_pivots(
     ``pivot_corrs`` has shape ``(P, N)``: the exact correlation of each pivot
     series with every series in the current window.  For every pair ``(i, j)``
     each pivot yields an interval for ``c_ij``
-    (:func:`repro.core.bounds.triangle_bounds`); the intersection over pivots
+    (:func:`triangle_bounds`); the intersection over pivots
     is the tightest available interval.  Returns ``(lower, upper)`` matrices
     of shape ``(N, N)`` (symmetric, diagonal equal to 1).
     """
@@ -164,19 +196,19 @@ def select_pivots(
     return np.asarray(pivots, dtype=int)
 
 
-class HorizontalPruningEngine(DangoronEngine):
+class HorizontalPruningEngine(JumpingEngine):
     """Dangoron with pivot-based triangle pruning inside each window.
 
     Walks the windows in order whether or not it jumps: each window first
     bounds its due pairs from the pivot rows and settles those that cannot
     reach the threshold, then evaluates the rest with
-    :func:`~repro.core.dangoron.step_window`.  The bound is sound, so alone
-    it answers exactly (its exactness label is Dangoron's).
+    :func:`~repro.experiments.jumping.step_window`.  The bound is sound, so
+    alone it answers exactly (its exactness label is the jumping engine's).
 
     Parameters
     ----------
     basic_window_size, use_temporal_pruning, slack:
-        As for :class:`~repro.core.dangoron.DangoronEngine`.
+        As for :class:`~repro.experiments.jumping.JumpingEngine`.
     num_pivots, pivot_strategy:
         How many pivots :func:`select_pivots` picks from the first window,
         and how.
@@ -227,7 +259,8 @@ class HorizontalPruningEngine(DangoronEngine):
         num_windows = query.num_windows
         scheduler = JumpScheduler(len(rows), num_windows)
         absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
-        corr_prefix = sketch.corr_prefix if self.use_temporal_pruning else None
+        counters: Dict[str, float] = {}
+        corr_prefix = self._prefix(sketch, counters)
 
         rng = np.random.default_rng(self.seed)
         first_window = matrix.values[:, query.start : query.start + query.window]
@@ -291,9 +324,7 @@ class HorizontalPruningEngine(DangoronEngine):
 
             edges = step_window(
                 sketch, query, rows, cols, scheduler, k, eval_positions, max_steps,
-                use_temporal_pruning=self.use_temporal_pruning,
-                slack=self.slack,
-                slots=slots,
+                corr_prefix, slack=self.slack, slots=slots,
             )
             matrices.append(ThresholdedMatrix(n, *edges))
         return matrices, {
@@ -303,4 +334,5 @@ class HorizontalPruningEngine(DangoronEngine):
             "pivot_evaluations": pivot_evaluations,
             "verified_evaluations": scheduler.stats.exact_evaluations,
             "mean_jump_length": scheduler.stats.mean_jump_length(),
+            **counters,
         }

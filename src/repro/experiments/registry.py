@@ -37,12 +37,15 @@ from repro.baselines.parcorr import ParCorrEngine
 from repro.baselines.statstream import StatStreamEngine
 from repro.baselines.tsubasa import TsubasaEngine
 from repro.core.basic_window import BasicWindowLayout
-from repro.core.bounds import temporal_upper_bound
-from repro.core.dangoron import DangoronEngine
 from repro.core.query import SlidingQuery
 from repro.core.sketch import BasicWindowSketch, pair_slots
 from repro.exceptions import ExperimentError
 from repro.experiments.horizontal import HorizontalPruningEngine
+from repro.experiments.jumping import (
+    JumpingEngine,
+    correlation_prefix,
+    temporal_upper_bound,
+)
 from repro.experiments.runner import run_comparison
 from repro.experiments.workloads import (
     Workload,
@@ -79,7 +82,7 @@ def experiment_e1_query_time(scale: float = 0.5, threshold: float = 0.7) -> Expe
         engines=[
             BruteForceEngine(),
             TsubasaEngine(basic_window_size=workload.basic_window_size),
-            DangoronEngine(basic_window_size=workload.basic_window_size),
+            JumpingEngine(basic_window_size=workload.basic_window_size),
         ],
     )
     rows = [
@@ -101,7 +104,7 @@ def experiment_e2_accuracy(scale: float = 0.5, threshold: float = 0.7) -> Experi
     comparison = run_comparison(
         workload,
         engines=[
-            DangoronEngine(basic_window_size=workload.basic_window_size),
+            JumpingEngine(basic_window_size=workload.basic_window_size),
             ParCorrEngine(),
             ParCorrEngine(verify=False),
             StatStreamEngine(),
@@ -146,7 +149,7 @@ def experiment_e3_tomborg_robustness(
         comparison = run_comparison(
             workload,
             engines=[
-                DangoronEngine(basic_window_size=workload.basic_window_size),
+                JumpingEngine(basic_window_size=workload.basic_window_size),
                 ParCorrEngine(),
                 StatStreamEngine(),
             ],
@@ -180,7 +183,7 @@ def experiment_e10_sketch_robustness(scale: float = 0.4) -> ExperimentResult:
         comparison = run_comparison(
             workload,
             engines=[
-                DangoronEngine(basic_window_size=workload.basic_window_size),
+                JumpingEngine(basic_window_size=workload.basic_window_size),
                 ParCorrEngine(verify=False, candidate_margin=0.0),
                 StatStreamEngine(verify=False, candidate_margin=0.0,
                                  num_coefficients=8),
@@ -221,7 +224,7 @@ def experiment_e4_threshold_sweep(
     for beta in thresholds:
         query = workload.query.with_threshold(beta)
         reference = exact.run(workload.matrix, query)
-        dangoron = DangoronEngine(basic_window_size=workload.basic_window_size)
+        dangoron = JumpingEngine(basic_window_size=workload.basic_window_size)
         result = dangoron.run(workload.matrix, query)
         tsubasa = TsubasaEngine(basic_window_size=workload.basic_window_size).run(
             workload.matrix, query
@@ -272,7 +275,7 @@ def experiment_e5_scalability(
             engines=[
                 BruteForceEngine(),
                 TsubasaEngine(basic_window_size=workload.basic_window_size),
-                DangoronEngine(basic_window_size=workload.basic_window_size),
+                JumpingEngine(basic_window_size=workload.basic_window_size),
             ],
         )
         for engine_row in comparison.rows:
@@ -317,7 +320,7 @@ def experiment_e6_window_step(
             tsubasa = TsubasaEngine(basic_window_size=base.basic_window_size).run(
                 base.matrix, query
             )
-            dangoron = DangoronEngine(basic_window_size=base.basic_window_size).run(
+            dangoron = JumpingEngine(basic_window_size=base.basic_window_size).run(
                 base.matrix, query
             )
             rows.append(
@@ -348,10 +351,10 @@ def experiment_e7_pruning_ablation(scale: float = 0.5, threshold: float = 0.75) 
     """E7: contribution of each pruning mechanism."""
     workload = climate_workload(scale=scale, threshold=threshold)
     variants = [
-        ("none", DangoronEngine(
+        ("none", JumpingEngine(
             basic_window_size=workload.basic_window_size,
             use_temporal_pruning=False)),
-        ("temporal", DangoronEngine(
+        ("temporal", JumpingEngine(
             basic_window_size=workload.basic_window_size,
             use_temporal_pruning=True)),
         ("horizontal", HorizontalPruningEngine(
@@ -412,7 +415,7 @@ def experiment_e8_sketch_build(
             step=usable_step,
             threshold=workload.query.threshold,
         )
-        engine = DangoronEngine(basic_window_size=size)
+        engine = JumpingEngine(basic_window_size=size)
         result = engine.run(workload.matrix, query)
         rows.append(
             [
@@ -464,6 +467,7 @@ def experiment_e9_bound_quality(
         chosen = rng.choice(len(all_rows), size=max_pairs, replace=False)
         all_rows, all_cols = all_rows[chosen], all_cols[chosen]
     slots = pair_slots(n, all_rows, all_cols)
+    prefix = correlation_prefix(sketch)
 
     rows: List[List[object]] = []
     for horizon in horizons:
@@ -483,9 +487,7 @@ def experiment_e9_bound_quality(
                 all_rows, all_cols, future_first, window_bw, slots
             )
             outgoing = horizon * step_bw
-            outgoing_sum = sketch.pair_corr_range_sum(
-                all_rows, all_cols, bw_first, outgoing, slots
-            )
+            outgoing_sum = prefix[slots, bw_first + outgoing] - prefix[slots, bw_first]
             bound = temporal_upper_bound(now, outgoing, outgoing_sum, window_bw)
             violations += int(np.count_nonzero(future > bound + 1e-9))
             slack_sum += float(np.sum(bound - future))

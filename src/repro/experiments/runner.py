@@ -25,10 +25,10 @@ from repro.baselines.brute_force import BruteForceEngine
 from repro.baselines.parcorr import ParCorrEngine
 from repro.baselines.statstream import StatStreamEngine
 from repro.baselines.tsubasa import TsubasaEngine
-from repro.core.dangoron import DangoronEngine
 from repro.core.engine import SlidingCorrelationEngine
 from repro.core.result import CorrelationSeriesResult
 from repro.exceptions import ExperimentError
+from repro.experiments.jumping import JumpingEngine
 from repro.experiments.workloads import Workload
 
 
@@ -99,7 +99,7 @@ def default_engines(basic_window_size: int) -> List[SlidingCorrelationEngine]:
     return [
         BruteForceEngine(),
         TsubasaEngine(basic_window_size=basic_window_size),
-        DangoronEngine(basic_window_size=basic_window_size),
+        JumpingEngine(basic_window_size=basic_window_size),
         ParCorrEngine(),
         StatStreamEngine(),
     ]

@@ -1,9 +1,8 @@
 """Sharded parallel execution over the series-pair space.
 
 The paper's sliding-window correlation problem is O(n²) in the number of
-series but embarrassingly parallel across *pairs*: with temporal pruning,
-each pair's evaluation schedule depends only on its own correlation
-trajectory.  This package exploits that:
+series but embarrassingly parallel across *pairs*: each pair's answer
+depends only on its own statistics.  This package exploits that:
 
 :mod:`repro.parallel.partition`
     Splits the canonical pair enumeration into contiguous blocks.

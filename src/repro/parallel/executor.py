@@ -140,22 +140,6 @@ class ShardedExecutor:
                     layout,
                 )
 
-        corr_prefix_seconds = 0.0
-        if (
-            sketch is not None
-            and sketch.has_pairwise
-            and not sketch.has_corr_prefix
-            and getattr(engine, "use_temporal_pruning", False)
-        ):
-            # Materialize the lazy Eq. 2 prefix once before fan-out: shards
-            # would otherwise each build a copy in a benign race.  Engines
-            # that never read it (TSUBASA) skip the cost entirely.  Booked
-            # like the serial run books it: part of the sketch build, not of
-            # the query.
-            prefix_start = time.perf_counter()
-            sketch.corr_prefix
-            corr_prefix_seconds = time.perf_counter() - prefix_start
-
         kwargs = {} if sketch is None else {"sketch": sketch}
         wall_start = time.perf_counter()
         shard_results = self._map_blocks(
@@ -174,11 +158,7 @@ class ShardedExecutor:
         )
         merged.stats.query_seconds = wall_seconds
         if sketch is not None:
-            merged.stats.sketch_build_seconds = (
-                sketch.build_seconds + corr_prefix_seconds
-            )
-        if corr_prefix_seconds:
-            merged.stats.extra["corr_prefix_seconds"] = corr_prefix_seconds
+            merged.stats.sketch_build_seconds = sketch.build_seconds
         merged.stats.extra["parallel_workers"] = float(self.workers)
         merged.stats.extra["parallel_shards"] = float(len(blocks))
         return merged

@@ -12,11 +12,9 @@ serial run's for *any* partition, contiguous or not, whatever order the
 shards finished in.
 
 Work counters (exact evaluations, skips, candidate pairs) are additive across
-shards and summed; a build time the shards paid side by side
-(``corr_prefix_seconds``) merges like ``sketch_build_seconds``, as the
-longest; other ``extra`` entries are kept only when every shard agrees on
-them (per-shard diagnostics like mean jump length are dropped rather than
-misreported).
+shards and summed; other ``extra`` entries are kept only when every shard
+agrees on them (per-shard diagnostics like mean jump length are dropped
+rather than misreported).
 
 The same disjointness argument covers the top-k family:
 :func:`merge_topk_results` re-ranks the union of per-shard top-k candidates
@@ -44,10 +42,6 @@ from repro.exceptions import ParallelError
 #: merge); everything else is kept only when identical across shards.
 _ADDITIVE_EXTRA_KEYS = ("verified_evaluations",)
 
-#: ``EngineStats.extra`` keys that are build times the shards paid
-#: concurrently: merged, like ``sketch_build_seconds``, as the maximum.
-_CONCURRENT_SECONDS_EXTRA_KEYS = ("corr_prefix_seconds",)
-
 
 def merge_shard_stats(
     shard_stats: Sequence[EngineStats], engine_label: Optional[str] = None
@@ -65,8 +59,6 @@ def merge_shard_stats(
     for key, value in first.extra.items():
         if key in _ADDITIVE_EXTRA_KEYS:
             extra[key] = float(sum(s.extra.get(key, 0.0) for s in shard_stats))
-        elif key in _CONCURRENT_SECONDS_EXTRA_KEYS:
-            extra[key] = float(max(s.extra.get(key, 0.0) for s in shard_stats))
         elif all(s.extra.get(key) == value for s in shard_stats):
             extra[key] = value
     return EngineStats(

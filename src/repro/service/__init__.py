@@ -16,8 +16,9 @@ Layers (each importable and testable on its own):
     The versioned JSON schema for query specs and the unified result
     protocol; ``result_from_wire(result_to_wire(r))`` is bit-identical.
 :mod:`repro.service.batching`
-    Compatible-query batching: one scan at ``min(threshold)``, each
-    caller's answer filtered from it bit-identically.
+    Compatible-query batching: under an exact engine, one scan at
+    ``min(threshold)``, each caller's answer filtered from it
+    bit-identically; identical requests coalesce under any engine.
 :mod:`repro.service.workers`
     :class:`WorkerPool` — forked session workers executing scans over
     shared mmap segments (:mod:`repro.storage.shared`).

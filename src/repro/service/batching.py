@@ -2,34 +2,29 @@
 
 Concurrent requests merge through one mechanism, :class:`QueryBatch`.
 *Identical* requests of any family coalesce onto one member slot and share
-its execution for the scan's whole duration.  Concurrent **threshold**
-queries that differ *only* in their threshold — same dataset, same window
-grid, same ``threshold_mode``, same transport fields — additionally share a
-batch, because the engine's scan at the *lowest* requested threshold
-computes a superset of every member's answer with bit-identical values:
+its execution for the scan's whole duration.  Under an **exact** engine,
+concurrent **threshold** queries that differ *only* in their threshold —
+same dataset, same window grid, same ``threshold_mode``, same transport
+fields — additionally share a batch, because the engine's scan at the
+*lowest* requested threshold computes a superset of every member's answer
+with bit-identical values:
 
-every execution strategy in this repo emits bit-identical correlation
+every exact execution strategy in this repo emits bit-identical correlation
 values for a surviving pair regardless of the threshold (the canonical
-layout + pairwise-sum invariants, property-tested per strategy), so deriving
-a member's result is a pure order-preserving subset filter of the floor
-scan's entries through the member query's own ``keep_mask``.
+layout + pairwise-sum invariants, property-tested per strategy), and keeps
+exactly the pairs at or above its threshold, so deriving a member's result
+is a pure order-preserving subset filter of the floor scan's entries
+through the member query's own ``keep_mask``.
 :func:`filter_threshold_result` is that filter; the Hypothesis property
 suite asserts it is bit-identical to an independent per-threshold run
 across random thresholds, layouts and batch compositions.
 
-One engine mechanism is excluded from batch scans: Dangoron's *temporal
-jumping* (Eq. 2, which a service runs only when its engine options ask for
-it) is a threshold-dependent recall heuristic — under its
-stationarity assumption a below-threshold pair skips windows, and a pair
-whose correlation rises faster than the bound predicts is caught late.
-Which windows get skipped depends on the scan's threshold, so a floor scan
-with jumping on could not reproduce each member's own schedule.  Batch
-leaders therefore run the floor scan with :func:`exact_scan_options`
-(jumping disabled, so the window-axis grid answers): the scan's survivor
-set is exactly ``{corr >= floor}``, derivation is
-bit-identical to an independent exact run of each member's query, and the
-answer is independent of batch composition.  Single-threshold batches are
-pure coalescing and keep the normal plan untouched.
+The rule is the served engine's ``exactness()``.  An approximate engine
+(ParCorr, StatStream, FilCorr) picks its candidates with a filter whose
+admissions depend on the threshold, so a floor scan can keep pairs an
+independent run at the member's threshold would never report: the service
+only coalesces identical requests to such an engine, and its answer never
+depends on concurrent traffic.
 
 The bookkeeping classes (:class:`BatchMember`, :class:`QueryBatch`) carry
 one open batch per ``(dataset, batch key)``: the first arrival becomes the
@@ -47,7 +42,6 @@ import json
 import threading
 from typing import Dict, List, Optional
 
-from repro.core.engine import engine_options
 from repro.core.query import SlidingQuery
 from repro.core.result import CorrelationSeriesResult, ThresholdedMatrix
 from repro.exceptions import ServiceError
@@ -73,32 +67,19 @@ def is_batchable(request: Dict[str, object]) -> bool:
 
 
 def batch_key_for(request: Dict[str, object]) -> str:
-    """The compatibility key: the request minus its threshold, canonically.
+    """The compatibility key of a batchable request: the request minus its
+    threshold, canonically.
 
     Everything else — window grid, ``threshold_mode``, ``include_edges`` —
     must match for two requests to share a scan; a
     differing ``threshold_mode`` changes the keep predicate and therefore
-    the key, never silently the semantics.  A request :func:`is_batchable`
-    rejects is compatible only with itself: its key is its exact identity,
-    so its batch holds one member slot that duplicates coalesce onto.
+    the key, never silently the semantics.  Any other request is
+    compatible only with itself: the service keys it by
+    :func:`canonical_request_key`, so its batch holds one member slot that
+    duplicates coalesce onto.
     """
-    if not is_batchable(request):
-        return canonical_request_key(request)
     spec = {key: value for key, value in request.items() if key != "threshold"}
     return json.dumps(spec, sort_keys=True, separators=(",", ":"))
-
-
-def exact_scan_options(engine: str, options: Dict[str, object]) -> Dict[str, object]:
-    """Engine options making ``engine``'s threshold scans threshold-exact.
-
-    For engines with Dangoron's temporal-jumping knob the heuristic is
-    switched off (its skip schedule depends on the scan threshold — see the
-    module docstring); engines without the knob run exhaustive or
-    soundly-pruned scans already and keep their options untouched.
-    """
-    if "use_temporal_pruning" in engine_options(engine):
-        return {**options, "use_temporal_pruning": False}
-    return dict(options)
 
 
 def filter_threshold_result(
@@ -107,11 +88,10 @@ def filter_threshold_result(
     """Derive ``query``'s result from a floor scan at a threshold ``<=`` its own.
 
     ``result`` must be the answer to the same query at a lower-or-equal
-    threshold (same grid, same ``threshold_mode``), produced by a
-    threshold-exact scan (see :func:`exact_scan_options`); each window's
-    surviving entries are filtered through ``query.keep_mask`` — an
-    order-preserving subset, bit-identical to an independent exact run of
-    ``query``.  The engine statistics are the floor scan's (one scan
+    threshold (same grid, same ``threshold_mode``), produced by an exact
+    engine (see the module docstring); each window's surviving entries are
+    filtered through ``query.keep_mask`` — an order-preserving subset,
+    bit-identical to an independent run of ``query``.  The engine statistics are the floor scan's (one scan
     happened; per-member work counters would be fiction).
     """
     floor = result.query

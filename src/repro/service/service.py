@@ -8,9 +8,8 @@ by every subsequent query; the service is that deployment shape:
 * one :class:`~repro.storage.catalog.Catalog` names the datasets,
 * each dataset gets a lazily-created :class:`DatasetRuntime` holding the raw
   :class:`~repro.storage.chunk_store.ChunkStore` in memory, one warm
-  :class:`~repro.storage.cache.SketchCache`, and at most two
-  :class:`~repro.api.CorrelationSession` objects (normal and
-  threshold-exact) that share it,
+  :class:`~repro.storage.cache.SketchCache`, and one
+  :class:`~repro.api.CorrelationSession` over it,
 * persisted :class:`~repro.storage.stats_index.StatsIndex` artefacts are
   *lazily materialized* into the cache: the first query that plans a layout
   matching an on-disk index seeds the cache from disk instead of paying the
@@ -18,11 +17,11 @@ by every subsequent query; the service is that deployment shape:
 * concurrent requests merge through one mechanism
   (:mod:`repro.service.batching`): identical requests of any family are
   **coalesced** — the first executes, the rest wait on it and share the same
-  response document — and *compatible* threshold queries — same dataset,
-  same window grid, different thresholds — are **batched**: one
-  threshold-exact scan runs at the lowest requested threshold and each
-  caller's answer is filtered from it, bit-identically to an independent
-  exact run of its own query,
+  response document — and, when the served engine answers exactly,
+  *compatible* threshold queries — same dataset, same window grid,
+  different thresholds — are **batched**: one scan runs at the lowest
+  requested threshold and each caller's answer is filtered from it,
+  bit-identically to an independent run of its own query,
 * a bounded per-dataset **admission queue** sheds overload with a 429 +
   ``Retry-After`` envelope instead of collapsing, and
 * standing queries keep only a :class:`~repro.streaming.online.WindowCursor`
@@ -58,6 +57,7 @@ from repro.api.queries import ThresholdQuery
 from repro.api.session import CorrelationSession
 from repro.config import DEFAULT_BASIC_WINDOW_SIZE
 from repro.core.basic_window import BasicWindowLayout
+from repro.core.result import EXACTNESS_EXACT
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import ServiceError, StorageError
 from repro.service.batching import (
@@ -135,8 +135,8 @@ class _StandingQuery:
 class DatasetRuntime:
     """Warm in-memory state of one catalog dataset.
 
-    Owns the chunk store, the shared sketch cache, its two sessions (normal
-    and threshold-exact), the standing queries and the per-dataset counters.
+    Owns the chunk store, the shared sketch cache, its one session, the
+    standing queries and the per-dataset counters.
     ``lock`` serializes execution and mutation; the open-batch map keeps
     most concurrent duplicates from ever contending on it.
     """
@@ -186,9 +186,8 @@ class DatasetRuntime:
         }  # guarded-by: lock
         self._watch_counter = 0  # guarded-by: lock
         self._matrix: Optional[TimeSeriesMatrix] = None  # guarded-by: lock
-        # Keyed by ``exact_scan`` -- see ``session_for``.
-        self._sessions: Dict[bool, CorrelationSession] = {}  # guarded-by: lock
-        # One cache for the dataset's whole lifetime: both sessions and every
+        self._session: Optional[CorrelationSession] = None  # guarded-by: lock
+        # One cache for the dataset's whole lifetime: every session and every
         # seeded on-disk index share it.
         self.sketch_cache = SketchCache()
         self._seed_labels_tried: set = set()  # guarded-by: lock
@@ -215,14 +214,11 @@ class DatasetRuntime:
                 self._matrix = self.store.to_matrix()
         return self._matrix
 
-    def session_for(self, exact_scan: bool = False) -> CorrelationSession:  # requires-lock: lock
-        """The warm session answering queries (threshold-exact or not)."""
-        session = self._sessions.get(exact_scan)
-        if session is None:
-            session = self._sessions[exact_scan] = self.config.session(
-                self.matrix, self.sketch_cache, exact_scan
-            )
-        return session
+    def session(self) -> CorrelationSession:  # requires-lock: lock
+        """The warm session answering queries over the current matrix."""
+        if self._session is None:
+            self._session = self.config.session(self.matrix, self.sketch_cache)
+        return self._session
 
     def seed_sketch_for(self, plan) -> bool:  # requires-lock: lock
         """Materialize a persisted stats index matching a plan's layout.
@@ -300,12 +296,12 @@ class DatasetRuntime:
         fingerprint = self.sketch_cache.extend_chain(self.matrix, columns)
         self.store.append(columns)
         self.counters["appended_columns"] += columns.shape[1]
-        # The matrix view and its sessions describe the old length; drop them
+        # The matrix view and its session describe the old length; drop them
         # so the next query sees the appended columns, and memoize the
         # chained fingerprint onto the rebuilt view so that query never
         # re-hashes the history the chain already accounted for.
         self._matrix = None
-        self._sessions.clear()
+        self._session = None
         self.sketch_cache.adopt_fingerprint(self.matrix, fingerprint)
         return {
             "appended_columns": int(columns.shape[1]),
@@ -319,7 +315,6 @@ class DatasetRuntime:
             query,
             num_series=self.store.num_series,
             basic_window_size=self.config.basic_window_size,
-            use_temporal_pruning=self.session_for().planner.jumps(),
         )
         self._watch_counter += 1
         watch = _StandingQuery(f"w{self._watch_counter}", query, cursor)
@@ -367,7 +362,7 @@ class DatasetRuntime:
             document: Dict[str, object] = {
                 **self.counters,
                 "admission": admission,
-                "sessions": len(self._sessions),
+                "sessions": int(self._session is not None),
                 "watches": len(self.watches),
                 "sketch_cache": {
                     "hits": cache.stats.hits,
@@ -418,7 +413,8 @@ class CorrelationService:
     retry_after_seconds:
         The ``Retry-After`` hint attached to shed responses.
     batch_window_seconds:
-        Group-commit window for threshold batching: a batch leader waits
+        Group-commit window for threshold batching (exact engines only;
+        see :meth:`_query_batched`): a batch leader waits
         this long (lock-free) before fixing the floor threshold and
         scanning, so a burst of compatible queries lands in one scan.  The
         default ``0.0`` adds no latency — batches then only accumulate
@@ -471,7 +467,8 @@ class CorrelationService:
         )
         # Resolve the engine once, so an unknown engine or option fails the
         # start rather than every threshold request that reaches it.
-        self.config.planner().resolve_engine()
+        engine = self.config.planner().resolve_engine()
+        self._batches_thresholds = engine.exactness() == EXACTNESS_EXACT
         self.service_workers = service_workers
         self.admission_queue_limit = admission_queue_limit
         self.retry_after_seconds = float(retry_after_seconds)
@@ -560,9 +557,10 @@ class CorrelationService:
         dataset already saturated sheds this request with a 429 carrying
         ``retry_after`` — the caller got a correct *refusal*, never a wrong
         answer.  Admitted requests join the dataset's open compatible batch:
-        threshold requests share one scan at the minimum threshold (every
-        member's answer filtered from it bit-identically), and exact
-        duplicates of any family coalesce onto one member slot.  A closed
+        under an exact engine, threshold requests share one scan at the
+        minimum threshold (every member's answer filtered from it
+        bit-identically), and exact duplicates of any family coalesce onto
+        one member slot.  A closed
         service answers 503.
         """
         if not isinstance(request, dict):
@@ -600,15 +598,20 @@ class CorrelationService:
     ) -> bytes:
         """Join (or lead) the open batch this request is compatible with.
 
-        Non-threshold requests are compatible only with their exact
-        duplicates (:func:`~repro.service.batching.batch_key_for`), so their
-        batch is plain coalescing onto one member slot.
+        Threshold requests share a batch across thresholds only when the
+        served engine answers exactly: deriving a member from a scan at a
+        lower threshold is sound only when the scan keeps exactly the pairs
+        at or above its threshold, and an approximate engine's filter admits
+        different candidates at different thresholds.  Every other request
+        is compatible only with its exact duplicates, so its batch is plain
+        coalescing onto one member slot.
         """
         # Parse *before* joining: a malformed request must fail alone, never
         # poison a batch other callers are waiting on.
         include_edges, query = self._parse_request(request)
         exact_key = canonical_request_key(request)
-        batch_key = batch_key_for(request)
+        batchable = self._batches_thresholds and is_batchable(request)
+        batch_key = batch_key_for(request) if batchable else exact_key
         with runtime.batches_lock:
             batch = runtime.batches.get(batch_key)
             if batch is not None and batch.closed and exact_key not in batch.members:
@@ -634,7 +637,7 @@ class CorrelationService:
                 runtime.counters["batched" if created else "coalesced"] += 1
             return member.payload
         try:
-            if self.batch_window_seconds > 0.0 and is_batchable(request):
+            if self.batch_window_seconds > 0.0 and batchable:
                 # Group-commit: wait lock-free so a burst of compatible
                 # queries joins before the floor threshold is fixed.
                 time.sleep(self.batch_window_seconds)
@@ -753,10 +756,6 @@ class CorrelationService:
         sketch = session.planner.materialize_sketch(session.matrix, plan)
         if sketch is None or not sketch.has_pairwise:
             return None
-        if runtime.session_for().planner.jumps():
-            # Materialized once here, so the segment carries it and workers
-            # share its pages; an exact service never reads it.
-            sketch.corr_prefix
         fingerprint = runtime.sketch_cache.fingerprint_of(session.matrix)
         path, generation = runtime.segments.ensure(
             runtime.store, sketch, fingerprint, runtime.store.series_ids
@@ -770,12 +769,10 @@ class CorrelationService:
         result object comes back only from an inline scan (a pooled one
         stays in the worker, which sends the bytes it encoded).
 
-        ``choose_query`` is called under the runtime lock and returns
-        ``(query, exact_scan)`` — for a batch leader that is the moment the
-        batch closes and its floor threshold is fixed, so joiners keep
-        accumulating for as long as the leader queued on the lock;
-        ``exact_scan`` is True for multi-threshold batches, whose scan must
-        be threshold-exact to derive every member bit-identically.
+        ``choose_query`` is called under the runtime lock and returns the
+        query — for a batch leader that is the moment the batch closes and
+        its floor threshold is fixed, so joiners keep accumulating for as
+        long as the leader queued on the lock.
         Planning, seeding and segment export also happen under the lock; a
         pooled scan then executes *outside* it, which is the concurrency the
         pool buys — N compatible batches or distinct queries scan on N cores
@@ -784,8 +781,8 @@ class CorrelationService:
         would, so the adaptive planner keeps learning under pooled serving.
         """
         with runtime.lock:
-            query, exact_scan = choose_query()
-            session = runtime.session_for(exact_scan)
+            query = choose_query()
+            session = runtime.session()
             plan = session.plan(query)
             runtime.seed_sketch_for(plan)
             job = self._segment_job(runtime, session, plan)
@@ -804,7 +801,6 @@ class CorrelationService:
             segment_dir,
             generation,
             include_edges=include_edges,
-            exact_scan=exact_scan,
         )
         with runtime.lock:
             runtime.counters["executed"] += 1
@@ -828,14 +824,11 @@ class CorrelationService:
         other scans, which is exactly when batching pays.  New thresholds
         arriving after the close open a replacement batch instead of missing
         this scan; exact duplicates keep coalescing until it completes.
-        Multi-threshold batches scan with the threshold-dependent jumping
-        heuristic disabled (:func:`~repro.service.batching
-        .exact_scan_options`) — its skip schedule varies with the scan
-        threshold, so an exact scan is what makes the members derivable.
-        Members' payloads are derived through
+        Only an exact engine's batches hold several thresholds (see
+        :meth:`_query_batched`).  Members' payloads are derived through
         :func:`filter_threshold_result` — a pure subset filter,
-        bit-identical to an independent exact run of each member's query
-        and independent of the batch's composition — and carry a ``batch``
+        bit-identical to an independent run of each member's query and
+        independent of the batch's composition — and carry a ``batch``
         marker documenting the shared scan.  Single-threshold batches — and
         every top-k or lagged batch, which can only hold one member slot —
         are pure coalescing and keep the normal plan.
@@ -855,8 +848,7 @@ class CorrelationService:
             floor = min(members, key=lambda m: m.query.threshold)
             state["members"] = members
             state["floor"] = floor
-            exact_scan = len({m.query.threshold for m in members}) > 1
-            return floor.query, exact_scan
+            return floor.query
 
         floor_body, plan, result = self._run_scan(
             runtime, close_and_choose_floor, include_edges

@@ -41,7 +41,6 @@ from typing import Dict, List, Optional
 from repro.api.planner import QueryPlanner
 from repro.api.session import CorrelationSession
 from repro.exceptions import ReproError, ServiceError
-from repro.service.batching import exact_scan_options
 # ``result_to_wire`` stays bound here for ``perf/trace.py``'s encode target.
 from repro.service.wire import encode_result, query_from_wire, result_to_wire  # noqa: F401
 from repro.storage.cache import SketchCache
@@ -78,34 +77,20 @@ class WorkerConfig:
     memory_budget: Optional[int] = None
 
     def session(
-        self,
-        matrix: TimeSeriesMatrix,
-        sketch_cache: SketchCache,
-        exact_scan: bool = False,
+        self, matrix: TimeSeriesMatrix, sketch_cache: SketchCache
     ) -> CorrelationSession:
         """The serial session answering queries over ``matrix``.
 
-        ``exact_scan`` sessions run with the threshold-dependent jumping
-        heuristic disabled (:func:`~repro.service.batching
-        .exact_scan_options`) — the configuration multi-threshold batch
-        leaders scan under so every member's derived answer is exact.
         Parent runtimes and pool workers both build their sessions here, so
         a pooled scan plans exactly as the in-process one would.
         """
-        return CorrelationSession(matrix, planner=self.planner(sketch_cache, exact_scan))
+        return CorrelationSession(matrix, planner=self.planner(sketch_cache))
 
-    def planner(
-        self, sketch_cache: Optional[SketchCache] = None, exact_scan: bool = False
-    ) -> QueryPlanner:
+    def planner(self, sketch_cache: Optional[SketchCache] = None) -> QueryPlanner:
         """The planner a :meth:`session` plans with."""
-        options = (
-            exact_scan_options(self.engine, self.engine_options)
-            if exact_scan
-            else self.engine_options
-        )
         return QueryPlanner(
             engine=self.engine,
-            engine_options=options,
+            engine_options=self.engine_options,
             basic_window_size=self.basic_window_size,
             sketch_cache=sketch_cache,
             memory_budget=self.memory_budget,
@@ -126,16 +111,7 @@ class _Attachment:
         # parent already fingerprinted.
         self.cache.adopt_fingerprint(self.matrix, segment.fingerprint)
         self.cache.seed(self.matrix, segment.sketch)
-        # Keyed by ``exact_scan`` -- see ``WorkerConfig.session``.
-        self._sessions: Dict[bool, CorrelationSession] = {}
-
-    def session_for(self, exact_scan: bool = False) -> CorrelationSession:
-        session = self._sessions.get(exact_scan)
-        if session is None:
-            session = self._sessions[exact_scan] = self.config.session(
-                self.matrix, self.cache, exact_scan
-            )
-        return session
+        self.session = config.session(self.matrix, self.cache)
 
 
 class AttachmentCache:
@@ -188,7 +164,7 @@ def _execute_query(
         message["dataset"], message["segment_dir"], message["generation"]
     )
     query = query_from_wire(message["spec"])
-    session = attachment.session_for(bool(message.get("exact_scan")))
+    session = attachment.session
     plan = session.plan(query)
     started = time.perf_counter()
     result = session.planner.execute(attachment.matrix, plan)
@@ -355,7 +331,6 @@ class WorkerPool:
         segment_dir: str,
         generation: int,
         include_edges: bool = False,
-        exact_scan: bool = False,
     ) -> Dict[str, object]:
         """Execute one query on a free worker; returns the worker's reply.
 
@@ -363,9 +338,6 @@ class WorkerPool:
         bytes, headed by ``dataset`` and ``plan``), the ``plan`` string,
         ``cost_key``/``wall_seconds`` for the parent's feedback store, and
         the ``generation`` the worker ended up attached to.
-        ``exact_scan`` jobs run under the threshold-exact session (see
-        :meth:`_Attachment.session_for`) — batch leaders dispatch them so
-        members derived from the floor scan stay bit-identical.
         """
         job = {
             "op": "query",
@@ -374,7 +346,6 @@ class WorkerPool:
             "segment_dir": str(segment_dir),
             "generation": int(generation),
             "include_edges": include_edges,
-            "exact_scan": exact_scan,
         }
         with self._lock:
             if self._closed:

@@ -2,11 +2,9 @@
 
 A *segment* is one dataset snapshot exported to disk so that forked worker
 processes can answer queries over it without duplicating the dominant
-arrays: the raw column values, every :class:`~repro.core.sketch
-.BasicWindowSketch` statistic tensor, and the lazily-derived ``corr_prefix``
-when the exported sketch holds one (the parent materializes it only when
-the served engine jumps) are each written as a plain ``.npy`` file and
-re-opened by workers with ``np.load(..., mmap_mode="r")``.  File-backed
+arrays: the raw column values and every :class:`~repro.core.sketch
+.BasicWindowSketch` statistic tensor are each written as a plain ``.npy``
+file and re-opened by workers with ``np.load(..., mmap_mode="r")``.  File-backed
 read-only pages are shared by the kernel across every attaching process, so
 N workers cost one copy of the sketch, not N — the property the service's
 per-worker RSS assertion measures.
@@ -26,13 +24,13 @@ Layout of one exported segment directory::
         series_sums.npy      (N, count)
         series_sumsqs.npy    (N, count)
         pair_sumprods.npy    (P, count)      packed, P = N (N - 1) / 2
-        corr_prefix.npy      (P, count + 1)  only when the sketch held it
 
 ``manifest.json`` is written last, so a crashed or torn export is never
 attachable.  Its ``arrays`` list names the statistic tensors the segment
-holds, and attach reads exactly those: a missing or torn listed array, like
-every other attach failure, raises :class:`~repro.exceptions.StorageError`
-naming the offending path.
+holds and must be exactly the three above (older exports could add the
+jumping prefix).  A manifest listing anything else, or a missing or torn
+array, like every other attach failure, raises
+:class:`~repro.exceptions.StorageError` naming the offending path.
 """
 
 from __future__ import annotations
@@ -51,14 +49,14 @@ from repro.exceptions import StorageError
 
 #: Version tag checked on attach, so a layout change cannot be silently
 #: misread: v4 packs the strict upper triangle (no diagonal rows) and lists
-#: its statistic tensors in the manifest (``corr_prefix`` is optional); v3
+#: its statistic tensors in the manifest (exactly :data:`_SKETCH_ARRAYS`); v3
 #: (diagonal rows, ``N (N + 1) / 2`` of them), v2 (always a prefix, no list)
 #: and v1 (dense ``(count, N, N)``) segments are refused.
 SEGMENT_SCHEMA = "repro.segment/v4"
 
 #: The sketch statistic tensors every segment carries, in export order.  The
 #: raw ``values`` array is handled separately (it streams from the chunk
-#: store); ``corr_prefix`` follows them when the sketch holds one.
+#: store).
 _SKETCH_ARRAYS = (
     "series_sums",
     "series_sumsqs",
@@ -70,8 +68,7 @@ class SharedSegment:
     """One attached segment: the manifest plus read-only memmapped arrays.
 
     ``values`` is the ``(N, L)`` column matrix and ``sketch`` a
-    :class:`BasicWindowSketch` whose statistic tensors (including the
-    injected ``corr_prefix``, when the segment lists one) are views over the
+    :class:`BasicWindowSketch` whose statistic tensors are views over the
     segment files — nothing here holds a private copy of the dominant
     arrays.
     """
@@ -130,8 +127,7 @@ def export_segment(
     values file chunk by chunk, so the export never materializes a second
     dense copy of the data.  ``sketch`` must carry pairwise statistics —
     a per-series-only sketch cannot answer the correlation scans workers
-    run.  Its ``corr_prefix`` is exported when it is materialized, and only
-    then.  The manifest is written last; see the module docstring.
+    run.  The manifest is written last; see the module docstring.
     """
     if not sketch.has_pairwise:
         raise StorageError(
@@ -160,11 +156,6 @@ def export_segment(
     del values
 
     arrays = {name: getattr(sketch, name) for name in _SKETCH_ARRAYS}
-    if sketch.has_corr_prefix:
-        # Attaching workers of a jumping service mmap the parent's prefix
-        # instead of each allocating their own (which would void the
-        # shared-memory win).
-        arrays["corr_prefix"] = sketch.corr_prefix
     shapes: Dict[str, List[int]] = {"values": [int(store.num_series), int(store.length)]}
     for name, array in arrays.items():
         np.save(target / f"{name}.npy", np.asarray(array))
@@ -232,12 +223,11 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
         )
     shapes = manifest["shapes"]
     listed = manifest.get("arrays")
-    if not isinstance(listed, list) or not (
-        set(_SKETCH_ARRAYS) <= set(listed) <= {*_SKETCH_ARRAYS, "corr_prefix"}
-    ):
+    if listed != list(_SKETCH_ARRAYS):
         raise StorageError(
-            f"{manifest_path} must list the statistic arrays "
-            f"{list(_SKETCH_ARRAYS)} (optionally corr_prefix), got {listed!r}"
+            f"{manifest_path} must list exactly the statistic arrays "
+            f"{list(_SKETCH_ARRAYS)}, got {listed!r}; segments carry no "
+            f"other array (re-export the snapshot)"
         )
     values = _load_array(path / "values.npy", tuple(shapes["values"]))
     loaded = {
@@ -255,8 +245,6 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
         series_sumsqs=loaded["series_sumsqs"],
         pair_sumprods=loaded["pair_sumprods"],
     )
-    if "corr_prefix" in loaded:
-        sketch.attach_corr_prefix(loaded["corr_prefix"])
     return SharedSegment(path, manifest, values, sketch)
 
 

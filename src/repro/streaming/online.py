@@ -1,14 +1,11 @@
 """Online correlation-network monitoring over a live stream.
 
 A standing threshold query is a :class:`WindowCursor`: the next sliding window
-to emit plus, per pair, the window at which it is next due.  It advances over
-any sketch covering the stream from column 0.  With jumping, that is one
-:func:`repro.core.dangoron.step_window` call per newly complete window — the
-offline engine's own step, Eq. 2 scheduling included (the outgoing basic
-windows the bound reads are always in the past, so it is computable online).
-Without it, the newly complete windows are one
+to emit.  It advances over any sketch covering the stream from column 0: the
+newly complete windows are one
 :meth:`~repro.core.sketch.BasicWindowSketch.exact_pairs_grid` pass, the
-offline engine's exact kernel.
+offline engine's exact kernel, so every emitted window equals the offline
+answer bit for bit, however the arriving columns were batched.
 
 :class:`OnlineCorrelationMonitor` is a cursor that owns its stream: it buffers
 the columns that do not yet fill a basic window and grows its sketch with
@@ -26,8 +23,6 @@ import numpy as np
 
 from repro.config import DEFAULT_BASIC_WINDOW_SIZE
 from repro.core.basic_window import BasicWindowLayout, choose_basic_window_size
-from repro.core.dangoron import step_window
-from repro.core.jumping import JumpScheduler
 from repro.core.query import THRESHOLD_SIGNED, SlidingQuery
 from repro.core.result import ThresholdedMatrix
 from repro.core.sketch import BasicWindowSketch, pair_slots
@@ -44,11 +39,10 @@ class OnlineWindowResult:
     end: int
     matrix: ThresholdedMatrix
     exact_evaluations: int = 0
-    skipped_pairs: int = 0
 
 
 class WindowCursor:
-    """Scheduler state of one standing threshold query over a growing stream.
+    """State of one standing threshold query over a growing stream.
 
     Parameters
     ----------
@@ -56,14 +50,11 @@ class WindowCursor:
         Number of series in the stream.
     window, step:
         Sliding-window size and step, in columns.  Both must be multiples of
-        ``basic_window_size`` (the aligned regime the pruned engine uses).
+        ``basic_window_size`` (the aligned regime Dangoron's grid uses).
     threshold:
         The correlation threshold ``beta`` (signed: keep ``c >= beta``).
     basic_window_size:
         Basic-window size of the statistics the cursor advances over.
-    use_temporal_pruning:
-        Apply the Eq. 2 jump scheduling across emitted windows (the paper's
-        configuration; ``False`` answers every window exactly).
 
     The sketch is an argument of :meth:`advance`, never state — several
     cursors (and ordinary queries) share one.
@@ -76,7 +67,6 @@ class WindowCursor:
         step: int,
         threshold: float,
         basic_window_size: int = DEFAULT_BASIC_WINDOW_SIZE,
-        use_temporal_pruning: bool = True,
     ) -> None:
         if num_series < 1:
             raise StreamingError(f"num_series must be positive, got {num_series}")
@@ -97,12 +87,10 @@ class WindowCursor:
         self.step = step
         self.threshold = threshold
         self.basic_window_size = basic_window_size
-        self.use_temporal_pruning = use_temporal_pruning
         #: Windows emitted so far, i.e. the index of the next one.
         self.emitted_windows = 0
         self._rows, self._cols = np.triu_indices(num_series, k=1)
         self._slots = pair_slots(num_series, self._rows, self._cols)
-        self._scheduler = JumpScheduler(len(self._rows), num_windows=None)
 
     @classmethod
     def for_query(
@@ -110,14 +98,12 @@ class WindowCursor:
         query: SlidingQuery,
         num_series: int,
         basic_window_size: int = DEFAULT_BASIC_WINDOW_SIZE,
-        use_temporal_pruning: bool = True,
     ) -> "WindowCursor":
         """Answer a threshold query spec over a live stream.
 
         The push-based twin of ``CorrelationSession.run``: the query supplies
         window, step and threshold, and the basic-window size is aligned to
-        them with the rule the offline planner uses; callers pass the
-        engine's ``use_temporal_pruning`` so both answer alike.  Only
+        them with the rule the offline planner uses.  Only
         signed-threshold specs stream; top-k, lagged and absolute-mode queries
         raise :class:`StreamingError`, and so does ``start > 0`` (a standing
         query watches the stream from its first column; it is not silently
@@ -146,7 +132,6 @@ class WindowCursor:
             basic_window_size=choose_basic_window_size(
                 query.window, query.step, basic_window_size
             ),
-            use_temporal_pruning=use_temporal_pruning,
         )
 
     def equivalent_query(self, total_columns: int) -> SlidingQuery:
@@ -172,39 +157,18 @@ class WindowCursor:
             return []
         query = self.equivalent_query(layout.covered_end)
         windows = range(self.emitted_windows, query.num_windows)
-        if not self.use_temporal_pruning:
-            found, _ = sketch.exact_pairs_grid(
-                self._rows, self._cols, query, windows, slots=self._slots
-            )
-            self.emitted_windows = max(self.emitted_windows, query.num_windows)
-            return [
-                OnlineWindowResult(
-                    k, *query.window_bounds(k),
-                    ThresholdedMatrix(self.num_series, *edges),
-                    exact_evaluations=len(self._rows),
-                )
-                for k, edges in zip(windows, found)
-            ]
-        step_bw = self.step // layout.size
-        results = []
-        for k in windows:
-            begin, end = query.window_bounds(k)
-            due = self._scheduler.due_indices(k)
-            # The Eq. 2 bound reads the basic windows that slide *out*; it
-            # can look only as many steps ahead as already-indexed outgoing
-            # windows exist (pairs parked at the cap simply re-enter when due).
-            horizon = (layout.count - begin // layout.size) // step_bw
-            edges = step_window(
-                sketch, query, self._rows, self._cols, self._scheduler, k, due,
-                horizon, use_temporal_pruning=self.use_temporal_pruning,
-                slots=self._slots,
-            )
-            results.append(OnlineWindowResult(
-                k, begin, end, ThresholdedMatrix(self.num_series, *edges),
-                exact_evaluations=len(due), skipped_pairs=len(self._rows) - len(due),
-            ))
+        found, _ = sketch.exact_pairs_grid(
+            self._rows, self._cols, query, windows, slots=self._slots
+        )
         self.emitted_windows = max(self.emitted_windows, query.num_windows)
-        return results
+        return [
+            OnlineWindowResult(
+                k, *query.window_bounds(k),
+                ThresholdedMatrix(self.num_series, *edges),
+                exact_evaluations=len(self._rows),
+            )
+            for k, edges in zip(windows, found)
+        ]
 
 
 class OnlineCorrelationMonitor(WindowCursor):

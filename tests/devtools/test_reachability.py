@@ -33,9 +33,9 @@ ALLOWLIST: Dict[str, str] = {
         "scalar Pearson oracle that tests/unit/tomborg/test_noise.py and "
         "tests/unit/core/test_lag.py compare against"
     ),
-    "core/bounds.py::max_skippable_steps_scalar": (
-        "scalar Eq. 2 oracle that tests/unit/core/test_bounds.py compares "
-        "the vectorised bound against"
+    "experiments/jumping.py::max_skippable_steps_scalar": (
+        "scalar Eq. 2 oracle that tests/unit/experiments/test_bounds.py "
+        "compares the vectorised bound against"
     ),
 }
 

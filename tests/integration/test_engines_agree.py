@@ -13,11 +13,11 @@ from repro.baselines.brute_force import BruteForceEngine
 from repro.baselines.parcorr import ParCorrEngine
 from repro.baselines.statstream import StatStreamEngine
 from repro.baselines.tsubasa import TsubasaEngine
-from repro.core.dangoron import DangoronEngine
 from repro.core.query import SlidingQuery
 from repro.datasets.climate import SyntheticUSCRN
 from repro.datasets.finance import SyntheticMarket
 from repro.datasets.fmri import SyntheticBOLD
+from repro.experiments.jumping import JumpingEngine
 
 
 def _workloads():
@@ -63,7 +63,7 @@ class TestEnginesAgree:
 
     def test_dangoron_meets_paper_accuracy(self, name, matrix, query, basic):
         exact = BruteForceEngine().run(matrix, query)
-        pruned = DangoronEngine(basic_window_size=basic).run(matrix, query)
+        pruned = JumpingEngine(basic_window_size=basic).run(matrix, query)
         report = compare_results(pruned, exact)
         assert report.precision == pytest.approx(1.0)
         assert report.recall >= 0.9
@@ -76,7 +76,7 @@ class TestEnginesAgree:
             assert compare_results(result, exact).precision == pytest.approx(1.0)
 
     def test_engine_stats_are_consistent(self, name, matrix, query, basic):
-        result = DangoronEngine(basic_window_size=basic).run(matrix, query)
+        result = JumpingEngine(basic_window_size=basic).run(matrix, query)
         stats = result.stats
         assert stats.num_windows == query.num_windows
         assert stats.exact_evaluations <= stats.total_pair_windows

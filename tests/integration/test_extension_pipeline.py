@@ -87,7 +87,6 @@ class TestStreamingVsOffline:
         matrix = TimeSeriesMatrix(values)
         online = OnlineCorrelationMonitor(
             num_series=4, window=128, step=64, threshold=0.8, basic_window_size=32,
-            use_temporal_pruning=False,
         )
         monitor = NetworkChangeMonitor(monitor=online)
         for start in range(0, 512, 64):

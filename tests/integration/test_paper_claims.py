@@ -5,10 +5,15 @@ scale; these tests assert the same *direction* of the results at a scale small
 enough for the regular test suite, so a regression that destroys the headline
 behaviour is caught by ``pytest tests/`` alone:
 
-* Dangoron answers the climate workload faster than TSUBASA (the full-scale
-  gap is ~an order of magnitude; here we only require a strict win).
+* Dangoron with the paper's Eq. 2 jumping (the experiment engine
+  :class:`~repro.experiments.jumping.JumpingEngine`) answers the climate
+  workload faster than TSUBASA (the full-scale gap is ~an order of
+  magnitude; here we only require a strict win).
 * Its edge-set accuracy stays above 90%.
 * Its accuracy is comparable to (not much worse than) verified ParCorr.
+* Every edge it reports is one of the product's exact grid answer, with the
+  same bits; its recall against the grid is reported as
+  ``jumping_recall_vs_grid``.
 """
 
 import pytest
@@ -20,6 +25,7 @@ from repro.baselines.brute_force import BruteForceEngine
 from repro.baselines.parcorr import ParCorrEngine
 from repro.baselines.tsubasa import TsubasaEngine
 from repro.core.dangoron import DangoronEngine
+from repro.experiments.jumping import JumpingEngine
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +37,7 @@ def comparison():
     engines = [
         BruteForceEngine(),
         TsubasaEngine(basic_window_size=workload.basic_window_size),
-        DangoronEngine(basic_window_size=workload.basic_window_size),
+        JumpingEngine(basic_window_size=workload.basic_window_size),
         ParCorrEngine(seed=1),
     ]
     return run_comparison(workload, engines=engines)
@@ -42,7 +48,7 @@ class TestPaperClaims:
         """Timing claim, made robust to scheduler noise by taking min-of-3 runs."""
         workload = comparison.workload
         tsubasa = TsubasaEngine(basic_window_size=workload.basic_window_size)
-        dangoron = DangoronEngine(basic_window_size=workload.basic_window_size)
+        dangoron = JumpingEngine(basic_window_size=workload.basic_window_size)
         tsubasa_best = min(
             tsubasa.run(workload.matrix, workload.query).stats.query_seconds
             for _ in range(3)
@@ -84,3 +90,35 @@ class TestPaperClaims:
         tsubasa = comparison.row("tsubasa")
         assert brute.edges == tsubasa.edges
         assert tsubasa.recall == pytest.approx(1.0)
+
+    def test_jumping_edges_are_the_grids_with_their_bits(
+        self, comparison, record_property
+    ):
+        """Precision 1.0 against the exact grid, value for value; recall is
+        what jumping's skipped windows cost."""
+        workload = comparison.workload
+        size = workload.basic_window_size
+        jumping = JumpingEngine(basic_window_size=size).run(
+            workload.matrix, workload.query
+        )
+        grid = DangoronEngine(basic_window_size=size).run(
+            workload.matrix, workload.query
+        )
+        found = 0
+        for ours, exact in zip(jumping.matrices, grid.matrices):
+            exact_values = {
+                pair: value.tobytes()
+                for pair, value in zip(
+                    zip(exact.rows.tolist(), exact.cols.tolist()), exact.values
+                )
+            }
+            for pair, value in zip(
+                zip(ours.rows.tolist(), ours.cols.tolist()), ours.values
+            ):
+                assert exact_values.get(pair) == value.tobytes(), pair
+            found += ours.num_edges
+        total = grid.total_edges()
+        assert total > 0
+        recall = found / total
+        record_property("jumping_recall_vs_grid", recall)
+        assert recall >= 0.9

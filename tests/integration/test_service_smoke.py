@@ -166,8 +166,8 @@ def test_appended_stream_refreshes_sketch_incrementally(client, values):
 # Scenario-matrix smoke: the execution cells served over
 # ``repro.result/v1``.  A second server is configured with a memory budget
 # below the dense matrix, so top-k sketches build tiled and lagged queries
-# stream their window buffers — while a jumping Dangoron answers threshold
-# queries from the same tiled sketch.  Every response must be bit-identical
+# stream their window buffers — while Dangoron's exact grid answers
+# threshold queries from the same tiled sketch.  Every response must be bit-identical
 # to a plain dense in-process run, and each response's ``plan`` string must
 # prove the cell actually executed (no silent dense fallback passing as
 # coverage).
@@ -176,8 +176,6 @@ MATRIX_NUM = 96
 #: Below the 96 x 512 x 8B = 384 KiB dense matrix, above one 96 x 128-column
 #: window buffer (96 KiB): sketch builds tile and lagged windows stream.
 MATRIX_BUDGET = 128 * 1024
-#: Dangoron's Eq. 2 jumping: the one pruning the product offers.
-PRUNED_OPTIONS = {"use_temporal_pruning": True}
 
 
 @pytest.fixture(scope="module")
@@ -196,10 +194,7 @@ def matrix_client(tmp_path_factory, matrix_values):
     catalog = Catalog(tmp_path_factory.mktemp("matrix-catalog"))
     catalog.add_dataset("cells", store, description="scenario-matrix dataset")
     service = CorrelationService(
-        catalog,
-        engine_options=dict(PRUNED_OPTIONS),
-        basic_window_size=BASIC,
-        memory_budget=MATRIX_BUDGET,
+        catalog, basic_window_size=BASIC, memory_budget=MATRIX_BUDGET,
     )
     with CorrelationServer(service) as server:
         yield ServiceClient(server.url)
@@ -208,11 +203,7 @@ def matrix_client(tmp_path_factory, matrix_values):
 @pytest.fixture(scope="module")
 def matrix_reference(matrix_values):
     """Serial, dense, in-process: the bit-identity baseline for every cell."""
-    return CorrelationSession(
-        TimeSeriesMatrix(matrix_values),
-        engine_options=dict(PRUNED_OPTIONS),
-        basic_window_size=BASIC,
-    )
+    return CorrelationSession(TimeSeriesMatrix(matrix_values), basic_window_size=BASIC)
 
 
 def _served(client, query):
@@ -220,13 +211,13 @@ def _served(client, query):
     return document["plan"], result_from_wire(document)
 
 
-def test_matrix_smoke_pruned_threshold(matrix_client, matrix_reference):
+def test_matrix_smoke_threshold_tiled(matrix_client, matrix_reference):
     query = ThresholdQuery(start=0, end=LENGTH, window=128, step=32, threshold=0.55)
     local = matrix_reference.run(query)
     plan, remote = _served(matrix_client, query)
     assert "exec=serial" in plan
-    # Jumping reads only the sketch, so the budget bounds the build.
-    assert "answer=heuristic(jumping)" in plan
+    # The grid reads only the sketch, so the budget bounds the build.
+    assert "answer=exact" in plan
     assert f"build=tiled(budget={MATRIX_BUDGET}B)" in plan
     for (_, ours), (_, theirs) in zip(local.iter_windows(), remote.iter_windows()):
         np.testing.assert_array_equal(ours.rows, theirs.rows)

@@ -48,10 +48,7 @@ class TestSweepReuse:
         session = CorrelationSession(
             workload.matrix, basic_window_size=workload.basic_window_size
         )
-        # The engine as the planner configures it: exact, no jumping.
-        engine = DangoronEngine(
-            basic_window_size=workload.basic_window_size, use_temporal_pruning=False
-        )
+        engine = DangoronEngine(basic_window_size=workload.basic_window_size)
         for beta in THRESHOLDS:
             query = workload.query.with_threshold(beta)
             assert session.run(query).edge_sets() == engine.run(

@@ -71,7 +71,6 @@ class TestStreamingMatchesOffline:
             step=128,
             threshold=0.7,
             basic_window_size=64,
-            use_temporal_pruning=False,
         )
         emitted = []
         for start in range(0, matrix.length, 160):

@@ -3,26 +3,23 @@
 The service's compatible-query batching (PR 10) answers a batch of threshold
 queries differing only in their threshold with **one** engine scan at the
 minimum threshold, deriving every member's result through
-:func:`repro.service.batching.filter_threshold_result`.  Batch leaders run
-that scan under :func:`repro.service.batching.exact_scan_options` — the
-threshold-dependent temporal-jumping heuristic off — because a heuristic
-scan's skip schedule varies with the scan threshold and could not reproduce
-each member's own run.  The soundness argument under the exact
-configuration (engine values are bit-identical for surviving pairs
-regardless of threshold; the filter is an order-preserving subset) is
-asserted here across random data, window
+:func:`repro.service.batching.filter_threshold_result`.  It does so only
+when the served engine answers exactly: a heuristic or approximate scan's
+survivors vary with the scan threshold and could not reproduce each
+member's own run.  The soundness argument for an exact engine (values are
+bit-identical for surviving pairs regardless of threshold; the filter is
+an order-preserving subset) is asserted here across random data, window
 layouts, threshold modes and batch compositions: for every member, the
 derived result must equal an *independent* serial run of that member's own
-query under the same exact scan — same edges, same float bits, same
-per-window ordering.
+query — same edges, same float bits, same per-window ordering.
 
-A deterministic regression pins *why* the heuristic is excluded: a case
-where Dangoron's jumping schedule at a member's threshold skips a window
-whose correlation rose above it (the documented stationarity caveat), which
-the batch's exact floor scan catches.  Two guardrail tests pin the filter's
-refusals: deriving from a scan whose threshold *exceeds* a member's (not a
-superset) or whose grid differs (not compatible) must raise, never silently
-return an incomplete answer.
+A deterministic regression pins *why* heuristics are excluded: a case
+where the jumping experiment's schedule at a member's threshold skips a
+window whose correlation rose above it (the documented stationarity
+caveat), which the exact floor scan catches.  Two guardrail tests pin the
+filter's refusals: deriving from a scan whose threshold *exceeds* a
+member's (not a superset) or whose grid differs (not compatible) must
+raise, never silently return an incomplete answer.
 """
 
 from __future__ import annotations
@@ -34,9 +31,9 @@ from hypothesis import given, settings, strategies as st
 from repro.api import CorrelationSession, ThresholdQuery
 from repro.core.query import THRESHOLD_ABSOLUTE, THRESHOLD_SIGNED
 from repro.exceptions import ServiceError
+from repro.experiments.jumping import JumpingEngine
 from repro.service.batching import (
     batch_key_for,
-    exact_scan_options,
     filter_threshold_result,
     is_batchable,
 )
@@ -44,9 +41,6 @@ from repro.timeseries.matrix import TimeSeriesMatrix
 
 NUM_SERIES = 5
 BASIC = 8
-
-#: The scan configuration batch leaders use (jumping heuristic disabled).
-EXACT_OPTIONS = exact_scan_options("dangoron", {})
 
 
 def _matrix(seed: int, length: int) -> TimeSeriesMatrix:
@@ -82,9 +76,7 @@ def batch_cases(draw):
 def test_batched_answers_bit_identical_to_serial_runs(case):
     seed, window, step, length, mode, thresholds = case
     matrix = _matrix(seed, length)
-    session = CorrelationSession(
-        matrix, basic_window_size=BASIC, engine_options=EXACT_OPTIONS
-    )
+    session = CorrelationSession(matrix, basic_window_size=BASIC)
 
     def query_at(threshold: float) -> ThresholdQuery:
         return ThresholdQuery(
@@ -115,9 +107,7 @@ def test_duplicate_and_extreme_thresholds_in_one_batch(case):
     """Batch compositions with duplicates and the floor itself still derive."""
     seed, window, step, length, mode, thresholds = case
     matrix = _matrix(seed, length)
-    session = CorrelationSession(
-        matrix, basic_window_size=BASIC, engine_options=EXACT_OPTIONS
-    )
+    session = CorrelationSession(matrix, basic_window_size=BASIC)
     # Compose a batch of: every drawn threshold, the floor twice (duplicate
     # members), and a threshold high enough to keep nothing.
     composition = sorted(set(thresholds)) + [min(thresholds), 0.999999]
@@ -134,16 +124,17 @@ def test_duplicate_and_extreme_thresholds_in_one_batch(case):
 
 
 def test_batch_scans_exclude_the_jumping_heuristic():
-    """The regression that forced ``exact_scan_options`` (found by Hypothesis).
+    """The regression that first kept jumping out of batch scans (found by
+    Hypothesis).
 
-    On this data Dangoron's temporal jumping (opt-in), evaluated at
-    threshold 0.5, schedules pair (2, 3) past window 1 — where its true
-    correlation is ~0.565, above the threshold (the engine's documented
-    stationarity caveat: a pair rising faster than the Eq. 2 bound predicts
-    is caught late).  A floor scan with jumping on would therefore answer
-    differently than a member's own run.  With the batch path's exact
-    configuration, the floor-derived answer and the member's independent
-    exact run agree bit-for-bit — and both report the edge.
+    On this data the paper's temporal jumping, evaluated at threshold 0.5,
+    schedules pair (2, 3) past window 1 — where its true correlation is
+    ~0.565, above the threshold (the documented stationarity caveat: a pair
+    rising faster than the Eq. 2 bound predicts is caught late).  A floor
+    scan with jumping on would therefore answer differently than a member's
+    own run.  With the product's exact engine, the floor-derived answer and
+    the member's independent run agree bit-for-bit — and both report the
+    edge.
     """
     length, window, step = 32, 24, 8
     matrix = _matrix(1, length)
@@ -152,10 +143,7 @@ def test_batch_scans_exclude_the_jumping_heuristic():
         threshold=0.5, threshold_mode=THRESHOLD_SIGNED,
     )
 
-    heuristic = CorrelationSession(
-        matrix, basic_window_size=BASIC,
-        engine_options={"use_temporal_pruning": True},
-    ).run(member)
+    heuristic = JumpingEngine(basic_window_size=BASIC).run(matrix, member)
     heuristic_edges = {
         (w, r, c)
         for w, m in enumerate(heuristic.matrices)
@@ -164,17 +152,12 @@ def test_batch_scans_exclude_the_jumping_heuristic():
     assert (1, 2, 3) not in heuristic_edges  # the documented recall miss
     assert heuristic.stats.skipped_by_jumping > 0
 
-    exact_session = CorrelationSession(
-        matrix, basic_window_size=BASIC, engine_options=EXACT_OPTIONS
-    )
+    exact_session = CorrelationSession(matrix, basic_window_size=BASIC)
     floor = exact_session.run(member.with_threshold(0.0))
     derived = filter_threshold_result(floor, member)
     independent = exact_session.run(member)
     assert derived.to_edges() == independent.to_edges()
     assert any(w == 1 and r == 2 and c == 3 for w, r, c, *_ in derived.to_edges())
-    # The default session answers exactly too: jumping is opt-in.
-    default = CorrelationSession(matrix, basic_window_size=BASIC).run(member)
-    assert default.to_edges() == independent.to_edges()
 
 
 def test_filter_rejects_scan_that_is_not_a_superset():

@@ -236,8 +236,7 @@ def test_ordinary_data_verifies_little_more_than_it_emits():
 
 
 def test_the_engine_and_the_stream_answer_with_the_grid():
-    """``DangoronEngine`` without pruning and a non-jumping standing query
-    both emit the grid's windows."""
+    """``DangoronEngine`` and a standing query both emit the grid's windows."""
     from repro.core.dangoron import DangoronEngine
     from repro.streaming.online import OnlineCorrelationMonitor
     from repro.timeseries.matrix import TimeSeriesMatrix
@@ -246,7 +245,7 @@ def test_the_engine_and_the_stream_answer_with_the_grid():
     size, count, num_series = 8, 30, 7
     values = shaped_rows(rng, "plain", num_series, count * size)
     query = SlidingQuery(0, count * size, 6 * size, size, 0.4)
-    engine = DangoronEngine(basic_window_size=size, use_temporal_pruning=False)
+    engine = DangoronEngine(basic_window_size=size)
     result = engine.run(TimeSeriesMatrix(values), query)
     sketch = BasicWindowSketch.build(values, engine.plan_layout(query))
     rows, cols = np.triu_indices(num_series, k=1)
@@ -254,9 +253,7 @@ def test_the_engine_and_the_stream_answer_with_the_grid():
     assert_same_windows([(m.rows, m.cols, m.values) for m in result.matrices], expected)
     assert result.stats.exactness == "exact"
 
-    monitor = OnlineCorrelationMonitor(
-        num_series, 6 * size, size, 0.4, size, use_temporal_pruning=False
-    )
+    monitor = OnlineCorrelationMonitor(num_series, 6 * size, size, 0.4, size)
     emitted = []
     for start in range(0, count * size, 13):
         emitted += monitor.append(values[:, start : start + 13])

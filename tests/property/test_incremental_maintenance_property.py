@@ -6,9 +6,7 @@ sequence of appended batches (including batches smaller than one basic
 window, which must sit in the chain's tail buffer until a window completes):
 
 1. a sketch refreshed through ``SketchCache.get_or_extend`` is **bitwise**
-   equal to one built from scratch over the full stream (and a prefix the
-   base sketch had materialized is carried forward to the same bits, at the
-   cost of the delta windows' correlations only), and
+   equal to one built from scratch over the full stream, and
 2. the chained fingerprint equals ``matrix_fingerprint`` of the grown
    matrix computed from scratch — so extended sketches re-key exactly where
    a cold cache would file them.
@@ -16,15 +14,8 @@ window, which must sit in the chain's tail buffer until a window completes):
 The same growth path serves persisted indexes and the online monitor, so one
 more input — an arbitrary chunking of one stream — checks them too:
 ``StatsIndex.extend`` over the chunks equals ``BasicWindowSketch.build`` over
-the concatenation bit for bit, and the monitor emits the same windows however
-its columns were batched.  (With Eq. 2 jumping on, a window emitted late —
-with more data already indexed — may look further ahead than one emitted the
-moment it completed, so batching can change which below-threshold pairs are
-re-examined; what holds for every batching is that the same windows are
-emitted in order and every emitted edge is an exact one, bit for bit.
-That batching-dependence predates the shared stepper and is tracked as the
-ROADMAP open item "the online Eq. 2 horizon depends on batching"; tighten
-the last assertion to equality when it is closed.)
+the concatenation bit for bit, and the monitor emits the same windows, bit
+for bit, however its columns were batched.
 """
 
 from unittest import mock
@@ -37,6 +28,7 @@ from repro.core import sketch as sketch_module
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.query import SlidingQuery
 from repro.core.sketch import BasicWindowSketch
+from repro.experiments.jumping import correlation_prefix
 from repro.storage.cache import SketchCache, matrix_fingerprint
 from repro.storage.stats_index import StatsIndex
 from repro.streaming.online import OnlineCorrelationMonitor
@@ -105,7 +97,10 @@ def test_any_append_split_extends_bit_identically(case):
     assert refreshed.series_sumsqs.tobytes() == scratch.series_sumsqs.tobytes()
     if pairwise:
         assert refreshed.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
-        assert refreshed.corr_prefix.tobytes() == scratch.corr_prefix.tobytes()
+        assert (
+            correlation_prefix(refreshed).tobytes()
+            == correlation_prefix(scratch).tobytes()
+        )
 
 
 @given(
@@ -116,14 +111,13 @@ def test_any_append_split_extends_bit_identically(case):
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_an_extended_sketch_carries_its_prefixes_forward(
+def test_an_extended_sketch_answers_like_a_scratch_build(
     num_series, size, base_windows, deltas, seed
 ):
     values = np.random.default_rng(seed).standard_normal(
         (num_series, size * (base_windows + sum(deltas)))
     )
     sketch = BasicWindowSketch.build(values, BasicWindowLayout(0, size, base_windows))
-    sketch.corr_prefix  # materialize the prefix
     computed = []
     kernel = sketch_module.pair_corrs_from_stats
 
@@ -136,16 +130,12 @@ def test_an_extended_sketch_carries_its_prefixes_forward(
         for delta in deltas:
             begin = sketch.layout.covered_end
             sketch = sketch.extend(values[:, begin : begin + size * delta])
-            assert sketch.has_corr_prefix
-        carried = sketch.corr_prefix
-    # Only the delta windows' correlations were computed, once per extend.
-    num_slots = num_series * (num_series - 1) // 2
-    assert computed == [(num_slots, delta) for delta in deltas]
+    # The sketch keeps no correlations: growing it computes none.
+    assert computed == []
 
     scratch = BasicWindowSketch.build(
         values, BasicWindowLayout(0, size, base_windows + sum(deltas))
     )
-    assert carried.tobytes() == scratch.corr_prefix.tobytes()
     # The grid keeps no prefix: over the extended sketch it answers the
     # scratch build's bits.
     query = SlidingQuery(0, scratch.layout.covered_end, size, size, 0.0)
@@ -173,18 +163,17 @@ def chunked_streams(draw):
     return num_series, size, window_bw * size, step_bw * size, bounds, threshold, seed
 
 
-def monitor_windows(values, bounds, window, step, threshold, size, pruning):
+def monitor_windows(values, bounds, window, step, threshold, size):
     monitor = OnlineCorrelationMonitor(
         num_series=values.shape[0], window=window, step=step,
-        threshold=threshold, basic_window_size=size, use_temporal_pruning=pruning,
+        threshold=threshold, basic_window_size=size,
     )
     emitted = []
     for begin, end in zip(bounds, bounds[1:]):
         emitted.extend(monitor.append(values[:, begin:end]))
     return [
         (r.window_index, r.start, r.end,
-         dict(zip(zip(r.matrix.rows.tolist(), r.matrix.cols.tolist()),
-                  r.matrix.values.tolist())))
+         r.matrix.rows.tobytes(), r.matrix.cols.tobytes(), r.matrix.values.tobytes())
         for r in emitted
     ]
 
@@ -212,16 +201,11 @@ def test_any_chunking_grows_the_same_index_and_windows(case):
         values, BasicWindowLayout.for_range(0, values.shape[1], size)
     )
     assert index.layout == scratch.layout
-    for name in ("series_sums", "series_sumsqs", "pair_sumprods", "corr_prefix"):
+    for name in ("series_sums", "series_sumsqs", "pair_sumprods"):
         assert getattr(index.sketch, name).tobytes() == getattr(scratch, name).tobytes()
+    assert correlation_prefix(index.sketch).tobytes() == correlation_prefix(scratch).tobytes()
 
-    # One window step: exact emission is independent of the batching ...
+    # One window pass: emission is independent of the batching, bit for bit.
     whole = [0, bounds[-1]]
-    exact = monitor_windows(values, whole, window, step, threshold, size, False)
-    assert monitor_windows(values, bounds, window, step, threshold, size, False) == exact
-    # ... and with jumping on, any batching emits the same windows and only
-    # exact edges.
-    pruned = monitor_windows(values, bounds, window, step, threshold, size, True)
-    assert [w[:3] for w in pruned] == [w[:3] for w in exact]
-    for (*_, edges), (*_, exact_edges) in zip(pruned, exact):
-        assert edges.items() <= exact_edges.items()
+    exact = monitor_windows(values, whole, window, step, threshold, size)
+    assert monitor_windows(values, bounds, window, step, threshold, size) == exact

@@ -1,7 +1,7 @@
 """Property tests: every exact evaluation is one pair gather, equal to the dense scan.
 
 Dangoron, standing queries, top-k and the TSUBASA baseline (and the
-horizontal-pruning ablation's pivot rows) all recombine the pairs they need
+jumping and horizontal-pruning experiments) all recombine the pairs they need
 with ``BasicWindowSketch.exact_pairs_scan`` (or ``exact_pairs_range`` for
 TSUBASA's unaligned windows, or ``exact_pairs_grid``, which verifies with
 the scan's gather, when nothing prunes), whatever share of the pairs a window
@@ -32,13 +32,16 @@ from repro.baselines.brute_force import BruteForceEngine
 from repro.baselines.tsubasa import TsubasaEngine
 from repro.config import FLOAT_DTYPE
 from repro.core.basic_window import BasicWindowLayout
-from repro.core.bounds import first_possible_crossing, first_possible_crossing_absolute
 from repro.core.correlation import correlation_from_sums
-from repro.core.dangoron import DangoronEngine
 from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
 from repro.core.sketch import BasicWindowSketch, pair_slots
 from repro.core.topk import select_top_k, sliding_top_k
 from repro.experiments.horizontal import HorizontalPruningEngine
+from repro.experiments.jumping import (
+    JumpingEngine,
+    first_possible_crossing,
+    first_possible_crossing_absolute,
+)
 from repro.streaming.online import OnlineCorrelationMonitor
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -127,8 +130,8 @@ def dense_range(sketch, start, end, values):
 
 
 def dense_step_window(
-    sketch, query, rows, cols, scheduler, k, positions, max_steps, *,
-    use_temporal_pruning=True, slack=0.0, slots=None,
+    sketch, query, rows, cols, scheduler, k, positions, max_steps, corr_prefix, *,
+    slack=0.0, slots=None,
 ):
     """``step_window`` as it was with its dense branch.
 
@@ -152,14 +155,14 @@ def dense_step_window(
 
     keep = query.keep_mask(exact_vals)
     below = positions[~keep]
-    if use_temporal_pruning and len(below) and max_steps >= 1:
+    if corr_prefix is not None and len(below) and max_steps >= 1:
         crossing = (
             first_possible_crossing_absolute
             if query.threshold_mode == THRESHOLD_ABSOLUTE
             else first_possible_crossing
         )
         jumps = crossing(
-            exact_vals[~keep], query.threshold, sketch.corr_prefix,
+            exact_vals[~keep], query.threshold, corr_prefix,
             pair_slots(n, rows[below], cols[below]), bw_first,
             query.step // layout.size, window_bw, max_steps, slack=slack,
         )
@@ -181,9 +184,8 @@ def dense_grid(sketch, rows, cols, query, windows=None, slots=None):
 
 
 def with_dense_step(run):
-    """Call ``run()`` with the engine and standing queries on the dense step."""
-    with mock.patch("repro.core.dangoron.step_window", dense_step_window), \
-            mock.patch("repro.streaming.online.step_window", dense_step_window), \
+    """Call ``run()`` with the engines and standing queries on the dense step."""
+    with mock.patch("repro.experiments.jumping.step_window", dense_step_window), \
             mock.patch.object(BasicWindowSketch, "exact_pairs_grid", dense_grid):
         return run()
 
@@ -365,7 +367,7 @@ def test_tsubasa_is_the_dense_range_gathered(case):
 @settings(max_examples=40, deadline=None)
 def test_engine_runs_match_the_dense_step(case):
     matrix, query, options, subset = case
-    engine = DangoronEngine(**options)
+    engine = JumpingEngine(**options)
     reference = with_dense_step(lambda: engine.run(matrix, query))
     result = engine.run(matrix, query)
     assert edge_bytes(result) == edge_bytes(reference)
@@ -391,18 +393,15 @@ def test_engine_runs_match_the_dense_step(case):
     st.integers(min_value=0, max_value=2**31 - 1),
     st.sampled_from([3, 9, 24]),
     st.sampled_from([0.3, 0.6, 0.9]),
-    st.booleans(),
     st.lists(st.integers(min_value=1, max_value=5 * BASIC), min_size=1, max_size=12),
 )
 @settings(max_examples=30, deadline=None)
-def test_standing_queries_match_the_dense_step(
-    seed, num_series, threshold, temporal, chunks
-):
+def test_standing_queries_match_the_dense_step(seed, num_series, threshold, chunks):
     values = drifting_matrix(seed, num_series, sum(chunks) + 4 * BASIC).values
 
     def stream():
         monitor = OnlineCorrelationMonitor(
-            num_series, 4 * BASIC, BASIC, threshold, BASIC, temporal
+            num_series, 4 * BASIC, BASIC, threshold, BASIC
         )
         emitted, start = [], 0
         for width in [*chunks, 4 * BASIC]:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.tsubasa import TsubasaEngine
 from repro.core.dangoron import DangoronEngine
 from repro.experiments.horizontal import HorizontalPruningEngine
+from repro.experiments.jumping import JumpingEngine
 from repro.core.query import SlidingQuery
 from repro.parallel import merge_shard_results
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -77,8 +78,8 @@ def test_any_partition_merges_to_serial_result(
 
 
 @pytest.mark.parametrize("engine_factory", [
-    lambda: DangoronEngine(basic_window_size=16, use_temporal_pruning=False),
-    lambda: DangoronEngine(basic_window_size=16, slack=0.05),
+    lambda: DangoronEngine(basic_window_size=16),
+    lambda: JumpingEngine(basic_window_size=16, slack=0.05),
     lambda: HorizontalPruningEngine(basic_window_size=16, use_temporal_pruning=False),
 ])
 def test_partition_determinism_across_engine_options(

@@ -15,6 +15,7 @@ from repro.baselines.brute_force import BruteForceEngine
 from repro.baselines.tsubasa import TsubasaEngine
 from repro.core.dangoron import DangoronEngine
 from repro.core.query import SlidingQuery
+from repro.experiments.jumping import JumpingEngine
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 
@@ -53,9 +54,7 @@ def test_exact_engines_agree(case):
     matrix, query, basic = case
     exact = BruteForceEngine().run(matrix, query)
     tsubasa = TsubasaEngine(basic_window_size=basic).run(matrix, query)
-    unpruned = DangoronEngine(
-        basic_window_size=basic, use_temporal_pruning=False
-    ).run(matrix, query)
+    unpruned = DangoronEngine(basic_window_size=basic).run(matrix, query)
     for reference, candidate in ((exact, tsubasa), (exact, unpruned)):
         for a, b in zip(reference, candidate):
             assert a.edge_set() == b.edge_set()
@@ -66,7 +65,7 @@ def test_exact_engines_agree(case):
 def test_pruned_dangoron_never_reports_false_edges(case):
     matrix, query, basic = case
     exact = BruteForceEngine().run(matrix, query)
-    pruned = DangoronEngine(basic_window_size=basic).run(matrix, query)
+    pruned = JumpingEngine(basic_window_size=basic).run(matrix, query)
     report = compare_results(pruned, exact)
     assert report.precision == 1.0
     assert report.value_max_error < 1e-7

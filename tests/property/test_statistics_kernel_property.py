@@ -27,13 +27,13 @@ from repro.config import VARIANCE_EPSILON
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.core.tiled import build_sketch_tiled
+from repro.experiments.jumping import correlation_prefix
 from repro.storage.chunk_store import ChunkStore
 
 STATISTICS = (
     "series_sums",
     "series_sumsqs",
     "pair_sumprods",
-    "corr_prefix",
 )
 
 
@@ -139,6 +139,10 @@ def assert_same_statistics(expected: BasicWindowSketch, actual: BasicWindowSketc
             how,
             name,
         )
+    assert np.array_equal(correlation_prefix(expected), correlation_prefix(actual)), (
+        how,
+        "correlation_prefix",
+    )
 
 
 @given(kernel_cases())
@@ -192,4 +196,4 @@ def test_kernel_agrees_with_the_formulations_it_replaced(case):
         sketch.series_sums, sketch.series_sumsqs, pair_sumprods, size
     )
     rows, cols = np.triu_indices(n, k=1)
-    assert np.array_equal(sketch.corr_prefix, cumsum_prefix(pair_corrs)[:, rows, cols].T)
+    assert np.array_equal(correlation_prefix(sketch), cumsum_prefix(pair_corrs)[:, rows, cols].T)

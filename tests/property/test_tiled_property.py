@@ -18,6 +18,7 @@ from repro.api import CorrelationSession, ThresholdQuery
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.core.tiled import build_sketch_tiled
+from repro.experiments.jumping import correlation_prefix
 from repro.storage.chunk_store import ChunkStore
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -55,7 +56,7 @@ def test_tiled_sketch_bit_identical_for_any_boundaries(case):
     assert np.array_equal(dense.series_sums, tiled.series_sums)
     assert np.array_equal(dense.series_sumsqs, tiled.series_sumsqs)
     assert np.array_equal(dense.pair_sumprods, tiled.pair_sumprods)
-    assert np.array_equal(dense.corr_prefix, tiled.corr_prefix)
+    assert np.array_equal(correlation_prefix(dense), correlation_prefix(tiled))
 
 
 @given(

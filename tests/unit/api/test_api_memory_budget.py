@@ -12,6 +12,7 @@ from repro.api import (
 )
 from repro.api.planner import SKETCH_BUILD_DENSE, SKETCH_BUILD_TILED
 from repro.exceptions import ExperimentError
+from repro.experiments.jumping import JumpingEngine
 from repro.storage.cache import SketchCache
 from repro.storage.chunk_store import ChunkStore
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -111,24 +112,21 @@ class TestPlanDecision:
         assert plan.sketch_build == SKETCH_BUILD_DENSE
 
     def test_jumping_configuration_builds_tiled(self, matrix):
-        # Jumping reads only the sketch (its Eq. 2 prefix included), so a
-        # budget below the data tiles the build and the answer is the dense
-        # build's, bit for bit.
+        # Jumping (the experiment engine, handed to the planner the way the
+        # experiment harness does) reads only the sketch, so a budget below
+        # the data tiles the build and the answer is the dense build's, bit
+        # for bit.
         threshold_query = ThresholdQuery(
             start=0, end=L, window=128, step=16, threshold=0.9
         )
-        options = {"use_temporal_pruning": True}
-        planner = QueryPlanner(
-            basic_window_size=BASIC,
-            engine_options=options,
-            memory_budget=DENSE_BYTES // 4,
-        )
-        plan = planner.plan(matrix, threshold_query)
+        engine = JumpingEngine(basic_window_size=BASIC)
+        planner = QueryPlanner(basic_window_size=BASIC, memory_budget=DENSE_BYTES // 4)
+        plan = planner.plan(matrix, threshold_query, engine=engine)
         assert plan.sketch_build == SKETCH_BUILD_TILED
         assert plan.build_reason is None
         tiled = planner.execute(matrix, plan)
-        dense = QueryPlanner(basic_window_size=BASIC, engine_options=options).run(
-            matrix, threshold_query
+        dense = QueryPlanner(basic_window_size=BASIC).run(
+            matrix, threshold_query, engine=engine
         )
         assert tiled.stats.skipped_by_jumping > 0
         for ours, theirs in zip(tiled.matrices, dense.matrices):

@@ -22,6 +22,7 @@ from repro.core.result import CorrelationSeriesResult
 from repro.core.topk import TopKResult, sliding_top_k
 from repro.exceptions import ExperimentError, QueryValidationError
 from repro.storage.cache import SketchCache
+from repro.streaming.online import OnlineCorrelationMonitor
 
 
 @pytest.fixture
@@ -73,14 +74,16 @@ class TestPlannerRouting:
     def test_engine_options_are_applied(self, small_matrix, query):
         session = CorrelationSession(
             small_matrix,
-            engine="dangoron",
-            engine_options={"slack": 0.05, "use_temporal_pruning": True},
+            engine="parcorr",
+            engine_options={"sketch_size": 16, "verify": False},
             basic_window_size=32,
         )
         engine = session.planner.resolve_engine()
-        assert engine.slack == 0.05
-        assert engine.use_temporal_pruning
-        assert engine.basic_window_size == 32  # injected from the session
+        assert engine.sketch_size == 16
+        assert not engine.verify
+        dangoron = CorrelationSession(small_matrix, basic_window_size=32)
+        # injected from the session
+        assert dangoron.planner.resolve_engine().basic_window_size == 32
 
     def test_bad_engine_options_raise_experiment_error(self, small_matrix):
         session = CorrelationSession(
@@ -97,8 +100,7 @@ class TestPlannerRouting:
 class TestSessionResults:
     def test_run_threshold_matches_direct_engine(self, small_matrix, session, query):
         via_session = session.run(query)
-        # The planner's engine answers exactly: Dangoron without jumping.
-        direct = DangoronEngine(basic_window_size=32, use_temporal_pruning=False).run(
+        direct = DangoronEngine(basic_window_size=32).run(
             small_matrix, query
         )
         assert isinstance(via_session, CorrelationSeriesResult)
@@ -155,7 +157,7 @@ class TestSketchReuse:
     def test_reused_results_stay_correct(self, small_matrix, session, query):
         sweep = session.sweep_thresholds(query, [0.5, 0.7])
         for result in sweep:
-            fresh = DangoronEngine(basic_window_size=32, use_temporal_pruning=False).run(
+            fresh = DangoronEngine(basic_window_size=32).run(
                 small_matrix, query.with_threshold(result.query.threshold)
             )
             assert result.to_edges() == fresh.to_edges()
@@ -176,19 +178,34 @@ class TestSketchReuse:
 
 
 class TestStreaming:
-    @pytest.mark.parametrize("jumping", [None, False, True])
-    def test_stream_matches_batch(self, small_matrix, query, jumping):
-        """The stream follows the engine's configuration: exact by default
-        and without jumping, the Eq. 2 schedule when the options ask."""
-        options = {} if jumping is None else {"use_temporal_pruning": jumping}
-        session = CorrelationSession(
-            small_matrix, basic_window_size=32, engine_options=options
-        )
-        streamed = list(session.stream(query))
+    @pytest.mark.parametrize("chunk_columns", [None, 48, 512])
+    def test_stream_matches_batch(self, small_matrix, query, chunk_columns):
+        """Both views answer exactly, so the stream emits the batch's
+        windows bit for bit, however the columns arrive."""
+        session = CorrelationSession(small_matrix, basic_window_size=32)
+        streamed = list(session.stream(query, chunk_columns=chunk_columns))
         batch = session.run(query)
         assert len(streamed) == batch.num_windows
         for emitted, window in zip(streamed, batch.matrices):
-            assert emitted.matrix.edge_dict() == window.edge_dict()
+            assert emitted.matrix.rows.tobytes() == window.rows.tobytes()
+            assert emitted.matrix.cols.tobytes() == window.cols.tobytes()
+            assert emitted.matrix.values.tobytes() == window.values.tobytes()
+
+    def test_a_default_monitor_answers_like_run(self, small_matrix, query):
+        """A monitor built with no options is the session's answer, bit for
+        bit (it used to jump while the session did not)."""
+        monitor = OnlineCorrelationMonitor(
+            small_matrix.num_series, query.window, query.step, query.threshold, 32
+        )
+        emitted = []
+        for start in range(0, query.end, 40):
+            emitted += monitor.append(small_matrix.values[:, start : start + 40])
+        batch = CorrelationSession(small_matrix, basic_window_size=32).run(query)
+        assert len(emitted) == batch.num_windows
+        for ours, window in zip(emitted, batch.matrices):
+            assert ours.matrix.rows.tobytes() == window.rows.tobytes()
+            assert ours.matrix.cols.tobytes() == window.cols.tobytes()
+            assert ours.matrix.values.tobytes() == window.values.tobytes()
 
     def test_stream_rejects_topk_and_lagged(self, session):
         with pytest.raises(QueryValidationError):

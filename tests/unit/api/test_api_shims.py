@@ -25,8 +25,7 @@ class TestLegacyEntryPoints:
         assert result.stats.extra["sketch_reused"] == 0.0
 
     def test_engine_run_agrees_with_session(self, small_matrix, query):
-        # The session's planner configures the engine without jumping.
-        direct = DangoronEngine(basic_window_size=32, use_temporal_pruning=False).run(
+        direct = DangoronEngine(basic_window_size=32).run(
             small_matrix, query
         )
         via_session = CorrelationSession(small_matrix, basic_window_size=32).run(

@@ -573,38 +573,38 @@ def test_a_default_planner_prices_with_the_fixture_whatever_the_environment(
 def test_feedback_keys_separate_engine_configurations():
     """Sessions sharing one cache record under their own engine configuration.
 
-    A pruned or jumping session runs at a different speed from the default
-    one; pooling their walls under one key would rank every session against
-    the others' runs.
+    Another engine, or the same engine with other options, runs at a
+    different speed from the default one; pooling their walls under one key
+    would rank every session against the others' runs.
     """
     cache = SketchCache()
     configurations = [
-        {},
-        {"slack": 0.1},
-        {"use_temporal_pruning": True},
-        {"use_temporal_pruning": True, "slack": 0.1},
+        ("dangoron", {}),
+        ("dangoron", {"basic_window_size": 8}),
+        ("tsubasa", {}),
+        ("parcorr", {"verify": False}),
     ]
     plans = [
-        _planner(engine_options=options, sketch_cache=cache).plan(
+        _planner(engine=engine, engine_options=options, sketch_cache=cache).plan(
             _matrix(), _threshold()
         )
-        for options in configurations
+        for engine, options in configurations
     ]
     assert len({plan.cost_key for plan in plans}) == len(configurations)
     assert [plan.engine.describe() for plan in plans] == [
         "dangoron[no-pruning, b<=16]",
-        "dangoron[no-pruning, b<=16, slack=0.1]",
-        "dangoron[temporal, b<=16]",
-        "dangoron[temporal, b<=16, slack=0.1]",
+        "dangoron[no-pruning, b<=8]",
+        "tsubasa[b=16]",
+        "parcorr[k=64, approximate]",
     ]
     assert plans[0].describe() == GOLDEN["threshold-cold-serial"]["describe"]
     assert "|engine=dangoron[no-pruning, b<=16]|" in plans[0].cost_key
 
 
-def test_horizontal_pruning_without_jumping_plans_the_grid():
-    """Pivots act only under jumping: a session asking for horizontal
-    pruning alone plans ``no-pruning`` and answers with the exact grid,
-    bit for bit what the default session answers."""
+def test_horizontal_pruning_plans_the_grid():
+    """Pivots are no product option: a session asking for horizontal
+    pruning plans ``no-pruning`` and answers with the exact grid, bit for
+    bit what the default session answers."""
     matrix, query = _matrix(), _threshold()
     pruned = _planner(
         engine_options={
@@ -634,31 +634,29 @@ def test_horizontal_pruning_without_jumping_plans_the_grid():
     ("pivot_strategy", "random"),
     ("seed", 7),
 ])
-def test_each_pivot_option_is_dropped_without_jumping(name, value):
+def test_each_pivot_option_is_dropped(name, value):
     """Sessions that still name a pivot option keep planning the exact grid
-    (the benchmark's pruned session is one): without jumping the planner
-    drops every option of the horizontal-pruning ablation."""
+    (the benchmark's pruned session is one): the planner drops every option
+    of the horizontal-pruning ablation for Dangoron."""
     planner = _planner(engine_options={name: value})
     engine = planner.resolve_engine()
     assert engine.describe() == "dangoron[no-pruning, b<=16]"
     assert not hasattr(engine, name)
 
 
-@pytest.mark.parametrize("pivot_options", [
-    {"use_horizontal_pruning": True},
-    {"num_pivots": 2, "pivot_strategy": "kcenter"},
+@pytest.mark.parametrize("engine,options", [
+    ("dangoron", {"use_temporal_pruning": True}),
+    ("dangoron", {"slack": 0.1, "use_horizontal_pruning": True}),
+    ("tsubasa", {"num_pivots": 2}),
 ])
-def test_pivot_options_under_jumping_are_rejected_by_name(pivot_options):
-    """Horizontal pruning is an experiment-only ablation: with jumping on,
-    the planner passes its options on and the engine registry rejects them
-    with a named error listing what Dangoron accepts."""
-    planner = QueryPlanner(
-        basic_window_size=BASIC,
-        engine_options={"use_temporal_pruning": True, **pivot_options},
-    )
+def test_options_no_engine_takes_are_rejected_by_name(engine, options):
+    """Jumping is an experiment engine, and pivots are dropped for Dangoron
+    only: any other option the engine does not take reaches the engine
+    registry, which rejects it with a named error listing what it accepts."""
+    planner = QueryPlanner(engine=engine, basic_window_size=BASIC, engine_options=options)
     with pytest.raises(ExperimentError) as excinfo:
         planner.plan(_matrix(), _threshold())
     message = str(excinfo.value)
-    assert message.startswith("invalid options for engine 'dangoron'")
-    assert next(iter(pivot_options)) in message
-    assert "accepted options: ['basic_window_size', 'slack', " in message
+    assert message.startswith(f"invalid options for engine '{engine}'")
+    assert next(iter(options)) in message
+    assert "accepted options: ['basic_window_size'" in message

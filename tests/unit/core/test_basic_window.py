@@ -10,7 +10,7 @@ import pytest
 from repro.core.basic_window import BasicWindowLayout, choose_basic_window_size
 from repro.core.correlation import pearson
 from repro.core.query import SlidingQuery
-from repro.core.sketch import BasicWindowSketch
+from repro.core.sketch import BasicWindowSketch, pair_corrs_from_stats
 from repro.exceptions import SketchError
 
 
@@ -133,7 +133,10 @@ class TestPerWindowStatistics:
         x = rng.normal(size=64)
         y = rng.normal(size=64)
         sketch = _sketch(x, y, 16)
-        corrs = [sketch.pair_corr_range_sum([0], [1], w, 1)[0] for w in range(4)]
+        corrs = pair_corrs_from_stats(
+            sketch.series_sums, sketch.series_sumsqs, sketch.pair_sumprods,
+            sketch.layout.size,
+        )[0]
         expected = [pearson(x[i : i + 16], y[i : i + 16]) for i in range(0, 64, 16)]
         assert np.allclose(corrs, expected, atol=1e-12)
 
@@ -141,7 +144,10 @@ class TestPerWindowStatistics:
         x = np.ones(32)
         y = rng.normal(size=32)
         sketch = _sketch(x, y, 8)
-        corrs = [sketch.pair_corr_range_sum([0], [1], w, 1)[0] for w in range(4)]
+        corrs = pair_corrs_from_stats(
+            sketch.series_sums, sketch.series_sumsqs, sketch.pair_sumprods,
+            sketch.layout.size,
+        )[0]
         assert np.all(np.asarray(corrs) == 0.0)
 
 

@@ -67,20 +67,20 @@ class TestDuplicateRegistration:
 class TestCreateEngineErrors:
     def test_unknown_option_raises_experiment_error(self):
         with pytest.raises(ExperimentError) as excinfo:
-            create_engine("dangoron", slak=0.1)
+            create_engine("parcorr", verfy=False)
         message = str(excinfo.value)
-        assert "dangoron" in message
-        assert "'slack'" in message  # the accepted options are listed
+        assert "parcorr" in message
+        assert "'verify'" in message  # the accepted options are listed
 
     def test_valid_options_still_work(self):
-        engine = create_engine("dangoron", use_temporal_pruning=False, slack=0.1)
-        assert not engine.use_temporal_pruning
-        assert engine.slack == 0.1
+        engine = create_engine("parcorr", verify=False, candidate_margin=0.1)
+        assert not engine.verify
+        assert engine.candidate_margin == 0.1
 
     def test_engine_options_lists_constructor_parameters(self):
-        options = engine_options("dangoron")
-        assert "basic_window_size" in options
-        assert "slack" in options
+        options = engine_options("parcorr")
+        assert "sketch_size" in options
+        assert "verify" in options
 
     def test_engine_options_unknown_engine(self):
         with pytest.raises(ExperimentError, match="unknown engine"):

@@ -6,7 +6,7 @@ import pytest
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.correlation import correlation_matrix
 from repro.core.query import SlidingQuery
-from repro.core.sketch import BasicWindowSketch
+from repro.core.sketch import BasicWindowSketch, pair_corrs_from_stats
 from repro.exceptions import SketchError
 
 
@@ -62,7 +62,7 @@ class TestBuild:
         assert sketch.series_sums.shape == (10, 20)
         assert sketch.pair_sumprods.shape == (45, 20)
         assert not hasattr(sketch, "pair_corrs")
-        assert sketch.corr_prefix.shape == (45, 21)
+        assert not hasattr(sketch, "corr_prefix")
 
     def test_per_window_statistics_match_direct(self, data, sketch):
         block = data[:, 32:48]
@@ -75,7 +75,10 @@ class TestBuild:
         )
         expected_corr = correlation_matrix(block)
         np.fill_diagonal(expected_corr, 1.0)
-        got = planes(sketch.corr_prefix[:, 3:] - sketch.corr_prefix[:, 2:-1], 10, 1.0)[0]
+        per_window = pair_corrs_from_stats(
+            sketch.series_sums, sketch.series_sumsqs, sketch.pair_sumprods, 16
+        )
+        got = planes(per_window[:, 2:3], 10, 1.0)[0]
         np.fill_diagonal(got, 1.0)
         assert np.allclose(got, expected_corr, atol=1e-10)
 
@@ -87,8 +90,6 @@ class TestBuild:
             sketch.exact_pairs_scan([0], [1], 0, 5)
         with pytest.raises(SketchError):
             sketch.exact_pairs_range([0], [1], 5, 100, values=data)
-        with pytest.raises(SketchError):
-            _ = sketch.corr_prefix
 
     def test_layout_exceeding_data_rejected(self, data):
         layout = BasicWindowLayout(offset=0, size=16, count=21)
@@ -102,9 +103,11 @@ class TestBuild:
 
     def test_memory_accounting_positive(self, sketch):
         assert sketch.memory_bytes() > 0
-        before = sketch.memory_bytes()
-        _ = sketch.corr_prefix  # materializes the prefix tensor
-        assert sketch.memory_bytes() > before
+        # The stored statistics and the per-series prefix; nothing is lazy.
+        assert sketch.memory_bytes() == (
+            sketch.series_sums.nbytes + sketch.series_sumsqs.nbytes
+            + sketch._sumsq_prefix.nbytes + sketch.pair_sumprods.nbytes
+        )
 
 
 class TestExactCombination:
@@ -164,22 +167,6 @@ class TestExactCombination:
             sketch.exact_pairs_scan([0], [1], -1, 2)
         with pytest.raises(SketchError):
             sketch.exact_pairs_scan([0], [1], 5, 0)
-
-
-class TestPrefixes:
-    def test_corr_prefix_is_cumulative(self, data, sketch):
-        prefix = sketch.corr_prefix
-        assert prefix.shape == (45, 21)
-        assert np.allclose(prefix[:, 0], 0.0)
-        # Three windows' self-correlations of 1 on the diagonal.
-        got = planes((prefix[:, 5] - prefix[:, 2])[:, None], 10, 3.0)[0]
-        assert np.allclose(got, window_corrs(data, 2, 3).sum(axis=0))
-
-    def test_pair_corr_range_sum(self, data, sketch):
-        rows = np.array([0, 1, 3])
-        cols = np.array([3, 2, 0])
-        direct = window_corrs(data, 4, 8)[:, rows, cols].sum(axis=0)
-        assert np.allclose(sketch.pair_corr_range_sum(rows, cols, 4, 8), direct)
 
 
 class TestUnalignedRanges:

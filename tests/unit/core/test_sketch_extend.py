@@ -12,6 +12,7 @@ import pytest
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import SketchError
+from repro.experiments.jumping import correlation_prefix
 
 
 @pytest.fixture
@@ -37,7 +38,7 @@ def test_extend_matches_scratch_build(rng, base_values):
     assert extended.series_sums.tobytes() == scratch.series_sums.tobytes()
     assert extended.series_sumsqs.tobytes() == scratch.series_sumsqs.tobytes()
     assert extended.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
-    assert extended.corr_prefix.tobytes() == scratch.corr_prefix.tobytes()
+    assert correlation_prefix(extended).tobytes() == correlation_prefix(scratch).tobytes()
 
 
 def test_extend_without_pairwise_stats(rng, base_values):
@@ -59,10 +60,10 @@ def test_extend_leaves_base_untouched(rng, base_values):
     layout = BasicWindowLayout.for_range(0, 192, 32)
     base = BasicWindowSketch.build(base_values, layout)
     before = base.pair_sumprods.copy()
-    prefix = base.corr_prefix.copy()
+    prefix = correlation_prefix(base).copy()
     base.extend(rng.normal(size=(5, 32)))
     np.testing.assert_array_equal(base.pair_sumprods, before)
-    np.testing.assert_array_equal(base.corr_prefix, prefix)
+    np.testing.assert_array_equal(correlation_prefix(base), prefix)
     assert base.layout == layout
 
 
@@ -79,7 +80,7 @@ def test_extend_repeatedly(rng, base_values):
         BasicWindowLayout.for_range(0, 192 + 3 * 32, 32),
     )
     assert sketch.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
-    assert sketch.corr_prefix.tobytes() == scratch.corr_prefix.tobytes()
+    assert correlation_prefix(sketch).tobytes() == correlation_prefix(scratch).tobytes()
 
 
 def test_extend_works_with_offset_layout(rng):
@@ -93,7 +94,7 @@ def test_extend_works_with_offset_layout(rng):
         BasicWindowLayout(offset=8, size=32, count=7),
     )
     assert extended.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
-    assert extended.corr_prefix.tobytes() == scratch.corr_prefix.tobytes()
+    assert correlation_prefix(extended).tobytes() == correlation_prefix(scratch).tobytes()
 
 
 def test_extend_rejects_bad_shapes(rng, base_values):

@@ -13,6 +13,7 @@ from repro.core.tiled import (
     tile_source_for,
 )
 from repro.exceptions import DataValidationError, SketchError
+from repro.experiments.jumping import correlation_prefix
 from repro.storage.chunk_store import ChunkStore
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -35,7 +36,7 @@ def _assert_sketches_bit_identical(a: BasicWindowSketch, b: BasicWindowSketch):
     assert np.array_equal(a.series_sums, b.series_sums)
     assert np.array_equal(a.series_sumsqs, b.series_sumsqs)
     assert np.array_equal(a.pair_sumprods, b.pair_sumprods)
-    assert np.array_equal(a.corr_prefix, b.corr_prefix)
+    assert np.array_equal(correlation_prefix(a), correlation_prefix(b))
 
 
 class TestPlanTiles:

@@ -1,19 +1,20 @@
-"""Unit tests for the temporal (Eq. 2) and triangle bounds (repro.core.bounds)."""
+"""Unit tests for the temporal (Eq. 2) and triangle bounds (repro.experiments)."""
 
 import numpy as np
 import pytest
 
 from repro.core.basic_window import BasicWindowLayout
-from repro.core.bounds import (
+from repro.core.correlation import correlation_matrix
+from repro.core.sketch import BasicWindowSketch, pair_corrs_from_stats, pair_slots
+from repro.exceptions import QueryValidationError
+from repro.experiments.horizontal import triangle_bounds
+from repro.experiments.jumping import (
+    correlation_prefix,
     first_possible_crossing,
     first_possible_crossing_absolute,
     max_skippable_steps_scalar,
     temporal_upper_bound,
-    triangle_bounds,
 )
-from repro.core.correlation import correlation_matrix
-from repro.core.sketch import BasicWindowSketch, pair_corrs_from_stats, pair_slots
-from repro.exceptions import QueryValidationError
 
 
 class TestTemporalBoundArithmetic:
@@ -107,7 +108,7 @@ class TestFirstPossibleCrossing:
         corr_now = sketch.exact_pairs_scan(rows, cols, 0, window_bw)
         beta = 0.75
         vectorized = first_possible_crossing(
-            corr_now, beta, sketch.corr_prefix, slots, 0, step_bw, window_bw,
+            corr_now, beta, correlation_prefix(sketch), slots, 0, step_bw, window_bw,
             max_steps,
         )
         pair_corrs = pair_corrs_from_stats(
@@ -181,14 +182,14 @@ class TestFirstPossibleCrossing:
     def test_high_current_correlation_crosses_immediately(self, sketch):
         slots = pair_slots(sketch.num_series, [0], [1])
         jumps = first_possible_crossing(
-            np.array([0.99]), 0.5, sketch.corr_prefix, slots, 0, 1, 4, 10
+            np.array([0.99]), 0.5, correlation_prefix(sketch), slots, 0, 1, 4, 10
         )
         assert jumps[0] == 1
 
     def test_unreachable_threshold_returns_max_plus_one(self, sketch):
         slots = pair_slots(sketch.num_series, [0], [1])
         jumps = first_possible_crossing(
-            np.array([-1.0]), 1.0, sketch.corr_prefix, slots, 0, 1, 4, 3
+            np.array([-1.0]), 1.0, correlation_prefix(sketch), slots, 0, 1, 4, 3
         )
         # Bound increases by at most (1 - c)/ns <= 2/4 per step; from -1 it
         # cannot reach 1.0 within 3 steps unless all outgoing c_i = -1.
@@ -196,13 +197,13 @@ class TestFirstPossibleCrossing:
 
     def test_empty_input(self, sketch):
         out = first_possible_crossing(
-            np.array([]), 0.5, sketch.corr_prefix, np.array([], dtype=int), 0, 1, 4, 5,
+            np.array([]), 0.5, correlation_prefix(sketch), np.array([], dtype=int), 0, 1, 4, 5,
         )
         assert out.shape == (0,)
 
     def test_zero_max_steps_returns_one(self, sketch):
         out = first_possible_crossing(
-            np.array([0.0]), 0.5, sketch.corr_prefix,
+            np.array([0.0]), 0.5, correlation_prefix(sketch),
             pair_slots(sketch.num_series, [0], [1]), 0, 1, 4, 0,
         )
         assert out[0] == 1
@@ -212,10 +213,10 @@ class TestFirstPossibleCrossing:
         slots = pair_slots(sketch.num_series, rows, cols)
         corr_now = sketch.exact_pairs_scan(rows, cols, 0, 4)
         loose = first_possible_crossing(
-            corr_now, 0.8, sketch.corr_prefix, slots, 0, 1, 4, 10, slack=0.0
+            corr_now, 0.8, correlation_prefix(sketch), slots, 0, 1, 4, 10, slack=0.0
         )
         tight = first_possible_crossing(
-            corr_now, 0.8, sketch.corr_prefix, slots, 0, 1, 4, 10, slack=0.1
+            corr_now, 0.8, correlation_prefix(sketch), slots, 0, 1, 4, 10, slack=0.1
         )
         assert np.all(tight <= loose)
 
@@ -224,10 +225,10 @@ class TestFirstPossibleCrossing:
         slots = pair_slots(sketch.num_series, rows, cols)
         corr_now = sketch.exact_pairs_scan(rows, cols, 0, 4)
         signed = first_possible_crossing(
-            corr_now, 0.8, sketch.corr_prefix, slots, 0, 1, 4, 10
+            corr_now, 0.8, correlation_prefix(sketch), slots, 0, 1, 4, 10
         )
         both_sides = first_possible_crossing_absolute(
-            corr_now, 0.8, sketch.corr_prefix, slots, 0, 1, 4, 10
+            corr_now, 0.8, correlation_prefix(sketch), slots, 0, 1, 4, 10
         )
         assert np.all(both_sides <= signed)
 

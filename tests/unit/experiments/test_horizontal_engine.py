@@ -60,7 +60,7 @@ class TestExactness:
     def test_grid_matches_the_horizontal_loop(self, small_matrix, standard_query):
         """Without pruning the engine runs the grid; horizontal pruning alone
         walks windows with the scan and prunes soundly: the same answer."""
-        grid = DangoronEngine(basic_window_size=32, use_temporal_pruning=False)
+        grid = DangoronEngine(basic_window_size=32)
         walked = HorizontalPruningEngine(
             basic_window_size=32, use_temporal_pruning=False,
         )

@@ -1,10 +1,13 @@
-"""Unit tests for the jump scheduler (repro.core.jumping)."""
+"""Unit tests for the jump scheduler (repro.experiments.jumping)."""
 
 import numpy as np
 import pytest
 
-from repro.core.jumping import JumpScheduler
+from repro.core.basic_window import BasicWindowLayout
+from repro.core.correlation import correlation_matrix
+from repro.core.sketch import BasicWindowSketch, pair_slots
 from repro.exceptions import QueryValidationError
+from repro.experiments.jumping import JumpScheduler, correlation_prefix
 
 
 class TestScheduler:
@@ -136,3 +139,41 @@ class TestSinglePairSchedule:
         assert list(evaluated) == [True, False, True, True, False, False, True, True]
         assert scheduler.stats.jumps_scheduled == 2
         assert scheduler.stats.mean_jump_length() == pytest.approx(2.5)
+
+
+class TestCorrelationPrefix:
+    """The Eq. 2 prefix each jumping run computes from the sketch's sums."""
+
+    @pytest.fixture
+    def data(self, rng):
+        base = rng.normal(size=(10, 320))
+        base[3] = 0.7 * base[0] + 0.3 * base[3]  # one strongly-correlated pair
+        return base
+
+    @pytest.fixture
+    def sketch(self, data):
+        return BasicWindowSketch.build(data, BasicWindowLayout(offset=0, size=16, count=20))
+
+    @staticmethod
+    def window_corrs(data, first, count, size=16):
+        """Each basic window's correlation matrix, computed from the raw data."""
+        return np.stack([
+            correlation_matrix(data[:, w * size : (w + 1) * size])
+            for w in range(first, first + count)
+        ])
+
+    def test_corr_prefix_is_cumulative(self, data, sketch):
+        prefix = correlation_prefix(sketch)
+        assert prefix.shape == (45, 21)
+        assert np.allclose(prefix[:, 0], 0.0)
+        rows, cols = np.triu_indices(10, k=1)
+        expected = self.window_corrs(data, 2, 3).sum(axis=0)[rows, cols]
+        assert np.allclose(prefix[:, 5] - prefix[:, 2], expected)
+
+    def test_a_range_sum_reads_two_columns(self, data, sketch):
+        rows = np.array([0, 1, 3])
+        cols = np.array([3, 2, 0])
+        direct = self.window_corrs(data, 4, 8)[:, rows, cols].sum(axis=0)
+        prefix = correlation_prefix(sketch)
+        slots = pair_slots(10, rows, cols)
+        assert np.allclose(prefix[slots, 12] - prefix[slots, 4], direct)

@@ -13,11 +13,11 @@ from repro.core.lag import sliding_lagged_correlation
 from repro.core.sketch import BasicWindowSketch
 from repro.core.topk import sliding_top_k
 from repro.exceptions import ParallelError
+from repro.experiments.jumping import JumpingEngine
 from repro.parallel import (
     ShardedExecutor,
     available_workers,
     merge_shard_results,
-    merge_shard_stats,
     partition_pairs,
 )
 from repro.timeseries.matrix import TimeSeriesMatrix
@@ -31,9 +31,10 @@ def _assert_identical(serial, sharded):
         assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("engine_class", [DangoronEngine, JumpingEngine])
 @pytest.mark.parametrize("workers", [2, 3, 8])
-def test_sharded_run_is_bit_identical(small_matrix, standard_query, workers):
-    engine = DangoronEngine(basic_window_size=16)
+def test_sharded_run_is_bit_identical(small_matrix, standard_query, workers, engine_class):
+    engine = engine_class(basic_window_size=16)
     serial = engine.run(small_matrix, standard_query)
     sharded = ShardedExecutor(workers=workers).run(
         engine, small_matrix, standard_query
@@ -156,35 +157,6 @@ def test_sharded_run_shares_one_prebuilt_sketch(small_matrix, standard_query):
     serial = engine.run(small_matrix, standard_query, sketch=sketch)
     _assert_identical(serial, sharded)
     assert sharded.stats.sketch_build_seconds == sketch.build_seconds
-
-
-def test_sharded_run_books_the_prefix_build_like_a_serial_run(
-    small_matrix, standard_query
-):
-    engine = DangoronEngine(basic_window_size=16)
-    sketch = BasicWindowSketch.build(
-        small_matrix.values, engine.plan_layout(standard_query)
-    )
-    executor = ShardedExecutor(workers=2)
-    cold = executor.run(engine, small_matrix, standard_query, sketch=sketch)
-    assert cold.stats.extra["corr_prefix_seconds"] > 0.0
-    assert cold.stats.sketch_build_seconds == (
-        sketch.build_seconds + cold.stats.extra["corr_prefix_seconds"]
-    )
-    again = executor.run(engine, small_matrix, standard_query, sketch=sketch)
-    assert again.stats.extra["corr_prefix_seconds"] == 0.0
-    assert again.stats.sketch_build_seconds == sketch.build_seconds
-
-
-def test_merged_prefix_seconds_are_the_slowest_shards(small_matrix, standard_query):
-    # Shards that each materialized a private prefix paid for it side by side.
-    engine = DangoronEngine(basic_window_size=16)
-    shards = [engine.run(small_matrix, standard_query).stats for _ in range(3)]
-    paid = [s.extra["corr_prefix_seconds"] for s in shards]
-    assert min(paid) > 0.0
-    merged = merge_shard_stats(shards)
-    assert merged.extra["corr_prefix_seconds"] == max(paid)
-    assert merged.sketch_build_seconds >= merged.extra["corr_prefix_seconds"]
 
 
 def test_workers_one_runs_serially(small_matrix, standard_query):

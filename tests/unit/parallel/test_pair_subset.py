@@ -7,6 +7,7 @@ from repro.baselines.tsubasa import TsubasaEngine
 from repro.core.dangoron import DangoronEngine
 from repro.core.engine import validate_pair_subset
 from repro.exceptions import ParallelError
+from repro.experiments.jumping import JumpingEngine
 
 
 def _subset_of_serial(serial_matrix, rows, cols):
@@ -28,6 +29,7 @@ def _subset_of_serial(serial_matrix, rows, cols):
 
 @pytest.mark.parametrize("engine_factory", [
     lambda: DangoronEngine(basic_window_size=16),
+    lambda: JumpingEngine(basic_window_size=16),
     lambda: TsubasaEngine(basic_window_size=16),
 ])
 def test_pair_subset_run_matches_serial_restriction(
@@ -50,10 +52,11 @@ def test_pair_subset_run_matches_serial_restriction(
 
 
 def test_dangoron_declares_shardability_by_configuration():
-    # Each pair's schedule depends only on its own values and the Eq. 2
-    # bound, so every configuration shards.
+    # Each pair's cells (and, under jumping, its schedule) depend only on
+    # its own values, so every configuration shards.
     assert DangoronEngine().supports_pair_subset()
-    assert DangoronEngine(use_temporal_pruning=False).supports_pair_subset()
+    assert JumpingEngine().supports_pair_subset()
+    assert JumpingEngine(use_temporal_pruning=False).supports_pair_subset()
     assert TsubasaEngine().supports_pair_subset()
 
 

@@ -9,18 +9,18 @@ from repro.service.service import DatasetRuntime
 
 @pytest.fixture
 def parked_scan(monkeypatch):
-    """Park every scan inside ``session_for`` — under the runtime lock, its
+    """Park every scan inside ``session()`` — under the runtime lock, its
     admission slot taken — until the test releases it.
 
     Returns ``(started, release)``: ``started`` is set once a scan is parked.
     """
     started, release = threading.Event(), threading.Event()
-    original = DatasetRuntime.session_for
+    original = DatasetRuntime.session
 
-    def slow_session_for(self, exact_scan=False):
+    def slow_session(self):
         started.set()
         release.wait(timeout=10)
-        return original(self, exact_scan)
+        return original(self)
 
-    monkeypatch.setattr(DatasetRuntime, "session_for", slow_session_for)
+    monkeypatch.setattr(DatasetRuntime, "session", slow_session)
     return started, release

@@ -117,8 +117,6 @@ def test_results_without_a_wire_kind_are_refused():
 
 BASIC = 16
 LENGTH = 256
-#: Exact scans, so a batch member and an independent run must agree.
-OPTIONS = {"use_temporal_pruning": False}
 WINDOWED = {"start": 0, "end": LENGTH, "window": 64, "step": 32}
 
 
@@ -182,10 +180,9 @@ def test_pooled_pool_less_and_batched_bodies_agree(catalog):
     topk = {"mode": "topk", **WINDOWED, "k": 3, "include_edges": True}
     threshold = {"mode": "threshold", **WINDOWED, "threshold": 0.3,
                  "include_edges": True}
-    with CorrelationService(catalog, basic_window_size=BASIC, engine_options=OPTIONS,
+    with CorrelationService(catalog, basic_window_size=BASIC,
                             service_workers=1) as pooled, \
-            CorrelationService(catalog, basic_window_size=BASIC,
-                               engine_options=OPTIONS) as alone:
+            CorrelationService(catalog, basic_window_size=BASIC) as alone:
         # Top-k documents carry no timings: the worker's bytes and the
         # parent's bytes are the same bytes.
         assert pooled.query("demo", dict(topk)) == alone.query("demo", dict(topk))

@@ -147,16 +147,26 @@ class TestQueryExecution:
             service.query("demo", {**THRESHOLD_REQUEST, "workers": workers})
         assert excinfo.value.status == 400
 
-    def test_pivot_options_under_jumping_are_a_named_error(self, catalog):
-        """Horizontal pruning is no service option: a service asked to start
-        with its options under jumping names them instead of answering with
-        a silently different engine."""
-        with pytest.raises(ExperimentError, match="'num_pivots'"):
+    @pytest.mark.parametrize("option", ["use_temporal_pruning", "slack"])
+    def test_a_jumping_option_fails_the_start(self, catalog, capsys, option):
+        """Jumping is an experiment engine, not a service option: a service
+        asked to start with its options names the accepted ones instead of
+        answering with a silently different engine."""
+        value = {"use_temporal_pruning": True, "slack": 0.1}[option]
+        with pytest.raises(
+            ExperimentError, match=r"accepted options: \['basic_window_size'\]"
+        ):
             CorrelationService(
-                catalog,
-                engine_options={"use_temporal_pruning": True, "num_pivots": 2},
-                basic_window_size=BASIC,
+                catalog, engine_options={option: value}, basic_window_size=BASIC
             )
+        code = main([
+            "serve", "--catalog", str(catalog.root), "--port", "0",
+            "--engine-opt", f"{option}={str(value).lower()}",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: invalid options for engine 'dangoron'")
+        assert f"'{option}'" in err and "Traceback" not in err
 
     def test_a_misspelt_engine_option_fails_the_start(self, catalog, capsys):
         """The engine resolves when the service starts, so a bad option is
@@ -198,14 +208,14 @@ class TestCoalescing:
         runtime = service._runtime("demo")
         release = threading.Event()
         started = threading.Event()
-        original = DatasetRuntime.session_for
+        original = DatasetRuntime.session
 
-        def slow_session_for(self, exact_scan=False):
+        def slow_session(self):
             started.set()
             release.wait(timeout=10)
-            return original(self, exact_scan)
+            return original(self)
 
-        monkeypatch.setattr(DatasetRuntime, "session_for", slow_session_for)
+        monkeypatch.setattr(DatasetRuntime, "session", slow_session)
         payloads = []
 
         def follower():
@@ -237,12 +247,12 @@ class TestCoalescing:
         release = threading.Event()
         started = threading.Event()
 
-        def exploding_session_for(self, exact_scan=False):
+        def exploding_session(self):
             started.set()
             release.wait(timeout=10)
             raise RuntimeError("engine on fire")
 
-        monkeypatch.setattr(DatasetRuntime, "session_for", exploding_session_for)
+        monkeypatch.setattr(DatasetRuntime, "session", exploding_session)
         errors = []
 
         def run():
@@ -269,7 +279,7 @@ class TestCoalescing:
 
     def test_mixed_families_answer_as_an_isolated_service(self, catalog):
         # Exact scans on both sides, so batched or alone there is one answer.
-        options = {"use_temporal_pruning": False}
+        options = {}
         requests = [
             {**THRESHOLD_REQUEST, "threshold": threshold}
             for threshold in (0.4, 0.5, 0.6)
@@ -335,7 +345,7 @@ class TestCoalescing:
 
     def test_burst_of_distinct_thresholds_shares_one_scan(self, catalog):
         # Exact scans on both sides, so batched or alone there is one answer.
-        options = {"use_temporal_pruning": False}
+        options = {}
         requests = {
             threshold: {**THRESHOLD_REQUEST, "threshold": threshold}
             for threshold in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
@@ -379,6 +389,60 @@ class TestCoalescing:
         assert runtime.counters["executed"] == 1  # six answers, one scan
         assert runtime.counters["batched"] == len(requests) - 1
         assert runtime.counters["queries"] == len(requests)
+
+    def test_an_approximate_engine_answers_each_threshold_alone(self, tmp_path):
+        """ParCorr's candidate filter admits different pairs at different
+        thresholds, so a scan at the lower one filtered to the higher keeps
+        pairs the higher threshold's own run never reports (on this data:
+        443 edges against 370).  Its service must not batch thresholds:
+        each request answers as it would alone, whatever arrives with it."""
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal((2, LENGTH))
+        values = base[np.arange(16) % 2] + rng.uniform(0.3, 1.2, (16, 1)) * (
+            rng.standard_normal((16, LENGTH))
+        )
+        store = ChunkStore(16, chunk_columns=64)
+        store.append(values)
+        catalog = Catalog(tmp_path)
+        catalog.add_dataset("drift", store)
+        requests = {
+            threshold: {"mode": "threshold", "start": 0, "end": LENGTH,
+                        "window": 64, "step": 16, "threshold": threshold}
+            for threshold in (0.4, 0.6)
+        }
+        alone = CorrelationService(catalog.root, engine="parcorr", basic_window_size=BASIC)
+        expected = {
+            threshold: result_from_wire(
+                json.loads(alone.query("drift", dict(request)))
+            ).to_edges()
+            for threshold, request in requests.items()
+        }
+        service = CorrelationService(catalog, engine="parcorr", basic_window_size=BASIC)
+        runtime = service._runtime("drift")
+        answers = {}
+
+        def ask(threshold):
+            document = json.loads(service.query("drift", dict(requests[threshold])))
+            answers[threshold] = result_from_wire(document).to_edges()
+
+        askers = [threading.Thread(target=ask, args=(t,)) for t in requests]
+        # Both requests queue while the lock is held, as in the burst above.
+        with runtime.lock:
+            for asker in askers:
+                asker.start()
+            deadline = time.monotonic() + 10
+            while True:
+                with runtime.batches_lock:
+                    joined = sum(len(b.members) for b in runtime.batches.values())
+                if joined == len(requests):
+                    break
+                assert time.monotonic() < deadline, f"only {joined} joined"
+                time.sleep(0.005)
+        for asker in askers:
+            asker.join(timeout=10)
+        assert answers == expected
+        assert runtime.counters["executed"] == len(requests)
+        assert runtime.counters["batched"] == 0
 
 
 class TestLoadShedding:
@@ -492,14 +556,11 @@ class TestAppendAndWatch:
         response = service.watch("demo", dict(self.WATCH_REQUEST))
         assert response["emitted_windows"] == 7  # (256 - 64) / 32 + 1
 
-    @pytest.mark.parametrize("options", [
-        {}, {"use_temporal_pruning": False}, {"use_temporal_pruning": True},
-    ])
+    @pytest.mark.parametrize("options", [{}, {"use_horizontal_pruning": True}])
     def test_watch_answers_like_the_served_query(self, tmp_path, small_matrix, options):
-        """A watch follows the service's engine configuration: over the
-        stored prefix it emits the served query's windows, bit for bit.
-        (On this data jumping misses edges the exact scan reports, so a
-        watch that jumped under an exact service would differ.)"""
+        """A watch answers like the served query: over the stored prefix it
+        emits the served query's windows, bit for bit (both run the exact
+        grid; the planner drops the pivot option)."""
         store = ChunkStore(small_matrix.num_series, chunk_columns=128)
         store.append(small_matrix.values)
         catalog = Catalog(tmp_path / "catalog")

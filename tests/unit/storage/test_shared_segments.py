@@ -6,8 +6,8 @@ the lifecycle contract:
 
 * export -> attach round-trips every array bit-identically, and the attached
   arrays are genuinely memmapped (``np.memmap``), not copies;
-* the Eq. 2 ``corr_prefix`` travels only when the exported sketch holds it
-  (the manifest lists the arrays, and attach reads exactly those);
+* the manifest lists exactly the three statistic arrays, and a manifest
+  listing anything else (an older export's ``corr_prefix``) is refused;
 * :class:`SegmentManager.ensure` is idempotent per ``(fingerprint, layout)``
   and bumps the generation when either changes (the append protocol);
 * superseded fingerprints are pruned per layout family ``(offset, size)``,
@@ -28,7 +28,7 @@ import pytest
 
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
-from repro.exceptions import SketchError, StorageError
+from repro.exceptions import StorageError
 from repro.storage.chunk_store import ChunkStore
 from repro.storage.shared import (
     SEGMENT_SCHEMA,
@@ -79,7 +79,6 @@ def _export(tmp_path, store, sketch, generation=1, fingerprint="fp-1"):
 
 class TestExportAttach:
     def test_round_trip_is_bit_identical_and_memmapped(self, tmp_path, store, sketch):
-        sketch.corr_prefix  # a jumping service's parent materializes it
         path = _export(tmp_path, store, sketch)
         segment = attach_segment(path)
         assert segment.generation == 1
@@ -91,26 +90,21 @@ class TestExportAttach:
         np.testing.assert_array_equal(attached.series_sums, sketch.series_sums)
         np.testing.assert_array_equal(attached.series_sumsqs, sketch.series_sumsqs)
         np.testing.assert_array_equal(attached.pair_sumprods, sketch.pair_sumprods)
-        np.testing.assert_array_equal(attached.corr_prefix, sketch.corr_prefix)
-        # Correlations are not stored: the prefix is all Eq. 2 reads.
+        # Correlations are not stored.
         assert not (path / "pair_corrs.npy").exists()
         # The dominant arrays must be file-backed views, not private copies —
         # that is the whole point of the shared segment.
         assert _memmap_backed(segment.values)
         assert _memmap_backed(attached.pair_sumprods)
-        assert _memmap_backed(attached.corr_prefix)
         assert segment.sketch_bytes > 0
 
-    def test_the_prefix_travels_only_when_materialized(self, tmp_path, store, sketch):
+    def test_the_manifest_lists_exactly_the_statistics(self, tmp_path, store, sketch):
         path = _export(tmp_path, store, sketch)
         manifest = json.loads((path / "manifest.json").read_text())
         assert manifest["arrays"] == ["series_sums", "series_sumsqs", "pair_sumprods"]
-        assert not (path / "corr_prefix.npy").exists()
-        attached = attach_segment(path).sketch
-        assert not attached.has_corr_prefix
-        np.testing.assert_array_equal(attached.pair_sumprods, sketch.pair_sumprods)
-        # A jumping caller still gets the prefix: computed on first use.
-        np.testing.assert_array_equal(attached.corr_prefix, sketch.corr_prefix)
+        assert sorted(p.name for p in path.glob("*.npy")) == [
+            "pair_sumprods.npy", "series_sums.npy", "series_sumsqs.npy", "values.npy",
+        ]
 
     def test_export_requires_pairwise_sketch(self, tmp_path, store):
         lean = BasicWindowSketch.build(store.read_all(), LAYOUT, pairwise=False)
@@ -131,11 +125,6 @@ class TestExportAttach:
                 tmp_path / "gen-000001", LyingStore(), sketch,
                 fingerprint="fp", generation=1, series_ids=["a", "b", "c", "d"],
             )
-
-    def test_attached_corr_prefix_validates_shape(self, store, sketch):
-        fresh = BasicWindowSketch.build(store.read_all(), LAYOUT)
-        with pytest.raises(SketchError, match="corr prefix shape"):
-            fresh.attach_corr_prefix(np.zeros((2, 2, 2)))
 
 
 class TestCorruption:
@@ -197,11 +186,17 @@ class TestCorruption:
         with pytest.raises(StorageError, match="manifest.json must list"):
             attach_segment(path)
 
-    def test_missing_listed_prefix_names_the_file(self, tmp_path, store, sketch):
-        sketch.corr_prefix
+    def test_a_listed_corr_prefix_is_refused_by_name(self, tmp_path, store, sketch):
+        """An export that still carries the jumping prefix is not attached:
+        segments hold one fixed array set."""
         path = _export(tmp_path, store, sketch)
-        (path / "corr_prefix.npy").unlink()
-        with pytest.raises(StorageError, match="corr_prefix.npy"):
+        manifest = json.loads((path / "manifest.json").read_text())
+        shape = (sketch.pair_sumprods.shape[0], LAYOUT.count + 1)
+        np.save(path / "corr_prefix.npy", np.zeros(shape))
+        manifest["arrays"].append("corr_prefix")
+        manifest["shapes"]["corr_prefix"] = list(shape)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="must list exactly.*'corr_prefix'"):
             attach_segment(path)
 
     def test_missing_array_names_the_file(self, tmp_path, store, sketch):
@@ -211,11 +206,10 @@ class TestCorruption:
             attach_segment(path)
 
     def test_truncated_array_names_the_file(self, tmp_path, store, sketch):
-        sketch.corr_prefix
         path = _export(tmp_path, store, sketch)
-        target = path / "corr_prefix.npy"
+        target = path / "pair_sumprods.npy"
         target.write_bytes(target.read_bytes()[:40])
-        with pytest.raises(StorageError, match="corr_prefix.npy"):
+        with pytest.raises(StorageError, match="pair_sumprods.npy"):
             attach_segment(path)
 
     def test_shape_mismatch_names_the_file(self, tmp_path, store, sketch):

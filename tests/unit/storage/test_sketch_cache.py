@@ -203,11 +203,6 @@ class TestPublishedSketches:
             planner.run(matrix, TopKQuery(k=3, **spec))
         assert cache.builds == 1 and cache.stats.hits >= 4
         assert vars(sketch).keys() == before.keys()
-        lazy = {"_corr_prefix", "_sumprod_prefix"}  # filled on first use
-        assert all(
-            vars(sketch)[name] is value
-            for name, value in before.items()
-            if name not in lazy
-        )
+        assert all(vars(sketch)[name] is value for name, value in before.items())
         for name in self.STATISTICS:
             assert getattr(sketch, name).tobytes() == snapshot[name]

@@ -12,6 +12,7 @@ import pytest
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import StorageError
+from repro.experiments.jumping import correlation_prefix
 from repro.storage.cache import SketchCache, matrix_fingerprint
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -149,7 +150,7 @@ class TestGetOrExtend:
         assert extended.series_sums.tobytes() == scratch.series_sums.tobytes()
         assert extended.series_sumsqs.tobytes() == scratch.series_sumsqs.tobytes()
         assert extended.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
-        assert extended.corr_prefix.tobytes() == scratch.corr_prefix.tobytes()
+        assert correlation_prefix(extended).tobytes() == correlation_prefix(scratch).tobytes()
 
     def test_extension_counts_stats_not_builds(self, matrix, delta):
         cache = SketchCache()
@@ -199,7 +200,7 @@ class TestGetOrExtend:
         assert layout.count == 10
         extended = cache.get_or_extend(current, layout)
         scratch = BasicWindowSketch.build(current.values, layout)
-        assert extended.corr_prefix.tobytes() == scratch.corr_prefix.tobytes()
+        assert correlation_prefix(extended).tobytes() == correlation_prefix(scratch).tobytes()
         assert cache.stats.extended_windows == 2
 
     def test_extension_coverage_predicts_what_get_or_extend_does(self, matrix, delta):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import StorageError
+from repro.experiments.jumping import correlation_prefix
 from repro.storage.stats_index import ARCHIVE_FORMAT, StatsIndex
 
 
@@ -61,11 +62,15 @@ class TestExtension:
         index.extend(data[:, 130:200], previous_tail=data[:, 128:130])
         rebuilt = StatsIndex.build(data, basic_window_size=16)
         assert index.layout == rebuilt.layout
-        for name in ("series_sums", "series_sumsqs", "pair_sumprods", "corr_prefix"):
+        for name in ("series_sums", "series_sumsqs", "pair_sumprods"):
             assert (
                 getattr(index.sketch, name).tobytes()
                 == getattr(rebuilt.sketch, name).tobytes()
             )
+        assert (
+            correlation_prefix(index.sketch).tobytes()
+            == correlation_prefix(rebuilt.sketch).tobytes()
+        )
 
     def test_extend_with_incomplete_window_appends_nothing(self, rng):
         index = StatsIndex.build(rng.normal(size=(3, 32)), basic_window_size=16)

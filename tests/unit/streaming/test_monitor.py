@@ -21,7 +21,6 @@ def _make_monitor(num_series=4, window=64, step=32, threshold=0.8, **kwargs):
         step=step,
         threshold=threshold,
         basic_window_size=32,
-        use_temporal_pruning=False,
     )
     return NetworkChangeMonitor(monitor=online, **kwargs)
 

@@ -80,43 +80,38 @@ class TestQueryModes:
 
     def test_engine_opt_reaches_the_engine(self, csv_dataset, capsys):
         code = main(self._query(
-            csv_dataset,
-            "--engine-opt", "use_temporal_pruning=true",
-            "--engine-opt", "slack=0.05",
+            csv_dataset, "--engine", "parcorr", "--engine-opt", "sketch_size=16",
         ))
         assert code == 0
-        assert "dangoron[temporal, b<=32, slack=0.05]" in capsys.readouterr().out
+        assert "parcorr[k=16, verified]" in capsys.readouterr().out
 
     def test_bad_engine_opt_reports_accepted_options(self, csv_dataset, capsys):
         code = main(self._query(csv_dataset, "--engine-opt", "slak=0.05"))
         assert code == 1
         err = capsys.readouterr().err
-        assert "'slack'" in err  # accepted options listed in the message
+        assert "'basic_window_size'" in err  # accepted options listed in the message
 
-    def test_pivot_options_under_jumping_fail_cleanly(self, csv_dataset, capsys):
-        """Horizontal pruning is an experiment-only ablation, not an option:
-        under jumping the planner passes the pivot options on and the engine
-        registry names them, with no traceback."""
+    def test_a_jumping_option_fails_cleanly(self, csv_dataset, capsys):
+        """Jumping is an experiment engine, not an option: the engine
+        registry names the option and the accepted ones, with no
+        traceback."""
         code = main(self._query(
-            csv_dataset,
-            "--engine-opt", "use_temporal_pruning=true",
-            "--engine-opt", "use_horizontal_pruning=true",
+            csv_dataset, "--engine-opt", "use_temporal_pruning=true",
         ))
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid options for engine 'dangoron'")
-        assert "use_horizontal_pruning" in err
+        assert "use_temporal_pruning" in err
+        assert "accepted options: ['basic_window_size']" in err
         assert "Traceback" not in err
 
-    def test_pivot_options_under_jumping_fail_cleanly_as_a_process(self, csv_dataset):
+    def test_a_jumping_option_fails_cleanly_as_a_process(self, csv_dataset):
         """The same request through the console entry point: exit status 1
         and one ``error:`` line, whatever the interpreter prints on exit."""
         src = Path(__file__).resolve().parents[2] / "src"
         done = subprocess.run(
             [sys.executable, "-m", "repro.cli", *self._query(
-                csv_dataset,
-                "--engine-opt", "use_temporal_pruning=true",
-                "--engine-opt", "use_horizontal_pruning=true",
+                csv_dataset, "--engine-opt", "use_temporal_pruning=true",
             )],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True,
