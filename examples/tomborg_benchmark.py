@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro import BruteForceEngine, DangoronEngine, SlidingQuery
 from repro.analysis import compare_results, format_table
-from repro.baselines import ParCorrEngine, StatStreamEngine
+from repro.experiments.approximate import ParCorrEngine, StatStreamEngine
 from repro.tomborg import (
     BimodalCorrelations,
     SegmentSpec,

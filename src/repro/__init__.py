@@ -5,7 +5,8 @@ The library computes series of thresholded Pearson-correlation matrices —
 dynamic correlation networks — over sliding windows of a large collection of
 time series, using the paper's pruning framework (Dangoron), its benchmark
 generator (Tomborg), and reimplementations of the baselines it compares
-against (TSUBASA, ParCorr, StatStream, brute force).
+against (TSUBASA and brute force exact; ParCorr, StatStream and FilCorr as
+approximate experiment engines).
 
 Quick start — one session, one query family, one result protocol::
 
@@ -42,7 +43,9 @@ Subpackages
     its exact window-axis grid).  The paper's Eq. 2 jumping and triangle
     pruning are experiment engines in ``repro.experiments``.
 ``repro.baselines``
-    Brute force, TSUBASA, ParCorr and StatStream engines behind the same API.
+    The exact baselines, brute force and TSUBASA, behind the same API.  The
+    approximate ones (ParCorr, StatStream, FilCorr) are experiment engines in
+    ``repro.experiments.approximate``.
 ``repro.tomborg``
     The Tomborg benchmark data generator.
 ``repro.datasets``
@@ -63,12 +66,7 @@ from repro.api import (
     ThresholdQuery,
     TopKQuery,
 )
-from repro.baselines import (
-    BruteForceEngine,
-    ParCorrEngine,
-    StatStreamEngine,
-    TsubasaEngine,
-)
+from repro.baselines import BruteForceEngine, TsubasaEngine
 from repro.core import (
     Edge,
     BasicWindowSketch,
@@ -116,14 +114,12 @@ __all__ = [
     "IncrementalEngine",
     "LaggedQuery",
     "LaggedSeriesResult",
-    "ParCorrEngine",
     "QueryPlanner",
     "QueryValidationError",
     "ReproError",
     "SketchError",
     "SlidingCorrelationEngine",
     "SlidingQuery",
-    "StatStreamEngine",
     "ThresholdQuery",
     "TopKQuery",
     "StorageError",

@@ -3,25 +3,15 @@
 * :class:`BruteForceEngine` — exact ground truth, no data management.
 * :class:`TsubasaEngine` — the paper's primary baseline: exact basic-window
   sketch recombination for every pair in every window (SIGMOD 2022).
-* :class:`ParCorrEngine` — random-projection sketching (DAMI 2018), the
-  accuracy comparison point.
-* :class:`StatStreamEngine` — truncated-DFT sketching (VLDB 2002), the
-  frequency-transform family whose data-dependency §2 discusses.
-* :class:`FilCorrEngine` — filtered/downsampled correlation (ICDM 2020), the
-  other streaming-filter approach cited in §2.
+
+The approximate baselines (ParCorr, StatStream, FilCorr) are experiment
+engines in :mod:`repro.experiments.approximate`.
 """
 
 from repro.baselines.brute_force import BruteForceEngine
-from repro.baselines.filcorr import FilCorrEngine, moving_average_filter
-from repro.baselines.parcorr import ParCorrEngine
-from repro.baselines.statstream import StatStreamEngine
 from repro.baselines.tsubasa import TsubasaEngine
 
 __all__ = [
     "BruteForceEngine",
-    "FilCorrEngine",
-    "ParCorrEngine",
-    "StatStreamEngine",
     "TsubasaEngine",
-    "moving_average_filter",
 ]

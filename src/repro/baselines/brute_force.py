@@ -27,7 +27,6 @@ class BruteForceEngine(SlidingCorrelationEngine):
     """Direct Pearson correlation of all pairs in all windows (no sketch)."""
 
     name = "brute_force"
-    exact = True
 
     def run(
         self, matrix: TimeSeriesMatrix, query: SlidingQuery

@@ -51,7 +51,6 @@ class TsubasaEngine(SlidingCorrelationEngine):
     """
 
     name = "tsubasa"
-    exact = True
 
     def __init__(self, basic_window_size: int = DEFAULT_BASIC_WINDOW_SIZE) -> None:
         if basic_window_size < 2:

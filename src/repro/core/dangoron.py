@@ -55,7 +55,6 @@ class DangoronEngine(SlidingCorrelationEngine):
     """
 
     name = "dangoron"
-    exact = True
 
     def __init__(self, basic_window_size: int = DEFAULT_BASIC_WINDOW_SIZE) -> None:
         self.basic_window_size = basic_window_size

@@ -75,11 +75,6 @@ class SlidingCorrelationEngine(abc.ABC):
     #: Short machine-readable engine name (used in reports and registries).
     name: str = "abstract"
 
-    #: Whether the engine guarantees exact correlation values for reported
-    #: edges (Dangoron, TSUBASA, brute force) or returns approximations
-    #: (ParCorr / StatStream without verification).
-    exact: bool = True
-
     @abc.abstractmethod
     def run(
         self, matrix: TimeSeriesMatrix, query: SlidingQuery

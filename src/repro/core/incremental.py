@@ -61,7 +61,6 @@ class IncrementalEngine(SlidingCorrelationEngine):
     """
 
     name = "incremental"
-    exact = True
 
     def __init__(
         self, refresh_every: int = 256, memory_budget: Optional[int] = None

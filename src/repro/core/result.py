@@ -140,10 +140,6 @@ class ThresholdedMatrix:
 #: ``EngineStats.exactness`` of an answer holding every edge with its Eq. 1
 #: value.
 EXACTNESS_EXACT = "exact"
-#: ``EngineStats.exactness`` of a sketch-filtered baseline (ParCorr,
-#: StatStream, FilCorr): candidates come from an approximate filter, so
-#: edges can be missed even when the reported values are verified.
-EXACTNESS_APPROXIMATE = "approximate"
 
 
 @dataclass
@@ -151,8 +147,8 @@ class EngineStats:
     """Work counters and timings reported by an engine run.
 
     ``exactness`` says whether the answer holds every edge
-    (:data:`EXACTNESS_EXACT`) or may miss some (e.g.
-    :data:`EXACTNESS_APPROXIMATE`).
+    (:data:`EXACTNESS_EXACT`) or may miss some (the experiment engines'
+    ``approximate`` and ``heuristic(jumping)``).
     """
 
     engine: str = "unknown"

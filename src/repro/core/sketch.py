@@ -467,8 +467,7 @@ class BasicWindowSketch:
 
         ``pairwise=False`` skips the ``O(N^2 L)`` pair statistics; the sketch
         then supports only per-series queries (used by memory-constrained
-        scenarios and by the ParCorr/StatStream baselines, which bring their
-        own sketches).
+        scenarios).
         """
         started = time.perf_counter()
         values = np.asarray(values, dtype=FLOAT_DTYPE)

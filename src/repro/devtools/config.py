@@ -46,12 +46,12 @@ class LintConfig:
 
     # ------------------------------------------------------------------ RPR002
     #: Modules allowed to touch ``.values`` / ``._values`` on matrix objects.
-    #: These are the *raw paths*: dense baselines, generators, dataset and
-    #: streaming substrates — code that by construction needs the dense
-    #: array.  Everything else (api, service, storage, parallel, the sketch
-    #: core) must stay sketch-only so ``ChunkBackedMatrix`` runs never
-    #: materialize; a legitimate dense fallback there carries a justified
-    #: pragma instead.
+    #: These are the *raw paths*: dense baselines and experiment engines,
+    #: generators, dataset and streaming substrates — code that by
+    #: construction needs the dense array.  Everything else (api, service,
+    #: storage, parallel, the sketch core) must stay sketch-only so
+    #: ``ChunkBackedMatrix`` runs never materialize; a legitimate dense
+    #: fallback there carries a justified pragma instead.
     raw_value_modules: Tuple[str, ...] = (
         "repro/baselines/*",
         "repro/core/dangoron.py",

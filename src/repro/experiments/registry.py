@@ -33,13 +33,12 @@ import numpy as np
 from repro.analysis.accuracy import compare_results
 from repro.analysis.report import format_table
 from repro.baselines.brute_force import BruteForceEngine
-from repro.baselines.parcorr import ParCorrEngine
-from repro.baselines.statstream import StatStreamEngine
 from repro.baselines.tsubasa import TsubasaEngine
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.query import SlidingQuery
 from repro.core.sketch import BasicWindowSketch, pair_slots
 from repro.exceptions import ExperimentError
+from repro.experiments.approximate import ParCorrEngine, StatStreamEngine
 from repro.experiments.horizontal import HorizontalPruningEngine
 from repro.experiments.jumping import (
     JumpingEngine,

@@ -22,12 +22,11 @@ from repro.analysis.accuracy import compare_results
 from repro.analysis.report import format_table
 from repro.api.session import CorrelationSession
 from repro.baselines.brute_force import BruteForceEngine
-from repro.baselines.parcorr import ParCorrEngine
-from repro.baselines.statstream import StatStreamEngine
 from repro.baselines.tsubasa import TsubasaEngine
 from repro.core.engine import SlidingCorrelationEngine
 from repro.core.result import CorrelationSeriesResult
 from repro.exceptions import ExperimentError
+from repro.experiments.approximate import ParCorrEngine, StatStreamEngine
 from repro.experiments.jumping import JumpingEngine
 from repro.experiments.workloads import Workload
 

@@ -2,12 +2,11 @@
 
 Concurrent requests merge through one mechanism, :class:`QueryBatch`.
 *Identical* requests of any family coalesce onto one member slot and share
-its execution for the scan's whole duration.  Under an **exact** engine,
-concurrent **threshold** queries that differ *only* in their threshold —
-same dataset, same window grid, same ``threshold_mode``, same transport
-fields — additionally share a batch, because the engine's scan at the
-*lowest* requested threshold computes a superset of every member's answer
-with bit-identical values:
+its execution for the scan's whole duration.  Concurrent **threshold**
+queries that differ *only* in their threshold — same dataset, same window
+grid, same ``threshold_mode``, same transport fields — additionally share a
+batch, because the engine's scan at the *lowest* requested threshold
+computes a superset of every member's answer with bit-identical values:
 
 every exact execution strategy in this repo emits bit-identical correlation
 values for a surviving pair regardless of the threshold (the canonical
@@ -19,12 +18,11 @@ through the member query's own ``keep_mask``.
 suite asserts it is bit-identical to an independent per-threshold run
 across random thresholds, layouts and batch compositions.
 
-The rule is the served engine's ``exactness()``.  An approximate engine
-(ParCorr, StatStream, FilCorr) picks its candidates with a filter whose
-admissions depend on the threshold, so a floor scan can keep pairs an
-independent run at the member's threshold would never report: the service
-only coalesces identical requests to such an engine, and its answer never
-depends on concurrent traffic.
+The served engine is exact because the service refuses any other at start
+(:class:`~repro.service.service.CorrelationService`).  An approximate
+engine picks its candidates with a filter whose admissions depend on the
+threshold, so a floor scan could keep pairs an independent run at the
+member's threshold would never report.
 
 The bookkeeping classes (:class:`BatchMember`, :class:`QueryBatch`) carry
 one open batch per ``(dataset, batch key)``: the first arrival becomes the

@@ -17,11 +17,11 @@ by every subsequent query; the service is that deployment shape:
 * concurrent requests merge through one mechanism
   (:mod:`repro.service.batching`): identical requests of any family are
   **coalesced** — the first executes, the rest wait on it and share the same
-  response document — and, when the served engine answers exactly,
-  *compatible* threshold queries — same dataset, same window grid,
-  different thresholds — are **batched**: one scan runs at the lowest
-  requested threshold and each caller's answer is filtered from it,
-  bit-identically to an independent run of its own query,
+  response document — and *compatible* threshold queries — same dataset,
+  same window grid, different thresholds — are **batched**: one scan runs
+  at the lowest requested threshold and each caller's answer is filtered
+  from it, bit-identically to an independent run of its own query (the
+  service starts only over an exact engine, for which that holds),
 * a bounded per-dataset **admission queue** sheds overload with a 429 +
   ``Retry-After`` envelope instead of collapsing, and
 * standing queries keep only a :class:`~repro.streaming.online.WindowCursor`
@@ -392,8 +392,11 @@ class CorrelationService:
     catalog:
         The dataset catalog to serve (a :class:`Catalog` or a directory path).
     engine, engine_options, basic_window_size:
-        Defaults applied to every dataset session.  Scans run serially: the
-        service never shards a query (concurrency comes from the pool).
+        Defaults applied to every dataset session.  The engine must answer
+        exactly (``exactness() == "exact"``, as every registered engine
+        does); any other is a :class:`ServiceError` at construction.  Scans
+        run serially: the service never shards a query (concurrency comes
+        from the pool).
     memory_budget:
         Bytes a dataset's sketch build may hold resident at once; larger
         datasets stream through the tiled builder (bit-identical results,
@@ -413,8 +416,8 @@ class CorrelationService:
     retry_after_seconds:
         The ``Retry-After`` hint attached to shed responses.
     batch_window_seconds:
-        Group-commit window for threshold batching (exact engines only;
-        see :meth:`_query_batched`): a batch leader waits
+        Group-commit window for threshold batching (see
+        :meth:`_query_batched`): a batch leader waits
         this long (lock-free) before fixing the floor threshold and
         scanning, so a burst of compatible queries lands in one scan.  The
         default ``0.0`` adds no latency — batches then only accumulate
@@ -468,7 +471,14 @@ class CorrelationService:
         # Resolve the engine once, so an unknown engine or option fails the
         # start rather than every threshold request that reaches it.
         engine = self.config.planner().resolve_engine()
-        self._batches_thresholds = engine.exactness() == EXACTNESS_EXACT
+        # Threshold batching derives each member from a scan at a lower
+        # threshold, which is sound only for an engine that keeps exactly the
+        # pairs at or above its threshold.
+        if engine.exactness() != EXACTNESS_EXACT:
+            raise ServiceError(
+                f"the service serves exact engines only: engine "
+                f"{engine.name!r} answers {engine.exactness()!r}"
+            )
         self.service_workers = service_workers
         self.admission_queue_limit = admission_queue_limit
         self.retry_after_seconds = float(retry_after_seconds)
@@ -598,11 +608,8 @@ class CorrelationService:
     ) -> bytes:
         """Join (or lead) the open batch this request is compatible with.
 
-        Threshold requests share a batch across thresholds only when the
-        served engine answers exactly: deriving a member from a scan at a
-        lower threshold is sound only when the scan keeps exactly the pairs
-        at or above its threshold, and an approximate engine's filter admits
-        different candidates at different thresholds.  Every other request
+        Threshold requests share a batch across thresholds (the served
+        engine is exact, which :meth:`__init__` checks).  Every other request
         is compatible only with its exact duplicates, so its batch is plain
         coalescing onto one member slot.
         """
@@ -610,7 +617,7 @@ class CorrelationService:
         # poison a batch other callers are waiting on.
         include_edges, query = self._parse_request(request)
         exact_key = canonical_request_key(request)
-        batchable = self._batches_thresholds and is_batchable(request)
+        batchable = is_batchable(request)
         batch_key = batch_key_for(request) if batchable else exact_key
         with runtime.batches_lock:
             batch = runtime.batches.get(batch_key)

@@ -154,7 +154,7 @@ class TomborgGenerator:
         self.observation_noise = observation_noise
         self.scale = scale
         self.offset = offset
-        self.exact = exact
+        self.whiten_coefficients = exact
         self.seed = seed
 
     # ------------------------------------------------------------------ public
@@ -242,7 +242,7 @@ class TomborgGenerator:
         # by the envelope, then mixed across series by the correlation factor.
         independent = rng.standard_normal((self.num_series, num_columns))
         shaped = independent * envelope[None, :]
-        if self.exact:
+        if self.whiten_coefficients:
             shaped = _whiten_rows(shaped)
         coefficients = factor @ shaped
         return real_inverse_dft(coefficients)

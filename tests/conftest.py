@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.query import SlidingQuery
 from repro.timeseries.matrix import TimeSeriesMatrix
 from repro.tomborg.distributions import BimodalCorrelations
@@ -81,4 +82,13 @@ def standard_query(small_matrix) -> SlidingQuery:
         window=128,
         step=32,
         threshold=0.6,
+    )
+
+
+@pytest.fixture
+def isolated_registry(monkeypatch):
+    """Engines a test registers are gone once it ends (the product registry
+    is exactly the engines ``repro`` itself registers)."""
+    monkeypatch.setattr(
+        engine_module, "_ENGINE_REGISTRY", dict(engine_module._ENGINE_REGISTRY)
     )

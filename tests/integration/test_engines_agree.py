@@ -1,22 +1,22 @@
 """Integration: all engines answer the same queries consistently across datasets.
 
 These tests exercise full engine runs on every synthetic dataset family and
-check the relationships the paper relies on: exact engines agree with brute
-force everywhere, pruned/approximate engines keep precision 1 when they verify,
-and Dangoron's accuracy stays at the paper's level (>90%).
+check the relationships the paper relies on: every registered (product)
+engine agrees with brute force everywhere, the approximate experiment
+engines keep precision 1 when they verify, and the paper's jumping keeps its
+accuracy at the paper's level (>90%).
 """
 
 import pytest
 
 from repro.analysis.accuracy import compare_results
 from repro.baselines.brute_force import BruteForceEngine
-from repro.baselines.parcorr import ParCorrEngine
-from repro.baselines.statstream import StatStreamEngine
-from repro.baselines.tsubasa import TsubasaEngine
+from repro.core.engine import available_engines, create_engine, engine_options
 from repro.core.query import SlidingQuery
 from repro.datasets.climate import SyntheticUSCRN
 from repro.datasets.finance import SyntheticMarket
 from repro.datasets.fmri import SyntheticBOLD
+from repro.experiments.approximate import ParCorrEngine, StatStreamEngine
 from repro.experiments.jumping import JumpingEngine
 
 
@@ -53,12 +53,17 @@ WORKLOADS = _workloads()
 
 @pytest.mark.parametrize("name,matrix,query,basic", WORKLOADS, ids=[w[0] for w in WORKLOADS])
 class TestEnginesAgree:
-    def test_tsubasa_matches_brute_force(self, name, matrix, query, basic):
+    @pytest.mark.parametrize("engine_name", sorted(available_engines()))
+    def test_every_product_engine_matches_brute_force(
+        self, name, matrix, query, basic, engine_name
+    ):
         exact = BruteForceEngine().run(matrix, query)
-        sketched = TsubasaEngine(basic_window_size=basic).run(matrix, query)
-        report = compare_results(sketched, exact)
-        assert report.recall == pytest.approx(1.0)
-        assert report.precision == pytest.approx(1.0)
+        accepted = engine_options(engine_name)
+        options = {"basic_window_size": basic} if "basic_window_size" in accepted else {}
+        result = create_engine(engine_name, **options).run(matrix, query)
+        report = compare_results(result, exact)
+        assert report.recall == 1.0
+        assert report.precision == 1.0
         assert report.value_max_error < 1e-6
 
     def test_dangoron_meets_paper_accuracy(self, name, matrix, query, basic):

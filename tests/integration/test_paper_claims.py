@@ -22,9 +22,9 @@ from repro.experiments.registry import experiment_e5_scalability
 from repro.experiments.runner import run_comparison
 from repro.experiments.workloads import climate_workload
 from repro.baselines.brute_force import BruteForceEngine
-from repro.baselines.parcorr import ParCorrEngine
 from repro.baselines.tsubasa import TsubasaEngine
 from repro.core.dangoron import DangoronEngine
+from repro.experiments.approximate import ParCorrEngine
 from repro.experiments.jumping import JumpingEngine
 
 

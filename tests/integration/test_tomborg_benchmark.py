@@ -10,10 +10,9 @@ import pytest
 
 from repro.analysis.accuracy import compare_results
 from repro.baselines.brute_force import BruteForceEngine
-from repro.baselines.parcorr import ParCorrEngine
-from repro.baselines.statstream import StatStreamEngine
 from repro.core.dangoron import DangoronEngine
 from repro.core.query import SlidingQuery
+from repro.experiments.approximate import ParCorrEngine, StatStreamEngine
 from repro.network.dynamic import DynamicNetwork
 from repro.tomborg.correlation_targets import block_correlation_matrix
 from repro.tomborg.distributions import BimodalCorrelations

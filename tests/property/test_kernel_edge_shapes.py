@@ -8,7 +8,8 @@ block plus one, and sizes where its bits differ from a full ``x @ x.T``
 (257 and 300).  At each, a build, a build extended at a cut and a tiled
 build hold the same bits; the grid answers a pair subset exactly as it
 answers those pairs within the whole triangle, though its filter blocks hold
-other pairs; and every registered engine answers one and two series.
+other pairs; and every engine, registered or experiment, answers one and
+two series.
 
 The products are BLAS calls, so the identity holds for one BLAS build and
 thread count; CI's ``blas-threads`` job runs this file at one and at two.
@@ -23,6 +24,7 @@ from repro.core.engine import available_engines, create_engine, engine_options
 from repro.core.query import SlidingQuery
 from repro.core.sketch import BasicWindowSketch
 from repro.core.tiled import build_sketch_tiled
+from repro.experiments.approximate import FilCorrEngine, ParCorrEngine, StatStreamEngine
 from repro.storage.chunk_store import ChunkStore
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -79,14 +81,22 @@ def test_a_gathered_pair_subset_grids_like_the_whole_triangle(num_series):
         assert sv.tobytes() == v[inside].tobytes()
 
 
+def _registered(name):
+    options = {"basic_window_size": 16} if "basic_window_size" in engine_options(name) else {}
+    return lambda: create_engine(name, **options)
+
+
+ENGINES = {name: _registered(name) for name in available_engines()}
+ENGINES.update(filcorr=FilCorrEngine, parcorr=ParCorrEngine, statstream=StatStreamEngine)
+
+
 @pytest.mark.parametrize("num_series", [1, 2])
-@pytest.mark.parametrize("name", sorted(available_engines()))
+@pytest.mark.parametrize("name", sorted(ENGINES))
 def test_every_engine_answers_one_and_two_series(name, num_series):
     values = walks(num_series, 96, seed=7)
     matrix = TimeSeriesMatrix(values)
     query = SlidingQuery(0, 96, 32, 16, -1.0)
-    options = {"basic_window_size": 16} if "basic_window_size" in engine_options(name) else {}
-    result = create_engine(name, **options).run(matrix, query)
+    result = ENGINES[name]().run(matrix, query)
     assert result.num_windows == query.num_windows
     for window in result.matrices:
         assert len(window.rows) <= num_series * (num_series - 1) // 2

@@ -19,7 +19,6 @@ class _SketchlessEngine(SlidingCorrelationEngine):
     """Plans a layout but (wrongly) refuses the prebuilt sketch keyword."""
 
     name = "sketchless"
-    exact = True
 
     def plan_layout(self, query):
         return BasicWindowLayout.for_query(query, 16)

@@ -74,13 +74,13 @@ class TestPlannerRouting:
     def test_engine_options_are_applied(self, small_matrix, query):
         session = CorrelationSession(
             small_matrix,
-            engine="parcorr",
-            engine_options={"sketch_size": 16, "verify": False},
+            engine="incremental",
+            engine_options={"refresh_every": 16, "memory_budget": 4096},
             basic_window_size=32,
         )
         engine = session.planner.resolve_engine()
-        assert engine.sketch_size == 16
-        assert not engine.verify
+        assert engine.refresh_every == 16
+        assert engine.memory_budget == 4096
         dangoron = CorrelationSession(small_matrix, basic_window_size=32)
         # injected from the session
         assert dangoron.planner.resolve_engine().basic_window_size == 32

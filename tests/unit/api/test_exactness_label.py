@@ -6,7 +6,8 @@ answers can miss edges.  The label rides on ``EngineStats.exactness`` and
 shows in the result's ``describe()``, the plan string, the wire result's
 stats and ``repro query``'s summary.  Pivot options are dropped by the
 planner (horizontal pruning is an experiment-only ablation), so the answer
-stays ``exact``.
+stays ``exact``.  No registered engine is approximate, so the approximate
+row hands an experiment engine (ParCorr) to the planner.
 """
 
 import json
@@ -15,8 +16,9 @@ import pytest
 
 from repro.api import CorrelationSession, ThresholdQuery
 from repro.cli import main
-from repro.core.result import EXACTNESS_APPROXIMATE, EXACTNESS_EXACT
+from repro.core.result import EXACTNESS_EXACT
 from repro.datasets.loaders import write_wide_csv
+from repro.experiments.approximate import EXACTNESS_APPROXIMATE, ParCorrEngine
 from repro.experiments.jumping import EXACTNESS_JUMPING, JumpingEngine
 from repro.parallel import ShardedExecutor
 from repro.service.wire import encode_result, result_from_wire
@@ -34,11 +36,17 @@ CONFIGURATIONS = [
 def test_stats_describe_plan_and_wire_carry_the_label(
     small_matrix, engine, options, label
 ):
+    # ParCorr is no registered engine: the planner is handed the object.
+    override = ParCorrEngine(**options) if engine == "parcorr" else None
     session = CorrelationSession(
-        small_matrix, engine=engine, basic_window_size=32, engine_options=options
+        small_matrix,
+        engine="dangoron" if override else engine,
+        basic_window_size=32,
+        engine_options={} if override else options,
     )
-    assert f" answer={label} " in session.plan(QUERY).describe()
-    result = session.run(QUERY)
+    planner = session.planner
+    assert f" answer={label} " in planner.plan(small_matrix, QUERY, engine=override).describe()
+    result = planner.run(small_matrix, QUERY, engine=override)
     assert result.stats.exactness == label
     assert result.stats.as_dict()["exactness"] == label
     assert f"edges ({label})" in result.describe()

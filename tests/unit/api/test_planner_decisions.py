@@ -582,7 +582,7 @@ def test_feedback_keys_separate_engine_configurations():
         ("dangoron", {}),
         ("dangoron", {"basic_window_size": 8}),
         ("tsubasa", {}),
-        ("parcorr", {"verify": False}),
+        ("incremental", {"refresh_every": 0}),
     ]
     plans = [
         _planner(engine=engine, engine_options=options, sketch_cache=cache).plan(
@@ -595,7 +595,7 @@ def test_feedback_keys_separate_engine_configurations():
         "dangoron[no-pruning, b<=16]",
         "dangoron[no-pruning, b<=8]",
         "tsubasa[b=16]",
-        "parcorr[k=64, approximate]",
+        "incremental[no-refresh]",
     ]
     assert plans[0].describe() == GOLDEN["threshold-cold-serial"]["describe"]
     assert "|engine=dangoron[no-pruning, b<=16]|" in plans[0].cost_key

@@ -8,13 +8,21 @@ from repro.core.engine import (
     create_engine,
     register_engine,
 )
+from repro.core.result import EXACTNESS_EXACT
 from repro.exceptions import ExperimentError
+
+pytestmark = pytest.mark.usefixtures("isolated_registry")
+
+PRODUCT_ENGINES = ["brute_force", "dangoron", "incremental", "tsubasa"]
 
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        names = set(available_engines())
-        assert {"dangoron", "tsubasa", "brute_force", "parcorr", "statstream"} <= names
+        assert sorted(available_engines()) == PRODUCT_ENGINES
+
+    @pytest.mark.parametrize("name", PRODUCT_ENGINES)
+    def test_every_registered_engine_answers_exactly(self, name):
+        assert create_engine(name).exactness() == EXACTNESS_EXACT
 
     def test_create_engine_by_name(self):
         engine = create_engine("dangoron", basic_window_size=16)

@@ -11,6 +11,8 @@ from repro.core.engine import (
 )
 from repro.exceptions import ExperimentError
 
+pytestmark = pytest.mark.usefixtures("isolated_registry")
+
 
 def _engine_class(engine_name):
     class Probe(SlidingCorrelationEngine):
@@ -67,20 +69,20 @@ class TestDuplicateRegistration:
 class TestCreateEngineErrors:
     def test_unknown_option_raises_experiment_error(self):
         with pytest.raises(ExperimentError) as excinfo:
-            create_engine("parcorr", verfy=False)
+            create_engine("incremental", refresh_evry=0)
         message = str(excinfo.value)
-        assert "parcorr" in message
-        assert "'verify'" in message  # the accepted options are listed
+        assert "incremental" in message
+        assert "'refresh_every'" in message  # the accepted options are listed
 
     def test_valid_options_still_work(self):
-        engine = create_engine("parcorr", verify=False, candidate_margin=0.1)
-        assert not engine.verify
-        assert engine.candidate_margin == 0.1
+        engine = create_engine("incremental", refresh_every=0, memory_budget=4096)
+        assert engine.refresh_every == 0
+        assert engine.memory_budget == 4096
 
     def test_engine_options_lists_constructor_parameters(self):
-        options = engine_options("parcorr")
-        assert "sketch_size" in options
-        assert "verify" in options
+        options = engine_options("incremental")
+        assert "refresh_every" in options
+        assert "memory_budget" in options
 
     def test_engine_options_unknown_engine(self):
         with pytest.raises(ExperimentError, match="unknown engine"):

@@ -1,14 +1,14 @@
-"""Unit tests for the FilCorr baseline (repro.baselines.filcorr)."""
+"""Unit tests for the FilCorr experiment engine (repro.experiments.approximate)."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.accuracy import compare_results
 from repro.baselines.brute_force import BruteForceEngine
-from repro.baselines.filcorr import FilCorrEngine, moving_average_filter
 from repro.core.engine import available_engines, create_engine
 from repro.core.query import SlidingQuery
-from repro.exceptions import QueryValidationError
+from repro.exceptions import ExperimentError, QueryValidationError
+from repro.experiments.approximate import FilCorrEngine, moving_average_filter
 
 
 class TestMovingAverageFilter:
@@ -109,9 +109,11 @@ class TestEngineBehaviour:
 
 
 class TestValidation:
-    def test_registered_engine(self):
-        assert "filcorr" in available_engines()
-        assert isinstance(create_engine("filcorr"), FilCorrEngine)
+    def test_not_a_registered_engine(self):
+        assert "filcorr" not in available_engines()
+        assert FilCorrEngine not in available_engines().values()
+        with pytest.raises(ExperimentError, match="unknown engine 'filcorr'"):
+            create_engine("filcorr")
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(QueryValidationError):

@@ -1,13 +1,13 @@
-"""Unit tests for the ParCorr (random projection) baseline."""
+"""Unit tests for the ParCorr (random projection) experiment engine."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.accuracy import compare_results
 from repro.baselines.brute_force import BruteForceEngine
-from repro.baselines.parcorr import ParCorrEngine, _znormalize_rows
 from repro.core.query import SlidingQuery
 from repro.exceptions import QueryValidationError
+from repro.experiments.approximate import ParCorrEngine, _znormalize_rows
 
 
 class TestZNormalization:

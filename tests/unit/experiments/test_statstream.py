@@ -1,13 +1,13 @@
-"""Unit tests for the StatStream (truncated DFT) baseline."""
+"""Unit tests for the StatStream (truncated DFT) experiment engine."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.accuracy import compare_results
 from repro.baselines.brute_force import BruteForceEngine
-from repro.baselines.statstream import StatStreamEngine
 from repro.core.query import SlidingQuery
 from repro.exceptions import QueryValidationError
+from repro.experiments.approximate import StatStreamEngine
 from repro.timeseries.matrix import TimeSeriesMatrix
 from repro.tomborg.distributions import BimodalCorrelations
 from repro.tomborg.generator import TomborgGenerator

@@ -191,7 +191,6 @@ def test_shardable_engine_without_sketch_kwarg_runs_sketchless(
 
     class _PairsOnlyEngine(SlidingCorrelationEngine):
         name = "pairs-only"
-        exact = True
 
         def plan_layout(self, query):
             return BasicWindowLayout.for_query(query, 16)

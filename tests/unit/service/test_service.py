@@ -14,7 +14,9 @@ import pytest
 
 from repro.api import CorrelationSession, ThresholdQuery, TopKQuery
 from repro.cli import main
+from repro.core import engine as engine_module
 from repro.exceptions import ExperimentError, ServiceError
+from repro.experiments.approximate import ParCorrEngine
 from repro.service import CorrelationService, result_from_wire
 from repro.service.service import DatasetRuntime
 from repro.storage.catalog import Catalog
@@ -181,6 +183,28 @@ class TestQueryExecution:
         assert code == 1
         assert err.startswith("error: invalid options for engine 'dangoron'")
         assert "'num_pivtos'" in err and "Traceback" not in err
+
+    def test_an_approximate_engine_fails_the_start(self, catalog, capsys, monkeypatch):
+        """The service serves exact engines only: threshold batching derives
+        each caller's answer from a scan at a lower threshold, and an
+        approximate engine's filter admits different pairs at different
+        thresholds.  No registered engine is approximate, but a third party
+        can register one; the service then names it and refuses to start."""
+        monkeypatch.setitem(engine_module._ENGINE_REGISTRY, "parcorr", ParCorrEngine)
+        with pytest.raises(
+            ServiceError,
+            match=r"exact engines only: engine 'parcorr' answers 'approximate'",
+        ):
+            CorrelationService(catalog, engine="parcorr", basic_window_size=BASIC)
+        code = main([
+            "serve", "--catalog", str(catalog.root), "--port", "0",
+            "--engine", "parcorr",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: the service serves exact engines only")
+        assert "'parcorr'" in err and "'approximate'" in err
+        assert "Traceback" not in err
 
     def test_non_object_request_rejected(self, service):
         with pytest.raises(ServiceError, match="JSON object"):
@@ -389,61 +413,6 @@ class TestCoalescing:
         assert runtime.counters["executed"] == 1  # six answers, one scan
         assert runtime.counters["batched"] == len(requests) - 1
         assert runtime.counters["queries"] == len(requests)
-
-    def test_an_approximate_engine_answers_each_threshold_alone(self, tmp_path):
-        """ParCorr's candidate filter admits different pairs at different
-        thresholds, so a scan at the lower one filtered to the higher keeps
-        pairs the higher threshold's own run never reports (on this data:
-        443 edges against 370).  Its service must not batch thresholds:
-        each request answers as it would alone, whatever arrives with it."""
-        rng = np.random.default_rng(0)
-        base = rng.standard_normal((2, LENGTH))
-        values = base[np.arange(16) % 2] + rng.uniform(0.3, 1.2, (16, 1)) * (
-            rng.standard_normal((16, LENGTH))
-        )
-        store = ChunkStore(16, chunk_columns=64)
-        store.append(values)
-        catalog = Catalog(tmp_path)
-        catalog.add_dataset("drift", store)
-        requests = {
-            threshold: {"mode": "threshold", "start": 0, "end": LENGTH,
-                        "window": 64, "step": 16, "threshold": threshold}
-            for threshold in (0.4, 0.6)
-        }
-        alone = CorrelationService(catalog.root, engine="parcorr", basic_window_size=BASIC)
-        expected = {
-            threshold: result_from_wire(
-                json.loads(alone.query("drift", dict(request)))
-            ).to_edges()
-            for threshold, request in requests.items()
-        }
-        service = CorrelationService(catalog, engine="parcorr", basic_window_size=BASIC)
-        runtime = service._runtime("drift")
-        answers = {}
-
-        def ask(threshold):
-            document = json.loads(service.query("drift", dict(requests[threshold])))
-            answers[threshold] = result_from_wire(document).to_edges()
-
-        askers = [threading.Thread(target=ask, args=(t,)) for t in requests]
-        # Both requests queue while the lock is held, as in the burst above.
-        with runtime.lock:
-            for asker in askers:
-                asker.start()
-            deadline = time.monotonic() + 10
-            while True:
-                with runtime.batches_lock:
-                    joined = sum(len(b.members) for b in runtime.batches.values())
-                if joined == len(requests):
-                    break
-                assert time.monotonic() < deadline, f"only {joined} joined"
-                time.sleep(0.005)
-        for asker in askers:
-            asker.join(timeout=10)
-        assert answers == expected
-        assert runtime.counters["executed"] == len(requests)
-        assert runtime.counters["batched"] == 0
-
 
 class TestLoadShedding:
     def test_full_queue_sheds_and_counts_only_served_requests(

@@ -80,10 +80,10 @@ class TestQueryModes:
 
     def test_engine_opt_reaches_the_engine(self, csv_dataset, capsys):
         code = main(self._query(
-            csv_dataset, "--engine", "parcorr", "--engine-opt", "sketch_size=16",
+            csv_dataset, "--engine", "incremental", "--engine-opt", "refresh_every=16",
         ))
         assert code == 0
-        assert "parcorr[k=16, verified]" in capsys.readouterr().out
+        assert "incremental[refresh=16]" in capsys.readouterr().out
 
     def test_bad_engine_opt_reports_accepted_options(self, csv_dataset, capsys):
         code = main(self._query(csv_dataset, "--engine-opt", "slak=0.05"))
