@@ -153,9 +153,15 @@ class DangoronEngine(SlidingCorrelationEngine):
         ``pruned_horizontally`` where an experiment subclass skips work)
         become :class:`EngineStats` fields, the rest ``extra`` entries.
         """
-        windows, verified = sketch.exact_pairs_grid(rows, cols, query, slots=slots)
-        # Every cell is evaluated by the filter; the verified ones again.
+        counters: Dict[str, float] = {}
+        windows, verified = sketch.exact_pairs_grid(
+            rows, cols, query, slots=slots, counters=counters
+        )
+        # Every cell counts as evaluated: the filter computes it, or its
+        # pair's ceiling (ceiling_skipped_pairs) rules it out.  The verified
+        # cells are evaluated again.
         return [ThresholdedMatrix(sketch.num_series, *edges) for edges in windows], {
             "exact_evaluations": len(rows) * query.num_windows,
             "verified_evaluations": verified,
+            **counters,
         }

@@ -36,13 +36,18 @@ The recombination exposed here comes in two flavours:
     filters all (pair, window) cells at once, and only the cells that may
     pass the threshold, or rank in their window's top k, are re-gathered
     with ``exact_pairs_scan``'s kernel, so the answers are the per-window
-    scan's bit for bit.
+    scan's bit for bit.  The first whole-triangle threshold pass over a
+    window grid records each pair's filter extremes (its *ceiling*), and a
+    later threshold pass over the same grid skips the pairs whose ceiling
+    cannot reach the threshold (:class:`_GridMemo`).
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Iterator, List, Optional, Tuple
+import weakref
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -109,22 +114,33 @@ def pair_slots(num_series: int, rows, cols) -> np.ndarray:
     return low * (2 * num_series - low - 1) // 2 + np.abs(cols - rows) - 1
 
 
+def whole_triangle(slots: np.ndarray, num_pairs: int) -> bool:
+    """Whether ``slots`` are every pair of a ``num_pairs`` triangle in slot
+    order, ``0 … P - 1``: a whole-triangle run's enumeration."""
+    return len(slots) == num_pairs and np.array_equal(slots, np.arange(num_pairs))
+
+
 def pair_corrs_from_stats(
     series_sums: np.ndarray,
     series_sumsqs: np.ndarray,
     pair_sumprods: np.ndarray,
     size: int,
+    rows: Optional[np.ndarray] = None,
+    cols: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-basic-window pair correlations from the raw per-window statistics.
 
     ``series_sums``/``series_sumsqs`` have shape ``(N, count)`` and
-    ``pair_sumprods`` is the packed ``(P, count)`` layout (rows in
-    :func:`pair_slots` order); the result matches ``pair_sumprods``.  Every
-    operation is element-wise per basic window, so a window's correlations
-    are the same bits whether it arrived in a build, an extension or a
-    tile: ``(sumprod / size - mean_i * mean_j) / (std_i * std_j)``, clamped.
+    ``pair_sumprods`` holds one row per pair ``(rows[p], cols[p])``, by
+    default the packed ``(P, count)`` layout (rows in :func:`pair_slots`
+    order); the result matches ``pair_sumprods``.  Every operation is
+    element-wise per basic window, so a window's correlations are the same
+    bits whether it arrived in a build, an extension or a tile, and a pair's
+    whichever other pairs are computed with it:
+    ``(sumprod / size - mean_i * mean_j) / (std_i * std_j)``, clamped.
     """
-    rows, cols = np.triu_indices(series_sums.shape[0], k=1)
+    if rows is None:
+        rows, cols = np.triu_indices(series_sums.shape[0], k=1)
     means = series_sums / size
     variances = series_sumsqs / size - means**2
     # Flag near-constant basic windows both absolutely and relative to
@@ -207,6 +223,88 @@ def _grid_error_coefficient(span: int) -> float:
     return 16.0 * (gamma + 5.0 * unit)
 
 
+class _SeriesTerms(NamedTuple):
+    """A window grid's per-(series, window) terms, read-only.
+
+    ``sums``, ``means`` and ``inv_root`` are ``(N, windows)``; ``amplitude``
+    is each series' ``A`` (:func:`_grid_error_coefficient`); the ``cell_*``
+    arrays are verification's window-major copies (cell ``(i, w)`` reads
+    entry ``w * N + i``).
+    """
+
+    sums: np.ndarray
+    means: np.ndarray
+    inv_root: np.ndarray
+    amplitude: np.ndarray
+    cell_sums: np.ndarray
+    cell_centred: np.ndarray
+    cell_degenerate: np.ndarray
+
+
+def _series_terms(
+    sketch: "BasicWindowSketch", starts: np.ndarray, window_bw: int, n_points: float
+) -> _SeriesTerms:
+    """Every series' terms over the windows starting at basic windows
+    ``starts``, each ``window_bw`` long: the scan's own reduction
+    (:meth:`BasicWindowSketch._series_window_sums`) per window."""
+    sums = np.empty((sketch.num_series, len(starts)), dtype=FLOAT_DTYPE)
+    sumsqs = np.empty_like(sums)
+    for w, start in enumerate(starts):
+        sums[:, w], sumsqs[:, w] = sketch._series_window_sums(int(start), window_bw)
+    centred, degenerate = centred_sumsq(n_points, sums, sumsqs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_root = np.where(
+            degenerate, 0.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, centred))
+        )
+        means = sums / n_points
+        amplitude = (
+            np.sqrt(sketch._sumsq_prefix[:, starts + window_bw]) * inv_root
+        ).max(axis=1)
+    terms = _SeriesTerms(
+        sums, means, inv_root, amplitude,
+        sums.T.ravel(), centred.T.ravel(), degenerate.T.ravel(),
+    )
+    for array in terms:
+        array.setflags(write=False)
+    return terms
+
+
+class _GridMemo(NamedTuple):
+    """What a whole-triangle threshold pass leaves for later passes over
+    the same window grid of the same sketch.
+
+    ``key`` is the grid, ``(first, window_bw, step_bw, num_windows)`` in
+    basic windows; ``terms`` its per-series terms; ``high`` and ``low`` are
+    ``(P,)``, in slot order: the max and the min of each pair's *signed*
+    filter values over the grid's windows (NaN when any of them is NaN).
+
+    A filter value is a function of its pair's packed row, the grid and the
+    per-series terms alone, the same bits in whichever block or pair subset
+    it is computed, so a later pass computes at most ``high`` and at least
+    ``low`` for each pair.  A pass at ``beta`` therefore verifies no cell of
+    a pair with ``high < beta - delta`` (and ``-low < beta - delta`` in
+    absolute mode): dropping those pairs first changes no verified cell and
+    no answer bit.  ``delta`` and its coefficient are recomputed by every
+    pass, so the test is always the pass's own comparison.
+    """
+
+    key: Tuple[int, int, int, int]
+    terms: _SeriesTerms
+    high: np.ndarray
+    low: np.ndarray
+
+
+#: The last :class:`_GridMemo` recorded for each live sketch.  It is derived
+#: state kept outside the sketch (whose attributes are never written), and
+#: an entry dies with its sketch.  An entry is published whole, under the
+#: lock; a pass that finds none, or one for another grid, runs over every
+#: pair, so a race between passes costs time only.
+_GRID_MEMOS: "weakref.WeakKeyDictionary[BasicWindowSketch, _GridMemo]" = (
+    weakref.WeakKeyDictionary()
+)
+_GRID_MEMOS_LOCK = threading.Lock()
+
+
 def _cells(parts, dtype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One window's ``(rows, cols, values)`` parts joined in order."""
     if not parts:
@@ -243,6 +341,9 @@ class _GridPass:
     the sums of squares (:func:`_grid_error_coefficient`; docs/invariants.md
     derives it), so data far from zero or cancelling sums widen it and
     verification then does more of the work.
+
+    The per-series terms are those of the sketch's :class:`_GridMemo` when
+    it was recorded over the same grid (the same bits: the same reduction).
 
     *Verify.*  Cells are re-gathered as the scan does it, in bounded
     chunks: each cell's sum is its own contiguous row slice reduced along
@@ -281,29 +382,20 @@ class _GridPass:
         self.starts = first + self.step_bw * np.arange(self.num_windows)
         #: Pairs per filter block: as many as fit over the windows' span.
         self.block = max(1, _GRID_BLOCK_CELLS // (self.span + 1))
-
         self.n_points = float(window_bw * layout.size)
-        self.sums = np.empty((sketch.num_series, self.num_windows), dtype=FLOAT_DTYPE)
-        sumsqs = np.empty_like(self.sums)
-        for w, start in enumerate(self.starts):
-            self.sums[:, w], sumsqs[:, w] = sketch._series_window_sums(
-                int(start), window_bw
-            )
-        centred, degenerate = centred_sumsq(self.n_points, self.sums, sumsqs)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.inv_root = np.where(
-                degenerate, 0.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, centred))
-            )
-            self.means = self.sums / self.n_points
-            self.amplitude = (
-                np.sqrt(sketch._sumsq_prefix[:, self.starts + window_bw]) * self.inv_root
-            ).max(axis=1)
+
+        self.key = (first, window_bw, self.step_bw, self.num_windows)
+        with _GRID_MEMOS_LOCK:
+            memo = _GRID_MEMOS.get(sketch)
+        #: The sketch's memo when it was recorded over this grid, else None.
+        self.memo = memo if memo is not None and memo.key == self.key else None
+        if self.memo is not None:
+            self.terms = self.memo.terms
+        else:
+            self.terms = _series_terms(sketch, self.starts, window_bw, self.n_points)
+        (self.sums, self.means, self.inv_root, self.amplitude,
+         self.cell_sums, self.cell_centred, self.cell_degenerate) = self.terms
         self.coefficient = _grid_error_coefficient(self.span)
-        # Verification's per-(series, window) terms, window-major: cell
-        # (i, w) reads entry w * N + i.
-        self.cell_sums = self.sums.T.ravel()
-        self.cell_centred = centred.T.ravel()
-        self.cell_degenerate = degenerate.T.ravel()
 
     def delta(self, pairs) -> np.ndarray:
         """The filter's error bound for the pairs at ``pairs`` (a slice or
@@ -314,14 +406,36 @@ class _GridPass:
                 self.amplitude[self.rows[pairs]] * self.amplitude[self.cols[pairs]]
             )
 
-    def blocks(self) -> Iterator[Tuple[int, int, np.ndarray]]:
+    def skip_unreachable(self, beta: float) -> None:
+        """Narrow the pass to the pairs the memo's ceiling lets reach
+        ``beta``, in their order: a dropped pair is one whose every cell the
+        filter at ``beta`` would leave unverified (the test of
+        :meth:`BasicWindowSketch.exact_pairs_grid` on the pair's extremes; a
+        NaN extreme never compares below).  Needs :attr:`memo`."""
+        limit = beta - self.delta(slice(None))
+        with np.errstate(invalid="ignore"):
+            below = self.memo.high[self.slots] < limit
+            if self.absolute:
+                below &= -self.memo.low[self.slots] < limit
+        kept = ~below
+        self.rows, self.cols, self.slots = self.rows[kept], self.cols[kept], self.slots[kept]
+
+    def blocks(
+        self, extremes: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    ) -> Iterator[Tuple[int, int, np.ndarray]]:
         """``(lo, hi, filter)`` for consecutive pair blocks ``[lo, hi)``.
 
         ``filter`` is ``(hi - lo, windows)``, ``|f|`` in absolute mode.
+        ``extremes``, two ``(pairs,)`` arrays, receive each pair's max and
+        min signed filter value over the windows.
         """
         span, window_bw, step_bw = self.span, self.window_bw, self.step_bw
         columns = slice(self.first, self.first + span)
         prefix = np.zeros((min(self.block, len(self.rows)), span + 1), dtype=FLOAT_DTYPE)
+        # Where each pair's row of a block's filter starts: reduceat over the
+        # flat block takes a row's extremes at a fraction of max(axis=1)'s
+        # per-row cost.
+        row_starts = np.arange(len(prefix)) * self.num_windows
         for lo in range(0, len(self.rows), self.block):
             hi = min(lo + self.block, len(self.rows))
             running = prefix[: hi - lo]
@@ -336,6 +450,10 @@ class _GridPass:
                 value -= self.sums[block_rows] * self.means[block_cols]
                 value *= self.inv_root[block_rows]
                 value *= self.inv_root[block_cols]
+                if extremes is not None:
+                    cells = value.ravel()
+                    np.maximum.reduceat(cells, row_starts[: hi - lo], out=extremes[0][lo:hi])
+                    np.minimum.reduceat(cells, row_starts[: hi - lo], out=extremes[1][lo:hi])
                 if self.absolute:
                     np.abs(value, out=value)
             yield lo, hi, value
@@ -650,6 +768,7 @@ class BasicWindowSketch:
         query: SlidingQuery,
         windows: Optional[range] = None,
         slots: Optional[np.ndarray] = None,
+        counters: Optional[Dict[str, int]] = None,
     ) -> Tuple[List[Tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
         """A threshold query's edges among selected pairs, every window in one pass.
 
@@ -666,6 +785,13 @@ class BasicWindowSketch:
         below ``beta`` by more than its ``delta`` (``|.|`` in absolute mode;
         a NaN always verifies), and only the verified value decides and is
         emitted.
+
+        A pass over the whole triangle in slot order records its grid's
+        :class:`_GridMemo`; a later pass over the same grid, on any pairs,
+        first drops the pairs whose ceiling cannot reach ``beta`` (not when
+        a signed ``beta`` is -1 or less), which verifies the same cells.
+        ``counters``, when given, receives ``ceiling_skipped_pairs``, the
+        number of pairs dropped so.
         """
         self._require_pairwise()
         rows = np.asarray(rows)
@@ -675,10 +801,19 @@ class BasicWindowSketch:
         if len(windows) == 0:
             return [], 0
         absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
-        grid = _GridPass(self, rows, cols, self._slots(rows, cols, slots), query,
-                         windows, absolute)
+        slots = self._slots(rows, cols, slots)
+        grid = _GridPass(self, rows, cols, slots, query, windows, absolute)
         # A signed beta of -1 keeps every value the clip can produce.
         unbounded = not absolute and query.threshold <= -1.0
+        extremes = None
+        if grid.memo is not None:
+            if not unbounded:
+                grid.skip_unreachable(query.threshold)
+        elif whole_triangle(slots, len(self.pair_sumprods)):
+            extremes = tuple(np.empty(len(slots), dtype=FLOAT_DTYPE) for _ in range(2))
+        if counters is not None:
+            counters["ceiling_skipped_pairs"] = len(rows) - len(grid.rows)
+        pairs = len(grid.rows)
 
         edges: List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
             [] for _ in windows
@@ -688,12 +823,12 @@ class BasicWindowSketch:
         # or spans _GRID_MASK_CELLS, so cells come out in each window's
         # enumeration order without a sort.
         width = min(
-            len(rows),
+            pairs,
             grid.block * max(1, _GRID_MASK_CELLS // (grid.block * grid.num_windows)),
         )
         marked = np.empty((grid.num_windows, width), dtype=bool)
         start = waiting = verified = 0
-        for lo, hi, value in grid.blocks():
+        for lo, hi, value in grid.blocks(extremes):
             chosen = marked[:, lo - start : hi - start]
             if unbounded:
                 chosen[...] = True
@@ -701,7 +836,7 @@ class BasicWindowSketch:
                 below = value < (query.threshold - grid.delta(slice(lo, hi)))[:, None]
                 np.logical_not(below.T, out=chosen)
             waiting += np.count_nonzero(chosen)
-            if hi - start < width and waiting < _GRID_VERIFY_CELLS and hi < len(rows):
+            if hi - start < width and waiting < _GRID_VERIFY_CELLS and hi < pairs:
                 continue
             # One flat index per cell is several times cheaper than
             # np.nonzero's two.
@@ -715,6 +850,11 @@ class BasicWindowSketch:
                 for index, a, b in _runs(w):
                     edges[index].append((i[a:b], j[a:b], values[a:b]))
             start, waiting = hi, 0
+        if extremes is not None:
+            for array in extremes:
+                array.setflags(write=False)
+            with _GRID_MEMOS_LOCK:
+                _GRID_MEMOS[self] = _GridMemo(grid.key, grid.terms, *extremes)
         return [_cells(found, rows.dtype) for found in edges], verified
 
     def exact_top_k_grid(

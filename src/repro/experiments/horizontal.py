@@ -260,7 +260,7 @@ class HorizontalPruningEngine(JumpingEngine):
         scheduler = JumpScheduler(len(rows), num_windows)
         absolute = query.threshold_mode == THRESHOLD_ABSOLUTE
         counters: Dict[str, float] = {}
-        corr_prefix = self._prefix(sketch, counters)
+        corr_prefix = self._prefix(sketch, rows, cols, counters)
 
         rng = np.random.default_rng(self.seed)
         first_window = matrix.values[:, query.start : query.start + query.window]
@@ -311,7 +311,7 @@ class HorizontalPruningEngine(JumpingEngine):
                             upper[rows[pruned], cols[pruned]],
                             query.threshold,
                             corr_prefix,
-                            slots[pruned],
+                            pruned,
                             bw_first,
                             step_bw,
                             window_bw,

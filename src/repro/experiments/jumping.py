@@ -41,7 +41,12 @@ from repro.config import DEFAULT_BASIC_WINDOW_SIZE, FLOAT_DTYPE, INDEX_DTYPE
 from repro.core.dangoron import DangoronEngine
 from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
 from repro.core.result import EXACTNESS_EXACT, CorrelationSeriesResult, ThresholdedMatrix
-from repro.core.sketch import BasicWindowSketch, pair_corrs_from_stats, pair_slots
+from repro.core.sketch import (
+    BasicWindowSketch,
+    pair_corrs_from_stats,
+    pair_slots,
+    whole_triangle,
+)
 from repro.exceptions import QueryValidationError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -81,22 +86,36 @@ def temporal_upper_bound(
     return corr_now + (outgoing_count - outgoing_corr_sum) / float(num_basic_windows)
 
 
-def correlation_prefix(sketch: BasicWindowSketch) -> np.ndarray:
-    """``(P, count + 1)`` running sums of every pair's basic-window correlations.
+def correlation_prefix(
+    sketch: BasicWindowSketch,
+    rows: Optional[np.ndarray] = None,
+    cols: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Running sums of the basic-window correlations of pairs ``(rows[p], cols[p])``.
 
-    ``prefix[s, w]`` is the sum of slot ``s``'s correlations over basic
-    windows ``[0, w)``, so the Eq. 2 bound reads any outgoing range in O(1).
-    The correlations come from the sketch's packed sums
-    (:func:`~repro.core.sketch.pair_corrs_from_stats`); one sequential
+    One row per pair, by default every pair of the triangle in slot order
+    (``(P, count + 1)``): ``prefix[p, w]`` is the sum of pair ``p``'s
+    correlations over basic windows ``[0, w)``, so the Eq. 2 bound reads any
+    outgoing range in O(1).  The correlations come from the sketch's packed
+    sums (:func:`~repro.core.sketch.pair_corrs_from_stats`); one sequential
     ``cumsum`` along each row from a leading ``0.0`` adds them in window
-    order.  Computed once per run: the sketch does not keep it.
+    order.  Rows are independent, so a pair's row has the same bits
+    whichever pairs are asked for.  Computed once per run over the run's
+    pairs: the sketch does not keep it.
     """
+    pair_sumprods = sketch.pair_sumprods
+    if rows is not None:
+        slots = pair_slots(sketch.num_series, rows, cols)
+        if whole_triangle(slots, len(pair_sumprods)):
+            rows = cols = None
+        else:
+            pair_sumprods = pair_sumprods[slots]
     per_window = pair_corrs_from_stats(
-        sketch.series_sums, sketch.series_sumsqs, sketch.pair_sumprods,
-        sketch.layout.size,
+        sketch.series_sums, sketch.series_sumsqs, pair_sumprods,
+        sketch.layout.size, rows, cols,
     )
-    slots, count = per_window.shape
-    prefix = np.empty((slots, count + 1), dtype=FLOAT_DTYPE)
+    pairs, count = per_window.shape
+    prefix = np.empty((pairs, count + 1), dtype=FLOAT_DTYPE)
     prefix[:, 0] = 0.0
     prefix[:, 1:] = per_window
     np.cumsum(prefix, axis=1, out=prefix)
@@ -107,7 +126,7 @@ def first_possible_crossing(
     corr_now: np.ndarray,
     beta: float,
     corr_prefix: np.ndarray,
-    slots: np.ndarray,
+    prefix_rows: np.ndarray,
     bw_start: int,
     step_bw: int,
     num_basic_windows: int,
@@ -117,12 +136,11 @@ def first_possible_crossing(
 ) -> np.ndarray:
     """Smallest number of *window* steps after which Eq. 2 allows crossing ``beta``.
 
-    For each pair ``p`` (its sketch row ``slots[p]``, see
-    :func:`repro.core.sketch.pair_slots`) whose current window
-    starts at basic window ``bw_start`` and whose correlation ``corr_now[p]``
-    is below the threshold, returns the smallest ``m >= 1`` such that the
-    Eq. 2 upper bound after ``m`` window slides (``m * step_bw`` outgoing basic
-    windows) reaches ``beta - slack``.  If no ``m <= max_steps`` reaches the
+    For each pair ``p`` (its row ``prefix_rows[p]`` of ``corr_prefix``)
+    whose current window starts at basic window ``bw_start`` and whose
+    correlation ``corr_now[p]`` is below the threshold, returns the smallest
+    ``m >= 1`` such that the Eq. 2 upper bound after ``m`` window slides
+    (``m * step_bw`` outgoing basic windows) reaches ``beta - slack``.  If no ``m <= max_steps`` reaches the
     threshold, ``max_steps + 1`` is returned, meaning the pair can be skipped
     for the rest of the query.
 
@@ -130,18 +148,18 @@ def first_possible_crossing(
     due at window ``current + m``; windows ``current+1 … current+m-1`` are
     skipped (reported as below threshold).
 
-    ``corr_prefix`` is :func:`correlation_prefix` of the sketch, one row per
-    pair; ``slack`` tightens the effective threshold to trade skipped work
-    for recall (``slack > 0`` skips less aggressively).
+    ``corr_prefix`` is a :func:`correlation_prefix` of the sketch; ``slack``
+    tightens the effective threshold to trade skipped work for recall
+    (``slack > 0`` skips less aggressively).
 
     ``negate=True`` applies the bound to the *negated* correlation (used for
     absolute-value thresholds, where a pair may also become an edge by
     crossing ``-beta`` from above): the caller passes ``-corr_now`` and the
     outgoing basic-window correlations are negated internally.
     """
-    slots = np.asarray(slots)
+    prefix_rows = np.asarray(prefix_rows)
     corr_now = np.asarray(corr_now, dtype=FLOAT_DTYPE)
-    num_pairs = len(slots)
+    num_pairs = len(prefix_rows)
     if num_pairs == 0:
         return np.zeros(0, dtype=np.int64)
     if max_steps < 1:
@@ -150,7 +168,7 @@ def first_possible_crossing(
     effective_beta = beta - slack
     # One row per pair: every probe reads the pairs' rows at one column (a
     # fixed step) or at a column per pair (the bisection).
-    base = corr_prefix[slots, bw_start]
+    base = corr_prefix[prefix_rows, bw_start]
 
     def reaches(steps, prefix_then, prefix_now, corr) -> np.ndarray:
         """Whether the Eq. 2 bound after ``steps`` slides reaches the threshold.
@@ -172,10 +190,10 @@ def first_possible_crossing(
     # Pairs whose bound never reaches the threshold jump past the horizon;
     # pairs that can already cross at the very next step need no search.
     reaches_at_last = reaches(
-        max_steps, corr_prefix[slots, bw_start + max_steps * step_bw], base, corr_now
+        max_steps, corr_prefix[prefix_rows, bw_start + max_steps * step_bw], base, corr_now
     )
     crosses_immediately = reaches(
-        1, corr_prefix[slots, bw_start + step_bw], base, corr_now
+        1, corr_prefix[prefix_rows, bw_start + step_bw], base, corr_now
     )
     jumps = np.where(reaches_at_last, max_steps, max_steps + 1)
     jumps[crosses_immediately] = 1
@@ -184,13 +202,13 @@ def first_possible_crossing(
     # bracket has closed (``lo >= hi``) keeps probing its own ``hi``, which
     # leaves it put.
     undecided = np.flatnonzero(reaches_at_last & ~crosses_immediately)
-    u_slots, u_corr, u_base = slots[undecided], corr_now[undecided], base[undecided]
+    u_rows, u_corr, u_base = prefix_rows[undecided], corr_now[undecided], base[undecided]
     lo = np.ones(len(undecided), dtype=np.int64)
     hi = np.full(len(undecided), max_steps, dtype=np.int64)
     while np.any(lo < hi):
         mid = (lo + hi) // 2
         crossed = reaches(
-            mid, corr_prefix[u_slots, bw_start + mid * step_bw], u_base, u_corr
+            mid, corr_prefix[u_rows, bw_start + mid * step_bw], u_base, u_corr
         )
         lo = np.where(crossed, lo, mid + 1)
         hi = np.where(crossed, mid, hi)
@@ -202,7 +220,7 @@ def first_possible_crossing_absolute(
     corr_now: np.ndarray,
     beta: float,
     corr_prefix: np.ndarray,
-    slots: np.ndarray,
+    prefix_rows: np.ndarray,
     bw_start: int,
     step_bw: int,
     num_basic_windows: int,
@@ -216,11 +234,11 @@ def first_possible_crossing_absolute(
     crossing points (the negative side reuses Eq. 2 applied to ``-c``).
     """
     positive = first_possible_crossing(
-        corr_now, beta, corr_prefix, slots, bw_start, step_bw,
+        corr_now, beta, corr_prefix, prefix_rows, bw_start, step_bw,
         num_basic_windows, max_steps, slack,
     )
     negative = first_possible_crossing(
-        -np.asarray(corr_now, dtype=FLOAT_DTYPE), beta, corr_prefix, slots,
+        -np.asarray(corr_now, dtype=FLOAT_DTYPE), beta, corr_prefix, prefix_rows,
         bw_start, step_bw, num_basic_windows, max_steps, slack, negate=True,
     )
     return np.minimum(positive, negative)
@@ -382,8 +400,9 @@ def step_window(
     enumeration ``scheduler`` tracks: those due at ``k``, minus whatever the
     caller settled otherwise) exactly with Eq. 1, keeps the ones passing
     ``query.keep_mask`` and schedules the rest as far ahead as the Eq. 2 bound
-    over ``corr_prefix`` (:func:`correlation_prefix` of ``sketch``) allows, at
-    most ``max_steps`` windows; ``corr_prefix=None`` schedules no jumps.
+    over ``corr_prefix`` (:func:`correlation_prefix` of ``sketch`` over
+    ``rows``/``cols``, one row per enumerated pair) allows, at most
+    ``max_steps`` windows; ``corr_prefix=None`` schedules no jumps.
     Returns the window's edges ``(rows, cols, values)``.  ``slots`` are the
     enumeration's sketch rows (:func:`~repro.core.sketch.pair_slots` of
     ``rows``/``cols``); callers stepping many windows map them once.
@@ -414,7 +433,7 @@ def step_window(
             else first_possible_crossing
         )
         jumps = crossing(
-            exact_vals[~keep], query.threshold, corr_prefix, slots[below],
+            exact_vals[~keep], query.threshold, corr_prefix, below,
             bw_first, query.step // layout.size, window_bw, max_steps, slack=slack,
         )
         scheduler.schedule_jumps(k, below, jumps)
@@ -440,9 +459,9 @@ class JumpingEngine(DangoronEngine):
         paper's bound as-is, larger values skip less aggressively and recover
         recall on non-stationary data.
 
-    Each jumping run computes :func:`correlation_prefix` once and books its
-    time as part of the sketch build (``extra["corr_prefix_seconds"]``), the
-    paper's precompute/query split.
+    Each jumping run computes :func:`correlation_prefix` of its own pairs
+    once and books its time as part of the sketch build
+    (``extra["corr_prefix_seconds"]``), the paper's precompute/query split.
     """
 
     def __init__(
@@ -484,12 +503,19 @@ class JumpingEngine(DangoronEngine):
         stats.sketch_build_seconds += prefix_seconds
         return result
 
-    def _prefix(self, sketch: BasicWindowSketch, counters: Dict[str, float]):
-        """:func:`correlation_prefix` when jumping (timed into ``counters``)."""
+    def _prefix(
+        self,
+        sketch: BasicWindowSketch,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        counters: Dict[str, float],
+    ):
+        """:func:`correlation_prefix` of the run's pairs when jumping (timed
+        into ``counters``): a shard's run computes only its own rows."""
         if not self.use_temporal_pruning:
             return None
         started = time.perf_counter()
-        prefix = correlation_prefix(sketch)
+        prefix = correlation_prefix(sketch, rows, cols)
         counters["corr_prefix_seconds"] = time.perf_counter() - started
         return prefix
 
@@ -508,7 +534,7 @@ class JumpingEngine(DangoronEngine):
         n = sketch.num_series
         num_windows = query.num_windows
         counters: Dict[str, float] = {}
-        corr_prefix = self._prefix(sketch, counters)
+        corr_prefix = self._prefix(sketch, rows, cols, counters)
         scheduler = JumpScheduler(len(rows), num_windows)
         matrices = [
             ThresholdedMatrix(n, *step_window(

@@ -65,6 +65,8 @@ class ComparisonResult:
 
     workload: Workload
     reference_engine: str
+    #: Edges of the reference (exact) answer, over all windows.
+    reference_edges: int = 0
     rows: List[EngineRow] = field(default_factory=list)
     results: Dict[str, CorrelationSeriesResult] = field(default_factory=dict)
 
@@ -143,7 +145,9 @@ def run_comparison(
         reference_query_seconds = reference_result.stats.query_seconds
 
     comparison = ComparisonResult(
-        workload=workload, reference_engine=reference.describe()
+        workload=workload,
+        reference_engine=reference.describe(),
+        reference_edges=reference_result.total_edges(),
     )
     comparison.results = results
     for label, result in results.items():

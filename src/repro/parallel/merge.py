@@ -40,7 +40,7 @@ from repro.exceptions import ParallelError
 
 #: ``EngineStats.extra`` keys that are per-shard work counters (summed on
 #: merge); everything else is kept only when identical across shards.
-_ADDITIVE_EXTRA_KEYS = ("verified_evaluations",)
+_ADDITIVE_EXTRA_KEYS = ("verified_evaluations", "ceiling_skipped_pairs")
 
 
 def merge_shard_stats(

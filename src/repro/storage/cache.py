@@ -348,9 +348,10 @@ class SketchCache:
     sketch here and hands the same object to every shard of a
     :class:`repro.parallel.ShardedExecutor` run (its shards are threads
     reading the one object in memory), so ``workers=N`` never multiplies the
-    γ·N² build cost.  Cached sketches are immutable after publication, apart
-    from the lazily materialized prefix tensors every reader would compute
-    alike.
+    γ·N² build cost.  Cached sketches are immutable after publication: no
+    query writes an attribute or a statistic of one.  The grid's per-pair
+    ceiling (:class:`repro.core.sketch._GridMemo`) is derived state kept
+    outside the sketch, and it leaves with the sketch when it is evicted.
 
     Parameters
     ----------

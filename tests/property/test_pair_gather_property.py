@@ -34,7 +34,7 @@ from repro.config import FLOAT_DTYPE
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.correlation import correlation_from_sums
 from repro.core.query import THRESHOLD_ABSOLUTE, SlidingQuery
-from repro.core.sketch import BasicWindowSketch, pair_slots
+from repro.core.sketch import BasicWindowSketch
 from repro.core.topk import select_top_k, sliding_top_k
 from repro.experiments.horizontal import HorizontalPruningEngine
 from repro.experiments.jumping import (
@@ -162,17 +162,16 @@ def dense_step_window(
             else first_possible_crossing
         )
         jumps = crossing(
-            exact_vals[~keep], query.threshold, corr_prefix,
-            pair_slots(n, rows[below], cols[below]), bw_first,
+            exact_vals[~keep], query.threshold, corr_prefix, below, bw_first,
             query.step // layout.size, window_bw, max_steps, slack=slack,
         )
         scheduler.schedule_jumps(k, below, jumps)
     return pair_rows[keep], pair_cols[keep], exact_vals[keep]
 
 
-def dense_grid(sketch, rows, cols, query, windows=None, slots=None):
+def dense_grid(sketch, rows, cols, query, windows=None, slots=None, counters=None):
     """``exact_pairs_grid`` as the per-window scan it replaced: every window's
-    pairs recombined densely, gathered and thresholded."""
+    pairs recombined densely, gathered and thresholded (it skips no pair)."""
     windows = range(query.num_windows) if windows is None else windows
     found = []
     for k in windows:

@@ -211,3 +211,48 @@ class TestStepWindow:
         )
         assert [len(part) for part in edges] == [0, 0, 0]
         assert scheduler.stats.exact_evaluations == 0
+
+
+class TestPrefixPerRun:
+    """A run builds the Eq. 2 prefix of its own pairs only."""
+
+    def test_a_sharded_run_builds_each_prefix_row_once(
+        self, small_matrix, standard_query, monkeypatch
+    ):
+        from repro.experiments import jumping
+        from repro.parallel.executor import ShardedExecutor
+
+        built = []
+        whole = jumping.correlation_prefix
+
+        def counting(sketch, rows=None, cols=None):
+            prefix = whole(sketch, rows, cols)
+            built.append(len(prefix))
+            return prefix
+
+        monkeypatch.setattr(jumping, "correlation_prefix", counting)
+        engine = JumpingEngine(basic_window_size=32)
+        n = small_matrix.num_series
+        pairs = n * (n - 1) // 2
+        serial = engine.run(small_matrix, standard_query)
+        assert built == [pairs]
+
+        built.clear()
+        sharded = ShardedExecutor(workers=2).run(engine, small_matrix, standard_query)
+        assert len(built) > 1
+        assert sum(built) == pairs
+        for ours, theirs in zip(sharded.matrices, serial.matrices):
+            for a, b in zip((ours.rows, ours.cols, ours.values),
+                            (theirs.rows, theirs.cols, theirs.values)):
+                assert a.tobytes() == b.tobytes()
+        assert sharded.stats.exact_evaluations == serial.stats.exact_evaluations
+        assert sharded.stats.skipped_by_jumping == serial.stats.skipped_by_jumping
+
+    def test_a_row_is_the_same_bits_in_any_pair_set(self, small_matrix, standard_query):
+        layout = BasicWindowLayout.for_query(standard_query, 32)
+        sketch = BasicWindowSketch.build(small_matrix.values, layout)
+        rows, cols = np.triu_indices(small_matrix.num_series, k=1)
+        picked = np.random.default_rng(5).permutation(len(rows))[:17]
+        # (j, i) reads the same packed row as (i, j).
+        subset = correlation_prefix(sketch, cols[picked], rows[picked])
+        assert subset.tobytes() == correlation_prefix(sketch)[picked].tobytes()

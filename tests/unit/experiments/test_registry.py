@@ -12,6 +12,7 @@ from repro.exceptions import ExperimentError
 from repro.experiments.registry import (
     EXPERIMENTS,
     experiment_e1_query_time,
+    experiment_e2_accuracy,
     experiment_e3_tomborg_robustness,
     experiment_e4_threshold_sweep,
     experiment_e7_pruning_ablation,
@@ -43,6 +44,15 @@ class TestIndividualExperiments:
         assert "speedup_vs_tsubasa" in result.headers
         table = result.table()
         assert "E1" in table and "dangoron" in table
+
+    def test_e2_compares_against_an_answer_with_edges(self):
+        """At the CLI's default scale the exact answer E2 scores recall
+        against has hundreds of edges (at beta 0.7 it had 2)."""
+        result = experiment_e2_accuracy(scale=0.3)
+        assert result.notes.endswith("; exact answer: 997 edges")
+        recall_index = result.headers.index("recall")
+        assert {row[0][:8] for row in result.rows} >= {"dangoron", "parcorr["}
+        assert all(0.0 <= row[recall_index] <= 1.0 for row in result.rows)
 
     def test_e4_rows_cover_requested_thresholds(self):
         result = experiment_e4_threshold_sweep(scale=0.15, thresholds=(0.6, 0.8))
