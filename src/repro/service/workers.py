@@ -19,6 +19,14 @@ hold (the parent bumps the generation on every append), and the pool
 replaces a worker that dies mid-request — the caller's job is retried once
 on a fresh worker before surfacing a 503.
 
+Dispatch is warm-first: a job goes to the worker that last answered its
+``(dataset, generation)`` — the key of that worker's
+:class:`AttachmentCache`, so its attached sketch and the grid ceiling the
+sketch's first pass recorded — when that worker is free, and to any free
+worker otherwise; it never waits for the warm one.  After an append, the
+refresh's later panels therefore read the ceiling the first panel recorded
+instead of attaching the new generation on a second worker.
+
 Fork is the only start method (the config — engine options, cost model — is
 inherited, never pickled).  Where ``fork`` is unavailable (or a sandbox
 blocks process creation) the pool refuses to construct and
@@ -29,11 +37,10 @@ process under each dataset's lock.
 from __future__ import annotations
 
 import multiprocessing
-import queue
 import signal
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -124,7 +131,8 @@ class AttachmentCache:
     different basic-window layouts under distinct generations, and holding
     only the latest would re-attach (and rebuild warm sessions) on every
     alternation.  Least-recently-used attachments beyond :attr:`CAPACITY`
-    are dropped; their memmaps close with them.
+    are dropped, and so, at each new attach, are those whose segment the
+    parent has removed; their memmaps close with them.
     """
 
     #: Warm attachments kept per worker (covers the distinct query layouts
@@ -141,6 +149,14 @@ class AttachmentCache:
         key = (dataset, generation)
         attachment = self._attachments.get(key)
         if attachment is None:
+            # The parent names only exports it still keeps: an attachment
+            # whose segment it has removed can never answer again, and its
+            # memmap would only keep the deleted files' pages resident.
+            for removed in [
+                held for held, warm in self._attachments.items()
+                if not warm.segment.path.is_dir()
+            ]:
+                del self._attachments[removed]
             segment = attach_segment(segment_dir)
             if segment.generation != generation:
                 raise ServiceError(
@@ -232,16 +248,18 @@ class _WorkerHandle:
 
 
 class WorkerPool:
-    """N forked query workers behind a free-handle queue.
+    """N forked query workers behind a warm-first free set.
 
-    ``run_query`` blocks until a worker is free (that wait *is* the
-    admission queue's service order), sends the job, and returns the
-    worker's reply.  A worker that dies mid-request is replaced and the job
-    retried once on a fresh worker — the window a restarting deployment
-    exposes to clients — before a 503 surfaces.  A closed pool answers 503,
-    wakes callers still waiting for a worker, and never forks again.
-    Construction raises a 503 :class:`ServiceError` where ``fork`` does not
-    work (no ``fork`` start method, or a sandbox that blocks it).
+    ``run_query`` takes the free worker that already holds the job's
+    ``(dataset, generation)`` attachment, else blocks until any worker is
+    free (that wait *is* the admission queue's service order), sends the
+    job, and returns the worker's reply.  It never waits for the warm worker
+    while another is free.  A worker that dies mid-request is replaced and
+    the job retried once on a fresh worker — the window a restarting
+    deployment exposes to clients — before a 503 surfaces.  A closed pool
+    answers 503, wakes callers still waiting for a worker, and never forks
+    again.  Construction raises a 503 :class:`ServiceError` where ``fork``
+    does not work (no ``fork`` start method, or a sandbox that blocks it).
     """
 
     def __init__(self, size: int, config: WorkerConfig) -> None:
@@ -250,19 +268,27 @@ class WorkerPool:
         self.size = size
         self.config = config
         self._lock = threading.Lock()
+        # Signalled (under _lock) when a handle is freed or the pool closes.
+        self._freed = threading.Condition(self._lock)
         self.restarts = 0  # guarded-by: _lock
         self.dispatched = 0  # guarded-by: _lock
+        self.warm_dispatches = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
         self._handles: List[_WorkerHandle] = []  # guarded-by: _lock
-        # Free handles; ``close`` leaves one ``None`` behind as its wake-up
-        # marker (see ``_acquire``).
-        self._free: "queue.Queue[Optional[_WorkerHandle]]" = queue.Queue()
+        # Free handles, least recently released first.
+        self._free: "deque[_WorkerHandle]" = deque()  # guarded-by: _lock
+        # (dataset, generation) → the handle whose worker last answered it,
+        # least recently answered first; at most size × the workers' own
+        # attachment capacity, so superseded generations age out.
+        self._warm: "OrderedDict[tuple, _WorkerHandle]" = (  # guarded-by: _lock
+            OrderedDict()
+        )
         try:
             for _ in range(size):
                 handle = self._spawn()
                 with self._lock:
                     self._handles.append(handle)
-                self._free.put(handle)
+                    self._free.append(handle)
         except (OSError, ValueError, EOFError) as error:
             self.close()
             raise ServiceError(
@@ -306,6 +332,9 @@ class WorkerPool:
                 # The pipe broke because close() tore the worker down under
                 # this request; a replacement would outlive the pool.
                 return
+            self._warm = OrderedDict(
+                (key, held) for key, held in self._warm.items() if held is not dead
+            )
             replacement = self._spawn()
             self.restarts += 1
             try:
@@ -313,15 +342,43 @@ class WorkerPool:
             except ValueError:  # pragma: no cover - already torn down
                 pass
             self._handles.append(replacement)
-            self._free.put(replacement)
+            self._free.append(replacement)
+            self._freed.notify()
+
+    def _release(self, handle: _WorkerHandle) -> None:
+        """Return ``handle`` to the free set (a closed pool drops it)."""
+        with self._lock:
+            if not self._closed:
+                self._free.append(handle)
+                self._freed.notify()
+
+    def _take_warm(self, key: tuple) -> Optional[_WorkerHandle]:
+        """The free worker holding ``key``'s attachment, or ``None``; never waits."""
+        with self._lock:
+            handle = self._warm.get(key)
+            if handle is None or handle not in self._free:
+                return None
+            self._free.remove(handle)
+            return handle
 
     def _acquire(self) -> _WorkerHandle:
         """Block until a worker is free; a closed pool answers 503 instead."""
-        handle = self._free.get()
-        if handle is None:
-            self._free.put(None)  # pass close()'s marker on to the next waiter
-            raise ServiceError("worker pool is closed", status=503)
-        return handle
+        with self._lock:
+            while not self._closed and not self._free:
+                self._freed.wait()
+            if self._closed:
+                raise ServiceError("worker pool is closed", status=503)
+            return self._free.popleft()
+
+    def _answered(self, key: tuple, handle: _WorkerHandle) -> None:
+        """Record that ``handle``'s worker now holds ``key``'s attachment."""
+        with self._lock:
+            if self._warm.get(key) is handle:
+                self.warm_dispatches += 1
+            self._warm[key] = handle
+            self._warm.move_to_end(key)
+            while len(self._warm) > self.size * AttachmentCache.CAPACITY:
+                self._warm.popitem(last=False)
 
     # --------------------------------------------------------------- dispatch
     def run_query(
@@ -347,13 +404,14 @@ class WorkerPool:
             "generation": int(generation),
             "include_edges": include_edges,
         }
+        key = (dataset, int(generation))
         with self._lock:
             if self._closed:
                 raise ServiceError("worker pool is closed", status=503)
             self.dispatched += 1
         last_error: Optional[BaseException] = None
         for _ in range(2):  # the original dispatch plus one restart retry
-            handle = self._acquire()
+            handle = self._take_warm(key) or self._acquire()
             try:
                 handle.conn.send(job)
                 reply = handle.conn.recv()
@@ -361,7 +419,9 @@ class WorkerPool:
                 last_error = error
                 self._replace(handle)
                 continue
-            self._free.put(handle)
+            if reply.get("ok"):
+                self._answered(key, handle)
+            self._release(handle)
             return self._unwrap(dataset, reply)
         raise ServiceError(
             f"worker died executing query on dataset {dataset!r} "
@@ -399,7 +459,7 @@ class WorkerPool:
                 )
         finally:
             for handle in held:
-                self._free.put(handle)
+                self._release(handle)
         return samples
 
     def describe(self) -> Dict[str, object]:
@@ -408,6 +468,7 @@ class WorkerPool:
                 "size": self.size,
                 "restarts": self.restarts,
                 "dispatched": self.dispatched,
+                "warm_dispatches": self.warm_dispatches,
             }
 
     # ------------------------------------------------------------------ close
@@ -418,6 +479,9 @@ class WorkerPool:
                 return
             self._closed = True
             handles, self._handles = self._handles, []
+            self._free.clear()
+            self._warm.clear()
+            self._freed.notify_all()
         for handle in handles:
             try:
                 handle.conn.send({"op": "stop"})
@@ -427,12 +491,6 @@ class WorkerPool:
             handle.process.join(timeout=5)
             if handle.process.is_alive():  # pragma: no cover - stuck worker
                 handle.process.terminate()
-        while True:
-            try:
-                self._free.get_nowait()
-            except queue.Empty:
-                break
-        self._free.put(None)
 
     def __enter__(self) -> "WorkerPool":
         return self

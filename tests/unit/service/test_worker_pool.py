@@ -6,13 +6,16 @@ calling the worker's own ``_execute_query`` / ``AttachmentCache`` in this
 process.  The forked pool (self-skipping where ``fork`` is unavailable)
 additionally pins errors crossing the pipe, the crash-replacement retry, the
 closed-pool contract, the per-worker RSS observation and the bound on it that
-shows the segment is shared, and that no worker outlives a SIGKILLed server.
+shows the segment is shared, that no worker outlives a SIGKILLed server, and
+warm routing: a job goes to the free worker already holding its attachment,
+so a refresh's later panels read the grid ceiling its first panel recorded.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -235,6 +238,21 @@ class TestGenerationProtocol:
         # alternating layouts must not re-attach on every switch.
         assert attachments.attachment_for("demo", str(path), generation) is first
 
+    def test_a_removed_segment_is_forgotten_on_the_next_attach(self, store, segment):
+        """Once the parent prunes an export, no job can name it again; the
+        worker stops mapping it at its next attach instead of at LRU age."""
+        manager, path, generation = segment
+        attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
+        attachments.attachment_for("demo", str(path), generation)
+        shutil.rmtree(path)
+        layout = BasicWindowLayout(offset=0, size=BASIC, count=LENGTH // BASIC)
+        sketch = BasicWindowSketch.build(store.read_all(), layout)
+        new_path, new_generation = manager.ensure(
+            store, sketch, "fp-other", store.series_ids
+        )
+        attachments.attachment_for("demo", str(new_path), new_generation)
+        assert list(attachments._attachments) == [("demo", new_generation)]
+
 
 @pytest.mark.skipif(not _pool_available(), reason="fork worker pool unavailable")
 class TestProcessMode:
@@ -244,7 +262,9 @@ class TestProcessMode:
             reply = pool.run_query("demo", query_to_wire(QUERY), path, generation)
             remote = result_from_wire(json.loads(reply["body"]))
             assert remote.to_edges() == _expected_edges(store.read_all())
-            assert pool.describe() == {"size": 2, "restarts": 0, "dispatched": 1}
+            assert pool.describe() == {
+                "size": 2, "restarts": 0, "dispatched": 1, "warm_dispatches": 0,
+            }
 
     def test_query_errors_cross_the_boundary_with_status(self, segment):
         _, path, generation = segment
@@ -297,8 +317,9 @@ class TestProcessMode:
             catalog, basic_window_size=BASIC, service_workers=2
         ) as service:
             # Each shifted range is its own layout, hence its own exported
-            # segment; free workers are handed out in turn, so asking twice
-            # makes both workers attach and scan every one of them.  The
+            # segment.  A new shape goes to the least recently freed worker
+            # and its repeat back to the same one (warm routing), so each
+            # worker attaches and scans every other shape, twice.  The
             # threshold keeps the edge lists (private to a worker by nature)
             # too small to matter.
             for shift in range(shapes):
@@ -322,9 +343,9 @@ class TestProcessMode:
             if sample["spawn"] is None or sample["now"] is None:
                 pytest.skip("RssAnon unavailable on this platform")
             growths.append(sample["now"] - sample["spawn"])
-        # A worker that copied what it attached would grow by ``shapes``
-        # footprints; sharing leaves the per-attachment values copy, scan
-        # memo and allocator slack.
+        # A worker that copied what it attached would grow by its
+        # ``shapes // 2`` footprints; sharing leaves the per-attachment
+        # values copy, scan memo and allocator slack.
         bound = 0.25 * footprint + 8 * 1024 * 1024
         assert max(growths) <= bound, (
             f"worker RssAnon grew {max(growths)} bytes, bound {bound:.0f} "
@@ -440,6 +461,178 @@ class TestProcessMode:
         assert isinstance(error, ServiceError) and error.status == 503
         assert spawned == [] and pool.describe()["restarts"] == 0
         assert not process.is_alive()
+
+
+def _serving_handles(pool, monkeypatch):
+    """The handles ``pool`` releases, in order: the worker each job ran on."""
+    served = []
+    release = pool._release
+
+    def record(handle):
+        served.append(handle)
+        release(handle)
+
+    monkeypatch.setattr(pool, "_release", record)
+    return served
+
+
+#: A dashboard refresh: the same range at three thresholds.
+PANELS = (0.6, 0.7, 0.8)
+
+
+def _panel_values(length: int) -> np.ndarray:
+    """Two correlated blocks of series beside independent ones: at the panel
+    thresholds the cross pairs never come near beta, so a second panel on
+    the same window grid skips them through the first panel's ceiling."""
+    rng = np.random.default_rng(11)
+    blocks = [rng.standard_normal(length) for _ in range(2)]
+    correlated = [blocks[i % 2] + 0.3 * rng.standard_normal(length) for i in range(6)]
+    return np.stack(correlated + [rng.standard_normal(length) for _ in range(4)])
+
+
+@pytest.mark.skipif(not _pool_available(), reason="fork worker pool unavailable")
+class TestWarmRouting:
+    def test_repeated_key_runs_on_the_same_worker(self, segment, monkeypatch):
+        _, path, generation = segment
+        with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
+            served = _serving_handles(pool, monkeypatch)
+            for _ in range(3):
+                pool.run_query("demo", query_to_wire(QUERY), path, generation)
+            assert served[0] is served[1] is served[2]
+            assert pool.describe()["warm_dispatches"] == 2
+            # A job for another key takes the other, least recently freed
+            # worker, as a FIFO pool would.
+            pool.run_query("other", query_to_wire(QUERY), path, generation)
+            assert served[3] is not served[0]
+
+    def test_a_busy_warm_worker_is_never_waited_for(self, segment, monkeypatch):
+        _, path, generation = segment
+        with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
+            pool.run_query("demo", query_to_wire(QUERY), path, generation)
+            warm = pool._take_warm(("demo", generation))
+            assert warm is not None  # held: out on another request
+            (other,) = [h for h in pool._handles if h is not warm]
+            assert pool._take_warm(("demo", generation)) is None
+
+            def no_waiting():
+                raise AssertionError("waited for a worker while one was free")
+
+            monkeypatch.setattr(pool._freed, "wait", no_waiting)
+            served = _serving_handles(pool, monkeypatch)
+            reply = pool.run_query("demo", query_to_wire(QUERY), path, generation)
+            assert served == [other]
+            assert reply["generation"] == generation
+            pool._release(warm)
+            assert pool._acquire() is other  # least recently freed first
+
+    def test_a_replaced_worker_leaves_the_map(self, segment):
+        _, path, generation = segment
+        with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
+            for name in "abc":  # a and c on one worker, b on the other
+                pool.run_query(name, query_to_wire(QUERY), path, generation)
+            dead = pool._warm[("a", generation)]
+            assert pool._warm[("c", generation)] is dead
+            assert pool._warm[("b", generation)] is not dead
+            dead.process.kill()
+            dead.process.join(timeout=5)
+            pool.run_query("a", query_to_wire(QUERY), path, generation)
+            assert pool.describe()["restarts"] == 1
+            assert dead not in pool._warm.values()
+            assert set(pool._warm) == {("a", generation), ("b", generation)}
+            assert all(handle in pool._handles for handle in pool._warm.values())
+
+    def test_the_map_is_bounded_least_recent_first(self, segment):
+        _, path, generation = segment
+        with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
+            bound = pool.size * AttachmentCache.CAPACITY
+            names = [f"d{i}" for i in range(bound + 3)]
+            for name in names:
+                pool.run_query(name, query_to_wire(QUERY), path, generation)
+                assert len(pool._warm) <= bound
+            assert list(pool._warm) == [(name, generation) for name in names[-bound:]]
+
+    def test_concurrent_callers_lose_and_duplicate_no_worker(self, segment):
+        """More callers than cores, switching often: every job answers, and
+        afterwards each worker is free exactly once."""
+        _, path, generation = segment
+        answers, errors = [], []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
+
+                def caller(index):
+                    try:
+                        for round_ in range(8):
+                            reply = pool.run_query(
+                                f"d{(index + round_) % 3}", query_to_wire(QUERY),
+                                path, generation,
+                            )
+                            answers.append(json.loads(reply["body"])["windows"])
+                    except BaseException as error:  # noqa: BLE001 — reported below
+                        errors.append(error)
+
+                callers = [
+                    threading.Thread(target=caller, args=(i,), daemon=True)
+                    for i in range(6)
+                ]
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive(), "a caller never got a worker"
+                described = pool.describe()
+                free = list(pool._free)
+                handles = list(pool._handles)
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
+        assert len(answers) == 48 and all(a == answers[0] for a in answers)
+        assert described["dispatched"] == 48
+        assert 0 < described["warm_dispatches"] <= 48
+        assert len(free) == 2 and set(map(id, free)) == set(map(id, handles))
+
+    def test_refresh_panels_read_the_first_panels_ceiling(self, tmp_path):
+        """After an append, panels 2 and 3 go where panel 1 recorded."""
+        length, extra = 256, 32
+        values = _panel_values(length + extra)
+        services = []
+        for name, workers in (("pooled", 2), ("inline", None)):
+            store = ChunkStore(len(values), chunk_columns=64)
+            store.append(values[:, :length])
+            catalog = Catalog(tmp_path / name)
+            catalog.add_dataset("demo", store)
+            services.append(CorrelationService(
+                catalog, basic_window_size=BASIC, service_workers=workers
+            ))
+        pooled, inline = services
+        try:
+            assert pooled.metrics()["worker_pool"]["size"] == 2
+            answers = []
+            for service in services:
+                service.append("demo", {"columns": values[:, length:].T.tolist()})
+                answers.append([
+                    json.loads(service.query("demo", {
+                        "mode": "threshold", "start": 0, "end": length + extra,
+                        "window": 64, "step": 32, "threshold": beta,
+                        "include_edges": True,
+                    }))
+                    for beta in PANELS
+                ])
+            warm_dispatches = pooled.metrics()["worker_pool"]["warm_dispatches"]
+        finally:
+            for service in services:
+                service.close()
+        for panel, (remote, local) in enumerate(zip(*answers)):
+            skipped = remote["stats"]["extra"]["ceiling_skipped_pairs"]
+            assert (skipped > 0) == (panel > 0), (panel, skipped)
+            assert remote["edges"] == local["edges"]
+            assert (
+                remote["stats"]["extra"]["verified_evaluations"]
+                == local["stats"]["extra"]["verified_evaluations"]
+            )
+        assert any(remote["edges"] for remote in answers[0])
+        assert warm_dispatches == 2
 
 
 def test_rss_anon_bytes_reads_proc():
