@@ -119,21 +119,28 @@ class LagMatrices:
     def num_series(self) -> int:
         return int(self.best_corr.shape[0])
 
-    def edges(
+    def edge_pairs(
         self, threshold: float, threshold_mode: str = "signed"
-    ) -> List[Tuple[int, int, float, int]]:
-        """Above-threshold pairs as ``(i, j, correlation, lag)`` with ``i < j``."""
-        n = self.num_series
-        iu, ju = np.triu_indices(n, k=1)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the above-threshold pairs ``i < j``, row-major."""
+        iu, ju = np.triu_indices(self.num_series, k=1)
         values = self.best_corr[iu, ju]
-        lags = self.best_lag[iu, ju]
         if threshold_mode == THRESHOLD_ABSOLUTE:
             keep = np.abs(values) >= threshold
         else:
             keep = values >= threshold
+        return iu[keep], ju[keep]
+
+    def edges(
+        self, threshold: float, threshold_mode: str = "signed"
+    ) -> List[Tuple[int, int, float, int]]:
+        """Above-threshold pairs as ``(i, j, correlation, lag)`` with ``i < j``."""
+        rows, cols = self.edge_pairs(threshold, threshold_mode)
         return [
             (int(i), int(j), float(v), int(d))
-            for i, j, v, d in zip(iu[keep], ju[keep], values[keep], lags[keep])
+            for i, j, v, d in zip(
+                rows, cols, self.best_corr[rows, cols], self.best_lag[rows, cols]
+            )
         ]
 
     # ------------------------------------------------------- result protocol

@@ -15,6 +15,9 @@ Layers (each importable and testable on its own):
 :mod:`repro.service.wire`
     The versioned JSON schema for query specs and the unified result
     protocol; ``result_from_wire(result_to_wire(r))`` is bit-identical.
+:mod:`repro.service.numtext`
+    The JSON text of numpy arrays, ``json.dumps``'s bytes written in
+    vectorised passes: response bodies render their arrays through it.
 :mod:`repro.service.batching`
     Compatible-query batching: under an exact engine, one scan at
     ``min(threshold)``, each caller's answer filtered from it

@@ -69,6 +69,7 @@ from repro.service.batching import (
 )
 # ``result_to_wire`` stays bound here for ``perf/trace.py``'s encode target.
 from repro.service.wire import (  # noqa: F401
+    ENCODE_COUNTS,
     encode_result,
     query_from_wire,
     query_to_wire,
@@ -183,6 +184,10 @@ class DatasetRuntime:
             "batched": 0,
             "appended_columns": 0,
             "indexes_seeded": 0,
+            # Floats written into response bodies, and those of them the
+            # vectorised renderer left to ``float.__repr__``.
+            "rendered_floats": 0,
+            "fallback_floats": 0,
         }  # guarded-by: lock
         self._watch_counter = 0  # guarded-by: lock
         self._matrix: Optional[TimeSeriesMatrix] = None  # guarded-by: lock
@@ -800,7 +805,8 @@ class CorrelationService:
                 result = session.planner.execute(session.matrix, plan)
                 runtime.counters["executed"] += 1
                 head = {"dataset": runtime.name, "plan": plan.describe()}
-                return encode_result(head, result, include_edges), head["plan"], result
+                body = encode_result(head, result, include_edges, runtime.counters)
+                return body, head["plan"], result
         segment_dir, generation = job
         reply = self._pool.run_query(
             runtime.name,
@@ -811,6 +817,8 @@ class CorrelationService:
         )
         with runtime.lock:
             runtime.counters["executed"] += 1
+            for key in ENCODE_COUNTS:
+                runtime.counters[key] += reply[key]
             cost_key = reply.get("cost_key")
             if cost_key:
                 runtime.sketch_cache.feedback.record(
@@ -879,9 +887,13 @@ class CorrelationService:
                 "members": len(members),
             },
         }
+        counts: Dict[str, int] = {}
         for member in others:
             derived = filter_threshold_result(result, member.query)
-            member.payload = encode_result(head, derived, include_edges)
+            member.payload = encode_result(head, derived, include_edges, counts)
+        with runtime.lock:
+            for key in ENCODE_COUNTS:
+                runtime.counters[key] += counts[key]
 
     # ------------------------------------------------------------------ metrics
     def metrics(self) -> Dict[str, object]:

@@ -28,12 +28,20 @@ result document carries:
 
 The exact field lists are documented with JSON examples in
 ``docs/service.md``.
+
+Response bodies (:func:`encode_result`) are byte-identical to
+``json.dumps`` of :func:`result_to_wire`'s document.  ``json.dumps``
+writes everything but the window arrays and the edge rows, which
+:mod:`repro.service.numtext` renders in vectorised passes, each value once:
+floats as their shortest round-trip text (``float.__repr__``'s), certified
+by exact arithmetic, with a per-value ``float.__repr__`` fallback for the
+values the vectorised path does not take.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +52,7 @@ from repro.core.query import SlidingQuery, THRESHOLD_SIGNED
 from repro.core.result import CorrelationSeriesResult, EngineStats, ThresholdedMatrix
 from repro.core.topk import TopKResult, TopKWindow
 from repro.exceptions import ServiceError
+from repro.service import numtext
 
 #: Version tag stamped on (and required from) every result document.
 RESULT_SCHEMA = "repro.result/v1"
@@ -191,18 +200,23 @@ def stats_from_wire(payload: Dict[str, object]) -> EngineStats:
 
 AnyResult = Union[CorrelationSeriesResult, TopKResult, LaggedSeriesResult]
 
+#: What :func:`encode_result` counts: floats rendered into a body, and those
+#: of them spelled by ``float.__repr__`` one at a time.
+ENCODE_COUNTS = ("rendered_floats", "fallback_floats")
 
-def result_to_wire(result: AnyResult, include_edges: bool = False) -> Dict[str, object]:
-    """Serialize any unified-protocol result to its versioned wire document."""
+#: Stand for the ``windows`` and ``edges`` lists in a document being encoded.
+_WINDOWS = object()
+_EDGES = object()
+#: One window's ``index`` and its named arrays, in wire order.
+_Window = Tuple[int, Tuple[Tuple[str, np.ndarray], ...]]
+
+
+def _wire_parts(result: AnyResult) -> Tuple[Dict[str, object], List[_Window]]:
+    """A result's wire document with ``windows`` left out, and its windows."""
     kind = getattr(result, "kind", None)
     if kind == "threshold":
         windows = [
-            {
-                "index": k,
-                "rows": edges.rows.tolist(),
-                "cols": edges.cols.tolist(),
-                "values": edges.values.tolist(),
-            }
+            (k, (("rows", edges.rows), ("cols", edges.cols), ("values", edges.values)))
             for k, edges in result.iter_windows()
         ]
         extras: Dict[str, object] = {
@@ -212,23 +226,14 @@ def result_to_wire(result: AnyResult, include_edges: bool = False) -> Dict[str, 
         }
     elif kind == "topk":
         windows = [
-            {
-                "index": window.window_index,
-                "rows": window.rows.tolist(),
-                "cols": window.cols.tolist(),
-                "values": window.values.tolist(),
-            }
-            for window in result.windows
+            (w.window_index, (("rows", w.rows), ("cols", w.cols), ("values", w.values)))
+            for w in result.windows
         ]
         extras = {"k": result.k, "absolute": result.absolute}
     elif kind == "lagged":
         windows = [
-            {
-                "index": window.window_index,
-                "best_corr": window.best_corr.tolist(),
-                "best_lag": window.best_lag.tolist(),
-            }
-            for window in result.windows
+            (w.window_index, (("best_corr", w.best_corr), ("best_lag", w.best_lag)))
+            for w in result.windows
         ]
         extras = {"num_series": result.num_series}
     else:
@@ -241,32 +246,174 @@ def result_to_wire(result: AnyResult, include_edges: bool = False) -> Dict[str, 
         "query": query_to_wire(result.query),
         "num_windows": result.num_windows,
         "describe": result.describe(),
-        "windows": windows,
+        "windows": _WINDOWS,
         **extras,
     }
+    return document, windows
+
+
+def result_to_wire(result: AnyResult, include_edges: bool = False) -> Dict[str, object]:
+    """Serialize any unified-protocol result to its versioned wire document."""
+    document, windows = _wire_parts(result)
+    document["windows"] = [
+        {"index": index, **{name: array.tolist() for name, array in arrays}}
+        for index, arrays in windows
+    ]
     if include_edges:
-        if kind == "lagged":
+        if document["kind"] == "lagged":
             document["edges"] = [list(edge) for edge in result.to_edges()]
         else:
             # ``to_edges()`` order and values, read from the window lists
             # above instead of building one ``Edge`` per pair.
             document["edges"] = [
                 [window["index"], row, col, value, 0]
-                for window in windows
+                for window in document["windows"]
                 for row, col, value in zip(window["rows"], window["cols"], window["values"])
             ]
     return document
 
 
 def encode_result(
-    head: Dict[str, object], result: AnyResult, include_edges: bool = False
+    head: Dict[str, object],
+    result: AnyResult,
+    include_edges: bool = False,
+    counts: Optional[Dict[str, int]] = None,
 ) -> bytes:
     """The UTF-8 JSON response body ``{**head, **result_to_wire(result, include_edges)}``.
+
+    The bytes are ``json.dumps`` of that document, but the window arrays
+    and the edge rows are rendered by :mod:`repro.service.numtext`: each
+    value once, in vectorised passes, floats as their shortest round-trip
+    text (``float.__repr__`` one at a time only where the vectorised path
+    cannot certify the digits).  ``json.dumps`` still writes the rest.
+    ``counts``, when given, gains the :data:`ENCODE_COUNTS`.
 
     The service calls this once per answer, in the process holding the
     result: a pool worker sends these bytes, and the parent forwards them.
     """
-    return json.dumps({**head, **result_to_wire(result, include_edges)}).encode()
+    document, windows = _wire_parts(result)
+    if counts is not None:
+        for key in ENCODE_COUNTS:
+            counts.setdefault(key, 0)
+    if document["kind"] == "lagged":
+        windows_text, edges_text = _lagged_text(result, windows, include_edges, counts)
+    else:
+        windows_text, edges_text = _sparse_text(windows, include_edges, counts)
+    fields = {**head, **document}
+    if include_edges:
+        fields["edges"] = _EDGES
+    # json.dumps writes every run of ordinary fields; the rendered lists
+    # go between them.
+    pieces: List[bytes] = []
+    plain: Dict[str, object] = {}
+    for key, value in fields.items():
+        if value is _WINDOWS or value is _EDGES:
+            if plain:
+                pieces.append(json.dumps(plain).encode()[1:-1])
+                plain = {}
+            text = windows_text if value is _WINDOWS else edges_text
+            pieces.append(json.dumps(key).encode() + b": " + text)
+        else:
+            plain[key] = value
+    if plain:
+        pieces.append(json.dumps(plain).encode()[1:-1])
+    return b"{" + b", ".join(pieces) + b"}"
+
+
+def _windows_text(windows: Sequence[_Window], texts: Sequence[List[bytes]]) -> bytes:
+    """The ``windows`` list, given each named array's text by field."""
+    names = [name for name, _ in windows[0][1]] if windows else []
+    keys = [b", " + json.dumps(name).encode() + b": " for name in names]
+    return b"[" + b", ".join(
+        b'{"index": '
+        + (b"%d" % index if type(index) is int else json.dumps(index).encode())
+        + b"".join(key + field[k] for key, field in zip(keys, texts))
+        + b"}"
+        for k, (index, _) in enumerate(windows)
+    ) + b"]"
+
+
+def _edge_rows(pieces: Sequence[numtext.Tokens], closing: numtext.Tokens) -> bytes:
+    """The ``edges`` list: one ``[a, b, ...]`` row per row of the tokens.
+
+    Every piece ends in its ``", "``; ``closing`` ends the row in ``"], "``.
+    """
+    n = len(closing.lengths)
+    if not n:
+        return b"[]"
+    text, _ = numtext.concat_rows([numtext.constant(b"[", n), *pieces, closing])
+    return b"[" + text[:-2] + b"]"
+
+
+def _sparse_text(windows, include_edges, counts):
+    """Threshold and top-k ``windows`` text, and the ``edges`` text if asked."""
+    k = len(windows)
+    pairs, pair_tokens = numtext.array_texts(
+        [arrays[0][1] for _, arrays in windows] + [arrays[1][1] for _, arrays in windows]
+    )
+    values, value_tokens = numtext.array_texts(
+        [arrays[2][1] for _, arrays in windows], counts
+    )
+    windows_text = _windows_text(windows, [pairs[:k], pairs[k:], values])
+    if not include_edges:
+        return windows_text, None
+    n = len(value_tokens.lengths)
+    index = np.repeat(
+        np.array([index for index, _ in windows], dtype=np.int64),
+        [len(arrays[2][1]) for _, arrays in windows],
+    )
+    return windows_text, _edge_rows(
+        [
+            numtext.int_tokens(index),
+            numtext.Tokens(*(part[:n] for part in pair_tokens)),
+            numtext.Tokens(*(part[n:] for part in pair_tokens)),
+            value_tokens,
+        ],
+        numtext.constant(b"0], ", n),
+    )
+
+
+def _lagged_text(result, windows, include_edges, counts):
+    """Lagged ``windows`` text (dense matrices), and the ``edges`` text if asked."""
+    corrs = [np.asarray(arrays[0][1]) for _, arrays in windows]
+    lags = [np.asarray(arrays[1][1]) for _, arrays in windows]
+    corr_texts, corr_tokens = numtext.array_texts(corrs, counts)
+    lag_texts, lag_tokens = numtext.array_texts(lags)
+    windows_text = _windows_text(windows, [corr_texts, lag_texts])
+    if not include_edges:
+        return windows_text, None
+    # ``to_edges()``: each window's pairs at the query's threshold, row-major.
+    query = result.query
+    index, rows, cols, corr_at, lag_at = [], [], [], [], []
+    corr_offset = lag_offset = 0
+    for (window_index, _), corr, lag, window in zip(windows, corrs, lags, result.windows):
+        r, c = window.edge_pairs(query.threshold, query.threshold_mode)
+        index.append(np.full(len(r), window_index, dtype=np.int64))
+        rows.append(r)
+        cols.append(c)
+        corr_at.append(corr_offset + r * corr.shape[1] + c)
+        lag_at.append(lag_offset + r * lag.shape[1] + c)
+        corr_offset += corr.size
+        lag_offset += lag.size
+    corr_at, lag_at = np.concatenate(corr_at), np.concatenate(lag_at)
+    # Edge weights are ``float(v)`` and lags ``int(d)``: the window tokens
+    # already spell them unless the matrices hold other dtypes.
+    weights, shifts = corr_tokens.take(corr_at), lag_tokens.take(lag_at)
+    if not all(corr.dtype.kind == "f" and corr.dtype.itemsize <= 8 for corr in corrs):
+        flat = np.concatenate([corr.ravel() for corr in corrs])
+        weights = numtext.float_tokens(flat[corr_at].astype(np.float64), counts)
+    if not all(lag.dtype.kind in "iu" for lag in lags):
+        flat = np.concatenate([lag.ravel() for lag in lags])
+        shifts = numtext.int_tokens(flat[lag_at].astype(np.int64))
+    return windows_text, _edge_rows(
+        [
+            numtext.int_tokens(np.concatenate(index)),
+            numtext.int_tokens(np.concatenate(rows)),
+            numtext.int_tokens(np.concatenate(cols)),
+            weights,
+        ],
+        numtext.with_tail(shifts, close=True),
+    )
 
 
 def result_from_wire(payload: Dict[str, object]) -> AnyResult:

@@ -186,12 +186,15 @@ def _execute_query(
     result = session.planner.execute(attachment.matrix, plan)
     wall = time.perf_counter() - started
     head = {"dataset": message["dataset"], "plan": plan.describe()}
+    counts: Dict[str, int] = {}
+    body = encode_result(head, result, bool(message.get("include_edges")), counts)
     return {
-        "body": encode_result(head, result, bool(message.get("include_edges"))),
+        "body": body,
         "plan": head["plan"],
         "cost_key": plan.cost_key,
         "wall_seconds": wall,
         "generation": attachment.generation,
+        **counts,
     }
 
 
