@@ -5,7 +5,7 @@ The library computes series of thresholded Pearson-correlation matrices —
 dynamic correlation networks — over sliding windows of a large collection of
 time series, using the paper's pruning framework (Dangoron), its benchmark
 generator (Tomborg), and reimplementations of the baselines it compares
-against (TSUBASA and brute force exact; ParCorr, StatStream and FilCorr as
+against (TSUBASA and brute force exact; ParCorr and StatStream as
 approximate experiment engines).
 
 Quick start — one session, one query family, one result protocol::
@@ -44,7 +44,7 @@ Subpackages
     pruning are experiment engines in ``repro.experiments``.
 ``repro.baselines``
     The exact baselines, brute force and TSUBASA, behind the same API.  The
-    approximate ones (ParCorr, StatStream, FilCorr) are experiment engines in
+    approximate ones (ParCorr, StatStream) are experiment engines in
     ``repro.experiments.approximate``.
 ``repro.tomborg``
     The Tomborg benchmark data generator.

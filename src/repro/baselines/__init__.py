@@ -4,7 +4,7 @@
 * :class:`TsubasaEngine` — the paper's primary baseline: exact basic-window
   sketch recombination for every pair in every window (SIGMOD 2022).
 
-The approximate baselines (ParCorr, StatStream, FilCorr) are experiment
+The approximate baselines (ParCorr, StatStream) are experiment
 engines in :mod:`repro.experiments.approximate`.
 """
 

@@ -1,6 +1,6 @@
-"""The approximate baselines: ParCorr, StatStream and FilCorr, kept as experiments.
+"""The approximate baselines: ParCorr and StatStream, kept as experiments.
 
-Three engines from the paper's related work answer a sliding query by
+Two engines from the paper's related work answer a sliding query by
 *filtering* candidate pairs with a cheap per-window estimate and (by default)
 verifying the candidates exactly:
 
@@ -8,17 +8,15 @@ verifying the candidates exactly:
   the accuracy comparison point of the paper's claim 2 (E2);
 * :class:`StatStreamEngine` — truncated DFT (Zhu & Shasha, VLDB 2002), the
   frequency-transform family whose data-dependency the related-work section
-  discusses (E10);
-* :class:`FilCorrEngine` — smoothed, downsampled windows (Zhong, Souza,
-  Mueen; ICDM 2020), the other streaming filter the related work cites.
+  discusses (E10).
 
 Verification makes every *reported* value exact (precision 1), but a pair the
 filter never admits is never reported, so the answers are labelled
 :data:`EXACTNESS_APPROXIMATE`.  On D128 (``perf/datagen.generate(3)``, window
-720, step 24, β 0.7) brute force finds 23,118 edges; ParCorr returns 17,600,
-StatStream 0 and FilCorr all 23,118, while the exact window-axis grid
+720, step 24, β 0.7) brute force finds 23,118 edges; ParCorr returns 17,600
+and StatStream 0, while the exact window-axis grid
 (:class:`~repro.core.dangoron.DangoronEngine`) returns all of them faster
-than any of the three.  So none of them is a product engine: they are not
+than either.  So neither is a product engine: they are not
 registered, so no engine name, CLI flag or service request reaches them.
 The experiment registry (E2, E3, E10),
 :func:`repro.experiments.runner.default_engines` and their tests construct
@@ -66,32 +64,6 @@ def _znormalize_rows(window: np.ndarray) -> np.ndarray:
     normalized = centered / safe[:, None]
     normalized[degenerate, :] = 0.0
     return normalized
-
-
-def moving_average_filter(window: np.ndarray, width: int) -> np.ndarray:
-    """Centered moving average of every row (valid region only).
-
-    The output has ``window.shape[1] - width + 1`` columns; with ``width=1`` it
-    is the input unchanged.
-    """
-    window = np.asarray(window, dtype=FLOAT_DTYPE)
-    if window.ndim != 2:
-        raise QueryValidationError(
-            f"moving_average_filter() expects an (N, l) array, got {window.shape}"
-        )
-    if width < 1:
-        raise QueryValidationError(f"filter width must be >= 1, got {width}")
-    if width > window.shape[1]:
-        raise QueryValidationError(
-            f"filter width {width} exceeds the window length {window.shape[1]}"
-        )
-    if width == 1:
-        return window
-    cumulative = np.cumsum(window, axis=1, dtype=FLOAT_DTYPE)
-    padded = np.concatenate(
-        [np.zeros((window.shape[0], 1), dtype=FLOAT_DTYPE), cumulative], axis=1
-    )
-    return (padded[:, width:] - padded[:, :-width]) / float(width)
 
 
 class ParCorrEngine(SlidingCorrelationEngine):
@@ -373,145 +345,6 @@ class StatStreamEngine(SlidingCorrelationEngine):
             sketch_build_seconds=0.0,
             query_seconds=elapsed,
             extra={"num_coefficients": float(keep)},
-        )
-        return CorrelationSeriesResult(
-            query, matrices, stats, series_ids=matrix.series_ids
-        )
-
-
-class FilCorrEngine(SlidingCorrelationEngine):
-    """Correlation of smoothed, downsampled windows with optional exact verification.
-
-    The filtered correlation approximates the raw one well when a pair's
-    shared signal lives at low frequencies.
-
-    Parameters
-    ----------
-    filter_width:
-        Length of the moving-average filter applied to every window (1 disables
-        smoothing).
-    downsample:
-        Keep every ``downsample``-th column of the filtered window (1 keeps
-        everything).  The per-pair estimation cost shrinks proportionally.
-    candidate_margin:
-        Pairs whose filtered correlation is at least ``beta - margin`` become
-        candidates.
-    verify:
-        Verify candidates exactly (reported values are then exact and the
-        engine's precision is 1).
-    """
-
-    name = "filcorr"
-
-    def __init__(
-        self,
-        filter_width: int = 8,
-        downsample: int = 4,
-        candidate_margin: float = 0.05,
-        verify: bool = True,
-    ) -> None:
-        if filter_width < 1:
-            raise QueryValidationError(
-                f"filter_width must be >= 1, got {filter_width}"
-            )
-        if downsample < 1:
-            raise QueryValidationError(f"downsample must be >= 1, got {downsample}")
-        if candidate_margin < 0:
-            raise QueryValidationError(
-                f"candidate_margin must be non-negative, got {candidate_margin}"
-            )
-        self.filter_width = filter_width
-        self.downsample = downsample
-        self.candidate_margin = candidate_margin
-        self.verify = verify
-
-    def exactness(self) -> str:
-        """Candidates come from an approximate filter, so edges can be missed."""
-        return EXACTNESS_APPROXIMATE
-
-    def describe(self) -> str:
-        mode = "verified" if self.verify else "approximate"
-        return (
-            f"{self.name}[w={self.filter_width}, d={self.downsample}, {mode}]"
-        )
-
-    # ------------------------------------------------------------------ running
-    def run(
-        self, matrix: TimeSeriesMatrix, query: SlidingQuery
-    ) -> CorrelationSeriesResult:
-        query.validate_against_length(matrix.length)
-        if self.filter_width >= query.window:
-            raise QueryValidationError(
-                f"filter_width {self.filter_width} must be smaller than the "
-                f"query window {query.window}"
-            )
-        values = matrix.values
-        n = matrix.num_series
-
-        candidate_threshold = query.threshold - self.candidate_margin
-        matrices: List[ThresholdedMatrix] = []
-        total_candidates = 0
-        exact_evaluations = 0
-
-        started = time.perf_counter()
-        for _, begin, end in query.iter_windows():
-            window = values[:, begin:end]
-            filtered = moving_average_filter(window, self.filter_width)
-            if self.downsample > 1:
-                filtered = filtered[:, :: self.downsample]
-            if filtered.shape[1] < 2:
-                raise QueryValidationError(
-                    "filtering and downsampling left fewer than two columns; "
-                    "reduce filter_width or downsample"
-                )
-            normalized = _znormalize_rows(filtered)
-            estimate = np.clip(normalized @ normalized.T, -1.0, 1.0)
-
-            iu, ju = np.triu_indices(n, k=1)
-            est_vals = estimate[iu, ju]
-            if query.threshold_mode == "absolute":
-                candidate_mask = np.abs(est_vals) >= candidate_threshold
-            else:
-                candidate_mask = est_vals >= candidate_threshold
-            cand_rows = iu[candidate_mask]
-            cand_cols = ju[candidate_mask]
-            total_candidates += int(len(cand_rows))
-
-            if self.verify and len(cand_rows):
-                corr = correlation_matrix(window)
-                exact_vals = corr[cand_rows, cand_cols]
-                exact_evaluations += int(len(cand_rows))
-                keep = query.keep_mask(exact_vals)
-                matrices.append(
-                    ThresholdedMatrix(
-                        n, cand_rows[keep], cand_cols[keep], exact_vals[keep]
-                    )
-                )
-            else:
-                cand_vals = est_vals[candidate_mask]
-                keep = query.keep_mask(cand_vals)
-                matrices.append(
-                    ThresholdedMatrix(
-                        n, cand_rows[keep], cand_cols[keep], cand_vals[keep]
-                    )
-                )
-        elapsed = time.perf_counter() - started
-
-        pairs = n * (n - 1) // 2
-        stats = EngineStats(
-            engine=self.describe(),
-            exactness=self.exactness(),
-            num_series=n,
-            num_windows=query.num_windows,
-            exact_evaluations=exact_evaluations,
-            candidate_pairs=total_candidates,
-            sketch_build_seconds=0.0,
-            query_seconds=elapsed,
-            extra={
-                "filter_width": float(self.filter_width),
-                "downsample": float(self.downsample),
-                "total_pairs": float(pairs),
-            },
         )
         return CorrelationSeriesResult(
             query, matrices, stats, series_ids=matrix.series_ids

@@ -5,8 +5,8 @@ precomputed, stored and reused by every subsequent query.  This package is
 that deployment shape: a stdlib-only HTTP server that loads datasets from a
 :class:`~repro.storage.catalog.Catalog`, keeps one warm
 :class:`~repro.api.CorrelationSession` + sketch cache per dataset, coalesces
-identical concurrent queries, lazily materializes persisted
-:class:`~repro.storage.stats_index.StatsIndex` artefacts into the cache, and
+identical concurrent queries, lazily materializes persisted catalog indexes
+(segments bound to their data by content fingerprint) into the cache, and
 advances standing threshold queries over the dataset's shared sketch as
 columns are appended.
 

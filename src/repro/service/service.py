@@ -10,10 +10,10 @@ by every subsequent query; the service is that deployment shape:
   :class:`~repro.storage.chunk_store.ChunkStore` in memory, one warm
   :class:`~repro.storage.cache.SketchCache`, and one
   :class:`~repro.api.CorrelationSession` over it,
-* persisted :class:`~repro.storage.stats_index.StatsIndex` artefacts are
+* persisted catalog indexes (segments, :mod:`repro.storage.shared`) are
   *lazily materialized* into the cache: the first query that plans a layout
-  matching an on-disk index seeds the cache from disk instead of paying the
-  γ·N² build,
+  matching an on-disk index built from the same data (equal content
+  fingerprint) seeds the cache from disk instead of paying the γ·N² build,
 * concurrent requests merge through one mechanism
   (:mod:`repro.service.batching`): identical requests of any family are
   **coalesced** — the first executes, the rest wait on it and share the same
@@ -79,7 +79,7 @@ from repro.service.wire import (  # noqa: F401
 from repro.service.workers import WorkerConfig, WorkerPool
 from repro.storage.cache import SketchCache
 from repro.storage.catalog import Catalog
-from repro.storage.shared import SegmentManager
+from repro.storage.shared import SegmentManager, SharedSegment
 from repro.streaming.online import WindowCursor
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -195,7 +195,8 @@ class DatasetRuntime:
         # One cache for the dataset's whole lifetime: every session and every
         # seeded on-disk index share it.
         self.sketch_cache = SketchCache()
-        self._seed_labels_tried: set = set()  # guarded-by: lock
+        # Catalog indexes by label, attached on first sight (None: refused).
+        self._indexes: Dict[str, Optional[SharedSegment]] = {}  # guarded-by: lock
 
     # ------------------------------------------------------------------ state
     @property
@@ -226,65 +227,36 @@ class DatasetRuntime:
         return self._session
 
     def seed_sketch_for(self, plan) -> bool:  # requires-lock: lock
-        """Materialize a persisted stats index matching a plan's layout.
+        """Materialize a persisted catalog index matching a plan's layout.
 
-        Checks the plan's basic-window layout against the dataset's on-disk
-        :class:`~repro.storage.stats_index.StatsIndex` artefacts; the first
-        match is loaded once, **validated against the live data**, and seeded
-        into the shared cache, so the engine recombines from disk statistics
-        instead of rebuilding them.  Validation recomputes the cheap O(N·L)
-        per-series sums and requires bitwise agreement — a stale artefact
-        (data file regenerated, index built from other data) must degrade to
-        a normal build, never silently answer with foreign statistics.
-        Index files are tried at most once per runtime (a corrupt artefact
-        must not re-raise on every query).
+        Each of the dataset's on-disk indexes is attached once per runtime
+        (memmapped; a corrupt or old-format one is skipped, never re-raised
+        per query).  One is seeded into the shared cache only when its layout
+        equals the plan's **and** its manifest's fingerprint equals the live
+        data's — the hash the cache keys this query by anyway — so the
+        engine recombines from disk statistics, and an index built from other
+        data (an overwritten dataset, an append since) degrades to a normal
+        build, never answering with foreign statistics.
         """
-        if plan.layout is None or self.sketch_cache.contains(self.matrix, plan.layout):
-            return False
         for label in self.catalog.index_labels(self.name):
-            if label in self._seed_labels_tried:
-                continue
-            self._seed_labels_tried.add(label)
-            try:
-                index = self.catalog.load_index(self.name, label)
-            except StorageError:
-                continue
-            if (
-                index.layout == plan.layout
-                and index.num_series == self.matrix.num_series
-                and self._index_matches_data(index)
-            ):
-                self.sketch_cache.seed(self.matrix, index.sketch)
+            if label not in self._indexes:
+                try:
+                    self._indexes[label] = self.catalog.load_index(self.name, label)
+                except StorageError:
+                    self._indexes[label] = None
+        candidates = [
+            segment for segment in self._indexes.values()
+            if segment is not None and segment.sketch.layout == plan.layout
+        ]
+        if not candidates or self.sketch_cache.contains(self.matrix, plan.layout):
+            return False
+        fingerprint = self.sketch_cache.fingerprint_of(self.matrix)
+        for segment in candidates:
+            if segment.fingerprint == fingerprint:
+                self.sketch_cache.seed(self.matrix, segment.sketch)
                 self.counters["indexes_seeded"] += 1
                 return True
         return False
-
-    def _index_matches_data(self, index) -> bool:
-        """Bitwise-check a persisted index's per-series sums against the data.
-
-        The full pairwise statistics are what seeding avoids recomputing, but
-        the per-series sums/sums-of-squares cost only O(N·L) and pin the
-        index to this exact data: the sketch build is deterministic, so a
-        genuine index agrees bit for bit and anything else is stale.  Under
-        a memory budget the check builds tiled (bit-identical), so it never
-        materializes the dense matrix either.
-        """
-        if self.config.memory_budget is not None:
-            from repro.core.tiled import build_sketch_tiled
-
-            expected = build_sketch_tiled(
-                self.store, index.layout, self.config.memory_budget, pairwise=False
-            )
-        else:
-            expected = BasicWindowSketch.build(
-                self.matrix.values,  # repro-lint: disable=RPR002 -- no-budget runtimes are dense by construction; the tiled branch above handles budgeted ones
-                index.layout,
-                pairwise=False,
-            )
-        sketch = index.sketch
-        return np.array_equal(
-            expected.series_sums, sketch.series_sums
-        ) and np.array_equal(expected.series_sumsqs, sketch.series_sumsqs)
 
     # ----------------------------------------------------------------- writes
     def append_columns(self, columns: np.ndarray) -> Dict[str, object]:  # requires-lock: lock

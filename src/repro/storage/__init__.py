@@ -1,11 +1,12 @@
-"""Storage substrate: raw chunk store, statistics index, and catalog (S7).
+"""Storage substrate: raw chunk store, sketch segments, and catalog (S7).
 
 The paper's pipeline separates a one-off precomputation phase ("pre-compute
 and store basic window statistics") from the pure query phase its evaluation
 times.  This subpackage is the stored side: :class:`ChunkStore` holds the raw
-columns, :class:`StatsIndex` holds the reusable basic-window statistics (and
-can be extended as new data arrives), and :class:`Catalog` ties the artefacts
-of many datasets together on disk.
+columns, a segment (:func:`export_segment` / :func:`attach_segment`) holds
+the reusable basic-window statistics memmapped, bound to its data by content
+fingerprint, and :class:`Catalog` ties the artefacts of many datasets
+together on disk.
 """
 
 from repro.storage.cache import (
@@ -21,7 +22,6 @@ from repro.storage.shared import (
     attach_segment,
     export_segment,
 )
-from repro.storage.stats_index import StatsIndex
 
 __all__ = [
     "CacheStats",
@@ -32,7 +32,6 @@ __all__ = [
     "SegmentManager",
     "SharedSegment",
     "SketchCache",
-    "StatsIndex",
     "attach_segment",
     "export_segment",
     "matrix_fingerprint",

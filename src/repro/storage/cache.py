@@ -45,8 +45,11 @@ def _update_header(
     append-only stream can then keep one running hasher over the complete
     column blocks and finalize a ``copy()`` of it with the pending tail plus
     the grown header — O(Δ) per append instead of re-hashing history.  This
-    is what :class:`_FingerprintChain` does.  Fingerprints are in-memory
-    cache keys only (never persisted), so the layout is free to choose.
+    is what :class:`_FingerprintChain` does.  The layout is an on-disk
+    contract: a catalog index's manifest records the fingerprint of the
+    data it was built from, and is served only for data with that
+    fingerprint.  Changing the layout makes every persisted index miss (a
+    query builds instead); it never makes one answer for other data.
     """
     digest.update(str((num_series, length)).encode())
     digest.update(",".join(series_ids).encode())
@@ -693,7 +696,7 @@ class SketchCache:
             return self._key(matrix, layout, pairwise) in self._entries
 
     def seed(self, matrix: TimeSeriesMatrix, sketch: BasicWindowSketch) -> bool:
-        """Insert a prebuilt sketch (e.g. a persisted :class:`StatsIndex`'s).
+        """Insert a prebuilt sketch (e.g. a persisted catalog index's).
 
         This is how the query service materializes on-disk statistics indexes
         into the warm cache without paying the γ·N² build: the sketch is keyed

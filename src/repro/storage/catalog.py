@@ -2,21 +2,27 @@
 
 A realistic deployment of Dangoron stores many datasets, each with raw data
 and one or more statistics indexes (different basic-window sizes).  The
-catalog is a directory with a JSON manifest mapping dataset names to the
-``.npz`` artefacts, so examples and benchmarks can manage generated data the
-way a user of the system would.
+catalog is a directory with a JSON manifest mapping dataset names to their
+artefacts: a ``.npz`` chunk store per dataset and, per index, a segment
+directory (:mod:`repro.storage.shared`) whose manifest binds the statistics
+to the data they were built from by the data's content fingerprint.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.core.basic_window import BasicWindowLayout
 from repro.exceptions import StorageError
+from repro.storage.cache import SketchCache
 from repro.storage.chunk_store import ChunkStore
-from repro.storage.stats_index import StatsIndex
+from repro.storage.shared import SharedSegment, attach_segment, export_segment
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 _MANIFEST_NAME = "catalog.json"
@@ -48,7 +54,7 @@ class DatasetEntry:
                 index_files={str(k): str(v) for k, v in record.get("index_files", {}).items()},
                 description=str(record.get("description", "")),
             )
-        except KeyError as error:
+        except (KeyError, TypeError, AttributeError) as error:
             raise StorageError(f"malformed catalog entry: {record!r}") from error
 
 
@@ -76,7 +82,13 @@ class Catalog:
         self, name: str, store: ChunkStore, description: str = "",
         overwrite: bool = False,
     ) -> DatasetEntry:
-        """Persist a chunk store under ``name`` and register it."""
+        """Persist a chunk store under ``name`` and register it.
+
+        Overwriting keeps the dataset's index labels.  Each index is bound to
+        the data it was built from by content fingerprint, so an index over
+        the replaced data is never served for the new data (a query builds
+        instead); re-ingesting identical data keeps every index usable.
+        """
         if name in self._entries and not overwrite:
             raise StorageError(
                 f"dataset {name!r} already exists (pass overwrite=True to replace)"
@@ -91,15 +103,47 @@ class Catalog:
         return entry
 
     def add_index(
-        self, name: str, index: StatsIndex, label: Optional[str] = None
+        self, name: str, basic_window_size: int, label: Optional[str] = None
     ) -> str:
-        """Persist a statistics index for an existing dataset."""
+        """Build and persist a statistics index over a dataset's stored columns.
+
+        The index is a segment (:func:`~repro.storage.shared.export_segment`)
+        at generation 0 whose manifest records the data's content fingerprint
+        (:func:`~repro.storage.cache.matrix_fingerprint`).  Every write goes
+        to a fresh directory; a previous index under the same label is
+        removed only after the catalog manifest names the new one, and
+        nothing is rewritten in place (a live service may have the old files
+        mapped).  Returns the label (``b<size>`` by default).
+        """
         entry = self.describe(name)
-        label = label if label is not None else f"b{index.layout.size}"
-        index_file = f"{name}.index.{label}.npz"
-        index.save(self.root / index_file)
-        entry.index_files[label] = index_file
+        label = label if label is not None else f"b{basic_window_size}"
+        store = self.load_dataset(name)
+        # Built and hashed the way a served query builds and keys its sketch.
+        matrix = store.to_matrix()
+        cache = SketchCache()
+        sketch = cache.get_or_build(
+            matrix, BasicWindowLayout.for_range(0, matrix.length, basic_window_size)
+        )
+        directory = Path(tempfile.mkdtemp(prefix=f"{name}.index.{label}.", dir=self.root))
+        try:
+            export_segment(
+                directory, store, sketch,
+                fingerprint=cache.fingerprint_of(matrix),
+                generation=0,
+                series_ids=store.series_ids,
+            )
+        except BaseException:
+            shutil.rmtree(directory, ignore_errors=True)
+            raise
+        previous = entry.index_files.get(label)
+        entry.index_files[label] = directory.name
         self._write_manifest()
+        if previous is not None:
+            stale = self.root / previous
+            if stale.is_dir():
+                shutil.rmtree(stale, ignore_errors=True)
+            else:
+                stale.unlink(missing_ok=True)
         return label
 
     def index_labels(self, name: str) -> List[str]:
@@ -123,7 +167,12 @@ class Catalog:
             raise StorageError(f"dataset {name!r} contains no columns")
         return store.to_matrix()
 
-    def load_index(self, name: str, label: Optional[str] = None) -> StatsIndex:
+    def load_index(self, name: str, label: Optional[str] = None) -> SharedSegment:
+        """Attach a persisted index read-only (its arrays are memmapped).
+
+        The segment's ``fingerprint`` names the data it was built from; a
+        caller serves its sketch only for data with that fingerprint.
+        """
         entry = self.describe(name)
         if not entry.index_files:
             raise StorageError(f"dataset {name!r} has no statistics indexes")
@@ -134,7 +183,13 @@ class Catalog:
                 f"dataset {name!r} has no index labelled {label!r}; "
                 f"available: {sorted(entry.index_files)}"
             )
-        return StatsIndex.load(self.root / entry.index_files[label])
+        path = self.root / entry.index_files[label]
+        if path.suffix == ".npz":
+            raise StorageError(
+                f"{path} is a .npz stats-index archive, a format this catalog "
+                f"no longer reads; rebuild it with Catalog.add_index"
+            )
+        return attach_segment(path)
 
     # ------------------------------------------------------------------ manifest
     def _manifest_path(self) -> Path:
@@ -149,14 +204,29 @@ class Catalog:
                 records = json.load(handle)
         except (OSError, json.JSONDecodeError) as error:
             raise StorageError(f"cannot read catalog manifest {path}") from error
+        if not isinstance(records, list):
+            raise StorageError(
+                f"catalog manifest {path} holds a {type(records).__name__}, "
+                f"expected a list of dataset records"
+            )
         for record in records:
-            entry = DatasetEntry.from_dict(record)
+            try:
+                entry = DatasetEntry.from_dict(record)
+            except StorageError as error:
+                raise StorageError(f"catalog manifest {path}: {error}") from error
             self._entries[entry.name] = entry
 
     def _write_manifest(self) -> None:
+        """Write the manifest to a temporary file and rename it into place,
+        so a crash leaves the old manifest or the new one, never a torn one."""
         records = [entry.as_dict() for entry in self._entries.values()]
-        with open(self._manifest_path(), "w", encoding="utf-8") as handle:
+        path = self._manifest_path()
+        pending = path.with_name(f"{path.name}.tmp")
+        with open(pending, "w", encoding="utf-8") as handle:
             json.dump(records, handle, indent=2, sort_keys=True)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(pending, path)
 
     def __repr__(self) -> str:
         return f"Catalog(root={str(self.root)!r}, datasets={len(self._entries)})"

@@ -1,4 +1,4 @@
-"""Shared mmap-backed sketch segments for multi-process serving.
+"""Shared mmap-backed sketch segments: the one on-disk sketch format.
 
 A *segment* is one dataset snapshot exported to disk so that forked worker
 processes can answer queries over it without duplicating the dominant
@@ -14,7 +14,9 @@ are keyed — the matrix content fingerprint plus the basic-window layout — an
 carry a monotonically increasing *generation*: every append in the parent
 changes the fingerprint, which forces a fresh export under the next
 generation number, and workers re-attach when a job names a generation newer
-than the one they hold.
+than the one they hold.  The catalog persists its statistics indexes in the
+same format (:meth:`~repro.storage.catalog.Catalog.add_index`, generation
+0): the manifest's fingerprint binds an index to the data it was built from.
 
 Layout of one exported segment directory::
 
@@ -45,7 +47,7 @@ import numpy as np
 from repro.config import FLOAT_DTYPE
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
-from repro.exceptions import StorageError
+from repro.exceptions import SketchError, StorageError
 
 #: Version tag checked on attach, so a layout change cannot be silently
 #: misread: v4 packs the strict upper triangle (no diagonal rows) and lists
@@ -216,12 +218,12 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
         raise StorageError(
             f"{manifest_path} is not a readable segment manifest: {error}"
         ) from error
-    if manifest.get("schema") != SEGMENT_SCHEMA:
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema != SEGMENT_SCHEMA:
         raise StorageError(
-            f"{manifest_path} declares schema {manifest.get('schema')!r}, "
+            f"{manifest_path} declares schema {schema!r}, "
             f"expected {SEGMENT_SCHEMA!r}"
         )
-    shapes = manifest["shapes"]
     listed = manifest.get("arrays")
     if listed != list(_SKETCH_ARRAYS):
         raise StorageError(
@@ -229,22 +231,33 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
             f"{list(_SKETCH_ARRAYS)}, got {listed!r}; segments carry no "
             f"other array (re-export the snapshot)"
         )
-    values = _load_array(path / "values.npy", tuple(shapes["values"]))
-    loaded = {
-        name: _load_array(path / f"{name}.npy", tuple(shapes[name]))
-        for name in listed
-    }
-    layout = BasicWindowLayout(
-        offset=int(manifest["layout"]["offset"]),
-        size=int(manifest["layout"]["size"]),
-        count=int(manifest["layout"]["count"]),
-    )
-    sketch = BasicWindowSketch(
-        layout=layout,
-        series_sums=loaded["series_sums"],
-        series_sumsqs=loaded["series_sumsqs"],
-        pair_sumprods=loaded["pair_sumprods"],
-    )
+    try:
+        shapes = manifest["shapes"]
+        values = _load_array(path / "values.npy", tuple(shapes["values"]))
+        loaded = {
+            name: _load_array(path / f"{name}.npy", tuple(shapes[name]))
+            for name in listed
+        }
+        layout = BasicWindowLayout(
+            offset=int(manifest["layout"]["offset"]),
+            size=int(manifest["layout"]["size"]),
+            count=int(manifest["layout"]["count"]),
+        )
+        sketch = BasicWindowSketch(
+            layout=layout,
+            series_sums=loaded["series_sums"],
+            series_sumsqs=loaded["series_sumsqs"],
+            pair_sumprods=loaded["pair_sumprods"],
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise StorageError(
+            f"{manifest_path} is not a complete segment manifest ({error!r})"
+        ) from error
+    except SketchError as error:
+        raise StorageError(
+            f"segment at {path} holds inconsistent statistics ({error}); "
+            f"rebuild it"
+        ) from error
     return SharedSegment(path, manifest, values, sketch)
 
 

@@ -37,14 +37,6 @@ ALLOWLIST: Dict[str, str] = {
         "scalar Eq. 2 oracle that tests/unit/experiments/test_bounds.py "
         "compares the vectorised bound against"
     ),
-    "experiments/approximate.py::FilCorrEngine": (
-        "the filtered-correlation baseline the paper's related work cites; "
-        "approximate, so unregistered, and no paper table runs it: "
-        "tests/unit/experiments/test_filcorr.py keeps it answering"
-    ),
-    "experiments/approximate.py::moving_average_filter": (
-        "FilCorrEngine's smoothing filter (allowlisted above)"
-    ),
 }
 
 REGISTERING_DECORATORS = {"register_engine", "register_rule"}

@@ -20,7 +20,6 @@ from repro.network.dynamic import DynamicNetwork
 from repro.network.export import write_temporal_edge_list
 from repro.storage.catalog import Catalog
 from repro.storage.chunk_store import ChunkStore
-from repro.storage.stats_index import StatsIndex
 
 
 class TestClimatePipeline:
@@ -41,8 +40,7 @@ class TestClimatePipeline:
                            series_ids=matrix.series_ids)
         store.append(matrix.values)
         catalog.add_dataset("uscrn_2020", store, description="synthetic USCRN")
-        index = StatsIndex.build(matrix.values, basic_window_size=24)
-        catalog.add_index("uscrn_2020", index)
+        catalog.add_index("uscrn_2020", basic_window_size=24)
 
         # 5. Answer a sliding query with Dangoron over the catalogued data.
         reopened = Catalog(tmp_path / "catalog")

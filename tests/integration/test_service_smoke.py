@@ -1,7 +1,7 @@
 """Service smoke: the acceptance path of the catalog-backed query server.
 
 Mirrors what the CI service-smoke job runs inside its 60-second budget:
-generate a dataset, register it (data + a persisted stats index) in an
+generate a dataset, register it (data + a persisted index segment) in an
 on-disk catalog, start a real HTTP server on an ephemeral port, and assert
 
 1. a threshold query answered through :class:`ServiceClient` is
@@ -24,7 +24,6 @@ from repro.service import CorrelationServer, CorrelationService, ServiceClient
 from repro.service.wire import result_from_wire
 from repro.storage.catalog import Catalog
 from repro.storage.chunk_store import ChunkStore
-from repro.storage.stats_index import StatsIndex
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 NUM_SERIES = 12
@@ -49,7 +48,7 @@ def server(tmp_path_factory, values):
     store.append(values)
     catalog = Catalog(tmp_path_factory.mktemp("smoke-catalog"))
     catalog.add_dataset("generated", store, description="smoke dataset")
-    catalog.add_index("generated", StatsIndex.build(values, basic_window_size=BASIC))
+    catalog.add_index("generated", basic_window_size=BASIC)
     with CorrelationServer(CorrelationService(catalog, basic_window_size=BASIC)) as server:
         yield server
 

@@ -11,11 +11,12 @@ window, which must sit in the chain's tail buffer until a window completes):
    matrix computed from scratch — so extended sketches re-key exactly where
    a cold cache would file them.
 
-The same growth path serves persisted indexes and the online monitor, so one
+The same growth path serves every caller and the online monitor, so one
 more input — an arbitrary chunking of one stream — checks them too:
-``StatsIndex.extend`` over the chunks equals ``BasicWindowSketch.build`` over
-the concatenation bit for bit, and the monitor emits the same windows, bit
-for bit, however its columns were batched.
+``BasicWindowSketch.extend`` over the chunks (the caller carrying the
+sub-window residual) equals ``BasicWindowSketch.build`` over the
+concatenation bit for bit, and the monitor emits the same windows, bit for
+bit, however its columns were batched.
 """
 
 from unittest import mock
@@ -30,7 +31,6 @@ from repro.core.query import SlidingQuery
 from repro.core.sketch import BasicWindowSketch
 from repro.experiments.jumping import correlation_prefix
 from repro.storage.cache import SketchCache, matrix_fingerprint
-from repro.storage.stats_index import StatsIndex
 from repro.streaming.online import OnlineCorrelationMonitor
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -184,26 +184,28 @@ def test_any_chunking_grows_the_same_index_and_windows(case):
     num_series, size, window, step, bounds, threshold, seed = case
     values = np.random.default_rng(seed).standard_normal((num_series, bounds[-1]))
 
-    # One growth path: a persisted index extended chunk by chunk (the caller
-    # carrying the sub-window residual) is the sketch of the whole stream.
+    # One growth path: a sketch extended chunk by chunk (the caller carrying
+    # the sub-window residual) is the sketch of the whole stream.
     index, tail = None, values[:, :0]
     for begin, end in zip(bounds, bounds[1:]):
-        chunk = values[:, begin:end]
+        tail = np.concatenate([tail, values[:, begin:end]], axis=1)
+        complete = tail.shape[1] // size * size
+        if not complete:
+            continue
         if index is None:
-            tail = np.concatenate([tail, chunk], axis=1)
-            if tail.shape[1] >= size:
-                index = StatsIndex.build(tail, basic_window_size=size)
-                tail = tail[:, index.covered_columns:]
+            index = BasicWindowSketch.build(
+                tail, BasicWindowLayout.for_range(0, tail.shape[1], size)
+            )
         else:
-            absorbed = index.extend(chunk, previous_tail=tail)
-            tail = np.concatenate([tail, chunk], axis=1)[:, absorbed * size:]
+            index = index.extend(tail[:, :complete])
+        tail = tail[:, complete:]
     scratch = BasicWindowSketch.build(
         values, BasicWindowLayout.for_range(0, values.shape[1], size)
     )
     assert index.layout == scratch.layout
     for name in ("series_sums", "series_sumsqs", "pair_sumprods"):
-        assert getattr(index.sketch, name).tobytes() == getattr(scratch, name).tobytes()
-    assert correlation_prefix(index.sketch).tobytes() == correlation_prefix(scratch).tobytes()
+        assert getattr(index, name).tobytes() == getattr(scratch, name).tobytes()
+    assert correlation_prefix(index).tobytes() == correlation_prefix(scratch).tobytes()
 
     # One window pass: emission is independent of the batching, bit for bit.
     whole = [0, bounds[-1]]

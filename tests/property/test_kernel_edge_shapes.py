@@ -24,7 +24,7 @@ from repro.core.engine import available_engines, create_engine, engine_options
 from repro.core.query import SlidingQuery
 from repro.core.sketch import BasicWindowSketch
 from repro.core.tiled import build_sketch_tiled
-from repro.experiments.approximate import FilCorrEngine, ParCorrEngine, StatStreamEngine
+from repro.experiments.approximate import ParCorrEngine, StatStreamEngine
 from repro.storage.chunk_store import ChunkStore
 from repro.timeseries.matrix import TimeSeriesMatrix
 
@@ -87,7 +87,7 @@ def _registered(name):
 
 
 ENGINES = {name: _registered(name) for name in available_engines()}
-ENGINES.update(filcorr=FilCorrEngine, parcorr=ParCorrEngine, statstream=StatStreamEngine)
+ENGINES.update(parcorr=ParCorrEngine, statstream=StatStreamEngine)
 
 
 @pytest.mark.parametrize("num_series", [1, 2])

@@ -4,8 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.basic_window import BasicWindowLayout
+from repro.core.sketch import BasicWindowSketch
 from repro.storage.chunk_store import ChunkStore
-from repro.storage.stats_index import StatsIndex
 
 
 @st.composite
@@ -63,12 +64,16 @@ def test_incremental_index_extension_matches_batch_build(
         usable = pending[:, : complete * basic]
         pending = pending[:, complete * basic :]
         if index is None:
-            index = StatsIndex.build(usable, basic_window_size=basic)
+            index = BasicWindowSketch.build(
+                usable, BasicWindowLayout.for_range(0, usable.shape[1], basic)
+            )
         else:
-            index.extend(usable)
+            index = index.extend(usable)
 
-    batch_index = StatsIndex.build(full, basic_window_size=basic)
+    batch_index = BasicWindowSketch.build(
+        full, BasicWindowLayout.for_range(0, full.shape[1], basic)
+    )
     assert index is not None
     assert index.layout.count == batch_index.layout.count
-    assert np.allclose(index.sketch.series_sums, batch_index.sketch.series_sums)
-    assert np.allclose(index.sketch.pair_sumprods, batch_index.sketch.pair_sumprods)
+    assert np.allclose(index.series_sums, batch_index.series_sums)
+    assert np.allclose(index.pair_sumprods, batch_index.pair_sumprods)

@@ -15,13 +15,12 @@ import pytest
 from repro.api import CorrelationSession, ThresholdQuery, TopKQuery
 from repro.cli import main
 from repro.core import engine as engine_module
-from repro.exceptions import ExperimentError, ServiceError
+from repro.exceptions import ExperimentError, ServiceError, StorageError
 from repro.experiments.approximate import ParCorrEngine
 from repro.service import CorrelationService, result_from_wire
 from repro.service.service import DatasetRuntime
 from repro.storage.catalog import Catalog
 from repro.storage.chunk_store import ChunkStore
-from repro.storage.stats_index import StatsIndex
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 NUM_SERIES = 6
@@ -447,59 +446,144 @@ class TestLoadShedding:
         assert service.metrics()["datasets"]["demo"]["queries"] == 2
 
 
+def _answer(document):
+    """The answer part of a response document (no plan or timing stats)."""
+    return {key: document[key] for key in ("query", "windows", "series_ids")}
+
+
 class TestIndexSeeding:
-    def test_matching_index_is_materialized_lazily(self, catalog, values):
-        catalog.add_index("demo", StatsIndex.build(values, basic_window_size=BASIC))
-        service = CorrelationService(catalog, basic_window_size=BASIC)
+    @pytest.mark.parametrize("memory_budget", [None, 64 * 1024])
+    def test_matching_index_is_materialized_lazily(self, catalog, memory_budget):
+        built = json.loads(
+            CorrelationService(catalog, basic_window_size=BASIC).query(
+                "demo", dict(THRESHOLD_REQUEST)
+            )
+        )
+        catalog.add_index("demo", basic_window_size=BASIC)
+        service = CorrelationService(
+            catalog, basic_window_size=BASIC, memory_budget=memory_budget
+        )
         document = json.loads(service.query("demo", dict(THRESHOLD_REQUEST)))
         stats = service.dataset_info("demo")["stats"]
         assert stats["indexes_seeded"] == 1
         assert stats["sketch_cache"]["builds"] == 0
         assert stats["sketch_cache"]["seeds"] == 1
-        # Seeded statistics answer with the exact same result.
-        fresh = CorrelationService(catalog.root, basic_window_size=BASIC)
-        rebuilt = json.loads(fresh.query("demo", dict(THRESHOLD_REQUEST)))
-        assert result_from_wire(document).to_edges() == result_from_wire(rebuilt).to_edges()
+        # Seeded statistics answer with the exact same bits as a build.
+        assert _answer(document) == _answer(built)
 
-    def test_mismatched_index_size_is_ignored(self, catalog, values):
-        catalog.add_index("demo", StatsIndex.build(values, basic_window_size=64))
+    def test_mismatched_index_size_is_ignored(self, catalog):
+        catalog.add_index("demo", basic_window_size=64)
         service = CorrelationService(catalog, basic_window_size=BASIC)
         service.query("demo", dict(THRESHOLD_REQUEST))
         stats = service.dataset_info("demo")["stats"]
         assert stats["indexes_seeded"] == 0
         assert stats["sketch_cache"]["builds"] == 1
 
-    def test_previous_format_index_degrades_to_a_build(self, catalog, values):
+    def test_an_index_waits_for_the_plan_it_matches(self, catalog):
+        """An index whose layout the first plan does not match stays
+        available to a later plan that does."""
+        catalog.add_index("demo", basic_window_size=BASIC)
+        service = CorrelationService(catalog, basic_window_size=BASIC)
+        service.query("demo", {**THRESHOLD_REQUEST, "end": LENGTH - 32})
+        service.query("demo", dict(THRESHOLD_REQUEST))
+        stats = service.dataset_info("demo")["stats"]
+        assert stats["indexes_seeded"] == 1
+        assert stats["sketch_cache"]["builds"] == 1
+
+    def test_previous_format_index_degrades_to_a_build(self, catalog):
         # A v2 archive (diagonal rows packed, N (N + 1) / 2 of them) left in
-        # the catalog by an older release is refused by format and the
-        # request is answered by a normal build, with the same answer.
+        # the catalog's manifest by an older release is refused by name and
+        # the request is answered by a normal build, with the same answer.
         built = json.loads(
             CorrelationService(catalog, basic_window_size=BASIC).query(
                 "demo", dict(THRESHOLD_REQUEST)
             )
         )
-        label = catalog.add_index("demo", StatsIndex.build(values, basic_window_size=BASIC))
-        path = catalog.root / catalog.describe("demo").index_files[label]
-        with np.load(path) as archive:
-            fields = {name: archive[name] for name in archive.files}
-        count = fields["series_sums"].shape[1]
-        fields["format"] = np.array("repro.stats-index/v2")
-        fields["pair_sumprods"] = np.zeros((NUM_SERIES * (NUM_SERIES + 1) // 2, count))
-        np.savez_compressed(path, **fields)
-        service = CorrelationService(catalog, basic_window_size=BASIC)
+        count = LENGTH // BASIC
+        np.savez_compressed(
+            catalog.root / "demo.index.b16.npz",
+            offset=np.array([0]),
+            size=np.array([BASIC]),
+            count=np.array([count]),
+            format=np.array("repro.stats-index/v2"),
+            series_sums=np.zeros((NUM_SERIES, count)),
+            series_sumsqs=np.ones((NUM_SERIES, count)),
+            pair_sumprods=np.zeros((NUM_SERIES * (NUM_SERIES + 1) // 2, count)),
+        )
+        manifest = catalog.root / "catalog.json"
+        records = json.loads(manifest.read_text())
+        records[0]["index_files"] = {"b16": "demo.index.b16.npz"}
+        manifest.write_text(json.dumps(records))
+        reopened = Catalog(catalog.root)
+        with pytest.raises(StorageError, match="demo.index.b16.npz is a .npz stats-index"):
+            reopened.load_index("demo", "b16")
+        service = CorrelationService(reopened, basic_window_size=BASIC)
         document = json.loads(service.query("demo", dict(THRESHOLD_REQUEST)))
         stats = service.dataset_info("demo")["stats"]
         assert stats["indexes_seeded"] == 0
         assert stats["sketch_cache"]["builds"] == 1
         assert result_from_wire(document).to_edges() == result_from_wire(built).to_edges()
 
-    def test_stale_index_is_rejected_not_served(self, catalog, values):
-        # An index whose statistics do not match the live data (here: built
-        # from different data, registered under the same label) must degrade
-        # to a normal build — never silently answer with foreign statistics.
-        other = np.random.default_rng(1234).standard_normal(values.shape)
-        catalog.add_index("demo", StatsIndex.build(other, basic_window_size=BASIC))
+    def test_a_dataset_without_an_index_does_no_seeding_work(self, service, monkeypatch):
+        runtime = service._runtime("demo")
+        with runtime.lock:
+            plan = runtime.session().plan(
+                ThresholdQuery(start=0, end=LENGTH, window=64, step=32, threshold=0.5)
+            )
+
+            def unexpected(*args, **kwargs):
+                raise AssertionError("no index, so nothing to look up")
+
+            for target, name in ((runtime.sketch_cache, "contains"),
+                                 (runtime.sketch_cache, "fingerprint_of"),
+                                 (runtime.catalog, "load_index")):
+                monkeypatch.setattr(target, name, unexpected)
+            assert runtime.seed_sketch_for(plan) is False
+
+    def test_a_refused_index_is_read_once_per_runtime(self, catalog, monkeypatch):
+        catalog.describe("demo").index_files["b16"] = "demo.index.b16.npz"
+        attempts = []
+        original = catalog.load_index
+
+        def counted(*args, **kwargs):
+            attempts.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "load_index", counted)
         service = CorrelationService(catalog, basic_window_size=BASIC)
+        service.query("demo", dict(THRESHOLD_REQUEST))
+        service.query("demo", {**THRESHOLD_REQUEST, "threshold": 0.7})
+        assert len(attempts) == 1
+        assert service.dataset_info("demo")["stats"]["sketch_cache"]["builds"] == 1
+
+    def test_reingesting_identical_data_keeps_the_index_served(self, catalog, values):
+        catalog.add_index("demo", basic_window_size=BASIC)
+        same = ChunkStore(NUM_SERIES, chunk_columns=32)  # other chunking, same data
+        same.append(values)
+        catalog.add_dataset("demo", same, overwrite=True)
+        service = CorrelationService(catalog, basic_window_size=BASIC)
+        service.query("demo", dict(THRESHOLD_REQUEST))
+        stats = service.dataset_info("demo")["stats"]
+        assert stats["indexes_seeded"] == 1
+        assert stats["sketch_cache"]["builds"] == 0
+
+    @pytest.mark.parametrize("memory_budget", [None, 64 * 1024])
+    def test_stale_index_is_rejected_not_served(self, catalog, values, memory_budget):
+        # An index whose statistics do not match the live data (here: built
+        # from different data, which the dataset was then overwritten with
+        # the real data over) must degrade to a normal build — never
+        # silently answer with foreign statistics.
+        other = np.random.default_rng(1234).standard_normal(values.shape)
+        store = ChunkStore(NUM_SERIES, chunk_columns=64)
+        store.append(other)
+        catalog.add_dataset("demo", store, overwrite=True)
+        catalog.add_index("demo", basic_window_size=BASIC)
+        real = ChunkStore(NUM_SERIES, chunk_columns=64)
+        real.append(values)
+        catalog.add_dataset("demo", real, overwrite=True)
+        service = CorrelationService(
+            catalog, basic_window_size=BASIC, memory_budget=memory_budget
+        )
         document = json.loads(service.query("demo", dict(THRESHOLD_REQUEST)))
         stats = service.dataset_info("demo")["stats"]
         assert stats["indexes_seeded"] == 0
@@ -512,6 +596,45 @@ class TestIndexSeeding:
         local = session.run(
             ThresholdQuery(start=0, end=LENGTH, window=64, step=32, threshold=0.5)
         )
+        assert result_from_wire(document).to_edges() == local.to_edges()
+
+    @pytest.mark.parametrize("memory_budget", [None, 64 * 1024])
+    def test_overwritten_data_with_equal_sums_is_not_served_the_old_index(
+        self, tmp_path, memory_budget
+    ):
+        """Dyadic data (every sum exact) with series 0 reversed inside each
+        basic window keeps every per-series sum and sum of squares bit for
+        bit but changes the pair products: only the content fingerprint
+        tells the old index from the new data."""
+        rng = np.random.default_rng(99)
+        base = rng.integers(-8, 9, size=LENGTH)
+        values = np.stack(
+            [base + rng.integers(-3, 4, size=LENGTH) for _ in range(NUM_SERIES)]
+        ) / 4.0
+        flipped = values.copy()
+        flipped[0] = values[0].reshape(-1, BASIC)[:, ::-1].ravel()
+        catalog = Catalog(tmp_path)
+        for data, overwrite in ((values, False), (flipped, True)):
+            store = ChunkStore(NUM_SERIES, chunk_columns=64)
+            store.append(data)
+            catalog.add_dataset("demo", store, overwrite=overwrite)
+            if not overwrite:
+                catalog.add_index("demo", basic_window_size=BASIC)
+        service = CorrelationService(
+            catalog, basic_window_size=BASIC, memory_budget=memory_budget
+        )
+        document = json.loads(service.query("demo", dict(THRESHOLD_REQUEST)))
+        stats = service.dataset_info("demo")["stats"]
+        assert stats["indexes_seeded"] == 0
+        assert stats["sketch_cache"]["builds"] == 1
+        session = CorrelationSession(
+            TimeSeriesMatrix(flipped, series_ids=[f"s{i}" for i in range(NUM_SERIES)]),
+            basic_window_size=BASIC,
+        )
+        local = session.run(
+            ThresholdQuery(start=0, end=LENGTH, window=64, step=32, threshold=0.5)
+        )
+        assert len(local.to_edges()) == 70
         assert result_from_wire(document).to_edges() == local.to_edges()
 
 

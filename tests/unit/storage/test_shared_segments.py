@@ -14,9 +14,11 @@ the lifecycle contract:
   keeping the newest ``KEEP_GENERATIONS`` — so the growing anchored layout
   of an appended-to dataset retires its own predecessors, while different
   window counts over one snapshot stay live together;
-* every corruption mode — missing manifest, bad schema, missing listed
-  array, truncated array, shape mismatch, torn export — raises
-  :class:`~repro.exceptions.StorageError` naming the offending path.
+* every corruption mode — missing directory or manifest, a foreign or
+  incomplete manifest, bad or missing schema, missing listed array,
+  truncated array, shape mismatch, statistics inconsistent with one
+  another, torn export — raises :class:`~repro.exceptions.StorageError`
+  naming the offending path.
 """
 
 from __future__ import annotations
@@ -217,6 +219,55 @@ class TestCorruption:
         np.save(path / "series_sums.npy", np.zeros((NUM_SERIES, 1)))
         with pytest.raises(StorageError, match="series_sums.npy"):
             attach_segment(path)
+
+    @pytest.mark.parametrize(
+        "body", ["[1, 2]", "null", '{"unrelated": 1}'], ids=["list", "null", "object"]
+    )
+    def test_a_foreign_manifest_is_refused_by_name(self, tmp_path, store, sketch, body):
+        path = _export(tmp_path, store, sketch)
+        (path / "manifest.json").write_text(body)
+        with pytest.raises(StorageError, match="manifest.json declares schema"):
+            attach_segment(path)
+
+    def test_an_incomplete_manifest_is_refused_by_name(self, tmp_path, store, sketch):
+        path = _export(tmp_path, store, sketch)
+        manifest = json.loads((path / "manifest.json").read_text())
+        del manifest["layout"]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="manifest.json is not a complete.*'layout'"):
+            attach_segment(path)
+
+    def test_an_untagged_dense_export_is_refused_by_name(self, tmp_path, store, sketch):
+        """An export with no schema tag and dense ``(count, N, N)`` products
+        is refused before any statistic is read."""
+        path = _export(tmp_path, store, sketch)
+        manifest = json.loads((path / "manifest.json").read_text())
+        shape = (LAYOUT.count, NUM_SERIES, NUM_SERIES)
+        np.save(path / "pair_sumprods.npy", np.zeros(shape))
+        manifest["shapes"]["pair_sumprods"] = list(shape)
+        del manifest["schema"]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="declares schema None.*'repro.segment/v4'"):
+            attach_segment(path)
+
+    def test_inconsistent_statistics_are_a_storage_error(self, tmp_path, store, sketch):
+        """Arrays whose shapes agree with their manifest but not with one
+        another (diagonal rows packed under the current tag) surface as a
+        StorageError naming the segment, not as a bare sketch error."""
+        path = _export(tmp_path, store, sketch)
+        manifest = json.loads((path / "manifest.json").read_text())
+        shape = (NUM_SERIES * (NUM_SERIES + 1) // 2, LAYOUT.count)
+        np.save(path / "pair_sumprods.npy", np.zeros(shape))
+        manifest["shapes"]["pair_sumprods"] = list(shape)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(
+            StorageError, match=f"segment at {path} holds inconsistent statistics.*rebuild"
+        ):
+            attach_segment(path)
+
+    def test_missing_directory_names_it(self, tmp_path):
+        with pytest.raises(StorageError, match="gen-000404"):
+            attach_segment(tmp_path / "gen-000404")
 
 
 class TestSegmentManager:

@@ -137,7 +137,7 @@ class TestEvictionAndLimits:
 
 
 class TestSeeding:
-    """Prebuilt sketches (persisted stats indexes) entering the cache."""
+    """Prebuilt sketches (persisted catalog indexes) entering the cache."""
 
     def test_seed_then_query_hits_without_build(self, matrix, layout):
         from repro.core.sketch import BasicWindowSketch
