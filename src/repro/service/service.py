@@ -31,12 +31,12 @@ by every subsequent query; the service is that deployment shape:
 With ``service_workers=N`` the scans themselves run in a
 :class:`~repro.service.workers.WorkerPool` of forked processes over shared
 mmap-backed sketch segments (:mod:`repro.storage.shared`): the parent plans,
-seeds, exports and keeps the counters; workers attach the exported segment
-read-only and execute, so N concurrent queries use N cores instead of
-contending on one GIL.  Without a pool (none configured, or no working
-``fork`` on this host), execution is serialized per dataset (sessions and
-sketch caches are not thread-safe); different datasets always run
-concurrently.
+seeds, exports (unless a catalog index already is the segment) and keeps
+the counters; workers attach the segment read-only and execute, so N
+concurrent queries use N cores instead of contending on one GIL.  Without a
+pool (none configured, or no working ``fork`` on this host), execution is
+serialized per dataset (sessions and sketch caches are not thread-safe);
+different datasets always run concurrently.
 """
 
 from __future__ import annotations
@@ -226,17 +226,16 @@ class DatasetRuntime:
             self._session = self.config.session(self.matrix, self.sketch_cache)
         return self._session
 
-    def seed_sketch_for(self, plan) -> bool:  # requires-lock: lock
-        """Materialize a persisted catalog index matching a plan's layout.
+    def index_for(self, layout) -> Optional[SharedSegment]:  # requires-lock: lock
+        """The persisted catalog index holding ``layout`` over the live data.
 
         Each of the dataset's on-disk indexes is attached once per runtime
         (memmapped; a corrupt or old-format one is skipped, never re-raised
-        per query).  One is seeded into the shared cache only when its layout
-        equals the plan's **and** its manifest's fingerprint equals the live
-        data's — the hash the cache keys this query by anyway — so the
-        engine recombines from disk statistics, and an index built from other
-        data (an overwritten dataset, an append since) degrades to a normal
-        build, never answering with foreign statistics.
+        per query).  An index qualifies only when its layout equals
+        ``layout`` **and** its manifest's fingerprint equals the live data's
+        — the hash the cache keys this query by anyway — so an index built
+        from other data (an overwritten dataset, an append since) is never
+        answered from.
         """
         for label in self.catalog.index_labels(self.name):
             if label not in self._indexes:
@@ -246,17 +245,26 @@ class DatasetRuntime:
                     self._indexes[label] = None
         candidates = [
             segment for segment in self._indexes.values()
-            if segment is not None and segment.sketch.layout == plan.layout
+            if segment is not None and segment.sketch.layout == layout
         ]
-        if not candidates or self.sketch_cache.contains(self.matrix, plan.layout):
-            return False
+        if not candidates:
+            return None
         fingerprint = self.sketch_cache.fingerprint_of(self.matrix)
-        for segment in candidates:
-            if segment.fingerprint == fingerprint:
-                self.sketch_cache.seed(self.matrix, segment.sketch)
-                self.counters["indexes_seeded"] += 1
-                return True
-        return False
+        return next(
+            (segment for segment in candidates if segment.fingerprint == fingerprint),
+            None,
+        )
+
+    def seed_sketch_for(self, plan) -> bool:  # requires-lock: lock
+        """Materialize a persisted catalog index matching a plan's layout
+        (:meth:`index_for`), so the engine recombines from disk statistics
+        instead of building."""
+        index = self.index_for(plan.layout)
+        if index is None or self.sketch_cache.contains(self.matrix, plan.layout):
+            return False
+        self.sketch_cache.seed(self.matrix, index.sketch)
+        self.counters["indexes_seeded"] += 1
+        return True
 
     # ----------------------------------------------------------------- writes
     def append_columns(self, columns: np.ndarray) -> Dict[str, object]:  # requires-lock: lock
@@ -350,11 +358,6 @@ class DatasetRuntime:
                     "extensions": cache.stats.sketch_extensions,
                     "extended_windows": cache.stats.extended_windows,
                 },
-                # What the planner has learned: observed wall-clock per plan
-                # key, the feedback that outranks calibration once samples
-                # accumulate.  Pooled scans report their worker-side wall
-                # back into this same store.
-                "plan_timings": cache.feedback.snapshot(),
             }
             if self.segments is not None:
                 document["segments"] = self.segments.describe()
@@ -729,22 +732,25 @@ class CorrelationService:
     def _segment_job(self, runtime: DatasetRuntime, session, plan):  # requires-lock: lock
         """Prepare pooled execution for a plan, or ``None`` to run inline.
 
-        Materializes the plan's sketch in the parent (through the shared
-        cache — seeded, incremental and tiled builds all land here once) and
-        ensures the current snapshot is exported as a shared segment.  Plans
-        without a basic-window layout fall back inline, as does a pool-less
-        service.
+        Returns ``(segment directory, fingerprint)``: the directory of a
+        catalog index holding the plan's layout over the live data while it
+        exists (nothing is exported), else the snapshot exported with the
+        plan's sketch, materialized through the shared cache.  Plans without
+        a basic-window layout fall back inline, as does a pool-less service.
         """
         if self._pool is None or runtime.segments is None or plan.layout is None:
             return None
+        fingerprint = runtime.sketch_cache.fingerprint_of(session.matrix)
+        index = runtime.index_for(plan.layout)
+        if index is not None and index.path.is_dir():
+            return str(index.path), fingerprint
         sketch = session.planner.materialize_sketch(session.matrix, plan)
         if sketch is None or not sketch.has_pairwise:
             return None
-        fingerprint = runtime.sketch_cache.fingerprint_of(session.matrix)
-        path, generation = runtime.segments.ensure(
+        path = runtime.segments.ensure(
             runtime.store, sketch, fingerprint, runtime.store.series_ids
         )
-        return str(path), generation
+        return str(path), fingerprint
 
     def _run_scan(self, runtime: DatasetRuntime, choose_query, include_edges):
         """Plan and run one scan; returns ``(body, plan, result_or_None)``.
@@ -760,9 +766,7 @@ class CorrelationService:
         Planning, seeding and segment export also happen under the lock; a
         pooled scan then executes *outside* it, which is the concurrency the
         pool buys — N compatible batches or distinct queries scan on N cores
-        while the parent lock only covers the cheap bookkeeping.  The worker's observed wall feeds the planner's
-        :class:`~repro.api.cost.FeedbackStore` exactly as an inline run
-        would, so the adaptive planner keeps learning under pooled serving.
+        while the parent lock only covers the cheap bookkeeping.
         """
         with runtime.lock:
             query = choose_query()
@@ -779,23 +783,18 @@ class CorrelationService:
                 head = {"dataset": runtime.name, "plan": plan.describe()}
                 body = encode_result(head, result, include_edges, runtime.counters)
                 return body, head["plan"], result
-        segment_dir, generation = job
+        segment_dir, fingerprint = job
         reply = self._pool.run_query(
             runtime.name,
             query_to_wire(query),
             segment_dir,
-            generation,
+            fingerprint,
             include_edges=include_edges,
         )
         with runtime.lock:
             runtime.counters["executed"] += 1
             for key in ENCODE_COUNTS:
                 runtime.counters[key] += reply[key]
-            cost_key = reply.get("cost_key")
-            if cost_key:
-                runtime.sketch_cache.feedback.record(
-                    cost_key, float(reply["wall_seconds"])
-                )
         return reply["body"], reply["plan"], None
 
     def _execute_batch(
@@ -872,8 +871,8 @@ class CorrelationService:
         """Service-wide observability document (``GET /metrics``).
 
         Per-dataset counters (queries/executed/coalesced/batched), admission
-        queue depths and shed counts, sketch-cache statistics, per-plan
-        timings, segment generations, plus the worker pool's own accounting.
+        queue depths and shed counts, sketch-cache statistics, segment
+        exports, plus the worker pool's own accounting.
         """
         with self._runtimes_lock:
             runtimes = dict(self._runtimes)

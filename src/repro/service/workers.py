@@ -2,30 +2,31 @@
 
 One :class:`WorkerPool` holds N forked session workers.  Each worker is a
 tiny loop on a pipe: it receives query jobs naming a dataset, a wire query
-spec, and the ``(segment path, generation)`` of the dataset's current shared
-segment; attaches the segment read-only (``np.load(mmap_mode="r")`` — the
-kernel shares the file-backed pages across every worker, so the dominant
-sketch arrays exist once in memory, not once per worker); seeds a private
+spec, the segment directory holding the snapshot to answer from and the
+snapshot's content fingerprint; attaches the segment read-only
+(``np.load(mmap_mode="r")`` — the kernel shares the file-backed pages
+across every worker, so the dominant sketch arrays exist once in memory,
+not once per worker); seeds a private
 :class:`~repro.storage.cache.SketchCache` with the attached sketch; and
 executes the query through the ordinary
 :class:`~repro.api.planner.QueryPlanner` path, returning the finished
 response body (encoded here, once, by
 :func:`~repro.service.wire.encode_result`; the parent forwards the bytes)
-plus the plan's ``cost_key`` and observed wall seconds so the parent can
-feed its :class:`~repro.api.cost.FeedbackStore`.
+plus the observed wall seconds.
 
-Workers re-attach when a job names a generation newer than the one they
-hold (the parent bumps the generation on every append), and the pool
-replaces a worker that dies mid-request — the caller's job is retried once
-on a fresh worker before surfacing a 503.
+A worker answers only from a directory whose manifest fingerprint equals
+the job's; any other job is a 503 naming the directory.  An append moves the
+fingerprint, so the parent names a new directory and workers attach it.  The
+pool replaces a worker that dies mid-request — the caller's job is retried
+once on a fresh worker before surfacing a 503.
 
 Dispatch is warm-first: a job goes to the worker that last answered its
-``(dataset, generation)`` — the key of that worker's
-:class:`AttachmentCache`, so its attached sketch and the grid ceiling the
-sketch's first pass recorded — when that worker is free, and to any free
-worker otherwise; it never waits for the warm one.  After an append, the
-refresh's later panels therefore read the ceiling the first panel recorded
-instead of attaching the new generation on a second worker.
+segment directory — the key of that worker's :class:`AttachmentCache`, so
+its attached sketch and the grid ceiling the sketch's first pass recorded —
+when that worker is free, and to any free worker otherwise; it never waits
+for the warm one.  After an append, the refresh's later panels therefore
+read the ceiling the first panel recorded instead of attaching the new
+directory on a second worker.
 
 Fork is the only start method (the config — engine options, cost model — is
 inherited, never pickled).  Where ``fork`` is unavailable (or a sandbox
@@ -105,12 +106,10 @@ class WorkerConfig:
 
 
 class _Attachment:
-    """One worker's warm state for one attached segment generation."""
+    """One worker's warm state for one attached segment."""
 
     def __init__(self, segment: SharedSegment, config: WorkerConfig) -> None:
-        self.generation = segment.generation
         self.segment = segment
-        self.config = config
         self.matrix = TimeSeriesMatrix(segment.values, series_ids=segment.series_ids)
         self.cache = SketchCache()
         # Adopt the manifest's fingerprint before seeding: the cache then
@@ -122,52 +121,50 @@ class _Attachment:
 
 
 class AttachmentCache:
-    """``(dataset, generation)`` → warm :class:`_Attachment`, LRU-bounded.
+    """Segment directory → warm :class:`_Attachment`, LRU-bounded.
 
-    This is the worker-side half of the generation protocol: a job carries
-    the generation the parent exported, and a worker without a warm
-    attachment for that generation re-opens the named segment directory.
-    Several generations stay warm at once — different query shapes export
-    different basic-window layouts under distinct generations, and holding
-    only the latest would re-attach (and rebuild warm sessions) on every
-    alternation.  Least-recently-used attachments beyond :attr:`CAPACITY`
-    are dropped, and so, at each new attach, are those whose segment the
-    parent has removed; their memmaps close with them.
+    A job names a directory and the fingerprint the parent keyed it by; a
+    worker without a warm attachment for that directory opens it, and
+    answers only if the manifest's fingerprint equals the job's — the
+    content check that keeps a worker from answering from the wrong
+    snapshot.  Several directories stay warm at once — different query
+    shapes export different basic-window layouts, and holding only the
+    latest would re-attach (and rebuild warm sessions) on every alternation.
+    Least-recently-used attachments beyond :attr:`CAPACITY` are dropped, and
+    so, at each new attach, are those whose directory has been removed;
+    their memmaps close with them.
     """
 
     #: Warm attachments kept per worker (covers the distinct query layouts
-    #: a workload alternates between; superseded generations age out).
+    #: a workload alternates between; superseded snapshots age out).
     CAPACITY = 8
 
     def __init__(self, config: WorkerConfig) -> None:
         self.config = config
-        self._attachments: "OrderedDict[tuple, _Attachment]" = OrderedDict()
+        self._attachments: "OrderedDict[str, _Attachment]" = OrderedDict()
 
-    def attachment_for(
-        self, dataset: str, segment_dir: str, generation: int
-    ) -> _Attachment:
-        key = (dataset, generation)
-        attachment = self._attachments.get(key)
-        if attachment is None:
-            # The parent names only exports it still keeps: an attachment
-            # whose segment it has removed can never answer again, and its
-            # memmap would only keep the deleted files' pages resident.
+    def attachment_for(self, segment_dir: str, fingerprint: str) -> _Attachment:
+        attachment = self._attachments.get(segment_dir)
+        if attachment is None or attachment.segment.fingerprint != fingerprint:
+            # The parent names only directories that still exist: an
+            # attachment whose directory is gone can never answer again, and
+            # its memmap would only keep the deleted files' pages resident.
             for removed in [
                 held for held, warm in self._attachments.items()
                 if not warm.segment.path.is_dir()
             ]:
                 del self._attachments[removed]
             segment = attach_segment(segment_dir)
-            if segment.generation != generation:
+            if segment.fingerprint != fingerprint:
                 raise ServiceError(
-                    f"segment at {segment_dir} carries generation "
-                    f"{segment.generation} but the job was dispatched for "
-                    f"generation {generation}",
+                    f"segment at {segment_dir} holds data fingerprinted "
+                    f"{segment.fingerprint} but the job was dispatched for "
+                    f"{fingerprint}",
                     status=503,
                 )
             attachment = _Attachment(segment, self.config)
-            self._attachments[key] = attachment
-        self._attachments.move_to_end(key)
+            self._attachments[segment_dir] = attachment
+        self._attachments.move_to_end(segment_dir)
         while len(self._attachments) > self.CAPACITY:
             self._attachments.popitem(last=False)
         return attachment
@@ -177,7 +174,7 @@ def _execute_query(
     attachments: AttachmentCache, message: Dict[str, object]
 ) -> Dict[str, object]:
     attachment = attachments.attachment_for(
-        message["dataset"], message["segment_dir"], message["generation"]
+        message["segment_dir"], message["fingerprint"]
     )
     query = query_from_wire(message["spec"])
     session = attachment.session
@@ -188,14 +185,7 @@ def _execute_query(
     head = {"dataset": message["dataset"], "plan": plan.describe()}
     counts: Dict[str, int] = {}
     body = encode_result(head, result, bool(message.get("include_edges")), counts)
-    return {
-        "body": body,
-        "plan": head["plan"],
-        "cost_key": plan.cost_key,
-        "wall_seconds": wall,
-        "generation": attachment.generation,
-        **counts,
-    }
+    return {"body": body, "plan": head["plan"], "wall_seconds": wall, **counts}
 
 
 def _worker_main(conn, config: WorkerConfig, inherited_parent_ends) -> None:
@@ -254,7 +244,7 @@ class WorkerPool:
     """N forked query workers behind a warm-first free set.
 
     ``run_query`` takes the free worker that already holds the job's
-    ``(dataset, generation)`` attachment, else blocks until any worker is
+    segment directory, else blocks until any worker is
     free (that wait *is* the admission queue's service order), sends the
     job, and returns the worker's reply.  It never waits for the warm worker
     while another is free.  A worker that dies mid-request is replaced and
@@ -280,10 +270,10 @@ class WorkerPool:
         self._handles: List[_WorkerHandle] = []  # guarded-by: _lock
         # Free handles, least recently released first.
         self._free: "deque[_WorkerHandle]" = deque()  # guarded-by: _lock
-        # (dataset, generation) → the handle whose worker last answered it,
+        # Segment directory → the handle whose worker last answered it,
         # least recently answered first; at most size × the workers' own
-        # attachment capacity, so superseded generations age out.
-        self._warm: "OrderedDict[tuple, _WorkerHandle]" = (  # guarded-by: _lock
+        # attachment capacity, so superseded snapshots age out.
+        self._warm: "OrderedDict[str, _WorkerHandle]" = (  # guarded-by: _lock
             OrderedDict()
         )
         try:
@@ -355,7 +345,7 @@ class WorkerPool:
                 self._free.append(handle)
                 self._freed.notify()
 
-    def _take_warm(self, key: tuple) -> Optional[_WorkerHandle]:
+    def _take_warm(self, key: str) -> Optional[_WorkerHandle]:
         """The free worker holding ``key``'s attachment, or ``None``; never waits."""
         with self._lock:
             handle = self._warm.get(key)
@@ -373,7 +363,7 @@ class WorkerPool:
                 raise ServiceError("worker pool is closed", status=503)
             return self._free.popleft()
 
-    def _answered(self, key: tuple, handle: _WorkerHandle) -> None:
+    def _answered(self, key: str, handle: _WorkerHandle) -> None:
         """Record that ``handle``'s worker now holds ``key``'s attachment."""
         with self._lock:
             if self._warm.get(key) is handle:
@@ -389,25 +379,25 @@ class WorkerPool:
         dataset: str,
         spec: Dict[str, object],
         segment_dir: str,
-        generation: int,
+        fingerprint: str,
         include_edges: bool = False,
     ) -> Dict[str, object]:
         """Execute one query on a free worker; returns the worker's reply.
 
-        The reply carries ``body`` (the finished ``repro.result/v1`` response
-        bytes, headed by ``dataset`` and ``plan``), the ``plan`` string,
-        ``cost_key``/``wall_seconds`` for the parent's feedback store, and
-        the ``generation`` the worker ended up attached to.
+        ``segment_dir`` names the segment to answer from and ``fingerprint``
+        the snapshot it must hold.  The reply carries ``body`` (the finished
+        ``repro.result/v1`` response bytes, headed by ``dataset`` and
+        ``plan``), the ``plan`` string and the worker's ``wall_seconds``.
         """
+        key = str(segment_dir)
         job = {
             "op": "query",
             "dataset": dataset,
             "spec": spec,
-            "segment_dir": str(segment_dir),
-            "generation": int(generation),
+            "segment_dir": key,
+            "fingerprint": fingerprint,
             "include_edges": include_edges,
         }
-        key = (dataset, int(generation))
         with self._lock:
             if self._closed:
                 raise ServiceError("worker pool is closed", status=503)

@@ -14,7 +14,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -87,19 +87,27 @@ class Catalog:
         Overwriting keeps the dataset's index labels.  Each index is bound to
         the data it was built from by content fingerprint, so an index over
         the replaced data is never served for the new data (a query builds
-        instead); re-ingesting identical data keeps every index usable.
+        instead); re-ingesting identical data keeps every index usable.  If
+        the manifest cannot be written, the catalog is left as it was and a
+        data file this call created is removed.
         """
-        if name in self._entries and not overwrite:
+        previous = self._entries.get(name)
+        if previous is not None and not overwrite:
             raise StorageError(
                 f"dataset {name!r} already exists (pass overwrite=True to replace)"
             )
         data_file = f"{name}.data.npz"
-        store.save(self.root / data_file)
-        entry = DatasetEntry(name=name, data_file=data_file, description=description)
-        if name in self._entries:
-            entry.index_files = self._entries[name].index_files
-        self._entries[name] = entry
-        self._write_manifest()
+        target = self.root / data_file
+        created = not target.exists()
+        index_files = dict(previous.index_files) if previous is not None else {}
+        entry = DatasetEntry(name, data_file, index_files, description)
+        try:
+            store.save(target)
+            self._commit(entry)
+        except BaseException:
+            if created:
+                target.unlink(missing_ok=True)
+            raise
         return entry
 
     def add_index(
@@ -108,12 +116,14 @@ class Catalog:
         """Build and persist a statistics index over a dataset's stored columns.
 
         The index is a segment (:func:`~repro.storage.shared.export_segment`)
-        at generation 0 whose manifest records the data's content fingerprint
+        whose manifest records the data's content fingerprint
         (:func:`~repro.storage.cache.matrix_fingerprint`).  Every write goes
         to a fresh directory; a previous index under the same label is
         removed only after the catalog manifest names the new one, and
         nothing is rewritten in place (a live service may have the old files
-        mapped).  Returns the label (``b<size>`` by default).
+        mapped).  If the manifest cannot be written, the catalog is left as
+        it was and the new directory is removed.  Returns the label
+        (``b<size>`` by default).
         """
         entry = self.describe(name)
         label = label if label is not None else f"b{basic_window_size}"
@@ -125,19 +135,19 @@ class Catalog:
             matrix, BasicWindowLayout.for_range(0, matrix.length, basic_window_size)
         )
         directory = Path(tempfile.mkdtemp(prefix=f"{name}.index.{label}.", dir=self.root))
+        previous = entry.index_files.get(label)
         try:
             export_segment(
                 directory, store, sketch,
                 fingerprint=cache.fingerprint_of(matrix),
-                generation=0,
                 series_ids=store.series_ids,
             )
+            self._commit(replace(
+                entry, index_files={**entry.index_files, label: directory.name}
+            ))
         except BaseException:
             shutil.rmtree(directory, ignore_errors=True)
             raise
-        previous = entry.index_files.get(label)
-        entry.index_files[label] = directory.name
-        self._write_manifest()
         if previous is not None:
             stale = self.root / previous
             if stale.is_dir():
@@ -216,17 +226,24 @@ class Catalog:
                 raise StorageError(f"catalog manifest {path}: {error}") from error
             self._entries[entry.name] = entry
 
-    def _write_manifest(self) -> None:
-        """Write the manifest to a temporary file and rename it into place,
-        so a crash leaves the old manifest or the new one, never a torn one."""
-        records = [entry.as_dict() for entry in self._entries.values()]
+    def _commit(self, entry: DatasetEntry) -> None:
+        """Write the manifest with ``entry`` in place (a temporary file renamed
+        over it, so a crash leaves the old manifest or the new one, never a
+        torn one), then adopt it in memory; a failed write changes nothing."""
+        entries = {**self._entries, entry.name: entry}
+        records = [record.as_dict() for record in entries.values()]
         path = self._manifest_path()
         pending = path.with_name(f"{path.name}.tmp")
-        with open(pending, "w", encoding="utf-8") as handle:
-            json.dump(records, handle, indent=2, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(pending, path)
+        try:
+            with open(pending, "w", encoding="utf-8") as handle:
+                json.dump(records, handle, indent=2, sort_keys=True)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(pending, path)
+        except BaseException:
+            pending.unlink(missing_ok=True)
+            raise
+        self._entries = entries
 
     def __repr__(self) -> str:
         return f"Catalog(root={str(self.root)!r}, datasets={len(self._entries)})"

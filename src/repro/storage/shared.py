@@ -9,19 +9,21 @@ read-only pages are shared by the kernel across every attaching process, so
 N workers cost one copy of the sketch, not N — the property the service's
 per-worker RSS assertion measures.
 
-Segments are keyed the way :class:`~repro.storage.cache.SketchCache` entries
-are keyed — the matrix content fingerprint plus the basic-window layout — and
-carry a monotonically increasing *generation*: every append in the parent
-changes the fingerprint, which forces a fresh export under the next
-generation number, and workers re-attach when a job names a generation newer
-than the one they hold.  The catalog persists its statistics indexes in the
-same format (:meth:`~repro.storage.catalog.Catalog.add_index`, generation
-0): the manifest's fingerprint binds an index to the data it was built from.
+A segment is named by its directory and checked by its content: the manifest
+records the matrix content fingerprint (the key
+:class:`~repro.storage.cache.SketchCache` entries use) plus the basic-window
+layout.  Every append in the parent changes the fingerprint, which forces a
+fresh export into a fresh directory; a worker attaches the directory a job
+names and answers only if the manifest's fingerprint equals the job's.  The
+catalog persists its statistics indexes in the same format
+(:meth:`~repro.storage.catalog.Catalog.add_index`), so a served index
+directory is itself a segment workers attach.  Manifests written by earlier
+releases carry a counter field beside the fingerprint; attach ignores it.
 
 Layout of one exported segment directory::
 
-    gen-000001/
-        manifest.json        generation, fingerprint, layout, arrays, shapes
+    segment-XXXXXXXX/
+        manifest.json        fingerprint, layout, arrays, shapes
         values.npy           (N, L)        raw columns (streamed from chunks)
         series_sums.npy      (N, count)
         series_sumsqs.npy    (N, count)
@@ -37,10 +39,12 @@ array, like every other attach failure, raises
 
 from __future__ import annotations
 
+import contextlib
 import json
 import shutil
+import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -88,10 +92,6 @@ class SharedSegment:
         self.sketch = sketch
 
     @property
-    def generation(self) -> int:
-        return int(self.manifest["generation"])
-
-    @property
     def fingerprint(self) -> str:
         return str(self.manifest["fingerprint"])
 
@@ -99,18 +99,10 @@ class SharedSegment:
     def series_ids(self) -> List[str]:
         return list(self.manifest["series_ids"])
 
-    @property
-    def sketch_bytes(self) -> int:
-        """Summed on-disk size of the statistic tensors (the shared footprint)."""
-        return sum(
-            (self.path / f"{name}.npy").stat().st_size
-            for name in self.manifest["arrays"]
-        )
-
     def __repr__(self) -> str:
         return (
-            f"SharedSegment(generation={self.generation}, "
-            f"fingerprint={self.fingerprint[:12]}..., path={str(self.path)!r})"
+            f"SharedSegment(fingerprint={self.fingerprint[:12]}..., "
+            f"path={str(self.path)!r})"
         )
 
 
@@ -119,7 +111,6 @@ def export_segment(
     store,
     sketch: BasicWindowSketch,
     fingerprint: str,
-    generation: int,
     series_ids,
 ) -> Path:
     """Write one dataset snapshot as an attachable segment directory.
@@ -165,7 +156,6 @@ def export_segment(
 
     manifest = {
         "schema": SEGMENT_SCHEMA,
-        "generation": int(generation),
         "fingerprint": fingerprint,
         "num_series": int(store.num_series),
         "length": int(store.length),
@@ -264,37 +254,35 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
 class SegmentManager:
     """Parent-side export bookkeeping for one dataset's segments.
 
-    Owns a directory of ``gen-NNNNNN`` segment exports and the monotonically
-    increasing generation counter.  :meth:`ensure` is idempotent per
-    ``(fingerprint, layout)``: re-asking for a snapshot already on disk
-    returns the existing export.  Several layouts stay live at once — query
-    shapes with different ``start`` offsets produce different basic-window
-    layouts, and evicting one layout's segment whenever another is asked for
-    would re-export (an O(N·L) disk write under the runtime lock) on every
-    alternation.  An append changes the *fingerprint* (and grows the
-    anchored layout's window count), superseding the exports of the same
-    layout family ``(offset, size)``; per family the exports under the
-    newest ``KEEP_GENERATIONS`` fingerprints stay, whatever their ``count``,
-    so a job dispatched just before an append's re-export still attaches and
+    Exports each snapshot into a fresh directory under ``root``
+    (``tempfile.mkdtemp``, so a name is never reused).  :meth:`ensure` is
+    idempotent per ``(fingerprint, layout)``: re-asking for a snapshot
+    already on disk returns the existing export.  Several layouts stay live
+    at once — query shapes with different ``start`` offsets produce
+    different basic-window layouts, and evicting one layout's segment
+    whenever another is asked for would re-export (an O(N·L) disk write
+    under the runtime lock) on every alternation.  An append changes the
+    *fingerprint* (and grows the anchored layout's window count),
+    superseding the exports of the same layout family ``(offset, size)``;
+    per family the exports under the newest ``KEEP_FINGERPRINTS``
+    fingerprints, in export order, stay, whatever their ``count``, so a job
+    dispatched just before an append's re-export still attaches and
     different ``end`` values over one snapshot never evict one another.
+    The manager removes only directories it created.
 
     Not thread-safe: the owning :class:`~repro.service.service
     .DatasetRuntime` calls every method under its runtime lock.
     """
 
     #: Fingerprints kept per layout family (the current one and its predecessor).
-    KEEP_GENERATIONS = 2
+    KEEP_FINGERPRINTS = 2
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.generation = 0
         self.exports = 0
-        self._live: Dict[Tuple[str, int, int, int], Tuple[Path, int]] = {}
-
-    @staticmethod
-    def _key(fingerprint: str, layout: BasicWindowLayout) -> Tuple[str, int, int, int]:
-        return (fingerprint, layout.offset, layout.size, layout.count)
+        # (fingerprint, offset, size, count) → export directory, oldest first.
+        self._live: Dict[Tuple[str, int, int, int], Path] = {}
 
     def ensure(
         self,
@@ -302,51 +290,49 @@ class SegmentManager:
         sketch: BasicWindowSketch,
         fingerprint: str,
         series_ids,
-    ) -> Tuple[Path, int]:
-        """Return ``(path, generation)`` of the segment for this snapshot,
-        exporting a new generation when fingerprint or layout is new."""
-        key = self._key(fingerprint, sketch.layout)
+    ) -> Path:
+        """Return the directory of the segment for this snapshot, exporting
+        one when fingerprint or layout is new."""
+        layout = sketch.layout
+        key = (fingerprint, layout.offset, layout.size, layout.count)
         live = self._live.get(key)
         if live is not None:
             return live
-        self.generation += 1
-        path = self.root / f"gen-{self.generation:06d}"
-        export_segment(
-            path,
-            store,
-            sketch,
-            fingerprint=fingerprint,
-            generation=self.generation,
-            series_ids=series_ids,
-        )
+        path = Path(tempfile.mkdtemp(prefix="segment-", dir=self.root))
+        try:
+            export_segment(
+                path, store, sketch, fingerprint=fingerprint, series_ids=series_ids
+            )
+        except BaseException:
+            shutil.rmtree(path, ignore_errors=True)
+            raise
         self.exports += 1
-        self._live[key] = (path, self.generation)
-        self._prune(sketch.layout)
-        return path, self.generation
+        self._live[key] = path
+        self._prune(layout)
+        return path
 
     def _prune(self, layout: BasicWindowLayout) -> None:
         """Drop this layout family's exports under superseded fingerprints
         (the anchored view's ``count`` grows per append, so ``count`` is not
         part of the family)."""
-        family = sorted(
-            (item for item in self._live.items()
-             if item[0][1:3] == (layout.offset, layout.size)),
-            key=lambda item: -item[1][1],
-        )
-        kept = list(dict.fromkeys(key[0] for key, _ in family))[: self.KEEP_GENERATIONS]
-        for key, (path, _) in family:
+        family = [
+            (key, path) for key, path in self._live.items()
+            if key[1:3] == (layout.offset, layout.size)
+        ]
+        kept = list(dict.fromkeys(key[0] for key, _ in reversed(family)))[: self.KEEP_FINGERPRINTS]
+        for key, path in family:
             if key[0] not in kept:
                 del self._live[key]
                 shutil.rmtree(path, ignore_errors=True)
 
     def describe(self) -> Dict[str, object]:
-        return {
-            "generation": self.generation,
-            "exports": self.exports,
-            "live": len(self._live),
-        }
+        return {"exports": self.exports, "live": len(self._live)}
 
     def close(self) -> None:
-        """Remove every export this manager owns."""
-        shutil.rmtree(self.root, ignore_errors=True)
+        """Remove every export this manager still keeps, then ``root`` if
+        nothing else is left in it."""
+        for path in self._live.values():
+            shutil.rmtree(path, ignore_errors=True)
         self._live.clear()
+        with contextlib.suppress(OSError):
+            self.root.rmdir()

@@ -193,4 +193,4 @@ def test_metrics_document_shape(client):
     assert {"queue_depth", "shed"} <= set(stats["admission"])
     if pool is not None:
         assert pool["size"] == 2
-        assert stats["segments"]["generation"] >= 1
+        assert stats["segments"]["exports"] >= 1

@@ -6,6 +6,7 @@ indexes, the append/standing-query path and the error surface.
 """
 
 import json
+import shutil
 import threading
 import time
 
@@ -451,6 +452,33 @@ def _answer(document):
     return {key: document[key] for key in ("query", "windows", "series_ids")}
 
 
+def _served(document):
+    """A response document without its ``describe`` line and stats timings:
+    what a pooled and a pool-less service must agree on."""
+    stats = {k: v for k, v in document["stats"].items() if not k.endswith("_seconds")}
+    return {
+        **{k: v for k, v in document.items() if k != "describe"}, "stats": stats,
+    }
+
+
+def _pooled(catalog, **options):
+    """A one-worker service over ``catalog``; skips where ``fork`` fails."""
+    service = CorrelationService(
+        catalog, service_workers=1, **{"basic_window_size": BASIC, **options}
+    )
+    if service.metrics()["worker_pool"] is None:
+        service.close()
+        pytest.skip("fork worker pool unavailable")
+    return service
+
+
+def _pool_less_answers(catalog, requests, **options):
+    with CorrelationService(
+        catalog, **{"basic_window_size": BASIC, **options}
+    ) as service:
+        return [json.loads(service.query("demo", dict(r))) for r in requests]
+
+
 class TestIndexSeeding:
     @pytest.mark.parametrize("memory_budget", [None, 64 * 1024])
     def test_matching_index_is_materialized_lazily(self, catalog, memory_budget):
@@ -470,6 +498,73 @@ class TestIndexSeeding:
         assert stats["sketch_cache"]["seeds"] == 1
         # Seeded statistics answer with the exact same bits as a build.
         assert _answer(document) == _answer(built)
+
+    def test_a_pooled_service_answers_from_the_index_directory(self, catalog):
+        """The index is the workers' segment: no export, no build, and the
+        pool-less service's body."""
+        catalog.add_index("demo", basic_window_size=BASIC)
+        (expected,) = _pool_less_answers(catalog, [THRESHOLD_REQUEST])
+        with _pooled(catalog) as service:
+            document = json.loads(service.query("demo", dict(THRESHOLD_REQUEST)))
+            stats = service.dataset_info("demo")["stats"]
+            warm = list(service._pool._warm)
+        assert stats["segments"]["exports"] == 0
+        assert stats["sketch_cache"]["builds"] == 0
+        assert stats["indexes_seeded"] == 1
+        assert warm == [str(catalog.root / catalog.describe("demo").index_files["b16"])]
+        assert _served(document) == _served(expected)
+
+    def test_two_labels_are_served_pooled_each_from_its_directory(self, catalog):
+        catalog.add_index("demo", basic_window_size=16)
+        catalog.add_index("demo", basic_window_size=32)
+        requests = [  # b = 32 (8 basic windows), then b = 16 (16 of them)
+            {**THRESHOLD_REQUEST, "window": 64, "step": 32},
+            {**THRESHOLD_REQUEST, "window": 48, "step": 16},
+        ]
+        expected = _pool_less_answers(catalog, requests, basic_window_size=32)
+        with _pooled(catalog, basic_window_size=32) as service:
+            documents = [json.loads(service.query("demo", dict(r))) for r in requests]
+            stats = service.dataset_info("demo")["stats"]
+            warm = list(service._pool._warm)
+        files = catalog.describe("demo").index_files
+        assert warm == [str(catalog.root / files[label]) for label in ("b32", "b16")]
+        assert stats["segments"]["exports"] == 0
+        assert stats["sketch_cache"]["builds"] == 0
+        assert stats["indexes_seeded"] == 2
+        assert list(map(_served, documents)) == list(map(_served, expected))
+
+    def test_a_removed_index_directory_is_exported_once(self, catalog):
+        catalog.add_index("demo", basic_window_size=BASIC)
+        requests = [THRESHOLD_REQUEST, {**THRESHOLD_REQUEST, "threshold": 0.7}]
+        expected = _pool_less_answers(catalog, requests)
+        with _pooled(catalog) as service:
+            first = json.loads(service.query("demo", dict(requests[0])))
+            shutil.rmtree(catalog.root / catalog.describe("demo").index_files["b16"])
+            second = json.loads(service.query("demo", dict(requests[1])))
+            service.query("demo", dict(requests[1]))
+            stats = service.dataset_info("demo")["stats"]
+        assert stats["segments"]["exports"] == 1
+        assert stats["sketch_cache"]["builds"] == 0
+        assert [_answer(first), _answer(second)] == list(map(_answer, expected))
+
+    def test_an_append_exports_exactly_once(self, catalog):
+        catalog.add_index("demo", basic_window_size=BASIC)
+        columns = np.random.default_rng(5).standard_normal((32, NUM_SERIES))
+        grown = {**THRESHOLD_REQUEST, "end": LENGTH + 32}
+        answers = []
+        for service in (CorrelationService(catalog, basic_window_size=BASIC),
+                        _pooled(catalog)):
+            with service:
+                service.query("demo", dict(THRESHOLD_REQUEST))
+                service.append("demo", {"columns": columns.tolist()})
+                answers.append([
+                    _answer(json.loads(service.query("demo", {**grown, "threshold": beta})))
+                    for beta in (0.5, 0.7)
+                ])
+                stats = service.dataset_info("demo")["stats"]
+        assert stats["segments"]["exports"] == 1  # the pooled service's
+        pool_less, pooled = answers
+        assert pooled == pool_less
 
     def test_mismatched_index_size_is_ignored(self, catalog):
         catalog.add_index("demo", basic_window_size=64)

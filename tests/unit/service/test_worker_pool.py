@@ -1,7 +1,8 @@
 """Worker pool over shared segments: dispatch, re-attach, crash recovery.
 
 The worker protocol (attach-and-execute, its bit-identity against an
-in-process session, the stale-generation re-attach rules) is pinned by
+in-process session, the content check on the directory a job names) is
+pinned by
 calling the worker's own ``_execute_query`` / ``AttachmentCache`` in this
 process.  The forked pool (self-skipping where ``fork`` is unavailable)
 additionally pins errors crossing the pipe, the crash-replacement retry, the
@@ -68,13 +69,24 @@ def store():
 
 @pytest.fixture
 def segment(tmp_path, store):
-    """(manager, path, generation) for the store's current snapshot."""
+    """(manager, path, fingerprint) for the store's current snapshot."""
     layout = BasicWindowLayout(offset=0, size=BASIC, count=LENGTH // BASIC)
     sketch = BasicWindowSketch.build(store.read_all(), layout)
     manager = SegmentManager(tmp_path / "segments")
-    path, generation = manager.ensure(store, sketch, "fp-base", store.series_ids)
-    yield manager, path, generation
+    path = manager.ensure(store, sketch, "fp-base", store.series_ids)
+    yield manager, path, "fp-base"
     manager.close()
+
+
+def _copies(path: Path, names):
+    """One copy of the segment at ``path`` per name: the same snapshot in
+    distinct directories, so each is its own warm key."""
+    copies = []
+    for name in names:
+        target = path.parent / f"copy-{name}"
+        shutil.copytree(path, target)
+        copies.append(target)
+    return copies
 
 
 def _expected_edges(values: np.ndarray):
@@ -120,10 +132,10 @@ def _process_running(pid: int) -> bool:
     return stat.rpartition(")")[2].split()[0] != "Z"
 
 
-def _job(spec, path, generation):
+def _job(spec, path, fingerprint):
     return {
         "op": "query", "dataset": "demo", "spec": spec,
-        "segment_dir": str(path), "generation": generation,
+        "segment_dir": str(path), "fingerprint": fingerprint,
     }
 
 
@@ -146,13 +158,14 @@ def _error_within(call, seconds: float = 5.0):
 
 class TestWorkerProtocol:
     def test_executed_query_is_bit_identical(self, store, segment):
-        _, path, generation = segment
+        _, path, fingerprint = segment
         attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
         reply = _execute_query(
-            attachments, _job(query_to_wire(QUERY), path, generation)
+            attachments, _job(query_to_wire(QUERY), path, fingerprint)
         )
-        assert reply["generation"] == generation
-        assert reply["cost_key"]
+        assert set(reply) == {
+            "body", "plan", "wall_seconds", "rendered_floats", "fallback_floats",
+        }
         assert reply["wall_seconds"] >= 0
         remote = result_from_wire(json.loads(reply["body"]))
         assert remote.to_edges() == _expected_edges(store.read_all())
@@ -184,9 +197,9 @@ def test_service_without_fork_serves_pool_less(tmp_path, store, monkeypatch):
 class TestAttachmentMemory:
     def test_attached_matrix_shares_the_segment_pages(self, segment):
         """A worker's matrix is the segment's read-only memmap, not a copy."""
-        _, path, generation = segment
+        _, path, fingerprint = segment
         attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
-        attachment = attachments.attachment_for("demo", str(path), generation)
+        attachment = attachments.attachment_for(str(path), fingerprint)
         assert np.shares_memory(attachment.matrix.values, attachment.segment.values)
         assert not attachment.matrix.values.flags.writeable
 
@@ -200,66 +213,63 @@ class TestAttachmentMemory:
         assert matrix.values[0, 0] != values[0, 0]
 
 
-class TestGenerationProtocol:
-    def test_stale_generation_job_is_rejected(self, segment):
-        _, path, generation = segment
+class TestContentCheck:
+    def test_a_job_for_other_content_is_refused_naming_the_directory(self, segment):
+        _, path, fingerprint = segment
         attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
-        attachments.attachment_for("demo", str(path), generation)
-        # A job naming a generation the segment does not carry (the worker
-        # re-attached a pruned or superseded path) must 503, never answer
-        # from the wrong snapshot.
-        with pytest.raises(ServiceError) as excinfo:
-            attachments.attachment_for("demo", str(path), generation + 1)
-        assert excinfo.value.status == 503
-        assert "generation" in str(excinfo.value)
+        # A job whose fingerprint the directory's manifest does not carry
+        # must 503, never answer from the wrong snapshot — cold or warm.
+        for _ in range(2):
+            with pytest.raises(ServiceError) as excinfo:
+                _execute_query(
+                    attachments, _job(query_to_wire(QUERY), path, "fp-other")
+                )
+            assert excinfo.value.status == 503
+            assert str(path) in str(excinfo.value)
+            attachments.attachment_for(str(path), fingerprint)
 
-    def test_reattach_on_generation_bump(self, tmp_path, store, segment):
-        manager, path, generation = segment
-        config = WorkerConfig(basic_window_size=BASIC)
-        attachments = AttachmentCache(config)
-        first = attachments.attachment_for("demo", str(path), generation)
-        # Same generation: the warm attachment is reused (no re-open).
-        assert attachments.attachment_for("demo", str(path), generation) is first
+    def test_a_new_directory_is_attached_on_the_next_job(self, store, segment):
+        manager, path, fingerprint = segment
+        attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
+        first = attachments.attachment_for(str(path), fingerprint)
+        # Same directory: the warm attachment is reused (no re-open).
+        assert attachments.attachment_for(str(path), fingerprint) is first
 
-        # Append in the parent: new fingerprint, new generation, new segment.
+        # Append in the parent: new fingerprint, new directory.
         extra = np.random.default_rng(8).standard_normal((NUM_SERIES, 32))
         store.append(extra)
         layout = BasicWindowLayout(offset=0, size=BASIC, count=store.length // BASIC)
         sketch = BasicWindowSketch.build(store.read_all(), layout)
-        new_path, new_generation = manager.ensure(
-            store, sketch, "fp-appended", store.series_ids
-        )
-        assert new_generation == generation + 1
-        second = attachments.attachment_for("demo", str(new_path), new_generation)
+        new_path = manager.ensure(store, sketch, "fp-appended", store.series_ids)
+        assert new_path != path
+        second = attachments.attachment_for(str(new_path), "fp-appended")
         assert second is not first
-        assert second.generation == new_generation
+        assert second.segment.path == new_path
         assert second.matrix.length == store.length
-        # The superseded generation stays warm until LRU pressure drops it:
+        # The superseded directory stays warm until LRU pressure drops it:
         # alternating layouts must not re-attach on every switch.
-        assert attachments.attachment_for("demo", str(path), generation) is first
+        assert attachments.attachment_for(str(path), fingerprint) is first
 
-    def test_a_removed_segment_is_forgotten_on_the_next_attach(self, store, segment):
+    def test_a_removed_directory_is_forgotten_on_the_next_attach(self, store, segment):
         """Once the parent prunes an export, no job can name it again; the
         worker stops mapping it at its next attach instead of at LRU age."""
-        manager, path, generation = segment
+        manager, path, fingerprint = segment
         attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
-        attachments.attachment_for("demo", str(path), generation)
+        attachments.attachment_for(str(path), fingerprint)
         shutil.rmtree(path)
         layout = BasicWindowLayout(offset=0, size=BASIC, count=LENGTH // BASIC)
         sketch = BasicWindowSketch.build(store.read_all(), layout)
-        new_path, new_generation = manager.ensure(
-            store, sketch, "fp-other", store.series_ids
-        )
-        attachments.attachment_for("demo", str(new_path), new_generation)
-        assert list(attachments._attachments) == [("demo", new_generation)]
+        new_path = manager.ensure(store, sketch, "fp-other", store.series_ids)
+        attachments.attachment_for(str(new_path), "fp-other")
+        assert list(attachments._attachments) == [str(new_path)]
 
 
 @pytest.mark.skipif(not _pool_available(), reason="fork worker pool unavailable")
 class TestProcessMode:
     def test_process_query_is_bit_identical(self, store, segment):
-        _, path, generation = segment
+        _, path, fingerprint = segment
         with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
-            reply = pool.run_query("demo", query_to_wire(QUERY), path, generation)
+            reply = pool.run_query("demo", query_to_wire(QUERY), path, fingerprint)
             remote = result_from_wire(json.loads(reply["body"]))
             assert remote.to_edges() == _expected_edges(store.read_all())
             assert pool.describe() == {
@@ -267,30 +277,39 @@ class TestProcessMode:
             }
 
     def test_query_errors_cross_the_boundary_with_status(self, segment):
-        _, path, generation = segment
+        _, path, fingerprint = segment
         with WorkerPool(1, WorkerConfig(basic_window_size=BASIC)) as pool:
             bad = query_to_wire(QUERY) | {"end": LENGTH * 10}
             with pytest.raises(ServiceError) as excinfo:
-                pool.run_query("demo", bad, path, generation)
+                pool.run_query("demo", bad, path, fingerprint)
         assert excinfo.value.status == 400  # a ReproError, not a worker crash
 
+    def test_a_job_for_other_content_is_a_503_across_the_boundary(self, segment):
+        _, path, _ = segment
+        with WorkerPool(1, WorkerConfig(basic_window_size=BASIC)) as pool:
+            with pytest.raises(ServiceError) as excinfo:
+                pool.run_query("demo", query_to_wire(QUERY), path, "fp-other")
+            assert pool._warm == {}  # a refusal warms nothing
+        assert excinfo.value.status == 503
+        assert str(path) in str(excinfo.value)
+
     def test_dead_worker_is_replaced_and_job_retried(self, store, segment):
-        _, path, generation = segment
+        _, path, fingerprint = segment
         with WorkerPool(1, WorkerConfig(basic_window_size=BASIC)) as pool:
             (handle,) = pool._handles
             handle.process.terminate()
             handle.process.join(timeout=5)
             # The next job finds the dead worker, replaces it, and still
             # answers correctly on the replacement.
-            reply = pool.run_query("demo", query_to_wire(QUERY), path, generation)
+            reply = pool.run_query("demo", query_to_wire(QUERY), path, fingerprint)
             remote = result_from_wire(json.loads(reply["body"]))
             assert remote.to_edges() == _expected_edges(store.read_all())
             assert pool.describe()["restarts"] == 1
 
     def test_worker_rss_reports_every_worker(self, store, segment):
-        _, path, generation = segment
+        _, path, fingerprint = segment
         with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
-            pool.run_query("demo", query_to_wire(QUERY), path, generation)
+            pool.run_query("demo", query_to_wire(QUERY), path, fingerprint)
             samples = pool.worker_rss()
             assert len(samples) == 2
             for sample in samples:
@@ -389,11 +408,11 @@ class TestProcessMode:
             assert not process.is_alive()
 
     def test_run_query_after_close_answers_503(self, segment):
-        _, path, generation = segment
+        _, path, fingerprint = segment
         pool = WorkerPool(1, WorkerConfig(basic_window_size=BASIC))
         pool.close()
         error = _error_within(
-            lambda: pool.run_query("demo", query_to_wire(QUERY), path, generation)
+            lambda: pool.run_query("demo", query_to_wire(QUERY), path, fingerprint)
         )
         assert isinstance(error, ServiceError) and error.status == 503
 
@@ -411,14 +430,14 @@ class TestProcessMode:
         assert isinstance(error, ServiceError) and error.status == 503
 
     def test_close_wakes_callers_waiting_for_a_worker(self, segment):
-        _, path, generation = segment
+        _, path, fingerprint = segment
         pool = WorkerPool(1, WorkerConfig(basic_window_size=BASIC))
         busy = pool._acquire()  # the only worker is out on another request
         statuses = []
 
         def wait_for_a_worker():
             try:
-                pool.run_query("demo", query_to_wire(QUERY), path, generation)
+                pool.run_query("demo", query_to_wire(QUERY), path, fingerprint)
             except ServiceError as error:
                 statuses.append(error.status)
 
@@ -442,7 +461,7 @@ class TestProcessMode:
     def test_request_racing_close_never_forks_a_replacement(
         self, segment, monkeypatch
     ):
-        _, path, generation = segment
+        _, path, fingerprint = segment
         pool = WorkerPool(1, WorkerConfig(basic_window_size=BASIC))
         (process,) = [handle.process for handle in pool._handles]
         acquire = pool._acquire
@@ -456,7 +475,7 @@ class TestProcessMode:
         monkeypatch.setattr(pool, "_acquire", acquire_then_close)
         monkeypatch.setattr(pool, "_spawn", lambda: spawned.append(1))
         error = _error_within(
-            lambda: pool.run_query("demo", query_to_wire(QUERY), path, generation)
+            lambda: pool.run_query("demo", query_to_wire(QUERY), path, fingerprint)
         )
         assert isinstance(error, ServiceError) and error.status == 503
         assert spawned == [] and pool.describe()["restarts"] == 0
@@ -493,68 +512,71 @@ def _panel_values(length: int) -> np.ndarray:
 @pytest.mark.skipif(not _pool_available(), reason="fork worker pool unavailable")
 class TestWarmRouting:
     def test_repeated_key_runs_on_the_same_worker(self, segment, monkeypatch):
-        _, path, generation = segment
+        _, path, fingerprint = segment
         with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
             served = _serving_handles(pool, monkeypatch)
             for _ in range(3):
-                pool.run_query("demo", query_to_wire(QUERY), path, generation)
+                pool.run_query("demo", query_to_wire(QUERY), path, fingerprint)
             assert served[0] is served[1] is served[2]
             assert pool.describe()["warm_dispatches"] == 2
-            # A job for another key takes the other, least recently freed
-            # worker, as a FIFO pool would.
-            pool.run_query("other", query_to_wire(QUERY), path, generation)
+            # A job for another directory takes the other, least recently
+            # freed worker, as a FIFO pool would.
+            (other,) = _copies(path, ["other"])
+            pool.run_query("demo", query_to_wire(QUERY), other, fingerprint)
             assert served[3] is not served[0]
 
     def test_a_busy_warm_worker_is_never_waited_for(self, segment, monkeypatch):
-        _, path, generation = segment
+        _, path, fingerprint = segment
         with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
-            pool.run_query("demo", query_to_wire(QUERY), path, generation)
-            warm = pool._take_warm(("demo", generation))
+            pool.run_query("demo", query_to_wire(QUERY), path, fingerprint)
+            warm = pool._take_warm(str(path))
             assert warm is not None  # held: out on another request
             (other,) = [h for h in pool._handles if h is not warm]
-            assert pool._take_warm(("demo", generation)) is None
+            assert pool._take_warm(str(path)) is None
 
             def no_waiting():
                 raise AssertionError("waited for a worker while one was free")
 
             monkeypatch.setattr(pool._freed, "wait", no_waiting)
             served = _serving_handles(pool, monkeypatch)
-            reply = pool.run_query("demo", query_to_wire(QUERY), path, generation)
+            reply = pool.run_query("demo", query_to_wire(QUERY), path, fingerprint)
             assert served == [other]
-            assert reply["generation"] == generation
+            assert reply["plan"]
             pool._release(warm)
             assert pool._acquire() is other  # least recently freed first
 
     def test_a_replaced_worker_leaves_the_map(self, segment):
-        _, path, generation = segment
+        _, path, fingerprint = segment
+        a, b, c = map(str, _copies(path, "abc"))
         with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
-            for name in "abc":  # a and c on one worker, b on the other
-                pool.run_query(name, query_to_wire(QUERY), path, generation)
-            dead = pool._warm[("a", generation)]
-            assert pool._warm[("c", generation)] is dead
-            assert pool._warm[("b", generation)] is not dead
+            for directory in (a, b, c):  # a and c on one worker, b on the other
+                pool.run_query("demo", query_to_wire(QUERY), directory, fingerprint)
+            dead = pool._warm[a]
+            assert pool._warm[c] is dead
+            assert pool._warm[b] is not dead
             dead.process.kill()
             dead.process.join(timeout=5)
-            pool.run_query("a", query_to_wire(QUERY), path, generation)
+            pool.run_query("demo", query_to_wire(QUERY), a, fingerprint)
             assert pool.describe()["restarts"] == 1
             assert dead not in pool._warm.values()
-            assert set(pool._warm) == {("a", generation), ("b", generation)}
+            assert set(pool._warm) == {a, b}
             assert all(handle in pool._handles for handle in pool._warm.values())
 
     def test_the_map_is_bounded_least_recent_first(self, segment):
-        _, path, generation = segment
+        _, path, fingerprint = segment
         with WorkerPool(2, WorkerConfig(basic_window_size=BASIC)) as pool:
             bound = pool.size * AttachmentCache.CAPACITY
-            names = [f"d{i}" for i in range(bound + 3)]
-            for name in names:
-                pool.run_query(name, query_to_wire(QUERY), path, generation)
+            directories = [str(d) for d in _copies(path, range(bound + 3))]
+            for directory in directories:
+                pool.run_query("demo", query_to_wire(QUERY), directory, fingerprint)
                 assert len(pool._warm) <= bound
-            assert list(pool._warm) == [(name, generation) for name in names[-bound:]]
+            assert list(pool._warm) == directories[-bound:]
 
     def test_concurrent_callers_lose_and_duplicate_no_worker(self, segment):
         """More callers than cores, switching often: every job answers, and
         afterwards each worker is free exactly once."""
-        _, path, generation = segment
+        _, path, fingerprint = segment
+        directories = _copies(path, range(3))
         answers, errors = [], []
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -565,8 +587,8 @@ class TestWarmRouting:
                     try:
                         for round_ in range(8):
                             reply = pool.run_query(
-                                f"d{(index + round_) % 3}", query_to_wire(QUERY),
-                                path, generation,
+                                "demo", query_to_wire(QUERY),
+                                directories[(index + round_) % 3], fingerprint,
                             )
                             answers.append(json.loads(reply["body"])["windows"])
                     except BaseException as error:  # noqa: BLE001 — reported below

@@ -1,9 +1,11 @@
 """Unit tests for the on-disk dataset catalog and its persisted indexes.
 
-An index is a segment (:mod:`repro.storage.shared`) at generation 0 whose
-manifest records the fingerprint of the data it was built from; the catalog
-writes each one into a fresh directory and attaches it read-only.  An old
-``.npz`` stats-index archive named in a manifest is refused by name.
+An index is a segment (:mod:`repro.storage.shared`) whose manifest records
+the fingerprint of the data it was built from; the catalog writes each one
+into a fresh directory and attaches it read-only.  An old ``.npz``
+stats-index archive named in a manifest is refused by name.  A write that
+cannot land its manifest leaves the catalog, in memory and on disk, as it
+was.
 """
 
 import json
@@ -125,7 +127,6 @@ class TestIndexes:
         assert segment.sketch.layout == BasicWindowLayout(offset=0, size=16, count=6)
         assert segment.sketch.layout.covered_end == 96
         assert segment.sketch.num_series == 6
-        assert segment.sketch_bytes > 0
 
     def test_index_sketch_answers_queries(self, rng, tmp_path):
         data = rng.normal(size=(5, 128))
@@ -138,14 +139,11 @@ class TestIndexes:
         expected = correlation_matrix(data[:, 0:64])[rows, cols]
         assert np.allclose(sketch.exact_pairs_scan(rows, cols, 0, 2), expected, atol=1e-9)
 
-    def test_index_is_a_generation_zero_segment_bound_by_fingerprint(
-        self, store, tmp_path
-    ):
+    def test_index_is_a_segment_bound_by_fingerprint(self, store, tmp_path):
         catalog = Catalog(tmp_path)
         catalog.add_dataset("demo", store)
         segment = catalog.load_index("demo", catalog.add_index("demo", 24))
         matrix = catalog.load_matrix("demo")
-        assert segment.generation == 0
         assert segment.fingerprint == matrix_fingerprint(matrix)
         assert segment.series_ids == list("wxyz")
         np.testing.assert_array_equal(segment.values, store.read_all())
@@ -229,7 +227,47 @@ class TestIndexes:
     def test_segment_repr(self, store, tmp_path):
         catalog = Catalog(tmp_path)
         catalog.add_dataset("demo", store)
-        assert "generation=0" in repr(catalog.load_index("demo", catalog.add_index("demo", 16)))
+        segment = catalog.load_index("demo", catalog.add_index("demo", 16))
+        assert f"fingerprint={segment.fingerprint[:12]}..." in repr(segment)
+        assert str(_index_dir(catalog)) in repr(segment)
+
+    @pytest.mark.parametrize("write", ["add_dataset", "add_index"])
+    def test_a_failed_manifest_write_changes_nothing(
+        self, store, tmp_path, monkeypatch, write
+    ):
+        """The entry is swapped in only after the manifest lands: with the
+        write failing, memory still equals the disk, nothing the call made
+        stays behind, and the same call succeeds once writes work again."""
+        catalog = Catalog(tmp_path)
+        catalog.add_dataset("a", store)
+        name = "b" if write == "add_dataset" else "a"
+        before = sorted(p.name for p in tmp_path.iterdir())
+
+        def attempt():
+            if write == "add_dataset":
+                return catalog.add_dataset("b", store)
+            return catalog.add_index("a", 16)
+
+        def failing_dump(*args, **kwargs):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog_module.json, "dump", failing_dump)
+            with pytest.raises(OSError, match="disk full"):
+                attempt()
+
+        def state(of):
+            return {n: of.describe(n) for n in of.dataset_names()}
+
+        assert state(catalog) == state(Catalog(tmp_path)) == {
+            "a": DatasetEntry(name="a", data_file="a.data.npz")
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        attempt()
+        assert state(catalog) == state(Catalog(tmp_path))
+        assert name in catalog.dataset_names()
+        if write == "add_index":
+            assert catalog.index_labels("a") == ["b16"]
 
 
 def _archive_fields(rng, tag, pair_rows, dense=False):

@@ -1,4 +1,4 @@
-"""Segment lifecycle: export, mmap attach, generation bump, corruption.
+"""Segment lifecycle: export, mmap attach, re-export, corruption.
 
 The multi-process service shares sketch state with its workers through
 exported segment directories (:mod:`repro.storage.shared`).  These tests pin
@@ -9,11 +9,15 @@ the lifecycle contract:
 * the manifest lists exactly the three statistic arrays, and a manifest
   listing anything else (an older export's ``corr_prefix``) is refused;
 * :class:`SegmentManager.ensure` is idempotent per ``(fingerprint, layout)``
-  and bumps the generation when either changes (the append protocol);
+  and exports into a fresh directory when either changes (the append
+  protocol);
 * superseded fingerprints are pruned per layout family ``(offset, size)``,
-  keeping the newest ``KEEP_GENERATIONS`` — so the growing anchored layout
-  of an appended-to dataset retires its own predecessors, while different
-  window counts over one snapshot stay live together;
+  keeping the newest ``KEEP_FINGERPRINTS`` in export order — so the growing
+  anchored layout of an appended-to dataset retires its own predecessors,
+  while different window counts over one snapshot stay live together — and
+  the manager never removes a directory it did not create;
+* a manifest written with the counter field earlier releases carried still
+  attaches;
 * every corruption mode — missing directory or manifest, a foreign or
   incomplete manifest, bad or missing schema, missing listed array,
   truncated array, shape mismatch, statistics inconsistent with one
@@ -68,22 +72,24 @@ def _memmap_backed(array: np.ndarray) -> bool:
     return False
 
 
-def _export(tmp_path, store, sketch, generation=1, fingerprint="fp-1"):
+def _export(tmp_path, store, sketch, fingerprint="fp-1"):
     return export_segment(
-        tmp_path / f"gen-{generation:06d}",
+        tmp_path / "segment-1",
         store,
         sketch,
         fingerprint=fingerprint,
-        generation=generation,
         series_ids=[f"s{i}" for i in range(NUM_SERIES)],
     )
+
+
+def _exports(root):
+    return sorted(p.name for p in root.glob("segment-*"))
 
 
 class TestExportAttach:
     def test_round_trip_is_bit_identical_and_memmapped(self, tmp_path, store, sketch):
         path = _export(tmp_path, store, sketch)
         segment = attach_segment(path)
-        assert segment.generation == 1
         assert segment.fingerprint == "fp-1"
         assert segment.series_ids == [f"s{i}" for i in range(NUM_SERIES)]
         np.testing.assert_array_equal(segment.values, store.read_all())
@@ -98,7 +104,17 @@ class TestExportAttach:
         # that is the whole point of the shared segment.
         assert _memmap_backed(segment.values)
         assert _memmap_backed(attached.pair_sumprods)
-        assert segment.sketch_bytes > 0
+
+    def test_a_manifest_with_the_old_counter_field_still_attaches(
+        self, tmp_path, store, sketch
+    ):
+        path = _export(tmp_path, store, sketch)
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert "generation" not in manifest
+        (path / "manifest.json").write_text(json.dumps({**manifest, "generation": 7}))
+        segment = attach_segment(path)
+        assert segment.fingerprint == "fp-1"
+        np.testing.assert_array_equal(segment.sketch.pair_sumprods, sketch.pair_sumprods)
 
     def test_the_manifest_lists_exactly_the_statistics(self, tmp_path, store, sketch):
         path = _export(tmp_path, store, sketch)
@@ -124,14 +140,14 @@ class TestExportAttach:
 
         with pytest.raises(StorageError, match="torn segment"):
             export_segment(
-                tmp_path / "gen-000001", LyingStore(), sketch,
-                fingerprint="fp", generation=1, series_ids=["a", "b", "c", "d"],
+                tmp_path / "segment-1", LyingStore(), sketch,
+                fingerprint="fp", series_ids=["a", "b", "c", "d"],
             )
 
 
 class TestCorruption:
     def test_missing_manifest_names_the_directory(self, tmp_path):
-        missing = tmp_path / "gen-000009"
+        missing = tmp_path / "segment-missing"
         missing.mkdir()
         with pytest.raises(StorageError, match=str(missing)):
             attach_segment(missing)
@@ -266,8 +282,8 @@ class TestCorruption:
             attach_segment(path)
 
     def test_missing_directory_names_it(self, tmp_path):
-        with pytest.raises(StorageError, match="gen-000404"):
-            attach_segment(tmp_path / "gen-000404")
+        with pytest.raises(StorageError, match="segment-gone"):
+            attach_segment(tmp_path / "segment-gone")
 
 
 class TestSegmentManager:
@@ -276,14 +292,14 @@ class TestSegmentManager:
         first = manager.ensure(store, sketch, "fp-a", store.series_ids)
         again = manager.ensure(store, sketch, "fp-a", store.series_ids)
         assert first == again
-        assert manager.describe() == {"generation": 1, "exports": 1, "live": 1}
+        assert manager.describe() == {"exports": 1, "live": 1}
 
-    def test_fingerprint_change_bumps_generation(self, tmp_path, store, sketch):
+    def test_fingerprint_change_exports_a_fresh_directory(self, tmp_path, store, sketch):
         manager = SegmentManager(tmp_path / "segments")
-        path1, gen1 = manager.ensure(store, sketch, "fp-a", store.series_ids)
-        path2, gen2 = manager.ensure(store, sketch, "fp-b", store.series_ids)
-        assert gen2 == gen1 + 1
-        assert path1 != path2
+        path1 = manager.ensure(store, sketch, "fp-a", store.series_ids)
+        path2 = manager.ensure(store, sketch, "fp-b", store.series_ids)
+        assert path1 != path2 and path1.parent == path2.parent == manager.root
+        assert attach_segment(path1).fingerprint == "fp-a"
         assert attach_segment(path2).fingerprint == "fp-b"
 
     def test_alternating_layouts_stay_live(self, tmp_path, store):
@@ -311,24 +327,33 @@ class TestSegmentManager:
             for sketch in sketches
         ]
         assert first_pass == second_pass
-        assert manager.describe() == {
-            "generation": len(layouts), "exports": len(layouts),
-            "live": len(layouts),
-        }
-        for path, _ in first_pass:
+        assert manager.describe() == {"exports": len(layouts), "live": len(layouts)}
+        for path in first_pass:
             assert attach_segment(path).fingerprint == "fp-a"
 
-    def test_prune_keeps_two_generations(self, tmp_path, store, sketch):
+    def test_prune_keeps_two_fingerprints(self, tmp_path, store, sketch):
         manager = SegmentManager(tmp_path / "segments")
         paths = [
-            manager.ensure(store, sketch, f"fp-{i}", store.series_ids)[0]
+            manager.ensure(store, sketch, f"fp-{i}", store.series_ids)
             for i in range(4)
         ]
-        survivors = sorted(p.name for p in (tmp_path / "segments").glob("gen-*"))
-        assert survivors == [paths[-2].name, paths[-1].name]
-        # The previous generation must still attach: a job dispatched just
+        assert _exports(manager.root) == sorted([paths[-2].name, paths[-1].name])
+        # The previous snapshot must still attach: a job dispatched just
         # before the newest export may still name it.
         assert attach_segment(paths[-2]).fingerprint == "fp-2"
+
+    def test_only_its_own_directories_are_removed(self, tmp_path, store, sketch):
+        """A directory the manager did not create — another export, a
+        catalog index — survives pruning and close."""
+        manager = SegmentManager(tmp_path / "segments")
+        foreign = _export(manager.root, store, sketch, fingerprint="fp-foreign")
+        for i in range(4):
+            manager.ensure(store, sketch, f"fp-{i}", store.series_ids)
+        assert manager.describe() == {"exports": 4, "live": 2}
+        assert attach_segment(foreign).fingerprint == "fp-foreign"
+        manager.close()
+        assert [p.name for p in manager.root.iterdir()] == [foreign.name]
+        assert attach_segment(foreign).fingerprint == "fp-foreign"
 
     def test_growing_layout_exports_are_retired(self, tmp_path, store, sketch):
         """An appended-to dataset's anchored layout keeps (offset, size) while
@@ -341,20 +366,18 @@ class TestSegmentManager:
             columns = rng.standard_normal((NUM_SERIES, BASIC))
             store.append(columns)
             sketch = sketch.extend(columns)
-            path, _ = manager.ensure(
+            paths.append(manager.ensure(
                 store, sketch, f"fp-{round_index}", store.series_ids
-            )
-            paths.append(path)
-        survivors = sorted(p.name for p in (tmp_path / "segments").glob("gen-*"))
-        assert len(survivors) <= SegmentManager.KEEP_GENERATIONS
-        assert survivors == [paths[-2].name, paths[-1].name]
+            ))
+        survivors = _exports(manager.root)
+        assert len(survivors) <= SegmentManager.KEEP_FINGERPRINTS
+        assert survivors == sorted([paths[-2].name, paths[-1].name])
         assert attach_segment(paths[-2]).fingerprint == "fp-8"
         newest = attach_segment(paths[-1])
         assert newest.fingerprint == "fp-9"
         assert newest.sketch.layout.count == LAYOUT.count + 10
         assert manager.describe() == {
-            "generation": 10, "exports": 10,
-            "live": SegmentManager.KEEP_GENERATIONS,
+            "exports": 10, "live": SegmentManager.KEEP_FINGERPRINTS,
         }
 
     def test_a_growing_family_never_evicts_another_offset(self, tmp_path, store):
@@ -372,8 +395,8 @@ class TestSegmentManager:
             )
             manager.ensure(store, anchored, f"fp-{count}", store.series_ids)
         assert manager.ensure(store, shifted, "fp-0", store.series_ids) == shifted_export
-        assert attach_segment(shifted_export[0]).sketch.layout == shifted.layout
-        assert manager.describe()["live"] == 1 + SegmentManager.KEEP_GENERATIONS
+        assert attach_segment(shifted_export).sketch.layout == shifted.layout
+        assert manager.describe()["live"] == 1 + SegmentManager.KEEP_FINGERPRINTS
 
     def test_counts_over_one_snapshot_stay_live_together(self, tmp_path, store):
         """Queries ``[0, e1)``, ``[0, e2)``, ``[0, e3)`` on an unchanged
@@ -394,8 +417,8 @@ class TestSegmentManager:
         for _ in range(2):
             for sketch, export in zip(sketches, exports):
                 assert manager.ensure(store, sketch, "fp-0", store.series_ids) == export
-        assert manager.describe() == {"generation": 3, "exports": 3, "live": 3}
-        for sketch, (path, _) in zip(sketches, exports):
+        assert manager.describe() == {"exports": 3, "live": 3}
+        for sketch, path in zip(sketches, exports):
             assert attach_segment(path).sketch.layout == sketch.layout
         # An append supersedes the snapshot: its exports survive exactly one
         # more fingerprint, then go together.
@@ -403,7 +426,7 @@ class TestSegmentManager:
         assert manager.describe()["live"] == 4
         manager.ensure(store, sketches[0], "fp-2", store.series_ids)
         assert manager.describe()["live"] == 2
-        assert not any(path.exists() for path, _ in exports)
+        assert not any(path.exists() for path in exports)
 
     def test_close_removes_every_export(self, tmp_path, store, sketch):
         manager = SegmentManager(tmp_path / "segments")
