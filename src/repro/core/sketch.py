@@ -611,9 +611,10 @@ class BasicWindowSketch:
 
         ``columns`` are the raw values immediately following this sketch's
         coverage and must form whole basic windows (a positive multiple of
-        ``layout.size``); callers buffer sub-window residuals until a window
-        completes (see ``SketchCache.extend_chain``).  This is the one place
-        statistics grow: appends never change *existing* basic windows, so the
+        ``layout.size``); sub-window residuals wait in the matrix until a
+        window completes (``SketchCache.get_or_extend`` reads the delta from
+        the grown matrix).  This is the one place statistics grow: appends
+        never change *existing* basic windows, so the
         delta windows' statistics come from the build's own kernel
         (:func:`_window_statistics`) and are concatenated — the reduction-safe
         cut along the window axis the tiled builder makes at every tile

@@ -195,7 +195,8 @@ class DatasetRuntime:
         # One cache for the dataset's whole lifetime: every session and every
         # seeded on-disk index share it.
         self.sketch_cache = SketchCache()
-        # Catalog indexes by label, attached on first sight (None: refused).
+        # Catalog indexes by the directory the catalog names for their label,
+        # attached on first sight (None: refused).
         self._indexes: Dict[str, Optional[SharedSegment]] = {}  # guarded-by: lock
 
     # ------------------------------------------------------------------ state
@@ -229,20 +230,22 @@ class DatasetRuntime:
     def index_for(self, layout) -> Optional[SharedSegment]:  # requires-lock: lock
         """The persisted catalog index holding ``layout`` over the live data.
 
-        Each of the dataset's on-disk indexes is attached once per runtime
-        (memmapped; a corrupt or old-format one is skipped, never re-raised
-        per query).  An index qualifies only when its layout equals
-        ``layout`` **and** its manifest's fingerprint equals the live data's
-        — the hash the cache keys this query by anyway — so an index built
-        from other data (an overwritten dataset, an append since) is never
-        answered from.
+        Each of the dataset's on-disk index directories is attached once per
+        runtime (memmapped; a corrupt or old-format one is skipped, never
+        re-raised per query).  A label the catalog has rewritten since
+        (``Catalog.add_index`` writes a new directory) is re-attached, and
+        the superseded attachment dropped.  An index qualifies only when its
+        layout equals ``layout`` **and** its manifest's fingerprint equals
+        the live data's — the hash the cache keys this query by anyway — so
+        an index built from other data (an overwritten dataset, an append
+        since) is never answered from.
         """
-        for label in self.catalog.index_labels(self.name):
-            if label not in self._indexes:
-                try:
-                    self._indexes[label] = self.catalog.load_index(self.name, label)
-                except StorageError:
-                    self._indexes[label] = None
+        directories = self.catalog.describe(self.name).index_files
+        self._indexes = {
+            directory: self._indexes[directory] if directory in self._indexes
+            else self._attach_index(label)
+            for label, directory in directories.items()
+        }
         candidates = [
             segment for segment in self._indexes.values()
             if segment is not None and segment.sketch.layout == layout
@@ -254,6 +257,12 @@ class DatasetRuntime:
             (segment for segment in candidates if segment.fingerprint == fingerprint),
             None,
         )
+
+    def _attach_index(self, label: str) -> Optional[SharedSegment]:
+        try:
+            return self.catalog.load_index(self.name, label)
+        except StorageError:
+            return None
 
     def seed_sketch_for(self, plan) -> bool:  # requires-lock: lock
         """Materialize a persisted catalog index matching a plan's layout
@@ -272,10 +281,10 @@ class DatasetRuntime:
 
         Before the store grows, the append advances the sketch cache's
         fingerprint *chain* (``SketchCache.extend_chain``): cached sketches
-        move to the grown matrix's digest instead of being orphaned, and the
-        appended columns join the chain's tail buffer, so the next query
-        refreshes its sketch in O(Δ) (``sketch_build=incremental``) instead
-        of rebuilding O(history) statistics.  Standing queries advance over
+        move to the grown matrix's digest instead of being orphaned, so the
+        next query refreshes its sketch in O(Δ) (``sketch_build=incremental``),
+        reading the appended columns from the store, instead of rebuilding
+        O(history) statistics.  Standing queries advance over
         that same refreshed entry (:meth:`advance_watches`).
         """
         fingerprint = self.sketch_cache.extend_chain(self.matrix, columns)

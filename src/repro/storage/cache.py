@@ -17,7 +17,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,36 +28,97 @@ from repro.exceptions import StorageError
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 
-#: Column-block width used by :func:`matrix_fingerprint`.  Hashing walks the
-#: canonical column-block stream (``iter_column_blocks``) instead of one
-#: dense ``tobytes()`` so chunk-backed matrices fingerprint without ever
-#: materializing — with the same digest as the dense view, which is what
-#: lets tiled-built sketches share cache keys with dense-built ones.
+#: Column-block width of the fingerprint's canonical value stream.  Hashing
+#: walks ``iter_column_blocks`` instead of one dense ``tobytes()``, so
+#: chunk-backed matrices fingerprint without ever materializing, with the
+#: same digest as the dense view: tiled-built sketches share cache keys with
+#: dense-built ones.
 FINGERPRINT_BLOCK_COLUMNS = 1024
 
 
-def _update_header(
-    digest, num_series: int, length: int, series_ids, axis_key
-) -> None:
-    """Hash the metadata half of a fingerprint (after the value blocks).
+class _FingerprintChain:
+    """Running fingerprint of a column stream: the one owner of its byte layout.
 
-    The digest layout is *values first, header last* deliberately: an
-    append-only stream can then keep one running hasher over the complete
-    column blocks and finalize a ``copy()`` of it with the pending tail plus
-    the grown header — O(Δ) per append instead of re-hashing history.  This
-    is what :class:`_FingerprintChain` does.  The layout is an on-disk
-    contract: a catalog index's manifest records the fingerprint of the
-    data it was built from, and is served only for data with that
-    fingerprint.  Changing the layout makes every persisted index miss (a
-    query builds instead); it never makes one answer for other data.
+    The digest is sha256 over the values in canonical
+    :data:`FINGERPRINT_BLOCK_COLUMNS`-wide C-contiguous blocks, then the
+    header (shape, series ids, time axis).  *Values first, header last* is
+    deliberate: the chain keeps one running hasher over the complete blocks
+    and a :class:`~repro.core.tiled.ColumnReblocker` holding the partial
+    last block, so :meth:`fingerprint` finalizes a ``copy()`` of the hasher
+    with the pending block and the header.  A stream is fed once, in any
+    chunking, and fingerprinted at any point in O(one block).
+
+    :func:`matrix_fingerprint` feeds a whole matrix, the cold tiled build's
+    tee feeds each chunk as the build reads it, and a :class:`SketchCache`
+    append chain feeds each append (O(Δ) per append instead of re-hashing
+    history).  The chain holds no raw columns beyond the partial block: an
+    extension reads its delta from the matrix.
+
+    The layout is an on-disk contract: a catalog index's manifest records
+    the fingerprint of the data it was built from, and is served only for
+    data with that fingerprint.  Changing the layout makes every persisted
+    index miss (a query builds instead); it never makes one answer for other
+    data.  Not thread-safe on its own; a :class:`SketchCache` serializes all
+    access to its chains under its lock.
     """
-    digest.update(str((num_series, length)).encode())
-    digest.update(",".join(series_ids).encode())
-    digest.update(repr(axis_key).encode())
 
+    def __init__(self, num_series: int, series_ids, axis_key) -> None:
+        from repro.core.tiled import ColumnReblocker
 
-def _matrix_axis_key(matrix: TimeSeriesMatrix):
-    return (matrix.time_axis.start, matrix.time_axis.resolution)
+        self._hasher = hashlib.sha256()
+        self._reblocker = ColumnReblocker(FINGERPRINT_BLOCK_COLUMNS)
+        self.num_series = num_series
+        self._series_ids = list(series_ids)
+        self._axis_key = axis_key
+        self.length = 0
+
+    @classmethod
+    def for_matrix(cls, matrix: TimeSeriesMatrix) -> "_FingerprintChain":
+        """An empty chain carrying ``matrix``'s header."""
+        axis = matrix.time_axis
+        return cls(matrix.num_series, matrix.series_ids, (axis.start, axis.resolution))
+
+    @classmethod
+    def bootstrap(cls, matrix: TimeSeriesMatrix) -> "_FingerprintChain":
+        """The chain after feeding all of ``matrix`` (streamed in blocks, so a
+        chunk-backed matrix is never materialized)."""
+        chain = cls.for_matrix(matrix)
+        for block in matrix.iter_column_blocks(FINGERPRINT_BLOCK_COLUMNS):
+            chain.feed(block)
+        return chain
+
+    def feed(self, columns: np.ndarray) -> None:
+        """Hash the complete blocks ``columns`` finishes and advance ``length``.
+
+        Makes no copy: the reblocker keeps a view of a trailing partial
+        block, so ``columns`` must not change afterwards.
+        """
+        for complete in self._reblocker.feed(columns):
+            self._hasher.update(complete.tobytes())
+        self.length += columns.shape[1]
+
+    def append(self, columns: np.ndarray) -> None:
+        """Advance the chain by freshly appended columns (O(Δ))."""
+        columns = np.array(columns, dtype=FLOAT_DTYPE, order="C", copy=True)
+        if columns.ndim != 2 or columns.shape[0] != self.num_series:
+            raise StorageError(
+                f"chained append must supply ({self.num_series}, k) columns, "
+                f"got shape {columns.shape}"
+            )
+        if columns.shape[1] == 0:
+            raise StorageError("chained append must supply at least one column")
+        self.feed(columns)
+
+    def fingerprint(self) -> str:
+        """The fingerprint of the columns fed so far (O(one block))."""
+        digest = self._hasher.copy()
+        pending = self._reblocker.peek()
+        if pending is not None:
+            digest.update(pending.tobytes())
+        digest.update(str((self.num_series, self.length)).encode())
+        digest.update(",".join(self._series_ids).encode())
+        digest.update(repr(self._axis_key).encode())
+        return digest.hexdigest()
 
 
 def matrix_fingerprint(matrix: TimeSeriesMatrix) -> str:
@@ -67,14 +128,24 @@ def matrix_fingerprint(matrix: TimeSeriesMatrix) -> str:
     (:class:`repro.core.tiled.ChunkBackedMatrix`) hashes with bounded memory
     and produces the exact digest of its dense counterpart.
     """
-    digest = hashlib.sha256()
-    for block in matrix.iter_column_blocks(FINGERPRINT_BLOCK_COLUMNS):
-        digest.update(block.tobytes())
-    _update_header(
-        digest, matrix.num_series, matrix.length, matrix.series_ids,
-        _matrix_axis_key(matrix),
-    )
-    return digest.hexdigest()
+    return _FingerprintChain.bootstrap(matrix).fingerprint()
+
+
+def _columns(matrix: TimeSeriesMatrix, start: int, end: int) -> np.ndarray:
+    """Columns ``[start, end)`` of ``matrix``: a view of a dense matrix; of a
+    chunk-backed one, the slices of the source chunks that overlap the range
+    (the dense view is never built)."""
+    source = getattr(matrix, "tile_source", None)
+    if source is None:
+        return matrix.window(start, end)
+    pieces, position = [], 0
+    for chunk in source.iter_chunks():
+        if position + chunk.shape[1] > start:
+            pieces.append(chunk[:, max(start - position, 0) : end - position])
+        position += chunk.shape[1]
+        if position >= end:
+            break
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
 
 
 class _FingerprintMemo:
@@ -117,20 +188,14 @@ class _HashingTileSource:
     """A chunk-source tee: yields the stream unchanged while fingerprinting it.
 
     Wraps a tile source so one pass through an (possibly on-disk,
-    decompress-on-read) catalog both assembles sketch tiles and computes the
-    canonical content fingerprint — the chunks are re-blocked on the fly to
-    the exact :data:`FINGERPRINT_BLOCK_COLUMNS` boundaries
-    :func:`matrix_fingerprint` hashes, so the digest matches a dense
+    decompress-on-read) catalog both assembles sketch tiles and feeds each
+    chunk to a :class:`_FingerprintChain`, whose digest matches a dense
     matrix's bit for bit.
     """
 
     def __init__(self, source, matrix: TimeSeriesMatrix) -> None:
         self._source = source
-        self._digest = hashlib.sha256()
-        self._header = (
-            matrix.num_series, matrix.length, list(matrix.series_ids),
-            _matrix_axis_key(matrix),
-        )
+        self._chain = _FingerprintChain.for_matrix(matrix)
         self._consumed = False
 
     @property
@@ -142,17 +207,9 @@ class _HashingTileSource:
         return self._source.length
 
     def iter_chunks(self):
-        from repro.core.tiled import ColumnReblocker
-
-        reblocker = ColumnReblocker(FINGERPRINT_BLOCK_COLUMNS)
         for chunk in self._source.iter_chunks():
-            for block in reblocker.feed(chunk):
-                self._digest.update(block.tobytes())
+            self._chain.feed(chunk)
             yield chunk
-        tail = reblocker.flush()
-        if tail is not None:
-            self._digest.update(tail.tobytes())
-        _update_header(self._digest, *self._header)
         self._consumed = True
 
     def hexdigest(self) -> str:
@@ -160,145 +217,7 @@ class _HashingTileSource:
             raise StorageError(
                 "fingerprint requested before the chunk stream was fully consumed"
             )
-        return self._digest.hexdigest()
-
-
-#: Trailing columns a fingerprint chain always keeps buffered beyond what its
-#: live cache entries demand.  A sketch built *after* an append covers at most
-#: ``size - 1`` fewer columns than the matrix, so retaining one canonical
-#: block's worth lets the *next* append extend entries that do not exist yet
-#: (any basic-window size up to this bound), while bounding the residual at
-#: ``N x 1024 x 8`` bytes.
-CHAIN_RESIDUAL_COLUMNS = FINGERPRINT_BLOCK_COLUMNS
-
-
-class _FingerprintChain:
-    """Running fingerprint and tail-residual state of an append-only matrix.
-
-    One chain follows one dataset through its appends: a sha256 hasher over
-    the complete canonical column blocks plus a :class:`ColumnReblocker`
-    holding the partial tail block, so the fingerprint of the grown matrix
-    finalizes in O(Δ) per append (hash the new bytes, ``copy()`` the hasher,
-    absorb the pending tail and the grown header) instead of re-hashing
-    history.  Alongside the hasher it buffers the *tail-residual* raw columns
-    — everything past the oldest covered column of the cache entries keyed
-    under its fingerprint — which is exactly what
-    :meth:`BasicWindowSketch.extend` needs to absorb the delta windows.
-
-    Not thread-safe on its own; the owning :class:`SketchCache` serializes
-    all access under its lock.
-    """
-
-    def __init__(self, num_series: int, series_ids, axis_key) -> None:
-        self._hasher = hashlib.sha256()
-        from repro.core.tiled import ColumnReblocker
-
-        self._reblocker = ColumnReblocker(FINGERPRINT_BLOCK_COLUMNS)
-        self.num_series = num_series
-        self._series_ids = list(series_ids)
-        self._axis_key = axis_key
-        self.length = 0
-        #: First column still buffered; the tail covers [tail_start, length).
-        self.tail_start = 0
-        self._tail: List[np.ndarray] = []
-
-    @classmethod
-    def bootstrap(cls, matrix: TimeSeriesMatrix, keep_from: int) -> "_FingerprintChain":
-        """Capture the mid-stream hasher state of an existing matrix.
-
-        The one-time O(history) pass of a chain's life: every later append
-        is O(Δ).  ``keep_from`` is the oldest column the tail-residual must
-        retain (the minimum ``covered_end`` of the cache entries the chain
-        will extend); only columns at or past it are buffered, so the pass
-        streams with bounded memory.
-        """
-        chain = cls(matrix.num_series, matrix.series_ids, _matrix_axis_key(matrix))
-        keep_from = min(
-            max(0, keep_from), max(0, matrix.length - CHAIN_RESIDUAL_COLUMNS)
-        )
-        chain.tail_start = keep_from
-        for block in matrix.iter_column_blocks(FINGERPRINT_BLOCK_COLUMNS):
-            start = chain.length
-            for complete in chain._reblocker.feed(block):
-                chain._hasher.update(complete.tobytes())
-            end = start + block.shape[1]
-            if end > keep_from:
-                chain._tail.append(
-                    np.ascontiguousarray(block[:, max(0, keep_from - start):])
-                )
-            chain.length = end
-        return chain
-
-    def append(self, columns: np.ndarray) -> None:
-        """Advance the chain by freshly appended columns (O(Δ))."""
-        columns = np.array(columns, dtype=FLOAT_DTYPE, order="C", copy=True)
-        if columns.ndim != 2 or columns.shape[0] != self.num_series:
-            raise StorageError(
-                f"chained append must supply ({self.num_series}, k) columns, "
-                f"got shape {columns.shape}"
-            )
-        if columns.shape[1] == 0:
-            raise StorageError("chained append must supply at least one column")
-        for complete in self._reblocker.feed(columns):
-            self._hasher.update(complete.tobytes())
-        self._tail.append(columns)
-        self.length += columns.shape[1]
-
-    def fingerprint(self) -> str:
-        """The matrix fingerprint at the chain's current length (O(tail))."""
-        digest = self._hasher.copy()
-        pending = self._reblocker.peek()
-        if pending is not None:
-            digest.update(pending.tobytes())
-        _update_header(
-            digest, self.num_series, self.length, self._series_ids, self._axis_key
-        )
-        return digest.hexdigest()
-
-    def covers(self, start: int, end: int) -> bool:
-        """``True`` when the tail buffer holds columns ``[start, end)``."""
-        return self.tail_start <= start and end <= self.length
-
-    def tail_columns(self, start: int, end: int) -> np.ndarray:
-        """The buffered raw columns ``[start, end)`` as one contiguous array."""
-        if start >= end or not self.covers(start, end):
-            raise StorageError(
-                f"chain tail covers [{self.tail_start}, {self.length}) but "
-                f"columns [{start}, {end}) were requested"
-            )
-        pieces = []
-        position = self.tail_start
-        for piece in self._tail:
-            width = piece.shape[1]
-            low, high = max(start, position), min(end, position + width)
-            if low < high:
-                pieces.append(piece[:, low - position : high - position])
-            position += width
-        if len(pieces) == 1:
-            return np.ascontiguousarray(pieces[0])
-        return np.ascontiguousarray(np.concatenate(pieces, axis=1))
-
-    def trim(self, keep_from: int) -> None:
-        """Drop tail columns before ``keep_from`` (safety residual retained).
-
-        The residual floor keeps the most recent
-        :data:`CHAIN_RESIDUAL_COLUMNS` columns buffered even when no live
-        entry needs them, so entries built (or seeded) *after* this append
-        remain extendable on the next one.
-        """
-        keep_from = min(keep_from, max(0, self.length - CHAIN_RESIDUAL_COLUMNS))
-        while self._tail and self.tail_start + self._tail[0].shape[1] <= keep_from:
-            self.tail_start += self._tail[0].shape[1]
-            self._tail.pop(0)
-        if self._tail and self.tail_start < keep_from:
-            self._tail[0] = np.ascontiguousarray(
-                self._tail[0][:, keep_from - self.tail_start :]
-            )
-            self.tail_start = keep_from
-
-    def tail_bytes(self) -> int:
-        """Resident bytes of the tail-residual buffer (observability)."""
-        return int(sum(piece.nbytes for piece in self._tail))
+        return self._chain.fingerprint()
 
 
 @dataclass
@@ -430,11 +349,13 @@ class SketchCache:
     ) -> BasicWindowSketch:
         """Return the sketch for (data, layout): a hit, an extension or a build.
 
-        A hit returns the cached entry.  When an append chain holds the
-        columns between a cached prefix entry's coverage and ``layout``'s,
-        the entry is *extended* (delta basic windows only, bit-identical to
-        a rebuild — see :meth:`BasicWindowSketch.extend`) and republished
-        under the full layout; the superseded prefix entry is dropped.
+        A hit returns the cached entry.  When ``matrix`` heads an append
+        chain and a cached entry covers a prefix of ``layout``, the entry is
+        *extended* by the delta basic windows, read from ``matrix`` itself
+        (bit-identical to a rebuild — see :meth:`BasicWindowSketch.extend`),
+        and republished under the full layout; the superseded prefix entry
+        is dropped.  The cache keeps statistics and running hashes only,
+        never raw columns.
         Counted under ``stats.sketch_extensions`` (not ``builds``).
         :meth:`extension_coverage` answers, with no side effects, which of
         the three this call will do.
@@ -468,7 +389,7 @@ class SketchCache:
                 self.stats.hits += 1
                 return sketch
             self.stats.misses += 1
-            sketch = self._extend_prefix(fingerprint, key, layout, pairwise)
+            sketch = self._extend_prefix(matrix, fingerprint, key, layout, pairwise)
             if sketch is not None:
                 return sketch
             if memory_budget is None:
@@ -542,8 +463,8 @@ class SketchCache:
         of the hasher, and *move* every cache entry keyed under the old
         fingerprint to the new one — the entries' sketches cover an unchanged
         prefix of the grown matrix, so re-keying them at the same layout is
-        sound and instant.  Appended columns join the chain's tail-residual
-        buffer until :meth:`get_or_extend` absorbs them into a sketch.
+        sound and instant.  The chain keeps no copy of the columns: a later
+        :meth:`get_or_extend` reads them from the grown matrix it is given.
 
         Returns the grown matrix's fingerprint; callers should
         :meth:`adopt_fingerprint` it onto the rebuilt matrix object so later
@@ -553,9 +474,7 @@ class SketchCache:
             fingerprint = self._fingerprint.peek(matrix)
             chain = self._chains.pop(fingerprint, None) if fingerprint else None
             if chain is None:
-                chain = _FingerprintChain.bootstrap(
-                    matrix, self._min_covered_end(fingerprint, matrix.length)
-                )
+                chain = _FingerprintChain.bootstrap(matrix)
                 bootstrapped = chain.fingerprint()
                 if fingerprint is None:
                     fingerprint = bootstrapped
@@ -573,12 +492,8 @@ class SketchCache:
                 )
             chain.append(columns)
             grown = chain.fingerprint()
-            moved_ends = []
             for key in [k for k in self._entries if k[0] == fingerprint]:
-                sketch = self._entries.pop(key)
-                self._entries[(grown,) + key[1:]] = sketch
-                moved_ends.append(sketch.layout.covered_end)
-            chain.trim(min(moved_ends) if moved_ends else chain.length)
+                self._entries[(grown,) + key[1:]] = self._entries.pop(key)
             self._chains[grown] = chain
             return grown
 
@@ -606,12 +521,11 @@ class SketchCache:
     ) -> Optional[int]:
         """Basic windows of ``layout`` already covered by a chained entry.
 
-        Returns ``layout.count`` when the exact sketch is cached,
-        the prefix entry's window count when :meth:`get_or_extend` could
-        extend it from the chain's buffered tail, and ``None`` when
-        incremental maintenance cannot serve this layout (no usable prefix
-        entry, or the tail no longer holds the needed columns).  No side
-        effects — this is the planner's decision input.
+        Returns ``layout.count`` when the exact sketch is cached, the prefix
+        entry's window count when :meth:`get_or_extend` would extend it, and
+        ``None`` when incremental maintenance cannot serve this layout (no
+        append chain, or no cached prefix entry).  No side effects — this is
+        the planner's decision input.
         """
         with self._lock:
             fingerprint = self._fingerprint.peek(matrix)
@@ -619,27 +533,17 @@ class SketchCache:
                 return None
             if self._key_for(fingerprint, layout, pairwise) in self._entries:
                 return layout.count
-            base = self._extension_base(fingerprint, layout, pairwise)
-            return base[1][3] if base is not None else None
+            prefix = self._extension_base(fingerprint, layout, pairwise)
+            return prefix[3] if prefix is not None else None
 
     def _extension_base(
         self, fingerprint: str, layout: BasicWindowLayout, pairwise: bool
-    ) -> Optional[Tuple[_FingerprintChain, Tuple[str, int, int, int, bool]]]:  # requires-lock: _lock
-        """The chain and prefix entry key an extension to ``layout`` grows from."""
+    ) -> Optional[Tuple[str, int, int, int, bool]]:  # requires-lock: _lock
+        """The key of the widest cached entry an extension to ``layout`` grows
+        from: a strict prefix of ``layout`` over a chained matrix."""
         chain = self._chains.get(fingerprint)
         if chain is None or layout.covered_end > chain.length:
             return None
-        prefix = self._prefix_entry_key(fingerprint, layout, pairwise)
-        if prefix is None:
-            return None
-        if not chain.covers(layout.offset + layout.size * prefix[3], layout.covered_end):
-            return None
-        return chain, prefix
-
-    def _prefix_entry_key(
-        self, fingerprint: str, layout: BasicWindowLayout, pairwise: bool
-    ) -> Optional[Tuple[str, int, int, int, bool]]:  # requires-lock: _lock
-        """The widest cached entry covering a strict prefix of ``layout``."""
         best = None
         for key in self._entries:
             if (
@@ -653,32 +557,24 @@ class SketchCache:
                 best = key
         return best
 
-    def _min_covered_end(self, fingerprint: Optional[str], default: int) -> int:  # requires-lock: _lock
-        ends = [
-            sketch.layout.covered_end
-            for key, sketch in self._entries.items()
-            if key[0] == fingerprint
-        ]
-        return min(ends) if ends else default
-
     def _extend_prefix(
-        self, fingerprint: str, key, layout: BasicWindowLayout, pairwise: bool
+        self, matrix: TimeSeriesMatrix, fingerprint: str, key,
+        layout: BasicWindowLayout, pairwise: bool,
     ) -> Optional[BasicWindowSketch]:  # requires-lock: _lock
-        """Extend the chained prefix entry to ``layout`` and publish it under
-        ``key`` (the superseded prefix entry is dropped), or ``None``."""
-        base = self._extension_base(fingerprint, layout, pairwise)
-        if base is None:
+        """Extend the chained prefix entry to ``layout`` by the delta columns
+        read from ``matrix`` and publish it under ``key`` (the superseded
+        prefix entry is dropped), or ``None``."""
+        prefix = self._extension_base(fingerprint, layout, pairwise)
+        if prefix is None:
             return None
-        chain, prefix = base
         prefix_sketch = self._entries[prefix]
-        start = prefix_sketch.layout.covered_end
-        sketch = prefix_sketch.extend(chain.tail_columns(start, layout.covered_end))
+        sketch = prefix_sketch.extend(
+            _columns(matrix, prefix_sketch.layout.covered_end, layout.covered_end)
+        )
         self.stats.sketch_extensions += 1
         self.stats.extended_windows += layout.count - prefix_sketch.layout.count
         self._entries.pop(prefix)
-        self._publish(key, sketch)
-        chain.trim(self._min_covered_end(fingerprint, chain.length))
-        return sketch
+        return self._publish(key, sketch)
 
     #: The query path's name for :meth:`get_or_build` (the same call): every
     #: plan fetches its sketch through it, so the name says what an appended

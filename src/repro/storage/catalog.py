@@ -84,30 +84,39 @@ class Catalog:
     ) -> DatasetEntry:
         """Persist a chunk store under ``name`` and register it.
 
+        The data goes to ``NAME.data.npz``, or, when that file exists, to a
+        fresh ``NAME.data.*.npz``: nothing is written over a file the
+        manifest may name.  The previous data file is removed only after the
+        manifest names the new one; if the manifest cannot be written, the
+        catalog is left as it was and only the new file is removed.
+
         Overwriting keeps the dataset's index labels.  Each index is bound to
         the data it was built from by content fingerprint, so an index over
         the replaced data is never served for the new data (a query builds
-        instead); re-ingesting identical data keeps every index usable.  If
-        the manifest cannot be written, the catalog is left as it was and a
-        data file this call created is removed.
+        instead); re-ingesting identical data keeps every index usable.
         """
         previous = self._entries.get(name)
         if previous is not None and not overwrite:
             raise StorageError(
                 f"dataset {name!r} already exists (pass overwrite=True to replace)"
             )
-        data_file = f"{name}.data.npz"
-        target = self.root / data_file
-        created = not target.exists()
+        target = self.root / f"{name}.data.npz"
+        if target.exists():
+            handle, fresh = tempfile.mkstemp(
+                prefix=f"{name}.data.", suffix=".npz", dir=self.root
+            )
+            os.close(handle)
+            target = Path(fresh)
         index_files = dict(previous.index_files) if previous is not None else {}
-        entry = DatasetEntry(name, data_file, index_files, description)
+        entry = DatasetEntry(name, target.name, index_files, description)
         try:
             store.save(target)
             self._commit(entry)
         except BaseException:
-            if created:
-                target.unlink(missing_ok=True)
+            target.unlink(missing_ok=True)
             raise
+        if previous is not None and previous.data_file != target.name:
+            (self.root / previous.data_file).unlink(missing_ok=True)
         return entry
 
     def add_index(

@@ -3,7 +3,7 @@
 The incremental plan's soundness rests on two exact claims, both driven here
 by Hypothesis over arbitrary splits of a stream into a base matrix plus a
 sequence of appended batches (including batches smaller than one basic
-window, which must sit in the chain's tail buffer until a window completes):
+window, which wait in the matrix until a window completes):
 
 1. a sketch refreshed through ``SketchCache.get_or_extend`` is **bitwise**
    equal to one built from scratch over the full stream, and

@@ -547,6 +547,23 @@ class TestIndexSeeding:
         assert stats["sketch_cache"]["builds"] == 0
         assert [_answer(first), _answer(second)] == list(map(_answer, expected))
 
+    def test_a_rewritten_index_is_reattached_not_exported(self, catalog):
+        """``add_index`` writes a label into a new directory and removes the
+        old one; the next pooled job names the new directory."""
+        catalog.add_index("demo", basic_window_size=BASIC)
+        requests = [THRESHOLD_REQUEST, {**THRESHOLD_REQUEST, "threshold": 0.7}]
+        expected = _pool_less_answers(catalog, requests)
+        with _pooled(catalog) as service:
+            first = json.loads(service.query("demo", dict(requests[0])))
+            service.catalog.add_index("demo", basic_window_size=BASIC)
+            second = json.loads(service.query("demo", dict(requests[1])))
+            stats = service.dataset_info("demo")["stats"]
+            warm = list(service._pool._warm)
+        rewritten = catalog.root / catalog.describe("demo").index_files["b16"]
+        assert stats["segments"]["exports"] == 0
+        assert warm[-1] == str(rewritten)
+        assert [_served(first), _served(second)] == list(map(_served, expected))
+
     def test_an_append_exports_exactly_once(self, catalog):
         catalog.add_index("demo", basic_window_size=BASIC)
         columns = np.random.default_rng(5).standard_normal((32, NUM_SERIES))

@@ -231,9 +231,9 @@ class TestIndexes:
         assert f"fingerprint={segment.fingerprint[:12]}..." in repr(segment)
         assert str(_index_dir(catalog)) in repr(segment)
 
-    @pytest.mark.parametrize("write", ["add_dataset", "add_index"])
+    @pytest.mark.parametrize("write", ["add_dataset", "overwrite", "add_index"])
     def test_a_failed_manifest_write_changes_nothing(
-        self, store, tmp_path, monkeypatch, write
+        self, store, rng, tmp_path, monkeypatch, write
     ):
         """The entry is swapped in only after the manifest lands: with the
         write failing, memory still equals the disk, nothing the call made
@@ -242,10 +242,14 @@ class TestIndexes:
         catalog.add_dataset("a", store)
         name = "b" if write == "add_dataset" else "a"
         before = sorted(p.name for p in tmp_path.iterdir())
+        replacement = ChunkStore(4, chunk_columns=32, series_ids=list("wxyz"))
+        replacement.append(rng.normal(size=(4, 96)))
 
         def attempt():
             if write == "add_dataset":
                 return catalog.add_dataset("b", store)
+            if write == "overwrite":
+                return catalog.add_dataset("a", replacement, overwrite=True)
             return catalog.add_index("a", 16)
 
         def failing_dump(*args, **kwargs):
@@ -263,11 +267,20 @@ class TestIndexes:
             "a": DatasetEntry(name="a", data_file="a.data.npz")
         }
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+        stored = Catalog(tmp_path).load_dataset("a").read_all()
+        assert stored.tobytes() == store.read_all().tobytes()
         attempt()
         assert state(catalog) == state(Catalog(tmp_path))
         assert name in catalog.dataset_names()
         if write == "add_index":
             assert catalog.index_labels("a") == ["b16"]
+        if write == "overwrite":
+            data_file = catalog.describe("a").data_file
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+                ["catalog.json", data_file]
+            )
+            stored = Catalog(tmp_path).load_dataset("a").read_all()
+            assert stored.tobytes() == replacement.read_all().tobytes()
 
 
 def _archive_fields(rng, tag, pair_rows, dense=False):

@@ -227,6 +227,30 @@ class TestGetOrExtend:
             }[outcome]
             assert tuple(b - a for a, b in zip(before, after)) == moved, outcome
 
+    def test_entry_built_after_an_append_extends_on_the_next(self, ar1_matrix):
+        """An extension reads its delta from the matrix, so an entry built
+        after an append extends however far back its coverage ends."""
+        history = ar1_matrix(6, 2048, coefficient=0.8, shared_weight=0.5, seed=5)
+        rng = np.random.default_rng(12)
+        cache = SketchCache()
+        cache.get_or_build(history, BasicWindowLayout.for_range(0, 2048, 32))
+        first, second = rng.normal(size=(6, 64)), rng.normal(size=(6, 64))
+        fingerprint = cache.extend_chain(history, first)
+        bigger = grown(history, first)
+        cache.adopt_fingerprint(bigger, fingerprint)
+        cache.get_or_build(bigger, BasicWindowLayout.for_range(0, 512, 16))
+        fingerprint = cache.extend_chain(bigger, second)
+        biggest = grown(bigger, second)
+        cache.adopt_fingerprint(biggest, fingerprint)
+        layout = BasicWindowLayout.for_range(0, biggest.length, 16)
+        assert cache.extension_coverage(biggest, layout) == 32
+        extended = cache.get_or_extend(biggest, layout)
+        assert cache.builds == 2 and cache.stats.sketch_extensions == 1
+        scratch = BasicWindowSketch.build(biggest.values, layout)
+        assert extended.series_sums.tobytes() == scratch.series_sums.tobytes()
+        assert extended.series_sumsqs.tobytes() == scratch.series_sumsqs.tobytes()
+        assert extended.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
+
     def test_clear_drops_chains(self, matrix, delta):
         cache = SketchCache()
         cache.get_or_build(matrix, BasicWindowLayout.for_range(0, 256, 32))
