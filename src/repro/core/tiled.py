@@ -445,7 +445,9 @@ class ColumnReblocker:
         emit = (self._pending_columns // self.block_columns) * self.block_columns
         for start in range(0, emit, self.block_columns):
             yield np.ascontiguousarray(stitched[:, start : start + self.block_columns])
-        remainder = stitched[:, emit:]
+        # A copy: a view would pin the whole stitched stream in memory for
+        # the sake of the few columns that wait for the next chunk.
+        remainder = stitched[:, emit:].copy()
         self._pending = [remainder] if remainder.shape[1] else []
         self._pending_columns = remainder.shape[1]
 

@@ -51,8 +51,8 @@ class _FingerprintChain:
     :func:`matrix_fingerprint` feeds a whole matrix, the cold tiled build's
     tee feeds each chunk as the build reads it, and a :class:`SketchCache`
     append chain feeds each append (O(Δ) per append instead of re-hashing
-    history).  The chain holds no raw columns beyond the partial block: an
-    extension reads its delta from the matrix.
+    history).  The chain holds no raw columns beyond its own copy of the
+    partial block: an extension reads its delta from the matrix.
 
     The layout is an on-disk contract: a catalog index's manifest records
     the fingerprint of the data it was built from, and is served only for
@@ -90,11 +90,12 @@ class _FingerprintChain:
     def feed(self, columns: np.ndarray) -> None:
         """Hash the complete blocks ``columns`` finishes and advance ``length``.
 
-        Makes no copy: the reblocker keeps a view of a trailing partial
-        block, so ``columns`` must not change afterwards.
+        The reblocker keeps its own copy of a trailing partial block, but
+        holds columns that complete no block as given: ``columns`` must not
+        change afterwards.
         """
         for complete in self._reblocker.feed(columns):
-            self._hasher.update(complete.tobytes())
+            self._hasher.update(complete)
         self.length += columns.shape[1]
 
     def append(self, columns: np.ndarray) -> None:
@@ -114,7 +115,7 @@ class _FingerprintChain:
         digest = self._hasher.copy()
         pending = self._reblocker.peek()
         if pending is not None:
-            digest.update(pending.tobytes())
+            digest.update(pending)
         digest.update(str((self.num_series, self.length)).encode())
         digest.update(",".join(self._series_ids).encode())
         digest.update(repr(self._axis_key).encode())
@@ -133,19 +134,11 @@ def matrix_fingerprint(matrix: TimeSeriesMatrix) -> str:
 
 def _columns(matrix: TimeSeriesMatrix, start: int, end: int) -> np.ndarray:
     """Columns ``[start, end)`` of ``matrix``: a view of a dense matrix; of a
-    chunk-backed one, the slices of the source chunks that overlap the range
-    (the dense view is never built)."""
+    chunk-backed one, a read of its chunk store (never the dense view)."""
     source = getattr(matrix, "tile_source", None)
     if source is None:
         return matrix.window(start, end)
-    pieces, position = [], 0
-    for chunk in source.iter_chunks():
-        if position + chunk.shape[1] > start:
-            pieces.append(chunk[:, max(start - position, 0) : end - position])
-        position += chunk.shape[1]
-        if position >= end:
-            break
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+    return source.read(start, end)
 
 
 class _FingerprintMemo:
@@ -354,7 +347,8 @@ class SketchCache:
         *extended* by the delta basic windows, read from ``matrix`` itself
         (bit-identical to a rebuild — see :meth:`BasicWindowSketch.extend`),
         and republished under the full layout; the superseded prefix entry
-        is dropped.  The cache keeps statistics and running hashes only,
+        is dropped; with a ``memory_budget`` the delta is read in the tiled
+        build's tiles.  The cache keeps statistics and running hashes only,
         never raw columns.
         Counted under ``stats.sketch_extensions`` (not ``builds``).
         :meth:`extension_coverage` answers, with no side effects, which of
@@ -389,7 +383,9 @@ class SketchCache:
                 self.stats.hits += 1
                 return sketch
             self.stats.misses += 1
-            sketch = self._extend_prefix(matrix, fingerprint, key, layout, pairwise)
+            sketch = self._extend_prefix(
+                matrix, fingerprint, key, layout, pairwise, memory_budget
+            )
             if sketch is not None:
                 return sketch
             if memory_budget is None:
@@ -559,20 +555,28 @@ class SketchCache:
 
     def _extend_prefix(
         self, matrix: TimeSeriesMatrix, fingerprint: str, key,
-        layout: BasicWindowLayout, pairwise: bool,
+        layout: BasicWindowLayout, pairwise: bool, memory_budget: Optional[int],
     ) -> Optional[BasicWindowSketch]:  # requires-lock: _lock
         """Extend the chained prefix entry to ``layout`` by the delta columns
         read from ``matrix`` and publish it under ``key`` (the superseded
-        prefix entry is dropped), or ``None``."""
+        prefix entry is dropped), or ``None``.  With a ``memory_budget`` the
+        delta is read and absorbed in the tiled build's whole-basic-window
+        tiles, so a prefix far behind the data never reads its delta as one
+        array larger than the budget."""
         prefix = self._extension_base(fingerprint, layout, pairwise)
         if prefix is None:
             return None
-        prefix_sketch = self._entries[prefix]
-        sketch = prefix_sketch.extend(
-            _columns(matrix, prefix_sketch.layout.covered_end, layout.covered_end)
-        )
+        sketch = self._entries[prefix]
+        start, end = sketch.layout.covered_end, layout.covered_end
+        step = end - start
+        if memory_budget is not None:
+            from repro.core.tiled import plan_tiles
+
+            step = plan_tiles(layout, matrix.num_series, memory_budget).tile_columns
+        for lo in range(start, end, step):
+            sketch = sketch.extend(_columns(matrix, lo, min(lo + step, end)))
         self.stats.sketch_extensions += 1
-        self.stats.extended_windows += layout.count - prefix_sketch.layout.count
+        self.stats.extended_windows += layout.count - prefix[3]
         self._entries.pop(prefix)
         return self._publish(key, sketch)
 

@@ -7,6 +7,7 @@ from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.core.tiled import (
     ChunkBackedMatrix,
+    ColumnReblocker,
     build_sketch_tiled,
     plan_tiles,
     reblock_columns,
@@ -179,3 +180,13 @@ class TestReblockColumns:
     def test_invalid_width_raises(self):
         with pytest.raises(SketchError, match="positive"):
             list(reblock_columns(iter([]), 0))
+
+    def test_the_partial_block_is_owned_not_a_view_of_the_chunk(self):
+        """The columns waiting for the next chunk are a copy: a view would
+        pin the whole fed chunk in memory (and see later writes to it)."""
+        chunk = np.random.default_rng(2).standard_normal((3, 21))
+        expected = chunk[:, 16:].copy()
+        reblocker = ColumnReblocker(8)
+        assert len(list(reblocker.feed(chunk))) == 2
+        chunk[:] = 0.0
+        assert np.array_equal(reblocker.peek(), expected)

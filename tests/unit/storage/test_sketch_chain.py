@@ -6,14 +6,18 @@ a sketch by extending a cached prefix with only the appended basic windows
 (``SketchCache.get_or_extend``) — bit-identical to a scratch build.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
+from repro.core.tiled import ChunkBackedMatrix
 from repro.exceptions import StorageError
 from repro.experiments.jumping import correlation_prefix
 from repro.storage.cache import SketchCache, matrix_fingerprint
+from repro.storage.chunk_store import ChunkStore
 from repro.timeseries.matrix import TimeSeriesMatrix
 
 
@@ -247,6 +251,42 @@ class TestGetOrExtend:
         extended = cache.get_or_extend(biggest, layout)
         assert cache.builds == 2 and cache.stats.sketch_extensions == 1
         scratch = BasicWindowSketch.build(biggest.values, layout)
+        assert extended.series_sums.tobytes() == scratch.series_sums.tobytes()
+        assert extended.series_sumsqs.tobytes() == scratch.series_sumsqs.tobytes()
+        assert extended.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
+
+    def test_budgeted_extension_reads_its_delta_within_the_budget(self):
+        """A budgeted cache extends a prefix far behind the data in tiles:
+        no allocation near the size of the delta, and bit-identical."""
+        rng = np.random.default_rng(21)
+        store = ChunkStore(num_series=4, chunk_columns=4096)
+        store.append(rng.normal(size=(4, 1024)))
+        budget = 4 * 128 * 8 * 4  # four basic windows of raw columns
+        cache = SketchCache()
+        first, second = rng.normal(size=(4, 64)), rng.normal(size=(4, 40_000))
+        fingerprint = cache.extend_chain(ChunkBackedMatrix(store), first)
+        store.append(first)
+        bigger = ChunkBackedMatrix(store)
+        cache.adopt_fingerprint(bigger, fingerprint)
+        cache.get_or_build(
+            bigger, BasicWindowLayout.for_range(0, 512, 128), memory_budget=budget
+        )
+        fingerprint = cache.extend_chain(bigger, second)
+        store.append(second)
+        biggest = ChunkBackedMatrix(store)
+        cache.adopt_fingerprint(biggest, fingerprint)
+        layout = BasicWindowLayout.for_range(0, biggest.length, 128)
+        assert cache.extension_coverage(biggest, layout) == 4
+        tracemalloc.start()
+        try:
+            extended = cache.get_or_extend(biggest, layout, memory_budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache.builds == 1 and cache.stats.sketch_extensions == 1
+        assert not biggest.materialized
+        assert peak < second.nbytes // 4
+        scratch = BasicWindowSketch.build(store.read_all(), layout)
         assert extended.series_sums.tobytes() == scratch.series_sums.tobytes()
         assert extended.series_sumsqs.tobytes() == scratch.series_sumsqs.tobytes()
         assert extended.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
