@@ -47,7 +47,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -606,19 +606,24 @@ class BasicWindowSketch:
         )
 
     # ----------------------------------------------------------------- extend
-    def extend(self, columns: np.ndarray) -> "BasicWindowSketch":
+    def extend(
+        self, columns: Union[np.ndarray, Iterator[np.ndarray]]
+    ) -> "BasicWindowSketch":
         """Absorb appended columns as new basic windows (O(Δ), bit-identical).
 
         ``columns`` are the raw values immediately following this sketch's
-        coverage and must form whole basic windows (a positive multiple of
+        coverage, as one block or as an iterator of consecutive blocks (the
+        tiles of a budgeted read, each consumed before the next is drawn);
+        every block must form whole basic windows (a positive multiple of
         ``layout.size``); sub-window residuals wait in the matrix until a
         window completes (``SketchCache.get_or_extend`` reads the delta from
         the grown matrix).  This is the one place statistics grow: appends
         never change *existing* basic windows, so the
         delta windows' statistics come from the build's own kernel
-        (:func:`_window_statistics`) and are concatenated — the reduction-safe
-        cut along the window axis the tiled builder makes at every tile
-        boundary — making the result **bit-identical** to
+        (:func:`_window_statistics`), one block at a time, and are
+        concatenated with the old ones once, however many blocks there are —
+        the reduction-safe cut along the window axis the tiled builder makes
+        at every tile boundary — making the result **bit-identical** to
         ``BasicWindowSketch.build`` over the grown matrix (property-tested in
         ``tests/property/test_incremental_maintenance_property.py``).
 
@@ -626,39 +631,45 @@ class BasicWindowSketch:
         (cached sketches are treated as immutable after publication).
         """
         started = time.perf_counter()
-        columns = np.ascontiguousarray(columns, dtype=FLOAT_DTYPE)
-        if columns.ndim != 2:
-            raise SketchError(
-                f"extension columns must be 2-D, got shape {columns.shape}"
-            )
-        if columns.shape[0] != self.num_series:
-            raise SketchError(
-                f"extension columns cover {columns.shape[0]} series but the "
-                f"sketch has {self.num_series}"
-            )
+        blocks = columns if isinstance(columns, Iterator) else iter((columns,))
         size = self.layout.size
-        if columns.shape[1] == 0 or columns.shape[1] % size:
-            raise SketchError(
-                f"extension must supply whole basic windows: got "
-                f"{columns.shape[1]} columns for basic windows of size {size} "
-                f"(buffer sub-window residuals until a window completes)"
-            )
-        delta_count = columns.shape[1] // size
-        delta_sums, delta_sumsqs, delta_sumprods = _window_statistics(
-            columns.reshape(self.num_series, delta_count, size), size, self.has_pairwise
-        )
-        pair_sumprods = None
-        if self.has_pairwise:
-            pair_sumprods = np.concatenate([self.pair_sumprods, delta_sumprods], axis=1)
+        deltas = []
+        for block in blocks:
+            block = np.ascontiguousarray(block, dtype=FLOAT_DTYPE)
+            if block.ndim != 2:
+                raise SketchError(
+                    f"extension columns must be 2-D, got shape {block.shape}"
+                )
+            if block.shape[0] != self.num_series:
+                raise SketchError(
+                    f"extension columns cover {block.shape[0]} series but the "
+                    f"sketch has {self.num_series}"
+                )
+            if block.shape[1] == 0 or block.shape[1] % size:
+                raise SketchError(
+                    f"extension must supply whole basic windows: got "
+                    f"{block.shape[1]} columns for basic windows of size {size} "
+                    f"(buffer sub-window residuals until a window completes)"
+                )
+            count = block.shape[1] // size
+            deltas.append(_window_statistics(
+                block.reshape(self.num_series, count, size), size, self.has_pairwise
+            ))
+        if not deltas:
+            raise SketchError("extension must supply at least one block of columns")
+        sums, sumsqs, sumprods = zip(*deltas)
         grown = BasicWindowSketch(
             layout=BasicWindowLayout(
                 offset=self.layout.offset,
                 size=size,
-                count=self.layout.count + delta_count,
+                count=self.layout.count + sum(delta.shape[1] for delta in sums),
             ),
-            series_sums=np.concatenate([self.series_sums, delta_sums], axis=1),
-            series_sumsqs=np.concatenate([self.series_sumsqs, delta_sumsqs], axis=1),
-            pair_sumprods=pair_sumprods,
+            series_sums=np.concatenate([self.series_sums, *sums], axis=1),
+            series_sumsqs=np.concatenate([self.series_sumsqs, *sumsqs], axis=1),
+            pair_sumprods=(
+                np.concatenate([self.pair_sumprods, *sumprods], axis=1)
+                if self.has_pairwise else None
+            ),
         )
         grown.build_seconds = time.perf_counter() - started
         return grown

@@ -743,9 +743,13 @@ class CorrelationService:
 
         Returns ``(segment directory, fingerprint)``: the directory of a
         catalog index holding the plan's layout over the live data while it
-        exists (nothing is exported), else the snapshot exported with the
-        plan's sketch, materialized through the shared cache.  Plans without
-        a basic-window layout fall back inline, as does a pool-less service.
+        exists (nothing is exported), else the live export of the snapshot
+        (nothing is built), else the snapshot exported with the plan's
+        sketch, materialized through the shared cache.  A new export becomes
+        the cache's entry (:meth:`SketchCache.rehome`), so the parent keeps
+        no copy of the statistics beside the file pages the workers map.
+        Plans without a basic-window layout fall back inline, as does a
+        pool-less service.
         """
         if self._pool is None or runtime.segments is None or plan.layout is None:
             return None
@@ -753,13 +757,17 @@ class CorrelationService:
         index = runtime.index_for(plan.layout)
         if index is not None and index.path.is_dir():
             return str(index.path), fingerprint
-        sketch = session.planner.materialize_sketch(session.matrix, plan)
-        if sketch is None or not sketch.has_pairwise:
-            return None
-        path = runtime.segments.ensure(
-            runtime.store, sketch, fingerprint, runtime.store.series_ids
-        )
-        return str(path), fingerprint
+        segment = runtime.segments.find(fingerprint, plan.layout)
+        if segment is None:
+            sketch = session.planner.materialize_sketch(session.matrix, plan)
+            if sketch is None or not sketch.has_pairwise:
+                return None
+            runtime.segments.ensure(
+                runtime.store, sketch, fingerprint, runtime.store.series_ids
+            )
+            segment = runtime.segments.find(fingerprint, plan.layout)
+            runtime.sketch_cache.rehome(session.matrix, segment.sketch)
+        return str(segment.path), fingerprint
 
     def _run_scan(self, runtime: DatasetRuntime, choose_query, include_edges):
         """Plan and run one scan; returns ``(body, plan, result_or_None)``.

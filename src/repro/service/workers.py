@@ -5,14 +5,23 @@ tiny loop on a pipe: it receives query jobs naming a dataset, a wire query
 spec, the segment directory holding the snapshot to answer from and the
 snapshot's content fingerprint; attaches the segment read-only
 (``np.load(mmap_mode="r")`` — the kernel shares the file-backed pages
-across every worker, so the dominant sketch arrays exist once in memory,
-not once per worker); seeds a private
+across every worker and the parent, whose cache entry for an export is the
+same file's sketch, so the dominant sketch arrays exist once in memory,
+not once per process); seeds a private
 :class:`~repro.storage.cache.SketchCache` with the attached sketch; and
 executes the query through the ordinary
 :class:`~repro.api.planner.QueryPlanner` path, returning the finished
 response body (encoded here, once, by
 :func:`~repro.service.wire.encode_result`; the parent forwards the bytes)
 plus the observed wall seconds.
+
+The segment's raw values are mapped too, but a hit never reads them: the
+attach-time finiteness check of
+:class:`~repro.timeseries.matrix.TimeSeriesMatrix` reads the ``values.npy``
+file through a bounded buffer instead of the mapping (a non-finite value is
+still refused, a ``DataValidationError`` crossing the pipe), and a query
+answered from the seeded sketch reads no raw value, so no values page
+becomes resident in a worker.
 
 A worker answers only from a directory whose manifest fingerprint equals
 the job's; any other job is a 503 naming the directory.  An append moves the

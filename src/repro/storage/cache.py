@@ -428,9 +428,9 @@ class SketchCache:
         existing = self._entries.get(key)
         if existing is not None:
             # The same content was cached through another matrix object; the
-            # duplicate build is discarded (the cached sketch may hold
-            # materialized prefixes).  Counted as a hit: the caller's answer
-            # came from the shared entry.
+            # duplicate build is discarded (both hold the same statistics).
+            # Counted as a hit: the caller's answer came from the shared
+            # entry.
             self._entries.move_to_end(key)
             self.stats.hits += 1
             return existing
@@ -560,9 +560,11 @@ class SketchCache:
         """Extend the chained prefix entry to ``layout`` by the delta columns
         read from ``matrix`` and publish it under ``key`` (the superseded
         prefix entry is dropped), or ``None``.  With a ``memory_budget`` the
-        delta is read and absorbed in the tiled build's whole-basic-window
-        tiles, so a prefix far behind the data never reads its delta as one
-        array larger than the budget."""
+        delta is read in the tiled build's whole-basic-window tiles, so a
+        prefix far behind the data never reads its delta as one array larger
+        than the budget; every tile's statistics are then concatenated in
+        one :meth:`BasicWindowSketch.extend`, so the sketch is copied once
+        however many tiles there are."""
         prefix = self._extension_base(fingerprint, layout, pairwise)
         if prefix is None:
             return None
@@ -573,8 +575,9 @@ class SketchCache:
             from repro.core.tiled import plan_tiles
 
             step = plan_tiles(layout, matrix.num_series, memory_budget).tile_columns
-        for lo in range(start, end, step):
-            sketch = sketch.extend(_columns(matrix, lo, min(lo + step, end)))
+        sketch = sketch.extend(
+            _columns(matrix, lo, min(lo + step, end)) for lo in range(start, end, step)
+        )
         self.stats.sketch_extensions += 1
         self.stats.extended_windows += layout.count - prefix[3]
         self._entries.pop(prefix)
@@ -603,8 +606,9 @@ class SketchCache:
         under its own layout exactly as :meth:`get_or_build` would key a fresh
         build, so the next query planning that layout hits it.  Counted under
         ``seeds`` (neither a hit nor a build); an already-cached layout is left
-        alone (the live sketch may hold materialized prefixes).  Returns
-        ``True`` when the sketch was inserted.
+        alone (it holds the same statistics: :meth:`rehome` is the operation
+        that swaps one copy for another).  Returns ``True`` when the sketch
+        was inserted.
         """
         if sketch.num_series != matrix.num_series:
             raise StorageError(
@@ -623,6 +627,20 @@ class SketchCache:
             self.seeds += 1
             self._publish(key, sketch)
             return True
+
+    def rehome(self, matrix: TimeSeriesMatrix, sketch: BasicWindowSketch) -> None:
+        """Point the cached entry for (data, ``sketch.layout``) at ``sketch``.
+
+        ``sketch`` holds the entry's statistics bit for bit in another home —
+        the service hands in its export's memmapped sketch, so the parent and
+        the workers keep one resident copy (the file's pages) instead of the
+        parent also keeping its built one.  The entry keeps its LRU position
+        and no counter moves; without such an entry nothing is inserted.
+        """
+        with self._lock:
+            key = self._key(matrix, sketch.layout, sketch.has_pairwise)
+            if key in self._entries:
+                self._entries[key] = sketch
 
     def clear(self) -> None:
         """Drop every cached sketch and append chain (statistics are preserved)."""

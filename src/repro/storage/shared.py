@@ -7,7 +7,10 @@ arrays: the raw column values and every :class:`~repro.core.sketch
 file and re-opened by workers with ``np.load(..., mmap_mode="r")``.  File-backed
 read-only pages are shared by the kernel across every attaching process, so
 N workers cost one copy of the sketch, not N — the property the service's
-per-worker RSS assertion measures.
+per-worker RSS assertion measures.  :class:`SegmentManager` attaches each
+export it writes, and the service makes that attachment's sketch its cache
+entry, so the parent shares the same pages instead of keeping the sketch it
+built.
 
 A segment is named by its directory and checked by its content: the manifest
 records the matrix content fingerprint (the key
@@ -44,7 +47,7 @@ import json
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -268,7 +271,10 @@ class SegmentManager:
     fingerprints, in export order, stay, whatever their ``count``, so a job
     dispatched just before an append's re-export still attaches and
     different ``end`` values over one snapshot never evict one another.
-    The manager removes only directories it created.
+    The manager removes only directories it created.  Each live export is
+    held attached (:meth:`find`); pruning drops the attachment with the
+    directory, but on POSIX a mapping still referenced elsewhere (a cache
+    entry) stays readable until that reference goes.
 
     Not thread-safe: the owning :class:`~repro.service.service
     .DatasetRuntime` calls every method under its runtime lock.
@@ -281,8 +287,20 @@ class SegmentManager:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.exports = 0
-        # (fingerprint, offset, size, count) → export directory, oldest first.
-        self._live: Dict[Tuple[str, int, int, int], Path] = {}
+        # (fingerprint, offset, size, count) → the attached export, oldest first.
+        self._live: Dict[Tuple[str, int, int, int], SharedSegment] = {}
+
+    def find(
+        self, fingerprint: str, layout: BasicWindowLayout
+    ) -> Optional[SharedSegment]:
+        """The live export of ``(fingerprint, layout)``, or ``None``.
+
+        Looked up before anything is built: a live export answers a job
+        without its sketch being rebuilt in the parent.
+        """
+        return self._live.get(
+            (fingerprint, layout.offset, layout.size, layout.count)
+        )
 
     def ensure(
         self,
@@ -292,22 +310,27 @@ class SegmentManager:
         series_ids,
     ) -> Path:
         """Return the directory of the segment for this snapshot, exporting
-        one when fingerprint or layout is new."""
+        one when fingerprint or layout is new.
+
+        A new export is attached at once (memmapped, nothing read), so
+        :meth:`find` hands out its sketch: the same statistics as ``sketch``,
+        held by the file pages the workers map too.
+        """
         layout = sketch.layout
-        key = (fingerprint, layout.offset, layout.size, layout.count)
-        live = self._live.get(key)
+        live = self.find(fingerprint, layout)
         if live is not None:
-            return live
+            return live.path
         path = Path(tempfile.mkdtemp(prefix="segment-", dir=self.root))
         try:
             export_segment(
                 path, store, sketch, fingerprint=fingerprint, series_ids=series_ids
             )
+            segment = attach_segment(path)
         except BaseException:
             shutil.rmtree(path, ignore_errors=True)
             raise
         self.exports += 1
-        self._live[key] = path
+        self._live[(fingerprint, layout.offset, layout.size, layout.count)] = segment
         self._prune(layout)
         return path
 
@@ -316,14 +339,14 @@ class SegmentManager:
         (the anchored view's ``count`` grows per append, so ``count`` is not
         part of the family)."""
         family = [
-            (key, path) for key, path in self._live.items()
+            (key, segment) for key, segment in self._live.items()
             if key[1:3] == (layout.offset, layout.size)
         ]
         kept = list(dict.fromkeys(key[0] for key, _ in reversed(family)))[: self.KEEP_FINGERPRINTS]
-        for key, path in family:
+        for key, segment in family:
             if key[0] not in kept:
                 del self._live[key]
-                shutil.rmtree(path, ignore_errors=True)
+                shutil.rmtree(segment.path, ignore_errors=True)
 
     def describe(self) -> Dict[str, object]:
         return {"exports": self.exports, "live": len(self._live)}
@@ -331,8 +354,8 @@ class SegmentManager:
     def close(self) -> None:
         """Remove every export this manager still keeps, then ``root`` if
         nothing else is left in it."""
-        for path in self._live.values():
-            shutil.rmtree(path, ignore_errors=True)
+        for segment in self._live.values():
+            shutil.rmtree(segment.path, ignore_errors=True)
         self._live.clear()
         with contextlib.suppress(OSError):
             self.root.rmdir()

@@ -750,6 +750,82 @@ class TestIndexSeeding:
         assert result_from_wire(document).to_edges() == local.to_edges()
 
 
+def _mapped_path(array: np.ndarray) -> str:
+    """The file ``/proc/self/maps`` shows mapped at ``array``'s first byte."""
+    address = array.__array_interface__["data"][0]
+    try:
+        with open("/proc/self/maps") as handle:
+            lines = handle.read().splitlines()
+    except OSError:
+        pytest.skip("/proc/self/maps unavailable on this platform")
+    for line in lines:
+        fields = line.split(maxsplit=5)
+        low, high = (int(bound, 16) for bound in fields[0].split("-"))
+        if low <= address < high:
+            return fields[5] if len(fields) > 5 else ""
+    return ""
+
+
+class TestOneResidentCopy:
+    """A pooled service keeps one copy of a served snapshot: the segment's
+    file pages, mapped by the parent's cache and by every worker."""
+
+    def test_the_parent_entry_is_the_export(self, catalog):
+        with _pooled(catalog) as service:
+            service.query("demo", dict(THRESHOLD_REQUEST))
+            runtime = service._runtime("demo")
+            with runtime.lock:
+                matrix = runtime.session().matrix
+                layout = runtime.session().plan(
+                    ThresholdQuery(start=0, end=LENGTH, window=64, step=32,
+                                   threshold=0.5)
+                ).layout
+                entry = runtime.sketch_cache.get_or_extend(matrix, layout)
+                segment = runtime.segments.find(
+                    runtime.sketch_cache.fingerprint_of(matrix), layout
+                )
+            assert entry is segment.sketch
+            path = (segment.path / "pair_sumprods.npy").resolve()
+            assert _mapped_path(entry.pair_sumprods) == str(path)
+
+    def test_a_live_export_is_not_rebuilt(self, catalog):
+        """A shape whose parent entry was evicted answers from its live
+        export: nothing is built and nothing exported again."""
+        shapes = [
+            {**THRESHOLD_REQUEST, "start": start, "end": start + 128}
+            for start in range(0, 16 * 9, 16)
+        ]
+        (expected,) = _pool_less_answers(catalog, [shapes[0]])
+        with _pooled(catalog) as service:
+            first = json.loads(service.query("demo", dict(shapes[0])))
+            for shape in shapes[1:]:
+                service.query("demo", dict(shape))
+            before = service.dataset_info("demo")["stats"]
+            again = json.loads(service.query("demo", dict(shapes[0])))
+            after = service.dataset_info("demo")["stats"]
+        assert len(shapes) > 8 == before["sketch_cache"]["entries"]
+        assert before["sketch_cache"]["builds"] == before["segments"]["exports"] == 9
+        assert after["sketch_cache"]["builds"] == before["sketch_cache"]["builds"]
+        assert after["segments"]["exports"] == before["segments"]["exports"]
+        assert _answer(again) == _answer(expected)
+        assert _served(again) == _served(first)
+
+    def test_non_finite_segment_values_are_an_error_across_the_pool(self, catalog):
+        """The workers' finiteness check reads the file, not the mapping,
+        and still refuses a NaN: the client gets an error, never an answer."""
+        catalog.add_index("demo", basic_window_size=BASIC)
+        directory = catalog.root / catalog.describe("demo").index_files["b16"]
+        values = np.load(directory / "values.npy", mmap_mode="r+")
+        values[NUM_SERIES - 1, LENGTH - 1] = np.nan
+        values.flush()
+        del values
+        with _pooled(catalog) as service:
+            with pytest.raises(ServiceError, match="DataValidationError: .*non-finite"):
+                service.query("demo", dict(THRESHOLD_REQUEST))
+            stats = service.dataset_info("demo")["stats"]
+        assert stats["queries"] == 0
+
+
 class TestAppendAndWatch:
     WATCH_REQUEST = {
         "mode": "threshold", "start": 0, "end": LENGTH, "window": 64, "step": 32,

@@ -29,7 +29,7 @@ import pytest
 from repro.api import CorrelationSession, ThresholdQuery
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
-from repro.exceptions import ServiceError
+from repro.exceptions import DataValidationError, ServiceError
 from repro.service import ServiceClient
 from repro.service.service import CorrelationService
 from repro.service.wire import query_to_wire, result_from_wire
@@ -132,6 +132,24 @@ def _process_running(pid: int) -> bool:
     return stat.rpartition(")")[2].split()[0] != "Z"
 
 
+def _mapped_rss_kb(path: Path):
+    """``Rss`` in kB of each of this process's mappings of ``path``, from
+    ``/proc/self/smaps``; skips where ``/proc`` is unavailable."""
+    try:
+        text = Path("/proc/self/smaps").read_text()
+    except OSError:
+        pytest.skip("/proc/self/smaps unavailable on this platform")
+    target = str(Path(path).resolve())
+    sizes, current = [], None
+    for line in text.splitlines():
+        head = line.split(maxsplit=5)
+        if "-" in head[0] and len(head) >= 5:  # a mapping's header line
+            current = head[5] if len(head) > 5 else None
+        elif head[0] == "Rss:" and current == target:
+            sizes.append(int(head[1]))
+    return sizes
+
+
 def _job(spec, path, fingerprint):
     return {
         "op": "query", "dataset": "demo", "spec": spec,
@@ -203,6 +221,18 @@ class TestAttachmentMemory:
         assert np.shares_memory(attachment.matrix.values, attachment.segment.values)
         assert not attachment.matrix.values.flags.writeable
 
+    def test_a_hot_attachment_maps_no_values_page(self, segment):
+        """The attach-time finiteness check reads the file, and a hit reads
+        only the sketch: the raw values stay mapped but never resident."""
+        _, path, fingerprint = segment
+        attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
+        for threshold in (0.4, 0.6, 0.4):
+            _execute_query(attachments, _job(
+                query_to_wire(QUERY) | {"threshold": threshold}, path, fingerprint
+            ))
+        resident = _mapped_rss_kb(path / "values.npy")
+        assert resident and not any(resident), resident
+
     def test_a_view_of_a_writable_array_is_still_copied(self):
         values = _values()
         view = values.view()
@@ -249,6 +279,21 @@ class TestContentCheck:
         # The superseded directory stays warm until LRU pressure drops it:
         # alternating layouts must not re-attach on every switch.
         assert attachments.attachment_for(str(path), fingerprint) is first
+
+    def test_non_finite_values_are_refused_on_attach(self, segment):
+        """The finiteness guarantee survives reading the file instead of the
+        mapping: a NaN written into the segment's values is refused by name,
+        cold and on every later job."""
+        _, path, fingerprint = segment
+        values = np.load(path / "values.npy", mmap_mode="r+")
+        values[NUM_SERIES - 1, LENGTH - 1] = np.nan
+        values.flush()
+        del values
+        attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
+        for _ in range(2):
+            with pytest.raises(DataValidationError, match="non-finite"):
+                _execute_query(attachments, _job(query_to_wire(QUERY), path, fingerprint))
+        assert not attachments._attachments
 
     def test_a_removed_directory_is_forgotten_on_the_next_attach(self, store, segment):
         """Once the parent prunes an export, no job can name it again; the

@@ -291,6 +291,51 @@ class TestGetOrExtend:
         assert extended.series_sumsqs.tobytes() == scratch.series_sumsqs.tobytes()
         assert extended.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
 
+    def test_budgeted_catch_up_grows_the_sketch_once(self, monkeypatch):
+        """The catch-up reads its delta in many tiles but concatenates every
+        tile's statistics onto the sketch in one copy: one grown sketch,
+        not one per tile."""
+        from repro.storage import cache as cache_module
+
+        rng = np.random.default_rng(21)
+        store = ChunkStore(num_series=4, chunk_columns=4096)
+        store.append(rng.normal(size=(4, 512)))
+        budget = 4 * 128 * 8 * 4  # four basic windows of raw columns
+        cache = SketchCache()
+        cache.get_or_build(
+            ChunkBackedMatrix(store), BasicWindowLayout.for_range(0, 512, 128),
+            memory_budget=budget,
+        )
+        delta = rng.normal(size=(4, 40_000))
+        fingerprint = cache.extend_chain(ChunkBackedMatrix(store), delta)
+        store.append(delta)
+        bigger = ChunkBackedMatrix(store)
+        cache.adopt_fingerprint(bigger, fingerprint)
+        layout = BasicWindowLayout.for_range(0, bigger.length, 128)
+        tiles, sketches = [], []
+        read = cache_module._columns
+        construct = BasicWindowSketch.__init__
+
+        def counted_read(*args):
+            tiles.append(args[1:])
+            return read(*args)
+
+        def counted_construct(sketch, *args, **kwargs):
+            sketches.append(sketch)
+            construct(sketch, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "_columns", counted_read)
+        monkeypatch.setattr(BasicWindowSketch, "__init__", counted_construct)
+        extended = cache.get_or_extend(bigger, layout, memory_budget=budget)
+        monkeypatch.undo()
+        assert cache.stats.extended_windows == layout.count - 4 == 312
+        assert len(tiles) == 78  # four basic windows a tile
+        assert sketches == [extended]
+        scratch = BasicWindowSketch.build(store.read_all(), layout)
+        assert extended.series_sums.tobytes() == scratch.series_sums.tobytes()
+        assert extended.series_sumsqs.tobytes() == scratch.series_sumsqs.tobytes()
+        assert extended.pair_sumprods.tobytes() == scratch.pair_sumprods.tobytes()
+
     def test_clear_drops_chains(self, matrix, delta):
         cache = SketchCache()
         cache.get_or_build(matrix, BasicWindowLayout.for_range(0, 256, 32))
