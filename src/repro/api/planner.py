@@ -95,6 +95,22 @@ SKETCH_BUILD_INCREMENTAL = "incremental"
 _PIVOT_OPTIONS = ("use_horizontal_pruning", "num_pivots", "pivot_strategy", "seed")
 
 
+def windows_sketch_aligned(
+    layout: Optional[BasicWindowLayout], query: SlidingQuery
+) -> bool:
+    """``True`` when every window recombines from whole basic windows.
+
+    An unaligned window's edge correction (TSUBASA's arbitrary-window path)
+    reads raw columns, one ``N x N`` product per edge whatever the pair
+    subset, so the planner keeps it serial and dense and the service keeps
+    it off the worker pool (a segment holds statistics only).
+    """
+    if layout is None:
+        return True
+    begin, end = query.window_bounds(0)
+    return layout.is_aligned(begin, end) and query.step % layout.size == 0
+
+
 @dataclass(frozen=True)
 class ExecutionPlan:
     """How one query will be executed: the path, the engine, the layout.
@@ -508,7 +524,7 @@ class QueryPlanner:
                 serial,
                 f"pair count below parallel_min_pairs={self.parallel_min_pairs}",
             )
-        if not self._windows_sketch_aligned(layout, query):
+        if not windows_sketch_aligned(layout, query):
             return serial, "windows not basic-window aligned"
         return serial + [(EXECUTION_SHARDED, self.workers)], None
 
@@ -585,7 +601,7 @@ class QueryPlanner:
         """Dense or tiled for a layout no chained prefix covers (rules 2-3)."""
         if self.memory_budget is None:
             return SKETCH_BUILD_DENSE, None
-        if not self._windows_sketch_aligned(layout, query):
+        if not windows_sketch_aligned(layout, query):
             return SKETCH_BUILD_DENSE, "unaligned windows read raw values"
         dense_bytes = matrix.num_series * matrix.length * np.dtype(FLOAT_DTYPE).itemsize
         if dense_bytes <= self.memory_budget:
@@ -621,22 +637,6 @@ class QueryPlanner:
         if dense_bytes <= self.memory_budget:
             return SKETCH_BUILD_DENSE, "raw data fits the budget"
         return SKETCH_BUILD_TILED, None
-
-    @staticmethod
-    def _windows_sketch_aligned(
-        layout: Optional[BasicWindowLayout], query: SlidingQuery
-    ) -> bool:
-        """Sharding gate: every window must recombine from whole basic windows.
-
-        An unaligned window's edge correction (TSUBASA's arbitrary-window
-        path) is one ``N x N`` product per edge whatever the pair subset, so
-        sharding would *multiply* that window's work by the shard count
-        instead of dividing it.  Such queries stay serial.
-        """
-        if layout is None:
-            return True
-        begin, end = query.window_bounds(0)
-        return layout.is_aligned(begin, end) and query.step % layout.size == 0
 
     # --------------------------------------------------------------- execution
     def execute(self, matrix: TimeSeriesMatrix, plan: ExecutionPlan):

@@ -53,6 +53,7 @@ from typing import Deque, Dict, List, Optional
 import numpy as np
 
 from repro import __version__
+from repro.api.planner import windows_sketch_aligned
 from repro.api.queries import ThresholdQuery
 from repro.api.session import CorrelationSession
 from repro.config import DEFAULT_BASIC_WINDOW_SIZE
@@ -741,22 +742,32 @@ class CorrelationService:
     def _segment_job(self, runtime: DatasetRuntime, session, plan):  # requires-lock: lock
         """Prepare pooled execution for a plan, or ``None`` to run inline.
 
-        Returns ``(segment directory, fingerprint)``: the directory of a
-        catalog index holding the plan's layout over the live data while it
-        exists (nothing is exported), else the live export of the snapshot
-        (nothing is built), else the snapshot exported with the plan's
-        sketch, materialized through the shared cache.  A new export becomes
-        the cache's entry (:meth:`SketchCache.rehome`), so the parent keeps
-        no copy of the statistics beside the file pages the workers map.
-        Plans without a basic-window layout fall back inline, as does a
-        pool-less service.
+        Returns ``(segment directory, fingerprint, sketch cache hit)``: the
+        directory of a catalog index holding the plan's layout over the live
+        data while it exists (nothing is exported), else the live export of
+        the snapshot (nothing is built), else the snapshot exported with the
+        plan's sketch, materialized through the shared cache.  A new export
+        becomes the cache's entry (:meth:`SketchCache.rehome`), so the parent
+        keeps no copy of the statistics beside the file pages the workers
+        map.  The hit is the one a pool-less run reports.  Segments hold
+        statistics only, so plans that read raw columns (no layout, or
+        windows not made of whole basic windows) run inline, as does every
+        plan of a pool-less service.
         """
-        if self._pool is None or runtime.segments is None or plan.layout is None:
+        if (
+            self._pool is None
+            or runtime.segments is None
+            or plan.layout is None
+            or not windows_sketch_aligned(plan.layout, plan.query)
+        ):
             return None
         fingerprint = runtime.sketch_cache.fingerprint_of(session.matrix)
+        # With the fingerprint memoized, the plan's fetch hits exactly when
+        # this entry is cached: the outcome ``QueryPlanner._run_plan`` records.
+        cache_hit = runtime.sketch_cache.contains(session.matrix, plan.layout)
         index = runtime.index_for(plan.layout)
         if index is not None and index.path.is_dir():
-            return str(index.path), fingerprint
+            return str(index.path), fingerprint, cache_hit
         segment = runtime.segments.find(fingerprint, plan.layout)
         if segment is None:
             sketch = session.planner.materialize_sketch(session.matrix, plan)
@@ -767,7 +778,7 @@ class CorrelationService:
             )
             segment = runtime.segments.find(fingerprint, plan.layout)
             runtime.sketch_cache.rehome(session.matrix, segment.sketch)
-        return str(segment.path), fingerprint
+        return str(segment.path), fingerprint, cache_hit
 
     def _run_scan(self, runtime: DatasetRuntime, choose_query, include_edges):
         """Plan and run one scan; returns ``(body, plan, result_or_None)``.
@@ -800,13 +811,14 @@ class CorrelationService:
                 head = {"dataset": runtime.name, "plan": plan.describe()}
                 body = encode_result(head, result, include_edges, runtime.counters)
                 return body, head["plan"], result
-        segment_dir, fingerprint = job
+        segment_dir, fingerprint, cache_hit = job
         reply = self._pool.run_query(
             runtime.name,
             query_to_wire(query),
             segment_dir,
             fingerprint,
             include_edges=include_edges,
+            sketch_cache_hit=cache_hit,
         )
         with runtime.lock:
             runtime.counters["executed"] += 1

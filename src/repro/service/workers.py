@@ -2,12 +2,13 @@
 
 One :class:`WorkerPool` holds N forked session workers.  Each worker is a
 tiny loop on a pipe: it receives query jobs naming a dataset, a wire query
-spec, the segment directory holding the snapshot to answer from and the
-snapshot's content fingerprint; attaches the segment read-only
-(``np.load(mmap_mode="r")`` — the kernel shares the file-backed pages
-across every worker and the parent, whose cache entry for an export is the
-same file's sketch, so the dominant sketch arrays exist once in memory,
-not once per process); seeds a private
+spec, the segment directory holding the snapshot to answer from, the
+snapshot's content fingerprint and the parent's sketch-cache outcome (which
+the answer reports, as a pool-less one would); attaches the segment
+read-only (``np.load(mmap_mode="r")`` — the kernel shares the file-backed
+pages across every worker and the parent, whose cache entry for an export
+is the same file's sketch, so the sketch arrays exist once in memory, not
+once per process); seeds a private
 :class:`~repro.storage.cache.SketchCache` with the attached sketch; and
 executes the query through the ordinary
 :class:`~repro.api.planner.QueryPlanner` path, returning the finished
@@ -15,19 +16,17 @@ response body (encoded here, once, by
 :func:`~repro.service.wire.encode_result`; the parent forwards the bytes)
 plus the observed wall seconds.
 
-The segment's raw values are mapped too, but a hit never reads them: the
-attach-time finiteness check of
-:class:`~repro.timeseries.matrix.TimeSeriesMatrix` reads the ``values.npy``
-file through a bounded buffer instead of the mapping (a non-finite value is
-still refused, a ``DataValidationError`` crossing the pipe), and a query
-answered from the seeded sketch reads no raw value, so no values page
-becomes resident in a worker.
+A worker holds no raw values: its matrix is a
+:class:`~repro.core.tiled.ChunkBackedMatrix` over the segment, which holds
+statistics only, so the parent sends only plans whose windows recombine
+from whole basic windows.
 
 A worker answers only from a directory whose manifest fingerprint equals
-the job's; any other job is a 503 naming the directory.  An append moves the
-fingerprint, so the parent names a new directory and workers attach it.  The
-pool replaces a worker that dies mid-request — the caller's job is retried
-once on a fresh worker before surfacing a 503.
+the job's; any other job is a 503 naming the directory, and a directory it
+cannot attach is a 500 naming it.  An append moves the fingerprint, so the
+parent names a new directory and workers attach it.  The pool replaces a
+worker that dies mid-request — the caller's job is retried once on a fresh
+worker before surfacing a 503.
 
 Dispatch is warm-first: a job goes to the worker that last answered its
 segment directory — the key of that worker's :class:`AttachmentCache`, so
@@ -57,7 +56,8 @@ from typing import Dict, List, Optional
 
 from repro.api.planner import QueryPlanner
 from repro.api.session import CorrelationSession
-from repro.exceptions import ReproError, ServiceError
+from repro.core.tiled import ChunkBackedMatrix
+from repro.exceptions import ReproError, ServiceError, StorageError
 # ``result_to_wire`` stays bound here for ``perf/trace.py``'s encode target.
 from repro.service.wire import encode_result, query_from_wire, result_to_wire  # noqa: F401
 from repro.storage.cache import SketchCache
@@ -119,7 +119,7 @@ class _Attachment:
 
     def __init__(self, segment: SharedSegment, config: WorkerConfig) -> None:
         self.segment = segment
-        self.matrix = TimeSeriesMatrix(segment.values, series_ids=segment.series_ids)
+        self.matrix = ChunkBackedMatrix(segment)
         self.cache = SketchCache()
         # Adopt the manifest's fingerprint before seeding: the cache then
         # keys the attached sketch without re-hashing O(N·L) history the
@@ -163,7 +163,15 @@ class AttachmentCache:
                 if not warm.segment.path.is_dir()
             ]:
                 del self._attachments[removed]
-            segment = attach_segment(segment_dir)
+            try:
+                segment = attach_segment(segment_dir)
+            except StorageError as error:
+                # The parent names only directories it attached itself: one
+                # that no longer attaches is a fault on the server's side.
+                raise ServiceError(
+                    f"cannot attach the segment at {segment_dir}: {error}",
+                    status=500,
+                ) from error
             if segment.fingerprint != fingerprint:
                 raise ServiceError(
                     f"segment at {segment_dir} holds data fingerprinted "
@@ -191,6 +199,10 @@ def _execute_query(
     started = time.perf_counter()
     result = session.planner.execute(attachment.matrix, plan)
     wall = time.perf_counter() - started
+    # Every fetch here hits the seeded sketch: report the parent's outcome.
+    extra = getattr(getattr(result, "stats", None), "extra", {})
+    if "sketch_cache_hit" in extra and message.get("sketch_cache_hit") is not None:
+        extra["sketch_cache_hit"] = float(message["sketch_cache_hit"])
     head = {"dataset": message["dataset"], "plan": plan.describe()}
     counts: Dict[str, int] = {}
     body = encode_result(head, result, bool(message.get("include_edges")), counts)
@@ -390,13 +402,16 @@ class WorkerPool:
         segment_dir: str,
         fingerprint: str,
         include_edges: bool = False,
+        sketch_cache_hit: Optional[bool] = None,
     ) -> Dict[str, object]:
         """Execute one query on a free worker; returns the worker's reply.
 
-        ``segment_dir`` names the segment to answer from and ``fingerprint``
-        the snapshot it must hold.  The reply carries ``body`` (the finished
-        ``repro.result/v1`` response bytes, headed by ``dataset`` and
-        ``plan``), the ``plan`` string and the worker's ``wall_seconds``.
+        ``segment_dir`` names the segment to answer from, ``fingerprint``
+        the snapshot it must hold and ``sketch_cache_hit`` (if not ``None``)
+        the cache outcome the answer reports.  The reply carries ``body``
+        (the finished ``repro.result/v1`` response bytes, headed by
+        ``dataset`` and ``plan``), the ``plan`` string and the worker's
+        ``wall_seconds``.
         """
         key = str(segment_dir)
         job = {
@@ -406,6 +421,7 @@ class WorkerPool:
             "segment_dir": key,
             "fingerprint": fingerprint,
             "include_edges": include_edges,
+            "sketch_cache_hit": sketch_cache_hit,
         }
         with self._lock:
             if self._closed:

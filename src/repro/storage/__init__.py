@@ -3,10 +3,10 @@
 The paper's pipeline separates a one-off precomputation phase ("pre-compute
 and store basic window statistics") from the pure query phase its evaluation
 times.  This subpackage is the stored side: :class:`ChunkStore` holds the raw
-columns, a segment (:func:`export_segment` / :func:`attach_segment`) holds
-the reusable basic-window statistics memmapped, bound to its data by content
-fingerprint, and :class:`Catalog` ties the artefacts of many datasets
-together on disk.
+columns, once; a segment (:func:`export_segment` /
+:func:`attach_segment`) holds only the reusable basic-window statistics,
+memmapped and bound to its data by content fingerprint; and
+:class:`Catalog` ties the artefacts of many datasets together on disk.
 """
 
 from repro.storage.cache import (

@@ -1,16 +1,17 @@
 """Shared mmap-backed sketch segments: the one on-disk sketch format.
 
-A *segment* is one dataset snapshot exported to disk so that forked worker
-processes can answer queries over it without duplicating the dominant
-arrays: the raw column values and every :class:`~repro.core.sketch
-.BasicWindowSketch` statistic tensor are each written as a plain ``.npy``
-file and re-opened by workers with ``np.load(..., mmap_mode="r")``.  File-backed
-read-only pages are shared by the kernel across every attaching process, so
-N workers cost one copy of the sketch, not N — the property the service's
-per-worker RSS assertion measures.  :class:`SegmentManager` attaches each
-export it writes, and the service makes that attachment's sketch its cache
-entry, so the parent shares the same pages instead of keeping the sketch it
-built.
+A *segment* is one dataset snapshot's basic-window statistics on disk, so
+that forked worker processes can answer queries over it without
+duplicating them: every :class:`~repro.core.sketch.BasicWindowSketch`
+statistic tensor is a plain ``.npy`` file, re-opened with
+``np.load(..., mmap_mode="r")``.  File-backed read-only pages are shared by
+the kernel across every attaching process, so N workers cost one copy of
+the sketch, not N.  :class:`SegmentManager` attaches each export it writes,
+and the service makes that attachment's sketch its cache entry, so the
+parent shares the same pages too.  A segment holds statistics only: the raw
+columns live once, in the dataset's chunk store, and an attached segment
+is a chunk source with the manifest's shape and ids but no columns (any
+raw read raises :class:`~repro.exceptions.StorageError` naming it).
 
 A segment is named by its directory and checked by its content: the manifest
 records the matrix content fingerprint (the key
@@ -20,23 +21,24 @@ fresh export into a fresh directory; a worker attaches the directory a job
 names and answers only if the manifest's fingerprint equals the job's.  The
 catalog persists its statistics indexes in the same format
 (:meth:`~repro.storage.catalog.Catalog.add_index`), so a served index
-directory is itself a segment workers attach.  Manifests written by earlier
-releases carry a counter field beside the fingerprint; attach ignores it.
+directory is itself a segment workers attach.  Directories written by
+earlier releases may carry a counter field in the manifest and a raw
+``values.npy`` copy; attach ignores both.
 
 Layout of one exported segment directory::
 
     segment-XXXXXXXX/
-        manifest.json        fingerprint, layout, arrays, shapes
-        values.npy           (N, L)        raw columns (streamed from chunks)
+        manifest.json        fingerprint, shape, series_ids, layout, arrays
         series_sums.npy      (N, count)
         series_sumsqs.npy    (N, count)
         pair_sumprods.npy    (P, count)      packed, P = N (N - 1) / 2
 
 ``manifest.json`` is written last, so a crashed or torn export is never
-attachable.  Its ``arrays`` list names the statistic tensors the segment
-holds and must be exactly the three above (older exports could add the
-jumping prefix).  A manifest listing anything else, or a missing or torn
-array, like every other attach failure, raises
+attachable.  Its ``arrays`` list must be exactly the three tensors above
+(older exports could add the jumping prefix), and its ``num_series``,
+``length`` and ``series_ids`` must agree with them.  A manifest listing
+anything else or disagreeing with its arrays, or a missing or torn array,
+like every other attach failure, raises
 :class:`~repro.exceptions.StorageError` naming the offending path.
 """
 
@@ -51,7 +53,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.config import FLOAT_DTYPE
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
 from repro.exceptions import SketchError, StorageError
@@ -63,9 +64,7 @@ from repro.exceptions import SketchError, StorageError
 #: and v1 (dense ``(count, N, N)``) segments are refused.
 SEGMENT_SCHEMA = "repro.segment/v4"
 
-#: The sketch statistic tensors every segment carries, in export order.  The
-#: raw ``values`` array is handled separately (it streams from the chunk
-#: store).
+#: The sketch statistic tensors every segment carries, in export order.
 _SKETCH_ARRAYS = (
     "series_sums",
     "series_sumsqs",
@@ -74,24 +73,19 @@ _SKETCH_ARRAYS = (
 
 
 class SharedSegment:
-    """One attached segment: the manifest plus read-only memmapped arrays.
+    """One attached segment: the manifest plus read-only memmapped statistics.
 
-    ``values`` is the ``(N, L)`` column matrix and ``sketch`` a
-    :class:`BasicWindowSketch` whose statistic tensors are views over the
-    segment files — nothing here holds a private copy of the dominant
-    arrays.
+    ``sketch``'s statistic tensors are views over the segment files.  The
+    segment is also the chunk source of a worker's
+    :class:`~repro.core.tiled.ChunkBackedMatrix`: the manifest's shape and
+    ids, and no column to read.
     """
 
     def __init__(
-        self,
-        path: Path,
-        manifest: Dict[str, object],
-        values: np.ndarray,
-        sketch: BasicWindowSketch,
+        self, path: Path, manifest: Dict[str, object], sketch: BasicWindowSketch
     ) -> None:
         self.path = path
         self.manifest = manifest
-        self.values = values
         self.sketch = sketch
 
     @property
@@ -101,6 +95,23 @@ class SharedSegment:
     @property
     def series_ids(self) -> List[str]:
         return list(self.manifest["series_ids"])
+
+    @property
+    def num_series(self) -> int:
+        return int(self.manifest["num_series"])
+
+    @property
+    def length(self) -> int:
+        return int(self.manifest["length"])
+
+    def read(self, start: int = 0, end: Optional[int] = None) -> np.ndarray:
+        raise StorageError(
+            f"segment at {self.path} holds statistics only; a query over it "
+            f"cannot read raw columns"
+        )
+
+    #: Streaming the columns is the same refusal as reading them.
+    iter_chunks = read
 
     def __repr__(self) -> str:
         return (
@@ -116,14 +127,12 @@ def export_segment(
     fingerprint: str,
     series_ids,
 ) -> Path:
-    """Write one dataset snapshot as an attachable segment directory.
+    """Write one snapshot's statistics as an attachable segment directory.
 
-    ``store`` is the dataset's chunk store (anything with ``num_series``,
-    ``length`` and ``iter_chunks()``); its columns are streamed into the
-    values file chunk by chunk, so the export never materializes a second
-    dense copy of the data.  ``sketch`` must carry pairwise statistics —
-    a per-series-only sketch cannot answer the correlation scans workers
-    run.  The manifest is written last; see the module docstring.
+    Only ``store``'s ``num_series`` and ``length`` are read: no column is
+    exported.  ``sketch`` must carry pairwise statistics — a
+    per-series-only sketch cannot answer the correlation scans workers run.
+    The manifest is written last; see the module docstring.
     """
     if not sketch.has_pairwise:
         raise StorageError(
@@ -133,26 +142,8 @@ def export_segment(
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
 
-    values = np.lib.format.open_memmap(
-        target / "values.npy",
-        mode="w+",
-        dtype=FLOAT_DTYPE,
-        shape=(int(store.num_series), int(store.length)),
-    )
-    cursor = 0
-    for chunk in store.iter_chunks():
-        values[:, cursor:cursor + chunk.shape[1]] = chunk
-        cursor += chunk.shape[1]
-    if cursor != store.length:
-        raise StorageError(
-            f"chunk store yielded {cursor} columns but reports length "
-            f"{store.length}; refusing to export a torn segment to {target}"
-        )
-    values.flush()
-    del values
-
     arrays = {name: getattr(sketch, name) for name in _SKETCH_ARRAYS}
-    shapes: Dict[str, List[int]] = {"values": [int(store.num_series), int(store.length)]}
+    shapes: Dict[str, List[int]] = {}
     for name, array in arrays.items():
         np.save(target / f"{name}.npy", np.asarray(array))
         shapes[name] = [int(dim) for dim in array.shape]
@@ -198,8 +189,9 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
 
     Raises :class:`StorageError` naming the offending path when the manifest
     is absent or unreadable, the schema tag is unknown, a listed array file
-    is missing, or an array is truncated/corrupt (shape disagrees with the
-    manifest, or the ``.npy`` header cannot be mapped).
+    is missing, an array is truncated/corrupt (shape disagrees with the
+    manifest, or the ``.npy`` header cannot be mapped), or ``num_series``,
+    ``series_ids`` or ``length`` disagree with the statistics.
     """
     path = Path(directory)
     manifest_path = path / "manifest.json"
@@ -226,7 +218,6 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
         )
     try:
         shapes = manifest["shapes"]
-        values = _load_array(path / "values.npy", tuple(shapes["values"]))
         loaded = {
             name: _load_array(path / f"{name}.npy", tuple(shapes[name]))
             for name in listed
@@ -242,6 +233,9 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
             series_sumsqs=loaded["series_sumsqs"],
             pair_sumprods=loaded["pair_sumprods"],
         )
+        num_series = int(manifest["num_series"])
+        length = int(manifest["length"])
+        num_ids = len(manifest["series_ids"])
     except (KeyError, TypeError, ValueError) as error:
         raise StorageError(
             f"{manifest_path} is not a complete segment manifest ({error!r})"
@@ -251,7 +245,17 @@ def attach_segment(directory: Union[str, Path]) -> SharedSegment:
             f"segment at {path} holds inconsistent statistics ({error}); "
             f"rebuild it"
         ) from error
-    return SharedSegment(path, manifest, values, sketch)
+    if not num_series == num_ids == sketch.num_series:
+        raise StorageError(
+            f"{manifest_path} records num_series {num_series} and {num_ids} "
+            f"series_ids, but series_sums has {sketch.num_series} rows"
+        )
+    if layout.covered_end > length:
+        raise StorageError(
+            f"{manifest_path} records length {length}, but its layout ends at "
+            f"column {layout.covered_end}"
+        )
+    return SharedSegment(path, manifest, sketch)
 
 
 class SegmentManager:
@@ -263,8 +267,8 @@ class SegmentManager:
     already on disk returns the existing export.  Several layouts stay live
     at once — query shapes with different ``start`` offsets produce
     different basic-window layouts, and evicting one layout's segment
-    whenever another is asked for would re-export (an O(N·L) disk write
-    under the runtime lock) on every alternation.  An append changes the
+    whenever another is asked for would re-export (a write of the whole
+    statistics under the runtime lock) on every alternation.  An append changes the
     *fingerprint* (and grows the anchored layout's window count),
     superseding the exports of the same layout family ``(offset, size)``;
     per family the exports under the newest ``KEEP_FINGERPRINTS``

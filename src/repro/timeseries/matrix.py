@@ -9,7 +9,6 @@ the sliding-query engines rely on.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Type, Union
 
@@ -17,7 +16,6 @@ import numpy as np
 
 from repro.config import FLOAT_DTYPE
 from repro.exceptions import DataValidationError, ReproError
-
 
 
 def finite_columns(
@@ -45,35 +43,6 @@ def finite_columns(
     if not np.all(np.isfinite(block)):
         raise error(f"{what} must be finite")
     return block
-
-
-#: Values per read of :func:`_mapped_file_is_finite` (512 KiB of float64).
-_FINITE_CHECK_BLOCK = 1 << 16
-
-
-def _mapped_file_is_finite(mapped: np.memmap) -> bool:
-    """``np.all(np.isfinite(mapped))`` for a whole-file memmap, read from the file.
-
-    The check reads the mapped file through one bounded buffer instead of
-    through the mapping, so checking an attached segment faults none of its
-    pages into this process: a query answered from the sketch then never
-    maps a raw value.  Element order is irrelevant to the verdict, so the
-    file's bytes are read as they lie.
-    """
-    buffer = np.empty(min(mapped.size, _FINITE_CHECK_BLOCK), dtype=mapped.dtype)
-    remaining = mapped.size
-    with open(mapped.filename, "rb") as handle:
-        handle.seek(mapped.offset)
-        while remaining:
-            block = buffer[: min(remaining, buffer.size)]
-            if handle.readinto(block) != block.nbytes:
-                raise DataValidationError(
-                    f"{mapped.filename} is shorter than its mapping"
-                )
-            if not np.all(np.isfinite(block)):
-                return False
-            remaining -= block.size
-    return True
 
 
 @dataclass(frozen=True)
@@ -110,10 +79,8 @@ class TimeSeriesMatrix:
     Parameters
     ----------
     values:
-        Array-like of shape ``(N, L)``.  Copied and converted to ``float64``;
-        a read-only ``float64`` :class:`numpy.memmap` (mode ``"r"``) is
-        adopted without a copy, and when it maps a whole file its finiteness
-        check reads that file, never the mapping (no page is faulted in).
+        Array-like of shape ``(N, L)``.  Always copied (and converted to
+        ``float64``), so the matrix owns its read-only values.
     series_ids:
         Optional sequence of ``N`` identifiers (strings).  Defaults to
         ``"s0" … "s{N-1}"``.
@@ -144,29 +111,14 @@ class TimeSeriesMatrix:
                 "each time series must contain at least two observations, "
                 f"got length {array.shape[1]}"
             )
-        adopted = (
-            isinstance(values, np.memmap)
-            and values.mode == "r"
-            and not array.flags.writeable
-        )
-        if not allow_nan and not (
-            _mapped_file_is_finite(values)
-            if adopted and isinstance(values.base, mmap.mmap) and values.filename
-            else np.all(np.isfinite(array))
-        ):
+        if not allow_nan and not np.all(np.isfinite(array)):
             raise DataValidationError(
                 "time-series matrix contains non-finite values; pass "
                 "allow_nan=True and use fill_missing() to repair it"
             )
 
-        if adopted:
-            # Read-only file pages (an attached shared segment): nothing can
-            # write through them, so they are adopted in place.  Anything
-            # else is copied, a read-only view of a writable array included.
-            self._values = array
-        else:
-            self._values = np.array(array, dtype=FLOAT_DTYPE, copy=True)
-            self._values.setflags(write=False)
+        self._values = np.array(array, dtype=FLOAT_DTYPE, copy=True)
+        self._values.setflags(write=False)
 
         if series_ids is None:
             series_ids = [f"s{i}" for i in range(array.shape[0])]

@@ -218,6 +218,12 @@ LAGGED_REQUEST = {
     "mode": "lagged", "start": 0, "end": LENGTH, "window": 64, "step": 64,
     "max_lag": 2, "threshold": 0.4,
 }
+#: Windows that do not recombine from whole basic windows (TSUBASA's edge
+#: correction reads raw columns for them).
+UNALIGNED_REQUEST = {
+    "mode": "threshold", "start": 0, "end": LENGTH, "window": 50, "step": 7,
+    "threshold": 0.5,
+}
 EVERY_FAMILY = pytest.mark.parametrize(
     "request_body", [THRESHOLD_REQUEST, TOPK_REQUEST, LAGGED_REQUEST],
     ids=["threshold", "topk", "lagged"],
@@ -455,10 +461,12 @@ def _answer(document):
 def _served(document):
     """A response document without its ``describe`` line and stats timings:
     what a pooled and a pool-less service must agree on."""
-    stats = {k: v for k, v in document["stats"].items() if not k.endswith("_seconds")}
-    return {
-        **{k: v for k, v in document.items() if k != "describe"}, "stats": stats,
-    }
+    served = {k: v for k, v in document.items() if k != "describe"}
+    if "stats" in document:
+        served["stats"] = {
+            k: v for k, v in document["stats"].items() if not k.endswith("_seconds")
+        }
+    return served
 
 
 def _pooled(catalog, **options):
@@ -807,23 +815,70 @@ class TestOneResidentCopy:
         assert before["sketch_cache"]["builds"] == before["segments"]["exports"] == 9
         assert after["sketch_cache"]["builds"] == before["sketch_cache"]["builds"]
         assert after["segments"]["exports"] == before["segments"]["exports"]
-        assert _answer(again) == _answer(expected)
-        assert _served(again) == _served(first)
+        # Both pooled bodies report the parent's cache outcome (a cold build,
+        # then an evicted entry), as the pool-less service does.
+        assert _served(first) == _served(expected)
+        assert _served(again) == _served(expected)
 
-    def test_non_finite_segment_values_are_an_error_across_the_pool(self, catalog):
-        """The workers' finiteness check reads the file, not the mapping,
-        and still refuses a NaN: the client gets an error, never an answer."""
-        catalog.add_index("demo", basic_window_size=BASIC)
-        directory = catalog.root / catalog.describe("demo").index_files["b16"]
-        values = np.load(directory / "values.npy", mmap_mode="r+")
-        values[NUM_SERIES - 1, LENGTH - 1] = np.nan
-        values.flush()
-        del values
+    def test_a_segment_the_workers_cannot_attach_is_a_server_fault(self, catalog):
+        """A live export whose manifest is torn after the parent attached
+        it is a 5xx naming the directory, never a 400 or an answer."""
         with _pooled(catalog) as service:
-            with pytest.raises(ServiceError, match="DataValidationError: .*non-finite"):
+            runtime = service._runtime("demo")
+            query = ThresholdQuery(start=0, end=LENGTH, window=64, step=32,
+                                   threshold=0.5)
+            with runtime.lock:
+                session = runtime.session()
+                directory, _, _ = service._segment_job(
+                    runtime, session, session.plan(query)
+                )
+            segment = runtime.segments.find(
+                runtime.sketch_cache.fingerprint_of(session.matrix),
+                session.plan(query).layout,
+            )
+            assert str(segment.path) == directory  # live and attached
+            (segment.path / "manifest.json").write_text("{torn")
+            with pytest.raises(ServiceError) as excinfo:
                 service.query("demo", dict(THRESHOLD_REQUEST))
             stats = service.dataset_info("demo")["stats"]
+        assert excinfo.value.status >= 500
+        assert f"cannot attach the segment at {directory}" in str(excinfo.value)
         assert stats["queries"] == 0
+
+    @pytest.mark.parametrize(
+        "request_body, engine, exports",
+        [
+            (THRESHOLD_REQUEST, "dangoron", 1),
+            (TOPK_REQUEST, "dangoron", 1),
+            (LAGGED_REQUEST, "dangoron", 0),
+            (UNALIGNED_REQUEST, "tsubasa", 0),
+        ],
+        ids=["threshold", "topk", "lagged", "unaligned-tsubasa"],
+    )
+    def test_every_family_answers_from_statistics_like_pool_less(
+        self, catalog, request_body, engine, exports
+    ):
+        """Pooled bodies equal pool-less ones, cold and warm, and the
+        exports hold statistics only; a plan that reads raw columns (lagged,
+        an unaligned window's edge correction) runs in process, exporting
+        nothing."""
+        expected = _pool_less_answers(
+            catalog, [request_body, request_body], engine=engine
+        )
+        with _pooled(catalog, engine=engine) as service:
+            documents = [
+                json.loads(service.query("demo", dict(request_body)))
+                for _ in range(2)
+            ]
+            stats = service.dataset_info("demo")["stats"]
+            root = service._runtime("demo").segments.root
+            files = sorted(p.name for p in root.glob("segment-*/*"))
+        assert list(map(_served, documents)) == list(map(_served, expected))
+        assert stats["segments"]["exports"] == exports
+        assert files == exports * [
+            "manifest.json", "pair_sumprods.npy", "series_sums.npy",
+            "series_sumsqs.npy",
+        ]
 
 
 class TestAppendAndWatch:

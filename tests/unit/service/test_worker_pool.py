@@ -29,7 +29,8 @@ import pytest
 from repro.api import CorrelationSession, ThresholdQuery
 from repro.core.basic_window import BasicWindowLayout
 from repro.core.sketch import BasicWindowSketch
-from repro.exceptions import DataValidationError, ServiceError
+from repro.core.tiled import ChunkBackedMatrix
+from repro.exceptions import ServiceError, StorageError
 from repro.service import ServiceClient
 from repro.service.service import CorrelationService
 from repro.service.wire import query_to_wire, result_from_wire
@@ -132,24 +133,6 @@ def _process_running(pid: int) -> bool:
     return stat.rpartition(")")[2].split()[0] != "Z"
 
 
-def _mapped_rss_kb(path: Path):
-    """``Rss`` in kB of each of this process's mappings of ``path``, from
-    ``/proc/self/smaps``; skips where ``/proc`` is unavailable."""
-    try:
-        text = Path("/proc/self/smaps").read_text()
-    except OSError:
-        pytest.skip("/proc/self/smaps unavailable on this platform")
-    target = str(Path(path).resolve())
-    sizes, current = [], None
-    for line in text.splitlines():
-        head = line.split(maxsplit=5)
-        if "-" in head[0] and len(head) >= 5:  # a mapping's header line
-            current = head[5] if len(head) > 5 else None
-        elif head[0] == "Rss:" and current == target:
-            sizes.append(int(head[1]))
-    return sizes
-
-
 def _job(spec, path, fingerprint):
     return {
         "op": "query", "dataset": "demo", "spec": spec,
@@ -213,25 +196,40 @@ def test_service_without_fork_serves_pool_less(tmp_path, store, monkeypatch):
 
 
 class TestAttachmentMemory:
-    def test_attached_matrix_shares_the_segment_pages(self, segment):
-        """A worker's matrix is the segment's read-only memmap, not a copy."""
-        _, path, fingerprint = segment
-        attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
-        attachment = attachments.attachment_for(str(path), fingerprint)
-        assert np.shares_memory(attachment.matrix.values, attachment.segment.values)
-        assert not attachment.matrix.values.flags.writeable
-
-    def test_a_hot_attachment_maps_no_values_page(self, segment):
-        """The attach-time finiteness check reads the file, and a hit reads
-        only the sketch: the raw values stay mapped but never resident."""
+    def test_the_attached_matrix_holds_no_values(self, segment):
+        """A worker's matrix is a chunk-backed view of the segment's
+        manifest: the right shape and ids, no raw column in the directory,
+        and queries answered from the sketch never materialize it."""
         _, path, fingerprint = segment
         attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
         for threshold in (0.4, 0.6, 0.4):
             _execute_query(attachments, _job(
                 query_to_wire(QUERY) | {"threshold": threshold}, path, fingerprint
             ))
-        resident = _mapped_rss_kb(path / "values.npy")
-        assert resident and not any(resident), resident
+        attachment = attachments.attachment_for(str(path), fingerprint)
+        matrix = attachment.matrix
+        assert isinstance(matrix, ChunkBackedMatrix)
+        assert matrix.shape == (NUM_SERIES, LENGTH)
+        assert matrix.series_ids == [f"s{i}" for i in range(NUM_SERIES)]
+        assert not matrix.materialized
+        assert not (path / "values.npy").exists()
+
+    def test_a_raw_read_is_refused_naming_the_directory(self, segment):
+        """Edge correction of an unaligned window reads raw columns, which
+        a segment does not hold: the worker refuses by directory (the
+        service never sends such a plan; it runs in process)."""
+        _, path, fingerprint = segment
+        attachments = AttachmentCache(
+            WorkerConfig(engine="tsubasa", basic_window_size=BASIC)
+        )
+        unaligned = {
+            "mode": "threshold", "start": 0, "end": LENGTH, "window": 50,
+            "step": 7, "threshold": 0.4,
+        }
+        with pytest.raises(StorageError, match=f"segment at {path} holds statistics only"):
+            _execute_query(attachments, _job(unaligned, path, fingerprint))
+        with pytest.raises(StorageError, match=f"segment at {path} holds statistics only"):
+            attachments.attachment_for(str(path), fingerprint).matrix.values
 
     def test_a_view_of_a_writable_array_is_still_copied(self):
         values = _values()
@@ -280,19 +278,17 @@ class TestContentCheck:
         # alternating layouts must not re-attach on every switch.
         assert attachments.attachment_for(str(path), fingerprint) is first
 
-    def test_non_finite_values_are_refused_on_attach(self, segment):
-        """The finiteness guarantee survives reading the file instead of the
-        mapping: a NaN written into the segment's values is refused by name,
-        cold and on every later job."""
+    def test_a_directory_that_cannot_attach_is_a_server_fault(self, segment):
+        """A corrupt segment the parent named is the server's fault: a 500
+        naming the directory, never a 400, and nothing stays attached."""
         _, path, fingerprint = segment
-        values = np.load(path / "values.npy", mmap_mode="r+")
-        values[NUM_SERIES - 1, LENGTH - 1] = np.nan
-        values.flush()
-        del values
+        (path / "manifest.json").write_text("{torn")
         attachments = AttachmentCache(WorkerConfig(basic_window_size=BASIC))
         for _ in range(2):
-            with pytest.raises(DataValidationError, match="non-finite"):
+            with pytest.raises(ServiceError) as excinfo:
                 _execute_query(attachments, _job(query_to_wire(QUERY), path, fingerprint))
+            assert excinfo.value.status == 500
+            assert f"cannot attach the segment at {path}" in str(excinfo.value)
         assert not attachments._attachments
 
     def test_a_removed_directory_is_forgotten_on_the_next_attach(self, store, segment):

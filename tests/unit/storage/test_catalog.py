@@ -146,7 +146,13 @@ class TestIndexes:
         matrix = catalog.load_matrix("demo")
         assert segment.fingerprint == matrix_fingerprint(matrix)
         assert segment.series_ids == list("wxyz")
-        np.testing.assert_array_equal(segment.values, store.read_all())
+        assert (segment.num_series, segment.length) == (store.num_series, store.length)
+        # The raw columns live once, in the data file: the index holds
+        # statistics only.
+        assert sorted(p.name for p in segment.path.iterdir()) == [
+            "manifest.json", "pair_sumprods.npy", "series_sums.npy",
+            "series_sumsqs.npy",
+        ]
         rebuilt = BasicWindowSketch.build(
             matrix.values, BasicWindowLayout.for_range(0, matrix.length, 24)
         )
@@ -175,7 +181,7 @@ class TestIndexes:
         before = sorted(p.name for p in tmp_path.iterdir())
 
         def torn_export(directory, *args, **kwargs):
-            (directory / "values.npy").write_bytes(b"partial")
+            (directory / "pair_sumprods.npy").write_bytes(b"partial")
             raise OSError("disk full")
 
         monkeypatch.setattr(catalog_module, "export_segment", torn_export)

@@ -6,8 +6,13 @@ the lifecycle contract:
 
 * export -> attach round-trips every array bit-identically, and the attached
   arrays are genuinely memmapped (``np.memmap``), not copies;
+* a segment holds statistics only: the export reads the store's shape and
+  no column, writes no raw copy, and the attached segment's chunk-source
+  surface refuses every raw read by directory;
 * the manifest lists exactly the three statistic arrays, and a manifest
   listing anything else (an older export's ``corr_prefix``) is refused;
+* a directory written by an earlier release, with its raw ``values.npy``
+  listed under ``shapes``, still attaches with the same statistics;
 * :class:`SegmentManager.ensure` is idempotent per ``(fingerprint, layout)``
   and exports into a fresh directory when either changes (the append
   protocol);
@@ -21,7 +26,8 @@ the lifecycle contract:
 * every corruption mode — missing directory or manifest, a foreign or
   incomplete manifest, bad or missing schema, missing listed array,
   truncated array, shape mismatch, statistics inconsistent with one
-  another, torn export — raises :class:`~repro.exceptions.StorageError`
+  another or with the manifest's ``num_series``, ``series_ids`` and
+  ``length`` — raises :class:`~repro.exceptions.StorageError`
   naming the offending path.
 """
 
@@ -92,7 +98,7 @@ class TestExportAttach:
         segment = attach_segment(path)
         assert segment.fingerprint == "fp-1"
         assert segment.series_ids == [f"s{i}" for i in range(NUM_SERIES)]
-        np.testing.assert_array_equal(segment.values, store.read_all())
+        assert (segment.num_series, segment.length) == (NUM_SERIES, LENGTH)
         attached = segment.sketch
         assert attached.layout == LAYOUT
         np.testing.assert_array_equal(attached.series_sums, sketch.series_sums)
@@ -100,10 +106,48 @@ class TestExportAttach:
         np.testing.assert_array_equal(attached.pair_sumprods, sketch.pair_sumprods)
         # Correlations are not stored.
         assert not (path / "pair_corrs.npy").exists()
-        # The dominant arrays must be file-backed views, not private copies —
+        # The statistics must be file-backed views, not private copies —
         # that is the whole point of the shared segment.
-        assert _memmap_backed(segment.values)
+        assert _memmap_backed(attached.series_sums)
         assert _memmap_backed(attached.pair_sumprods)
+
+    def test_a_segment_holds_no_raw_column(self, tmp_path, store, sketch):
+        """The export reads the store's shape only, and the attached
+        segment refuses every raw read, naming its directory."""
+
+        class ShapeOnly:
+            num_series = store.num_series
+            length = store.length
+
+        path = export_segment(
+            tmp_path / "segment-1", ShapeOnly(), sketch,
+            fingerprint="fp-1", series_ids=[f"s{i}" for i in range(NUM_SERIES)],
+        )
+        assert not (path / "values.npy").exists()
+        segment = attach_segment(path)
+        with pytest.raises(StorageError, match=f"segment at {path} holds statistics only"):
+            segment.iter_chunks()
+        with pytest.raises(StorageError, match=f"segment at {path} holds statistics only"):
+            segment.read(0, BASIC)
+
+    def test_an_earlier_release_directory_with_raw_values_attaches(
+        self, tmp_path, store, sketch
+    ):
+        """A v4 directory written with its raw ``values.npy`` (and the
+        ``values`` entry under ``shapes``) attaches with bit-equal
+        statistics; the raw file is ignored."""
+        path = _export(tmp_path, store, sketch)
+        manifest = json.loads((path / "manifest.json").read_text())
+        np.save(path / "values.npy", store.read_all())
+        manifest["shapes"] = {"values": [NUM_SERIES, LENGTH], **manifest["shapes"]}
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        segment = attach_segment(path)
+        assert not hasattr(segment, "values")
+        for name in ("series_sums", "series_sumsqs", "pair_sumprods"):
+            assert (
+                np.asarray(getattr(segment.sketch, name)).tobytes()
+                == np.asarray(getattr(sketch, name)).tobytes()
+            )
 
     def test_a_manifest_with_the_old_counter_field_still_attaches(
         self, tmp_path, store, sketch
@@ -120,29 +164,15 @@ class TestExportAttach:
         path = _export(tmp_path, store, sketch)
         manifest = json.loads((path / "manifest.json").read_text())
         assert manifest["arrays"] == ["series_sums", "series_sumsqs", "pair_sumprods"]
+        assert sorted(manifest["shapes"]) == sorted(manifest["arrays"])
         assert sorted(p.name for p in path.glob("*.npy")) == [
-            "pair_sumprods.npy", "series_sums.npy", "series_sumsqs.npy", "values.npy",
+            "pair_sumprods.npy", "series_sums.npy", "series_sumsqs.npy",
         ]
 
     def test_export_requires_pairwise_sketch(self, tmp_path, store):
         lean = BasicWindowSketch.build(store.read_all(), LAYOUT, pairwise=False)
         with pytest.raises(StorageError, match="pairwise"):
             _export(tmp_path, store, lean)
-
-    def test_torn_store_refuses_to_export(self, tmp_path, store, sketch):
-        class LyingStore:
-            num_series = store.num_series
-            length = store.length + 7  # claims columns it cannot yield
-
-            @staticmethod
-            def iter_chunks():
-                return store.iter_chunks()
-
-        with pytest.raises(StorageError, match="torn segment"):
-            export_segment(
-                tmp_path / "segment-1", LyingStore(), sketch,
-                fingerprint="fp", series_ids=["a", "b", "c", "d"],
-            )
 
 
 class TestCorruption:
@@ -279,6 +309,39 @@ class TestCorruption:
         with pytest.raises(
             StorageError, match=f"segment at {path} holds inconsistent statistics.*rebuild"
         ):
+            attach_segment(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                {"length": LENGTH - BASIC},
+                "records length 88, but its layout ends at column 96",
+            ),
+            (
+                {"series_ids": ["s0", "s1", "s2"]},
+                "records num_series 4 and 3 series_ids, but series_sums has 4 rows",
+            ),
+            (
+                {"num_series": 5},
+                "records num_series 5 and 4 series_ids, but series_sums has 4 rows",
+            ),
+            (
+                {"num_series": 5, "series_ids": [f"s{i}" for i in range(5)]},
+                "records num_series 5 and 5 series_ids, but series_sums has 4 rows",
+            ),
+        ],
+        ids=["length", "series_ids", "num_series", "both"],
+    )
+    def test_a_shape_the_statistics_disagree_with_is_refused_by_name(
+        self, tmp_path, store, sketch, edit, message
+    ):
+        """The manifest's shape sets a worker's matrix, so it must agree
+        with the statistics it describes."""
+        path = _export(tmp_path, store, sketch)
+        manifest = json.loads((path / "manifest.json").read_text())
+        (path / "manifest.json").write_text(json.dumps({**manifest, **edit}))
+        with pytest.raises(StorageError, match=f"{path}/manifest.json {message}"):
             attach_segment(path)
 
     def test_missing_directory_names_it(self, tmp_path):

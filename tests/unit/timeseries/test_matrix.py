@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DataValidationError
-from repro.timeseries import matrix as matrix_module
 from repro.timeseries.matrix import TimeAxis, TimeSeriesMatrix
 
 
@@ -65,25 +64,19 @@ class TestConstruction:
         matrix = TimeSeriesMatrix(values, allow_nan=True)
         assert matrix.has_missing()
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", [(0, 0), (2, 6), (4, 99)])
-    def test_a_mapped_file_is_checked_block_by_block(
-        self, tmp_path, rng, monkeypatch, bad, where
-    ):
-        """A whole-file read-only memmap is checked by reading the file in
-        bounded blocks; a non-finite value in any block is refused."""
-        monkeypatch.setattr(matrix_module, "_FINITE_CHECK_BLOCK", 64)
+    def test_a_read_only_memmap_is_copied(self, tmp_path, rng):
+        """File pages are never adopted: the matrix owns its values, and a
+        non-finite value in the file is refused like any other input."""
         values = rng.normal(size=(5, 100))
         np.save(tmp_path / "good.npy", values)
         mapped = np.load(tmp_path / "good.npy", mmap_mode="r")
-        assert np.shares_memory(TimeSeriesMatrix(mapped).values, mapped)
-        values[where] = bad
-        np.save(tmp_path / "bad.npy", np.asfortranarray(values))
+        matrix = TimeSeriesMatrix(mapped)
+        assert not np.shares_memory(matrix.values, mapped)
+        assert not isinstance(matrix.values, np.memmap)
+        values[2, 6] = np.nan
+        np.save(tmp_path / "bad.npy", values)
         with pytest.raises(DataValidationError, match="non-finite"):
             TimeSeriesMatrix(np.load(tmp_path / "bad.npy", mmap_mode="r"))
-        assert TimeSeriesMatrix(
-            np.load(tmp_path / "bad.npy", mmap_mode="r"), allow_nan=True
-        ).has_missing()
 
     def test_rejects_duplicate_or_mismatched_ids(self, rng):
         values = rng.normal(size=(2, 10))
