@@ -36,10 +36,12 @@ The recombination exposed here comes in two flavours:
     filters all (pair, window) cells at once, and only the cells that may
     pass the threshold, or rank in their window's top k, are re-gathered
     with ``exact_pairs_scan``'s kernel, so the answers are the per-window
-    scan's bit for bit.  The first whole-triangle threshold pass over a
-    window grid records each pair's filter extremes (its *ceiling*), and a
-    later threshold pass over the same grid skips the pairs whose ceiling
-    cannot reach the threshold (:class:`_GridMemo`).
+    scan's bit for bit.  The first whole-triangle pass over a window grid,
+    threshold or top-k, records each pair's filter extremes (its
+    *ceiling*, :class:`_GridMemo`).  A later threshold pass over the same
+    grid skips the pairs whose ceiling cannot reach the threshold, and a
+    later top-k pass filters pairs in descending order of their ceiling and
+    stops where it falls below every window's ``k``-th lower bound.
 """
 
 from __future__ import annotations
@@ -270,8 +272,8 @@ def _series_terms(
 
 
 class _GridMemo(NamedTuple):
-    """What a whole-triangle threshold pass leaves for later passes over
-    the same window grid of the same sketch.
+    """What a whole-triangle threshold or top-k pass leaves for later
+    passes over the same window grid of the same sketch.
 
     ``key`` is the grid, ``(first, window_bw, step_bw, num_windows)`` in
     basic windows; ``terms`` its per-series terms; ``high`` and ``low`` are
@@ -285,7 +287,9 @@ class _GridMemo(NamedTuple):
     a pair with ``high < beta - delta`` (and ``-low < beta - delta`` in
     absolute mode): dropping those pairs first changes no verified cell and
     no answer bit.  ``delta`` and its coefficient are recomputed by every
-    pass, so the test is always the pass's own comparison.
+    pass, so the test is always the pass's own comparison.  A top-k pass
+    reads ``high + delta`` (``max(high, -low) + delta`` by ``|c|``) as the
+    most any cell of the pair can rank (:meth:`_GridPass.reach`).
     """
 
     key: Tuple[int, int, int, int]
@@ -384,6 +388,7 @@ class _GridPass:
         self.block = max(1, _GRID_BLOCK_CELLS // (self.span + 1))
         self.n_points = float(window_bw * layout.size)
 
+        self.sketch = sketch
         self.key = (first, window_bw, self.step_bw, self.num_windows)
         with _GRID_MEMOS_LOCK:
             memo = _GRID_MEMOS.get(sketch)
@@ -406,6 +411,36 @@ class _GridPass:
                 self.amplitude[self.rows[pairs]] * self.amplitude[self.cols[pairs]]
             )
 
+    def recording(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Buffers for :meth:`blocks`' extremes when this pass should record
+        a :class:`_GridMemo`: it found none for its grid and runs over the
+        whole triangle in slot order.  Else None."""
+        if self.memo is not None or not whole_triangle(self.slots, len(self.pair_sumprods)):
+            return None
+        return tuple(np.empty(len(self.slots), dtype=FLOAT_DTYPE) for _ in range(2))
+
+    def record(self, extremes: Tuple[np.ndarray, np.ndarray]) -> None:
+        """Publish the memo of this grid from a whole pass's ``extremes``."""
+        for array in extremes:
+            array.setflags(write=False)
+        with _GRID_MEMOS_LOCK:
+            _GRID_MEMOS[self.sketch] = _GridMemo(self.key, self.terms, *extremes)
+
+    def reach(self) -> np.ndarray:
+        """Each pair's *reach*, in pass order: ``high + delta`` (signed) or
+        ``max(high, -low) + delta`` (absolute) from the memo, at least every
+        value the scan gives the pair's cells on this grid.  +inf where the
+        memo is absent or the sum is NaN or infinite."""
+        if self.memo is None:
+            return np.full(len(self.slots), np.inf)
+        high = self.memo.high[self.slots]
+        if self.absolute:
+            high = np.maximum(high, -self.memo.low[self.slots])
+        with np.errstate(invalid="ignore", over="ignore"):
+            reach = high + self.delta(slice(None))
+        reach[~np.isfinite(reach)] = np.inf
+        return reach
+
     def skip_unreachable(self, beta: float) -> None:
         """Narrow the pass to the pairs the memo's ceiling lets reach
         ``beta``, in their order: a dropped pair is one whose every cell the
@@ -421,13 +456,17 @@ class _GridPass:
         self.rows, self.cols, self.slots = self.rows[kept], self.cols[kept], self.slots[kept]
 
     def blocks(
-        self, extremes: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self,
+        extremes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        order: Optional[np.ndarray] = None,
     ) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """``(lo, hi, filter)`` for consecutive pair blocks ``[lo, hi)``.
+        """``(lo, hi, filter)`` for consecutive pair blocks ``[lo, hi)``: the
+        pairs at positions ``lo … hi - 1``, or ``order[lo:hi]`` when an
+        ``order`` of the positions is given.
 
         ``filter`` is ``(hi - lo, windows)``, ``|f|`` in absolute mode.
         ``extremes``, two ``(pairs,)`` arrays, receive each pair's max and
-        min signed filter value over the windows.
+        min signed filter value over the windows, at the pair's position.
         """
         span, window_bw, step_bw = self.span, self.window_bw, self.step_bw
         columns = slice(self.first, self.first + span)
@@ -439,8 +478,9 @@ class _GridPass:
         for lo in range(0, len(self.rows), self.block):
             hi = min(lo + self.block, len(self.rows))
             running = prefix[: hi - lo]
-            block_rows, block_cols = self.rows[lo:hi], self.cols[lo:hi]
-            sumprods = self.pair_sumprods[self.slots[lo:hi], columns]
+            pairs = slice(lo, hi) if order is None else order[lo:hi]
+            block_rows, block_cols = self.rows[pairs], self.cols[pairs]
+            sumprods = self.pair_sumprods[self.slots[pairs], columns]
             with np.errstate(invalid="ignore", over="ignore"):
                 np.cumsum(sumprods, axis=1, out=running[:, 1:])
                 value = (
@@ -452,8 +492,8 @@ class _GridPass:
                 value *= self.inv_root[block_cols]
                 if extremes is not None:
                     cells = value.ravel()
-                    np.maximum.reduceat(cells, row_starts[: hi - lo], out=extremes[0][lo:hi])
-                    np.minimum.reduceat(cells, row_starts[: hi - lo], out=extremes[1][lo:hi])
+                    extremes[0][pairs] = np.maximum.reduceat(cells, row_starts[: hi - lo])
+                    extremes[1][pairs] = np.minimum.reduceat(cells, row_starts[: hi - lo])
                 if self.absolute:
                     np.abs(value, out=value)
             yield lo, hi, value
@@ -483,10 +523,19 @@ class _GridPass:
             )
 
 
-def _top_k_cells(grid: _GridPass, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``(window_of, position)`` of the cells that may rank in their window's
-    top ``k`` (fewer than the pairs), window-major: the filter of
-    :meth:`BasicWindowSketch.exact_top_k_grid`."""
+def _top_k_cells(
+    grid: _GridPass, k: int, extremes: Optional[Tuple[np.ndarray, np.ndarray]]
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(window_of, position, skipped)``: the cells that may rank in their
+    window's top ``k`` (fewer than the pairs), window-major and in
+    enumeration order within a window, and the number of pairs the ceiling
+    left unfiltered: the filter of :meth:`BasicWindowSketch.exact_top_k_grid`.
+
+    Pair blocks are filtered in descending order of :meth:`_GridPass.reach`
+    until the next pair's reach lies below every window's ``k``-th lower
+    bound.  ``extremes``, when given, receive every pair's filter extremes
+    (:meth:`_GridPass.blocks`).
+    """
     # Columns [0, k) hold every window's k highest lower bounds f - delta so
     # far, negated: np.partition puts NaN last, so a NaN never counts.
     best = np.full((grid.num_windows, k + grid.block), np.inf)
@@ -505,26 +554,36 @@ def _top_k_cells(grid: _GridPass, k: int) -> Tuple[np.ndarray, np.ndarray]:
             kept = ~(rank + grid.delta(position) < lowest()[window_of])
         return window_of[kept], position[kept], rank[kept]
 
+    reach = grid.reach()
+    # The answer does not depend on the order among equal reaches (a stable
+    # sort of D128's reaches costs six times this one).
+    order = np.argsort(-reach)
+    reach = reach[order]
     pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    waiting, limit = 0, _GRID_VERIFY_CELLS
-    for lo, hi, rank in grid.blocks():
-        delta = grid.delta(slice(lo, hi))[:, None]
+    waiting, limit, skipped = 0, _GRID_VERIFY_CELLS, 0
+    for lo, hi, rank in grid.blocks(extremes, order):
+        pairs = order[lo:hi]
+        delta = grid.delta(pairs)[:, None]
         with np.errstate(invalid="ignore"):
             np.subtract(delta.T, rank.T, out=best[:, k : k + hi - lo])
         best[:, : k + hi - lo].partition(k - 1, axis=1)
         with np.errstate(invalid="ignore"):
             below = rank + delta < lowest()
         position, window_of = np.nonzero(~below)
-        pending.append((window_of, position + lo, rank[position, window_of]))
+        pending.append((window_of, pairs[position], rank[position, window_of]))
         waiting += len(position)
         if waiting >= limit:
             pending = [survivors(pending)]
             waiting = len(pending[0][0])
             limit = max(limit, 2 * waiting)
+        # Every later pair's cells lie below every window's k-th value.
+        if hi < len(order) and reach[hi] < lowest().min():
+            skipped = len(order) - hi
+            break
     window_of, position, _ = survivors(pending)
     # Survivors are few (about k per window): order them window-major.
-    order = np.argsort(window_of, kind="stable")
-    return window_of[order], position[order]
+    order = np.lexsort((position, window_of))
+    return window_of[order], position[order], skipped
 
 
 def ensure_sketch_layout(sketch: "BasicWindowSketch", layout) -> "BasicWindowSketch":
@@ -609,7 +668,13 @@ class BasicWindowSketch:
     def extend(
         self, columns: Union[np.ndarray, Iterator[np.ndarray]]
     ) -> "BasicWindowSketch":
-        """Absorb appended columns as new basic windows (O(Δ), bit-identical).
+        """Absorb appended columns as new basic windows (bit-identical).
+
+        Computing the new windows' statistics is O(Δ) in the appended
+        columns; building the grown arrays is not: each call concatenates
+        the whole ``series_sums``, ``series_sumsqs`` and ``pair_sumprods``,
+        a copy of O(N² · windows) values however small the delta
+        (docs/scaling.md, "Sustained ingestion", gives the measured ratio).
 
         ``columns`` are the raw values immediately following this sketch's
         coverage, as one block or as an iterator of consecutive blocks (the
@@ -817,12 +882,9 @@ class BasicWindowSketch:
         grid = _GridPass(self, rows, cols, slots, query, windows, absolute)
         # A signed beta of -1 keeps every value the clip can produce.
         unbounded = not absolute and query.threshold <= -1.0
-        extremes = None
-        if grid.memo is not None:
-            if not unbounded:
-                grid.skip_unreachable(query.threshold)
-        elif whole_triangle(slots, len(self.pair_sumprods)):
-            extremes = tuple(np.empty(len(slots), dtype=FLOAT_DTYPE) for _ in range(2))
+        extremes = grid.recording()
+        if grid.memo is not None and not unbounded:
+            grid.skip_unreachable(query.threshold)
         if counters is not None:
             counters["ceiling_skipped_pairs"] = len(rows) - len(grid.rows)
         pairs = len(grid.rows)
@@ -863,10 +925,7 @@ class BasicWindowSketch:
                     edges[index].append((i[a:b], j[a:b], values[a:b]))
             start, waiting = hi, 0
         if extremes is not None:
-            for array in extremes:
-                array.setflags(write=False)
-            with _GRID_MEMOS_LOCK:
-                _GRID_MEMOS[self] = _GridMemo(grid.key, grid.terms, *extremes)
+            grid.record(extremes)
         return [_cells(found, rows.dtype) for found in edges], verified
 
     def exact_top_k_grid(
@@ -876,6 +935,7 @@ class BasicWindowSketch:
         query: SlidingQuery,
         k: int,
         absolute: bool,
+        counters: Optional[Dict[str, int]] = None,
     ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The cells of every window that may rank in its top ``k``, in one pass.
 
@@ -899,6 +959,15 @@ class BasicWindowSketch:
         are verified.  A NaN always verifies, and a window that verifies
         fewer than ``k`` finite values verifies all its cells, so NaN ranks
         fall where the scan puts them.
+
+        With the sketch's :class:`_GridMemo` for this grid the pair blocks
+        run in descending order of each pair's reach, the most its cells
+        can rank (:meth:`_GridPass.reach`), and the pass stops before the
+        first pair whose reach lies below every window's ``min(G, 1)``: no
+        cell of it or of a later pair can rank.  A pass over the whole
+        triangle that finds no memo for its grid records one.  ``counters``,
+        when given, receives ``ceiling_skipped_pairs``, the number of pairs
+        the cut left unfiltered.
         """
         self._require_pairwise()
         rows = np.asarray(rows)
@@ -909,8 +978,14 @@ class BasicWindowSketch:
         num, count = len(windows), len(rows)
         if k >= count:
             window_of, position = np.indices((num, count)).reshape(2, -1)
+            skipped = 0
         else:
-            window_of, position = _top_k_cells(grid, k)
+            extremes = grid.recording()
+            window_of, position, skipped = _top_k_cells(grid, k, extremes)
+            if extremes is not None:
+                grid.record(extremes)
+        if counters is not None:
+            counters["ceiling_skipped_pairs"] = skipped
 
         found: List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
             [] for _ in windows

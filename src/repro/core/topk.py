@@ -12,8 +12,10 @@ Two paths are provided:
 ``sliding_top_k``
     Sketch-based, on the window-axis grid
     (:meth:`~repro.core.sketch.BasicWindowSketch.exact_top_k_grid`): one
-    pass filters every (pair, window) cell against a running per-window
-    k-th value, only the cells that may rank are recombined exactly with the
+    pass filters (pair, window) cells against a running per-window k-th
+    value, pair blocks in descending order of their ceiling once a pass
+    over the same grid has recorded one, stopping where no later pair can
+    rank; only the cells that may rank are recombined exactly with the
     per-window scan's pair gather, and ``select_top_k`` ranks them, so the
     answer is the per-window scan's, bit for bit, without walking windows.
 ``top_k_brute_force``

@@ -149,28 +149,40 @@ def test_pair_subsets_and_merged_shards(case, shards):
     )
 
 
-@given(topk_cases(), st.integers(min_value=0, max_value=2**31 - 1))
+@given(topk_cases(), st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from([1, 200, 1 << 16]))
 @settings(max_examples=100, deadline=None)
-def test_any_filter_within_its_bound_ranks_like_the_scan(case, seed):
+def test_any_filter_within_its_bound_ranks_like_the_scan(case, seed, elements):
     """The kernel trusts a filter value only up to the pair's ``delta``.
     Widen ``delta`` and move every filter value anywhere inside it, up or
     down, and the ranking is still the scan's: ``delta`` is load-bearing
-    both in the ranked lower bounds ``f - delta`` and in the keep test."""
+    both in the ranked lower bounds ``f - delta`` and in the keep test.
+    The query runs twice on one sketch: the first whole-triangle pass
+    records a ceiling whose extremes are moved inside ``delta`` too, and
+    the second ranks on it, cutting the pair blocks at their reach (blocks
+    of one and of a few pairs, so the cut has somewhere to fall)."""
     _, sketch, query, k, absolute, _ = case
     rng = np.random.default_rng(seed)
     blocks = sketch_module._GridPass.blocks
+    shifts = [-0.999, -0.5, 0.0, 0.5, 0.999]
 
-    def shaken(grid):
-        for lo, hi, value in blocks(grid):
-            delta = grid.delta(slice(lo, hi))[:, None]
-            shift = rng.choice([-0.999, -0.5, 0.0, 0.5, 0.999], size=value.shape)
-            yield lo, hi, value + shift * np.nan_to_num(delta)
+    def shaken(grid, extremes=None, order=None):
+        for lo, hi, value in blocks(grid, extremes, order):
+            pairs = slice(lo, hi) if order is None else order[lo:hi]
+            delta = np.nan_to_num(grid.delta(pairs))
+            if extremes is not None:
+                for array in extremes:
+                    array[pairs] += rng.choice(shifts, size=hi - lo) * delta
+            yield lo, hi, value + rng.choice(shifts, size=value.shape) * delta[:, None]
 
     rows, cols = np.triu_indices(sketch.num_series, k=1)
+    expected = per_window_top_k(sketch, rows, cols, query, k, absolute)
     with mock.patch.object(sketch_module, "_grid_error_coefficient", lambda span: 0.05), \
-            mock.patch.object(sketch_module._GridPass, "blocks", shaken):
-        got = run_top_k(case).windows
-    assert_same_windows(got, per_window_top_k(sketch, rows, cols, query, k, absolute))
+            mock.patch.object(sketch_module, "_GRID_BLOCK_CELLS", elements), \
+            mock.patch.object(sketch_module._GridPass, "blocks", shaken), \
+            np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            assert_same_windows(run_top_k(case).windows, expected)
 
 
 def _case(values, query, size, k, absolute):
